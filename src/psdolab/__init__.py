@@ -83,7 +83,6 @@ from .operators import (
     apply_dyadic_piece,
     commutator,
     kernel_column,
-    kernel_point_spectrum,
     kernel_row,
     make_operator,
 )

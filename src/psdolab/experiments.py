@@ -328,11 +328,10 @@ def oscillation_row(op, x_pt, y_pt) -> np.ndarray:
 
 
 def oscillation_integral(
-    op, x_pt, y_pt, density: np.ndarray, outside: np.ndarray
+    row: np.ndarray, density: np.ndarray, outside: np.ndarray, cell_volume: float
 ) -> float:
-    """sum over lattice z outside the doubled ball of |K*(x,z)-K*(y,z)| |density(z)| dz."""
-    diff = oscillation_row(op, x_pt, y_pt)[outside]
-    return float(np.sum(diff * np.abs(density[outside])) * op.grid.cell_volume)
+    """sum over lattice z outside the doubled ball of row(z) |density(z)| dz."""
+    return float(np.sum(row[outside] * np.abs(density[outside])) * cell_volume)
 
 
 def run_oscillation_check(cfg: ExperimentConfig) -> VerificationReport:
@@ -414,18 +413,20 @@ def run_oscillation_check(cfg: ExperimentConfig) -> VerificationReport:
                          "value": {"plain": val, "commutator": val_b}}
                     )
 
-            # exact-zero probes on this ball: same base point, support
-            # inside the doubled ball, constant multiplier
+            # exact-zero probes on this ball: same base point (two separate
+            # row evaluations), support inside the doubled ball, constant
+            # multiplier; the last two reuse the first pair's row
             x_pt = np.array(ball.center) + 0.25 * r
             f0 = corpus[0][1]
-            same = oscillation_integral(op, x_pt, x_pt, f0.values.ravel(), outside)
+            cell = grid.cell_volume
+            same = oscillation_integral(
+                oscillation_row(op, x_pt, x_pt), f0.values.ravel(), outside, cell
+            )
             inside_vals = f0.values.ravel().copy()
             inside_vals[outside] = 0.0
-            supported = oscillation_integral(
-                op, pairs[0][0], pairs[0][1], inside_vals, outside
-            )
+            supported = oscillation_integral(rows[0], inside_vals, outside, cell)
             const_dens = (np.ones(grid.size) - 1.0) * f0.values.ravel()
-            constant = oscillation_integral(op, pairs[0][0], pairs[0][1], const_dens, outside)
+            constant = oscillation_integral(rows[0], const_dens, outside, cell)
             zeros.extend([same, supported, constant])
             items.append(
                 {"id": f"ball(c={c:g},r={r:g})|zero_cases",
@@ -474,13 +475,14 @@ def run_kernel_decay(cfg: ExperimentConfig) -> VerificationReport:
     sym = cfg.make_symbol()
     op = cfg.make_operator(sym, grid)
     k_lo, k_hi = cfg.get_int("kernel.k_lo"), cfg.get_int("kernel.k_hi")
+    slope_tol = cfg.get_float("tolerances.slope")
     items, all_ok = [], True
     items.append(
         {"id": "partition_residual", "params": {},
          "value": evaluate_partition_residual(op.family)}
     )
     for ell in range(cfg.get_int("kernel.ell_max") + 1):
-        fit = fit_decay_in_k(op, ell, k_range=range(k_lo, k_hi + 1))
+        fit = fit_decay_in_k(op, ell, k_range=range(k_lo, k_hi + 1), tolerance=slope_tol)
         items.append({"id": f"decay(ell={ell})", "params": {"ell": ell},
                       "value": fit.to_dict()})
         all_ok = all_ok and fit.passed
@@ -497,7 +499,9 @@ def run_kernel_decay(cfg: ExperimentConfig) -> VerificationReport:
                   "value": diff.k_fit.to_dict()})
     all_ok = all_ok and diff.j_fit.passed and diff.k_fit.passed
 
-    adj = adjoint_kernel_bounds(op, n_exp=cfg.get_int("kernel.adjoint_n_exp"))
+    adj = adjoint_kernel_bounds(
+        op, n_exp=cfg.get_int("kernel.adjoint_n_exp"), tolerance=slope_tol
+    )
     items.append({"id": "adjoint_far_field", "params": {"n_exp": adj.n_exp},
                   "value": adj.far_field.to_dict()})
     items.append({"id": "adjoint_difference", "params": {"n_exp": adj.n_exp},

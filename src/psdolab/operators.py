@@ -29,7 +29,6 @@ __all__ = [
     "apply_adjoint",
     "commutator",
     "adjoint_commutator",
-    "kernel_point_spectrum",
     "kernel_column",
     "kernel_row",
     "adjoint_kernel_row",
@@ -169,25 +168,30 @@ def _apply_symbol_spectral(
     coef = fhat.values.ravel() * (g.freq_spacing**g.dim / (2.0 * np.pi) ** (g.dim / 2.0))
     if band is not None:
         coef = coef * band
-    xis = g.flat_freqs()
+    return SampledFunction(g, _symbol_synthesis(op, coef).reshape(g.shape))
+
+
+def _symbol_synthesis(op: OperatorInstance, coef: np.ndarray) -> np.ndarray:
+    """sum_m a(z, xi_m) e^{i<z, xi_m>} coef_m at every lattice z."""
     dense = op._symbol_matrix()
     if dense is not None:
-        out_flat = dense @ coef
-    else:
-        pts = g.flat_points()
-        out_flat = np.empty(g.size, dtype=np.complex128)
-        zero = op._scalar_args(pts[0] * 0.0)
-        xi_args = op._xi_args(xis)
-        for i0 in range(0, g.size, _CHUNK):
-            chunk = pts[i0 : i0 + _CHUNK]
-            phase = np.exp(1j * chunk @ xis.T)
-            vals = np.asarray(
-                op.symbol.evaluator(op._point_args(chunk), zero, xi_args),
-                dtype=np.complex128,
-            )
-            vals = np.broadcast_to(vals, phase.shape)
-            out_flat[i0 : i0 + _CHUNK] = (vals * phase) @ coef
-    return SampledFunction(g, out_flat.reshape(g.shape))
+        return dense @ coef
+    g = op.grid
+    xis = g.flat_freqs()
+    pts = g.flat_points()
+    out = np.empty(g.size, dtype=np.complex128)
+    zero = op._scalar_args(pts[0] * 0.0)
+    xi_args = op._xi_args(xis)
+    for i0 in range(0, g.size, _CHUNK):
+        chunk = pts[i0 : i0 + _CHUNK]
+        phase = np.exp(1j * chunk @ xis.T)
+        vals = np.asarray(
+            op.symbol.evaluator(op._point_args(chunk), zero, xi_args),
+            dtype=np.complex128,
+        )
+        vals = np.broadcast_to(vals, phase.shape)
+        out[i0 : i0 + _CHUNK] = (vals * phase) @ coef
+    return out
 
 
 def _apply_amplitude(
@@ -342,66 +346,80 @@ def adjoint_commutator(
 
 
 # ---------------------------------------------------------------------------
-# Pointwise kernel access.  K(x, y) = (2pi)^(-d) sum_m a(x,y,xi_m)
-# e^{i<x-y,xi_m>} dxi^d; x and y need not sit on the lattice.
+# Kernel rows.  K(x, y) = (2pi)^(-d) sum_m a(x,y,xi_m) e^{i<x-y,xi_m>} dxi^d
+# with x fixed anywhere and the other slot on the lattice.  For symbols that
+# slot enters through one inverse FFT, or through one product with the cached
+# symbol matrix when a depends on it; only amplitudes sum mode by mode.
 # ---------------------------------------------------------------------------
 
 
-def _diff(a, b) -> np.ndarray:
-    return np.atleast_1d(np.asarray(a, dtype=float)) - np.atleast_1d(
-        np.asarray(b, dtype=float)
-    )
+def _lattice_sum(grid: PeriodicGrid, coef: np.ndarray) -> np.ndarray:
+    """sum_m coef_m e^{i<z, xi_m>} at every lattice z: one scaled idft."""
+    spec = SampledFunction(grid.reciprocal(), np.reshape(coef, grid.shape))
+    scale = (2.0 * np.pi) ** (grid.dim / 2.0) / grid.freq_spacing**grid.dim
+    return idft(spec).values.ravel() * scale
 
 
-def kernel_point_spectrum(op: OperatorInstance, x_pt, y_pt) -> np.ndarray:
-    """Per-mode kernel contributions at (x, y): dot with a band to integrate."""
-    g = op.grid
-    xis = g.flat_freqs()
-    z = _diff(x_pt, y_pt)
-    phase = np.exp(1j * (xis @ z))
+def _symbol_at(op: OperatorInstance, x_pt) -> np.ndarray:
+    """a(x, xi_m) over the lattice modes at one fixed x (symbols only)."""
     x_arg = op._scalar_args(x_pt)
-    y_arg = op._scalar_args(y_pt)
-    xi_flat = xis[:, 0] if g.dim == 1 else tuple(xis[:, a] for a in range(g.dim))
-    vals = np.asarray(op.symbol.evaluator(x_arg, y_arg, xi_flat), dtype=np.complex128)
-    vals = np.broadcast_to(vals, phase.shape)
-    scale = g.freq_spacing**g.dim / (2.0 * np.pi) ** g.dim
-    return vals * phase * scale
+    vals = op.symbol.evaluator(x_arg, x_arg, op._xi_args(op.grid.flat_freqs()))
+    return np.broadcast_to(np.asarray(vals, dtype=np.complex128), (1, op.grid.size))[0]
 
 
-def _kernel_over_first_slot(op: OperatorInstance, fixed_pt, first: bool) -> np.ndarray:
-    """K(z, x) for all lattice z (first=True) or K(x, y) for all y (False)."""
+def _kernel_weights(op: OperatorInstance, x_pt=None, sign: float = 0.0) -> np.ndarray:
+    """dxi^d / (2pi)^d per mode (times the mode band), times e^{sign i<x, xi_m>}."""
     g = op.grid
-    xis = g.flat_freqs()
-    pts = g.flat_points()
-    fixed = np.atleast_1d(np.asarray(fixed_pt, dtype=float))
-    scale = g.freq_spacing**g.dim / (2.0 * np.pi) ** g.dim
     band = op._mode_band()
-    weight = np.full(g.size, scale) if band is None else band * scale
-    out = np.empty(g.size, dtype=np.complex128)
+    w = np.full(g.size, g.freq_spacing**g.dim / (2.0 * np.pi) ** g.dim)
+    w = w if band is None else band * w
+    if not sign:
+        return w
+    return w * np.exp(sign * 1j * (g.flat_freqs() @ np.atleast_1d(np.asarray(x_pt, float))))
+
+
+def _amplitude_kernel(
+    op: OperatorInstance, x_pt, others: np.ndarray, weight: np.ndarray, first: bool
+) -> np.ndarray:
+    """K(y, x) (first) or K(x, y) for each row y of others, one phase block per chunk."""
+    xis = op.grid.flat_freqs()
     xi_args = op._xi_args(xis)
-    fixed_arg = op._scalar_args(fixed_pt)
+    fixed = np.atleast_1d(np.asarray(x_pt, dtype=float))
+    fixed_arg = op._scalar_args(x_pt)
     sign = 1.0 if first else -1.0
-    for i0 in range(0, g.size, _CHUNK):
-        chunk = pts[i0 : i0 + _CHUNK]
-        z = chunk - fixed[None, :]
-        phase = np.exp(1j * sign * (z @ xis.T))
-        if first:
-            vals = op.symbol.evaluator(op._point_args(chunk), fixed_arg, xi_args)
-        else:
-            vals = op.symbol.evaluator(fixed_arg, op._point_args(chunk), xi_args)
-        vals = np.broadcast_to(np.asarray(vals, dtype=np.complex128), phase.shape)
+    out = np.empty(len(others), dtype=np.complex128)
+    for i0 in range(0, len(others), _CHUNK):
+        chunk = others[i0 : i0 + _CHUNK]
+        phase = np.exp(1j * sign * ((chunk - fixed[None, :]) @ xis.T))
+        moving = op._point_args(chunk)
+        slots = (moving, fixed_arg) if first else (fixed_arg, moving)
+        vals = np.asarray(op.symbol.evaluator(*slots, xi_args), dtype=np.complex128)
+        vals = np.broadcast_to(vals, phase.shape)
         out[i0 : i0 + _CHUNK] = (vals * phase) @ weight
-    return out.reshape(g.shape)
+    return out
 
 
 def kernel_column(op: OperatorInstance, x_pt) -> np.ndarray:
     """K(., x): the kernel against its first argument, over the grid."""
-    return _kernel_over_first_slot(op, x_pt, first=True)
+    g = op.grid
+    if not op.symbol.is_symbol:
+        col = _amplitude_kernel(op, x_pt, g.flat_points(), _kernel_weights(op), first=True)
+    elif op.symbol.multiplier:
+        col = _lattice_sum(g, _symbol_at(op, x_pt) * _kernel_weights(op, x_pt, -1.0))
+    else:
+        col = _symbol_synthesis(op, _kernel_weights(op, x_pt, -1.0))
+    return col.reshape(g.shape)
 
 
 def kernel_row(op: OperatorInstance, x_pt) -> np.ndarray:
     """K(x, .): the kernel against its second argument, over the grid."""
-    return _kernel_over_first_slot(op, x_pt, first=False)
+    g = op.grid
+    if not op.symbol.is_symbol:
+        row = _amplitude_kernel(op, x_pt, g.flat_points(), _kernel_weights(op), first=False)
+    else:
+        coef = _symbol_at(op, x_pt) * _kernel_weights(op, x_pt, 1.0)
+        row = np.conj(_lattice_sum(g, np.conj(coef)))
+    return row.reshape(g.shape)
 
 
 def adjoint_kernel_row(op: OperatorInstance, x_pt) -> np.ndarray:

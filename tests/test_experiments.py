@@ -35,6 +35,29 @@ def test_kernel_decay_run(cfg):
     assert residual and residual[0]["value"] == 0.0
 
 
+def test_kernel_decay_reads_slope_tolerance(cfg):
+    """tolerances.slope is the slack of the decay fits and the far-field fit.
+
+    The default fits sit within 0.015 of their predicted slopes, so a
+    tolerance of 0.005 turns every decay(ell) match into a fail while the
+    far-field fit (slope -3.21, at most -3 + tol) still passes.
+    """
+    tight = run_kernel_decay(load_config(None, {"tolerances.slope": "0.005"}))
+    base = run_kernel_decay(cfg)
+    for rep, tol in ((base, 0.15), (tight, 0.005)):
+        fits = {it["id"]: it["value"] for it in rep.items}
+        for key in ("decay(ell=0)", "decay(ell=1)", "decay(ell=2)", "adjoint_far_field"):
+            assert fits[key]["tolerance"] == tol
+    decay = [it["value"] for it in tight.items if it["id"].startswith("decay(")]
+    assert decay and all(fit["verdict"] == "fail" for fit in decay)
+    assert all(
+        0.005 < abs(fit["slope"] - fit["expected_slope"]) <= 0.15 for fit in decay
+    )
+    far = [it["value"] for it in tight.items if it["id"] == "adjoint_far_field"][0]
+    assert far["verdict"] == "pass"
+    assert base.verdict == "pass" and tight.verdict == "fail"
+
+
 def test_weight_calculus_run(cfg):
     rep = run_weight_calculus(cfg)
     assert rep.verdict == "pass"

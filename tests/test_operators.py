@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import psdolab as P
 
@@ -129,3 +131,70 @@ def test_grid_mismatch_rejected(grid, grid_small, bessel_op):
     f = P.sample(grid_small, lambda x: np.exp(-x ** 2))
     with pytest.raises(ValueError):
         P.apply(bessel_op, f)
+
+
+def _reference_kernel(op, x, first):
+    """Direct sum K(z, x) (first) or K(x, z) over lattice z, mode by mode."""
+    g = op.grid
+    xi = g.axis_freqs()[None, :]
+    z = g.axis_points()[:, None]
+    w = np.full(g.n, g.freq_spacing / (2.0 * np.pi))
+    if op.mode == "dyadic":
+        w = w * op.family.band_mask(op.truncation).ravel()
+    if first:
+        a = op.symbol.evaluator(z, x, xi)
+        phase = np.exp(1j * (z - x) * xi)
+    else:
+        a = op.symbol.evaluator(x, z, xi)
+        phase = np.exp(1j * (x - z) * xi)
+    return np.sum(np.broadcast_to(a, phase.shape) * phase * w[None, :], axis=1)
+
+
+_ROW_SYMBOLS = {
+    "identity": {},
+    "bessel_order_m": {"m": -0.75},
+    "rough_x_modulated": {"m": 0.0},
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.sampled_from([64, 128, 256]),
+    preset=st.sampled_from(sorted(_ROW_SYMBOLS)),
+    dyadic=st.booleans(),
+    cell=st.integers(0, 10**6),
+    frac=st.floats(0.05, 0.95),
+)
+def test_kernel_rows_match_direct_sum(n, preset, dyadic, cell, frac):
+    g = P.make_grid(1, n, 16.0)
+    op = P.make_operator(P.preset_symbol(preset, **_ROW_SYMBOLS[preset]), g)
+    if dyadic:
+        op = P.band_limited_twin(op)
+    x = g.axis_points()[cell % n] + frac * g.spacing  # strictly off the lattice
+    col = _reference_kernel(op, x, first=True)
+    row = _reference_kernel(op, x, first=False)
+    for got, ref in [
+        (P.kernel_row(op, np.array([x])), row),
+        (P.kernel_column(op, np.array([x])), col),
+        (P.adjoint_kernel_row(op, np.array([x])), np.conj(col)),
+    ]:
+        assert got.shape == g.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dyadic", [False, True])
+def test_amplitude_kernel_rows_match_direct_sum(dyadic):
+    g = P.make_grid(1, 64, 16.0)
+    amp = P.preset_symbol("oscillating_amplitude", m=0.0, rho=1.0, delta=0.0,
+                          spatial_scale=16.0)
+    op = P.make_operator(amp, g)
+    if dyadic:
+        op = P.band_limited_twin(op)
+    x = 1.3 + 0.41 * g.spacing
+    col = _reference_kernel(op, x, first=True)
+    row = _reference_kernel(op, x, first=False)
+    assert np.max(np.abs(P.kernel_row(op, np.array([x])) - row)) <= 1e-12 * np.max(np.abs(row))
+    assert np.max(np.abs(P.kernel_column(op, np.array([x])) - col)) <= 1e-12 * np.max(np.abs(col))
+    assert np.max(np.abs(P.adjoint_kernel_row(op, np.array([x])) - np.conj(col))) <= (
+        1e-12 * np.max(np.abs(col))
+    )
