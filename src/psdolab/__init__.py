@@ -33,12 +33,10 @@ from .grid import (
     BallFamily,
     PeriodicGrid,
     SampledFunction,
-    annulus_mask,
     ball_average,
     ball_indices,
     ball_integral,
     ball_mask,
-    ball_measure,
     dft,
     idft,
     inner,

@@ -629,6 +629,8 @@ def run_maximal(cfg: ExperimentConfig) -> VerificationReport:
         cover,
         kappa=cfg.get_float("maximal.kappa"),
         n_big=cfg.get_int("maximal.n_big"),
+        spread=cfg.get_float("tolerances.ratio_spread"),
+        trend=cfg.get_float("tolerances.trend_slope"),
     )
     items.append({"id": "weighted_bounds", "params": {},
                   "value": wb.aggregate})

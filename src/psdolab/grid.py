@@ -28,7 +28,6 @@ __all__ = [
     "lp_norm",
     "ball_mask",
     "ball_indices",
-    "annulus_mask",
     "ball_average",
     "ball_integral",
     "sweep_family",
@@ -296,17 +295,6 @@ def ball_indices(grid: PeriodicGrid, ball: Ball) -> np.ndarray:
     return np.flatnonzero(ball_mask(grid, ball))
 
 
-def annulus_mask(grid: PeriodicGrid, ball: Ball, j: int) -> np.ndarray:
-    """S_j(B): the 2^j-dilate minus the 2^(j-1)-dilate; S_0(B) = B."""
-    if j < 0:
-        raise ValueError("annulus index must be >= 0")
-    if j == 0:
-        return ball_mask(grid, ball)
-    outer = ball_mask(grid, ball.dilate(2.0**j))
-    inner_ = ball_mask(grid, ball.dilate(2.0 ** (j - 1)))
-    return outer & ~inner_
-
-
 def _checked_ball_values(f: SampledFunction, ball: Ball) -> np.ndarray:
     mask = ball_mask(f.grid, ball)
     count = int(mask.sum())
@@ -328,11 +316,6 @@ def ball_integral(f: SampledFunction, ball: Ball) -> float:
     if np.max(np.abs(vals.imag)) > 1e-9 * scale:
         raise ValueError("ball_integral expects real-valued samples")
     return float(np.sum(vals.real) * f.grid.cell_volume)
-
-
-def ball_measure(grid: PeriodicGrid, ball: Ball) -> float:
-    """Discrete |B|: point count times the cell volume."""
-    return float(ball_mask(grid, ball).sum()) * grid.cell_volume
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,15 @@ def test_maximal_run(cfg):
     assert wb["cover_trend"] == pytest.approx(-0.0931208983023363, rel=1e-9)
 
 
+@pytest.mark.parametrize("key,value", [("tolerances.trend_slope", "0.05"),
+                                       ("tolerances.ratio_spread", "1.04")])
+def test_maximal_reads_tolerances(key, value):
+    """The default cover ratios sit 1.054x their median with trend -0.093,
+    so either tightened tolerance turns the passing run into a fail."""
+    rep = run_maximal(load_config(None, {key: value}))
+    assert rep.verdict == "fail"
+
+
 def test_fs_run(cfg):
     rep = run_fs(cfg)
     assert rep.verdict == "pass"

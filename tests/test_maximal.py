@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import psdolab as P
 from psdolab.corpus import gaussian_corpus, mixed_corpus
+from psdolab.maximal import _scatter_max_1d
 
 
 @pytest.fixture(scope="module")
@@ -14,6 +17,30 @@ def test_cover_partitions_the_box(grid, cover):
     assert cover.radius == 1.0
     assert len(cover.centers) == 78
     assert cover.covers_pointwise()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([64, 128, 256, 512, 1024, 2048, 4096]), st.floats(4.0, 64.0))
+def test_cover_covers_every_grid(n, half_length):
+    grid = P.make_grid(1, n, half_length)
+    assert P.build_critical_cover(grid).covers_pointwise()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(16, 300), st.data())
+def test_scatter_max_matches_brute_force(n, data):
+    """The sliding max equals np.maximum.at over every window's indices, bit for bit."""
+    count = data.draw(st.integers(1, n), label="count")
+    m = data.draw(st.integers(1, n), label="windows")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    starts = rng.choice(n, m, replace=False)
+    vals = rng.standard_normal(m)
+    out = 2.0 * rng.standard_normal(n)
+    expected = out.copy()
+    idx = (starts[:, None] + np.arange(count)[None, :]) % n
+    np.maximum.at(expected, idx.ravel(), np.repeat(vals, count))
+    _scatter_max_1d(out, starts, count, vals)
+    assert np.array_equal(out, expected)
 
 
 def test_cover_multiplicity_is_controlled(cover):
