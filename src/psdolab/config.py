@@ -259,4 +259,10 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         resolved.update({k: str(v) for k, v in overrides.items()})
-    return ExperimentConfig(entries=tuple(sorted(resolved.items())))
+    cfg = ExperimentConfig(entries=tuple(sorted(resolved.items())))
+    # a grid the lattice cannot hold is a config error, refused before any run
+    try:
+        cfg.make_grid()
+    except ValueError as exc:
+        raise ValueError(f"grid: {exc}") from None
+    return cfg

@@ -26,7 +26,7 @@ from .grid import (
     BallFamily,
     PeriodicGrid,
     SampledFunction,
-    ball_mask,
+    ball_indices,
     sample,
 )
 from .report import VerificationReport, config_hash
@@ -167,7 +167,7 @@ def _family_indices(grid: PeriodicGrid, family: BallFamily):
     """Flat grid indices per ball, computed once per (grid, family)."""
     out = []
     for ball in family.balls:
-        idx = np.flatnonzero(ball_mask(grid, ball))
+        idx = ball_indices(grid, ball)
         if len(idx) < 8:
             raise ValueError(
                 f"ball {ball} contains {len(idx)} grid points, needs >= 8"
@@ -281,7 +281,7 @@ def check_john_nirenberg_variant(
             {"id": "part_i", "params": {"center": list(fb.center), "r": fb.radius},
              "value": lhs / rhs}
         )
-    base_idx = np.flatnonzero(ball_mask(grid, ball))
+    base_idx = ball_indices(grid, ball)
     b_base = float(np.mean(flat[base_idx]))
     ratios_ii = []
     skipped = 0
@@ -290,7 +290,7 @@ def check_john_nirenberg_variant(
         if dil.radius > grid.half_length or not dil.fully_inside(grid):
             skipped += 1
             continue
-        vals = flat[np.flatnonzero(ball_mask(grid, dil))]
+        vals = flat[ball_indices(grid, dil)]
         rhs = norm.value * k * (1.0 + dil.radius) ** theta
         if rhs == 0.0:
             continue

@@ -278,31 +278,52 @@ class Ball:
         return all(abs(c) + self.radius < grid.half_length for c in self.center)
 
 
-def ball_mask(grid: PeriodicGrid, ball: Ball) -> np.ndarray:
+def ball_indices(grid: PeriodicGrid, ball: Ball) -> np.ndarray:
+    """Ascending flat indices of the grid points in the ball.
+
+    Only the index box of +-(floor(r/dx) + 2) points around the center is
+    tested, so a ball costs O(window) instead of a scan of the whole grid.
+    """
     if len(ball.center) != grid.dim:
         raise ValueError("ball center dimension does not match grid")
     if ball.radius > grid.half_length:
         raise ValueError(
             f"ball radius {ball.radius} exceeds half box {grid.half_length}"
         )
-    meshes = grid.meshes()
-    d2 = sum(grid.wrap(m - c) ** 2 for m, c in zip(meshes, ball.center))
+    n, dx = grid.n, grid.spacing
+    half = int(np.floor(ball.radius / dx)) + 2
+    flat, d2 = 0, 0
+    for axis, c in enumerate(ball.center):
+        if 2 * half + 1 >= n:
+            idx = np.arange(n)
+        else:
+            mid = int(np.floor((c + grid.half_length) / dx + 0.5))
+            idx = np.arange(mid - half, mid + half + 1) % n
+        shape = [1] * grid.dim
+        shape[axis] = -1
+        flat = flat * n + idx.reshape(shape)
+        # the same arithmetic as axis_points(), on the box only
+        points = -grid.half_length + dx * idx
+        d2 = d2 + grid.wrap(points - c).reshape(shape) ** 2
     # tiny slack absorbs roundoff of the wrap for boundary lattice points
-    return d2 <= (ball.radius * (1.0 + 1e-12)) ** 2
+    inside = d2 <= (ball.radius * (1.0 + 1e-12)) ** 2
+    return np.sort(np.broadcast_to(flat, inside.shape)[inside])
 
 
-def ball_indices(grid: PeriodicGrid, ball: Ball) -> np.ndarray:
-    return np.flatnonzero(ball_mask(grid, ball))
+def ball_mask(grid: PeriodicGrid, ball: Ball) -> np.ndarray:
+    mask = np.zeros(grid.size, dtype=bool)
+    mask[ball_indices(grid, ball)] = True
+    return mask.reshape(grid.shape)
 
 
 def _checked_ball_values(f: SampledFunction, ball: Ball) -> np.ndarray:
-    mask = ball_mask(f.grid, ball)
-    count = int(mask.sum())
-    if count < MIN_POINTS_PER_BALL:
+    idx = ball_indices(f.grid, ball)
+    if len(idx) < MIN_POINTS_PER_BALL:
         raise ValueError(
-            f"ball contains {count} grid points, needs >= {MIN_POINTS_PER_BALL}"
+            f"ball contains {len(idx)} grid points, needs >= {MIN_POINTS_PER_BALL}"
         )
-    return f.values[mask]
+    return f.values.ravel()[idx]
+
 
 def ball_average(f: SampledFunction, ball: Ball) -> complex:
     """Mean of f over the grid points inside the ball."""

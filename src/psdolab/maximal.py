@@ -12,6 +12,7 @@ reproducible.  In 1D all window means run on prefix sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .grid import (
     Ball,
     PeriodicGrid,
     SampledFunction,
+    ball_indices,
     ball_mask,
     lp_norm,
 )
@@ -49,15 +51,15 @@ class CriticalCover:
     def radius(self) -> float:
         return 1.0
 
-    def balls(self, dilation: float = 1.0) -> tuple[Ball, ...]:
-        return tuple(Ball(c, dilation) for c in self.centers)
+    def windows(self, radius: float) -> np.ndarray:
+        """Read-only (balls, points) array: row j holds the ascending flat
+        indices of B(x_j, radius)."""
+        return _cover_windows(self, radius)
 
     def multiplicity(self, sigma: float = 1.0) -> np.ndarray:
         """Pointwise count of sigma-dilates covering each grid point."""
-        total = np.zeros(self.grid.shape, dtype=int)
-        for ball in self.balls(sigma):
-            total += ball_mask(self.grid, ball)
-        return total
+        total = np.bincount(self.windows(sigma).ravel(), minlength=self.grid.size)
+        return total.reshape(self.grid.shape)
 
     def covers_pointwise(self) -> bool:
         return bool(np.all(self.multiplicity(1.0) >= 1))
@@ -71,6 +73,15 @@ class CriticalCover:
             "centers": [list(c) for c in self.centers],
             "multiplicity_histogram": hist.tolist(),
         }
+
+
+@lru_cache(maxsize=32)
+def _cover_windows(cover: CriticalCover, radius: float) -> np.ndarray:
+    # the centers are lattice points, so every ball of one radius holds the
+    # same number of points and the rows stack
+    rows = np.stack([ball_indices(cover.grid, Ball(c, radius)) for c in cover.centers])
+    rows.flags.writeable = False
+    return rows
 
 
 def build_critical_cover(grid: PeriodicGrid) -> CriticalCover:
@@ -140,31 +151,58 @@ def _window_stats_1d(cs: np.ndarray, centers_idx: np.ndarray, half: int):
     return starts, count, sums
 
 
-def _scatter_max_1d(out: np.ndarray, starts: np.ndarray, count: int, vals: np.ndarray):
+def _scatter_max_1d(
+    out: np.ndarray,
+    starts: np.ndarray,
+    count: int,
+    vals: np.ndarray,
+    n: int | None = None,
+    first: int = 0,
+):
     """Raise out to vals[j] on each periodic window starts[j] .. starts[j]+count-1.
 
-    A sliding max over the window starts (van Herk 1992; Gil and Werman
-    1993): O(n) for any count, and exact.  The starts must be distinct.
+    out holds the circle points first .. first+len(out)-1 (mod n); n defaults
+    to len(out), the whole circle.  A sliding max over the window starts
+    (van Herk 1992; Gil and Werman 1993): O(len(out) + count) past one pass
+    over the starts, and exact.  The starts must be distinct.
     """
-    n = len(out)
-    at_start = np.full(n, -np.inf)
-    at_start[starts] = vals
-    # ext[i] = at_start[(i - count + 1) % n]: the windows holding x start in ext[x : x + count]
-    blocks = -(-(n + count - 1) // count)
+    m = len(out)
+    n = m if n is None else n
+    # ext[i] holds the window starting at point first - count + 1 + i, so the
+    # windows holding out[x] start in ext[x : x + count]; span <= n + count - 1
+    # < 2n, so a start lands at most twice, the second time only if span > n
+    span = m + count - 1
+    blocks = -(-span // count)
     ext = np.full(blocks * count, -np.inf)
-    ext[: n + count - 1] = np.concatenate([at_start[n - count + 1 :], at_start])
+    pos = (starts - (first - count + 1)) % n
+    keep = pos < span
+    ext[pos[keep]] = vals[keep]
+    if span > n:
+        keep = pos < span - n
+        ext[pos[keep] + n] = vals[keep]
     ext = ext.reshape(blocks, count)
     prefix = np.maximum.accumulate(ext, axis=1).ravel()
     suffix = np.maximum.accumulate(ext[:, ::-1], axis=1)[:, ::-1].ravel()
-    np.maximum(out, suffix[:n], out=out)
-    np.maximum(out, prefix[count - 1 : count - 1 + n], out=out)
+    np.maximum(out, suffix[:m], out=out)
+    np.maximum(out, prefix[count - 1 : count - 1 + m], out=out)
 
 
-def _sup_over_family_1d(flat: np.ndarray, grid: PeriodicGrid, alpha: float, osc: bool):
-    """Family sup of the window means of |flat|; with osc, of real flat's mean oscillation."""
+def _sup_over_family_1d(
+    flat: np.ndarray,
+    grid: PeriodicGrid,
+    alpha: float,
+    osc: bool,
+    first: int = 0,
+    length: int | None = None,
+):
+    """Family sup of the window means of |flat|; with osc, of real flat's mean oscillation.
+
+    The sup is taken on the periodic segment of length points from first;
+    the default is the whole circle.
+    """
     n = grid.n
     centers_idx = np.arange(0, n, 8)
-    out = np.full(n, -np.inf)
+    out = np.full(n if length is None else length, -np.inf)
     cs = _wrapped_cumsum(flat if osc else np.abs(flat))
     for r in _dyadic_radii(grid, alpha):
         half = int(np.floor(r / grid.spacing * (1 + 1e-12)))
@@ -175,8 +213,14 @@ def _sup_over_family_1d(flat: np.ndarray, grid: PeriodicGrid, alpha: float, osc:
             vals = np.mean(np.abs(flat[idx] - means[:, None]), axis=1)
         else:
             vals = means
-        _scatter_max_1d(out, starts, count, vals)
+        _scatter_max_1d(out, starts, count, vals, n, first)
     return out
+
+
+def _segment_first(idx: np.ndarray) -> int:
+    """Circle-order first point of a periodic index window given ascending."""
+    gaps = np.flatnonzero(np.diff(idx) > 1)
+    return int(idx[gaps[0] + 1]) if len(gaps) else int(idx[0])
 
 
 def _sup_over_family_nd(vals_in: np.ndarray, grid: PeriodicGrid, alpha: float, osc: bool):
@@ -220,11 +264,6 @@ def m_sharp_loc(g: SampledFunction, alpha: float) -> SampledFunction:
 # ---------------------------------------------------------------------------
 
 
-def _ball_mean_abs_p(f: SampledFunction, ball: Ball, p: float) -> float:
-    mask = ball_mask(f.grid, ball)
-    return float(np.mean(np.abs(f.values[mask]) ** p))
-
-
 def g_kappa_p(
     f: SampledFunction, kappa: float, p: float, cover: CriticalCover, n_big: int = 8
 ) -> SampledFunction:
@@ -239,21 +278,25 @@ def g_kappa_p(
     if n_big < f.grid.dim / p + 1:
         raise ValueError(f"n_big {n_big} too small for convergence at p={p}")
     grid = f.grid
-    box_avg = float(np.mean(np.abs(f.values) ** p)) ** (1.0 / p)
-    values = np.full(grid.shape, -np.inf)
-    for center in cover.centers:
-        total, k = 0.0, 0
-        while True:
-            radius = kappa * 2.0**k
-            if radius >= grid.half_length:
-                total += box_avg * 2.0 ** (-n_big * k) / (1.0 - 2.0 ** (-n_big))
-                break
-            avg = _ball_mean_abs_p(f, Ball(center, radius), p) ** (1.0 / p)
-            total += 2.0 ** (-n_big * k) * avg
-            k += 1
-        mask = ball_mask(grid, Ball(center, 1.0))
-        np.maximum(values, np.where(mask, total, -np.inf), out=values)
-    return SampledFunction(grid, values.astype(complex))
+    powered = np.abs(f.values) ** p
+    box_avg = float(np.mean(powered)) ** (1.0 / p)
+    flat = powered.ravel()
+    totals = np.zeros(len(cover.centers))
+    k = 0
+    while True:
+        radius = kappa * 2.0**k
+        if radius >= grid.half_length:
+            totals += box_avg * 2.0 ** (-n_big * k) / (1.0 - 2.0 ** (-n_big))
+            break
+        means = np.mean(flat[cover.windows(radius)], axis=1)
+        # Python float powers: numpy's array power can differ in the last ulp
+        avgs = np.array([m ** (1.0 / p) for m in means.tolist()])
+        totals += 2.0 ** (-n_big * k) * avgs
+        k += 1
+    q = cover.windows(1.0)
+    values = np.full(grid.size, -np.inf)
+    np.maximum.at(values, q.ravel(), np.repeat(totals, q.shape[1]))
+    return SampledFunction(grid, values.reshape(grid.shape).astype(complex))
 
 
 def m_tilde_s(f: SampledFunction, s: float, cover: CriticalCover) -> SampledFunction:
@@ -268,18 +311,24 @@ def m_tilde_s(f: SampledFunction, s: float, cover: CriticalCover) -> SampledFunc
     if 8.0 > grid.half_length:
         raise ValueError("8-fold dilates of critical balls exceed the box")
     alpha = grid.half_length / 2.0
-    out = np.full(grid.shape, -np.inf)
-    for center in cover.centers:
-        cut_mask = ball_mask(grid, Ball(center, 8.0))
-        cut = np.where(cut_mask, np.abs(f.values) ** s, 0.0)
+    powered = (np.abs(f.values) ** s).ravel()
+    out = np.full(grid.size, -np.inf)
+    for cut_idx, q_idx in zip(cover.windows(8.0), cover.windows(1.0)):
+        cut = np.zeros(grid.size)
+        cut[cut_idx] = powered[cut_idx]
         if grid.dim == 1:
-            ms = _sup_over_family_1d(cut, grid, alpha, osc=False)
+            # the sup is only needed on Q_j, a contiguous periodic segment
+            first = _segment_first(q_idx)
+            points = (first + np.arange(len(q_idx))) % grid.n
+            ms = _sup_over_family_1d(
+                cut, grid, alpha, osc=False, first=first, length=len(q_idx)
+            )
         else:
-            ms = _sup_over_family_nd(cut, grid, alpha, osc=False)
-        ms = ms ** (1.0 / s)
-        q_mask = ball_mask(grid, Ball(center, 1.0))
-        np.maximum(out, np.where(q_mask, ms, -np.inf), out=out)
-    return SampledFunction(grid, out.astype(complex))
+            points = q_idx
+            ms = _sup_over_family_nd(cut.reshape(grid.shape), grid, alpha, osc=False)
+            ms = ms.ravel()[q_idx]
+        out[points] = np.maximum(out[points], ms ** (1.0 / s))
+    return SampledFunction(grid, out.reshape(grid.shape).astype(complex))
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +355,10 @@ def check_fs_inequality(
         m_sharp_loc(g, alpha_sharp), p, weight=SampledFunction(grid, wv.astype(complex))
     ) ** p
     tail = 0.0
-    for center in cover.centers:
-        q = Ball(center, 1.0)
-        wq = float(np.sum(np.real(wv)[ball_mask(grid, q)])) * grid.cell_volume
-        avg = float(np.mean(np.abs(g.values[ball_mask(grid, q.dilate(2.0))])))
+    w_sums = np.sum(np.real(wv).ravel()[cover.windows(1.0)], axis=1)
+    g_avgs = np.mean(np.abs(g.values).ravel()[cover.windows(2.0)], axis=1)
+    for w_sum, avg in zip(w_sums.tolist(), g_avgs.tolist()):
+        wq = w_sum * grid.cell_volume
         tail += wq * avg**p
     rhs = sharp + tail
     ratio = lhs / rhs if rhs > 0 else np.inf

@@ -68,6 +68,19 @@ def test_missing_config_is_a_usage_error(tmp_path):
                    "--out", str(tmp_path)) == 2
 
 
+@pytest.mark.parametrize("setting", [("--grid-n", "100"), ("--grid-l", "-1.0"),
+                                     "grid.dim = 3", "grid.n = abc"])
+def test_bad_grid_is_a_usage_error(tmp_path, capsys, setting):
+    """A grid the lattice cannot hold exits 2 with one error line, not a traceback."""
+    if isinstance(setting, str):
+        cfgfile = tmp_path / "grid.cfg"
+        cfgfile.write_text(setting + "\n")
+        setting = ("--config", str(cfgfile))
+    assert run_cli("verify", "weights", *setting, "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid: ") and err.count("\n") == 1
+
+
 def test_bad_exponents_exit_three(tmp_path):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("weight.p = 0.5\n")

@@ -70,6 +70,38 @@ def test_ball_integral_matches_measure(grid):
     assert P.ball_integral(one, ball) == pytest.approx(4.0, rel=0.02)
 
 
+def _full_scan(grid, ball):
+    """Brute force: the periodic distance test on every grid point."""
+    d2 = sum(grid.wrap(m - c) ** 2 for m, c in zip(grid.meshes(), ball.center))
+    return np.flatnonzero(d2 <= (ball.radius * (1.0 + 1e-12)) ** 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_ball_indices_match_full_scan(data):
+    """The index-box search finds the full scan's points, in ascending order."""
+    dim = data.draw(st.sampled_from([1, 1, 1, 2]), label="dim")
+    sizes = [64, 128, 256, 512, 1024, 2048, 4096] if dim == 1 else [64, 128]
+    n = data.draw(st.sampled_from(sizes), label="n")
+    half = data.draw(st.one_of(st.sampled_from([4.0, 16.0, 64.0]), st.floats(4.0, 64.0)),
+                     label="L")
+    grid = P.make_grid(dim, n, half)
+    coord = st.one_of(
+        st.floats(-half, half),                                        # off the lattice
+        st.integers(0, n - 1).map(lambda i: float(grid.axis_points()[i])),  # on it
+        st.sampled_from([-half, half]),                                # box edge
+    )
+    center = tuple(data.draw(coord, label="center") for _ in range(dim))
+    radius = data.draw(st.one_of(
+        st.floats(0.0, half, exclude_min=True),
+        st.integers(1, n // 2).map(lambda k: k * grid.spacing),       # lattice multiples
+    ), label="radius")
+    ball = P.Ball(center, radius)
+    expected = _full_scan(grid, ball)
+    assert np.array_equal(P.ball_indices(grid, ball), expected)
+    assert np.array_equal(np.flatnonzero(P.ball_mask(grid, ball)), expected)
+
+
 def test_ball_dilate_and_inside():
     b = P.Ball((1.0,), 2.0)
     d = b.dilate(3.0)

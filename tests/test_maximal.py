@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import psdolab as P
 from psdolab.corpus import gaussian_corpus, mixed_corpus
-from psdolab.maximal import _scatter_max_1d
+from psdolab.maximal import _scatter_max_1d, _sup_over_family_1d
 
 
 @pytest.fixture(scope="module")
@@ -29,9 +29,12 @@ def test_cover_covers_every_grid(n, half_length):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(16, 300), st.data())
 def test_scatter_max_matches_brute_force(n, data):
-    """The sliding max equals np.maximum.at over every window's indices, bit for bit."""
+    """The sliding max equals np.maximum.at over every window's indices, bit for bit,
+    on the whole circle and on a segment of it."""
     count = data.draw(st.integers(1, n), label="count")
     m = data.draw(st.integers(1, n), label="windows")
+    length = data.draw(st.integers(1, n), label="segment length")
+    first = data.draw(st.integers(0, n - 1), label="segment first")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     starts = rng.choice(n, m, replace=False)
     vals = rng.standard_normal(m)
@@ -39,8 +42,76 @@ def test_scatter_max_matches_brute_force(n, data):
     expected = out.copy()
     idx = (starts[:, None] + np.arange(count)[None, :]) % n
     np.maximum.at(expected, idx.ravel(), np.repeat(vals, count))
+    segment = (first + np.arange(length)) % n
+    seg_out = out[segment].copy()
     _scatter_max_1d(out, starts, count, vals)
     assert np.array_equal(out, expected)
+    seg_expected = seg_out.copy()
+    np.maximum(seg_expected, expected[segment], out=seg_expected)
+    _scatter_max_1d(seg_out, starts, count, vals, n, first)
+    assert np.array_equal(seg_out, seg_expected)
+
+
+# Per-ball full-grid references: every ball is a full scan of the grid and
+# each critical ball's family sup runs on the whole circle.
+
+
+def _scan_mask(grid, ball):
+    d2 = sum(grid.wrap(m - c) ** 2 for m, c in zip(grid.meshes(), ball.center))
+    return d2 <= (ball.radius * (1.0 + 1e-12)) ** 2
+
+
+def _reference_multiplicity(cover, sigma):
+    total = np.zeros(cover.grid.shape, dtype=int)
+    for c in cover.centers:
+        total += _scan_mask(cover.grid, P.Ball(c, sigma))
+    return total
+
+
+def _reference_g_kappa_p(f, kappa, p, cover, n_big):
+    grid = f.grid
+    box_avg = float(np.mean(np.abs(f.values) ** p)) ** (1.0 / p)
+    values = np.full(grid.shape, -np.inf)
+    for center in cover.centers:
+        total, k = 0.0, 0
+        while True:
+            radius = kappa * 2.0**k
+            if radius >= grid.half_length:
+                total += box_avg * 2.0 ** (-n_big * k) / (1.0 - 2.0 ** (-n_big))
+                break
+            mask = _scan_mask(grid, P.Ball(center, radius))
+            avg = float(np.mean(np.abs(f.values[mask]) ** p)) ** (1.0 / p)
+            total += 2.0 ** (-n_big * k) * avg
+            k += 1
+        mask = _scan_mask(grid, P.Ball(center, 1.0))
+        np.maximum(values, np.where(mask, total, -np.inf), out=values)
+    return values
+
+
+def _reference_m_tilde_s(f, s, cover):
+    grid = f.grid
+    out = np.full(grid.shape, -np.inf)
+    for center in cover.centers:
+        cut = np.where(_scan_mask(grid, P.Ball(center, 8.0)), np.abs(f.values) ** s, 0.0)
+        ms = _sup_over_family_1d(cut, grid, grid.half_length / 2.0, osc=False) ** (1.0 / s)
+        np.maximum(out, np.where(_scan_mask(grid, P.Ball(center, 1.0)), ms, -np.inf), out=out)
+    return out
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_cover_local_paths_match_full_grid_references(n):
+    """Cover windows and segment sups give the per-ball full-grid values, bit for bit."""
+    grid = P.make_grid(1, n, 16.0)
+    cover = P.build_critical_cover(grid)
+    for sigma in (1.0, 2.0, 4.0, 8.0):
+        assert np.array_equal(cover.multiplicity(sigma), _reference_multiplicity(cover, sigma))
+    funcs = [f for _, f, _ in mixed_corpus(grid, count=6, seed=3)]
+    for f in funcs:
+        for kappa, p in ((1.0, 1.5), (4.0, 2.0)):
+            assert np.array_equal(P.g_kappa_p(f, kappa, p, cover, 8).values.real,
+                                  _reference_g_kappa_p(f, kappa, p, cover, 8))
+        assert np.array_equal(P.m_tilde_s(f, 1.5, cover).values.real,
+                              _reference_m_tilde_s(f, 1.5, cover))
 
 
 def test_cover_multiplicity_is_controlled(cover):
