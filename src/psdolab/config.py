@@ -262,7 +262,10 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     cfg = ExperimentConfig(entries=tuple(sorted(resolved.items())))
     # a grid the lattice cannot hold is a config error, refused before any run
     try:
-        cfg.make_grid()
+        grid = cfg.make_grid()
     except ValueError as exc:
         raise ValueError(f"grid: {exc}") from None
+    # the experiments index balls, probe classes and sum amplitudes in 1D only
+    if grid.dim != 1:
+        raise ValueError(f"grid: the experiments run on 1D grids, got grid.dim = {grid.dim}")
     return cfg

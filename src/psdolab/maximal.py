@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import (
     Ball,
@@ -204,13 +205,16 @@ def _sup_over_family_1d(
     centers_idx = np.arange(0, n, 8)
     out = np.full(n if length is None else length, -np.inf)
     cs = _wrapped_cumsum(flat if osc else np.abs(flat))
+    # every periodic window is a plain slice of the doubled samples
+    doubled = np.concatenate([flat, flat]) if osc else None
     for r in _dyadic_radii(grid, alpha):
         half = int(np.floor(r / grid.spacing * (1 + 1e-12)))
         starts, count, sums = _window_stats_1d(cs, centers_idx, half)
         means = sums / count
         if osc:
-            idx = (starts[:, None] + np.arange(count)[None, :]) % n
-            vals = np.mean(np.abs(flat[idx] - means[:, None]), axis=1)
+            dev = sliding_window_view(doubled, count)[starts]
+            dev -= means[:, None]
+            vals = np.mean(np.abs(dev, out=dev), axis=1)
         else:
             vals = means
         _scatter_max_1d(out, starts, count, vals, n, first)

@@ -2,9 +2,13 @@
 
 The action realized here is the lattice form of
     T_a f(x) = (2pi)^(-d) sum_xi sum_y a(x, y, xi) e^{i<x-y, xi>} f(y) dy dxi,
-with the unitary transforms of grid.py doing the y-sum whenever a has no y
-dependence.  With a = 1 the composition collapses to idft(dft(f)), so the
-identity is exact and pins every constant.
+with the unitary transforms of grid.py doing both sums whenever the x
+dependence factors out, a(x, y, xi) = c(x) a(0, 0, xi): then T_a f is
+c * idft(a(0, 0, .) * dft(f)), two FFTs and one pointwise product, and a
+multiplier is the case c = 1.  With a = 1 the composition collapses to
+idft(dft(f)), so the identity is exact and pins every constant.  Any other
+evaluator runs the direct mode sums of the amplitude path, N^3 in cost and
+refused beyond the budget.
 
 Adjoints are the exact conjugate transposes of the assembled action (matrix
 free: the same sums run in reversed order), so the pairing
@@ -35,7 +39,6 @@ __all__ = [
 ]
 
 _CHUNK = 256
-_CACHE_LIMIT = 2048  # cache the dense symbol matrix up to this many points
 
 
 @dataclass(eq=False)
@@ -44,8 +47,9 @@ class OperatorInstance:
 
     mode "full" applies the symbol on the whole lattice; mode "dyadic"
     truncates to frequency pieces 0..truncation (which must be fully resolved
-    by the lattice).  Amplitude (y-dependent) application costs N^(3 dim) and
-    is refused beyond the configured budget.
+    by the lattice).  Amplitude application, which also serves symbols whose
+    x dependence does not factor out, costs N^(3 dim) and is refused beyond
+    the configured budget.
     """
 
     symbol: SymbolSpec
@@ -99,23 +103,16 @@ class OperatorInstance:
             return float(np.atleast_1d(pt)[0])
         return tuple(float(v) for v in np.atleast_1d(pt))
 
-    def _symbol_matrix(self) -> np.ndarray | None:
-        """a(x_i, xi_m) * exp(i x_i.xi_m), dense, cached on small grids."""
-        if self.grid.size > _CACHE_LIMIT:
-            return None
-        if "sym_matrix" not in self._cache:
-            pts = self.grid.flat_points()
-            xis = self.grid.flat_freqs()
-            phase = np.exp(1j * pts @ xis.T)
-            vals = np.asarray(
-                self.symbol.evaluator(
-                    self._point_args(pts), self._scalar_args(pts[0] * 0.0), self._xi_args(xis)
-                ),
-                dtype=np.complex128,
-            )
-            vals = np.broadcast_to(vals, phase.shape)
-            self._cache["sym_matrix"] = vals * phase
-        return self._cache["sym_matrix"]
+    def _spectrum(self) -> np.ndarray:
+        """a(0, 0, xi) on the frequency lattice, read-only, shape grid.shape."""
+        zero = 0.0 if self.grid.dim == 1 else (0.0, 0.0)
+        vals = self.symbol.evaluator(zero, zero, self.grid.freq_coords())
+        return np.broadcast_to(np.asarray(vals, dtype=np.complex128), self.grid.shape)
+
+    def _modulation(self) -> np.ndarray | None:
+        """c(x) on the grid for a modulated symbol; None when c = 1."""
+        mod = self.symbol.modulation
+        return None if mod is None else np.asarray(mod(self.grid.coords()), dtype=float)
 
     def _amplitude_allowed(self) -> None:
         cost = self.grid.n ** (3 * self.grid.dim)
@@ -154,44 +151,15 @@ def make_operator(
 def _apply_symbol_spectral(
     op: OperatorInstance, f: SampledFunction, band: np.ndarray | None
 ) -> SampledFunction:
+    """c * idft(a(0, 0, .) * band * dft(f))."""
     g = op.grid
     fhat = dft(f)
-    if op.symbol.multiplier:
-        xi = g.freq_coords()
-        zero = 0.0 if g.dim == 1 else (0.0, 0.0)
-        amp = np.asarray(op.symbol.evaluator(zero, zero, xi), dtype=np.complex128)
-        amp = np.broadcast_to(amp, g.shape).copy()
-        if band is not None:
-            amp *= band.reshape(g.shape)
-        return idft(SampledFunction(fhat.grid, fhat.values * amp))
-
-    coef = fhat.values.ravel() * (g.freq_spacing**g.dim / (2.0 * np.pi) ** (g.dim / 2.0))
+    amp = op._spectrum().copy()
     if band is not None:
-        coef = coef * band
-    return SampledFunction(g, _symbol_synthesis(op, coef).reshape(g.shape))
-
-
-def _symbol_synthesis(op: OperatorInstance, coef: np.ndarray) -> np.ndarray:
-    """sum_m a(z, xi_m) e^{i<z, xi_m>} coef_m at every lattice z."""
-    dense = op._symbol_matrix()
-    if dense is not None:
-        return dense @ coef
-    g = op.grid
-    xis = g.flat_freqs()
-    pts = g.flat_points()
-    out = np.empty(g.size, dtype=np.complex128)
-    zero = op._scalar_args(pts[0] * 0.0)
-    xi_args = op._xi_args(xis)
-    for i0 in range(0, g.size, _CHUNK):
-        chunk = pts[i0 : i0 + _CHUNK]
-        phase = np.exp(1j * chunk @ xis.T)
-        vals = np.asarray(
-            op.symbol.evaluator(op._point_args(chunk), zero, xi_args),
-            dtype=np.complex128,
-        )
-        vals = np.broadcast_to(vals, phase.shape)
-        out[i0 : i0 + _CHUNK] = (vals * phase) @ coef
-    return out
+        amp *= band.reshape(g.shape)
+    out = idft(SampledFunction(fhat.grid, fhat.values * amp))
+    mod = op._modulation()
+    return out if mod is None else SampledFunction(g, mod * out.values)
 
 
 def _apply_amplitude(
@@ -220,7 +188,7 @@ def apply(op: OperatorInstance, f: SampledFunction) -> SampledFunction:
     """T_a f on the operator's grid."""
     op._check_grid(f)
     band = op._mode_band()
-    if op.symbol.is_symbol:
+    if op.symbol.is_separable:
         return _apply_symbol_spectral(op, f, band)
     return _apply_amplitude(op, f, band)
 
@@ -231,7 +199,7 @@ def apply_dyadic_piece(op: OperatorInstance, k: int, f: SampledFunction) -> Samp
     if not 0 <= k <= op.family.max_index:
         raise ValueError(f"piece index {k} outside 0..{op.family.max_index}")
     band = op.family.piece_on_lattice(k).ravel()
-    if op.symbol.is_symbol:
+    if op.symbol.is_separable:
         return _apply_symbol_spectral(op, f, band)
     return _apply_amplitude(op, f, band)
 
@@ -244,45 +212,14 @@ def apply_dyadic_piece(op: OperatorInstance, k: int, f: SampledFunction) -> Samp
 def _adjoint_symbol_spectral(
     op: OperatorInstance, u: SampledFunction, band: np.ndarray | None
 ) -> SampledFunction:
+    """idft(conj(a(0, 0, .) * band) * dft(c u)); c and band are real."""
     g = op.grid
-    if op.symbol.multiplier:
-        uhat = dft(u)
-        xi = g.freq_coords()
-        zero = 0.0 if g.dim == 1 else (0.0, 0.0)
-        amp = np.conj(
-            np.asarray(op.symbol.evaluator(zero, zero, xi), dtype=np.complex128)
-        )
-        amp = np.broadcast_to(amp, g.shape).copy()
-        if band is not None:
-            amp *= band.reshape(g.shape)
-        return idft(SampledFunction(uhat.grid, uhat.values * amp))
-
-    xis = g.flat_freqs()
-    uv = u.values.ravel() * g.cell_volume
-    dense = op._symbol_matrix()
-    if dense is not None:
-        h = np.conj(dense.T @ np.conj(uv))
-    else:
-        pts = g.flat_points()
-        h = np.zeros(g.size, dtype=np.complex128)
-        zero = op._scalar_args(pts[0] * 0.0)
-        xi_args = op._xi_args(xis)
-        for i0 in range(0, g.size, _CHUNK):
-            chunk = pts[i0 : i0 + _CHUNK]
-            phase = np.exp(-1j * chunk @ xis.T)
-            vals = np.conj(
-                np.asarray(
-                    op.symbol.evaluator(op._point_args(chunk), zero, xi_args),
-                    dtype=np.complex128,
-                )
-            )
-            vals = np.broadcast_to(vals, phase.shape)
-            h += (vals * phase * uv[i0 : i0 + _CHUNK, None]).sum(axis=0)
+    mod = op._modulation()
+    uhat = dft(u if mod is None else SampledFunction(g, mod * u.values))
+    amp = np.conj(op._spectrum())
     if band is not None:
-        h = h * band
-    synth = idft(SampledFunction(g.reciprocal(), h.reshape(g.shape)))
-    scale = (2.0 * np.pi) ** (-g.dim / 2.0)
-    return SampledFunction(g, synth.values * scale)
+        amp *= band.reshape(g.shape)
+    return idft(SampledFunction(uhat.grid, uhat.values * amp))
 
 
 def _adjoint_amplitude(
@@ -313,7 +250,7 @@ def apply_adjoint(op: OperatorInstance, u: SampledFunction) -> SampledFunction:
     """T_a^* u, the exact discrete adjoint of apply."""
     op._check_grid(u)
     band = op._mode_band()
-    if op.symbol.is_symbol:
+    if op.symbol.is_separable:
         return _adjoint_symbol_spectral(op, u, band)
     return _adjoint_amplitude(op, u, band)
 
@@ -347,9 +284,10 @@ def adjoint_commutator(
 
 # ---------------------------------------------------------------------------
 # Kernel rows.  K(x, y) = (2pi)^(-d) sum_m a(x,y,xi_m) e^{i<x-y,xi_m>} dxi^d
-# with x fixed anywhere and the other slot on the lattice.  For symbols that
-# slot enters through one inverse FFT, or through one product with the cached
-# symbol matrix when a depends on it; only amplitudes sum mode by mode.
+# with x fixed anywhere and the other slot on the lattice.  For a symbol a
+# row K(x, .) is one inverse FFT of a(x, .); a column K(., x) is one too when
+# a(z, xi) = c(z) a(0, xi) factors, times c on the lattice.  Amplitudes and
+# symbols that do not factor sum mode by mode.
 # ---------------------------------------------------------------------------
 
 
@@ -402,12 +340,13 @@ def _amplitude_kernel(
 def kernel_column(op: OperatorInstance, x_pt) -> np.ndarray:
     """K(., x): the kernel against its first argument, over the grid."""
     g = op.grid
-    if not op.symbol.is_symbol:
+    if not op.symbol.is_separable:
         col = _amplitude_kernel(op, x_pt, g.flat_points(), _kernel_weights(op), first=True)
-    elif op.symbol.multiplier:
-        col = _lattice_sum(g, _symbol_at(op, x_pt) * _kernel_weights(op, x_pt, -1.0))
     else:
-        col = _symbol_synthesis(op, _kernel_weights(op, x_pt, -1.0))
+        col = _lattice_sum(g, op._spectrum().ravel() * _kernel_weights(op, x_pt, -1.0))
+        mod = op._modulation()
+        if mod is not None:
+            col = mod.ravel() * col
     return col.reshape(g.shape)
 
 

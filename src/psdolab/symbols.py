@@ -57,10 +57,14 @@ class SymbolSpec:
     kind: str
     label: str
     multiplier: bool = False  # true when the evaluator depends on xi only
+    # the real x-factor c of a symbol a(x, y, xi) = c(x) a(0, 0, xi), c(0) = 1
+    modulation: Callable | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        if self.modulation is not None and (self.multiplier or not self.is_symbol):
+            raise ValueError("a modulation needs a symbol kind that is not a multiplier")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
         if not 0.0 <= self.delta <= 1.0:
@@ -69,6 +73,11 @@ class SymbolSpec:
     @property
     def is_symbol(self) -> bool:
         return self.kind.endswith("_symbol")
+
+    @property
+    def is_separable(self) -> bool:
+        """True when a(x, y, xi) = c(x) a(0, 0, xi), so one FFT pair applies it."""
+        return self.multiplier or self.modulation is not None
 
     @property
     def is_rough(self) -> bool:
@@ -89,7 +98,8 @@ def preset_symbol(name: str, **params) -> SymbolSpec:
 
     identity              a = 1
     bessel_order_m        a(xi) = <xi>^m                     (m, rho=1, delta=0)
-    rough_x_modulated     a(x,xi) = (2 + tri(x)) <xi>^m      Lipschitz in x only
+    rough_x_modulated     a(x,xi) = (2 + tri(x)) <xi>^m      Lipschitz in x only;
+                              modulation c = 2 + tri, c(0) = 1
     oscillating_amplitude a(x,y,xi) = <xi>^m exp(i(<xi>^(1-rho)
                               + <xi>^delta psi(x,y)))        (m, rho, delta)
     """
@@ -113,13 +123,16 @@ def preset_symbol(name: str, **params) -> SymbolSpec:
     if name == "rough_x_modulated":
         m = float(params["m"])
 
-        def ev_rough(x, y, xi, _m=m):
+        def mod_rough(x):
             xs = _components(x)
-            mod = 2.0 + sum(_triangle_wave(c) for c in xs) / len(xs)
-            return mod * japanese_bracket(xi) ** _m + 0.0j
+            return 2.0 + sum(_triangle_wave(c) for c in xs) / len(xs)
+
+        def ev_rough(x, y, xi, _m=m):
+            return mod_rough(x) * japanese_bracket(xi) ** _m + 0.0j
 
         return SymbolSpec(
-            ev_rough, m, 1.0, 0.0, "rough_symbol", f"rough_x_modulated(m={m:g})", False
+            ev_rough, m, 1.0, 0.0, "rough_symbol", f"rough_x_modulated(m={m:g})", False,
+            mod_rough,
         )
 
     if name == "oscillating_amplitude":
@@ -160,7 +173,8 @@ def dyadic_piece(sym: SymbolSpec, family: LPFamily, k: int) -> SymbolSpec:
         return sym.evaluator(x, y, xi) * family.piece_profile(_k, rad)
 
     return SymbolSpec(
-        ev, sym.order, sym.rho, sym.delta, sym.kind, f"{sym.label}|piece{k}", sym.multiplier
+        ev, sym.order, sym.rho, sym.delta, sym.kind, f"{sym.label}|piece{k}", sym.multiplier,
+        sym.modulation,
     )
 
 

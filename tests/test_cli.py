@@ -69,7 +69,7 @@ def test_missing_config_is_a_usage_error(tmp_path):
 
 
 @pytest.mark.parametrize("setting", [("--grid-n", "100"), ("--grid-l", "-1.0"),
-                                     "grid.dim = 3", "grid.n = abc"])
+                                     "grid.dim = 2", "grid.dim = 3", "grid.n = abc"])
 def test_bad_grid_is_a_usage_error(tmp_path, capsys, setting):
     """A grid the lattice cannot hold exits 2 with one error line, not a traceback."""
     if isinstance(setting, str):

@@ -1,9 +1,16 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import psdolab as P
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_identity_symbol_acts_as_identity(grid, packet):
@@ -198,3 +205,105 @@ def test_amplitude_kernel_rows_match_direct_sum(dyadic):
     assert np.max(np.abs(P.adjoint_kernel_row(op, np.array([x])) - np.conj(col))) <= (
         1e-12 * np.max(np.abs(col))
     )
+
+
+def _dense_reference(op, band):
+    """T and T* as direct mode sums over the N x N matrix a(x_i, xi_m) e^{i x_i xi_m}."""
+    g = op.grid
+    x = g.axis_points()[:, None]
+    xi = g.axis_freqs()[None, :]
+    phase = np.exp(1j * x * xi)
+    sym = np.broadcast_to(op.symbol.evaluator(x, 0.0, xi), phase.shape) * phase
+    w = band * (g.freq_spacing / (2.0 * np.pi) * g.spacing)
+
+    def forward(f):
+        return sym @ (w * (phase.conj().T @ f.values))
+
+    def adjoint(u):
+        return phase @ (w * (sym.conj().T @ u.values))
+
+    return forward, adjoint
+
+
+def _assert_close(got, ref):
+    assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from([64, 128, 256, 512, 1024]),
+    half=st.floats(4.0, 64.0),
+    preset=st.sampled_from(sorted(_ROW_SYMBOLS)),
+    dyadic=st.booleans(),
+    piece=st.integers(0, 10**6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_application_matches_dense_mode_sum(n, half, preset, dyadic, piece, seed):
+    g = P.make_grid(1, n, half)
+    op = P.make_operator(P.preset_symbol(preset, **_ROW_SYMBOLS[preset]), g)
+    if dyadic:
+        assume(g.xi_max >= 2.0)  # the twin keeps at least piece 0
+        op = P.band_limited_twin(op)
+    rng = np.random.default_rng(seed)
+    f, u = (P.SampledFunction(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            for _ in range(2))
+    full = np.ones(n) if op.mode == "full" else op.family.band_mask(op.truncation).ravel()
+    forward, adjoint = _dense_reference(op, full)
+    tf, tu = P.apply(op, f), P.apply_adjoint(op, u)
+    _assert_close(tf, forward(f))
+    _assert_close(tu, adjoint(u))
+    k = piece % (op.family.max_index + 1)
+    forward_k, _ = _dense_reference(op, op.family.piece_on_lattice(k).ravel())
+    _assert_close(P.apply_dyadic_piece(op, k, f), forward_k(f))
+    # the exact adjoint pairing <T f, u> = <f, T* u>
+    scale = P.lp_norm(tf, 2.0) * P.lp_norm(u, 2.0)
+    assert abs(P.inner(tf, u) - P.inner(f, tu)) <= 1e-12 * scale
+
+
+def _tilted_bessel(x, y, xi):
+    """<xi>^(-1/2) + sin(x) <xi>^(-1): x dependence that does not factor out."""
+    br = P.japanese_bracket(xi)
+    return br**-0.5 + np.sin(x) / br + 0.0j
+
+
+def test_non_factoring_symbol_takes_the_amplitude_path():
+    g = P.make_grid(1, 64, 16.0)
+    sym = P.SymbolSpec(_tilted_bessel, -0.5, 1.0, 0.0, "smooth_symbol", "tilted")
+    assert sym.is_symbol and not sym.is_separable
+    rng = np.random.default_rng(5)
+    f, u = (P.SampledFunction(g, rng.standard_normal(64) + 1j * rng.standard_normal(64))
+            for _ in range(2))
+    op = P.make_operator(sym, g)
+    forward, adjoint = _dense_reference(op, np.ones(64))
+    _assert_close(P.apply(op, f), forward(f))
+    _assert_close(P.apply_adjoint(op, u), adjoint(u))
+    x = 1.3 + 0.41 * g.spacing
+    col = _reference_kernel(op, x, first=True)
+    assert np.max(np.abs(P.kernel_column(op, np.array([x])) - col)) <= (
+        1e-12 * np.max(np.abs(col))
+    )
+    # the amplitude budget is what refuses it, so the amplitude sums ran
+    with pytest.raises(ValueError, match="amplitude mode cost"):
+        P.apply(P.make_operator(sym, g, amplitude_budget=32), f)
+
+
+def test_rough_application_needs_no_scipy():
+    """The runtime is numpy-only: a rough apply must not pull scipy in."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import psdolab as P\n"
+        "cfg = P.load_config('presets/rough_bounded.cfg')\n"
+        "g = cfg.make_grid()\n"
+        "op = cfg.make_operator(cfg.make_symbol(), g)\n"
+        "P.apply(op, P.sample(g, lambda x: np.exp(-x ** 2)))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"

@@ -71,3 +71,28 @@ def test_membership_is_one_dimensional_only():
     g2 = P.make_grid(2, 64, 4.0)
     with pytest.raises(ValueError):
         estimate_class_membership(P.preset_symbol("identity"), g2)
+
+
+def test_modulation_factors_the_rough_preset_and_its_pieces(grid_small):
+    """a(x, y, xi) = c(x) a(0, 0, xi) with c(0) = 1; dyadic pieces keep c."""
+    sym = P.preset_symbol("rough_x_modulated", m=-0.5)
+    fam = P.make_lp_family(grid_small)
+    rng = np.random.default_rng(11)
+    x, y = rng.uniform(-20.0, 20.0, (2, 400))
+    xi = rng.uniform(-1.2, 1.2, 400) * grid_small.xi_max
+    for s in [sym] + [P.dyadic_piece(sym, fam, k) for k in range(fam.max_index + 1)]:
+        assert s.modulation is sym.modulation and s.is_separable
+        assert s.modulation(0.0) == 1.0
+        lhs = np.asarray(s.evaluator(x, y, xi), dtype=complex)
+        rhs = s.modulation(x) * np.asarray(s.evaluator(0.0, 0.0, xi), dtype=complex)
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-14, atol=0.0)
+    assert np.ptp(sym.modulation(x)) > 1.0  # the x dependence is real
+
+
+def test_modulation_only_on_plain_symbols():
+    ev = P.preset_symbol("identity").evaluator
+    with pytest.raises(ValueError, match="modulation"):
+        P.SymbolSpec(ev, 0.0, 1.0, 0.0, "smooth_amplitude", "amp", modulation=np.cos)
+    with pytest.raises(ValueError, match="modulation"):
+        P.SymbolSpec(ev, 0.0, 1.0, 0.0, "smooth_symbol", "mult", True, np.cos)
+    assert P.SymbolSpec(ev, 0.0, 1.0, 0.0, "rough_symbol", "mod", modulation=np.cos).is_separable
