@@ -106,6 +106,41 @@ def _as_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(t) for t in text.split(",") if t.strip())
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in text.split(",") if t.strip())
+
+
+# How each typed key is read: a parser, or the tuple of its allowed values.
+# load_config applies every entry, so a bad value never reaches a runner.
+_KEY_TYPES = {
+    "grid.dim": int, "grid.n": int, "grid.l": float,
+    "symbol.preset": tuple(_SYMBOL_PARAM_KEYS),
+    "symbol.m": float, "symbol.rho": float, "symbol.delta": float,
+    "symbol.spatial_scale": float,
+    "operator.mode": ("auto", "full"),
+    "weight.preset": ("unit", "power_growth", "exp_abs", "random_log_bounded"),
+    "weight.gamma": float, "weight.p": float, "weight.theta": float,
+    "bmo.preset": ("constant", "linear", "triangle"),
+    "bmo.theta": float,
+    "corpus.center_count": int, "corpus.widths": _floats, "corpus.modulations": _ints,
+    "maximal.s": float, "maximal.kappa": float, "maximal.n_big": int,
+    "fs.count": int,
+    "lemma.n_big": int, "lemma.center_count": int, "lemma.widths": _floats,
+    "lemma.modulations": _ints,
+    "oscillation.radii": _floats, "oscillation.centers": _floats,
+    "kernel.ell_max": int, "kernel.k_lo": int, "kernel.k_hi": int,
+    "kernel.diff_ball_radius": float, "kernel.diff_j": _ints, "kernel.diff_k": _ints,
+    "kernel.adjoint_n_exp": int,
+    "tolerances.ratio_spread": float, "tolerances.trend_slope": float,
+    "tolerances.slope": float,
+    "run.seed": int, "run.counterexample": _as_bool,
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved configuration: defaults, then file, then explicit overrides."""
@@ -130,10 +165,10 @@ class ExperimentConfig:
         return _as_bool(self.get(key))
 
     def get_floats(self, key: str) -> tuple[float, ...]:
-        return tuple(float(t) for t in self.get(key).split(",") if t.strip())
+        return _floats(self.get(key))
 
     def get_ints(self, key: str) -> tuple[int, ...]:
-        return tuple(int(t) for t in self.get(key).split(",") if t.strip())
+        return _ints(self.get(key))
 
     def digest(self) -> str:
         # run.out points at the report directory; it does not influence any
@@ -162,8 +197,6 @@ class ExperimentConfig:
 
     def symbol_params(self) -> dict:
         name = self.get("symbol.preset")
-        if name not in _SYMBOL_PARAM_KEYS:
-            raise ValueError(f"unknown symbol preset {name!r}")
         return {k: self.get_float(f"symbol.{k}") for k in _SYMBOL_PARAM_KEYS[name]}
 
     def make_symbol(self):
@@ -268,4 +301,16 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     # the experiments index balls, probe classes and sum amplitudes in 1D only
     if grid.dim != 1:
         raise ValueError(f"grid: the experiments run on 1D grids, got grid.dim = {grid.dim}")
+    # then every typed value, without building anything from it
+    for key, kind in _KEY_TYPES.items():
+        value = cfg.get(key)
+        if isinstance(kind, tuple):
+            if value not in kind:
+                raise ValueError(f"{key}: unknown value {value!r}, expected one of "
+                                 + ", ".join(kind))
+            continue
+        try:
+            kind(value)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
     return cfg

@@ -340,13 +340,6 @@ class StabilizationReport:
     growth_slope: float
     stable: bool
 
-    def last_changes(self) -> tuple[float, float]:
-        v = self.values
-        return (
-            abs(v[-2] - v[-3]) / max(v[-3], 1e-300),
-            abs(v[-1] - v[-2]) / max(v[-2], 1e-300),
-        )
-
 
 def stabilized_characteristic(
     w: WeightFn, p: float, theta: float, family: BallFamily

@@ -150,13 +150,6 @@ class SampledFunction:
             raise ValueError(f"values shape {vals.shape} != grid shape {self.grid.shape}")
         object.__setattr__(self, "values", vals)
 
-    def is_real_nonnegative(self, tol: float = 1e-12) -> bool:
-        scale = max(1.0, float(np.max(np.abs(self.values), initial=0.0)))
-        return bool(
-            np.max(np.abs(self.values.imag)) < tol * scale
-            and np.min(self.values.real) >= 0.0
-        )
-
     def real_values(self, tol: float = 1e-9) -> np.ndarray:
         scale = max(1.0, float(np.max(np.abs(self.values), initial=0.0)))
         if np.max(np.abs(self.values.imag)) > tol * scale:

@@ -1,12 +1,17 @@
-"""Critical-ball covers and localized maximal operators.
+"""Critical-ball covers and localized maximal operators on 1D grids.
 
 The cover comes from greedy Vitali selection on the 1/5-radius lattice
 family: kept centers are pairwise more than 2/5 apart, so unit balls around
-them cover the box and the sigma-dilates have multiplicity O(sigma^dim).
+them cover the box and the sigma-dilates have multiplicity O(sigma).
 
 Every "sup over all balls" below is realized over a structured family
-(centers on a stride-8 sublattice, dyadic radii), which keeps results
-reproducible.  In 1D all window means run on prefix sums.
+(centers 8k on a stride-8 sublattice, dyadic radii), which keeps results
+reproducible, and every window mean comes from a prefix sum.  m_loc and
+m_sharp_loc take the sup on the whole circle with a periodic sliding max.
+m_tilde_s runs all critical balls at once, ball j as row j: prefix sums over
+each 8-dilate's support, (balls, centers) window means per radius, and a
+sparse-table max over the run of centers whose windows hold each point of
+Q_j.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from .grid import (
     PeriodicGrid,
     SampledFunction,
     ball_indices,
-    ball_mask,
     lp_norm,
 )
 from .report import VerificationReport, config_hash
@@ -85,182 +89,133 @@ def _cover_windows(cover: CriticalCover, radius: float) -> np.ndarray:
     return rows
 
 
+def _require_1d(grid: PeriodicGrid) -> None:
+    if grid.dim != 1:
+        raise ValueError(f"the maximal operators run on 1D grids, got dim = {grid.dim}")
+
+
 def build_critical_cover(grid: PeriodicGrid) -> CriticalCover:
     """Greedy Vitali pass over B(x, 1/5) for every lattice x, in lattice order."""
+    _require_1d(grid)
     if grid.half_length < 4.0:
         raise ValueError("need half_length >= 4 so several critical balls fit")
-    pts = grid.flat_points()
-    if grid.dim == 1:
-        # lattice-order greedy collapses to a fixed stride plus a wrap check
-        step = int(np.floor(_SEPARATION / grid.spacing)) + 1
-        kept = [pts[i] for i in range(0, grid.n, step)]
-        if len(kept) > 1:
-            d = grid.wrap(kept[-1] - kept[0])
-            if float(d @ d) <= _SEPARATION**2:
-                kept.pop()
-    else:
-        kept = []
-        sep2 = _SEPARATION**2
-        arr = np.empty((0, grid.dim))
-        for p in pts:
-            if len(kept) == 0 or not np.any(
-                np.sum(grid.wrap(p[None, :] - arr) ** 2, axis=1) <= sep2
-            ):
-                kept.append(p)
-                arr = np.asarray(kept)
-    centers = tuple(tuple(float(v) for v in c) for c in kept)
-    cover = CriticalCover(grid, centers)
+    # lattice-order greedy collapses to a fixed stride plus a wrap check
+    step = int(np.floor(_SEPARATION / grid.spacing)) + 1
+    kept = grid.axis_points()[::step].tolist()
+    if len(kept) > 1 and grid.wrap(kept[-1] - kept[0]) ** 2 <= _SEPARATION**2:
+        kept.pop()
+    cover = CriticalCover(grid, tuple((c,) for c in kept))
     if not cover.covers_pointwise():
         raise AssertionError("greedy cover failed the pointwise covering check")
     return cover
 
 
 # ---------------------------------------------------------------------------
-# Structured ball family sups.  1D uses prefix sums over periodic windows.
+# Structured ball family sups: centers 8k, dyadic radii, prefix-sum means.
 # ---------------------------------------------------------------------------
 
 
-def _dyadic_radii(grid: PeriodicGrid, alpha: float) -> list[float]:
+def _family_windows(grid: PeriodicGrid, alpha: float):
+    """(half, starts, count) per dyadic radius 8 dx, 16 dx, .. up to alpha.
+
+    The family windows of one radius are the count = 2 half + 1 points
+    starts[k] .. starts[k] + count - 1 (mod n) around the centers 8k.
+    """
     r = 8.0 * grid.spacing
     if alpha < r:
         raise ValueError(f"alpha {alpha} below the minimum family radius {r}")
-    out = []
+    radii = []
     while r <= alpha * (1.0 + 1e-12):
-        out.append(r)
+        radii.append(r)
         r *= 2.0
-    if out[-1] < alpha * (1.0 - 1e-12):
-        out.append(alpha)
-    return out
+    if radii[-1] < alpha * (1.0 - 1e-12):
+        radii.append(alpha)
+    n = grid.n
+    for r in radii:
+        half = int(np.floor(r / grid.spacing * (1 + 1e-12)))
+        count = 2 * half + 1
+        if count > n:
+            raise ValueError("window exceeds the grid period")
+        yield half, (np.arange(0, n, 8) - half) % n, count
 
 
-def _wrapped_cumsum(flat: np.ndarray) -> np.ndarray:
-    ext = np.concatenate([flat, flat])
-    return np.concatenate([[0.0], np.cumsum(ext)])
-
-
-def _window_stats_1d(cs: np.ndarray, centers_idx: np.ndarray, half: int):
-    """(start, count, sums) of the periodic windows center +- half points.
-
-    cs is the _wrapped_cumsum of the n sampled values.
-    """
-    n = (len(cs) - 1) // 2
-    count = 2 * half + 1
-    if count > n:
-        raise ValueError("window exceeds the grid period")
-    starts = (centers_idx - half) % n
-    sums = cs[starts + count] - cs[starts]
-    return starts, count, sums
-
-
-def _scatter_max_1d(
-    out: np.ndarray,
-    starts: np.ndarray,
-    count: int,
-    vals: np.ndarray,
-    n: int | None = None,
-    first: int = 0,
-):
+def _scatter_max_1d(out: np.ndarray, starts: np.ndarray, count: int, vals: np.ndarray):
     """Raise out to vals[j] on each periodic window starts[j] .. starts[j]+count-1.
 
-    out holds the circle points first .. first+len(out)-1 (mod n); n defaults
-    to len(out), the whole circle.  A sliding max over the window starts
-    (van Herk 1992; Gil and Werman 1993): O(len(out) + count) past one pass
-    over the starts, and exact.  The starts must be distinct.
+    A sliding max over the window starts (van Herk 1992; Gil and Werman
+    1993): O(len(out) + count) past one pass over the starts, and exact.
+    The starts must be distinct.
     """
-    m = len(out)
-    n = m if n is None else n
-    # ext[i] holds the window starting at point first - count + 1 + i, so the
-    # windows holding out[x] start in ext[x : x + count]; span <= n + count - 1
-    # < 2n, so a start lands at most twice, the second time only if span > n
-    span = m + count - 1
+    n = len(out)
+    # ext[i] holds the window starting at point i - count + 1, so the windows
+    # holding out[x] start in ext[x : x + count]; span < 2n, so a start lands
+    # at most twice, the second time only if it is below span - n
+    span = n + count - 1
     blocks = -(-span // count)
     ext = np.full(blocks * count, -np.inf)
-    pos = (starts - (first - count + 1)) % n
-    keep = pos < span
-    ext[pos[keep]] = vals[keep]
-    if span > n:
-        keep = pos < span - n
-        ext[pos[keep] + n] = vals[keep]
+    pos = (starts + count - 1) % n
+    ext[pos] = vals
+    keep = pos < span - n
+    ext[pos[keep] + n] = vals[keep]
     ext = ext.reshape(blocks, count)
     prefix = np.maximum.accumulate(ext, axis=1).ravel()
     suffix = np.maximum.accumulate(ext[:, ::-1], axis=1)[:, ::-1].ravel()
-    np.maximum(out, suffix[:m], out=out)
-    np.maximum(out, prefix[count - 1 : count - 1 + m], out=out)
+    np.maximum(out, suffix[:n], out=out)
+    np.maximum(out, prefix[count - 1 : count - 1 + n], out=out)
 
 
-def _sup_over_family_1d(
-    flat: np.ndarray,
-    grid: PeriodicGrid,
-    alpha: float,
-    osc: bool,
-    first: int = 0,
-    length: int | None = None,
-):
-    """Family sup of the window means of |flat|; with osc, of real flat's mean oscillation.
+def _centers_range_max(vals: np.ndarray, x: np.ndarray, half: int) -> np.ndarray:
+    """Max of vals[..., k] over the centers 8k within periodic distance half of x.
 
-    The sup is taken on the periodic segment of length points from first;
-    the default is the whole circle.
+    vals holds one value per center of the n = 8 * vals.shape[-1] point
+    circle; x holds integer points (taken mod n) with the same number of
+    axes.  The centers holding x are a circular run of ell or ell + 1,
+    ell = (2 half + 1) // 8, so a doubling table of width w = 2^floor(log2
+    ell) answers each run with two overlapping reads (a sparse table;
+    Bender and Farach-Colton 2000).  Exact, for 4 <= half < n / 2.
     """
-    n = grid.n
-    centers_idx = np.arange(0, n, 8)
-    out = np.full(n if length is None else length, -np.inf)
-    cs = _wrapped_cumsum(flat if osc else np.abs(flat))
+    c = vals.shape[-1]
+    w = 1 << (((2 * half + 1) // 8).bit_length() - 1)
+    table, step = vals, 1
+    while step < w:
+        table = np.maximum(table, np.roll(table, -step, axis=-1))
+        step *= 2
+    lo = -((half - x) // 8)  # the run is lo .. hi, lo = ceil((x - half) / 8)
+    hi = (x + half) // 8
+    return np.maximum(np.take_along_axis(table, lo % c, axis=-1),
+                      np.take_along_axis(table, (hi - w + 1) % c, axis=-1))
+
+
+def _sup_over_family_1d(flat: np.ndarray, grid: PeriodicGrid, alpha: float, osc: bool):
+    """Family sup of the window means of |flat|; with osc, of real flat's mean oscillation."""
+    out = np.full(grid.n, -np.inf)
+    cs = np.concatenate([[0.0], np.cumsum(np.tile(flat if osc else np.abs(flat), 2))])
     # every periodic window is a plain slice of the doubled samples
-    doubled = np.concatenate([flat, flat]) if osc else None
-    for r in _dyadic_radii(grid, alpha):
-        half = int(np.floor(r / grid.spacing * (1 + 1e-12)))
-        starts, count, sums = _window_stats_1d(cs, centers_idx, half)
-        means = sums / count
+    doubled = np.tile(flat, 2) if osc else None
+    for _, starts, count in _family_windows(grid, alpha):
+        means = (cs[starts + count] - cs[starts]) / count
         if osc:
             dev = sliding_window_view(doubled, count)[starts]
             dev -= means[:, None]
             vals = np.mean(np.abs(dev, out=dev), axis=1)
         else:
             vals = means
-        _scatter_max_1d(out, starts, count, vals, n, first)
-    return out
-
-
-def _segment_first(idx: np.ndarray) -> int:
-    """Circle-order first point of a periodic index window given ascending."""
-    gaps = np.flatnonzero(np.diff(idx) > 1)
-    return int(idx[gaps[0] + 1]) if len(gaps) else int(idx[0])
-
-
-def _sup_over_family_nd(vals_in: np.ndarray, grid: PeriodicGrid, alpha: float, osc: bool):
-    out = np.full(grid.shape, -np.inf)
-    ax = grid.axis_points()[::8]
-    centers = [(float(a), float(b)) for a in ax for b in ax]
-    for r in _dyadic_radii(grid, alpha):
-        for c in centers:
-            mask = ball_mask(grid, Ball(c, r))
-            sel = vals_in[mask]
-            if osc:
-                v = float(np.mean(np.abs(sel - np.mean(sel))))
-            else:
-                v = float(np.mean(np.abs(sel)))
-            np.maximum(out, np.where(mask, v, -np.inf), out=out)
+        _scatter_max_1d(out, starts, count, vals)
     return out
 
 
 def m_loc(g: SampledFunction, alpha: float) -> SampledFunction:
     """sup over family balls containing x, radius <= alpha, of mean |g|."""
-    grid = g.grid
-    if grid.dim == 1:
-        out = _sup_over_family_1d(g.values, grid, alpha, osc=False)
-    else:
-        out = _sup_over_family_nd(np.abs(g.values), grid, alpha, osc=False)
-    return SampledFunction(grid, out.astype(complex))
+    _require_1d(g.grid)
+    out = _sup_over_family_1d(g.values, g.grid, alpha, osc=False)
+    return SampledFunction(g.grid, out.astype(complex))
 
 
 def m_sharp_loc(g: SampledFunction, alpha: float) -> SampledFunction:
     """sup over the same family of mean |g - g_B| (mean oscillation)."""
-    grid = g.grid
-    if grid.dim == 1:
-        out = _sup_over_family_1d(g.real_values(), grid, alpha, osc=True)
-    else:
-        out = _sup_over_family_nd(g.real_values(), grid, alpha, osc=True)
-    return SampledFunction(grid, out.astype(complex))
+    _require_1d(g.grid)
+    out = _sup_over_family_1d(g.real_values(), g.grid, alpha, osc=True)
+    return SampledFunction(g.grid, out.astype(complex))
 
 
 # ---------------------------------------------------------------------------
@@ -307,32 +262,44 @@ def m_tilde_s(f: SampledFunction, s: float, cover: CriticalCover) -> SampledFunc
     """On each critical ball, the maximal function of f cut to the 8-dilate.
 
     Overlapping critical balls are resolved by a pointwise max, not the sum;
-    the sum would double-count on overlaps.
+    the sum would double-count on overlaps.  All balls run at once, ball j
+    as row j, and each ball's maximal function is taken only on Q_j.
     """
     if s < 1.0:
         raise ValueError(f"s must be >= 1, got {s}")
     grid = f.grid
     if 8.0 > grid.half_length:
         raise ValueError("8-fold dilates of critical balls exceed the box")
-    alpha = grid.half_length / 2.0
-    powered = (np.abs(f.values) ** s).ravel()
-    out = np.full(grid.size, -np.inf)
-    for cut_idx, q_idx in zip(cover.windows(8.0), cover.windows(1.0)):
-        cut = np.zeros(grid.size)
-        cut[cut_idx] = powered[cut_idx]
-        if grid.dim == 1:
-            # the sup is only needed on Q_j, a contiguous periodic segment
-            first = _segment_first(q_idx)
-            points = (first + np.arange(len(q_idx))) % grid.n
-            ms = _sup_over_family_1d(
-                cut, grid, alpha, osc=False, first=first, length=len(q_idx)
-            )
-        else:
-            points = q_idx
-            ms = _sup_over_family_nd(cut.reshape(grid.shape), grid, alpha, osc=False)
-            ms = ms.ravel()[q_idx]
-        out[points] = np.maximum(out[points], ms ** (1.0 / s))
-    return SampledFunction(grid, out.reshape(grid.shape).astype(complex))
+    n = grid.n
+    cut_idx, q_idx = cover.windows(8.0), cover.windows(1.0)
+    rows, size = cut_idx.shape
+    # The doubled cut of row j is zero off its support, the 8-dilate's arc
+    # and that arc shifted by n, so its prefix sum at point i is the prefix
+    # sum over the support read at the count of support points below i:
+    # the skipped terms add 0.0, which leaves every partial sum unchanged.
+    prefix = np.zeros((rows, 2 * size + 1))
+    prefix[:, 1 : size + 1] = (np.abs(f.values) ** s)[cut_idx]
+    prefix[:, size + 1 :] = prefix[:, 1 : size + 1]
+    np.cumsum(prefix[:, 1:], axis=1, out=prefix[:, 1:])
+    # each arc starts where its ascending indices jump, or at its first index
+    jump = np.diff(cut_idx, axis=1) > 1
+    first = cut_idx[np.arange(rows), jump.any(axis=1) * (jump.argmax(axis=1) + 1)][:, None]
+
+    def prefix_at(i):
+        # support points below i: the arc's copies start at first - n (counted
+        # from 0 on), first and first + n
+        u = i - first
+        below = (np.clip(u + n, 0, size) + np.clip(u, 0, size) + np.clip(u - n, 0, size)
+                 - np.minimum(n - first, size))
+        return np.take_along_axis(prefix, below, axis=1)
+
+    ms = np.full(q_idx.shape, -np.inf)
+    for half, starts, count in _family_windows(grid, grid.half_length / 2.0):
+        means = (prefix_at(starts + count) - prefix_at(starts)) / count
+        np.maximum(ms, _centers_range_max(means, q_idx, half), out=ms)
+    out = np.full(n, -np.inf)
+    np.maximum.at(out, q_idx.ravel(), (ms ** (1.0 / s)).ravel())
+    return SampledFunction(grid, out.astype(complex))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from psdolab.cli import main
+from psdolab.experiments import VERIFY_TARGETS
 
 
 def run_cli(*args):
@@ -79,6 +80,21 @@ def test_bad_grid_is_a_usage_error(tmp_path, capsys, setting):
     assert run_cli("verify", "weights", *setting, "--out", str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: grid: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("setting", ["symbol.preset = nope", "weight.preset = nope",
+                                     "bmo.preset = nope", "corpus.widths = a,b",
+                                     "kernel.diff_j = 2,x", "weight.gamma = abc"])
+def test_bad_value_is_a_usage_error_on_every_target(tmp_path, capsys, setting):
+    """A bad preset name or typed value is refused before any target runs."""
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(setting + "\n")
+    key = setting.split(" =")[0]
+    for command in [("verify", target) for target in VERIFY_TARGETS] + [("report", "all")]:
+        assert run_cli(*command, "--config", str(cfgfile), "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [cfgfile]
 
 
 def test_bad_exponents_exit_three(tmp_path):

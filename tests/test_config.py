@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psdolab.config import (DEFAULTS, ExperimentConfig, HypothesisViolation,
+from psdolab.config import (_KEY_TYPES, DEFAULTS, ExperimentConfig, HypothesisViolation,
                             load_config, parse_config_text)
 
 
@@ -14,6 +14,12 @@ def test_defaults_load_and_expose_types(tmp_path):
     assert cfg.get_floats("corpus.widths") == (0.6, 1.0, 1.8)
     assert cfg.get_ints("corpus.modulations") == (0, 4, 12)
     assert cfg.get_bool("run.counterexample") is False
+
+
+def test_every_typed_key_is_checked_at_load():
+    """Only the free-text output directory and the unread noise count go unchecked."""
+    assert set(_KEY_TYPES) <= set(DEFAULTS)
+    assert set(DEFAULTS) - set(_KEY_TYPES) == {"run.out", "corpus.noise_count"}
 
 
 def test_parse_ignores_comments_and_blanks():

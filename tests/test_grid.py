@@ -38,10 +38,18 @@ def test_dft_idft_roundtrip(grid, packet):
     assert np.max(np.abs(back.values - packet.values)) < 1e-12
 
 
-def test_dft_unitary_parseval(grid, packet, window):
-    lhs = P.inner(packet, window)
-    rhs = P.inner(P.dft(packet), P.dft(window))
-    assert abs(lhs - rhs) < 1e-12 * abs(lhs)
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([64, 128, 256, 512, 1024, 2048, 4096]), st.floats(4.0, 64.0),
+       st.integers(0, 2**32 - 1))
+def test_dft_unitary_parseval(n, half_length, seed):
+    """<f, g> = <Ff, Fg> on every grid, up to the FFT's roundoff."""
+    grid = P.make_grid(1, n, half_length)
+    rng = np.random.default_rng(seed)
+    f, g = (P.SampledFunction(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            for _ in range(2))
+    scale = P.lp_norm(f, 2.0) * P.lp_norm(g, 2.0)
+    assert abs(P.inner(f, g) - P.inner(P.dft(f), P.dft(g))) < 1e-12 * scale
+    assert abs(P.lp_norm(P.dft(f), 2.0) - P.lp_norm(f, 2.0)) < 1e-12 * P.lp_norm(f, 2.0)
 
 
 def test_lp_norm_indicator(grid):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import psdolab as P
 from psdolab.littlewood_paley import bump_profile, smooth_step
@@ -21,8 +23,11 @@ def test_bump_profile_plateau_and_support():
     assert v[3] == 0.0 and v[4] == 0.0
 
 
-def test_partition_sums_to_one_exactly(lp):
-    # telescoping construction: the residual is a pure roundoff quantity
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([64, 128, 256, 512, 1024, 2048, 4096]), st.floats(4.0, 64.0))
+def test_partition_sums_to_one_exactly(n, half_length):
+    # telescoping construction: the pieces sum to 1 with no roundoff left
+    lp = P.make_lp_family(P.make_grid(1, n, half_length))
     assert P.evaluate_partition_residual(lp) == 0.0
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import psdolab as P
 from psdolab.corpus import gaussian_corpus, mixed_corpus
-from psdolab.maximal import _scatter_max_1d, _sup_over_family_1d
+from psdolab.maximal import _centers_range_max, _scatter_max_1d, _sup_over_family_1d
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +19,15 @@ def test_cover_partitions_the_box(grid, cover):
     assert cover.covers_pointwise()
 
 
+def test_maximal_operators_refuse_2d_grids():
+    grid = P.make_grid(2, 64, 8.0)
+    g = P.sample(grid, lambda x, y: np.ones_like(x))
+    for call in (lambda: P.build_critical_cover(grid), lambda: P.m_loc(g, 2.0),
+                 lambda: P.m_sharp_loc(g, 2.0)):
+        with pytest.raises(ValueError, match="1D grids"):
+            call()
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([64, 128, 256, 512, 1024, 2048, 4096]), st.floats(4.0, 64.0))
 def test_cover_covers_every_grid(n, half_length):
@@ -29,12 +38,9 @@ def test_cover_covers_every_grid(n, half_length):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(16, 300), st.data())
 def test_scatter_max_matches_brute_force(n, data):
-    """The sliding max equals np.maximum.at over every window's indices, bit for bit,
-    on the whole circle and on a segment of it."""
+    """The sliding max equals np.maximum.at over every window's indices, bit for bit."""
     count = data.draw(st.integers(1, n), label="count")
     m = data.draw(st.integers(1, n), label="windows")
-    length = data.draw(st.integers(1, n), label="segment length")
-    first = data.draw(st.integers(0, n - 1), label="segment first")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     starts = rng.choice(n, m, replace=False)
     vals = rng.standard_normal(m)
@@ -42,14 +48,26 @@ def test_scatter_max_matches_brute_force(n, data):
     expected = out.copy()
     idx = (starts[:, None] + np.arange(count)[None, :]) % n
     np.maximum.at(expected, idx.ravel(), np.repeat(vals, count))
-    segment = (first + np.arange(length)) % n
-    seg_out = out[segment].copy()
     _scatter_max_1d(out, starts, count, vals)
     assert np.array_equal(out, expected)
-    seg_expected = seg_out.copy()
-    np.maximum(seg_expected, expected[segment], out=seg_expected)
-    _scatter_max_1d(seg_out, starts, count, vals, n, first)
-    assert np.array_equal(seg_out, seg_expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([64, 128, 256, 512, 1024, 2048, 4096]), st.data())
+def test_centers_range_max_matches_brute_force(n, data):
+    """The sparse-table run max equals the max over every center 8k with
+    periodic |x - 8k| <= half, for one row or a stack of rows, x anywhere."""
+    half = data.draw(st.integers(8, (n - 1) // 2), label="half")
+    rows = data.draw(st.sampled_from([None, 1, 5]), label="rows")
+    m = data.draw(st.integers(1, 40), label="points")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    shape = (n // 8,) if rows is None else (rows, n // 8)
+    vals = rng.standard_normal(shape)
+    x = rng.integers(-3 * n, 3 * n, size=shape[:-1] + (m,))
+    got = _centers_range_max(vals, x, half)
+    dist = np.abs((x[..., :, None] - 8 * np.arange(n // 8) + n // 2) % n - n // 2)
+    expected = np.max(np.where(dist <= half, vals[..., None, :], -np.inf), axis=-1)
+    assert np.array_equal(got, expected)
 
 
 # Per-ball full-grid references: every ball is a full scan of the grid and
@@ -112,6 +130,20 @@ def test_cover_local_paths_match_full_grid_references(n):
                                   _reference_g_kappa_p(f, kappa, p, cover, 8))
         assert np.array_equal(P.m_tilde_s(f, 1.5, cover).values.real,
                               _reference_m_tilde_s(f, 1.5, cover))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([64, 128, 256, 512, 1024, 2048, 4096]),
+       st.one_of(st.just(8.0), st.floats(8.0, 64.0)), st.floats(1.0, 3.0), st.data())
+def test_batched_m_tilde_s_matches_the_per_ball_reference(n, half_length, s, data):
+    """All balls at once give the per-ball full-grid value, bit for bit, also
+    at L = 8 where each 8-dilate is the whole circle."""
+    grid = P.make_grid(1, n, half_length)
+    cover = P.build_critical_cover(grid)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    f = P.SampledFunction(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    assert np.array_equal(P.m_tilde_s(f, s, cover).values.real,
+                          _reference_m_tilde_s(f, s, cover))
 
 
 def test_cover_multiplicity_is_controlled(cover):
