@@ -3,7 +3,8 @@
 `psdolab verify <target>` runs one experiment; `psdolab report all` runs
 every target and writes an index.  Each run emits a canonical JSON report
 (byte-stable for a fixed config and seed) plus a flat CSV table.  Exit
-status is 0 only when every requested verdict is "pass".
+status is 0 only when every requested verdict is "pass" (README lists the
+other codes).
 """
 
 from __future__ import annotations
@@ -131,6 +132,9 @@ def main(argv=None) -> int:
     except HypothesisViolation as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # a fault of the program, not a verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -114,6 +114,16 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.split(",") if t.strip())
 
 
+def _list(parse, arity: int | None = None):
+    """parse, refusing an empty list, or any length but arity when given."""
+    def checked(text: str) -> tuple:
+        values = parse(text)
+        if not values or arity not in (None, len(values)):
+            raise ValueError(f"needs {arity or 'at least one'} value(s), got {len(values)}")
+        return values
+    return checked
+
+
 # How each typed key is read: a parser, or the tuple of its allowed values.
 # load_config applies every entry, so a bad value never reaches a runner.
 _KEY_TYPES = {
@@ -126,14 +136,16 @@ _KEY_TYPES = {
     "weight.gamma": float, "weight.p": float, "weight.theta": float,
     "bmo.preset": ("constant", "linear", "triangle"),
     "bmo.theta": float,
-    "corpus.center_count": int, "corpus.widths": _floats, "corpus.modulations": _ints,
+    "corpus.center_count": int, "corpus.widths": _list(_floats),
+    "corpus.modulations": _list(_ints),
     "maximal.s": float, "maximal.kappa": float, "maximal.n_big": int,
     "fs.count": int,
-    "lemma.n_big": int, "lemma.center_count": int, "lemma.widths": _floats,
-    "lemma.modulations": _ints,
-    "oscillation.radii": _floats, "oscillation.centers": _floats,
+    "lemma.n_big": int, "lemma.center_count": int, "lemma.widths": _list(_floats),
+    "lemma.modulations": _list(_ints),
+    "oscillation.radii": _list(_floats), "oscillation.centers": _list(_floats),
     "kernel.ell_max": int, "kernel.k_lo": int, "kernel.k_hi": int,
-    "kernel.diff_ball_radius": float, "kernel.diff_j": _ints, "kernel.diff_k": _ints,
+    "kernel.diff_ball_radius": float, "kernel.diff_j": _list(_ints, 2),
+    "kernel.diff_k": _list(_ints, 2),
     "kernel.adjoint_n_exp": int,
     "tolerances.ratio_spread": float, "tolerances.trend_slope": float,
     "tolerances.slope": float,

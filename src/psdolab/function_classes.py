@@ -11,6 +11,11 @@ The oscillation norm is the sup over the family of
 
 Finite boxes cannot certify membership asymptotics; the computable proxy is
 stabilization of the running sup as the family's radius cap doubles.
+
+Each sup runs per radius: the family's balls of one radius are one (balls x
+points) index matrix (grid.ball_windows), so their means are one gather and
+a row mean.  The first maximal ball in family order wins, and the
+stabilization gate sweeps once, taking each cap's sup over its balls.
 """
 
 from __future__ import annotations
@@ -22,12 +27,16 @@ import numpy as np
 
 from .fitting import least_squares_line
 from .grid import (
+    MIN_POINTS_PER_BALL,
     Ball,
     BallFamily,
     PeriodicGrid,
     SampledFunction,
+    _require_1d,
     ball_indices,
+    ball_windows,
     sample,
+    sweep_family,
 )
 from .report import VerificationReport, config_hash
 
@@ -164,22 +173,32 @@ def preset_bmo(name: str, grid: PeriodicGrid, **params) -> SampledFunction:
 
 @lru_cache(maxsize=16)
 def _family_indices(grid: PeriodicGrid, family: BallFamily):
-    """Flat grid indices per ball, computed once per (grid, family)."""
-    out = []
-    for ball in family.balls:
-        idx = ball_indices(grid, ball)
-        if len(idx) < 8:
-            raise ValueError(
-                f"ball {ball} contains {len(idx)} grid points, needs >= 8"
-            )
-        out.append(idx)
-    return tuple(out)
+    """(positions in family, index matrix) groups from one gather per radius;
+    row i of a matrix holds the flat indices of family.balls[positions[i]]."""
+    _require_1d(grid, "ball sweeps")
+    radii = np.array([b.radius for b in family.balls])
+    centers = np.array([b.center for b in family.balls]).reshape(len(radii))
+    groups = []
+    for r in dict.fromkeys(radii.tolist()):
+        pos = np.flatnonzero(radii == r)
+        for sub, rows in ball_windows(grid, centers[pos], r):
+            if rows.shape[1] < MIN_POINTS_PER_BALL:
+                raise ValueError(f"ball {family.balls[pos[sub[0]]]} contains "
+                                 f"{rows.shape[1]} grid points, needs >= {MIN_POINTS_PER_BALL}")
+            groups.append((pos[sub], rows))
+    return tuple(groups)
 
 
-def ap_theta_characteristic(
-    w: WeightFn, p: float, theta: float, family: BallFamily
-) -> ApThetaCharacteristic:
-    """Sup over the family of mean(w)^(1/p) mean(w^(-1/(p-1)))^(1/p') / (1+r)^theta."""
+def _per_ball(flat: np.ndarray, grid: PeriodicGrid, family: BallFamily, stat) -> list[float]:
+    """stat(flat[rows]) per ball, in family order; stat reduces each row."""
+    out = np.empty(len(family.balls))
+    for pos, rows in _family_indices(grid, family):
+        out[pos] = stat(flat[rows])
+    return out.tolist()
+
+
+def _ap_theta_values(w: WeightFn, p: float, theta: float, family: BallFamily) -> list[float]:
+    """Per ball, in family order: mean(w)^(1/p) mean(w^(-1/(p-1)))^(1/p') / (1+r)^theta."""
     if not p > 1.0:
         raise ValueError(f"p must exceed 1 (dual exponent degenerates), got {p}")
     if theta < 0.0:
@@ -190,31 +209,32 @@ def ap_theta_characteristic(
     flat = w.values.ravel()
     with np.errstate(over="ignore"):
         dual = flat ** (-1.0 / (p - 1.0))
-    best, best_ball = -np.inf, family.balls[0]
-    for ball, idx in zip(family.balls, _family_indices(w.grid, family)):
-        raw = float(np.mean(flat[idx]) ** (1.0 / p) * np.mean(dual[idx]) ** (1.0 / pprime))
-        if raw < 1.0 - _JENSEN_SLACK:
-            raise ValueError(
-                f"per-ball product {raw} under the Jensen floor; weight data corrupt"
-            )
-        val = raw / (1.0 + ball.radius) ** theta
-        if val > best:
-            best, best_ball = val, ball
-    return ApThetaCharacteristic(p, theta, best, best_ball, family.descriptor)
+    # Python float powers: numpy's array power can differ in the last ulp
+    means = [_per_ball(v, w.grid, family, lambda x: np.mean(x, axis=1)) for v in (flat, dual)]
+    raw = [a ** (1.0 / p) * d ** (1.0 / pprime) for a, d in zip(*means)]
+    low = next((v for v in raw if v < 1.0 - _JENSEN_SLACK), None)
+    if low is not None:
+        raise ValueError(f"per-ball product {low} under the Jensen floor; weight data corrupt")
+    return [v / (1.0 + b.radius) ** theta for v, b in zip(raw, family.balls)]
+
+
+def ap_theta_characteristic(
+    w: WeightFn, p: float, theta: float, family: BallFamily
+) -> ApThetaCharacteristic:
+    """Sup over the family of mean(w)^(1/p) mean(w^(-1/(p-1)))^(1/p') / (1+r)^theta."""
+    values = _ap_theta_values(w, p, theta, family)
+    i = values.index(max(values))
+    return ApThetaCharacteristic(p, theta, values[i], family.balls[i], family.descriptor)
 
 
 def bmo_theta_norm(b: SampledFunction, theta: float, family: BallFamily) -> BmoThetaNorm:
     if theta < 0.0:
         raise ValueError(f"theta must be >= 0, got {theta}")
-    flat = b.real_values().ravel()
-    best, best_ball = -np.inf, family.balls[0]
-    for ball, idx in zip(family.balls, _family_indices(b.grid, family)):
-        vals = flat[idx]
-        osc = float(np.mean(np.abs(vals - np.mean(vals))))
-        val = osc / (1.0 + ball.radius) ** theta
-        if val > best:
-            best, best_ball = val, ball
-    return BmoThetaNorm(theta, best, best_ball, family.descriptor)
+    osc = _per_ball(b.real_values().ravel(), b.grid, family,
+                    lambda v: np.mean(np.abs(v - np.mean(v, axis=1)[:, None]), axis=1))
+    values = [v / (1.0 + ball.radius) ** theta for v, ball in zip(osc, family.balls)]
+    i = values.index(max(values))
+    return BmoThetaNorm(theta, values[i], family.balls[i], family.descriptor)
 
 
 def check_monotonicity(
@@ -265,14 +285,15 @@ def check_john_nirenberg_variant(
         raise ValueError(f"s must be >= 1, got {s}")
     grid = b.grid
     if family is None:
-        family = _default_inside_family(grid)
+        family = sweep_family(grid, inside_only=True)
     norm = bmo_theta_norm(b, theta, family)
     flat = b.real_values().ravel()
     items = []
     ratios_i = []
-    for fb, idx in zip(family.balls, _family_indices(grid, family)):
-        vals = flat[idx]
-        lhs = float(np.mean(np.abs(vals - np.mean(vals)) ** s) ** (1.0 / s))
+    moments = _per_ball(flat, grid, family,
+                        lambda v: np.mean(np.abs(v - np.mean(v, axis=1)[:, None]) ** s, axis=1))
+    for fb, moment in zip(family.balls, moments):
+        lhs = moment ** (1.0 / s)
         rhs = norm.value * (1.0 + fb.radius) ** theta
         if rhs == 0.0:
             continue
@@ -325,12 +346,6 @@ def check_john_nirenberg_variant(
     )
 
 
-def _default_inside_family(grid: PeriodicGrid) -> BallFamily:
-    from .grid import sweep_family
-
-    return sweep_family(grid, inside_only=True)
-
-
 @dataclass(frozen=True)
 class StabilizationReport:
     """Running sup at nested radius caps, with the doubling-change criterion."""
@@ -348,21 +363,18 @@ def stabilized_characteristic(
     radii = family.radii()
     if len(radii) < 4:
         raise ValueError("need at least 4 dyadic radii to judge stabilization")
-    caps, values = [], []
-    for cap in radii:
-        sub = family.restricted(cap)
-        caps.append(cap)
-        values.append(ap_theta_characteristic(w, p, theta, sub).value)
+    # one sweep of the whole family; each cap's sup reads its balls' values
+    per_ball = _ap_theta_values(w, p, theta, family)
+    values = [max(v for v, b in zip(per_ball, family.balls) if b.radius <= cap * (1 + 1e-12))
+              for cap in radii]
     c1, c2 = (
         abs(values[-2] - values[-3]) / max(values[-3], 1e-300),
         abs(values[-1] - values[-2]) / max(values[-2], 1e-300),
     )
     slope, _, _ = least_squares_line(
-        np.log2(np.asarray(caps)), np.log2(np.maximum(values, 1e-300))
+        np.log2(np.asarray(radii)), np.log2(np.maximum(values, 1e-300))
     )
-    return StabilizationReport(
-        tuple(caps), tuple(values), slope, bool(c1 < 0.10 and c2 < 0.10)
-    )
+    return StabilizationReport(radii, tuple(values), slope, bool(c1 < 0.10 and c2 < 0.10))
 
 
 def check_openness(

@@ -11,7 +11,7 @@ is preserved exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "lp_norm",
     "ball_mask",
     "ball_indices",
+    "ball_windows",
     "ball_average",
     "ball_integral",
     "sweep_family",
@@ -271,6 +272,33 @@ class Ball:
         return all(abs(c) + self.radius < grid.half_length for c in self.center)
 
 
+def _require_1d(grid: PeriodicGrid, what: str) -> None:
+    if grid.dim != 1:
+        raise ValueError(f"{what} run on 1D grids, got dim = {grid.dim}")
+
+
+def _axis_box(grid: PeriodicGrid, centers: np.ndarray, radius: float):
+    """Per center, the flat indices of the +-(floor(r/dx) + 2) point box
+    around it on one axis and their squared periodic distances to it."""
+    if radius > grid.half_length:
+        raise ValueError(f"ball radius {radius} exceeds half box {grid.half_length}")
+    n, dx = grid.n, grid.spacing
+    half = int(np.floor(radius / dx)) + 2
+    if 2 * half + 1 >= n:
+        idx = np.broadcast_to(np.arange(n), (len(centers), n))
+    else:
+        mid = np.floor((centers + grid.half_length) / dx + 0.5).astype(int)
+        idx = (mid[:, None] + np.arange(-half, half + 1)) % n
+    # the same arithmetic as axis_points(), on the box only
+    points = -grid.half_length + dx * idx
+    return idx, grid.wrap(points - centers[:, None]) ** 2
+
+
+def _inside(d2: np.ndarray, radius: float) -> np.ndarray:
+    # tiny slack absorbs roundoff of the wrap for boundary lattice points
+    return d2 <= (radius * (1.0 + 1e-12)) ** 2
+
+
 def ball_indices(grid: PeriodicGrid, ball: Ball) -> np.ndarray:
     """Ascending flat indices of the grid points in the ball.
 
@@ -279,28 +307,37 @@ def ball_indices(grid: PeriodicGrid, ball: Ball) -> np.ndarray:
     """
     if len(ball.center) != grid.dim:
         raise ValueError("ball center dimension does not match grid")
-    if ball.radius > grid.half_length:
-        raise ValueError(
-            f"ball radius {ball.radius} exceeds half box {grid.half_length}"
-        )
-    n, dx = grid.n, grid.spacing
-    half = int(np.floor(ball.radius / dx)) + 2
     flat, d2 = 0, 0
     for axis, c in enumerate(ball.center):
-        if 2 * half + 1 >= n:
-            idx = np.arange(n)
-        else:
-            mid = int(np.floor((c + grid.half_length) / dx + 0.5))
-            idx = np.arange(mid - half, mid + half + 1) % n
+        idx, dist2 = _axis_box(grid, np.array([c]), ball.radius)
         shape = [1] * grid.dim
         shape[axis] = -1
-        flat = flat * n + idx.reshape(shape)
-        # the same arithmetic as axis_points(), on the box only
-        points = -grid.half_length + dx * idx
-        d2 = d2 + grid.wrap(points - c).reshape(shape) ** 2
-    # tiny slack absorbs roundoff of the wrap for boundary lattice points
-    inside = d2 <= (ball.radius * (1.0 + 1e-12)) ** 2
+        flat = flat * grid.n + idx[0].reshape(shape)
+        d2 = d2 + dist2[0].reshape(shape)
+    inside = _inside(d2, ball.radius)
     return np.sort(np.broadcast_to(flat, inside.shape)[inside])
+
+
+def ball_windows(grid: PeriodicGrid, centers, radius: float):
+    """ball_indices of B(c, radius) for many centers c of a 1D grid at once.
+
+    Returns (positions, rows) groups, one per point count (lattice centers
+    form one): rows[i] holds the indices of the ball around
+    centers[positions[i]].  Balls go 16 at a time to keep temporaries small.
+    """
+    _require_1d(grid, "ball windows")
+    centers = np.asarray(centers, dtype=float)
+    groups: dict[int, list] = {}
+    for lo in range(0, len(centers), 16):
+        idx, d2 = _axis_box(grid, centers[lo : lo + 16], radius)
+        inside = _inside(d2, radius)
+        counts = inside.sum(axis=1)
+        for count in dict.fromkeys(counts.tolist()):
+            sel = np.flatnonzero(counts == count)
+            rows = idx[sel][inside[sel]].reshape(len(sel), count)
+            groups.setdefault(count, []).append((lo + sel, np.sort(rows, axis=1)))
+    return tuple((np.concatenate([p for p, _ in parts]), np.concatenate([r for _, r in parts]))
+                 for parts in groups.values())
 
 
 def ball_mask(grid: PeriodicGrid, ball: Ball) -> np.ndarray:
@@ -339,16 +376,6 @@ class BallFamily:
     balls: tuple[Ball, ...]
     descriptor: str
 
-    def __iter__(self) -> Iterator[Ball]:
-        return iter(self.balls)
-
-    def __len__(self) -> int:
-        return len(self.balls)
-
-    def restricted(self, radius_cap: float) -> "BallFamily":
-        kept = tuple(b for b in self.balls if b.radius <= radius_cap * (1 + 1e-12))
-        return BallFamily(kept, f"{self.descriptor}|cap={radius_cap:g}")
-
     def radii(self) -> tuple[float, ...]:
         return tuple(sorted({b.radius for b in self.balls}))
 
@@ -365,6 +392,7 @@ def sweep_family(
     inside_only drops balls that would cross the box edge; use it whenever the
     sampled function models a non-periodic function of the line.
     """
+    _require_1d(grid, "ball sweeps")
     stride = center_stride if center_stride is not None else max(1, grid.n // 32)
     cap = radius_cap if radius_cap is not None else grid.half_length / 2.0
     r = min_radius if min_radius is not None else 8.0 * grid.spacing
@@ -376,15 +404,10 @@ def sweep_family(
         r *= 2.0
     if not radii:
         raise ValueError("radius cap below the minimum ball radius")
-    ax = grid.axis_points()[::stride]
-    if grid.dim == 1:
-        centers = [(float(c),) for c in ax]
-    else:
-        centers = [(float(a), float(b)) for a in ax for b in ax]
     balls = []
-    for c in centers:
+    for c in grid.axis_points()[::stride].tolist():
         for rad in radii:
-            b = Ball(c, rad)
+            b = Ball((c,), rad)
             if inside_only and not b.fully_inside(grid):
                 continue
             balls.append(b)

@@ -23,10 +23,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import (
-    Ball,
     PeriodicGrid,
     SampledFunction,
-    ball_indices,
+    _require_1d,
+    ball_windows,
     lp_norm,
 )
 from .report import VerificationReport, config_hash
@@ -83,20 +83,15 @@ class CriticalCover:
 @lru_cache(maxsize=32)
 def _cover_windows(cover: CriticalCover, radius: float) -> np.ndarray:
     # the centers are lattice points, so every ball of one radius holds the
-    # same number of points and the rows stack
-    rows = np.stack([ball_indices(cover.grid, Ball(c, radius)) for c in cover.centers])
+    # same number of points and the rows form one group
+    ((_, rows),) = ball_windows(cover.grid, [c for c, in cover.centers], radius)
     rows.flags.writeable = False
     return rows
 
 
-def _require_1d(grid: PeriodicGrid) -> None:
-    if grid.dim != 1:
-        raise ValueError(f"the maximal operators run on 1D grids, got dim = {grid.dim}")
-
-
 def build_critical_cover(grid: PeriodicGrid) -> CriticalCover:
     """Greedy Vitali pass over B(x, 1/5) for every lattice x, in lattice order."""
-    _require_1d(grid)
+    _require_1d(grid, "the maximal operators")
     if grid.half_length < 4.0:
         raise ValueError("need half_length >= 4 so several critical balls fit")
     # lattice-order greedy collapses to a fixed stride plus a wrap check
@@ -206,14 +201,14 @@ def _sup_over_family_1d(flat: np.ndarray, grid: PeriodicGrid, alpha: float, osc:
 
 def m_loc(g: SampledFunction, alpha: float) -> SampledFunction:
     """sup over family balls containing x, radius <= alpha, of mean |g|."""
-    _require_1d(g.grid)
+    _require_1d(g.grid, "the maximal operators")
     out = _sup_over_family_1d(g.values, g.grid, alpha, osc=False)
     return SampledFunction(g.grid, out.astype(complex))
 
 
 def m_sharp_loc(g: SampledFunction, alpha: float) -> SampledFunction:
     """sup over the same family of mean |g - g_B| (mean oscillation)."""
-    _require_1d(g.grid)
+    _require_1d(g.grid, "the maximal operators")
     out = _sup_over_family_1d(g.real_values(), g.grid, alpha, osc=True)
     return SampledFunction(g.grid, out.astype(complex))
 

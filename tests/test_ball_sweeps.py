@@ -1,0 +1,237 @@
+"""The batched ball sweeps against their one-ball-at-a-time definitions.
+
+Every family statistic is computed per radius from one (balls x points)
+index matrix.  The references below take the same statistics one ball at a
+time, the way the definitions read, and the batched results must equal them
+exactly: same values, same maximizing ball.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import psdolab as P
+from psdolab.experiments import local_average_ratio
+from psdolab.function_classes import _family_indices
+from psdolab.grid import ball_windows
+
+SIZES = [64, 128, 256, 512, 1024, 2048, 4096]
+
+
+def _grid(data):
+    n = data.draw(st.sampled_from(SIZES), label="n")
+    half = data.draw(st.one_of(st.sampled_from([4.0, 16.0, 64.0]), st.floats(4.0, 64.0)),
+                     label="L")
+    return P.make_grid(1, n, half)
+
+
+def _off_lattice_family(grid, data):
+    """Balls in shuffled order, centers anywhere, a few radii of >= 5 dx."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    top = min(grid.half_length, grid.n // 8 * grid.spacing)
+    radii = rng.uniform(5.0 * grid.spacing, top, size=rng.integers(1, 4))
+    balls = [P.Ball((float(c),), float(r)) for r in radii
+             for c in rng.uniform(-grid.half_length, grid.half_length, 12)]
+    order = rng.permutation(len(balls))
+    return P.BallFamily(tuple(balls[i] for i in order), "off-lattice")
+
+
+def _family(grid, data):
+    kind = data.draw(st.sampled_from(["torus", "inside", "off"]), label="family")
+    if kind == "off":
+        return _off_lattice_family(grid, data)
+    return P.sweep_family(grid, inside_only=kind == "inside")
+
+
+def _by_radius(family):
+    out = {}
+    for ball in family.balls:
+        out.setdefault(ball.radius, []).append(ball.center[0])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The window builder.
+# ---------------------------------------------------------------------------
+
+
+def _assert_windows_match(grid, centers, radius):
+    groups = ball_windows(grid, centers, radius)
+    seen = np.concatenate([pos for pos, _ in groups]) if groups else np.array([], int)
+    assert np.array_equal(np.sort(seen), np.arange(len(centers)))
+    for pos, rows in groups:
+        expected = np.stack([P.ball_indices(grid, P.Ball((centers[i],), radius))
+                             for i in pos.tolist()])
+        assert np.array_equal(rows, expected)
+    return groups
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_windows_equal_stacked_ball_indices(data):
+    """Lattice centers (torus and inside-only sweeps, the critical cover)
+    give one group per radius; off-lattice centers may split by count."""
+    grid = _grid(data)
+    for inside in (False, True):
+        for r, centers in _by_radius(P.sweep_family(grid, inside_only=inside)).items():
+            assert len(_assert_windows_match(grid, centers, r)) == 1
+    cover = P.build_critical_cover(grid)
+    centers = [c for c, in cover.centers]
+    for r in (1.0, 2.0, min(8.0, grid.half_length)):
+        assert len(_assert_windows_match(grid, centers, r)) == 1
+        assert np.array_equal(cover.windows(r), ball_windows(grid, centers, r)[0][1])
+    for r, centers in _by_radius(_off_lattice_family(grid, data)).items():
+        _assert_windows_match(grid, centers, r)
+
+
+def test_windows_split_off_lattice_centers_by_count():
+    grid = P.make_grid(1, 64, 4.0)
+    dx = grid.spacing
+    groups = _assert_windows_match(grid, [0.0, 0.5 * dx, 0.25 * dx], 2.5 * dx)
+    assert sorted(rows.shape[1] for _, rows in groups) == [5, 6]
+
+
+def test_sweeps_refuse_2d_grids():
+    grid = P.make_grid(2, 64, 8.0)
+    family = P.BallFamily((P.Ball((0.0, 0.0), 1.0),), "2d")
+    for call in (lambda: ball_windows(grid, [0.0], 1.0),
+                 lambda: _family_indices(grid, family),
+                 lambda: P.sweep_family(grid)):
+        with pytest.raises(ValueError, match="1D grids"):
+            call()
+
+
+# ---------------------------------------------------------------------------
+# Family statistics against per-ball references.
+# ---------------------------------------------------------------------------
+
+
+def _ref_ap_theta(w, p, theta, balls):
+    pprime = p / (p - 1.0)
+    flat = w.values.ravel()
+    dual = flat ** (-1.0 / (p - 1.0))
+    best, best_ball = -np.inf, balls[0]
+    for ball in balls:
+        idx = P.ball_indices(w.grid, ball)
+        raw = float(np.mean(flat[idx]) ** (1.0 / p) * np.mean(dual[idx]) ** (1.0 / pprime))
+        val = raw / (1.0 + ball.radius) ** theta
+        if val > best:
+            best, best_ball = val, ball
+    return best, best_ball
+
+
+def _ref_oscillation(b, balls, s=1.0):
+    """Per ball, (mean_B |b - b_B|^s)^(1/s); s = 1 is the plain mean oscillation."""
+    flat = b.real_values().ravel()
+    out = []
+    for ball in balls:
+        vals = flat[P.ball_indices(b.grid, ball)]
+        dev = np.abs(vals - np.mean(vals))
+        out.append(float(np.mean(dev ** s) ** (1.0 / s)))
+    return out
+
+
+def _weight(grid, data):
+    kind = data.draw(st.sampled_from(["power_growth", "random_log_bounded", "exp_abs"]),
+                     label="weight")
+    params = {"gamma": data.draw(st.floats(0.0, 3.0), label="gamma"),
+              "seed": data.draw(st.integers(0, 99), label="wseed"),
+              "amplitude": data.draw(st.floats(0.1, 3.0), label="amplitude")}
+    return P.preset_weight(kind, grid, **params)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_characteristic_and_stabilization_equal_per_ball_sweeps(data):
+    grid = _grid(data)
+    family = _family(grid, data)
+    w = _weight(grid, data)
+    p = data.draw(st.floats(1.1, 6.0), label="p")
+    theta = data.draw(st.floats(0.0, 3.0), label="theta")
+    ap = P.ap_theta_characteristic(w, p, theta, family)
+    assert (ap.value, ap.maximizing_ball) == _ref_ap_theta(w, p, theta, family.balls)
+    radii = family.radii()
+    if len(radii) < 4:
+        return
+    stab = P.stabilized_characteristic(w, p, theta, family)
+    assert stab.caps == radii
+    for cap, value in zip(stab.caps, stab.values):
+        kept = [b for b in family.balls if b.radius <= cap * (1 + 1e-12)]
+        assert value == _ref_ap_theta(w, p, theta, kept)[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_oscillation_norm_and_jn_part_i_equal_per_ball_sweeps(data):
+    grid = _grid(data)
+    family = _family(grid, data)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    kind = data.draw(st.sampled_from(["noise", "linear", "triangle", "constant"]),
+                     label="b")
+    if kind == "noise":
+        b = P.SampledFunction(grid, rng.standard_normal(grid.n))
+    else:
+        b = P.preset_bmo(kind, grid)
+    theta = data.draw(st.floats(0.0, 3.0), label="theta")
+    norm = P.bmo_theta_norm(b, theta, family)
+    ref = [osc / (1.0 + ball.radius) ** theta
+           for osc, ball in zip(_ref_oscillation(b, family.balls), family.balls)]
+    i = int(np.argmax(ref))
+    assert (norm.value, norm.maximizing_ball) == (ref[i], family.balls[i])
+
+    s = data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]), label="s")
+    rep = P.check_john_nirenberg_variant(b, theta, s, P.Ball((0.0,), 8 * grid.spacing),
+                                         k_range=(), family=family)
+    expected = [
+        {"id": "part_i", "params": {"center": list(ball.center), "r": ball.radius},
+         "value": lhs / (norm.value * (1.0 + ball.radius) ** theta)}
+        for ball, lhs in zip(family.balls, _ref_oscillation(b, family.balls, s))
+        if norm.value * (1.0 + ball.radius) ** theta != 0.0
+    ]
+    assert rep.items == expected
+
+
+def test_weight_under_the_jensen_floor_still_raises():
+    """w^(-1/(p-1)) underflows to 0 for w = 1e300 at p = 1.01, so every
+    per-ball product reads 0 < 1: corrupt data, refused by every sweep."""
+    grid = P.make_grid(1, 256, 16.0)
+    family = P.sweep_family(grid)
+    w = P.WeightFn(P.SampledFunction(grid, np.full(grid.n, 1e300)), "underflow")
+    for call in (P.ap_theta_characteristic, P.stabilized_characteristic):
+        with pytest.raises(ValueError, match="Jensen floor"):
+            call(w, 1.01, 0.0, family)
+
+
+# ---------------------------------------------------------------------------
+# lemma41's per-ball probe, batched over the cover.
+# ---------------------------------------------------------------------------
+
+
+def _ref_local_average_ratio(u, series, idx):
+    lhs = float(np.mean(np.abs(u.values.ravel()[idx])))
+    rhs = float(np.min(series.values.real.ravel()[idx]))
+    if rhs <= 0.0:
+        return np.inf if lhs > 0.0 else 0.0
+    return lhs / rhs
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_local_average_ratio_equals_per_ball_formula(data):
+    grid = _grid(data)
+    cover = P.build_critical_cover(grid)
+    q = cover.windows(1.0)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    u = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+    series = rng.uniform(0.1, 2.0, grid.n)
+    # some balls where the series is not positive, with and without mass of u
+    for j in rng.choice(len(q), size=min(len(q), 4), replace=False).tolist():
+        series[rng.choice(q[j])] = rng.choice([0.0, -1.0])
+        if rng.random() < 0.5:
+            u[q[j]] = 0.0
+    u, series = P.SampledFunction(grid, u), P.SampledFunction(grid, series)
+    got = local_average_ratio(u, series, q)
+    assert got.shape == (len(q),)
+    assert got.tolist() == [_ref_local_average_ratio(u, series, row) for row in q]
+    assert np.isinf(got).any() or (got == 0.0).any()

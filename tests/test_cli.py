@@ -84,9 +84,10 @@ def test_bad_grid_is_a_usage_error(tmp_path, capsys, setting):
 
 @pytest.mark.parametrize("setting", ["symbol.preset = nope", "weight.preset = nope",
                                      "bmo.preset = nope", "corpus.widths = a,b",
-                                     "kernel.diff_j = 2,x", "weight.gamma = abc"])
+                                     "kernel.diff_j = 2,x", "weight.gamma = abc",
+                                     "kernel.diff_j = 2", "corpus.widths ="])
 def test_bad_value_is_a_usage_error_on_every_target(tmp_path, capsys, setting):
-    """A bad preset name or typed value is refused before any target runs."""
+    """A bad preset name, typed value or list length is refused before any target runs."""
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text(setting + "\n")
     key = setting.split(" =")[0]
@@ -102,6 +103,18 @@ def test_bad_exponents_exit_three(tmp_path):
     cfgfile.write_text("weight.p = 0.5\n")
     assert run_cli("verify", "weights", "--config", str(cfgfile),
                    "--out", str(tmp_path)) == 3
+
+
+def test_internal_error_exits_four(tmp_path, capsys, monkeypatch):
+    """A runner fault is one stderr line and exit 4, never a failed verdict."""
+    def broken(cfg):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(VERIFY_TARGETS, "weights", broken)
+    monkeypatch.setattr("psdolab.cli.run_all", broken)
+    for command in (("verify", "weights"), ("report", "all")):
+        assert run_cli(*command, "--out", str(tmp_path)) == 4
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
 
 def test_failing_verdict_exits_one(tmp_path):
