@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import ExperimentConfig, HypothesisViolation
 from .corpus import gaussian_corpus, mixed_corpus
-from .fitting import least_squares_line
+from .fitting import least_squares_line, median
 from .function_classes import (
     ap_theta_characteristic,
     bmo_theta_norm,
@@ -86,7 +86,7 @@ def _weight_values(cfg: ExperimentConfig, grid):
 def _ratio_statistics(ratios: list[float], shifts: list[float], cfg: ExperimentConfig):
     """max/median spread plus the translation-trend slope when shifts vary."""
     arr = np.asarray(ratios, dtype=float)
-    agg = {"max": float(np.max(arr)), "median": float(np.median(arr))}
+    agg = {"max": float(np.max(arr)), "median": median(arr)}
     spread_ok = agg["max"] <= cfg.get_float("tolerances.ratio_spread") * agg["median"]
     trend_ok = True
     if len(set(shifts)) >= 3 and len(shifts) == len(ratios) and np.all(arr > 0):
@@ -152,7 +152,7 @@ def _corpus_ratio_report(cfg: ExperimentConfig, experiment: str, apply_item) -> 
     zero_family = max(ratios) <= 1e-12
     if zero_family:
         agg, stats_ok = (
-            {"max": float(np.max(ratios)), "median": float(np.median(ratios)),
+            {"max": float(np.max(ratios)), "median": median(ratios),
              "slope": 0.0},
             True,
         )
@@ -160,7 +160,7 @@ def _corpus_ratio_report(cfg: ExperimentConfig, experiment: str, apply_item) -> 
         agg, stats_ok = _ratio_statistics(ratios, shifts, cfg)
     agg["zero_family"] = zero_family
     agg["unweighted_max"] = float(np.max(unweighted))
-    agg["unweighted_median"] = float(np.median(unweighted))
+    agg["unweighted_median"] = median(unweighted)
     spread = cfg.get_float("tolerances.ratio_spread")
     agg["unweighted_drift"] = bool(
         not zero_family
@@ -286,9 +286,9 @@ def run_local_average_check(cfg: ExperimentConfig) -> VerificationReport:
     spread = cfg.get_float("tolerances.ratio_spread")
     agg = {
         "plain_max": float(np.max(plain)),
-        "plain_median": float(np.median(plain)),
+        "plain_median": median(plain),
         "commutator_max": float(np.max(comm)),
-        "commutator_median": float(np.median(comm)),
+        "commutator_median": median(comm),
         "multiplier_norm": bnorm,
         "cover_size": len(cover.centers),
         "symbol": sym.label,
@@ -436,9 +436,9 @@ def run_oscillation_check(cfg: ExperimentConfig) -> VerificationReport:
     spread = cfg.get_float("tolerances.ratio_spread")
     agg = {
         "plain_max": float(np.max(plain)),
-        "plain_median": float(np.median(plain)),
+        "plain_median": median(plain),
         "commutator_max": float(np.max(comm)),
-        "commutator_median": float(np.median(comm)),
+        "commutator_median": median(comm),
         "zero_case_max": float(np.max(np.abs(zeros))),
         "multiplier_norm": bnorm,
         "symbol": sym.label,
@@ -665,7 +665,7 @@ def run_fs(cfg: ExperimentConfig) -> VerificationReport:
     spread = cfg.get_float("tolerances.ratio_spread")
     agg = {
         "max": float(np.max(arr)),
-        "median": float(np.median(arr)),
+        "median": median(arr),
         "weight": w.label,
         "p": p,
     }

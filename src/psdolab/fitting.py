@@ -1,10 +1,10 @@
-"""Least-squares line fits used by the decay and trend diagnostics."""
+"""Least-squares line fits and the sample median of the diagnostics."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["least_squares_line", "r_squared"]
+__all__ = ["least_squares_line", "median", "r_squared"]
 
 
 def least_squares_line(x, y) -> tuple[float, float, float]:
@@ -26,3 +26,18 @@ def r_squared(x, y, slope: float, intercept: float) -> float:
         # constant data: a flat line is a perfect fit
         return 1.0 if ss_res <= 1e-300 else 0.0
     return 1.0 - ss_res / ss_tot
+
+
+def median(values) -> float:
+    """Sample median, bit for bit as np.median, which imports numpy.ma.
+
+    The middle value of the sorted sample, or (a + b) / 2 for the two middle
+    values of an even one; NaN if the sample holds a NaN.
+    """
+    v = np.sort(np.asarray(values, dtype=float).ravel())
+    if np.isnan(v[-1]):
+        return float("nan")
+    mid = v.size // 2
+    if v.size % 2:
+        return float(v[mid])
+    return (float(v[mid - 1]) + float(v[mid])) / 2.0

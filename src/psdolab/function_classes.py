@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fitting import least_squares_line
+from .fitting import least_squares_line, median
 from .grid import (
     MIN_POINTS_PER_BALL,
     Ball,
@@ -323,7 +323,7 @@ def check_john_nirenberg_variant(
             {"id": "part_ii_literal", "params": {"k": k}, "value": lhs_literal / rhs}
         )
     finite = all(np.isfinite(r) for r in ratios_i + ratios_ii)
-    med = float(np.median(ratios_i)) if ratios_i else 0.0
+    med = median(ratios_i) if ratios_i else 0.0
     stable = bool(ratios_i) and max(ratios_i) <= 2.0 * med
     verdict = "pass" if finite and stable and (ratios_ii or skipped == 0) else "fail"
     cfg = config_hash(

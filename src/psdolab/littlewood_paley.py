@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import least_squares_line
+from .fitting import least_squares_line, median
 from .grid import PeriodicGrid
 from .report import VerificationReport, config_hash
 
@@ -154,7 +154,7 @@ def derivative_bound_check(family: LPFamily, alpha: int, samples: int = 4096) ->
         items=items,
         aggregate={
             "max": float(np.max(scaled)),
-            "median": float(np.median(scaled)),
+            "median": median(scaled),
             "slope": slope,
         },
         verdict="pass" if passed else "fail",

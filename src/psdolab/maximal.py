@@ -9,9 +9,14 @@ Every "sup over all balls" below is realized over a structured family
 reproducible, and every window mean comes from a prefix sum.  m_loc and
 m_sharp_loc take the sup on the whole circle with a periodic sliding max.
 m_tilde_s runs all critical balls at once, ball j as row j: prefix sums over
-each 8-dilate's support, (balls, centers) window means per radius, and a
-sparse-table max over the run of centers whose windows hold each point of
-Q_j.
+each 8-dilate's support, window means at the centers whose windows reach
+Q_j, and a sparse-table max over the run of centers whose windows hold each
+point of Q_j.  Everything that depends only on the cover (the support
+indices, the prefix index of every window end, each table width and the
+table reads at every point of Q_j) is an index plan, built on a cover's
+first m_tilde_s call and kept for the last two covers (equal covers share
+it).  A call gathers |f|^s, takes one cumsum, and per radius does two
+gathers, a subtract and a divide, the doubling table, two reads and a max.
 """
 
 from __future__ import annotations
@@ -159,26 +164,50 @@ def _scatter_max_1d(out: np.ndarray, starts: np.ndarray, count: int, vals: np.nd
     np.maximum(out, prefix[count - 1 : count - 1 + n], out=out)
 
 
-def _centers_range_max(vals: np.ndarray, x: np.ndarray, half: int) -> np.ndarray:
-    """Max of vals[..., k] over the centers 8k within periodic distance half of x.
+def _range_max_reads(x: np.ndarray, half: int, c: int):
+    """Table width and flat table reads for the max over the centers 8k
+    within periodic distance half of each point of x.
 
-    vals holds one value per center of the n = 8 * vals.shape[-1] point
-    circle; x holds integer points (taken mod n) with the same number of
-    axes.  The centers holding x are a circular run of ell or ell + 1,
-    ell = (2 half + 1) // 8, so a doubling table of width w = 2^floor(log2
-    ell) answers each run with two overlapping reads (a sparse table;
-    Bender and Farach-Colton 2000).  Exact, for 4 <= half < n / 2.
+    x holds integer points (taken mod n = 8c), one row per row of a value
+    array with c columns, column k for the center 8k.  The centers holding x
+    are a circular run of ell or ell + 1, ell = (2 half + 1) // 8, so a
+    doubling table of width w = 2^floor(log2 ell) answers each run with two
+    overlapping reads (a sparse table; Bender and Farach-Colton 2000).
+    Returns w and a read-only int32 array of shape (2,) + x.shape: the run's
+    first and last w-block, as flat indices into the raveled table.  Exact,
+    for 4 <= half < n / 2.  The reads stay right when the columns are only
+    the first c centers of a longer circle, as long as no run passes center
+    c - 1.
     """
-    c = vals.shape[-1]
     w = 1 << (((2 * half + 1) // 8).bit_length() - 1)
-    table, step = vals, 1
-    while step < w:
-        table = np.maximum(table, np.roll(table, -step, axis=-1))
-        step *= 2
     lo = -((half - x) // 8)  # the run is lo .. hi, lo = ceil((x - half) / 8)
     hi = (x + half) // 8
-    return np.maximum(np.take_along_axis(table, lo % c, axis=-1),
-                      np.take_along_axis(table, (hi - w + 1) % c, axis=-1))
+    rows = np.arange(lo.size // lo.shape[-1]).reshape(lo.shape[:-1] + (1,)) * c
+    return w, _frozen_int32(np.stack([rows + lo % c, rows + (hi - w + 1) % c]))
+
+
+def _range_max(vals: np.ndarray, width: int, reads: np.ndarray) -> np.ndarray:
+    """Max of vals over the runs that _range_max_reads planned.
+
+    Level by level, table[k] = max(table[k], table[k + step]) over the
+    circular last axis, as two slice maxima into a fresh buffer; max is
+    exact, so any order gives the same bits.
+    """
+    table, step = vals, 1
+    while step < width:
+        nxt = np.empty_like(table)
+        np.maximum(table[..., :-step], table[..., step:], out=nxt[..., :-step])
+        np.maximum(table[..., -step:], table[..., :step], out=nxt[..., -step:])
+        table, step = nxt, 2 * step
+    flat = table.ravel()
+    return np.maximum(np.take(flat, reads[0]), np.take(flat, reads[1]))
+
+
+def _frozen_int32(index: np.ndarray) -> np.ndarray:
+    """A read-only int32 copy of a plan's index array."""
+    index = index.astype(np.int32)
+    index.flags.writeable = False
+    return index
 
 
 def _sup_over_family_1d(flat: np.ndarray, grid: PeriodicGrid, alpha: float, osc: bool):
@@ -253,47 +282,94 @@ def g_kappa_p(
     return SampledFunction(grid, values.reshape(grid.shape).astype(complex))
 
 
-def m_tilde_s(f: SampledFunction, s: float, cover: CriticalCover) -> SampledFunction:
-    """On each critical ball, the maximal function of f cut to the 8-dilate.
+@dataclass(frozen=True)
+class _CoverMaximalPlan:
+    """The f-independent index work of m_tilde_s on one cover.
 
-    Overlapping critical balls are resolved by a pointwise max, not the sum;
-    the sum would double-count on overlaps.  All balls run at once, ball j
-    as row j, and each ball's maximal function is taken only on Q_j.
+    support: (J, K) grid indices of each 8-dilate's K support points.
+    points: the (J, |Q|) indices of the Q_j, for the final pointwise max.
+    radii: per dyadic family radius, the window length, the flat indices of
+    both window ends in the (J, 2K + 1) support prefix at the centers whose
+    windows reach Q_j (row j's run of centers from column 0), and the
+    range-max table width with its flat reads at every point of Q_j.
+    The index arrays are read-only int32.
     """
-    if s < 1.0:
-        raise ValueError(f"s must be >= 1, got {s}")
-    grid = f.grid
-    if 8.0 > grid.half_length:
-        raise ValueError("8-fold dilates of critical balls exceed the box")
-    n = grid.n
+
+    support: np.ndarray
+    points: np.ndarray
+    radii: tuple[tuple[int, np.ndarray, np.ndarray, int, np.ndarray], ...]
+
+
+def _arc_starts(windows: np.ndarray) -> np.ndarray:
+    """First point of each row's periodic arc, as a column: where the
+    ascending indices jump, or the first index."""
+    jump = np.diff(windows, axis=1, prepend=windows[:, :1]) > 1
+    return windows[np.arange(len(windows)), jump.argmax(axis=1)][:, None]
+
+
+@lru_cache(maxsize=2)
+def _cover_maximal_plan(cover: CriticalCover) -> _CoverMaximalPlan:
+    grid = cover.grid
+    n, c = grid.n, grid.n // 8
     cut_idx, q_idx = cover.windows(8.0), cover.windows(1.0)
     rows, size = cut_idx.shape
     # The doubled cut of row j is zero off its support, the 8-dilate's arc
     # and that arc shifted by n, so its prefix sum at point i is the prefix
     # sum over the support read at the count of support points below i:
     # the skipped terms add 0.0, which leaves every partial sum unchanged.
-    prefix = np.zeros((rows, 2 * size + 1))
-    prefix[:, 1 : size + 1] = (np.abs(f.values) ** s)[cut_idx]
-    prefix[:, size + 1 :] = prefix[:, 1 : size + 1]
-    np.cumsum(prefix[:, 1:], axis=1, out=prefix[:, 1:])
-    # each arc starts where its ascending indices jump, or at its first index
-    jump = np.diff(cut_idx, axis=1) > 1
-    first = cut_idx[np.arange(rows), jump.any(axis=1) * (jump.argmax(axis=1) + 1)][:, None]
+    first = _arc_starts(cut_idx)
+    row_start = np.arange(rows)[:, None] * (2 * size + 1)
 
-    def prefix_at(i):
+    def prefix_index(i):
         # support points below i: the arc's copies start at first - n (counted
         # from 0 on), first and first + n
         u = i - first
         below = (np.clip(u + n, 0, size) + np.clip(u, 0, size) + np.clip(u - n, 0, size)
                  - np.minimum(n - first, size))
-        return np.take_along_axis(prefix, below, axis=1)
+        return _frozen_int32(row_start + below)
 
-    ms = np.full(q_idx.shape, -np.inf)
+    # Row j needs the centers whose windows reach Q_j = a .. a + |Q| - 1:
+    # k0 = ceil((a - half) / 8) on, as many as the widest row reaches, at
+    # most all c.  Its table holds those centers from column 0, so the
+    # points are shifted by 8 k0 and no run wraps past the last column.
+    q_first = _arc_starts(q_idx)
+    radii = []
     for half, starts, count in _family_windows(grid, grid.half_length / 2.0):
-        means = (prefix_at(starts + count) - prefix_at(starts)) / count
-        np.maximum(ms, _centers_range_max(means, q_idx, half), out=ms)
-    out = np.full(n, -np.inf)
-    np.maximum.at(out, q_idx.ravel(), (ms ** (1.0 / s)).ravel())
+        k0 = -((half - q_first) // 8)
+        m = min(c, int(np.max((q_first + q_idx.shape[1] - 1 + half) // 8 - k0)) + 1)
+        ends = starts[(k0 + np.arange(m)) % c]
+        radii.append((count, prefix_index(ends), prefix_index(ends + count),
+                      *_range_max_reads((q_idx - 8 * k0) % n, half, m)))
+    return _CoverMaximalPlan(_frozen_int32(cut_idx), q_idx, tuple(radii))
+
+
+def m_tilde_s(f: SampledFunction, s: float, cover: CriticalCover) -> SampledFunction:
+    """On each critical ball, the maximal function of f cut to the 8-dilate.
+
+    Overlapping critical balls are resolved by a pointwise max, not the sum;
+    the sum would double-count on overlaps.  All balls run at once, ball j
+    as row j, and each ball's maximal function is taken only on Q_j.  The
+    index work comes from the cover's plan; a call does only value work.
+    """
+    if s < 1.0:
+        raise ValueError(f"s must be >= 1, got {s}")
+    grid = f.grid
+    if 8.0 > grid.half_length:
+        raise ValueError("8-fold dilates of critical balls exceed the box")
+    plan = _cover_maximal_plan(cover)
+    # row j: 0, then |f|^s on the support and again on its shift by n, summed
+    rows, size = plan.support.shape
+    prefix = np.zeros((rows, 2 * size + 1))
+    prefix[:, 1 : size + 1] = (np.abs(f.values) ** s)[plan.support]
+    prefix[:, size + 1 :] = prefix[:, 1 : size + 1]
+    np.cumsum(prefix[:, 1:], axis=1, out=prefix[:, 1:])
+    flat = prefix.ravel()
+    ms = np.full(plan.points.shape, -np.inf)
+    for count, lo, hi, table_width, reads in plan.radii:
+        means = (np.take(flat, hi) - np.take(flat, lo)) / count
+        np.maximum(ms, _range_max(means, table_width, reads), out=ms)
+    out = np.full(grid.n, -np.inf)
+    np.maximum.at(out, plan.points.ravel(), (ms ** (1.0 / s)).ravel())
     return SampledFunction(grid, out.astype(complex))
 
 
@@ -367,7 +443,7 @@ def check_weighted_bounds_maximal(
     A pass needs each max within spread times its median and each trend
     slope within +-trend.
     """
-    from .fitting import least_squares_line
+    from .fitting import least_squares_line, median
     from .function_classes import stabilized_characteristic
     from .grid import sweep_family
 
@@ -396,9 +472,9 @@ def check_weighted_bounds_maximal(
         raise ValueError("empty corpus")
     agg = {
         "series_max": max(ratios_g),
-        "series_median": float(np.median(ratios_g)),
+        "series_median": median(ratios_g),
         "cover_max": max(ratios_m),
-        "cover_median": float(np.median(ratios_m)),
+        "cover_median": median(ratios_m),
         "gate_stable": gate.stable,
     }
     trend_ok = True

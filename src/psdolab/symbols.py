@@ -235,7 +235,8 @@ def _shell_samples(grid: PeriodicGrid, per_shell: int = 12):
         in_shell = pos[(pos > 2.0 ** (k - 1)) & (pos <= 2.0**k)]
         if in_shell.size == 0:
             continue
-        idx = np.unique(np.linspace(0, in_shell.size - 1, per_shell).astype(int))
+        idx = np.linspace(0, in_shell.size - 1, per_shell).astype(int)
+        idx = idx[np.diff(idx, prepend=-1) > 0]  # ascending: drop repeats in order
         vals = in_shell[idx]
         shells.append((k, np.concatenate([vals, -vals])))
     if len(shells) < 3:

@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -7,6 +9,9 @@ import pytest
 
 from psdolab.cli import main
 from psdolab.experiments import VERIFY_TARGETS
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def run_cli(*args):
@@ -135,3 +140,23 @@ def test_entry_point_help():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "verify" in proc.stdout and "report" in proc.stdout
+
+
+def test_report_all_imports_neither_numpy_ma_nor_scipy(tmp_path):
+    """A cold `report all` stays off numpy.ma, whose import costs about 15 ms
+    and comes in through np.median or np.unique, and off scipy."""
+    code = (
+        "import sys\n"
+        "from psdolab.cli import main\n"
+        f"main(['report', 'all', '--out', {str(tmp_path)!r}])\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 
 import psdolab as P
 from psdolab.corpus import gaussian_corpus, mixed_corpus
-from psdolab.maximal import _centers_range_max, _scatter_max_1d, _sup_over_family_1d
+from psdolab.maximal import (
+    _cover_maximal_plan,
+    _range_max,
+    _range_max_reads,
+    _scatter_max_1d,
+    _sup_over_family_1d,
+)
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +70,7 @@ def test_centers_range_max_matches_brute_force(n, data):
     shape = (n // 8,) if rows is None else (rows, n // 8)
     vals = rng.standard_normal(shape)
     x = rng.integers(-3 * n, 3 * n, size=shape[:-1] + (m,))
-    got = _centers_range_max(vals, x, half)
+    got = _range_max(vals, *_range_max_reads(x, half, n // 8))
     dist = np.abs((x[..., :, None] - 8 * np.arange(n // 8) + n // 2) % n - n // 2)
     expected = np.max(np.where(dist <= half, vals[..., None, :], -np.inf), axis=-1)
     assert np.array_equal(got, expected)
@@ -144,6 +150,26 @@ def test_batched_m_tilde_s_matches_the_per_ball_reference(n, half_length, s, dat
     f = P.SampledFunction(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
     assert np.array_equal(P.m_tilde_s(f, s, cover).values.real,
                           _reference_m_tilde_s(f, s, cover))
+
+
+def test_cover_maximal_plan_is_built_once_per_cover():
+    """Calls with other f and s reuse the cover's plan, and it is read-only."""
+    grid = P.make_grid(1, 256, 12.0)
+    cover = P.build_critical_cover(grid)
+    rng = np.random.default_rng(5)
+    _cover_maximal_plan.cache_clear()
+    for s in (1.2, 1.5, 2.5):
+        P.m_tilde_s(P.SampledFunction(grid, rng.standard_normal(256) + 0j), s, cover)
+    info = _cover_maximal_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    plan = _cover_maximal_plan(cover)
+    assert plan is _cover_maximal_plan(cover)
+    arrays = [plan.support, plan.points]
+    arrays += [a for radius in plan.radii for a in radius if isinstance(a, np.ndarray)]
+    assert len(arrays) == 2 + 3 * len(plan.radii)
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        plan.radii[0][1][0, 0] = 0
 
 
 def test_cover_multiplicity_is_controlled(cover):
