@@ -9,7 +9,7 @@ import psdolab as P
 
 
 def main() -> None:
-    g = P.make_grid(1, 512, 16.0)
+    g = P.make_grid(512, 16.0)
     print(f"grid: n={g.n}, box [-{g.half_length:g}, {g.half_length:g}), "
           f"spacing {g.spacing:.4f}, top frequency {g.xi_max:.2f}")
 
@@ -23,7 +23,7 @@ def main() -> None:
     print(f"pairing preserved under the transform: gap {abs(lhs - rhs):.3e}")
 
     spec = P.dft(f)
-    xi = spec.grid.flat_points()[:, 0]
+    xi = spec.grid.axis_points()
     peak = xi[np.argmax(np.abs(spec.values))]
     print(f"modulated packet spectrum peaks at xi = {peak:.3f} (modulation was 3.0)")
 

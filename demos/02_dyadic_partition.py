@@ -9,7 +9,7 @@ import psdolab as P
 
 
 def main() -> None:
-    g = P.make_grid(1, 1024, 16.0)
+    g = P.make_grid(1024, 16.0)
     fam = P.make_lp_family(g)
     print(f"pieces 0..{fam.max_index} on a lattice reaching |xi| = {g.xi_max:.1f}")
     print(f"partition residual on the covered band: "

@@ -9,7 +9,7 @@ import psdolab as P
 
 
 def main() -> None:
-    g = P.make_grid(1, 1024, 16.0)
+    g = P.make_grid(1024, 16.0)
     sym = P.preset_symbol("bessel_order_m", m=-0.75)
     op = P.make_operator(sym, g)
     print(f"symbol {sym.label}: order {sym.order:g}, rho {sym.rho:g}")
@@ -28,11 +28,11 @@ def main() -> None:
           f"(window above the critical scale, so negative)")
 
     tw = P.band_limited_twin(op)
-    x = np.array([0.0131])
+    x = 0.0131
     row = np.abs(P.kernel_row(tw, x))
     raw = np.abs(P.kernel_row(op, x))
-    pts = g.flat_points()[:, 0]
-    far = np.abs(pts - x[0]) >= 6.0
+    pts = g.axis_points()
+    far = np.abs(pts - x) >= 6.0
     print(f"\nfar-field mean |K(x, .)| beyond 6 units, off-lattice x:")
     print(f"  full band: {raw[far].mean():.3e}   smooth cutoff: {row[far].mean():.3e}")
 

@@ -7,7 +7,7 @@ import psdolab as P
 
 
 def main() -> None:
-    g = P.make_grid(1, 1024, 16.0)
+    g = P.make_grid(1024, 16.0)
     fam = P.sweep_family(g)
 
     unit = P.preset_weight("unit", g)

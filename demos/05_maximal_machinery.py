@@ -10,7 +10,7 @@ from psdolab.corpus import gaussian_packet
 
 
 def main() -> None:
-    g = P.make_grid(1, 1024, 16.0)
+    g = P.make_grid(1024, 16.0)
     cover = P.build_critical_cover(g)
     print(f"cover: {len(cover.centers)} unit balls over [-16, 16)")
     for sigma in (1.0, 4.0, 8.0):

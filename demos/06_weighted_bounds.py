@@ -10,7 +10,7 @@ from psdolab.corpus import gaussian_packet
 
 
 def main() -> None:
-    g = P.make_grid(1, 1024, 16.0)
+    g = P.make_grid(1024, 16.0)
     sym = P.preset_symbol("bessel_order_m", m=-0.75)
     op = P.make_operator(sym, g)
     w = P.preset_weight("power_growth", g, gamma=1.5)

@@ -7,7 +7,6 @@ corpus-ratio experiments tying them together.
 
 from .config import DEFAULTS, ExperimentConfig, HypothesisViolation, load_config
 from .corpus import (
-    CorpusItem,
     band_noise,
     gaussian_corpus,
     gaussian_packet,
@@ -15,9 +14,6 @@ from .corpus import (
     noise_corpus,
 )
 from .function_classes import (
-    ApThetaCharacteristic,
-    BmoThetaNorm,
-    StabilizationReport,
     WeightFn,
     ap_theta_characteristic,
     bmo_theta_norm,
@@ -46,9 +42,6 @@ from .grid import (
     sweep_family,
 )
 from .kernels import (
-    AdjointKernelReport,
-    DifferenceEstimate,
-    DyadicKernel,
     adjoint_kernel_bounds,
     band_limited_twin,
     default_base_points,
@@ -57,13 +50,11 @@ from .kernels import (
     materialize_dyadic_kernel,
 )
 from .littlewood_paley import (
-    LPFamily,
     derivative_bound_check,
     evaluate_partition_residual,
     make_lp_family,
 )
 from .maximal import (
-    CriticalCover,
     build_critical_cover,
     check_fs_inequality,
     check_weighted_bounds_maximal,
@@ -73,7 +64,6 @@ from .maximal import (
     m_tilde_s,
 )
 from .operators import (
-    OperatorInstance,
     adjoint_commutator,
     adjoint_kernel_row,
     apply,
@@ -97,16 +87,8 @@ from .experiments import (
     run_oscillation_check,
     run_weight_calculus,
 )
-from .report import (
-    DecayFitReport,
-    VerificationReport,
-    config_hash,
-    report_json_bytes,
-    write_csv,
-    write_report_json,
-)
+from .report import report_json_bytes
 from .symbols import (
-    ClassMembershipReport,
     SymbolSpec,
     dyadic_piece,
     estimate_class_membership,

@@ -32,7 +32,6 @@ class HypothesisViolation(ValueError):
 
 
 DEFAULTS: dict[str, str] = {
-    "grid.dim": "1",
     "grid.n": "1024",
     "grid.l": "16.0",
     "symbol.preset": "bessel_order_m",
@@ -40,7 +39,6 @@ DEFAULTS: dict[str, str] = {
     "symbol.rho": "1.0",
     "symbol.delta": "0.0",
     "symbol.spatial_scale": "16.0",
-    "operator.mode": "auto",
     "weight.preset": "power_growth",
     "weight.gamma": "1.5",
     "weight.p": "2.0",
@@ -50,7 +48,6 @@ DEFAULTS: dict[str, str] = {
     "corpus.center_count": "6",
     "corpus.widths": "0.6,1.0,1.8",
     "corpus.modulations": "0,4,12",
-    "corpus.noise_count": "10",
     "maximal.s": "1.5",
     "maximal.kappa": "1.0",
     "maximal.n_big": "8",
@@ -127,11 +124,10 @@ def _list(parse, arity: int | None = None):
 # How each typed key is read: a parser, or the tuple of its allowed values.
 # load_config applies every entry, so a bad value never reaches a runner.
 _KEY_TYPES = {
-    "grid.dim": int, "grid.n": int, "grid.l": float,
+    "grid.n": int, "grid.l": float,
     "symbol.preset": tuple(_SYMBOL_PARAM_KEYS),
     "symbol.m": float, "symbol.rho": float, "symbol.delta": float,
     "symbol.spatial_scale": float,
-    "operator.mode": ("auto", "full"),
     "weight.preset": ("unit", "power_growth", "exp_abs", "random_log_bounded"),
     "weight.gamma": float, "weight.p": float, "weight.theta": float,
     "bmo.preset": ("constant", "linear", "triangle"),
@@ -143,10 +139,10 @@ _KEY_TYPES = {
     "lemma.n_big": int, "lemma.center_count": int, "lemma.widths": _list(_floats),
     "lemma.modulations": _list(_ints),
     "oscillation.radii": _list(_floats), "oscillation.centers": _list(_floats),
-    "kernel.ell_max": int, "kernel.k_lo": int, "kernel.k_hi": int,
+    "kernel.ell_max": ("0", "1", "2", "3"), "kernel.k_lo": int, "kernel.k_hi": int,
     "kernel.diff_ball_radius": float, "kernel.diff_j": _list(_ints, 2),
     "kernel.diff_k": _list(_ints, 2),
-    "kernel.adjoint_n_exp": int,
+    "kernel.adjoint_n_exp": ("1", "2"),
     "tolerances.ratio_spread": float, "tolerances.trend_slope": float,
     "tolerances.slope": float,
     "run.seed": int, "run.counterexample": _as_bool,
@@ -205,7 +201,7 @@ class ExperimentConfig:
     def make_grid(self):
         from .grid import make_grid
 
-        return make_grid(self.get_int("grid.dim"), self.get_int("grid.n"), self.get_float("grid.l"))
+        return make_grid(self.get_int("grid.n"), self.get_float("grid.l"))
 
     def symbol_params(self) -> dict:
         name = self.get("symbol.preset")
@@ -219,10 +215,7 @@ class ExperimentConfig:
     def make_operator(self, symbol, grid, family=None):
         from .operators import make_operator
 
-        mode = self.get("operator.mode")
-        if mode == "auto":
-            mode = "full"
-        return make_operator(symbol, grid, mode=mode, family=family)
+        return make_operator(symbol, grid, family=family)
 
     def make_weight(self, grid):
         from .function_classes import preset_weight
@@ -255,14 +248,13 @@ class ExperimentConfig:
     def check_hypotheses(self) -> None:
         """Reject parameter combinations outside the verified regime.
 
-        Symbol classes must satisfy m < dim*(rho-1), except the order-zero
+        Symbol classes must satisfy m < rho-1, except the order-zero
         rho=1 family which is admitted outright.  The weight exponent must
         exceed 1 and both growth exponents must be nonnegative.  Runs
         flagged as counterexamples bypass the gate.
         """
         if self.counterexample:
             return
-        dim = self.get_int("grid.dim")
         name = self.get("symbol.preset")
         if name == "identity":
             m, rho = 0.0, 1.0
@@ -270,9 +262,9 @@ class ExperimentConfig:
             m = self.get_float("symbol.m")
             rho = self.get_float("symbol.rho") if name == "oscillating_amplitude" else 1.0
         order_zero_family = m == 0.0 and rho == 1.0
-        if not (m < dim * (rho - 1.0) or order_zero_family):
+        if not (m < rho - 1.0 or order_zero_family):
             raise HypothesisViolation(
-                f"symbol order m={m:g} must satisfy m < dim*(rho-1) = {dim * (rho - 1.0):g}"
+                f"symbol order m={m:g} must satisfy m < rho-1 = {rho - 1.0:g}"
                 " (or be the order-zero rho=1 family)"
             )
         p = self.get_float("weight.p")
@@ -310,9 +302,6 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
         grid = cfg.make_grid()
     except ValueError as exc:
         raise ValueError(f"grid: {exc}") from None
-    # the experiments index balls, probe classes and sum amplitudes in 1D only
-    if grid.dim != 1:
-        raise ValueError(f"grid: the experiments run on 1D grids, got grid.dim = {grid.dim}")
     # then every typed value, without building anything from it
     for key, kind in _KEY_TYPES.items():
         value = cfg.get(key)
@@ -325,4 +314,37 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
             kind(value)
         except ValueError as exc:
             raise ValueError(f"{key}: {exc}") from None
+    _check_computable(cfg, grid)
     return cfg
+
+
+def _check_computable(cfg: ExperimentConfig, grid) -> None:
+    """Refuse what a runner would refuse mid-run, by that runner's own check.
+
+    kernel-decay fits k = kernel.k_lo..kernel.k_hi, tabulates kernel.diff_k
+    on the annuli kernel.diff_j of a kernel.diff_ball_radius ball, and sums
+    amplitudes within the operator's budget; the maximal checks need the
+    critical balls' 8-dilates inside the box.
+    """
+    from .kernels import _check_annuli, _check_k_window, _decay_ks
+    from .littlewood_paley import make_lp_family
+    from .maximal import _check_dilates_fit
+
+    k_lo, k_hi = cfg.get_int("kernel.k_lo"), cfg.get_int("kernel.k_hi")
+    (_, j_hi), (dk_lo, dk_hi) = cfg.get_ints("kernel.diff_j"), cfg.get_ints("kernel.diff_k")
+    pieces = [*range(k_lo, k_hi + 1), *range(dk_lo, dk_hi + 1)]
+    radius = cfg.get_float("kernel.diff_ball_radius")
+    sym = cfg.make_symbol()
+    checks = [
+        ("kernel.k_lo", lambda: _decay_ks(range(k_lo, k_hi + 1))),
+        ("grid", lambda: _check_k_window(make_lp_family(grid), pieces)),
+        ("grid", lambda: _check_annuli(grid, radius, j_hi)),
+        ("grid", lambda: _check_dilates_fit(grid)),
+    ]
+    if not sym.is_separable:
+        checks.append(("symbol.preset", cfg.make_operator(sym, grid)._amplitude_allowed))
+    for key, check in checks:
+        try:
+            check()
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None

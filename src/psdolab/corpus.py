@@ -45,9 +45,9 @@ class CorpusItem:
 
 
 def gaussian_packet(
-    grid: PeriodicGrid, center=0.0, width: float = 1.0, modulation: int = 0
+    grid: PeriodicGrid, center: float = 0.0, width: float = 1.0, modulation: int = 0
 ) -> SampledFunction:
-    """exp(-|x-c|^2 / (2 w^2)) e^{i q dxi x_1} with torus distance.
+    """exp(-|x-c|^2 / (2 w^2)) e^{i q dxi x} with torus distance.
 
     Wrapping the displacement makes the sample exactly periodic; with
     centers a few widths short of the seam the tail mismatch there is
@@ -57,15 +57,13 @@ def gaussian_packet(
     width = float(width)
     if width <= 0:
         raise ValueError("width must be positive")
-    c = np.broadcast_to(np.atleast_1d(np.asarray(center, dtype=float)), (grid.dim,))
-    pts = grid.flat_points()
-    disp = grid.wrap(pts - c)
-    r2 = np.sum(disp * disp, axis=-1)
-    vals = np.exp(-r2 / (2.0 * width * width)).astype(np.complex128)
+    pts = grid.axis_points()
+    disp = grid.wrap(pts - float(center))
+    vals = np.exp(-(disp * disp) / (2.0 * width * width)).astype(np.complex128)
     if modulation:
         lam = int(modulation) * grid.freq_spacing
-        vals = vals * np.exp(1j * lam * pts[:, 0])
-    return SampledFunction(grid, vals.reshape(grid.shape))
+        vals = vals * np.exp(1j * lam * pts)
+    return SampledFunction(grid, vals)
 
 
 def band_noise(
@@ -74,13 +72,12 @@ def band_noise(
     """Seeded real trig polynomial with mode indices 1..modes, sup-normalized."""
     rng = np.random.default_rng(seed)
     base = grid.freq_spacing
-    meshes = grid.meshes()
-    u = np.zeros(grid.shape)
+    x = grid.axis_points()
+    u = np.zeros(grid.n)
     for k in range(1, int(modes) + 1):
-        for mesh in meshes:
-            coef = rng.uniform(-1.0, 1.0)
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            u = u + coef * np.cos(base * k * mesh + phase)
+        coef = rng.uniform(-1.0, 1.0)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        u = u + coef * np.cos(base * k * x + phase)
     sup = float(np.max(np.abs(u)))
     if sup > 0:
         u = u * (amplitude / sup)
@@ -96,10 +93,10 @@ def gaussian_corpus(
 ) -> list[CorpusItem]:
     """Product corpus of Gaussian packets; the default is 54 items.
 
-    Default centers run from 0.15 to 0.375 of the half length along the
-    first axis: on a box of half length 16 that is 2.4 out to 6, where the
-    widest tail meets the seam below 3e-7.  The sweep starts off the
-    origin on purpose: power weights have a cusp there, and packets
+    Default centers run from 0.15 to 0.375 of the half length: on a box of
+    half length 16 that is 2.4 out to 6, where the widest tail meets the
+    seam below 3e-7.  The sweep starts off the origin on purpose: power
+    weights have a cusp there, and packets
     straddling the cusp carry an offset that reads as a spurious trend
     when the statistic of interest is growth toward the box edge.
     """

@@ -23,7 +23,6 @@ from .function_classes import (
     check_john_nirenberg_variant,
     check_monotonicity,
     check_openness,
-    preset_bmo,
     preset_weight,
     stabilized_characteristic,
 )
@@ -226,9 +225,9 @@ def local_average_ratio(
     u: SampledFunction, series: SampledFunction, windows: np.ndarray
 ) -> np.ndarray:
     """mean_B |u| / inf_B series per ball B, row j of windows holding ball
-    j's flat indices; inf (0 if u vanishes on B) where inf_B series <= 0."""
-    lhs = np.mean(np.abs(u.values.ravel()[windows]), axis=1)
-    rhs = np.min(series.values.real.ravel()[windows], axis=1)
+    j's indices; inf (0 if u vanishes on B) where inf_B series <= 0."""
+    lhs = np.mean(np.abs(u.values[windows]), axis=1)
+    rhs = np.min(series.values.real[windows], axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(rhs <= 0.0, np.where(lhs > 0.0, np.inf, 0.0), lhs / rhs)
 
@@ -316,20 +315,20 @@ def run_local_average_check(cfg: ExperimentConfig) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def oscillation_row(op, x_pt, y_pt) -> np.ndarray:
+def oscillation_row(op, x: float, y: float) -> np.ndarray:
     """|K*(x,z) - K*(y,z)| over the lattice in z.
 
     Evaluate on the band-limited twin: a hard lattice cutoff rings at
     |z|^{-1} and the ringing does not cancel between two base points.
     """
-    return np.abs(adjoint_kernel_row(op, x_pt) - adjoint_kernel_row(op, y_pt))
+    return np.abs(adjoint_kernel_row(op, x) - adjoint_kernel_row(op, y))
 
 
 def oscillation_integral(
-    row: np.ndarray, density: np.ndarray, outside: np.ndarray, cell_volume: float
+    row: np.ndarray, density: np.ndarray, outside: np.ndarray, dz: float
 ) -> float:
     """sum over lattice z outside the doubled ball of row(z) |density(z)| dz."""
-    return float(np.sum(row[outside] * np.abs(density[outside])) * cell_volume)
+    return float(np.sum(row[outside] * np.abs(density[outside])) * dz)
 
 
 def run_oscillation_check(cfg: ExperimentConfig) -> VerificationReport:
@@ -346,7 +345,7 @@ def run_oscillation_check(cfg: ExperimentConfig) -> VerificationReport:
     b = cfg.make_bmo(grid)
     theta_b = cfg.get_float("bmo.theta")
     bnorm = bmo_theta_norm(b, theta_b, sweep_family(grid)).value
-    b_flat = b.values.real.ravel()
+    b_flat = b.values.real
 
     radii = cfg.get_floats("oscillation.radii")
     centers = cfg.get_floats("oscillation.centers")
@@ -360,22 +359,19 @@ def run_oscillation_check(cfg: ExperimentConfig) -> VerificationReport:
 
     noise = band_noise(grid, cfg.seed)
     noise_major = (
-        g_kappa_p(noise, 4.0, p, cover, n_big).values.real.ravel(),
-        m_tilde_s(noise, p, cover).values.real.ravel(),
+        g_kappa_p(noise, 4.0, p, cover, n_big).values.real,
+        m_tilde_s(noise, p, cover).values.real,
     )
 
     items = []
     plain, comm, zeros = [], [], []
     for c in centers:
         for r in radii:
-            ball = Ball((c,) if grid.dim == 1 else (c,) * grid.dim, r)
+            ball = Ball((c,), r)
             idx = ball_indices(grid, ball)
-            outside = np.ones(grid.size, dtype=bool)
+            outside = np.ones(grid.n, dtype=bool)
             outside[ball_indices(grid, ball.dilate(2.0))] = False
-            pairs = [
-                (np.array(ball.center) - 0.5 * r, np.array(ball.center) + 0.5 * r),
-                (np.array(ball.center) + 0.9 * r, np.array(ball.center) + 0.15 * r),
-            ]
+            pairs = [(c - 0.5 * r, c + 0.5 * r), (c + 0.9 * r, c + 0.15 * r)]
             rows = [oscillation_row(op, x, y) for x, y in pairs]
 
             # packets scaled to the ball so every generic item keeps real
@@ -392,14 +388,14 @@ def run_oscillation_check(cfg: ExperimentConfig) -> VerificationReport:
                 if label == "noise":
                     g4, mt = noise_major
                 else:
-                    g4 = g_kappa_p(f, 4.0, p, cover, n_big).values.real.ravel()
-                    mt = m_tilde_s(f, p, cover).values.real.ravel()
+                    g4 = g_kappa_p(f, 4.0, p, cover, n_big).values.real
+                    mt = m_tilde_s(f, p, cover).values.real
                 rhs = float(np.min(g4[idx])) + float(np.min(mt[idx]))
                 b_mean = float(np.mean(b_flat[idx]))
-                dens = np.abs(f.values.ravel()[outside])
+                dens = np.abs(f.values[outside])
                 dens_b = np.abs(b_flat[outside] - b_mean) * dens
                 for i, row in enumerate(rows):
-                    cut = row[outside] * grid.cell_volume
+                    cut = row[outside] * grid.spacing
                     val = float(np.sum(cut * dens)) / rhs
                     val_b = float(np.sum(cut * dens_b)) / (rhs * bnorm)
                     plain.append(val)
@@ -414,17 +410,15 @@ def run_oscillation_check(cfg: ExperimentConfig) -> VerificationReport:
             # exact-zero probes on this ball: same base point (two separate
             # row evaluations), support inside the doubled ball, constant
             # multiplier; the last two reuse the first pair's row
-            x_pt = np.array(ball.center) + 0.25 * r
+            x = c + 0.25 * r
             f0 = corpus[0][1]
-            cell = grid.cell_volume
-            same = oscillation_integral(
-                oscillation_row(op, x_pt, x_pt), f0.values.ravel(), outside, cell
-            )
-            inside_vals = f0.values.ravel().copy()
+            dz = grid.spacing
+            same = oscillation_integral(oscillation_row(op, x, x), f0.values, outside, dz)
+            inside_vals = f0.values.copy()
             inside_vals[outside] = 0.0
-            supported = oscillation_integral(rows[0], inside_vals, outside, cell)
-            const_dens = (np.ones(grid.size) - 1.0) * f0.values.ravel()
-            constant = oscillation_integral(rows[0], const_dens, outside, cell)
+            supported = oscillation_integral(rows[0], inside_vals, outside, dz)
+            const_dens = (np.ones(grid.n) - 1.0) * f0.values
+            constant = oscillation_integral(rows[0], const_dens, outside, dz)
             zeros.extend([same, supported, constant])
             items.append(
                 {"id": f"ball(c={c:g},r={r:g})|zero_cases",
@@ -487,7 +481,7 @@ def run_kernel_decay(cfg: ExperimentConfig) -> VerificationReport:
 
     j_lo, j_hi = cfg.get_ints("kernel.diff_j")
     dk_lo, dk_hi = cfg.get_ints("kernel.diff_k")
-    ball = Ball((0.0,) * grid.dim, cfg.get_float("kernel.diff_ball_radius"))
+    ball = Ball((0.0,), cfg.get_float("kernel.diff_ball_radius"))
     diff = fit_difference_estimate(
         op, ball, j_range=range(j_lo, j_hi + 1), k_range=range(dk_lo, dk_hi + 1)
     )
@@ -572,7 +566,7 @@ def run_bmo(cfg: ExperimentConfig) -> VerificationReport:
     theta = cfg.get_float("bmo.theta")
     family = sweep_family(grid, inside_only=True)
     norm = bmo_theta_norm(b, theta, family)
-    jn = check_john_nirenberg_variant(b, theta, 2.0, Ball((0.0,) * grid.dim, 0.5))
+    jn = check_john_nirenberg_variant(b, theta, 2.0, Ball((0.0,), 0.5))
     items = [
         {"id": "norm", "params": {"theta": theta}, "value": norm.value},
         {"id": "moment_ratios", "params": {"s": 2.0}, "value": jn.aggregate},

@@ -32,10 +32,8 @@ from .grid import (
     BallFamily,
     PeriodicGrid,
     SampledFunction,
-    _require_1d,
     ball_indices,
     ball_windows,
-    sample,
     sweep_family,
 )
 from .report import VerificationReport, config_hash
@@ -104,22 +102,23 @@ class BmoThetaNorm:
 
 def _torus_abs(grid: PeriodicGrid):
     """|x| as distance to the origin on the torus; equals |x| on [-L, L)."""
-    meshes = grid.meshes()
-    return np.sqrt(sum(grid.wrap(m) ** 2 for m in meshes))
+    return np.abs(grid.wrap(grid.axis_points()))
 
 
-def preset_weight(name: str, grid: PeriodicGrid, **params) -> WeightFn:
+def preset_weight(
+    name: str, grid: PeriodicGrid, gamma: float = 2.0, seed: int = 0, amplitude: float = 1.0
+) -> WeightFn:
     """Named weights.
 
     unit                 w = 1
     power_growth         w = (1+|x|)^gamma
     exp_abs              w = e^|x|
-    random_log_bounded   w = exp(u), u a seeded band-limited field, sup|u| <= amplitude
+    random_log_bounded   w = exp(u), u a seeded sum of 6 low cosines, sup|u| = amplitude
     """
     if name == "unit":
-        return WeightFn(sample(grid, lambda *ax: np.ones(grid.shape)), "unit")
+        return WeightFn(SampledFunction(grid, np.ones(grid.n)), "unit")
     if name == "power_growth":
-        gamma = float(params.get("gamma", 2.0))
+        gamma = float(gamma)
         vals = (1.0 + _torus_abs(grid)) ** gamma
         return WeightFn(
             SampledFunction(grid, vals), f"power_growth(gamma={gamma:g})"
@@ -128,45 +127,39 @@ def preset_weight(name: str, grid: PeriodicGrid, **params) -> WeightFn:
         vals = np.exp(_torus_abs(grid))
         return WeightFn(SampledFunction(grid, vals), "exp_abs")
     if name == "random_log_bounded":
-        seed = int(params.get("seed", 0))
-        amplitude = float(params.get("amplitude", 1.0))
-        modes = int(params.get("modes", 6))
+        seed = int(seed)
         rng = np.random.default_rng(seed)
-        meshes = grid.meshes()
-        u = np.zeros(grid.shape)
+        x = grid.axis_points()
+        u = np.zeros(grid.n)
         base = np.pi / grid.half_length
-        for _ in range(modes):
-            ks = rng.integers(1, 6, size=grid.dim)
+        for _ in range(6):
+            (k,) = rng.integers(1, 6, size=1)
             phase = rng.uniform(0.0, 2.0 * np.pi)
             coef = rng.uniform(-1.0, 1.0)
-            arg = sum(base * k * m for k, m in zip(ks, meshes))
-            u = u + coef * np.cos(arg + phase)
+            u = u + coef * np.cos(base * k * x + phase)
         sup = float(np.max(np.abs(u)))
         if sup > 0:
-            u = u * (amplitude / sup)
+            u = u * (float(amplitude) / sup)
         return WeightFn(
             SampledFunction(grid, np.exp(u)), f"random_log_bounded(seed={seed})"
         )
     raise ValueError(f"unknown weight preset {name!r}")
 
 
-def preset_bmo(name: str, grid: PeriodicGrid, **params) -> SampledFunction:
+def preset_bmo(name: str, grid: PeriodicGrid, value: float = 1.0) -> SampledFunction:
     """Named oscillation test functions.
 
-    constant   b = value (default 1)
-    linear     b = first coordinate (a function of the line; use inside-only
-               ball families, it jumps at the box seam)
-    triangle   periodic triangle wave of the first coordinate, sup 1
+    constant   b = value
+    linear     b = x (a function of the line; use inside-only ball families,
+               it jumps at the box seam)
+    triangle   triangle wave of x with period 2L, sup 1
     """
     if name == "constant":
-        value = float(params.get("value", 1.0))
-        return SampledFunction(grid, np.full(grid.shape, value, dtype=complex))
+        return SampledFunction(grid, np.full(grid.n, float(value), dtype=complex))
     if name == "linear":
-        return SampledFunction(grid, grid.meshes()[0].astype(complex))
+        return SampledFunction(grid, grid.axis_points().astype(complex))
     if name == "triangle":
-        x = grid.meshes()[0]
-        period = float(params.get("period", grid.half_length))
-        t = np.mod(x / period, 2.0)
+        t = np.mod(grid.axis_points() / grid.half_length, 2.0)
         return SampledFunction(grid, (1.0 - 2.0 * np.abs(t - 1.0)).astype(complex))
     raise ValueError(f"unknown bmo preset {name!r}")
 
@@ -174,8 +167,7 @@ def preset_bmo(name: str, grid: PeriodicGrid, **params) -> SampledFunction:
 @lru_cache(maxsize=16)
 def _family_indices(grid: PeriodicGrid, family: BallFamily):
     """(positions in family, index matrix) groups from one gather per radius;
-    row i of a matrix holds the flat indices of family.balls[positions[i]]."""
-    _require_1d(grid, "ball sweeps")
+    row i of a matrix holds the indices of family.balls[positions[i]]."""
     radii = np.array([b.radius for b in family.balls])
     centers = np.array([b.center for b in family.balls]).reshape(len(radii))
     groups = []
@@ -377,10 +369,9 @@ def stabilized_characteristic(
     return StabilizationReport(radii, tuple(values), slope, bool(c1 < 0.10 and c2 < 0.10))
 
 
-def check_openness(
-    w: WeightFn, p: float, theta: float, family: BallFamily, step: float = 0.1
-) -> VerificationReport:
-    """Exponent-drop probe: the characteristic at p - step stays stable."""
+def check_openness(w: WeightFn, p: float, theta: float, family: BallFamily) -> VerificationReport:
+    """Exponent-drop probe: the characteristic at p - 0.1 stays stable."""
+    step = 0.1
     if not p - step > 1.0:
         raise ValueError(f"p - step must exceed 1, got {p - step}")
     below = stabilized_characteristic(w, p - step, theta, family)

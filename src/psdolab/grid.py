@@ -1,7 +1,7 @@
 """Periodic grids, sampled functions, balls, and the discrete transform pair.
 
-Everything downstream lives on a uniform grid over the box [-L, L)^dim with
-N points per axis (N a power of two).  The matching frequency lattice is
+Everything downstream lives on a uniform grid over the periodic box [-L, L)
+with N points (N a power of two).  The matching frequency lattice is
 xi = (pi/L) * m for integer m in [-N/2, N/2); it is itself the point set of a
 periodic grid (the reciprocal grid), which is where spectra live.  The
 transform pair is unitary, so the L2 norm taken with each grid's own measure
@@ -43,15 +43,12 @@ def _is_power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PeriodicGrid:
-    """Uniform grid on [-L, L)^dim, L = half_length, N points per axis."""
+    """Uniform grid on [-L, L), L = half_length, N points."""
 
-    dim: int
     n: int
     half_length: float
 
     def __post_init__(self) -> None:
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         if not _is_power_of_two(self.n) or self.n < 64:
             raise ValueError(f"n must be a power of two >= 64, got {self.n}")
         if not self.half_length > 0:
@@ -72,16 +69,12 @@ class PeriodicGrid:
         return self.freq_spacing * (self.n // 2)
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return (self.n,) * self.dim
+    def shape(self) -> tuple[int]:
+        return (self.n,)
 
     @property
     def size(self) -> int:
-        return self.n**self.dim
-
-    @property
-    def cell_volume(self) -> float:
-        return self.spacing**self.dim
+        return self.n
 
     def axis_points(self) -> np.ndarray:
         return -self.half_length + self.spacing * np.arange(self.n)
@@ -89,42 +82,13 @@ class PeriodicGrid:
     def axis_freqs(self) -> np.ndarray:
         return self.freq_spacing * (np.arange(self.n) - self.n // 2)
 
-    def meshes(self) -> tuple[np.ndarray, ...]:
-        ax = self.axis_points()
-        return tuple(np.meshgrid(*([ax] * self.dim), indexing="ij"))
-
-    def freq_meshes(self) -> tuple[np.ndarray, ...]:
-        ax = self.axis_freqs()
-        return tuple(np.meshgrid(*([ax] * self.dim), indexing="ij"))
-
-    def coords(self):
-        """Spatial coordinates: a single array in 1D, a tuple of arrays in 2D."""
-        m = self.meshes()
-        return m[0] if self.dim == 1 else m
-
-    def freq_coords(self):
-        m = self.freq_meshes()
-        return m[0] if self.dim == 1 else m
-
-    def freq_radius(self) -> np.ndarray:
-        m = self.freq_meshes()
-        return np.sqrt(sum(a**2 for a in m))
-
-    def flat_points(self) -> np.ndarray:
-        """All grid points as an (size, dim) array, row-major."""
-        return np.stack([m.ravel() for m in self.meshes()], axis=-1)
-
-    def flat_freqs(self) -> np.ndarray:
-        return np.stack([m.ravel() for m in self.freq_meshes()], axis=-1)
-
     def reciprocal(self) -> "PeriodicGrid":
         """Grid whose point set is this grid's frequency lattice."""
-        return PeriodicGrid(self.dim, self.n, self.n * self.freq_spacing / 2.0)
+        return PeriodicGrid(self.n, self.n * self.freq_spacing / 2.0)
 
     def is_compatible(self, other: "PeriodicGrid") -> bool:
         return (
-            self.dim == other.dim
-            and self.n == other.n
+            self.n == other.n
             and abs(self.half_length - other.half_length) <= 1e-12 * self.half_length
         )
 
@@ -134,8 +98,8 @@ class PeriodicGrid:
         return (np.asarray(displacement) + self.half_length) % two_l - self.half_length
 
 
-def make_grid(dim: int, n: int, half_length: float) -> PeriodicGrid:
-    return PeriodicGrid(dim, n, float(half_length))
+def make_grid(n: int, half_length: float) -> PeriodicGrid:
+    return PeriodicGrid(n, float(half_length))
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,15 +136,15 @@ class SampledFunction:
 
 
 def sample(grid: PeriodicGrid, fn: Callable) -> SampledFunction:
-    """Evaluate fn on the grid; fn takes one array per axis."""
-    return SampledFunction(grid, np.asarray(fn(*grid.meshes()), dtype=np.complex128))
+    """Evaluate fn on the grid points."""
+    return SampledFunction(grid, np.asarray(fn(grid.axis_points()), dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------
 # Transform pair.
 #
-# dft(f)(xi) = (2pi)^{-d/2} * sum_x f(x) e^{-i<x,xi>} dx^d  on the lattice,
-# idft(g)(x) = (2pi)^{-d/2} * sum_xi g(xi) e^{+i<x,xi>} dxi^d.
+# dft(f)(xi) = (2pi)^{-1/2} * sum_x f(x) e^{-i x xi} dx  on the lattice,
+# idft(g)(x) = (2pi)^{-1/2} * sum_xi g(xi) e^{+i x xi} dxi.
 # Implemented by FFT with fftshift bookkeeping; unitary w.r.t. each grid's
 # own counting measure, so Parseval is exact up to roundoff.
 # ---------------------------------------------------------------------------
@@ -188,29 +152,21 @@ def sample(grid: PeriodicGrid, fn: Callable) -> SampledFunction:
 
 def dft(f: SampledFunction) -> SampledFunction:
     g = f.grid
-    axes = tuple(range(g.dim))
-    spec = np.fft.fftshift(
-        np.fft.fftn(np.fft.ifftshift(f.values, axes=axes), axes=axes), axes=axes
-    )
-    scale = g.cell_volume / (2.0 * np.pi) ** (g.dim / 2.0)
-    return SampledFunction(g.reciprocal(), spec * scale)
+    spec = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(f.values)))
+    return SampledFunction(g.reciprocal(), spec * (g.spacing / (2.0 * np.pi) ** 0.5))
 
 
 def idft(f: SampledFunction) -> SampledFunction:
     g_out = f.grid.reciprocal()
-    axes = tuple(range(f.grid.dim))
-    vals = np.fft.fftshift(
-        np.fft.ifftn(np.fft.ifftshift(f.values, axes=axes), axes=axes), axes=axes
-    )
-    scale = (2.0 * np.pi) ** (f.grid.dim / 2.0) / g_out.cell_volume
-    return SampledFunction(g_out, vals * scale)
+    vals = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(f.values)))
+    return SampledFunction(g_out, vals * ((2.0 * np.pi) ** 0.5 / g_out.spacing))
 
 
 def inner(f: SampledFunction, g: SampledFunction) -> complex:
-    """<f, g> = sum f * conj(g) * dx^d."""
+    """<f, g> = sum f * conj(g) * dx."""
     if not f.grid.is_compatible(g.grid):
         raise ValueError("inner product requires functions on the same grid")
-    return complex(np.sum(f.values * np.conj(g.values)) * f.grid.cell_volume)
+    return complex(np.sum(f.values * np.conj(g.values)) * f.grid.spacing)
 
 
 def _weight_values(w, grid: PeriodicGrid) -> np.ndarray:
@@ -234,14 +190,14 @@ def _weight_values(w, grid: PeriodicGrid) -> np.ndarray:
 
 
 def lp_norm(f: SampledFunction, p: float, weight=None) -> float:
-    """(sum |f|^p w dx^d)^(1/p); weight defaults to 1."""
+    """(sum |f|^p w dx)^(1/p); weight defaults to 1."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     wv = _weight_values(weight, f.grid)
     a = np.abs(f.values) ** p
     if wv is not None:
         a = a * wv
-    return float(np.sum(a) * f.grid.cell_volume) ** (1.0 / p)
+    return float(np.sum(a) * f.grid.spacing) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +209,14 @@ def lp_norm(f: SampledFunction, p: float, weight=None) -> float:
 
 @dataclass(frozen=True)
 class Ball:
-    center: tuple[float, ...]
+    center: tuple[float]
     radius: float
 
     def __post_init__(self) -> None:
-        c = self.center
-        if np.isscalar(c):
-            c = (float(c),)
-        object.__setattr__(self, "center", tuple(float(v) for v in np.atleast_1d(c)))
+        c = np.ravel(np.asarray(self.center, dtype=float))
+        if c.shape != (1,):
+            raise ValueError(f"ball center must be one coordinate, got {self.center}")
+        object.__setattr__(self, "center", (float(c[0]),))
         if not self.radius > 0:
             raise ValueError(f"radius must be positive, got {self.radius}")
 
@@ -269,17 +225,12 @@ class Ball:
 
     def fully_inside(self, grid: PeriodicGrid) -> bool:
         # strict: the box is [-L, L), so a closed ball touching +L wraps
-        return all(abs(c) + self.radius < grid.half_length for c in self.center)
-
-
-def _require_1d(grid: PeriodicGrid, what: str) -> None:
-    if grid.dim != 1:
-        raise ValueError(f"{what} run on 1D grids, got dim = {grid.dim}")
+        return abs(self.center[0]) + self.radius < grid.half_length
 
 
 def _axis_box(grid: PeriodicGrid, centers: np.ndarray, radius: float):
-    """Per center, the flat indices of the +-(floor(r/dx) + 2) point box
-    around it on one axis and their squared periodic distances to it."""
+    """Per center, the indices of the +-(floor(r/dx) + 2) point box around
+    it and their squared periodic distances to it."""
     if radius > grid.half_length:
         raise ValueError(f"ball radius {radius} exceeds half box {grid.half_length}")
     n, dx = grid.n, grid.spacing
@@ -300,32 +251,22 @@ def _inside(d2: np.ndarray, radius: float) -> np.ndarray:
 
 
 def ball_indices(grid: PeriodicGrid, ball: Ball) -> np.ndarray:
-    """Ascending flat indices of the grid points in the ball.
+    """Ascending indices of the grid points in the ball.
 
     Only the index box of +-(floor(r/dx) + 2) points around the center is
     tested, so a ball costs O(window) instead of a scan of the whole grid.
     """
-    if len(ball.center) != grid.dim:
-        raise ValueError("ball center dimension does not match grid")
-    flat, d2 = 0, 0
-    for axis, c in enumerate(ball.center):
-        idx, dist2 = _axis_box(grid, np.array([c]), ball.radius)
-        shape = [1] * grid.dim
-        shape[axis] = -1
-        flat = flat * grid.n + idx[0].reshape(shape)
-        d2 = d2 + dist2[0].reshape(shape)
-    inside = _inside(d2, ball.radius)
-    return np.sort(np.broadcast_to(flat, inside.shape)[inside])
+    idx, d2 = _axis_box(grid, np.array(ball.center), ball.radius)
+    return np.sort(idx[0][_inside(d2[0], ball.radius)])
 
 
 def ball_windows(grid: PeriodicGrid, centers, radius: float):
-    """ball_indices of B(c, radius) for many centers c of a 1D grid at once.
+    """ball_indices of B(c, radius) for many centers c at once.
 
     Returns (positions, rows) groups, one per point count (lattice centers
     form one): rows[i] holds the indices of the ball around
     centers[positions[i]].  Balls go 16 at a time to keep temporaries small.
     """
-    _require_1d(grid, "ball windows")
     centers = np.asarray(centers, dtype=float)
     groups: dict[int, list] = {}
     for lo in range(0, len(centers), 16):
@@ -341,9 +282,9 @@ def ball_windows(grid: PeriodicGrid, centers, radius: float):
 
 
 def ball_mask(grid: PeriodicGrid, ball: Ball) -> np.ndarray:
-    mask = np.zeros(grid.size, dtype=bool)
+    mask = np.zeros(grid.n, dtype=bool)
     mask[ball_indices(grid, ball)] = True
-    return mask.reshape(grid.shape)
+    return mask
 
 
 def _checked_ball_values(f: SampledFunction, ball: Ball) -> np.ndarray:
@@ -352,7 +293,7 @@ def _checked_ball_values(f: SampledFunction, ball: Ball) -> np.ndarray:
         raise ValueError(
             f"ball contains {len(idx)} grid points, needs >= {MIN_POINTS_PER_BALL}"
         )
-    return f.values.ravel()[idx]
+    return f.values[idx]
 
 
 def ball_average(f: SampledFunction, ball: Ball) -> complex:
@@ -366,7 +307,7 @@ def ball_integral(f: SampledFunction, ball: Ball) -> float:
     scale = max(1.0, float(np.max(np.abs(vals))))
     if np.max(np.abs(vals.imag)) > 1e-9 * scale:
         raise ValueError("ball_integral expects real-valued samples")
-    return float(np.sum(vals.real) * f.grid.cell_volume)
+    return float(np.sum(vals.real) * f.grid.spacing)
 
 
 @dataclass(frozen=True)
@@ -381,21 +322,16 @@ class BallFamily:
 
 
 def sweep_family(
-    grid: PeriodicGrid,
-    radius_cap: float | None = None,
-    center_stride: int | None = None,
-    min_radius: float | None = None,
-    inside_only: bool = False,
+    grid: PeriodicGrid, radius_cap: float | None = None, inside_only: bool = False
 ) -> BallFamily:
-    """Centers on a coarse sublattice, radii dyadic from 8*dx up to the cap.
+    """Centers every n/32 points, radii dyadic from 8*dx up to the cap.
 
     inside_only drops balls that would cross the box edge; use it whenever the
     sampled function models a non-periodic function of the line.
     """
-    _require_1d(grid, "ball sweeps")
-    stride = center_stride if center_stride is not None else max(1, grid.n // 32)
+    stride = max(1, grid.n // 32)
     cap = radius_cap if radius_cap is not None else grid.half_length / 2.0
-    r = min_radius if min_radius is not None else 8.0 * grid.spacing
+    r = 8.0 * grid.spacing
     if cap > grid.half_length:
         raise ValueError("radius cap exceeds the half box")
     radii = []
@@ -413,7 +349,7 @@ def sweep_family(
             balls.append(b)
     tag = "inside" if inside_only else "torus"
     desc = (
-        f"sweep(dim={grid.dim},n={grid.n},L={grid.half_length:g},"
+        f"sweep(n={grid.n},L={grid.half_length:g},"
         f"stride={stride},rmin={radii[0]:g},cap={cap:g},{tag})"
     )
     return BallFamily(tuple(balls), desc)

@@ -73,16 +73,13 @@ class LPFamily:
         return bump_profile(r / 2.0**k) - bump_profile(r / 2.0 ** (k - 1))
 
     def piece_on_lattice(self, k: int) -> np.ndarray:
-        return self.piece_profile(k, self.grid.freq_radius())
-
-    def partial_sum_profile(self, k_top: int, radius) -> np.ndarray:
-        """sum_{k<=k_top} phi_k, via the exact telescoped form."""
-        if not 0 <= k_top <= self.max_index:
-            raise ValueError(f"index {k_top} outside 0..{self.max_index}")
-        return bump_profile(np.abs(np.asarray(radius, dtype=float)) / 2.0**k_top)
+        return self.piece_profile(k, self.grid.axis_freqs())
 
     def band_mask(self, k_top: int) -> np.ndarray:
-        return self.partial_sum_profile(k_top, self.grid.freq_radius())
+        """sum_{k<=k_top} phi_k on the lattice, via the exact telescoped form."""
+        if not 0 <= k_top <= self.max_index:
+            raise ValueError(f"index {k_top} outside 0..{self.max_index}")
+        return bump_profile(np.abs(self.grid.axis_freqs()) / 2.0**k_top)
 
 
 def make_lp_family(grid: PeriodicGrid) -> LPFamily:
@@ -93,7 +90,7 @@ def make_lp_family(grid: PeriodicGrid) -> LPFamily:
 
 def evaluate_partition_residual(family: LPFamily) -> float:
     """max over lattice |xi| <= 2^(K-1) of |sum_k phi_k(xi) - 1|."""
-    rad = family.grid.freq_radius()
+    rad = np.abs(family.grid.axis_freqs())
     total = np.zeros(rad.shape)
     for k in range(family.piece_count):
         total += family.piece_profile(k, rad)
@@ -144,7 +141,6 @@ def derivative_bound_check(family: LPFamily, alpha: int, samples: int = 4096) ->
         experiment=f"lp-derivative-bound-alpha{alpha}",
         config_hash=config_hash(
             {
-                "grid.dim": family.grid.dim,
                 "grid.n": family.grid.n,
                 "grid.l": family.grid.half_length,
                 "alpha": alpha,

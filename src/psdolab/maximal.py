@@ -1,4 +1,4 @@
-"""Critical-ball covers and localized maximal operators on 1D grids.
+"""Critical-ball covers and localized maximal operators.
 
 The cover comes from greedy Vitali selection on the 1/5-radius lattice
 family: kept centers are pairwise more than 2/5 apart, so unit balls around
@@ -30,7 +30,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .grid import (
     PeriodicGrid,
     SampledFunction,
-    _require_1d,
     ball_windows,
     lp_norm,
 )
@@ -55,28 +54,27 @@ class CriticalCover:
     """Unit balls Q_j = B(x_j, 1) whose union covers the box."""
 
     grid: PeriodicGrid
-    centers: tuple[tuple[float, ...], ...]
+    centers: tuple[tuple[float], ...]
 
     @property
     def radius(self) -> float:
         return 1.0
 
     def windows(self, radius: float) -> np.ndarray:
-        """Read-only (balls, points) array: row j holds the ascending flat
+        """Read-only (balls, points) array: row j holds the ascending
         indices of B(x_j, radius)."""
         return _cover_windows(self, radius)
 
     def multiplicity(self, sigma: float = 1.0) -> np.ndarray:
         """Pointwise count of sigma-dilates covering each grid point."""
-        total = np.bincount(self.windows(sigma).ravel(), minlength=self.grid.size)
-        return total.reshape(self.grid.shape)
+        return np.bincount(self.windows(sigma).ravel(), minlength=self.grid.n)
 
     def covers_pointwise(self) -> bool:
         return bool(np.all(self.multiplicity(1.0) >= 1))
 
     def to_json_dict(self) -> dict:
         mult = self.multiplicity(1.0)
-        hist = np.bincount(mult.ravel())
+        hist = np.bincount(mult)
         return {
             "radius": 1.0,
             "count": len(self.centers),
@@ -96,7 +94,6 @@ def _cover_windows(cover: CriticalCover, radius: float) -> np.ndarray:
 
 def build_critical_cover(grid: PeriodicGrid) -> CriticalCover:
     """Greedy Vitali pass over B(x, 1/5) for every lattice x, in lattice order."""
-    _require_1d(grid, "the maximal operators")
     if grid.half_length < 4.0:
         raise ValueError("need half_length >= 4 so several critical balls fit")
     # lattice-order greedy collapses to a fixed stride plus a wrap check
@@ -230,14 +227,12 @@ def _sup_over_family_1d(flat: np.ndarray, grid: PeriodicGrid, alpha: float, osc:
 
 def m_loc(g: SampledFunction, alpha: float) -> SampledFunction:
     """sup over family balls containing x, radius <= alpha, of mean |g|."""
-    _require_1d(g.grid, "the maximal operators")
     out = _sup_over_family_1d(g.values, g.grid, alpha, osc=False)
     return SampledFunction(g.grid, out.astype(complex))
 
 
 def m_sharp_loc(g: SampledFunction, alpha: float) -> SampledFunction:
     """sup over the same family of mean |g - g_B| (mean oscillation)."""
-    _require_1d(g.grid, "the maximal operators")
     out = _sup_over_family_1d(g.real_values(), g.grid, alpha, osc=True)
     return SampledFunction(g.grid, out.astype(complex))
 
@@ -258,12 +253,11 @@ def g_kappa_p(
     """
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    if n_big < f.grid.dim / p + 1:
+    if n_big < 1.0 / p + 1:
         raise ValueError(f"n_big {n_big} too small for convergence at p={p}")
     grid = f.grid
     powered = np.abs(f.values) ** p
     box_avg = float(np.mean(powered)) ** (1.0 / p)
-    flat = powered.ravel()
     totals = np.zeros(len(cover.centers))
     k = 0
     while True:
@@ -271,15 +265,15 @@ def g_kappa_p(
         if radius >= grid.half_length:
             totals += box_avg * 2.0 ** (-n_big * k) / (1.0 - 2.0 ** (-n_big))
             break
-        means = np.mean(flat[cover.windows(radius)], axis=1)
+        means = np.mean(powered[cover.windows(radius)], axis=1)
         # Python float powers: numpy's array power can differ in the last ulp
         avgs = np.array([m ** (1.0 / p) for m in means.tolist()])
         totals += 2.0 ** (-n_big * k) * avgs
         k += 1
     q = cover.windows(1.0)
-    values = np.full(grid.size, -np.inf)
+    values = np.full(grid.n, -np.inf)
     np.maximum.at(values, q.ravel(), np.repeat(totals, q.shape[1]))
-    return SampledFunction(grid, values.reshape(grid.shape).astype(complex))
+    return SampledFunction(grid, values.astype(complex))
 
 
 @dataclass(frozen=True)
@@ -343,6 +337,14 @@ def _cover_maximal_plan(cover: CriticalCover) -> _CoverMaximalPlan:
     return _CoverMaximalPlan(_frozen_int32(cut_idx), q_idx, tuple(radii))
 
 
+def _check_dilates_fit(grid: PeriodicGrid) -> None:
+    """m_tilde_s cuts f to the 8-dilates of the critical balls, which must fit
+    the box: L >= 8.  The other balls and windows of the maximal checks (the
+    sigma = 8 multiplicity balls, the alpha = 4 sharp windows) fit then too."""
+    if 8.0 > grid.half_length:
+        raise ValueError("8-fold dilates of critical balls exceed the box")
+
+
 def m_tilde_s(f: SampledFunction, s: float, cover: CriticalCover) -> SampledFunction:
     """On each critical ball, the maximal function of f cut to the 8-dilate.
 
@@ -354,8 +356,7 @@ def m_tilde_s(f: SampledFunction, s: float, cover: CriticalCover) -> SampledFunc
     if s < 1.0:
         raise ValueError(f"s must be >= 1, got {s}")
     grid = f.grid
-    if 8.0 > grid.half_length:
-        raise ValueError("8-fold dilates of critical balls exceed the box")
+    _check_dilates_fit(grid)
     plan = _cover_maximal_plan(cover)
     # row j: 0, then |f|^s on the support and again on its shift by n, summed
     rows, size = plan.support.shape
@@ -397,10 +398,10 @@ def check_fs_inequality(
         m_sharp_loc(g, alpha_sharp), p, weight=SampledFunction(grid, wv.astype(complex))
     ) ** p
     tail = 0.0
-    w_sums = np.sum(np.real(wv).ravel()[cover.windows(1.0)], axis=1)
-    g_avgs = np.mean(np.abs(g.values).ravel()[cover.windows(2.0)], axis=1)
+    w_sums = np.sum(np.real(wv)[cover.windows(1.0)], axis=1)
+    g_avgs = np.mean(np.abs(g.values)[cover.windows(2.0)], axis=1)
     for w_sum, avg in zip(w_sums.tolist(), g_avgs.tolist()):
-        wq = w_sum * grid.cell_volume
+        wq = w_sum * grid.spacing
         tail += wq * avg**p
     rhs = sharp + tail
     ratio = lhs / rhs if rhs > 0 else np.inf

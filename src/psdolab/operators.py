@@ -1,7 +1,7 @@
 """Discrete pseudo-differential operators on periodic grids.
 
 The action realized here is the lattice form of
-    T_a f(x) = (2pi)^(-d) sum_xi sum_y a(x, y, xi) e^{i<x-y, xi>} f(y) dy dxi,
+    T_a f(x) = (2pi)^(-1) sum_xi sum_y a(x, y, xi) e^{i(x-y)xi} f(y) dy dxi,
 with the unitary transforms of grid.py doing both sums whenever the x
 dependence factors out, a(x, y, xi) = c(x) a(0, 0, xi): then T_a f is
 c * idft(a(0, 0, .) * dft(f)), two FFTs and one pointwise product, and a
@@ -48,8 +48,8 @@ class OperatorInstance:
     mode "full" applies the symbol on the whole lattice; mode "dyadic"
     truncates to frequency pieces 0..truncation (which must be fully resolved
     by the lattice).  Amplitude application, which also serves symbols whose
-    x dependence does not factor out, costs N^(3 dim) and is refused beyond
-    the configured budget.
+    x dependence does not factor out, costs N^3 and is refused beyond the
+    configured budget.
     """
 
     symbol: SymbolSpec
@@ -79,46 +79,28 @@ class OperatorInstance:
 
     def _mode_band(self) -> np.ndarray | None:
         if self.mode == "dyadic":
-            return self.family.band_mask(self.truncation).ravel()
+            return self.family.band_mask(self.truncation)
         return None
 
     def _check_grid(self, f: SampledFunction) -> None:
         if not f.grid.is_compatible(self.grid):
             raise ValueError("function grid does not match operator grid")
 
-    def _xi_args(self, xis: np.ndarray):
-        # component view of an (M, dim) frequency array, broadcast as (1, M)
-        if self.grid.dim == 1:
-            return xis[:, 0][None, :]
-        return tuple(xis[:, a][None, :] for a in range(self.grid.dim))
-
-    def _point_args(self, pts: np.ndarray):
-        # component view of a (c, dim) point array, broadcast as (c, 1)
-        if self.grid.dim == 1:
-            return pts[:, 0][:, None]
-        return tuple(pts[:, a][:, None] for a in range(self.grid.dim))
-
-    def _scalar_args(self, pt):
-        if self.grid.dim == 1:
-            return float(np.atleast_1d(pt)[0])
-        return tuple(float(v) for v in np.atleast_1d(pt))
-
     def _spectrum(self) -> np.ndarray:
         """a(0, 0, xi) on the frequency lattice, read-only, shape grid.shape."""
-        zero = 0.0 if self.grid.dim == 1 else (0.0, 0.0)
-        vals = self.symbol.evaluator(zero, zero, self.grid.freq_coords())
+        vals = self.symbol.evaluator(0.0, 0.0, self.grid.axis_freqs())
         return np.broadcast_to(np.asarray(vals, dtype=np.complex128), self.grid.shape)
 
     def _modulation(self) -> np.ndarray | None:
         """c(x) on the grid for a modulated symbol; None when c = 1."""
         mod = self.symbol.modulation
-        return None if mod is None else np.asarray(mod(self.grid.coords()), dtype=float)
+        return None if mod is None else np.asarray(mod(self.grid.axis_points()), dtype=float)
 
     def _amplitude_allowed(self) -> None:
-        cost = self.grid.n ** (3 * self.grid.dim)
+        cost = self.grid.n**3
         if cost > self.amplitude_budget**3:
             raise ValueError(
-                f"amplitude mode cost n^(3 dim) = {cost} exceeds budget "
+                f"amplitude mode cost n^3 = {cost} exceeds budget "
                 f"{self.amplitude_budget}^3; use a coarser grid"
             )
 
@@ -156,7 +138,7 @@ def _apply_symbol_spectral(
     fhat = dft(f)
     amp = op._spectrum().copy()
     if band is not None:
-        amp *= band.reshape(g.shape)
+        amp *= band
     out = idft(SampledFunction(fhat.grid, fhat.values * amp))
     mod = op._modulation()
     return out if mod is None else SampledFunction(g, mod * out.values)
@@ -198,7 +180,7 @@ def apply_dyadic_piece(op: OperatorInstance, k: int, f: SampledFunction) -> Samp
     op._check_grid(f)
     if not 0 <= k <= op.family.max_index:
         raise ValueError(f"piece index {k} outside 0..{op.family.max_index}")
-    band = op.family.piece_on_lattice(k).ravel()
+    band = op.family.piece_on_lattice(k)
     if op.symbol.is_separable:
         return _apply_symbol_spectral(op, f, band)
     return _apply_amplitude(op, f, band)
@@ -218,7 +200,7 @@ def _adjoint_symbol_spectral(
     uhat = dft(u if mod is None else SampledFunction(g, mod * u.values))
     amp = np.conj(op._spectrum())
     if band is not None:
-        amp *= band.reshape(g.shape)
+        amp *= band
     return idft(SampledFunction(uhat.grid, uhat.values * amp))
 
 
@@ -283,7 +265,7 @@ def adjoint_commutator(
 
 
 # ---------------------------------------------------------------------------
-# Kernel rows.  K(x, y) = (2pi)^(-d) sum_m a(x,y,xi_m) e^{i<x-y,xi_m>} dxi^d
+# Kernel rows.  K(x, y) = (2pi)^(-1) sum_m a(x,y,xi_m) e^{i(x-y)xi_m} dxi
 # with x fixed anywhere and the other slot on the lattice.  For a symbol a
 # row K(x, .) is one inverse FFT of a(x, .); a column K(., x) is one too when
 # a(z, xi) = c(z) a(0, xi) factors, times c on the lattice.  Amplitudes and
@@ -292,75 +274,65 @@ def adjoint_commutator(
 
 
 def _lattice_sum(grid: PeriodicGrid, coef: np.ndarray) -> np.ndarray:
-    """sum_m coef_m e^{i<z, xi_m>} at every lattice z: one scaled idft."""
-    spec = SampledFunction(grid.reciprocal(), np.reshape(coef, grid.shape))
-    scale = (2.0 * np.pi) ** (grid.dim / 2.0) / grid.freq_spacing**grid.dim
-    return idft(spec).values.ravel() * scale
+    """sum_m coef_m e^{i z xi_m} at every lattice z: one scaled idft."""
+    spec = SampledFunction(grid.reciprocal(), coef)
+    return idft(spec).values * ((2.0 * np.pi) ** 0.5 / grid.freq_spacing)
 
 
-def _symbol_at(op: OperatorInstance, x_pt) -> np.ndarray:
+def _symbol_at(op: OperatorInstance, x: float) -> np.ndarray:
     """a(x, xi_m) over the lattice modes at one fixed x (symbols only)."""
-    x_arg = op._scalar_args(x_pt)
-    vals = op.symbol.evaluator(x_arg, x_arg, op._xi_args(op.grid.flat_freqs()))
-    return np.broadcast_to(np.asarray(vals, dtype=np.complex128), (1, op.grid.size))[0]
+    vals = op.symbol.evaluator(x, x, op.grid.axis_freqs())
+    return np.broadcast_to(np.asarray(vals, dtype=np.complex128), op.grid.shape)
 
 
-def _kernel_weights(op: OperatorInstance, x_pt=None, sign: float = 0.0) -> np.ndarray:
-    """dxi^d / (2pi)^d per mode (times the mode band), times e^{sign i<x, xi_m>}."""
+def _kernel_weights(op: OperatorInstance, x: float = 0.0, sign: float = 0.0) -> np.ndarray:
+    """dxi / (2pi) per mode (times the mode band), times e^{sign i x xi_m}."""
     g = op.grid
     band = op._mode_band()
-    w = np.full(g.size, g.freq_spacing**g.dim / (2.0 * np.pi) ** g.dim)
+    w = np.full(g.n, g.freq_spacing / (2.0 * np.pi))
     w = w if band is None else band * w
     if not sign:
         return w
-    return w * np.exp(sign * 1j * (g.flat_freqs() @ np.atleast_1d(np.asarray(x_pt, float))))
+    return w * np.exp(sign * 1j * (g.axis_freqs() * x))
 
 
 def _amplitude_kernel(
-    op: OperatorInstance, x_pt, others: np.ndarray, weight: np.ndarray, first: bool
+    op: OperatorInstance, x: float, others: np.ndarray, weight: np.ndarray, first: bool
 ) -> np.ndarray:
-    """K(y, x) (first) or K(x, y) for each row y of others, one phase block per chunk."""
-    xis = op.grid.flat_freqs()
-    xi_args = op._xi_args(xis)
-    fixed = np.atleast_1d(np.asarray(x_pt, dtype=float))
-    fixed_arg = op._scalar_args(x_pt)
+    """K(y, x) (first) or K(x, y) for each point y of others, one phase block per chunk."""
+    xis = op.grid.axis_freqs()
+    xi_arg = xis[None, :]
     sign = 1.0 if first else -1.0
     out = np.empty(len(others), dtype=np.complex128)
     for i0 in range(0, len(others), _CHUNK):
-        chunk = others[i0 : i0 + _CHUNK]
-        phase = np.exp(1j * sign * ((chunk - fixed[None, :]) @ xis.T))
-        moving = op._point_args(chunk)
-        slots = (moving, fixed_arg) if first else (fixed_arg, moving)
-        vals = np.asarray(op.symbol.evaluator(*slots, xi_args), dtype=np.complex128)
+        moving = others[i0 : i0 + _CHUNK, None]
+        phase = np.exp(1j * sign * ((moving - x) * xi_arg))
+        slots = (moving, x) if first else (x, moving)
+        vals = np.asarray(op.symbol.evaluator(*slots, xi_arg), dtype=np.complex128)
         vals = np.broadcast_to(vals, phase.shape)
         out[i0 : i0 + _CHUNK] = (vals * phase) @ weight
     return out
 
 
-def kernel_column(op: OperatorInstance, x_pt) -> np.ndarray:
+def kernel_column(op: OperatorInstance, x: float) -> np.ndarray:
     """K(., x): the kernel against its first argument, over the grid."""
     g = op.grid
     if not op.symbol.is_separable:
-        col = _amplitude_kernel(op, x_pt, g.flat_points(), _kernel_weights(op), first=True)
-    else:
-        col = _lattice_sum(g, op._spectrum().ravel() * _kernel_weights(op, x_pt, -1.0))
-        mod = op._modulation()
-        if mod is not None:
-            col = mod.ravel() * col
-    return col.reshape(g.shape)
+        return _amplitude_kernel(op, x, g.axis_points(), _kernel_weights(op), first=True)
+    col = _lattice_sum(g, op._spectrum() * _kernel_weights(op, x, -1.0))
+    mod = op._modulation()
+    return col if mod is None else mod * col
 
 
-def kernel_row(op: OperatorInstance, x_pt) -> np.ndarray:
+def kernel_row(op: OperatorInstance, x: float) -> np.ndarray:
     """K(x, .): the kernel against its second argument, over the grid."""
     g = op.grid
     if not op.symbol.is_symbol:
-        row = _amplitude_kernel(op, x_pt, g.flat_points(), _kernel_weights(op), first=False)
-    else:
-        coef = _symbol_at(op, x_pt) * _kernel_weights(op, x_pt, 1.0)
-        row = np.conj(_lattice_sum(g, np.conj(coef)))
-    return row.reshape(g.shape)
+        return _amplitude_kernel(op, x, g.axis_points(), _kernel_weights(op), first=False)
+    coef = _symbol_at(op, x) * _kernel_weights(op, x, 1.0)
+    return np.conj(_lattice_sum(g, np.conj(coef)))
 
 
-def adjoint_kernel_row(op: OperatorInstance, x_pt) -> np.ndarray:
+def adjoint_kernel_row(op: OperatorInstance, x: float) -> np.ndarray:
     """K*(x, .) = conj(K(., x)): row of the adjoint's kernel."""
-    return np.conj(kernel_column(op, x_pt))
+    return np.conj(kernel_column(op, x))

@@ -1,8 +1,7 @@
 """Symbols and amplitudes: presets, dyadic localization, class probing.
 
-An evaluator is a vectorized callable a(x, y, xi).  On 1D grids each argument
-is a scalar or broadcastable array; on 2D grids each is a tuple of component
-arrays.  Symbols (y-independent) simply ignore the y slot.
+An evaluator is a vectorized callable a(x, y, xi); each argument is a scalar
+or a broadcastable array.  Symbols (y-independent) simply ignore the y slot.
 
 The declared class of a symbol is the growth contract
     |d_xi^a d_x^b d_y^c a| <= C <xi>^(m - rho*a + delta*(b+c)),
@@ -14,7 +13,7 @@ dyadic frequency shell, and a growth slope across the top shells.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -35,15 +34,9 @@ __all__ = [
 KINDS = ("smooth_symbol", "smooth_amplitude", "rough_symbol", "rough_amplitude")
 
 
-def _components(v) -> tuple:
-    return v if isinstance(v, tuple) else (v,)
-
-
 def japanese_bracket(x) -> np.ndarray:
-    """<x> = sqrt(1 + |x|^2), with |.| the euclidean norm of the components."""
-    comps = _components(x)
-    sq = sum(np.asarray(c, dtype=float) ** 2 for c in comps)
-    return np.sqrt(1.0 + sq)
+    """<x> = sqrt(1 + x^2)."""
+    return np.sqrt(1.0 + np.asarray(x, dtype=float) ** 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,8 +98,7 @@ def preset_symbol(name: str, **params) -> SymbolSpec:
     """
     if name == "identity":
         def ev_identity(x, y, xi):
-            comps = _components(xi)
-            return np.ones(np.broadcast(*comps).shape, dtype=np.complex128)
+            return np.ones(np.shape(xi), dtype=np.complex128)
 
         return SymbolSpec(ev_identity, 0.0, 1.0, 0.0, "smooth_symbol", "identity", True)
 
@@ -124,8 +116,7 @@ def preset_symbol(name: str, **params) -> SymbolSpec:
         m = float(params["m"])
 
         def mod_rough(x):
-            xs = _components(x)
-            return 2.0 + sum(_triangle_wave(c) for c in xs) / len(xs)
+            return 2.0 + _triangle_wave(x)
 
         def ev_rough(x, y, xi, _m=m):
             return mod_rough(x) * japanese_bracket(xi) ** _m + 0.0j
@@ -142,9 +133,8 @@ def preset_symbol(name: str, **params) -> SymbolSpec:
         scale = float(params.get("spatial_scale", 16.0))
 
         def ev_osc(x, y, xi, _m=m, _r=rho, _d=delta, _s=scale):
-            xs, ys = _components(x), _components(y)
             w = np.pi / _s
-            psi = sum(np.sin(w * a) * np.cos(w * b) for a, b in zip(xs, ys)) / len(xs)
+            psi = np.sin(w * x) * np.cos(w * y)
             br = japanese_bracket(xi)
             phase = br ** (1.0 - _r) + br**_d * psi
             return br**_m * np.exp(1j * phase)
@@ -168,9 +158,7 @@ def dyadic_piece(sym: SymbolSpec, family: LPFamily, k: int) -> SymbolSpec:
         raise ValueError(f"piece index {k} outside 0..{family.max_index}")
 
     def ev(x, y, xi, _k=k):
-        comps = _components(xi)
-        rad = np.sqrt(sum(np.asarray(c, dtype=float) ** 2 for c in comps))
-        return sym.evaluator(x, y, xi) * family.piece_profile(_k, rad)
+        return sym.evaluator(x, y, xi) * family.piece_profile(_k, xi)
 
     return SymbolSpec(
         ev, sym.order, sym.rho, sym.delta, sym.kind, f"{sym.label}|piece{k}", sym.multiplier,
@@ -225,7 +213,7 @@ class ClassMembershipReport:
         raise KeyError((alpha, beta, gamma))
 
 
-def _shell_samples(grid: PeriodicGrid, per_shell: int = 12):
+def _shell_samples(grid: PeriodicGrid):
     """Lattice xi samples grouped by complete dyadic shells 2^(k-1) < |xi| <= 2^k."""
     xi = grid.axis_freqs()
     pos = xi[xi > 0]
@@ -235,7 +223,7 @@ def _shell_samples(grid: PeriodicGrid, per_shell: int = 12):
         in_shell = pos[(pos > 2.0 ** (k - 1)) & (pos <= 2.0**k)]
         if in_shell.size == 0:
             continue
-        idx = np.linspace(0, in_shell.size - 1, per_shell).astype(int)
+        idx = np.linspace(0, in_shell.size - 1, 12).astype(int)
         idx = idx[np.diff(idx, prepend=-1) > 0]  # ascending: drop repeats in order
         vals = in_shell[idx]
         shells.append((k, np.concatenate([vals, -vals])))
@@ -256,23 +244,17 @@ def _fd_mixed(ev, xs, ys, xis, alpha, beta, gamma, hx, hxi) -> np.ndarray:
     return acc / (hx ** (beta + gamma) * hxi**alpha)
 
 
-def estimate_class_membership(
-    sym: SymbolSpec,
-    grid: PeriodicGrid,
-    max_order: int = 3,
-    declared: tuple[float, float, float] | None = None,
-) -> ClassMembershipReport:
+def estimate_class_membership(sym: SymbolSpec, grid: PeriodicGrid) -> ClassMembershipReport:
     """Probe the declared growth class on the grid's frequency lattice.
 
-    Per derivative combo, normalized sups are taken over dyadic shells; the
-    verdict is "bounded" when the log2 growth rate across the top complete
-    shells stays below 0.5 per shell (a symbol whose declared order is too
-    small by 1 shows rate about +1 and is rejected).  x-derivatives are
-    skipped for rough kinds, y-derivatives for plain symbols.
+    Per derivative combo of total order 1..3, normalized sups are taken over
+    dyadic shells; the verdict is "bounded" when the log2 growth rate across
+    the top complete shells stays below 0.5 per shell (a symbol whose
+    declared order is too small by 1 shows rate about +1 and is rejected).
+    x-derivatives are skipped for rough kinds, y-derivatives for plain
+    symbols.
     """
-    if grid.dim != 1:
-        raise ValueError("class probing is implemented on 1D grids")
-    m, rho, delta = declared if declared is not None else (sym.order, sym.rho, sym.delta)
+    m, rho, delta = sym.order, sym.rho, sym.delta
     shells = _shell_samples(grid)
     span = 0.75 * grid.half_length
     xs = np.linspace(-span, span, 9)[:, None, None]
@@ -282,10 +264,10 @@ def estimate_class_membership(
     hx, hxi = grid.spacing, grid.freq_spacing
 
     entries = []
-    for alpha in range(0, max_order + 1):
-        for beta in range(0, max_order + 1 - alpha):
-            for gamma in range(0, max_order + 1 - alpha - beta):
-                if alpha + beta + gamma == 0 or alpha + beta + gamma > max_order:
+    for alpha in range(0, 4):
+        for beta in range(0, 4 - alpha):
+            for gamma in range(0, 4 - alpha - beta):
+                if alpha + beta + gamma == 0:
                     continue
                 if sym.is_rough and beta > 0:
                     continue

@@ -6,12 +6,12 @@ import psdolab as P
 
 @pytest.fixture(scope="session")
 def grid():
-    return P.make_grid(1, 1024, 16.0)
+    return P.make_grid(1024, 16.0)
 
 
 @pytest.fixture(scope="session")
 def grid_small():
-    return P.make_grid(1, 256, 16.0)
+    return P.make_grid(256, 16.0)
 
 
 @pytest.fixture(scope="session")

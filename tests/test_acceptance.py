@@ -27,12 +27,12 @@ def emit(capsys, num, ok, text):
 
 @pytest.fixture(scope="module")
 def g1024():
-    return P.make_grid(1, 1024, 16.0)
+    return P.make_grid(1024, 16.0)
 
 
 @pytest.fixture(scope="module")
 def g32():
-    return P.make_grid(1, 2048, 32.0)
+    return P.make_grid(2048, 32.0)
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +68,7 @@ def test_c03_adjoint_pairing(capsys, g1024, bessel):
 
 
 def test_c04_kernel_decay_slopes(capsys):
-    g4 = P.make_grid(1, 4096, 16.0)
+    g4 = P.make_grid(4096, 16.0)
     cases = [(0.0, 0, 1.0), (0.0, 2, -1.0), (-0.75, 2, -1.75)]
     rows, ok = [], True
     for m, ell, expected in cases:
@@ -84,7 +84,7 @@ def test_c05_difference_estimate(capsys, g1024, bessel):
     low = P.fit_difference_estimate(bessel, ball, j_range=range(2, 5), k_range=range(0, 2))
     high = P.fit_difference_estimate(bessel, ball, j_range=range(2, 5), k_range=range(2, 6))
     same = P.fit_difference_estimate(bessel, ball, j_range=range(2, 5),
-                                     k_range=range(2, 6), y_pairs=[((0.1,), (0.1,))])
+                                     k_range=range(2, 6), y_pairs=[(0.1, 0.1)])
     zero_exact = float(np.max(same.table)) == 0.0
     ok = (high.j_fit.passed and high.j_fit.slope <= -1.0
           and low.k_fit.slope > 0.0 and high.k_fit.slope < 0.0 and zero_exact)
@@ -106,7 +106,7 @@ def test_c06_cover_multiplicity(capsys, g1024):
 def test_c07_characteristic_calculus(capsys, g1024):
     fam = P.sweep_family(g1024)
     unit = P.ap_theta_characteristic(P.preset_weight("unit", g1024), 2.0, 0.0, fam).value
-    g512 = P.make_grid(1, 512, 16.0)
+    g512 = P.make_grid(512, 16.0)
     fam512 = P.sweep_family(g512)
     worst = 0.0
     for s in range(100):

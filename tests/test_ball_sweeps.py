@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import psdolab as P
 from psdolab.experiments import local_average_ratio
-from psdolab.function_classes import _family_indices
 from psdolab.grid import ball_windows
 
 SIZES = [64, 128, 256, 512, 1024, 2048, 4096]
@@ -23,7 +22,7 @@ def _grid(data):
     n = data.draw(st.sampled_from(SIZES), label="n")
     half = data.draw(st.one_of(st.sampled_from([4.0, 16.0, 64.0]), st.floats(4.0, 64.0)),
                      label="L")
-    return P.make_grid(1, n, half)
+    return P.make_grid(n, half)
 
 
 def _off_lattice_family(grid, data):
@@ -86,20 +85,10 @@ def test_windows_equal_stacked_ball_indices(data):
 
 
 def test_windows_split_off_lattice_centers_by_count():
-    grid = P.make_grid(1, 64, 4.0)
+    grid = P.make_grid(64, 4.0)
     dx = grid.spacing
     groups = _assert_windows_match(grid, [0.0, 0.5 * dx, 0.25 * dx], 2.5 * dx)
     assert sorted(rows.shape[1] for _, rows in groups) == [5, 6]
-
-
-def test_sweeps_refuse_2d_grids():
-    grid = P.make_grid(2, 64, 8.0)
-    family = P.BallFamily((P.Ball((0.0, 0.0), 1.0),), "2d")
-    for call in (lambda: ball_windows(grid, [0.0], 1.0),
-                 lambda: _family_indices(grid, family),
-                 lambda: P.sweep_family(grid)):
-        with pytest.raises(ValueError, match="1D grids"):
-            call()
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +184,7 @@ def test_oscillation_norm_and_jn_part_i_equal_per_ball_sweeps(data):
 def test_weight_under_the_jensen_floor_still_raises():
     """w^(-1/(p-1)) underflows to 0 for w = 1e300 at p = 1.01, so every
     per-ball product reads 0 < 1: corrupt data, refused by every sweep."""
-    grid = P.make_grid(1, 256, 16.0)
+    grid = P.make_grid(256, 16.0)
     family = P.sweep_family(grid)
     w = P.WeightFn(P.SampledFunction(grid, np.full(grid.n, 1e300)), "underflow")
     for call in (P.ap_theta_characteristic, P.stabilized_characteristic):

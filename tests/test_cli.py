@@ -54,7 +54,7 @@ def test_csv_rows_are_parseable(tmp_path):
 
 
 def test_grid_flags_reach_the_experiment(tmp_path):
-    assert run_cli("verify", "weights", "--grid-n", "512", "--grid-l", "8.0",
+    assert run_cli("verify", "weights", "--grid-n", "2048", "--grid-l", "20.0",
                    "--seed", "3", "--out", str(tmp_path)) == 0
     data = json.loads((tmp_path / "weight_calculus.json").read_text())
     assert data["seed"] == 3
@@ -77,30 +77,52 @@ def test_missing_config_is_a_usage_error(tmp_path):
 @pytest.mark.parametrize("setting", [("--grid-n", "100"), ("--grid-l", "-1.0"),
                                      "grid.dim = 2", "grid.dim = 3", "grid.n = abc"])
 def test_bad_grid_is_a_usage_error(tmp_path, capsys, setting):
-    """A grid the lattice cannot hold exits 2 with one error line, not a traceback."""
+    """A grid the lattice cannot hold exits 2 with one error line, not a traceback.
+    The grid is one-dimensional, so a grid.dim line is an unknown key."""
+    prefix = "error: unknown config keys: grid.dim" if "grid.dim" in setting else "error: grid: "
     if isinstance(setting, str):
         cfgfile = tmp_path / "grid.cfg"
         cfgfile.write_text(setting + "\n")
         setting = ("--config", str(cfgfile))
     assert run_cli("verify", "weights", *setting, "--out", str(tmp_path)) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: grid: ") and err.count("\n") == 1
+    assert err.startswith(prefix) and err.count("\n") == 1
+
+
+def _assert_refused_on_every_target(capsys, args, prefix, out):
+    """Every verify target and report all exit 2 with one error line, writing nothing."""
+    for command in [("verify", target) for target in VERIFY_TARGETS] + [("report", "all")]:
+        assert run_cli(*command, *args, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("setting", ["symbol.preset = nope", "weight.preset = nope",
                                      "bmo.preset = nope", "corpus.widths = a,b",
                                      "kernel.diff_j = 2,x", "weight.gamma = abc",
-                                     "kernel.diff_j = 2", "corpus.widths ="])
+                                     "kernel.diff_j = 2", "corpus.widths =",
+                                     "kernel.ell_max = 4", "kernel.adjoint_n_exp = 3",
+                                     "kernel.k_lo = 3", "symbol.preset = oscillating_amplitude"])
 def test_bad_value_is_a_usage_error_on_every_target(tmp_path, capsys, setting):
-    """A bad preset name, typed value or list length is refused before any target runs."""
+    """A bad preset name, typed value or list length, too few decay pieces, or
+    an amplitude over the budget at grid.n = 1024, is refused before any
+    target runs."""
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text(setting + "\n")
     key = setting.split(" =")[0]
-    for command in [("verify", target) for target in VERIFY_TARGETS] + [("report", "all")]:
-        assert run_cli(*command, "--config", str(cfgfile), "--out", str(tmp_path)) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
-    assert list(tmp_path.iterdir()) == [cfgfile]
+    _assert_refused_on_every_target(capsys, ("--config", str(cfgfile)), f"error: {key}: ",
+                                    tmp_path / "out")
+
+
+@pytest.mark.parametrize("flag,value", [("--grid-n", "512"), ("--grid-n", "256"),
+                                        ("--grid-l", "64"), ("--grid-l", "7"),
+                                        ("--grid-l", "4")])
+def test_grid_a_runner_cannot_use_is_a_usage_error_on_every_target(tmp_path, capsys, flag,
+                                                                   value):
+    """Too coarse for kernel-decay's pieces 2..5, too small for its annuli out to
+    2^4 * 0.5 = 8 <= L/2, or for the cover's 8-dilates: refused before any run."""
+    _assert_refused_on_every_target(capsys, (flag, value), "error: grid: ", tmp_path / "out")
 
 
 def test_bad_exponents_exit_three(tmp_path):

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from psdolab.config import (_KEY_TYPES, DEFAULTS, ExperimentConfig, HypothesisViolation,
                             load_config, parse_config_text)
+from psdolab.experiments import run_all
 
 
 def test_defaults_load_and_expose_types(tmp_path):
@@ -17,9 +18,31 @@ def test_defaults_load_and_expose_types(tmp_path):
 
 
 def test_every_typed_key_is_checked_at_load():
-    """Only the free-text output directory and the unread noise count go unchecked."""
+    """Only the free-text output directory goes unchecked."""
     assert set(_KEY_TYPES) <= set(DEFAULTS)
-    assert set(DEFAULTS) - set(_KEY_TYPES) == {"run.out", "corpus.noise_count"}
+    assert set(DEFAULTS) - set(_KEY_TYPES) == {"run.out"}
+
+
+def test_every_key_is_read(monkeypatch):
+    """run_all on the defaults reads every key but run.out, which the CLI
+    reads, and the amplitude-only symbol parameters, which the amplitude
+    preset's symbol_params reads."""
+    read = set()
+    get = ExperimentConfig.get
+
+    def recording_get(self, key):
+        read.add(key)
+        return get(self, key)
+
+    cfg = load_config()
+    monkeypatch.setattr(ExperimentConfig, "get", recording_get)
+    run_all(cfg)
+    amplitude_only = {"symbol.rho", "symbol.delta", "symbol.spatial_scale"}
+    assert set(DEFAULTS) - read == {"run.out"} | amplitude_only
+    read.clear()
+    entries = {**DEFAULTS, "symbol.preset": "oscillating_amplitude"}
+    ExperimentConfig(tuple(sorted(entries.items()))).symbol_params()
+    assert amplitude_only <= read
 
 
 def test_parse_ignores_comments_and_blanks():

@@ -8,12 +8,12 @@ from psdolab.corpus import (band_noise, gaussian_corpus, gaussian_packet,
 
 @pytest.fixture(scope="module")
 def g():
-    return make_grid(1, 512, 16.0)
+    return make_grid(512, 16.0)
 
 
 def test_packet_peaks_at_center(g):
     f = gaussian_packet(g, center=3.0, width=0.8)
-    pts = g.flat_points()[:, 0]
+    pts = g.axis_points()
     peak = pts[np.argmax(np.abs(f.values))]
     assert peak == pytest.approx(3.0, abs=g.spacing)
 
@@ -23,7 +23,7 @@ def test_modulated_packet_shifts_spectrum(g):
     q = 10
     f = gaussian_packet(g, center=0.0, width=1.0, modulation=q)
     spec = np.abs(dft(f).values)
-    xi = g.flat_freqs()[:, 0]
+    xi = g.axis_freqs()
     assert xi[np.argmax(spec)] == pytest.approx(q * g.freq_spacing, abs=g.freq_spacing)
 
 

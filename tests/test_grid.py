@@ -10,10 +10,10 @@ def test_grid_basic_geometry(grid):
     assert grid.shape == (1024,)
     assert grid.size == 1024
     assert grid.spacing == pytest.approx(32.0 / 1024)
-    pts = grid.flat_points()
-    assert pts.shape == (1024, 1)
-    assert pts[0, 0] == -16.0
-    assert pts[-1, 0] == pytest.approx(16.0 - grid.spacing)
+    pts = grid.axis_points()
+    assert pts.shape == (1024,)
+    assert pts[0] == -16.0
+    assert pts[-1] == pytest.approx(16.0 - grid.spacing)
 
 
 def test_wrap_is_periodic(grid):
@@ -26,7 +26,7 @@ def test_wrap_is_periodic(grid):
 @settings(max_examples=30, deadline=None)
 @given(st.floats(-200.0, 200.0))
 def test_wrap_lands_in_fundamental_cell(x):
-    g = P.make_grid(1, 64, 16.0)
+    g = P.make_grid(64, 16.0)
     z = g.wrap(np.array([[x]]))[0, 0]
     assert -16.0 <= z < 16.0
     # wrapping changes the point by a whole period only
@@ -43,7 +43,7 @@ def test_dft_idft_roundtrip(grid, packet):
        st.integers(0, 2**32 - 1))
 def test_dft_unitary_parseval(n, half_length, seed):
     """<f, g> = <Ff, Fg> on every grid, up to the FFT's roundoff."""
-    grid = P.make_grid(1, n, half_length)
+    grid = P.make_grid(n, half_length)
     rng = np.random.default_rng(seed)
     f, g = (P.SampledFunction(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
             for _ in range(2))
@@ -80,7 +80,7 @@ def test_ball_integral_matches_measure(grid):
 
 def _full_scan(grid, ball):
     """Brute force: the periodic distance test on every grid point."""
-    d2 = sum(grid.wrap(m - c) ** 2 for m, c in zip(grid.meshes(), ball.center))
+    d2 = grid.wrap(grid.axis_points() - ball.center[0]) ** 2
     return np.flatnonzero(d2 <= (ball.radius * (1.0 + 1e-12)) ** 2)
 
 
@@ -88,18 +88,16 @@ def _full_scan(grid, ball):
 @given(st.data())
 def test_ball_indices_match_full_scan(data):
     """The index-box search finds the full scan's points, in ascending order."""
-    dim = data.draw(st.sampled_from([1, 1, 1, 2]), label="dim")
-    sizes = [64, 128, 256, 512, 1024, 2048, 4096] if dim == 1 else [64, 128]
-    n = data.draw(st.sampled_from(sizes), label="n")
+    n = data.draw(st.sampled_from([64, 128, 256, 512, 1024, 2048, 4096]), label="n")
     half = data.draw(st.one_of(st.sampled_from([4.0, 16.0, 64.0]), st.floats(4.0, 64.0)),
                      label="L")
-    grid = P.make_grid(dim, n, half)
+    grid = P.make_grid(n, half)
     coord = st.one_of(
         st.floats(-half, half),                                        # off the lattice
         st.integers(0, n - 1).map(lambda i: float(grid.axis_points()[i])),  # on it
         st.sampled_from([-half, half]),                                # box edge
     )
-    center = tuple(data.draw(coord, label="center") for _ in range(dim))
+    center = (data.draw(coord, label="center"),)
     radius = data.draw(st.one_of(
         st.floats(0.0, half, exclude_min=True),
         st.integers(1, n // 2).map(lambda k: k * grid.spacing),       # lattice multiples
@@ -115,7 +113,7 @@ def test_ball_dilate_and_inside():
     d = b.dilate(3.0)
     assert d.radius == 6.0
     assert d.center == b.center
-    g = P.make_grid(1, 64, 16.0)
+    g = P.make_grid(64, 16.0)
     assert b.fully_inside(g)
     assert not P.Ball((15.0,), 2.0).fully_inside(g)
 
@@ -133,6 +131,6 @@ def test_sampled_function_shape_mismatch(grid):
 
 
 def test_grid_compatibility(grid):
-    other = P.make_grid(1, 1024, 16.0)
+    other = P.make_grid(1024, 16.0)
     assert grid.is_compatible(other)
-    assert not grid.is_compatible(P.make_grid(1, 512, 16.0))
+    assert not grid.is_compatible(P.make_grid(512, 16.0))

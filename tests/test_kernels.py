@@ -54,7 +54,7 @@ def test_difference_estimate_windows(decay_op):
 
 def test_difference_vanishes_at_equal_points(decay_op):
     tw = P.band_limited_twin(decay_op)
-    x = np.array([0.3])
+    x = 0.3
     assert np.max(np.abs(P.kernel_row(tw, x) - P.kernel_row(tw, x))) == 0.0
 
 
@@ -64,12 +64,12 @@ def test_band_limited_twin_kills_lattice_ringing(decay_op, grid):
     On lattice points the full-band row telescopes the ringing away, so the
     comparison only bites at an off-lattice base point.
     """
-    x = np.array([0.0131])
+    x = 0.0131
     tw = P.band_limited_twin(decay_op)
     row = np.abs(P.kernel_row(tw, x))
     raw = np.abs(P.kernel_row(decay_op, x))
-    pts = grid.flat_points()[:, 0]
-    far = (np.abs(pts - x[0]) >= 6.0) & (np.abs(pts - x[0]) <= 10.0)
+    pts = grid.axis_points()
+    far = (np.abs(pts - x) >= 6.0) & (np.abs(pts - x) <= 10.0)
     assert row[far].max() / row.max() < 2e-4
     assert row[far].mean() < 0.1 * raw[far].mean()
 

@@ -27,7 +27,7 @@ def test_bump_profile_plateau_and_support():
 @given(st.sampled_from([64, 128, 256, 512, 1024, 2048, 4096]), st.floats(4.0, 64.0))
 def test_partition_sums_to_one_exactly(n, half_length):
     # telescoping construction: the pieces sum to 1 with no roundoff left
-    lp = P.make_lp_family(P.make_grid(1, n, half_length))
+    lp = P.make_lp_family(P.make_grid(n, half_length))
     assert P.evaluate_partition_residual(lp) == 0.0
 
 

@@ -25,19 +25,10 @@ def test_cover_partitions_the_box(grid, cover):
     assert cover.covers_pointwise()
 
 
-def test_maximal_operators_refuse_2d_grids():
-    grid = P.make_grid(2, 64, 8.0)
-    g = P.sample(grid, lambda x, y: np.ones_like(x))
-    for call in (lambda: P.build_critical_cover(grid), lambda: P.m_loc(g, 2.0),
-                 lambda: P.m_sharp_loc(g, 2.0)):
-        with pytest.raises(ValueError, match="1D grids"):
-            call()
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([64, 128, 256, 512, 1024, 2048, 4096]), st.floats(4.0, 64.0))
 def test_cover_covers_every_grid(n, half_length):
-    grid = P.make_grid(1, n, half_length)
+    grid = P.make_grid(n, half_length)
     assert P.build_critical_cover(grid).covers_pointwise()
 
 
@@ -81,7 +72,7 @@ def test_centers_range_max_matches_brute_force(n, data):
 
 
 def _scan_mask(grid, ball):
-    d2 = sum(grid.wrap(m - c) ** 2 for m, c in zip(grid.meshes(), ball.center))
+    d2 = grid.wrap(grid.axis_points() - ball.center[0]) ** 2
     return d2 <= (ball.radius * (1.0 + 1e-12)) ** 2
 
 
@@ -125,7 +116,7 @@ def _reference_m_tilde_s(f, s, cover):
 @pytest.mark.parametrize("n", [256, 512])
 def test_cover_local_paths_match_full_grid_references(n):
     """Cover windows and segment sups give the per-ball full-grid values, bit for bit."""
-    grid = P.make_grid(1, n, 16.0)
+    grid = P.make_grid(n, 16.0)
     cover = P.build_critical_cover(grid)
     for sigma in (1.0, 2.0, 4.0, 8.0):
         assert np.array_equal(cover.multiplicity(sigma), _reference_multiplicity(cover, sigma))
@@ -144,7 +135,7 @@ def test_cover_local_paths_match_full_grid_references(n):
 def test_batched_m_tilde_s_matches_the_per_ball_reference(n, half_length, s, data):
     """All balls at once give the per-ball full-grid value, bit for bit, also
     at L = 8 where each 8-dilate is the whole circle."""
-    grid = P.make_grid(1, n, half_length)
+    grid = P.make_grid(n, half_length)
     cover = P.build_critical_cover(grid)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     f = P.SampledFunction(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
@@ -154,7 +145,7 @@ def test_batched_m_tilde_s_matches_the_per_ball_reference(n, half_length, s, dat
 
 def test_cover_maximal_plan_is_built_once_per_cover():
     """Calls with other f and s reuse the cover's plan, and it is read-only."""
-    grid = P.make_grid(1, 256, 12.0)
+    grid = P.make_grid(256, 12.0)
     cover = P.build_critical_cover(grid)
     rng = np.random.default_rng(5)
     _cover_maximal_plan.cache_clear()

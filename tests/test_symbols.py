@@ -67,12 +67,6 @@ def test_membership_estimates_bounded_shells(grid_small):
     assert all(e.bounded for e in rough.entries)
 
 
-def test_membership_is_one_dimensional_only():
-    g2 = P.make_grid(2, 64, 4.0)
-    with pytest.raises(ValueError):
-        estimate_class_membership(P.preset_symbol("identity"), g2)
-
-
 def test_modulation_factors_the_rough_preset_and_its_pieces(grid_small):
     """a(x, y, xi) = c(x) a(0, 0, xi) with c(0) = 1; dyadic pieces keep c."""
     sym = P.preset_symbol("rough_x_modulated", m=-0.5)
