@@ -324,23 +324,42 @@ def _check_computable(cfg: ExperimentConfig, grid) -> None:
     kernel-decay fits k = kernel.k_lo..kernel.k_hi, tabulates kernel.diff_k
     on the annuli kernel.diff_j of a kernel.diff_ball_radius ball, and sums
     amplitudes within the operator's budget; the maximal checks need the
-    critical balls' 8-dilates inside the box.
+    critical balls' 8-dilates inside the box; the weight gate needs 4 dyadic
+    sweep radii; every corpus needs an item and positive widths; and each
+    damped series needs n_big >= 1/p + 1 at the exponent it runs with.
     """
-    from .kernels import _check_annuli, _check_k_window, _decay_ks
+    from .corpus import _check_count, _check_width
+    from .function_classes import _check_stabilization_radii
+    from .grid import _sweep_radii
+    from .kernels import _check_annuli, _check_k_window, _decay_ks, _difference_js, _difference_ks
     from .littlewood_paley import make_lp_family
-    from .maximal import _check_dilates_fit
+    from .maximal import _check_damping, _check_dilates_fit
 
     k_lo, k_hi = cfg.get_int("kernel.k_lo"), cfg.get_int("kernel.k_hi")
-    (_, j_hi), (dk_lo, dk_hi) = cfg.get_ints("kernel.diff_j"), cfg.get_ints("kernel.diff_k")
+    (j_lo, j_hi), (dk_lo, dk_hi) = cfg.get_ints("kernel.diff_j"), cfg.get_ints("kernel.diff_k")
     pieces = [*range(k_lo, k_hi + 1), *range(dk_lo, dk_hi + 1)]
     radius = cfg.get_float("kernel.diff_ball_radius")
     sym = cfg.make_symbol()
     checks = [
         ("kernel.k_lo", lambda: _decay_ks(range(k_lo, k_hi + 1))),
+        ("kernel.diff_j", lambda: _difference_js(range(j_lo, j_hi + 1))),
+        ("kernel.diff_k", lambda: _difference_ks(range(dk_lo, dk_hi + 1))),
         ("grid", lambda: _check_k_window(make_lp_family(grid), pieces)),
         ("grid", lambda: _check_annuli(grid, radius, j_hi)),
         ("grid", lambda: _check_dilates_fit(grid)),
+        # the weight gate sweeps sweep_family(grid), radii up to L/2
+        ("grid", lambda: _check_stabilization_radii(_sweep_radii(grid, grid.half_length / 2))),
     ]
+    for key in ("corpus.center_count", "lemma.center_count", "fs.count"):
+        checks.append((key, lambda key=key: _check_count(cfg.get_int(key))))
+    for key in ("corpus.widths", "lemma.widths"):
+        checks.append((key, lambda key=key: [_check_width(w) for w in cfg.get_floats(key)]))
+    # below p = 1 the hypothesis gate speaks (exit 3), and g_kappa_p's own
+    # p check would fire before the damping one
+    for key, exponent in (("lemma.n_big", "weight.p"), ("maximal.n_big", "maximal.s")):
+        p = cfg.get_float(exponent)
+        if p >= 1.0:
+            checks.append((key, lambda key=key, p=p: _check_damping(cfg.get_int(key), p)))
     if not sym.is_separable:
         checks.append(("symbol.preset", cfg.make_operator(sym, grid)._amplitude_allowed))
     for key, check in checks:

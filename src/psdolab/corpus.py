@@ -22,7 +22,13 @@ __all__ = [
     "gaussian_corpus",
     "noise_corpus",
     "mixed_corpus",
+    "corpus_blocks",
 ]
+
+# Sample values per block of stacked corpus rows: 8 rows at n = 1024, 4 at
+# 2048.  A block's FFT temporaries stay about 128 KB whatever the grid, where
+# one stack of a whole 54-item corpus raised a run's peak memory by 7-14 MB.
+BLOCK_ENTRIES = 8192
 
 
 @dataclass(frozen=True)
@@ -44,6 +50,24 @@ class CorpusItem:
         yield self.params
 
 
+def _check_width(width) -> float:
+    width = float(width)
+    if not width > 0:
+        raise ValueError(f"width must be positive, got {width:g}")
+    return width
+
+
+def _check_count(count: int) -> None:
+    if count < 1:
+        raise ValueError(f"a corpus needs at least one item, got {count}")
+
+
+def _phase(grid: PeriodicGrid, modulation: int) -> np.ndarray:
+    """e^{i q dxi x} on the grid, q = modulation."""
+    lam = int(modulation) * grid.freq_spacing
+    return np.exp(1j * lam * grid.axis_points())
+
+
 def gaussian_packet(
     grid: PeriodicGrid, center: float = 0.0, width: float = 1.0, modulation: int = 0
 ) -> SampledFunction:
@@ -54,16 +78,10 @@ def gaussian_packet(
     negligible.  modulation q is an integer so the phase factor closes
     around the box.
     """
-    width = float(width)
-    if width <= 0:
-        raise ValueError("width must be positive")
-    pts = grid.axis_points()
-    disp = grid.wrap(pts - float(center))
+    width = _check_width(width)
+    disp = grid.wrap(grid.axis_points() - float(center))
     vals = np.exp(-(disp * disp) / (2.0 * width * width)).astype(np.complex128)
-    if modulation:
-        lam = int(modulation) * grid.freq_spacing
-        vals = vals * np.exp(1j * lam * pts)
-    return SampledFunction(grid, vals)
+    return SampledFunction(grid, vals * _phase(grid, modulation) if modulation else vals)
 
 
 def band_noise(
@@ -101,14 +119,22 @@ def gaussian_corpus(
     when the statistic of interest is growth toward the box edge.
     """
     if centers is None:
+        _check_count(center_count)
         centers = np.linspace(
             0.15 * grid.half_length, 0.375 * grid.half_length, int(center_count)
         )
+    widths = [_check_width(w) for w in widths]
+    # gaussian_packet's arithmetic, each displacement, envelope and phase once
+    pts = grid.axis_points()
+    phases = {q: _phase(grid, q) for q in modulations if q}
     items = []
     for c in np.atleast_1d(np.asarray(centers, dtype=float)):
+        disp = grid.wrap(pts - float(c))
+        square = -(disp * disp)
         for w in widths:
+            envelope = np.exp(square / (2.0 * w * w)).astype(np.complex128)
             for q in modulations:
-                fn = gaussian_packet(grid, center=c, width=w, modulation=q)
+                fn = SampledFunction(grid, envelope * phases[q] if q else envelope)
                 label = f"gauss(c={c:g},w={w:g},q={int(q)})"
                 items.append(
                     CorpusItem(
@@ -116,13 +142,22 @@ def gaussian_corpus(
                         fn,
                         {
                             "center": float(c),
-                            "width": float(w),
+                            "width": w,
                             "modulation": int(q),
                             "shift": float(c),
                         },
                     )
                 )
     return items
+
+
+def corpus_blocks(items, n: int):
+    """The items in blocks of about BLOCK_ENTRIES samples of an n-point grid,
+    each with the (rows, n) stack of its items' values."""
+    step = max(1, BLOCK_ENTRIES // n)
+    for lo in range(0, len(items), step):
+        block = items[lo : lo + step]
+        yield block, np.stack([item.fn.values for item in block])
 
 
 def noise_corpus(
@@ -139,6 +174,7 @@ def noise_corpus(
 
 def mixed_corpus(grid: PeriodicGrid, count: int = 30, seed: int = 0) -> list[CorpusItem]:
     """Gaussians plus noise, count items total, Gaussians first."""
+    _check_count(count)
     n_noise = max(1, count // 3)
     n_gauss = count - n_noise
     per = max(1, int(np.ceil(n_gauss / 3)))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ExperimentConfig, HypothesisViolation
-from .corpus import gaussian_corpus, mixed_corpus
+from .corpus import corpus_blocks, gaussian_corpus, mixed_corpus
 from .fitting import least_squares_line, median
 from .function_classes import (
     ap_theta_characteristic,
@@ -30,7 +30,7 @@ from .grid import (
     Ball,
     SampledFunction,
     ball_indices,
-    lp_norm,
+    lp_norms,
     sweep_family,
 )
 from .kernels import (
@@ -48,11 +48,11 @@ from .maximal import (
     m_tilde_s,
 )
 from .operators import (
-    adjoint_commutator,
+    adjoint_commutator_rows,
     adjoint_kernel_row,
-    apply,
-    apply_adjoint,
-    commutator,
+    apply_adjoint_rows,
+    apply_rows,
+    commutator_rows,
 )
 from .report import VerificationReport
 from .symbols import estimate_class_membership
@@ -110,12 +110,13 @@ def _operator_gates(cfg: ExperimentConfig, sym, grid, w):
     return gates, membership.passed and stab.stable
 
 
-def _corpus_ratio_report(cfg: ExperimentConfig, experiment: str, apply_item) -> VerificationReport:
+def _corpus_ratio_report(cfg: ExperimentConfig, experiment: str, transform) -> VerificationReport:
     """Shared loop for the weighted operator-ratio experiments.
 
-    apply_item(f) must return the transformed SampledFunction.  Ratios are
-    weighted p-norm quotients; unweighted quotients ride along so a drifting
-    unweighted family is visible in the same report.
+    transform(op, rows) must return the transformed (rows, n) stack; the
+    corpus goes through it one block at a time.  Ratios are weighted p-norm
+    quotients; unweighted quotients ride along so a drifting unweighted
+    family is visible in the same report.
     """
     cfg.check_hypotheses()
     grid = cfg.make_grid()
@@ -128,21 +129,22 @@ def _corpus_ratio_report(cfg: ExperimentConfig, experiment: str, apply_item) -> 
 
     items = []
     ratios, unweighted, shifts = [], [], []
-    for label, f, params in cfg.make_corpus(grid):
-        denom_w = lp_norm(f, p, weight=wfn)
-        denom_0 = lp_norm(f, p)
-        if denom_w == 0.0 or denom_0 == 0.0:
-            continue
-        tf = apply_item(op, f)
-        r_w = lp_norm(tf, p, weight=wfn) / denom_w
-        r_0 = lp_norm(tf, p) / denom_0
-        ratios.append(r_w)
-        unweighted.append(r_0)
-        shifts.append(abs(float(params.get("shift", 0.0))))
-        items.append(
-            {"id": label, "params": dict(params),
-             "value": {"weighted_ratio": r_w, "unweighted_ratio": r_0}}
-        )
+    for block, rows in corpus_blocks(cfg.make_corpus(grid), grid.n):
+        t_rows = transform(op, rows)
+        norms = zip(block, lp_norms(grid, rows, p, weight=wfn), lp_norms(grid, rows, p),
+                    lp_norms(grid, t_rows, p, weight=wfn), lp_norms(grid, t_rows, p))
+        for (label, _, params), denom_w, denom_0, num_w, num_0 in norms:
+            if denom_w == 0.0 or denom_0 == 0.0:
+                continue
+            r_w = num_w / denom_w
+            r_0 = num_0 / denom_0
+            ratios.append(r_w)
+            unweighted.append(r_0)
+            shifts.append(abs(float(params.get("shift", 0.0))))
+            items.append(
+                {"id": label, "params": dict(params),
+                 "value": {"weighted_ratio": r_w, "unweighted_ratio": r_0}}
+            )
     if not ratios:
         raise ValueError("empty corpus")
 
@@ -198,7 +200,7 @@ def run_boundedness_experiment(cfg: ExperimentConfig) -> VerificationReport:
     median) plus a flat translation trend as the corpus marches toward the
     region where the weight is largest.
     """
-    return _corpus_ratio_report(cfg, "weighted_operator_bounds", apply)
+    return _corpus_ratio_report(cfg, "weighted_operator_bounds", apply_rows)
 
 
 def run_commutator_experiment(cfg: ExperimentConfig) -> VerificationReport:
@@ -206,8 +208,8 @@ def run_commutator_experiment(cfg: ExperimentConfig) -> VerificationReport:
     grid = cfg.make_grid()
     b = cfg.make_bmo(grid)
 
-    def apply_comm(op, f):
-        return commutator(op, b, f)
+    def apply_comm(op, rows):
+        return commutator_rows(op, b, rows)
 
     report = _corpus_ratio_report(cfg, "weighted_commutator_bounds", apply_comm)
     report.aggregate["multiplier"] = cfg.get("bmo.preset")
@@ -267,21 +269,23 @@ def run_local_average_check(cfg: ExperimentConfig) -> VerificationReport:
     items = []
     plain, comm = [], []
     q = cover.windows(1.0)
-    for label, f, params in corpus:
-        tstar = apply_adjoint(op, f)
-        cstar = adjoint_commutator(op, b, f)
-        series = g_kappa_p(f, 1.0, p, cover, n_big)
-        ratios = local_average_ratio(tstar, series, q).tolist()
-        best = max([0.0] + ratios)
-        best_center = cover.centers[ratios.index(best)] if best > 0.0 else None
-        best_c = max([0.0] + [r / bnorm for r in local_average_ratio(cstar, series, q).tolist()])
-        plain.append(best)
-        comm.append(best_c)
-        items.append(
-            {"id": label, "params": dict(params),
-             "value": {"plain": best, "commutator": best_c,
-                       "argmax_center": list(best_center)}}
-        )
+    for block, rows in corpus_blocks(corpus, grid.n):
+        tstar_rows = apply_adjoint_rows(op, rows)
+        cstar_rows = adjoint_commutator_rows(op, b, rows)
+        for (label, f, params), tstar, cstar in zip(block, tstar_rows, cstar_rows):
+            series = g_kappa_p(f, 1.0, p, cover, n_big)
+            ratios = local_average_ratio(SampledFunction(grid, tstar), series, q).tolist()
+            best = max([0.0] + ratios)
+            best_center = cover.centers[ratios.index(best)] if best > 0.0 else None
+            comm_ratios = local_average_ratio(SampledFunction(grid, cstar), series, q).tolist()
+            best_c = max([0.0] + [r / bnorm for r in comm_ratios])
+            plain.append(best)
+            comm.append(best_c)
+            items.append(
+                {"id": label, "params": dict(params),
+                 "value": {"plain": best, "commutator": best_c,
+                           "argmax_center": list(best_center)}}
+            )
     spread = cfg.get_float("tolerances.ratio_spread")
     agg = {
         "plain_max": float(np.max(plain)),

@@ -348,13 +348,17 @@ class StabilizationReport:
     stable: bool
 
 
+def _check_stabilization_radii(radii) -> None:
+    if len(radii) < 4:
+        raise ValueError("need at least 4 dyadic radii to judge stabilization")
+
+
 def stabilized_characteristic(
     w: WeightFn, p: float, theta: float, family: BallFamily
 ) -> StabilizationReport:
     """Characteristic at nested caps; stable iff the last two doublings move < 10%."""
     radii = family.radii()
-    if len(radii) < 4:
-        raise ValueError("need at least 4 dyadic radii to judge stabilization")
+    _check_stabilization_radii(radii)
     # one sweep of the whole family; each cap's sup reads its balls' values
     per_ball = _ap_theta_values(w, p, theta, family)
     values = [max(v for v, b in zip(per_ball, family.balls) if b.radius <= cap * (1 + 1e-12))

@@ -24,8 +24,11 @@ __all__ = [
     "sample",
     "dft",
     "idft",
+    "dft_rows",
+    "idft_rows",
     "inner",
     "lp_norm",
+    "lp_norms",
     "ball_mask",
     "ball_indices",
     "ball_windows",
@@ -146,20 +149,34 @@ def sample(grid: PeriodicGrid, fn: Callable) -> SampledFunction:
 # dft(f)(xi) = (2pi)^{-1/2} * sum_x f(x) e^{-i x xi} dx  on the lattice,
 # idft(g)(x) = (2pi)^{-1/2} * sum_xi g(xi) e^{+i x xi} dxi.
 # Implemented by FFT with fftshift bookkeeping; unitary w.r.t. each grid's
-# own counting measure, so Parseval is exact up to roundoff.
+# own counting measure, so Parseval is exact up to roundoff.  The _rows forms
+# act on a (rows, n) stack along the last axis, one FFT call per stack; each
+# row comes out bit for bit as its one-row transform, which dft and idft are.
 # ---------------------------------------------------------------------------
 
 
+def _shifted_fft(values: np.ndarray, transform) -> np.ndarray:
+    shift = np.fft.ifftshift(values, axes=-1)
+    return np.fft.fftshift(transform(shift, axis=-1), axes=-1)
+
+
+def dft_rows(grid: PeriodicGrid, rows: np.ndarray) -> np.ndarray:
+    """dft of each row of a (rows, n) stack sampled on grid."""
+    return _shifted_fft(rows, np.fft.fft) * (grid.spacing / (2.0 * np.pi) ** 0.5)
+
+
+def idft_rows(grid: PeriodicGrid, rows: np.ndarray) -> np.ndarray:
+    """idft of each row of a (rows, n) stack of spectra on grid, a reciprocal grid."""
+    g_out = grid.reciprocal()
+    return _shifted_fft(rows, np.fft.ifft) * ((2.0 * np.pi) ** 0.5 / g_out.spacing)
+
+
 def dft(f: SampledFunction) -> SampledFunction:
-    g = f.grid
-    spec = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(f.values)))
-    return SampledFunction(g.reciprocal(), spec * (g.spacing / (2.0 * np.pi) ** 0.5))
+    return SampledFunction(f.grid.reciprocal(), dft_rows(f.grid, f.values))
 
 
 def idft(f: SampledFunction) -> SampledFunction:
-    g_out = f.grid.reciprocal()
-    vals = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(f.values)))
-    return SampledFunction(g_out, vals * ((2.0 * np.pi) ** 0.5 / g_out.spacing))
+    return SampledFunction(f.grid.reciprocal(), idft_rows(f.grid, f.values))
 
 
 def inner(f: SampledFunction, g: SampledFunction) -> complex:
@@ -189,15 +206,21 @@ def _weight_values(w, grid: PeriodicGrid) -> np.ndarray:
     return wv
 
 
-def lp_norm(f: SampledFunction, p: float, weight=None) -> float:
-    """(sum |f|^p w dx)^(1/p); weight defaults to 1."""
+def lp_norms(grid: PeriodicGrid, rows: np.ndarray, p: float, weight=None) -> list[float]:
+    """lp_norm of each row of a (rows, n) stack sampled on grid."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    wv = _weight_values(weight, f.grid)
-    a = np.abs(f.values) ** p
+    wv = _weight_values(weight, grid)
+    a = np.abs(rows) ** p
     if wv is not None:
         a = a * wv
-    return float(np.sum(a) * f.grid.spacing) ** (1.0 / p)
+    # Python float powers: numpy's array power can differ in the last ulp
+    return [s ** (1.0 / p) for s in (np.sum(a, axis=-1) * grid.spacing).tolist()]
+
+
+def lp_norm(f: SampledFunction, p: float, weight=None) -> float:
+    """(sum |f|^p w dx)^(1/p); weight defaults to 1."""
+    return lp_norms(f.grid, f.values[None, :], p, weight)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +344,20 @@ class BallFamily:
         return tuple(sorted({b.radius for b in self.balls}))
 
 
+def _sweep_radii(grid: PeriodicGrid, cap: float) -> list[float]:
+    """The dyadic radii of sweep_family: 8*dx, 16*dx, ... up to the cap."""
+    if cap > grid.half_length:
+        raise ValueError("radius cap exceeds the half box")
+    r = 8.0 * grid.spacing
+    radii = []
+    while r <= cap * (1 + 1e-12):
+        radii.append(r)
+        r *= 2.0
+    if not radii:
+        raise ValueError("radius cap below the minimum ball radius")
+    return radii
+
+
 def sweep_family(
     grid: PeriodicGrid, radius_cap: float | None = None, inside_only: bool = False
 ) -> BallFamily:
@@ -331,15 +368,7 @@ def sweep_family(
     """
     stride = max(1, grid.n // 32)
     cap = radius_cap if radius_cap is not None else grid.half_length / 2.0
-    r = 8.0 * grid.spacing
-    if cap > grid.half_length:
-        raise ValueError("radius cap exceeds the half box")
-    radii = []
-    while r <= cap * (1 + 1e-12):
-        radii.append(r)
-        r *= 2.0
-    if not radii:
-        raise ValueError("radius cap below the minimum ball radius")
+    radii = _sweep_radii(grid, cap)
     balls = []
     for c in grid.axis_points()[::stride].tolist():
         for rad in radii:

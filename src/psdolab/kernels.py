@@ -205,6 +205,24 @@ def _check_annuli(grid: PeriodicGrid, radius: float, j_top: int) -> None:
         )
 
 
+def _difference_js(j_range) -> list[int]:
+    """The ascending annulus indices of a difference table: at least 3, from 2 up."""
+    js = sorted(int(j) for j in j_range)
+    if len(js) < 3:
+        raise ValueError("degenerate fit: need at least 3 j-values")
+    if js[0] < 2:
+        raise ValueError("annulus index j must be at least 2")
+    return js
+
+
+def _difference_ks(k_range) -> list[int]:
+    """The ascending pieces of a difference table, at least 2 of them."""
+    ks = sorted(int(k) for k in k_range)
+    if len(ks) < 2:
+        raise ValueError("degenerate fit: need at least 2 k-values")
+    return ks
+
+
 def fit_difference_estimate(
     op: OperatorInstance, ball: Ball, j_range=range(3, 8), k_range=range(0, 6), y_pairs=None
 ) -> DifferenceEstimate:
@@ -216,12 +234,7 @@ def fit_difference_estimate(
     ball's three (y, ybar) pairs.
     """
     g = op.grid
-    js = sorted(int(j) for j in j_range)
-    ks = sorted(int(k) for k in k_range)
-    if len(js) < 3 or len(ks) < 2:
-        raise ValueError("degenerate fit: need at least 3 j-values and 2 k-values")
-    if js[0] < 2:
-        raise ValueError("annulus index j must be at least 2")
+    js, ks = _difference_js(j_range), _difference_ks(k_range)
     _check_annuli(g, ball.radius, js[-1])
     _check_k_window(op.family, ks)
     if y_pairs is None:

@@ -242,6 +242,12 @@ def m_sharp_loc(g: SampledFunction, alpha: float) -> SampledFunction:
 # ---------------------------------------------------------------------------
 
 
+def _check_damping(n_big: int, p: float) -> None:
+    """The series' damping 2^(-N k) must beat the averages' growth: N >= 1/p + 1."""
+    if n_big < 1.0 / p + 1:
+        raise ValueError(f"n_big {n_big} too small for convergence at p={p}")
+
+
 def g_kappa_p(
     f: SampledFunction, kappa: float, p: float, cover: CriticalCover, n_big: int = 8
 ) -> SampledFunction:
@@ -253,8 +259,7 @@ def g_kappa_p(
     """
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    if n_big < 1.0 / p + 1:
-        raise ValueError(f"n_big {n_big} too small for convergence at p={p}")
+    _check_damping(n_big, p)
     grid = f.grid
     powered = np.abs(f.values) ** p
     box_avg = float(np.mean(powered)) ** (1.0 / p)

@@ -10,6 +10,13 @@ idft(dft(f)), so the identity is exact and pins every constant.  Any other
 evaluator runs the direct mode sums of the amplitude path, N^3 in cost and
 refused beyond the budget.
 
+Application, adjoint and both commutators act on stacks: (rows, n) arrays of
+samples, transformed along the last axis, so a block of functions costs one
+FFT pair.  apply, apply_adjoint, commutator and adjoint_commutator are the
+one-row case of the same cores (the _rows functions), and each row of a
+stack comes out bit for bit as its one-row result.  The amplitude path sums
+row by row.
+
 Adjoints are the exact conjugate transposes of the assembled action (matrix
 free: the same sums run in reversed order), so the pairing
 <T f, g> = <f, T* g> holds to rounding by construction.
@@ -21,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import PeriodicGrid, SampledFunction, dft, idft
+from .grid import PeriodicGrid, SampledFunction, dft_rows, idft, idft_rows
 from .littlewood_paley import LPFamily, make_lp_family
 from .symbols import SymbolSpec
 
@@ -29,10 +36,14 @@ __all__ = [
     "OperatorInstance",
     "make_operator",
     "apply",
+    "apply_rows",
     "apply_dyadic_piece",
     "apply_adjoint",
+    "apply_adjoint_rows",
     "commutator",
+    "commutator_rows",
     "adjoint_commutator",
+    "adjoint_commutator_rows",
     "kernel_column",
     "kernel_row",
     "adjoint_kernel_row",
@@ -126,33 +137,33 @@ def make_operator(
 
 
 # ---------------------------------------------------------------------------
-# Forward application.
+# Forward application.  The cores act on a (rows, n) stack of samples; the
+# one-function entry points are their one-row case.
 # ---------------------------------------------------------------------------
 
 
 def _apply_symbol_spectral(
-    op: OperatorInstance, f: SampledFunction, band: np.ndarray | None
-) -> SampledFunction:
-    """c * idft(a(0, 0, .) * band * dft(f))."""
+    op: OperatorInstance, rows: np.ndarray, band: np.ndarray | None
+) -> np.ndarray:
+    """c * idft(a(0, 0, .) * band * dft(f)) for each row f."""
     g = op.grid
-    fhat = dft(f)
     amp = op._spectrum().copy()
     if band is not None:
         amp *= band
-    out = idft(SampledFunction(fhat.grid, fhat.values * amp))
+    out = idft_rows(g.reciprocal(), dft_rows(g, rows) * amp)
     mod = op._modulation()
-    return out if mod is None else SampledFunction(g, mod * out.values)
+    return out if mod is None else mod * out
 
 
 def _apply_amplitude(
-    op: OperatorInstance, f: SampledFunction, band: np.ndarray | None
-) -> SampledFunction:
+    op: OperatorInstance, fv: np.ndarray, band: np.ndarray | None
+) -> np.ndarray:
     op._amplitude_allowed()
     g = op.grid
     xv = g.axis_points()
     xiv = g.axis_freqs()
     E = op._exp_matrix()
-    fe = E * (f.values * g.spacing)[:, None]  # (y, m): e^{-i y xi} f(y) dy
+    fe = E * (fv * g.spacing)[:, None]  # (y, m): e^{-i y xi} f(y) dy
     scale = g.freq_spacing / (2.0 * np.pi)
     out = np.empty(g.n, dtype=np.complex128)
     y_arg = xv[:, None]
@@ -163,16 +174,24 @@ def _apply_amplitude(
         if band is not None:
             s = s * band
         out[i] = scale * np.sum(s * np.exp(1j * x * xiv))
-    return SampledFunction(g, out)
+    return out
+
+
+def _forward(op: OperatorInstance, rows: np.ndarray, band: np.ndarray | None) -> np.ndarray:
+    if op.symbol.is_separable:
+        return _apply_symbol_spectral(op, rows, band)
+    return np.stack([_apply_amplitude(op, fv, band) for fv in rows])
+
+
+def apply_rows(op: OperatorInstance, rows: np.ndarray) -> np.ndarray:
+    """T_a f for each row f of a (rows, n) stack on the operator's grid."""
+    return _forward(op, rows, op._mode_band())
 
 
 def apply(op: OperatorInstance, f: SampledFunction) -> SampledFunction:
     """T_a f on the operator's grid."""
     op._check_grid(f)
-    band = op._mode_band()
-    if op.symbol.is_separable:
-        return _apply_symbol_spectral(op, f, band)
-    return _apply_amplitude(op, f, band)
+    return SampledFunction(op.grid, apply_rows(op, f.values[None, :])[0])
 
 
 def apply_dyadic_piece(op: OperatorInstance, k: int, f: SampledFunction) -> SampledFunction:
@@ -181,9 +200,7 @@ def apply_dyadic_piece(op: OperatorInstance, k: int, f: SampledFunction) -> Samp
     if not 0 <= k <= op.family.max_index:
         raise ValueError(f"piece index {k} outside 0..{op.family.max_index}")
     band = op.family.piece_on_lattice(k)
-    if op.symbol.is_separable:
-        return _apply_symbol_spectral(op, f, band)
-    return _apply_amplitude(op, f, band)
+    return SampledFunction(op.grid, _forward(op, f.values[None, :], band)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -192,27 +209,26 @@ def apply_dyadic_piece(op: OperatorInstance, k: int, f: SampledFunction) -> Samp
 
 
 def _adjoint_symbol_spectral(
-    op: OperatorInstance, u: SampledFunction, band: np.ndarray | None
-) -> SampledFunction:
-    """idft(conj(a(0, 0, .) * band) * dft(c u)); c and band are real."""
+    op: OperatorInstance, rows: np.ndarray, band: np.ndarray | None
+) -> np.ndarray:
+    """idft(conj(a(0, 0, .) * band) * dft(c u)) for each row u; c and band are real."""
     g = op.grid
     mod = op._modulation()
-    uhat = dft(u if mod is None else SampledFunction(g, mod * u.values))
     amp = np.conj(op._spectrum())
     if band is not None:
         amp *= band
-    return idft(SampledFunction(uhat.grid, uhat.values * amp))
+    return idft_rows(g.reciprocal(), dft_rows(g, rows if mod is None else mod * rows) * amp)
 
 
 def _adjoint_amplitude(
-    op: OperatorInstance, u: SampledFunction, band: np.ndarray | None
-) -> SampledFunction:
+    op: OperatorInstance, uv: np.ndarray, band: np.ndarray | None
+) -> np.ndarray:
     op._amplitude_allowed()
     g = op.grid
     xv = g.axis_points()
     xiv = g.axis_freqs()
     E = op._exp_matrix()
-    ge = E * (u.values * g.spacing)[:, None]  # (x, m): e^{-i x xi} u(x) dx
+    ge = E * (uv * g.spacing)[:, None]  # (x, m): e^{-i x xi} u(x) dx
     scale = g.freq_spacing / (2.0 * np.pi)
     out = np.empty(g.n, dtype=np.complex128)
     x_arg = xv[:, None]
@@ -225,16 +241,21 @@ def _adjoint_amplitude(
         if band is not None:
             s = s * band
         out[j] = scale * np.sum(s * np.exp(1j * y * xiv))
-    return SampledFunction(g, out)
+    return out
+
+
+def apply_adjoint_rows(op: OperatorInstance, rows: np.ndarray) -> np.ndarray:
+    """T_a^* u for each row u of a (rows, n) stack, the exact discrete adjoint."""
+    band = op._mode_band()
+    if op.symbol.is_separable:
+        return _adjoint_symbol_spectral(op, rows, band)
+    return np.stack([_adjoint_amplitude(op, uv, band) for uv in rows])
 
 
 def apply_adjoint(op: OperatorInstance, u: SampledFunction) -> SampledFunction:
     """T_a^* u, the exact discrete adjoint of apply."""
     op._check_grid(u)
-    band = op._mode_band()
-    if op.symbol.is_separable:
-        return _adjoint_symbol_spectral(op, u, band)
-    return _adjoint_amplitude(op, u, band)
+    return SampledFunction(op.grid, apply_adjoint_rows(op, u.values[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -248,20 +269,32 @@ def _check_real(b: SampledFunction) -> None:
         raise ValueError("commutator multiplier must be real-valued")
 
 
+def commutator_rows(op: OperatorInstance, b: SampledFunction, rows: np.ndarray) -> np.ndarray:
+    """[b, T_a] f = b (T_a f) - T_a (b f) for each row f of a (rows, n) stack."""
+    _check_real(b)
+    return b.values * apply_rows(op, rows) - apply_rows(op, b.values * rows)
+
+
+def adjoint_commutator_rows(
+    op: OperatorInstance, b: SampledFunction, rows: np.ndarray
+) -> np.ndarray:
+    """[b, T_a^*] u = b (T_a^* u) - T_a^* (b u) for each row u of a (rows, n) stack."""
+    _check_real(b)
+    return b.values * apply_adjoint_rows(op, rows) - apply_adjoint_rows(op, b.values * rows)
+
+
 def commutator(op: OperatorInstance, b: SampledFunction, f: SampledFunction) -> SampledFunction:
     """[b, T_a] f = b (T_a f) - T_a (b f)."""
-    _check_real(b)
     op._check_grid(f)
-    return b * apply(op, f) - apply(op, b * f)
+    return SampledFunction(op.grid, commutator_rows(op, b, f.values[None, :])[0])
 
 
 def adjoint_commutator(
     op: OperatorInstance, b: SampledFunction, u: SampledFunction
 ) -> SampledFunction:
     """[b, T_a^*] u = b (T_a^* u) - T_a^* (b u)."""
-    _check_real(b)
     op._check_grid(u)
-    return b * apply_adjoint(op, u) - apply_adjoint(op, b * u)
+    return SampledFunction(op.grid, adjoint_commutator_rows(op, b, u.values[None, :])[0])
 
 
 # ---------------------------------------------------------------------------

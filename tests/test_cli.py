@@ -103,10 +103,20 @@ def _assert_refused_on_every_target(capsys, args, prefix, out):
                                      "kernel.diff_j = 2,x", "weight.gamma = abc",
                                      "kernel.diff_j = 2", "corpus.widths =",
                                      "kernel.ell_max = 4", "kernel.adjoint_n_exp = 3",
-                                     "kernel.k_lo = 3", "symbol.preset = oscillating_amplitude"])
+                                     "kernel.k_lo = 3", "symbol.preset = oscillating_amplitude",
+                                     "corpus.center_count = 0", "corpus.center_count = -2",
+                                     "lemma.center_count = 0", "fs.count = 0",
+                                     "corpus.widths = 0.6,0", "lemma.widths = -1",
+                                     "lemma.n_big = 0", "maximal.n_big = 0",
+                                     "lemma.n_big = 1", "maximal.n_big = 1",
+                                     "kernel.diff_j = 1,4", "kernel.diff_j = 2,3",
+                                     "kernel.diff_k = 3,3"])
 def test_bad_value_is_a_usage_error_on_every_target(tmp_path, capsys, setting):
-    """A bad preset name, typed value or list length, too few decay pieces, or
-    an amplitude over the budget at grid.n = 1024, is refused before any
+    """A bad preset name, typed value or list length, too few decay pieces, an
+    amplitude over the budget at grid.n = 1024, an empty corpus or a width
+    <= 0, a series damping n_big below 1/p + 1 (p = weight.p = 2 for lemma,
+    maximal.s = 1.5 for maximal), or a difference table with an annulus
+    below j = 2, under 3 annuli or under 2 pieces, is refused before any
     target runs."""
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text(setting + "\n")
@@ -123,6 +133,18 @@ def test_grid_a_runner_cannot_use_is_a_usage_error_on_every_target(tmp_path, cap
     """Too coarse for kernel-decay's pieces 2..5, too small for its annuli out to
     2^4 * 0.5 = 8 <= L/2, or for the cover's 8-dilates: refused before any run."""
     _assert_refused_on_every_target(capsys, (flag, value), "error: grid: ", tmp_path / "out")
+
+
+def test_too_few_sweep_radii_is_a_usage_error_on_every_target(tmp_path, capsys):
+    """At grid.n = 128 the weight sweep has 3 dyadic radii, 8dx..L/2, and the
+    stabilization gate needs 4; the kernel settings make every other check
+    pass on this grid."""
+    cfgfile = tmp_path / "coarse.cfg"
+    cfgfile.write_text("kernel.k_lo = 0\nkernel.k_hi = 3\nkernel.diff_k = 0,3\n"
+                       "kernel.diff_ball_radius = 0.25\n")
+    args = ("--config", str(cfgfile), "--grid-n", "128", "--grid-l", "8")
+    _assert_refused_on_every_target(capsys, args, "error: grid: need at least 4 dyadic radii",
+                                    tmp_path / "out")
 
 
 def test_bad_exponents_exit_three(tmp_path):

@@ -73,3 +73,16 @@ def test_corpus_item_iterates_as_triple(g):
     assert isinstance(label, str)
     assert fn.values.shape == g.shape
     assert "center" in params
+
+
+@pytest.mark.parametrize("n,half", [(256, 16.0), (1024, 16.0), (2048, 20.0)])
+def test_corpus_values_equal_per_item_packets(n, half):
+    """gaussian_corpus shares displacements, envelopes and phases across items;
+    every value is still exactly the packet built alone."""
+    grid = make_grid(n, half)
+    items = gaussian_corpus(grid, widths=(0.6, 1.0, 1.8), modulations=(0, 4, 12, -3))
+    assert len(items) == 6 * 3 * 4
+    for _, fn, params in items:
+        alone = gaussian_packet(grid, center=params["center"], width=params["width"],
+                                modulation=params["modulation"])
+        assert np.array_equal(fn.values, alone.values)

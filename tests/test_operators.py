@@ -9,6 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import psdolab as P
+from psdolab.corpus import BLOCK_ENTRIES, CorpusItem, corpus_blocks
+from psdolab.grid import dft_rows, idft_rows, lp_norms
+from psdolab.operators import (adjoint_commutator_rows, apply_adjoint_rows, apply_rows,
+                               commutator_rows)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -285,6 +289,79 @@ def test_non_factoring_symbol_takes_the_amplitude_path():
     # the amplitude budget is what refuses it, so the amplitude sums ran
     with pytest.raises(ValueError, match="amplitude mode cost"):
         P.apply(P.make_operator(sym, g, amplitude_budget=32), f)
+
+
+def _stacked_and_one_row(op, b, rows, fns):
+    """Each stacked core's rows next to the one-row entry point on the same functions."""
+    return [
+        (apply_rows(op, rows), [P.apply(op, f) for f in fns]),
+        (apply_adjoint_rows(op, rows), [P.apply_adjoint(op, f) for f in fns]),
+        (commutator_rows(op, b, rows), [P.commutator(op, b, f) for f in fns]),
+        (adjoint_commutator_rows(op, b, rows), [P.adjoint_commutator(op, b, f) for f in fns]),
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([64, 128, 256, 512, 1024, 2048, 4096]),
+    half=st.floats(4.0, 64.0),
+    preset=st.sampled_from(sorted(_ROW_SYMBOLS)),
+    dyadic=st.booleans(),
+    full_blocks=st.integers(0, 2),
+    tail=st.integers(1, 10**6),
+    p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_blocks_equal_the_one_row_path(n, half, preset, dyadic, full_blocks, tail, p,
+                                               seed):
+    """A corpus run block by block through the stacked cores gives every item
+    bit for bit what apply, apply_adjoint, commutator, adjoint_commutator,
+    dft, idft and lp_norm give it alone, and visits every item once, in
+    order; the last block is ragged unless tail fills it."""
+    g = P.make_grid(n, half)
+    op = P.make_operator(P.preset_symbol(preset, **_ROW_SYMBOLS[preset]), g)
+    if dyadic:
+        assume(g.xi_max >= 2.0)  # the twin keeps at least piece 0
+        op = P.band_limited_twin(op)
+    step = BLOCK_ENTRIES // n
+    count = full_blocks * step + 1 + tail % step
+    rng = np.random.default_rng(seed)
+    b = P.SampledFunction(g, rng.standard_normal(n))
+    weight = rng.uniform(0.1, 10.0, n)
+    items = [CorpusItem(f"row{i}", P.SampledFunction(g, rng.standard_normal(n)
+                                                     + 1j * rng.standard_normal(n)), {})
+             for i in range(count)]
+    seen = []
+    for block, rows in corpus_blocks(items, n):
+        assert rows.shape == (len(block), n) and len(block) <= step
+        fns = [item.fn for item in block]
+        seen.extend(item.label for item in block)
+        spectra = dft_rows(g, rows)
+        pairs = _stacked_and_one_row(op, b, rows, fns) + [
+            (spectra, [P.dft(f) for f in fns]),
+            (idft_rows(g.reciprocal(), spectra), [P.idft(P.dft(f)) for f in fns]),
+        ]
+        for stacked, one_row in pairs:
+            assert stacked.shape == rows.shape
+            for got, ref in zip(stacked, one_row):
+                assert np.array_equal(got, ref.values)
+        for w in (None, weight):
+            assert lp_norms(g, rows, p, weight=w) == [P.lp_norm(f, p, weight=w) for f in fns]
+    assert seen == [item.label for item in items]
+
+
+def test_non_factoring_symbol_stacks_row_by_row():
+    """The amplitude path sums each row of a stack as it sums one function."""
+    g = P.make_grid(64, 16.0)
+    sym = P.SymbolSpec(_tilted_bessel, -0.5, 1.0, 0.0, "smooth_symbol", "tilted")
+    op = P.make_operator(sym, g)
+    rng = np.random.default_rng(9)
+    rows = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
+    fns = [P.SampledFunction(g, row) for row in rows]
+    b = P.SampledFunction(g, rng.standard_normal(64))
+    for stacked, one_row in _stacked_and_one_row(op, b, rows, fns):
+        for got, ref in zip(stacked, one_row):
+            assert np.array_equal(got, ref.values)
 
 
 def test_rough_application_needs_no_scipy():
