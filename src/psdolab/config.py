@@ -325,15 +325,17 @@ def _check_computable(cfg: ExperimentConfig, grid) -> None:
     on the annuli kernel.diff_j of a kernel.diff_ball_radius ball, and sums
     amplitudes within the operator's budget; the maximal checks need the
     critical balls' 8-dilates inside the box; the weight gate needs 4 dyadic
-    sweep radii; every corpus needs an item and positive widths; and each
-    damped series needs n_big >= 1/p + 1 at the exponent it runs with.
+    sweep radii; every corpus needs an item and positive widths; each
+    damped series needs n_big >= 1/p + 1 at the exponent it runs with; and
+    the weighted maximal bounds need 1 < maximal.s < weight.p, which the
+    hypothesis gate checks unless run.counterexample lets it through.
     """
     from .corpus import _check_count, _check_width
     from .function_classes import _check_stabilization_radii
     from .grid import _sweep_radii
     from .kernels import _check_annuli, _check_k_window, _decay_ks, _difference_js, _difference_ks
     from .littlewood_paley import make_lp_family
-    from .maximal import _check_damping, _check_dilates_fit
+    from .maximal import _check_damping, _check_dilates_fit, _check_maximal_exponents
 
     k_lo, k_hi = cfg.get_int("kernel.k_lo"), cfg.get_int("kernel.k_hi")
     (j_lo, j_hi), (dk_lo, dk_hi) = cfg.get_ints("kernel.diff_j"), cfg.get_ints("kernel.diff_k")
@@ -360,6 +362,9 @@ def _check_computable(cfg: ExperimentConfig, grid) -> None:
         p = cfg.get_float(exponent)
         if p >= 1.0:
             checks.append((key, lambda key=key, p=p: _check_damping(cfg.get_int(key), p)))
+    if cfg.counterexample:
+        checks.append(("maximal.s", lambda: _check_maximal_exponents(
+            cfg.get_float("weight.p"), cfg.get_float("maximal.s"))))
     if not sym.is_separable:
         checks.append(("symbol.preset", cfg.make_operator(sym, grid)._amplitude_allowed))
     for key, check in checks:

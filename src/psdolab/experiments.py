@@ -12,6 +12,8 @@ fixed config + seed reproduces the report bytes exactly.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .config import ExperimentConfig, HypothesisViolation
@@ -42,8 +44,8 @@ from .kernels import (
 from .littlewood_paley import evaluate_partition_residual, make_lp_family
 from .maximal import (
     build_critical_cover,
-    check_fs_inequality,
     check_weighted_bounds_maximal,
+    fs_inequality_rows,
     g_kappa_p,
     m_tilde_s,
 )
@@ -77,11 +79,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _weight_values(cfg: ExperimentConfig, grid):
-    w = cfg.make_weight(grid)
-    return w, SampledFunction(grid, w.values.astype(np.complex128))
-
-
 def _ratio_statistics(ratios: list[float], shifts: list[float], cfg: ExperimentConfig):
     """max/median spread plus the translation-trend slope when shifts vary."""
     arr = np.asarray(ratios, dtype=float)
@@ -96,9 +93,16 @@ def _ratio_statistics(ratios: list[float], shifts: list[float], cfg: ExperimentC
     return agg, spread_ok and trend_ok
 
 
-def _operator_gates(cfg: ExperimentConfig, sym, grid, w):
-    """Desk-scale hypotheses: class membership and weight stabilization."""
-    membership = estimate_class_membership(sym, grid)
+@lru_cache(maxsize=1)
+def _operator_gates(cfg: ExperimentConfig):
+    """Desk-scale hypotheses: class membership and weight stabilization.
+
+    They read only the config's symbol, grid and weight, so theorem13a and
+    theorem13b share one evaluation per config; the dict is not to be mutated.
+    """
+    grid = cfg.make_grid()
+    w = cfg.make_weight(grid)
+    membership = estimate_class_membership(cfg.make_symbol(), grid)
     p = cfg.get_float("weight.p")
     theta = cfg.get_float("weight.theta")
     stab = stabilized_characteristic(w, p, theta, sweep_family(grid))
@@ -123,9 +127,10 @@ def _corpus_ratio_report(cfg: ExperimentConfig, experiment: str, transform) -> V
     sym = cfg.make_symbol()
     family = make_lp_family(grid)
     op = cfg.make_operator(sym, grid, family)
-    w, wfn = _weight_values(cfg, grid)
+    w = cfg.make_weight(grid)
+    wfn = SampledFunction(grid, w.values.astype(np.complex128))
     p = cfg.get_float("weight.p")
-    gates, gates_ok = _operator_gates(cfg, sym, grid, w)
+    gates, gates_ok = _operator_gates(cfg)
 
     items = []
     ratios, unweighted, shifts = [], [], []
@@ -602,7 +607,7 @@ def run_maximal(cfg: ExperimentConfig) -> VerificationReport:
                       "params": {"sigma": sigma}, "value": mult})
         all_ok = all_ok and ok
 
-    w, _ = _weight_values(cfg, grid)
+    w = cfg.make_weight(grid)
     # The cover maximal smears each packet over the 8-dilate window, about
     # nine units either side, so for packets in the inner box the weighted
     # ratio still carries the weight's curvature and reads as a spurious
@@ -650,15 +655,14 @@ def run_fs(cfg: ExperimentConfig) -> VerificationReport:
     cfg.check_hypotheses()
     grid = cfg.make_grid()
     cover = build_critical_cover(grid)
-    w, _ = _weight_values(cfg, grid)
+    w = cfg.make_weight(grid)
     p = cfg.get_float("weight.p")
     corpus = mixed_corpus(grid, cfg.get_int("fs.count"), cfg.seed)
     items, ratios = [], []
-    for label, f, params in corpus:
-        rep = check_fs_inequality(f, w, p, cover)
-        ratio = rep.aggregate["ratio"]
-        ratios.append(ratio)
-        items.append({"id": label, "params": dict(params), "value": ratio})
+    for block, rows in corpus_blocks(corpus, grid.n):
+        for (label, _, params), (*_, ratio) in zip(block, fs_inequality_rows(rows, w, p, cover)):
+            ratios.append(ratio)
+            items.append({"id": label, "params": dict(params), "value": ratio})
     arr = np.asarray(ratios)
     spread = cfg.get_float("tolerances.ratio_spread")
     agg = {

@@ -8,6 +8,11 @@ Every "sup over all balls" below is realized over a structured family
 (centers 8k on a stride-8 sublattice, dyadic radii), which keeps results
 reproducible, and every window mean comes from a prefix sum.  m_loc and
 m_sharp_loc take the sup on the whole circle with a periodic sliding max.
+They and check_fs_inequality are the one-row case of cores that take a
+(rows, n) stack: one doubled prefix sum per stack, and per radius one gather
+of the window means and one sliding max along the last axis for every row;
+the mean oscillation reads each row's windows through a strided view of the
+row padded by half a window on each side, one row at a time.
 m_tilde_s runs all critical balls at once, ball j as row j: prefix sums over
 each 8-dilate's support, window means at the centers whose windows reach
 Q_j, and a sparse-table max over the run of centers whose windows hold each
@@ -32,6 +37,7 @@ from .grid import (
     SampledFunction,
     ball_windows,
     lp_norm,
+    lp_norms,
 )
 from .report import VerificationReport, config_hash
 
@@ -42,6 +48,7 @@ __all__ = [
     "m_sharp_loc",
     "g_kappa_p",
     "m_tilde_s",
+    "fs_inequality_rows",
     "check_fs_inequality",
     "check_weighted_bounds_maximal",
 ]
@@ -136,29 +143,31 @@ def _family_windows(grid: PeriodicGrid, alpha: float):
         yield half, (np.arange(0, n, 8) - half) % n, count
 
 
-def _scatter_max_1d(out: np.ndarray, starts: np.ndarray, count: int, vals: np.ndarray):
-    """Raise out to vals[j] on each periodic window starts[j] .. starts[j]+count-1.
+def _scatter_max_rows(out: np.ndarray, starts: np.ndarray, count: int, vals: np.ndarray):
+    """Raise row r of a (rows, n) out to vals[r, j] on each periodic window
+    starts[j] .. starts[j]+count-1.
 
     A sliding max over the window starts (van Herk 1992; Gil and Werman
-    1993): O(len(out) + count) past one pass over the starts, and exact.
-    The starts must be distinct.
+    1993), every row at once along the last axis: O(n + count) per row past
+    one pass over the starts, and exact.  The starts must be distinct.
     """
-    n = len(out)
-    # ext[i] holds the window starting at point i - count + 1, so the windows
-    # holding out[x] start in ext[x : x + count]; span < 2n, so a start lands
-    # at most twice, the second time only if it is below span - n
+    rows, n = out.shape
+    # ext[:, i] holds the window starting at point i - count + 1, so the
+    # windows holding out[:, x] start in ext[:, x : x + count]; span < 2n, so
+    # a start lands at most twice, the second time only if it is below span - n
     span = n + count - 1
     blocks = -(-span // count)
-    ext = np.full(blocks * count, -np.inf)
+    ext = np.full((rows, blocks * count), -np.inf)
     pos = (starts + count - 1) % n
-    ext[pos] = vals
+    ext[:, pos] = vals
     keep = pos < span - n
-    ext[pos[keep] + n] = vals[keep]
-    ext = ext.reshape(blocks, count)
-    prefix = np.maximum.accumulate(ext, axis=1).ravel()
-    suffix = np.maximum.accumulate(ext[:, ::-1], axis=1)[:, ::-1].ravel()
-    np.maximum(out, suffix[:n], out=out)
-    np.maximum(out, prefix[count - 1 : count - 1 + n], out=out)
+    ext[:, pos[keep] + n] = vals[:, keep]
+    ext = ext.reshape(rows, blocks, count)
+    prefix = np.maximum.accumulate(ext, axis=2).reshape(rows, -1)
+    suffix = np.empty_like(ext)
+    np.maximum.accumulate(ext[..., ::-1], axis=2, out=suffix[..., ::-1])
+    np.maximum(out, suffix.reshape(rows, -1)[:, :n], out=out)
+    np.maximum(out, prefix[:, count - 1 : count - 1 + n], out=out)
 
 
 def _range_max_reads(x: np.ndarray, half: int, c: int):
@@ -207,33 +216,43 @@ def _frozen_int32(index: np.ndarray) -> np.ndarray:
     return index
 
 
-def _sup_over_family_1d(flat: np.ndarray, grid: PeriodicGrid, alpha: float, osc: bool):
-    """Family sup of the window means of |flat|; with osc, of real flat's mean oscillation."""
-    out = np.full(grid.n, -np.inf)
-    cs = np.concatenate([[0.0], np.cumsum(np.tile(flat if osc else np.abs(flat), 2))])
-    # every periodic window is a plain slice of the doubled samples
-    doubled = np.tile(flat, 2) if osc else None
-    for _, starts, count in _family_windows(grid, alpha):
-        means = (cs[starts + count] - cs[starts]) / count
+def _sup_over_family_rows(x: np.ndarray, grid: PeriodicGrid, alpha: float, osc: bool):
+    """Family sup, row by row of a real (rows, n) stack, of the window means;
+    with osc, of the mean oscillation."""
+    count_rows, n = x.shape
+    out = np.full((count_rows, n), -np.inf)
+    # row r: 0, then the prefix sums of its doubled samples, so every
+    # periodic window is a plain slice
+    cs = np.zeros((count_rows, 2 * n + 1))
+    cs[:, 1 : n + 1] = x
+    cs[:, n + 1 :] = x
+    np.cumsum(cs[:, 1:], axis=1, out=cs[:, 1:])
+    for half, starts, count in _family_windows(grid, alpha):
+        means = (cs[:, starts + count] - cs[:, starts]) / count
         if osc:
-            dev = sliding_window_view(doubled, count)[starts]
-            dev -= means[:, None]
-            vals = np.mean(np.abs(dev, out=dev), axis=1)
+            # the window around center 8k starts at point 8k of the row
+            # padded by half on each side: a strided view, no gather
+            padded = np.concatenate([x[:, n - half :], x, x[:, :half]], axis=1)
+            windows = sliding_window_view(padded, count, axis=1)[:, ::8]
+            vals = np.empty_like(means)
+            for r in range(count_rows):
+                dev = np.subtract(windows[r], means[r, :, None])
+                vals[r] = np.mean(np.abs(dev, out=dev), axis=1)
         else:
             vals = means
-        _scatter_max_1d(out, starts, count, vals)
+        _scatter_max_rows(out, starts, count, vals)
     return out
 
 
 def m_loc(g: SampledFunction, alpha: float) -> SampledFunction:
     """sup over family balls containing x, radius <= alpha, of mean |g|."""
-    out = _sup_over_family_1d(g.values, g.grid, alpha, osc=False)
+    out = _sup_over_family_rows(np.abs(g.values)[None], g.grid, alpha, osc=False)[0]
     return SampledFunction(g.grid, out.astype(complex))
 
 
 def m_sharp_loc(g: SampledFunction, alpha: float) -> SampledFunction:
     """sup over the same family of mean |g - g_B| (mean oscillation)."""
-    out = _sup_over_family_1d(g.real_values(), g.grid, alpha, osc=True)
+    out = _sup_over_family_rows(g.real_values()[None], g.grid, alpha, osc=True)[0]
     return SampledFunction(g.grid, out.astype(complex))
 
 
@@ -246,6 +265,12 @@ def _check_damping(n_big: int, p: float) -> None:
     """The series' damping 2^(-N k) must beat the averages' growth: N >= 1/p + 1."""
     if n_big < 1.0 / p + 1:
         raise ValueError(f"n_big {n_big} too small for convergence at p={p}")
+
+
+def _check_maximal_exponents(p: float, s: float) -> None:
+    """The weighted maximal bounds run at s strictly between 1 and p."""
+    if not p > s > 1.0:
+        raise ValueError(f"need p > s > 1, got p={p}, s={s}")
 
 
 def g_kappa_p(
@@ -384,6 +409,48 @@ def m_tilde_s(f: SampledFunction, s: float, cover: CriticalCover) -> SampledFunc
 # ---------------------------------------------------------------------------
 
 
+def fs_inequality_rows(
+    stack: np.ndarray,
+    w,
+    p: float,
+    cover: CriticalCover,
+    beta: float = 0.5,
+    alpha_sharp: float = 4.0,
+) -> list[tuple[float, float, float, float]]:
+    """(lhs, sharp, cover term, lhs / rhs) for each row g of a (rows, n) stack
+    sampled on the cover's grid.
+
+    lhs = int |M_loc,beta g|^p w, and the right side is
+    int |M_sharp_loc,alpha g|^p w + sum_k w(Q_k) avg_{2Q_k}(|g|)^p.
+    """
+    grid = cover.grid
+    rows = len(stack)
+    wv = w.values if hasattr(w, "values") else np.asarray(w)
+    magnitude = np.abs(stack)
+    # the sharp function's real-valuedness check, on every row
+    real = np.stack([SampledFunction(grid, row).real_values() for row in stack])
+    maximal = np.concatenate([_sup_over_family_rows(magnitude, grid, beta, osc=False),
+                              _sup_over_family_rows(real, grid, alpha_sharp, osc=True)])
+    # one weight check and one reduction for both integrals of every row
+    norms = lp_norms(grid, maximal, p, weight=SampledFunction(grid, wv.astype(complex)))
+    # w(Q_k), the same product per ball as a Python float multiply
+    w_balls = (np.sum(np.real(wv)[cover.windows(1.0)], axis=1) * grid.spacing).tolist()
+    # a (rows * J, K) view reduces each row's averages as a (J, K) gather
+    # would, bit for bit; a mean over the last axis of (rows, J, K) may not
+    q2 = cover.windows(2.0)
+    g_avgs = np.mean(magnitude[:, q2].reshape(-1, q2.shape[1]), axis=1)
+    out = []
+    for lhs_norm, sharp_norm, avgs in zip(norms[:rows], norms[rows:],
+                                          g_avgs.reshape(rows, -1).tolist()):
+        lhs, sharp = lhs_norm**p, sharp_norm**p
+        tail = 0.0
+        for wq, avg in zip(w_balls, avgs):
+            tail += wq * avg**p
+        rhs = sharp + tail
+        out.append((lhs, sharp, tail, lhs / rhs if rhs > 0 else np.inf))
+    return out
+
+
 def check_fs_inequality(
     g: SampledFunction,
     w,
@@ -397,19 +464,8 @@ def check_fs_inequality(
     RHS = int |M_sharp_loc,alpha g|^p w + sum_k w(Q_k) avg_{2Q_k}(|g|)^p.
     """
     grid = g.grid
-    wv = w.values if hasattr(w, "values") else np.asarray(w)
-    lhs = lp_norm(m_loc(g, beta), p, weight=SampledFunction(grid, wv.astype(complex))) ** p
-    sharp = lp_norm(
-        m_sharp_loc(g, alpha_sharp), p, weight=SampledFunction(grid, wv.astype(complex))
-    ) ** p
-    tail = 0.0
-    w_sums = np.sum(np.real(wv)[cover.windows(1.0)], axis=1)
-    g_avgs = np.mean(np.abs(g.values)[cover.windows(2.0)], axis=1)
-    for w_sum, avg in zip(w_sums.tolist(), g_avgs.tolist()):
-        wq = w_sum * grid.spacing
-        tail += wq * avg**p
-    rhs = sharp + tail
-    ratio = lhs / rhs if rhs > 0 else np.inf
+    ((lhs, sharp, tail, ratio),) = fs_inequality_rows(
+        g.values[None], w, p, cover, beta, alpha_sharp)
     cfg = config_hash(
         {"check": "fs_inequality", "p": p, "beta": beta, "alpha_sharp": alpha_sharp,
          "n": grid.n, "L": grid.half_length}
@@ -453,8 +509,7 @@ def check_weighted_bounds_maximal(
     from .function_classes import stabilized_characteristic
     from .grid import sweep_family
 
-    if not p > s > 1.0:
-        raise ValueError(f"need p > s > 1, got p={p}, s={s}")
+    _check_maximal_exponents(p, s)
     grid = w.grid
     gate = stabilized_characteristic(
         w, p / s, theta, sweep_family(grid)

@@ -147,6 +147,26 @@ def test_too_few_sweep_radii_is_a_usage_error_on_every_target(tmp_path, capsys):
                                     tmp_path / "out")
 
 
+@pytest.mark.parametrize("s", ["2.5", "2.0", "1.0", "0.5"])
+def test_maximal_exponent_under_counterexample_is_a_usage_error_on_every_target(tmp_path,
+                                                                                capsys, s):
+    """run.counterexample lets maximal.s outside (1, weight.p) past the
+    hypothesis gate, but the maximal runner cannot run there: refused at load."""
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(f"run.counterexample = true\nmaximal.s = {s}\n")
+    _assert_refused_on_every_target(capsys, ("--config", str(cfgfile)),
+                                    "error: maximal.s: need p > s > 1", tmp_path / "out")
+
+
+def test_maximal_exponent_without_counterexample_exits_three(tmp_path, capsys):
+    """Without the flag the hypothesis gate speaks first, on every target."""
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text("maximal.s = 2.5\n")
+    for target in VERIFY_TARGETS:
+        assert run_cli("verify", target, "--config", str(cfgfile), "--out", str(tmp_path)) == 3
+        assert capsys.readouterr().err.startswith("hypothesis violated: maximal bound")
+
+
 def test_bad_exponents_exit_three(tmp_path):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("weight.p = 0.5\n")

@@ -4,15 +4,21 @@ Aggregates are frozen against measured values; the runs are deterministic, so
 drift here means behavior changed somewhere upstream.
 """
 
+import pathlib
+
 import pytest
 
 from psdolab.config import HypothesisViolation, load_config
-from psdolab.experiments import (VERIFY_TARGETS, run_bmo,
+from psdolab.corpus import mixed_corpus
+from psdolab.experiments import (VERIFY_TARGETS, _operator_gates, run_bmo,
                                  run_boundedness_experiment,
                                  run_commutator_experiment, run_fs,
                                  run_kernel_decay, run_local_average_check,
                                  run_maximal, run_oscillation_check,
                                  run_weight_calculus)
+from psdolab.maximal import build_critical_cover, check_fs_inequality
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +99,35 @@ def test_fs_run(cfg):
     assert rep.verdict == "pass"
     assert rep.aggregate["max"] == pytest.approx(0.38197813985474216, rel=1e-9)
     assert rep.aggregate["median"] == pytest.approx(0.2574378994306422, rel=1e-9)
+
+
+@pytest.mark.parametrize("path,overrides", [(None, {}), (None, {"grid.n": "2048"}),
+                                            ("presets/rough_bounded.cfg", {})],
+                         ids=["default", "fine", "rough_bounded"])
+def test_stacked_fs_items_equal_the_per_item_check(path, overrides):
+    """run_fs checks its corpus a block of rows at a time; every item's ratio
+    is what check_fs_inequality gives that item alone."""
+    cfg = load_config(path and ROOT / path, overrides)
+    grid = cfg.make_grid()
+    cover = build_critical_cover(grid)
+    w = cfg.make_weight(grid)
+    p = cfg.get_float("weight.p")
+    corpus = mixed_corpus(grid, cfg.get_int("fs.count"), cfg.seed)
+    expected = [check_fs_inequality(f, w, p, cover).aggregate["ratio"] for _, f, _ in corpus]
+    assert [item["value"] for item in run_fs(cfg).items] == expected
+
+
+def test_operator_gates_run_once_per_config():
+    """theorem13b reuses theorem13a's gates on the same config, and its report
+    is what a fresh evaluation of the gates gives."""
+    cfg = load_config(None, {"run.seed": "11"})
+    _operator_gates.cache_clear()
+    run_boundedness_experiment(cfg)
+    cached = run_commutator_experiment(cfg).to_json_dict()
+    info = _operator_gates.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    _operator_gates.cache_clear()
+    assert run_commutator_experiment(cfg).to_json_dict() == cached
 
 
 def test_boundedness_run(cfg):

@@ -4,13 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psdolab as P
-from psdolab.corpus import gaussian_corpus, mixed_corpus
+from psdolab.corpus import BLOCK_ENTRIES, CorpusItem, corpus_blocks, gaussian_corpus, mixed_corpus
 from psdolab.maximal import (
     _cover_maximal_plan,
+    _family_windows,
     _range_max,
     _range_max_reads,
-    _scatter_max_1d,
-    _sup_over_family_1d,
+    _scatter_max_rows,
+    _sup_over_family_rows,
+    fs_inequality_rows,
 )
 
 
@@ -45,7 +47,7 @@ def test_scatter_max_matches_brute_force(n, data):
     expected = out.copy()
     idx = (starts[:, None] + np.arange(count)[None, :]) % n
     np.maximum.at(expected, idx.ravel(), np.repeat(vals, count))
-    _scatter_max_1d(out, starts, count, vals)
+    _scatter_max_rows(out[None], starts, count, vals[None])
     assert np.array_equal(out, expected)
 
 
@@ -65,6 +67,84 @@ def test_centers_range_max_matches_brute_force(n, data):
     dist = np.abs((x[..., :, None] - 8 * np.arange(n // 8) + n // 2) % n - n // 2)
     expected = np.max(np.where(dist <= half, vals[..., None, :], -np.inf), axis=-1)
     assert np.array_equal(got, expected)
+
+
+def _reference_family_sup(x, grid, alpha, osc):
+    """Family sup of one row by a gather of every window's indices and
+    np.maximum.at, with the window means from the doubled row's prefix sum."""
+    n = grid.n
+    out = np.full(n, -np.inf)
+    cs = np.concatenate([[0.0], np.cumsum(np.tile(x, 2))])
+    for _, starts, count in _family_windows(grid, alpha):
+        idx = (starts[:, None] + np.arange(count)) % n
+        vals = (cs[starts + count] - cs[starts]) / count
+        if osc:
+            vals = np.mean(np.abs(x[idx] - vals[:, None]), axis=1)
+        np.maximum.at(out, idx.ravel(), np.repeat(vals, count))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([64, 128, 256, 512, 1024, 2048, 4096]), st.floats(8.0, 64.0),
+       st.integers(1, 8), st.floats(1.0, 3.0), st.data())
+def test_row_cores_equal_the_one_row_path(n, half_length, count, p, data):
+    """Each row of a stack run through the family sups (osc on and off), the
+    sliding max and the sharp-function check equals its one-row call bit for
+    bit: complex rows for m_loc, real rows for m_sharp_loc and for
+    check_fs_inequality, whose sharp function needs real g.  The family sups
+    also equal a gather of every window's indices.  Corpus blocks
+    visit every item once, in order; at n >= 2048 a block holds under 8 rows,
+    so the last one is often ragged."""
+    grid = P.make_grid(n, half_length)
+    cover = P.build_critical_cover(grid)
+    low = 8.0 * grid.spacing
+    beta, alpha = (data.draw(st.floats(low, half_length / 2.0), label=label)
+                   for label in ("beta", "alpha"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    weight = P.SampledFunction(grid, rng.uniform(0.1, 10.0, n))
+    complex_rows = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+    local = _sup_over_family_rows(np.abs(complex_rows), grid, beta, osc=False)
+    for row, got in zip(complex_rows, local):
+        assert np.array_equal(got, P.m_loc(P.SampledFunction(grid, row), beta).values.real)
+        assert np.array_equal(got, _reference_family_sup(np.abs(row), grid, beta, osc=False))
+    real_rows = rng.standard_normal((count, n))
+    sharp = _sup_over_family_rows(real_rows, grid, alpha, osc=True)
+    for row, got in zip(real_rows, sharp):
+        assert np.array_equal(got, P.m_sharp_loc(P.SampledFunction(grid, row), alpha).values.real)
+        assert np.array_equal(got, _reference_family_sup(row, grid, alpha, osc=True))
+    items = [CorpusItem(f"row{i}", P.SampledFunction(grid, row), {})
+             for i, row in enumerate(real_rows)]
+    step = BLOCK_ENTRIES // n
+    seen = []
+    for block, rows in corpus_blocks(items, n):
+        assert rows.shape == (len(block), n) and len(block) <= step
+        seen.extend(item.label for item in block)
+        checks = fs_inequality_rows(rows, weight, p, cover, beta, alpha)
+        for (_, f, _), got in zip(block, checks):
+            rep = P.check_fs_inequality(f, weight, p, cover, beta, alpha)
+            assert got == (*(item["value"] for item in rep.items), rep.aggregate["ratio"])
+    assert seen == [item.label for item in items]
+    half = data.draw(st.integers(0, (n - 1) // 2), label="half")
+    starts = rng.choice(n, data.draw(st.integers(1, n), label="windows"), replace=False)
+    vals = rng.standard_normal((count, len(starts)))
+    out = rng.standard_normal((count, n))
+    expected = out.copy()
+    for r in range(count):
+        _scatter_max_rows(expected[r : r + 1], starts, 2 * half + 1, vals[r : r + 1])
+    _scatter_max_rows(out, starts, 2 * half + 1, vals)
+    assert np.array_equal(out, expected)
+
+
+def test_real_values_check_runs_on_every_row(grid, cover):
+    """A row with a non-negligible imaginary part is refused in any block
+    position, as m_sharp_loc refuses it alone."""
+    w = P.preset_weight("power_growth", grid, gamma=1.5)
+    rows = np.ones((3, grid.n), dtype=complex)
+    rows[2, 5] += 1e-3j
+    with pytest.raises(ValueError, match="imaginary"):
+        fs_inequality_rows(rows, w, 2.0, cover)
+    with pytest.raises(ValueError, match="imaginary"):
+        P.m_sharp_loc(P.SampledFunction(grid, rows[2]), 4.0)
 
 
 # Per-ball full-grid references: every ball is a full scan of the grid and
@@ -108,7 +188,8 @@ def _reference_m_tilde_s(f, s, cover):
     out = np.full(grid.shape, -np.inf)
     for center in cover.centers:
         cut = np.where(_scan_mask(grid, P.Ball(center, 8.0)), np.abs(f.values) ** s, 0.0)
-        ms = _sup_over_family_1d(cut, grid, grid.half_length / 2.0, osc=False) ** (1.0 / s)
+        ms = _sup_over_family_rows(cut[None], grid, grid.half_length / 2.0, osc=False)[0]
+        ms = ms ** (1.0 / s)
         np.maximum(out, np.where(_scan_mask(grid, P.Ball(center, 1.0)), ms, -np.inf), out=out)
     return out
 
