@@ -72,6 +72,18 @@ class CriticalCover:
         indices of B(x_j, radius)."""
         return _cover_windows(self, radius)
 
+    def meeting(self, indices) -> "CriticalCover":
+        """The balls Q_j that hold one of the grid points indices, in order.
+
+        The result does not cover the box.  g_kappa_p and m_tilde_s on it
+        are exact at those points, where every Q_j holding the point is kept,
+        and -inf off the union of the kept balls.
+        """
+        marked = np.zeros(self.grid.n, dtype=bool)
+        marked[indices] = True
+        keep = marked[self.windows(1.0)].any(axis=1)
+        return CriticalCover(self.grid, tuple(c for c, k in zip(self.centers, keep) if k))
+
     def multiplicity(self, sigma: float = 1.0) -> np.ndarray:
         """Pointwise count of sigma-dilates covering each grid point."""
         return np.bincount(self.windows(sigma).ravel(), minlength=self.grid.n)
@@ -316,7 +328,8 @@ class _CoverMaximalPlan:
     both window ends in the (J, 2K + 1) support prefix at the centers whose
     windows reach Q_j (row j's run of centers from column 0), and the
     range-max table width with its flat reads at every point of Q_j.
-    The index arrays are read-only int32.
+    The index arrays are read-only: support and points are the cover's own
+    intp windows, the per-radius ones int32 copies.
     """
 
     support: np.ndarray
@@ -364,7 +377,7 @@ def _cover_maximal_plan(cover: CriticalCover) -> _CoverMaximalPlan:
         ends = starts[(k0 + np.arange(m)) % c]
         radii.append((count, prefix_index(ends), prefix_index(ends + count),
                       *_range_max_reads((q_idx - 8 * k0) % n, half, m)))
-    return _CoverMaximalPlan(_frozen_int32(cut_idx), q_idx, tuple(radii))
+    return _CoverMaximalPlan(cut_idx, q_idx, tuple(radii))
 
 
 def _check_dilates_fit(grid: PeriodicGrid) -> None:

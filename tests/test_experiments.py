@@ -8,9 +8,11 @@ import pathlib
 
 import pytest
 
+from psdolab import experiments, maximal
 from psdolab.config import HypothesisViolation, load_config
 from psdolab.corpus import mixed_corpus
-from psdolab.experiments import (VERIFY_TARGETS, _operator_gates, run_bmo,
+from psdolab.experiments import (VERIFY_TARGETS, _operator_gates,
+                                 _weight_stabilization, run_bmo,
                                  run_boundedness_experiment,
                                  run_commutator_experiment, run_fs,
                                  run_kernel_decay, run_local_average_check,
@@ -130,6 +132,25 @@ def test_operator_gates_run_once_per_config():
     assert run_commutator_experiment(cfg).to_json_dict() == cached
 
 
+def test_light_targets_sweep_the_stabilization_once(monkeypatch):
+    """weights and the operator gates read one stabilization sweep per
+    config, and weights on its own probes no class membership."""
+    calls = dict.fromkeys(["stabilized_characteristic", "estimate_class_membership"], 0)
+    for name in calls:
+        def counted(*args, _fn=getattr(experiments, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(experiments, name, counted)
+    cfg = load_config(None, {"run.seed": "13"})
+    _weight_stabilization.cache_clear()
+    _operator_gates.cache_clear()
+    run_weight_calculus(cfg)
+    assert calls == {"stabilized_characteristic": 1, "estimate_class_membership": 0}
+    run_boundedness_experiment(cfg)
+    run_commutator_experiment(cfg)
+    assert calls == {"stabilized_characteristic": 1, "estimate_class_membership": 1}
+
+
 def test_boundedness_run(cfg):
     rep = run_boundedness_experiment(cfg)
     assert rep.verdict == "pass"
@@ -178,6 +199,37 @@ def test_oscillation_run(cfg):
     assert agg["zero_case_max"] == 0.0
     assert agg["plain_max"] == pytest.approx(0.052315119349406226, rel=1e-9)
     assert agg["commutator_max"] == pytest.approx(0.007453242303103464, rel=1e-9)
+
+
+def test_oscillation_runs_one_cover_plan_on_the_balls_it_reads(cfg, monkeypatch):
+    """lemma42 builds one m_tilde_s plan, on the 23 of 78 critical balls that
+    meet its oscillation balls."""
+    plan = maximal._cover_maximal_plan
+    covers = []
+
+    def recorded(cover):
+        covers.append(cover)
+        return plan(cover)
+
+    monkeypatch.setattr(maximal, "_cover_maximal_plan", recorded)
+    plan.cache_clear()
+    run_oscillation_check(cfg)
+    assert plan.cache_info().misses == 1
+    assert len(set(covers)) == 1
+    assert plan(covers[0]).support.shape[0] == 23
+
+
+def test_oscillation_sub_cover_keeps_the_report_across_the_seam(monkeypatch):
+    """Balls that wrap across the box seam give the same report on the
+    sub-cover as on the full cover; the frozen values are the full cover's."""
+    cfg = load_config(None, {"oscillation.centers": "-15.8"})
+    rep = run_oscillation_check(cfg)
+    agg = rep.aggregate
+    assert agg["plain_max"] == pytest.approx(0.0537326930328268, rel=1e-9)
+    assert agg["plain_median"] == pytest.approx(0.02190031840557599, rel=1e-9)
+    assert agg["commutator_median"] == pytest.approx(0.020957272793546373, rel=1e-9)
+    monkeypatch.setattr(maximal.CriticalCover, "meeting", lambda cover, indices: cover)
+    assert run_oscillation_check(cfg).to_json_dict() == rep.to_json_dict()
 
 
 def test_oscillation_rejects_oversized_radii(cfg):

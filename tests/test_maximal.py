@@ -224,6 +224,31 @@ def test_batched_m_tilde_s_matches_the_per_ball_reference(n, half_length, s, dat
                           _reference_m_tilde_s(f, s, cover))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([64, 128, 256, 512, 1024, 2048, 4096]),
+       st.one_of(st.just(8.0), st.floats(8.0, 64.0)),
+       st.floats(1.0, 3.0, exclude_min=True), st.sampled_from([1.0, 4.0]), st.data())
+def test_meeting_sub_cover_is_exact_on_the_marked_points(n, half_length, s, kappa, data):
+    """On the critical balls that meet a few small balls, m_tilde_s and
+    g_kappa_p equal their full-cover values at every point of those balls,
+    also for balls across the seam."""
+    grid = P.make_grid(n, half_length)
+    cover = P.build_critical_cover(grid)
+    seam = [-half_length, half_length - grid.spacing / 2.0]
+    ball = st.tuples(st.one_of(st.sampled_from(seam), st.floats(-half_length, half_length)),
+                     st.floats(grid.spacing / 2.0, 4.0, exclude_max=True))
+    balls = data.draw(st.lists(ball, min_size=1, max_size=3), label="balls")
+    idx = np.concatenate([P.ball_indices(grid, P.Ball((c,), r)) for c, r in balls])
+    n_big = data.draw(st.integers(int(np.ceil(1.0 / s + 1.0)), 12), label="n_big")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    f = P.SampledFunction(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    sub = cover.meeting(idx)
+    assert np.array_equal(P.m_tilde_s(f, s, sub).values.real[idx],
+                          P.m_tilde_s(f, s, cover).values.real[idx])
+    assert np.array_equal(P.g_kappa_p(f, kappa, s, sub, n_big).values.real[idx],
+                          P.g_kappa_p(f, kappa, s, cover, n_big).values.real[idx])
+
+
 def test_cover_maximal_plan_is_built_once_per_cover():
     """Calls with other f and s reuse the cover's plan, and it is read-only."""
     grid = P.make_grid(256, 12.0)
