@@ -2,9 +2,10 @@
 
 `psdolab verify <target>` runs one experiment; `psdolab report all` runs
 every target and writes an index.  Each run emits a canonical JSON report
-(byte-stable for a fixed config and seed) plus a flat CSV table.  Exit
-status is 0 only when every requested verdict is "pass" (README lists the
-other codes).
+(byte-stable for a fixed config and seed) plus a flat CSV table.  A
+verdict other than "pass" is printed with the gate or criterion that decided
+it.  Exit status is 0 only when every requested verdict is "pass" (README
+lists the other codes).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 
 from .config import HypothesisViolation, load_config
 from .experiments import VERIFY_TARGETS, run_all
-from .report import write_csv, write_report_json
+from .report import overall_verdict, write_csv, write_report_json
 
 __all__ = ["main"]
 
@@ -64,6 +65,12 @@ def _flat_rows(report):
     return rows
 
 
+def _verdict_line(report) -> str:
+    """The verdict, then the gate or criterion that decided a non-pass."""
+    decided = report.decided_by
+    return report.verdict if decided is None else f"{report.verdict}  {decided}"
+
+
 def _emit(report, out_dir: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, f"{report.experiment}.json")
@@ -104,31 +111,30 @@ def main(argv=None) -> int:
         if args.command == "verify":
             report = VERIFY_TARGETS[args.target](cfg)
             path = _emit(report, cfg.out_dir)
-            print(f"{args.target}: {report.verdict}  [{path}]")
+            print(f"{args.target}: {_verdict_line(report)}  [{path}]")
             return 0 if report.passed else 1
 
         reports = run_all(cfg)
-        index, all_ok = {}, True
+        index = {}
         for name, report in reports.items():
             path = _emit(report, cfg.out_dir)
-            print(f"{name:<13} {report.verdict}")
+            print(f"{name:<13} {_verdict_line(report)}")
             index[name] = {
                 "experiment": report.experiment,
                 "verdict": report.verdict,
                 "report": os.path.basename(path),
             }
-            all_ok = all_ok and report.passed
         summary = {
             "config_hash": cfg.digest(),
             "seed": cfg.seed,
             "experiments": index,
-            "verdict": "pass" if all_ok else "fail",
+            "verdict": overall_verdict(reports.values()),
         }
         summary_path = os.path.join(cfg.out_dir, "summary.json")
         with open(summary_path, "wb") as fh:
             fh.write((json.dumps(summary, sort_keys=True, indent=2) + "\n").encode())
         print(f"summary: {summary['verdict']}  [{summary_path}]")
-        return 0 if all_ok else 1
+        return 0 if summary["verdict"] == "pass" else 1
     except HypothesisViolation as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
         return 3

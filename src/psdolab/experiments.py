@@ -6,8 +6,11 @@ regime raise HypothesisViolation before any computation.  Desk-scale gates
 config; those runs keep their raw numbers and report the verdict
 "hypothesis_unverified" instead of pass/fail.
 
-Every report's verdict is recomputable from its recorded numbers, and a
-fixed config + seed reproduces the report bytes exactly.
+Every runner hands its gates and criteria to one report builder and never
+writes a verdict: report.py derives it, and the report records every gate
+and criterion with its value and threshold, so the verdict can be recomputed
+from the report alone.  A fixed config + seed reproduces the report bytes
+exactly.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .function_classes import (
     check_monotonicity,
     check_openness,
     preset_weight,
+    stabilization_criteria,
     stabilized_characteristic,
 )
 from .grid import (
@@ -56,7 +60,7 @@ from .operators import (
     apply_rows,
     commutator_rows,
 )
-from .report import VerificationReport
+from .report import Criterion, VerificationReport
 from .symbols import estimate_class_membership
 
 __all__ = [
@@ -79,18 +83,31 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _report(cfg: ExperimentConfig, experiment: str, items: list[dict], aggregate: dict,
+            criteria: list[Criterion], gates=()) -> VerificationReport:
+    """The one way a runner builds its report; report.py derives the verdict."""
+    return VerificationReport(experiment, items, aggregate, criteria, list(gates),
+                              cfg.digest(), cfg.seed)
+
+
+def _spread(cfg: ExperimentConfig, agg: dict, key: str, median_key: str) -> Criterion:
+    """agg[key] within tolerances.ratio_spread times agg[median_key]."""
+    spread = cfg.get_float("tolerances.ratio_spread")
+    return Criterion(key, agg[key], "<=", spread * agg[median_key], f"{spread:g}*{median_key}")
+
+
 def _ratio_statistics(ratios: list[float], shifts: list[float], cfg: ExperimentConfig):
     """max/median spread plus the translation-trend slope when shifts vary."""
     arr = np.asarray(ratios, dtype=float)
     agg = {"max": float(np.max(arr)), "median": median(arr)}
-    spread_ok = agg["max"] <= cfg.get_float("tolerances.ratio_spread") * agg["median"]
-    trend_ok = True
+    criteria = [_spread(cfg, agg, "max", "median")]
     if len(set(shifts)) >= 3 and len(shifts) == len(ratios) and np.all(arr > 0):
         xv = np.log2(1.0 + np.asarray(shifts, dtype=float))
         slope, _, _ = least_squares_line(xv, np.log2(arr))
         agg["slope"] = slope
-        trend_ok = abs(slope) <= cfg.get_float("tolerances.trend_slope")
-    return agg, spread_ok and trend_ok
+        criteria.append(Criterion("|slope|", abs(slope), "<=",
+                                  cfg.get_float("tolerances.trend_slope")))
+    return agg, criteria
 
 
 @lru_cache(maxsize=1)
@@ -109,16 +126,17 @@ def _operator_gates(cfg: ExperimentConfig):
     """Desk-scale hypotheses: class membership and weight stabilization.
 
     They read only the config's symbol, grid and weight, so theorem13a and
-    theorem13b share one evaluation per config; the dict is not to be mutated.
+    theorem13b share one evaluation per config.  Returns the aggregate
+    entries, not to be mutated, and the gate criteria.
     """
-    membership = estimate_class_membership(cfg.make_symbol(), cfg.make_grid())
+    membership = estimate_class_membership(cfg.make_symbol(), cfg.make_grid()).criterion
     stab = _weight_stabilization(cfg)
-    gates = {
-        "class_membership": membership.passed,
+    entries = {
+        "class_membership": membership.ok,
         "weight_stable": stab.stable,
         "weight_growth_slope": stab.growth_slope,
     }
-    return gates, membership.passed and stab.stable
+    return entries, (membership, *stabilization_criteria(stab, "weight_stable"))
 
 
 def _corpus_ratio_report(cfg: ExperimentConfig, experiment: str, transform) -> VerificationReport:
@@ -137,7 +155,7 @@ def _corpus_ratio_report(cfg: ExperimentConfig, experiment: str, transform) -> V
     w = cfg.make_weight(grid)
     wfn = SampledFunction(grid, w.values.astype(np.complex128))
     p = cfg.get_float("weight.p")
-    gates, gates_ok = _operator_gates(cfg)
+    gate_entries, gates = _operator_gates(cfg)
 
     items = []
     ratios, unweighted, shifts = [], [], []
@@ -164,13 +182,10 @@ def _corpus_ratio_report(cfg: ExperimentConfig, experiment: str, transform) -> V
     # zero operator; spread and trend on roundoff say nothing
     zero_family = max(ratios) <= 1e-12
     if zero_family:
-        agg, stats_ok = (
-            {"max": float(np.max(ratios)), "median": median(ratios),
-             "slope": 0.0},
-            True,
-        )
+        agg = {"max": float(np.max(ratios)), "median": median(ratios), "slope": 0.0}
+        criteria = [Criterion("zero_family", max(ratios), "<=", 1e-12)]
     else:
-        agg, stats_ok = _ratio_statistics(ratios, shifts, cfg)
+        agg, criteria = _ratio_statistics(ratios, shifts, cfg)
     agg["zero_family"] = zero_family
     agg["unweighted_max"] = float(np.max(unweighted))
     agg["unweighted_median"] = median(unweighted)
@@ -179,24 +194,12 @@ def _corpus_ratio_report(cfg: ExperimentConfig, experiment: str, transform) -> V
         not zero_family
         and agg["unweighted_max"] > spread * max(agg["unweighted_median"], 1e-300)
     )
-    agg.update(gates)
+    agg.update(gate_entries)
     agg["symbol"] = sym.label
     agg["weight"] = w.label
     agg["p"] = p
     agg["counterexample"] = cfg.counterexample
-
-    if not gates_ok:
-        verdict = "hypothesis_unverified"
-    else:
-        verdict = "pass" if stats_ok else "fail"
-    return VerificationReport(
-        experiment=experiment,
-        config_hash=cfg.digest(),
-        seed=cfg.seed,
-        items=items,
-        aggregate=agg,
-        verdict=verdict,
-    )
+    return _report(cfg, experiment, items, agg, criteria, gates)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +301,6 @@ def run_local_average_check(cfg: ExperimentConfig) -> VerificationReport:
                  "value": {"plain": best, "commutator": best_c,
                            "argmax_center": list(best_center)}}
             )
-    spread = cfg.get_float("tolerances.ratio_spread")
     agg = {
         "plain_max": float(np.max(plain)),
         "plain_median": median(plain),
@@ -309,20 +311,13 @@ def run_local_average_check(cfg: ExperimentConfig) -> VerificationReport:
         "symbol": sym.label,
         "p": p,
     }
-    ok = (
-        np.isfinite(agg["plain_max"])
-        and np.isfinite(agg["commutator_max"])
-        and agg["plain_max"] <= spread * agg["plain_median"]
-        and agg["commutator_max"] <= spread * agg["commutator_median"]
-    )
-    return VerificationReport(
-        experiment="local_average_control",
-        config_hash=cfg.digest(),
-        seed=cfg.seed,
-        items=items,
-        aggregate=agg,
-        verdict="pass" if ok else "fail",
-    )
+    criteria = [
+        Criterion("plain_max_finite", agg["plain_max"], "<", np.inf),
+        Criterion("commutator_max_finite", agg["commutator_max"], "<", np.inf),
+        _spread(cfg, agg, "plain_max", "plain_median"),
+        _spread(cfg, agg, "commutator_max", "commutator_median"),
+    ]
+    return _report(cfg, "local_average_control", items, agg, criteria)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +453,6 @@ def run_oscillation_check(cfg: ExperimentConfig) -> VerificationReport:
                            "constant_multiplier": constant}}
             )
 
-    spread = cfg.get_float("tolerances.ratio_spread")
     agg = {
         "plain_max": float(np.max(plain)),
         "plain_median": median(plain),
@@ -469,20 +463,13 @@ def run_oscillation_check(cfg: ExperimentConfig) -> VerificationReport:
         "symbol": sym.label,
         "p": p,
     }
-    ok = (
-        agg["zero_case_max"] == 0.0
-        and np.isfinite(agg["plain_max"])
-        and agg["plain_max"] <= spread * agg["plain_median"]
-        and agg["commutator_max"] <= spread * agg["commutator_median"]
-    )
-    return VerificationReport(
-        experiment="kernel_oscillation_control",
-        config_hash=cfg.digest(),
-        seed=cfg.seed,
-        items=items,
-        aggregate=agg,
-        verdict="pass" if ok else "fail",
-    )
+    criteria = [
+        Criterion("zero_case_max", agg["zero_case_max"], "==", 0.0),
+        Criterion("plain_max_finite", agg["plain_max"], "<", np.inf),
+        _spread(cfg, agg, "plain_max", "plain_median"),
+        _spread(cfg, agg, "commutator_max", "commutator_median"),
+    ]
+    return _report(cfg, "kernel_oscillation_control", items, agg, criteria)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +486,7 @@ def run_kernel_decay(cfg: ExperimentConfig) -> VerificationReport:
     op = cfg.make_operator(sym, grid)
     k_lo, k_hi = cfg.get_int("kernel.k_lo"), cfg.get_int("kernel.k_hi")
     slope_tol = cfg.get_float("tolerances.slope")
-    items, all_ok = [], True
+    items, criteria = [], []
     items.append(
         {"id": "partition_residual", "params": {},
          "value": evaluate_partition_residual(op.family)}
@@ -508,7 +495,7 @@ def run_kernel_decay(cfg: ExperimentConfig) -> VerificationReport:
         fit = fit_decay_in_k(op, ell, k_range=range(k_lo, k_hi + 1), tolerance=slope_tol)
         items.append({"id": f"decay(ell={ell})", "params": {"ell": ell},
                       "value": fit.to_dict()})
-        all_ok = all_ok and fit.passed
+        criteria += fit.criteria(f"decay(ell={ell})")
 
     j_lo, j_hi = cfg.get_ints("kernel.diff_j")
     dk_lo, dk_hi = cfg.get_ints("kernel.diff_k")
@@ -520,7 +507,7 @@ def run_kernel_decay(cfg: ExperimentConfig) -> VerificationReport:
                   "value": diff.j_fit.to_dict()})
     items.append({"id": "difference_k", "params": {"r_b": diff.r_b},
                   "value": diff.k_fit.to_dict()})
-    all_ok = all_ok and diff.j_fit.passed and diff.k_fit.passed
+    criteria += diff.j_fit.criteria("difference_j") + diff.k_fit.criteria("difference_k")
 
     adj = adjoint_kernel_bounds(
         op, n_exp=cfg.get_int("kernel.adjoint_n_exp"), tolerance=slope_tol
@@ -531,17 +518,11 @@ def run_kernel_decay(cfg: ExperimentConfig) -> VerificationReport:
                   "value": adj.difference.to_dict()})
     items.append({"id": "adjoint_far_over_peak", "params": {},
                   "value": adj.weighted_far_over_peak})
-    all_ok = all_ok and adj.passed
+    criteria += (adj.far_field.criteria("adjoint_far_field")
+                 + adj.difference.criteria("adjoint_difference"))
 
     agg = {"symbol": sym.label, "fits": len(items) - 2}
-    return VerificationReport(
-        experiment="kernel_decay_probe",
-        config_hash=cfg.digest(),
-        seed=cfg.seed,
-        items=items,
-        aggregate=agg,
-        verdict="pass" if all_ok else "fail",
-    )
+    return _report(cfg, "kernel_decay_probe", items, agg, criteria)
 
 
 def run_weight_calculus(cfg: ExperimentConfig) -> VerificationReport:
@@ -552,18 +533,17 @@ def run_weight_calculus(cfg: ExperimentConfig) -> VerificationReport:
     p = cfg.get_float("weight.p")
     theta = cfg.get_float("weight.theta")
     family = sweep_family(grid)
-    items, all_ok = [], True
+    items = []
 
     unit = ap_theta_characteristic(preset_weight("unit", grid), p, 0.0, family)
-    unit_ok = abs(unit.value - 1.0) <= 1e-10
     items.append({"id": "unit_characteristic", "params": {"p": p},
                   "value": unit.value})
-    all_ok = all_ok and unit_ok
+    criteria = [Criterion("unit_characteristic_error", abs(unit.value - 1.0), "<=", 1e-10)]
 
     mono = check_monotonicity(w, p, p + 1.0, theta, family)
     items.append({"id": "monotonicity", "params": {"p": p, "q": p + 1.0},
                   "value": mono.aggregate})
-    all_ok = all_ok and mono.passed
+    criteria += mono.criteria
 
     stab = _weight_stabilization(cfg)
     items.append(
@@ -571,22 +551,15 @@ def run_weight_calculus(cfg: ExperimentConfig) -> VerificationReport:
          "value": {"caps": list(stab.caps), "values": list(stab.values),
                    "growth_slope": stab.growth_slope, "stable": stab.stable}}
     )
-    all_ok = all_ok and stab.stable
+    criteria += stabilization_criteria(stab, "stabilization")
 
     openness = check_openness(w, p, theta, family)
     items.append({"id": "openness", "params": {"p": p},
                   "value": openness.aggregate})
-    all_ok = all_ok and openness.passed
+    criteria += openness.criteria
 
     agg = {"weight": w.label, "p": p, "theta": theta}
-    return VerificationReport(
-        experiment="weight_calculus",
-        config_hash=cfg.digest(),
-        seed=cfg.seed,
-        items=items,
-        aggregate=agg,
-        verdict="pass" if all_ok else "fail",
-    )
+    return _report(cfg, "weight_calculus", items, agg, criteria)
 
 
 def run_bmo(cfg: ExperimentConfig) -> VerificationReport:
@@ -602,17 +575,10 @@ def run_bmo(cfg: ExperimentConfig) -> VerificationReport:
         {"id": "norm", "params": {"theta": theta}, "value": norm.value},
         {"id": "moment_ratios", "params": {"s": 2.0}, "value": jn.aggregate},
     ]
-    ok = np.isfinite(norm.value) and jn.passed
+    criteria = [Criterion("norm_finite", norm.value, "<", np.inf), *jn.criteria]
     agg = {"multiplier": cfg.get("bmo.preset"), "theta": theta,
            "norm": norm.value}
-    return VerificationReport(
-        experiment="mean_oscillation_calculus",
-        config_hash=cfg.digest(),
-        seed=cfg.seed,
-        items=items,
-        aggregate=agg,
-        verdict="pass" if ok else "fail",
-    )
+    return _report(cfg, "mean_oscillation_calculus", items, agg, criteria)
 
 
 def run_maximal(cfg: ExperimentConfig) -> VerificationReport:
@@ -620,14 +586,13 @@ def run_maximal(cfg: ExperimentConfig) -> VerificationReport:
     cfg.check_hypotheses()
     grid = cfg.make_grid()
     cover = build_critical_cover(grid)
-    items, all_ok = [], True
+    items, criteria = [], []
     items.append({"id": "cover", "params": {}, "value": cover.to_json_dict()})
     for sigma in (1.0, 2.0, 4.0, 8.0):
         mult = int(np.max(cover.multiplicity(sigma)))
-        ok = mult <= 10.0 * sigma
-        items.append({"id": f"multiplicity(sigma={sigma:g})",
-                      "params": {"sigma": sigma}, "value": mult})
-        all_ok = all_ok and ok
+        name = f"multiplicity(sigma={sigma:g})"
+        items.append({"id": name, "params": {"sigma": sigma}, "value": mult})
+        criteria.append(Criterion(name, mult, "<=", 10.0 * sigma, "10*sigma"))
 
     w = cfg.make_weight(grid)
     # The cover maximal smears each packet over the 8-dilate window, about
@@ -658,18 +623,7 @@ def run_maximal(cfg: ExperimentConfig) -> VerificationReport:
     items.append({"id": "weighted_bounds", "params": {},
                   "value": wb.aggregate})
     agg = {"cover_size": len(cover.centers), "weight": w.label}
-    if wb.verdict == "hypothesis_unverified":
-        verdict = "hypothesis_unverified"
-    else:
-        verdict = "pass" if all_ok and wb.passed else "fail"
-    return VerificationReport(
-        experiment="maximal_machinery",
-        config_hash=cfg.digest(),
-        seed=cfg.seed,
-        items=items,
-        aggregate=agg,
-        verdict=verdict,
-    )
+    return _report(cfg, "maximal_machinery", items, agg, criteria + wb.criteria, wb.gates)
 
 
 def run_fs(cfg: ExperimentConfig) -> VerificationReport:
@@ -686,22 +640,16 @@ def run_fs(cfg: ExperimentConfig) -> VerificationReport:
             ratios.append(ratio)
             items.append({"id": label, "params": dict(params), "value": ratio})
     arr = np.asarray(ratios)
-    spread = cfg.get_float("tolerances.ratio_spread")
     agg = {
         "max": float(np.max(arr)),
         "median": median(arr),
         "weight": w.label,
         "p": p,
     }
-    ok = bool(np.all(np.isfinite(arr))) and agg["max"] <= spread * agg["median"]
-    return VerificationReport(
-        experiment="local_sharp_control",
-        config_hash=cfg.digest(),
-        seed=cfg.seed,
-        items=items,
-        aggregate=agg,
-        verdict="pass" if ok else "fail",
-    )
+    # every ratio is >= 0 or NaN, and NaN carries through the max
+    criteria = [Criterion("max_finite", agg["max"], "<", np.inf),
+                _spread(cfg, agg, "max", "median")]
+    return _report(cfg, "local_sharp_control", items, agg, criteria)
 
 
 VERIFY_TARGETS = {

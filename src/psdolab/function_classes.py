@@ -36,7 +36,7 @@ from .grid import (
     ball_windows,
     sweep_family,
 )
-from .report import VerificationReport, config_hash
+from .report import Criterion, VerificationReport
 
 __all__ = [
     "WeightFn",
@@ -50,10 +50,16 @@ __all__ = [
     "check_monotonicity",
     "check_john_nirenberg_variant",
     "stabilized_characteristic",
+    "stabilization_criteria",
     "check_openness",
 ]
 
 _JENSEN_SLACK = 0.05
+# a multiplier whose oscillation norm sits at the float floor is a constant:
+# moment ratios against it compare roundoff
+_ZERO_FLOOR = 1e-12
+# a stabilized sup moves less than this fraction per doubling of the cap
+_STABLE_CHANGE = 0.10
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,21 +243,15 @@ def check_monotonicity(
         raise ValueError(f"need 1 < p <= q, got p={p}, q={q}")
     cp = ap_theta_characteristic(w, p, theta, family)
     cq = ap_theta_characteristic(w, q, theta, family)
-    ok = cq.value <= cp.value * (1.0 + 1e-6)
-    cfg = config_hash(
-        {"check": "monotonicity", "w": w.label, "p": p, "q": q, "theta": theta,
-         "family": family.descriptor}
-    )
     return VerificationReport(
         experiment="weight_monotonicity",
-        config_hash=cfg,
-        seed=0,
         items=[
             {"id": "char_p", "params": {"p": p, "theta": theta}, "value": cp.value},
             {"id": "char_q", "params": {"p": q, "theta": theta}, "value": cq.value},
         ],
         aggregate={"max": max(cp.value, cq.value), "ratio_q_over_p": cq.value / cp.value},
-        verdict="pass" if ok else "fail",
+        criteria=[Criterion("char_q", cq.value, "<=", cp.value * (1.0 + 1e-6),
+                            "char_p*(1+1e-6)")],
     )
 
 
@@ -272,6 +272,11 @@ def check_john_nirenberg_variant(
     with b_B the base-ball mean.  The stated form of part (ii) carries the
     1/s power without the s inside; that literal ratio is recorded alongside
     under id part_ii_literal.  Dilates that leave the box are skipped.
+
+    A multiplier whose norm is at most 1e-12 is a zero family: every ratio
+    would compare roundoff, so its one criterion is that norm floor.
+    Otherwise the ratios must be finite, part (i) must stay within twice its
+    median, and part (ii) must check a dilate if one was skipped.
     """
     if s < 1.0:
         raise ValueError(f"s must be >= 1, got {s}")
@@ -314,18 +319,18 @@ def check_john_nirenberg_variant(
         items.append(
             {"id": "part_ii_literal", "params": {"k": k}, "value": lhs_literal / rhs}
         )
-    finite = all(np.isfinite(r) for r in ratios_i + ratios_ii)
     med = median(ratios_i) if ratios_i else 0.0
-    stable = bool(ratios_i) and max(ratios_i) <= 2.0 * med
-    verdict = "pass" if finite and stable and (ratios_ii or skipped == 0) else "fail"
-    cfg = config_hash(
-        {"check": "john_nirenberg", "theta": theta, "s": s, "r": ball.radius,
-         "family": family.descriptor}
-    )
+    if norm.value <= _ZERO_FLOOR:
+        criteria = [Criterion("zero_family", norm.value, "<=", _ZERO_FLOOR)]
+    else:
+        criteria = [
+            Criterion("ratio_max_finite", float(np.max(ratios_i + ratios_ii)), "<", np.inf),
+            Criterion("part_i_max", max(ratios_i), "<=", 2.0 * med, "2*median"),
+            Criterion("part_ii_checked", len(ratios_ii), ">=", min(skipped, 1),
+                      "1 if a dilate was skipped"),
+        ]
     return VerificationReport(
         experiment="john_nirenberg_variant",
-        config_hash=cfg,
-        seed=0,
         items=items,
         aggregate={
             "max": max(ratios_i) if ratios_i else 0.0,
@@ -334,18 +339,29 @@ def check_john_nirenberg_variant(
             "skipped_dilates": skipped,
             "norm": norm.value,
         },
-        verdict=verdict,
+        criteria=criteria,
     )
 
 
 @dataclass(frozen=True)
 class StabilizationReport:
-    """Running sup at nested radius caps, with the doubling-change criterion."""
+    """Running sup at nested radius caps and its relative changes over the
+    last two doublings of the cap; stable iff both are under 10%."""
 
     caps: tuple[float, ...]
     values: tuple[float, ...]
     growth_slope: float
-    stable: bool
+    changes: tuple[float, float]
+
+    @property
+    def stable(self) -> bool:
+        return all(c < _STABLE_CHANGE for c in self.changes)
+
+
+def stabilization_criteria(stab: StabilizationReport, name: str) -> list[Criterion]:
+    """The two doubling changes of a stabilization sweep, as criteria under name."""
+    return [Criterion(f"{name}.change_{i}", c, "<", _STABLE_CHANGE)
+            for i, c in enumerate(stab.changes, 1)]
 
 
 def _check_stabilization_radii(radii) -> None:
@@ -363,14 +379,14 @@ def stabilized_characteristic(
     per_ball = _ap_theta_values(w, p, theta, family)
     values = [max(v for v, b in zip(per_ball, family.balls) if b.radius <= cap * (1 + 1e-12))
               for cap in radii]
-    c1, c2 = (
+    changes = (
         abs(values[-2] - values[-3]) / max(values[-3], 1e-300),
         abs(values[-1] - values[-2]) / max(values[-2], 1e-300),
     )
     slope, _, _ = least_squares_line(
         np.log2(np.asarray(radii)), np.log2(np.maximum(values, 1e-300))
     )
-    return StabilizationReport(radii, tuple(values), slope, bool(c1 < 0.10 and c2 < 0.10))
+    return StabilizationReport(radii, tuple(values), slope, changes)
 
 
 def check_openness(w: WeightFn, p: float, theta: float, family: BallFamily) -> VerificationReport:
@@ -380,14 +396,8 @@ def check_openness(w: WeightFn, p: float, theta: float, family: BallFamily) -> V
         raise ValueError(f"p - step must exceed 1, got {p - step}")
     below = stabilized_characteristic(w, p - step, theta, family)
     at_p = ap_theta_characteristic(w, p, theta, family)
-    cfg = config_hash(
-        {"check": "openness", "w": w.label, "p": p, "theta": theta, "step": step,
-         "family": family.descriptor}
-    )
     return VerificationReport(
         experiment="weight_openness",
-        config_hash=cfg,
-        seed=0,
         items=[
             {"id": "char_at_p", "params": {"p": p}, "value": at_p.value},
             {"id": "char_below", "params": {"p": p - step}, "value": below.values[-1]},
@@ -395,5 +405,5 @@ def check_openness(w: WeightFn, p: float, theta: float, family: BallFamily) -> V
              "value": list(below.values)},
         ],
         aggregate={"stable": below.stable, "growth_slope": below.growth_slope},
-        verdict="pass" if below.stable else "fail",
+        criteria=stabilization_criteria(below, "openness"),
     )

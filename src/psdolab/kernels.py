@@ -313,9 +313,7 @@ def band_limited_twin(op: OperatorInstance) -> OperatorInstance:
     k_top = op.family.max_index
     while 2.0 ** (k_top + 1) > op.grid.xi_max * (1.0 + 1e-12):
         k_top -= 1
-    return OperatorInstance(
-        op.symbol, op.grid, op.family, "dyadic", k_top, op.amplitude_budget
-    )
+    return OperatorInstance(op.symbol, op.grid, op.family, "dyadic", k_top)
 
 
 def adjoint_kernel_bounds(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .fitting import least_squares_line, median
 from .grid import PeriodicGrid
-from .report import VerificationReport, config_hash
+from .report import Criterion, VerificationReport
 
 __all__ = [
     "smooth_step",
@@ -135,23 +135,14 @@ def derivative_bound_check(family: LPFamily, alpha: int, samples: int = 4096) ->
     scaled = np.array([it["value"] for it in items])
     ks = np.arange(1, family.piece_count)
     slope, _, _ = least_squares_line(ks, np.log2(np.array(raw[1:])))
-    reference = scaled[1]
-    passed = bool(np.all(scaled <= 2.0 * reference))
+    top = float(np.max(scaled))
     return VerificationReport(
         experiment=f"lp-derivative-bound-alpha{alpha}",
-        config_hash=config_hash(
-            {
-                "grid.n": family.grid.n,
-                "grid.l": family.grid.half_length,
-                "alpha": alpha,
-            }
-        ),
-        seed=0,
         items=items,
         aggregate={
-            "max": float(np.max(scaled)),
+            "max": top,
             "median": median(scaled),
             "slope": slope,
         },
-        verdict="pass" if passed else "fail",
+        criteria=[Criterion("max", top, "<=", 2.0 * float(scaled[1]), "2*piece_1")],
     )

@@ -6,13 +6,15 @@ them cover the box and the sigma-dilates have multiplicity O(sigma).
 
 Every "sup over all balls" below is realized over a structured family
 (centers 8k on a stride-8 sublattice, dyadic radii), which keeps results
-reproducible, and every window mean comes from a prefix sum.  m_loc and
-m_sharp_loc take the sup on the whole circle with a periodic sliding max.
-They and check_fs_inequality are the one-row case of cores that take a
-(rows, n) stack: one doubled prefix sum per stack, and per radius one gather
-of the window means and one sliding max along the last axis for every row;
-the mean oscillation reads each row's windows through a strided view of the
-row padded by half a window on each side, one row at a time.
+reproducible, and every window mean comes from a prefix sum.  Every sup over
+the windows that hold a point is one sparse-table range max over the run of
+centers 8k whose windows hold it.  m_loc and m_sharp_loc take it on the
+whole circle.  They and check_fs_inequality are the one-row case of cores
+that take a (rows, n) stack: one doubled prefix sum per stack, and per
+radius one gather of the window means and one range max for every row, whose
+table reads are planned once per grid size, radius and row count; the mean
+oscillation reads each row's windows through a strided view of the row
+padded by half a window on each side, one row at a time.
 m_tilde_s runs all critical balls at once, ball j as row j: prefix sums over
 each 8-dilate's support, window means at the centers whose windows reach
 Q_j, and a sparse-table max over the run of centers whose windows hold each
@@ -39,7 +41,7 @@ from .grid import (
     lp_norm,
     lp_norms,
 )
-from .report import VerificationReport, config_hash
+from .report import Criterion, VerificationReport
 
 __all__ = [
     "CriticalCover",
@@ -155,33 +157,6 @@ def _family_windows(grid: PeriodicGrid, alpha: float):
         yield half, (np.arange(0, n, 8) - half) % n, count
 
 
-def _scatter_max_rows(out: np.ndarray, starts: np.ndarray, count: int, vals: np.ndarray):
-    """Raise row r of a (rows, n) out to vals[r, j] on each periodic window
-    starts[j] .. starts[j]+count-1.
-
-    A sliding max over the window starts (van Herk 1992; Gil and Werman
-    1993), every row at once along the last axis: O(n + count) per row past
-    one pass over the starts, and exact.  The starts must be distinct.
-    """
-    rows, n = out.shape
-    # ext[:, i] holds the window starting at point i - count + 1, so the
-    # windows holding out[:, x] start in ext[:, x : x + count]; span < 2n, so
-    # a start lands at most twice, the second time only if it is below span - n
-    span = n + count - 1
-    blocks = -(-span // count)
-    ext = np.full((rows, blocks * count), -np.inf)
-    pos = (starts + count - 1) % n
-    ext[:, pos] = vals
-    keep = pos < span - n
-    ext[:, pos[keep] + n] = vals[:, keep]
-    ext = ext.reshape(rows, blocks, count)
-    prefix = np.maximum.accumulate(ext, axis=2).reshape(rows, -1)
-    suffix = np.empty_like(ext)
-    np.maximum.accumulate(ext[..., ::-1], axis=2, out=suffix[..., ::-1])
-    np.maximum(out, suffix.reshape(rows, -1)[:, :n], out=out)
-    np.maximum(out, prefix[:, count - 1 : count - 1 + n], out=out)
-
-
 def _range_max_reads(x: np.ndarray, half: int, c: int):
     """Table width and flat table reads for the max over the centers 8k
     within periodic distance half of each point of x.
@@ -228,6 +203,14 @@ def _frozen_int32(index: np.ndarray) -> np.ndarray:
     return index
 
 
+@lru_cache(maxsize=32)
+def _family_reads(n: int, half: int, rows: int):
+    """Range-max table width and reads for the family windows of one radius:
+    at every point of every row of a (rows, n) stack, the run of centers 8k
+    whose window holds it."""
+    return _range_max_reads(np.broadcast_to(np.arange(n), (rows, n)), half, n // 8)
+
+
 def _sup_over_family_rows(x: np.ndarray, grid: PeriodicGrid, alpha: float, osc: bool):
     """Family sup, row by row of a real (rows, n) stack, of the window means;
     with osc, of the mean oscillation."""
@@ -252,7 +235,7 @@ def _sup_over_family_rows(x: np.ndarray, grid: PeriodicGrid, alpha: float, osc: 
                 vals[r] = np.mean(np.abs(dev, out=dev), axis=1)
         else:
             vals = means
-        _scatter_max_rows(out, starts, count, vals)
+        np.maximum(out, _range_max(vals, *_family_reads(n, half, count_rows)), out=out)
     return out
 
 
@@ -476,24 +459,17 @@ def check_fs_inequality(
 
     RHS = int |M_sharp_loc,alpha g|^p w + sum_k w(Q_k) avg_{2Q_k}(|g|)^p.
     """
-    grid = g.grid
     ((lhs, sharp, tail, ratio),) = fs_inequality_rows(
         g.values[None], w, p, cover, beta, alpha_sharp)
-    cfg = config_hash(
-        {"check": "fs_inequality", "p": p, "beta": beta, "alpha_sharp": alpha_sharp,
-         "n": grid.n, "L": grid.half_length}
-    )
     return VerificationReport(
         experiment="fefferman_stein_local",
-        config_hash=cfg,
-        seed=0,
         items=[
             {"id": "lhs", "params": {"p": p, "beta": beta}, "value": lhs},
             {"id": "sharp_term", "params": {"alpha": alpha_sharp}, "value": sharp},
             {"id": "cover_term", "params": {"balls": len(cover.centers)}, "value": tail},
         ],
         aggregate={"ratio": ratio},
-        verdict="pass" if np.isfinite(ratio) else "fail",
+        criteria=[Criterion("ratio_finite", ratio, "<", np.inf)],
     )
 
 
@@ -519,7 +495,7 @@ def check_weighted_bounds_maximal(
     slope within +-trend.
     """
     from .fitting import least_squares_line, median
-    from .function_classes import stabilized_characteristic
+    from .function_classes import stabilization_criteria, stabilized_characteristic
     from .grid import sweep_family
 
     _check_maximal_exponents(p, s)
@@ -551,30 +527,19 @@ def check_weighted_bounds_maximal(
         "cover_median": median(ratios_m),
         "gate_stable": gate.stable,
     }
-    trend_ok = True
+    criteria = [Criterion(f"{key}_max", agg[f"{key}_max"], "<=",
+                          spread * agg[f"{key}_median"], f"{spread:g}*{key}_median")
+                for key in ("series", "cover")]
     if len(set(shifts)) >= 3 and len(shifts) == len(ratios_m):
         xv = np.log2(1.0 + np.asarray(shifts))
         for key, rr in (("series_trend", ratios_g), ("cover_trend", ratios_m)):
             sl, _, _ = least_squares_line(xv, np.log2(np.asarray(rr)))
             agg[key] = sl
-            trend_ok = trend_ok and abs(sl) <= trend
-    stats_ok = (
-        agg["series_max"] <= spread * agg["series_median"]
-        and agg["cover_max"] <= spread * agg["cover_median"]
-    )
-    if not gate.stable:
-        verdict = "hypothesis_unverified"
-    else:
-        verdict = "pass" if stats_ok and trend_ok else "fail"
-    cfg = config_hash(
-        {"check": "weighted_maximal", "p": p, "s": s, "theta": theta, "kappa": kappa,
-         "w": w.label, "n": grid.n, "L": grid.half_length, "corpus": len(items)}
-    )
+            criteria.append(Criterion(f"|{key}|", abs(sl), "<=", trend))
     return VerificationReport(
         experiment="weighted_maximal_bounds",
-        config_hash=cfg,
-        seed=0,
         items=items,
         aggregate=agg,
-        verdict=verdict,
+        criteria=criteria,
+        gates=stabilization_criteria(gate, "weight_stable(p/s)"),
     )

@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 _CHUNK = 256
+# amplitude application costs n^3; grids above this n are refused
+_AMPLITUDE_BUDGET = 512
 
 
 @dataclass(eq=False)
@@ -59,8 +61,8 @@ class OperatorInstance:
     mode "full" applies the symbol on the whole lattice; mode "dyadic"
     truncates to frequency pieces 0..truncation (which must be fully resolved
     by the lattice).  Amplitude application, which also serves symbols whose
-    x dependence does not factor out, costs N^3 and is refused beyond the
-    configured budget.
+    x dependence does not factor out, costs N^3 and is refused above
+    N = 512.
     """
 
     symbol: SymbolSpec
@@ -68,7 +70,6 @@ class OperatorInstance:
     family: LPFamily
     mode: str = "full"
     truncation: int | None = None
-    amplitude_budget: int = 512
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -109,10 +110,10 @@ class OperatorInstance:
 
     def _amplitude_allowed(self) -> None:
         cost = self.grid.n**3
-        if cost > self.amplitude_budget**3:
+        if cost > _AMPLITUDE_BUDGET**3:
             raise ValueError(
                 f"amplitude mode cost n^3 = {cost} exceeds budget "
-                f"{self.amplitude_budget}^3; use a coarser grid"
+                f"{_AMPLITUDE_BUDGET}^3; use a coarser grid"
             )
 
     def _exp_matrix(self) -> np.ndarray:
@@ -130,10 +131,9 @@ def make_operator(
     mode: str = "full",
     truncation: int | None = None,
     family: LPFamily | None = None,
-    amplitude_budget: int = 512,
 ) -> OperatorInstance:
     fam = family if family is not None else make_lp_family(grid)
-    return OperatorInstance(symbol, grid, fam, mode, truncation, amplitude_budget)
+    return OperatorInstance(symbol, grid, fam, mode, truncation)
 
 
 # ---------------------------------------------------------------------------

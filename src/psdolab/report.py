@@ -1,9 +1,12 @@
-"""Report types shared across the library, plus deterministic serialization.
+"""Report types shared across the library, the one verdict rule, and
+deterministic serialization.
 
-Every check returns numbers next to its verdict so the verdict can be
+Checks hand over Criterion comparisons (value, comparison, threshold), never
+a verdict.  A report's verdict is "hypothesis_unverified" if a gate is not
+ok, otherwise "pass" iff every criterion is ok; its JSON records every gate
+and criterion and names the one that decided, so the verdict can be
 recomputed from the report alone.  JSON output is canonical (sorted keys,
-fixed indentation, trailing newline), so identical runs serialize to
-identical bytes.
+fixed indentation, trailing newline): identical runs give identical bytes.
 """
 
 from __future__ import annotations
@@ -11,13 +14,16 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+import operator
+from dataclasses import asdict, dataclass, field
 from typing import Any, Iterable, Sequence
 
 __all__ = [
+    "Criterion",
     "DecayFitReport",
     "VerificationReport",
     "config_hash",
+    "overall_verdict",
     "report_json_bytes",
     "write_report_json",
     "write_csv",
@@ -25,6 +31,37 @@ __all__ = [
 
 
 R2_FLOOR = 0.9
+
+_COMPARE = {"<": operator.lt, "<=": operator.le, "==": operator.eq,
+            ">=": operator.ge, ">": operator.gt}
+_NEGATED = {"<": ">=", "<=": ">", "==": "!=", ">=": "<", ">": "<="}
+
+
+@dataclass(frozen=True)
+class Criterion:
+    """One comparison a verdict rests on: ok iff value <comparison> threshold.
+
+    bound spells the threshold as a formula of the report's numbers when it
+    is not a constant, for example "4*plain_median".
+    """
+
+    name: str
+    value: float
+    comparison: str
+    threshold: float
+    bound: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return bool(_COMPARE[self.comparison](self.value, self.threshold))
+
+    def to_dict(self) -> dict:
+        return {**asdict(self), "ok": self.ok}
+
+    def __str__(self) -> str:
+        op = self.comparison if self.ok else _NEGATED[self.comparison]
+        bound = f"{self.bound} = " if self.bound else ""
+        return f"{self.name} {self.value:.4g} {op} {bound}{self.threshold:.4g}"
 
 
 @dataclass(frozen=True)
@@ -48,23 +85,29 @@ class DecayFitReport:
     criterion: str = "match"
     points: tuple[tuple[float, float], ...] = ()
 
+    def criteria(self, name: str = "fit") -> list[Criterion]:
+        """The R^2 floor, then the slope criterion, named under name."""
+        r2 = Criterion(f"{name}.r_squared", self.r_squared, ">=", R2_FLOOR)
+        if self.criterion == "match":
+            slope = Criterion(f"{name}.slope_error", abs(self.slope - self.expected_slope),
+                              "<=", self.tolerance, "tolerance")
+        elif self.criterion == "at_most":
+            slope = Criterion(f"{name}.slope", self.slope, "<=",
+                              self.expected_slope + self.tolerance, "expected + tolerance")
+        elif self.criterion in ("positive", "negative"):
+            slope = Criterion(f"{name}.slope", self.slope,
+                              ">" if self.criterion == "positive" else "<", 0.0)
+        else:
+            raise ValueError(f"unknown criterion {self.criterion!r}")
+        return [r2, slope]
+
     @property
     def inconclusive(self) -> bool:
-        return self.r_squared < R2_FLOOR
+        return not self.criteria()[0].ok
 
     @property
     def passed(self) -> bool:
-        if self.inconclusive:
-            return False
-        if self.criterion == "match":
-            return abs(self.slope - self.expected_slope) <= self.tolerance
-        if self.criterion == "at_most":
-            return self.slope <= self.expected_slope + self.tolerance
-        if self.criterion == "positive":
-            return self.slope > 0.0
-        if self.criterion == "negative":
-            return self.slope < 0.0
-        raise ValueError(f"unknown criterion {self.criterion!r}")
+        return all(c.ok for c in self.criteria())
 
     @property
     def verdict(self) -> str:
@@ -73,43 +116,56 @@ class DecayFitReport:
         return "pass" if self.passed else "fail"
 
     def to_dict(self) -> dict:
-        return {
-            "regressor": self.regressor,
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "expected_slope": self.expected_slope,
-            "tolerance": self.tolerance,
-            "criterion": self.criterion,
-            "points": [list(p) for p in self.points],
-            "verdict": self.verdict,
-        }
+        return {**asdict(self), "points": [list(p) for p in self.points],
+                "verdict": self.verdict}
 
 
 @dataclass
 class VerificationReport:
-    """Uniform result record: raw per-item numbers plus aggregate verdict."""
+    """Raw per-item numbers, the gates and criteria, and the verdict derived
+    from them.  Only a runner's report carries a config hash and seed."""
 
     experiment: str
-    config_hash: str
-    seed: int
     items: list[dict]
     aggregate: dict
-    verdict: str
+    criteria: list[Criterion]
+    gates: list[Criterion] = field(default_factory=list)
+    config_hash: str | None = None
+    seed: int | None = None
+
+    @property
+    def decided_by(self) -> Criterion | None:
+        """The first gate, else the first criterion, that is not ok."""
+        return next((c for c in (*self.gates, *self.criteria) if not c.ok), None)
+
+    @property
+    def verdict(self) -> str:
+        if not all(g.ok for g in self.gates):
+            return "hypothesis_unverified"
+        return "pass" if all(c.ok for c in self.criteria) else "fail"
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict == "pass"
 
     def to_json_dict(self) -> dict:
+        decided = self.decided_by
         return {
             "experiment": self.experiment,
             "config_hash": self.config_hash,
             "seed": self.seed,
             "items": self.items,
             "aggregate": self.aggregate,
+            "criteria": {"gates": [g.to_dict() for g in self.gates],
+                         "criteria": [c.to_dict() for c in self.criteria]},
+            "decided_by": None if decided is None else decided.name,
             "verdict": self.verdict,
         }
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
+
+def overall_verdict(reports: Iterable[VerificationReport]) -> str:
+    """The verdict of a set of reports: pass iff every report passes."""
+    return "pass" if all(r.passed for r in reports) else "fail"
 
 
 def config_hash(entries: dict | str) -> str:

@@ -20,6 +20,7 @@ import numpy as np
 from .fitting import least_squares_line
 from .grid import PeriodicGrid
 from .littlewood_paley import LPFamily
+from .report import Criterion
 
 __all__ = [
     "SymbolSpec",
@@ -203,8 +204,11 @@ class ClassMembershipReport:
     entries: tuple[MembershipEntry, ...]
 
     @property
-    def passed(self) -> bool:
-        return all(e.bounded for e in self.entries)
+    def criterion(self) -> Criterion:
+        """Every entry bounded: the largest shell growth slope under the bound
+        (an entry under the sup floor reads slope 0)."""
+        return Criterion("class_membership", max(e.slope for e in self.entries),
+                         "<", _SLOPE_BOUND)
 
     def entry(self, alpha: int, beta: int = 0, gamma: int = 0) -> MembershipEntry:
         for e in self.entries:

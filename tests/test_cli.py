@@ -1,5 +1,6 @@
 import csv
 import json
+import operator
 import os
 import pathlib
 import subprocess
@@ -191,6 +192,51 @@ def test_failing_verdict_exits_one(tmp_path):
     cfgfile.write_text("weight.gamma = 2.0\nweight.theta = 0.0\n")
     assert run_cli("verify", "weights", "--config", str(cfgfile),
                    "--out", str(tmp_path)) == 1
+
+
+_COMPARE = {"<": operator.lt, "<=": operator.le, "==": operator.eq,
+            ">=": operator.ge, ">": operator.gt}
+
+
+@pytest.mark.parametrize("preset", ["bessel_smoothing", "identity_baseline",
+                                    "out_of_class_probe", "rough_bounded", "exp_abs"])
+def test_verdicts_recompute_from_the_json_alone(tmp_path, capsys, preset):
+    """Each report's verdict follows from its criteria block by one rule:
+    hypothesis_unverified if a gate is not ok, else pass iff every criterion
+    is ok, each ok recomputed from value, comparison and threshold.
+    decided_by names the first failing gate or criterion, and the CLI line
+    of a non-pass names it too.  The e^|x| weight fails the stabilization
+    gates (weight.preset = exp_abs), so that run has hypothesis_unverified
+    reports."""
+    gated = preset == "exp_abs"
+    cfgfile = ROOT / "presets" / f"{preset}.cfg"
+    if gated:
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("weight.preset = exp_abs\n")
+    out = tmp_path / "out"
+    run_cli("report", "all", "--config", str(cfgfile), "--out", str(out))
+    lines = capsys.readouterr().out.splitlines()
+    summary = json.loads((out / "summary.json").read_text())
+    verdicts = []
+    for name, entry in summary["experiments"].items():
+        data = json.loads((out / entry["report"]).read_text())
+        gates, criteria = data["criteria"]["gates"], data["criteria"]["criteria"]
+        names = [c["name"] for c in gates + criteria]
+        assert criteria and len(set(names)) == len(names)
+        assert all(name.split() == [name] for name in names)
+        failing = [c["name"] for c in gates + criteria
+                   if not _COMPARE[c["comparison"]](c["value"], c["threshold"])]
+        if any(c["name"] in failing for c in gates):
+            verdict = "hypothesis_unverified"
+        else:
+            verdict = "fail" if failing else "pass"
+        assert data["verdict"] == entry["verdict"] == verdict
+        assert data["decided_by"] == (failing[0] if failing else None)
+        line = next(text for text in lines if text.split()[0] == name)
+        assert line.split()[1:3] == [verdict] + failing[:1]
+        verdicts.append(verdict)
+    assert summary["verdict"] == ("pass" if set(verdicts) == {"pass"} else "fail")
+    assert ("hypothesis_unverified" in verdicts) == gated
 
 
 def test_unknown_subcommand_rejected(tmp_path):

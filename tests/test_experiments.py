@@ -79,6 +79,16 @@ def test_bmo_run(cfg):
     assert rep.aggregate["norm"] == pytest.approx(0.4453108078839073, rel=1e-9)
 
 
+def test_bmo_constant_multiplier_is_a_zero_family():
+    """A constant lies in BMO_theta with norm 0.  Every John-Nirenberg ratio
+    would divide by that norm, so, as theorem13b does for its zero family,
+    the report passes on one criterion: the norm at the 1e-12 floor."""
+    rep = run_bmo(load_config(None, {"bmo.preset": "constant"}))
+    assert rep.verdict == "pass" and rep.aggregate["norm"] == 0.0
+    assert [(c.name, c.value, c.comparison, c.threshold) for c in rep.criteria] == [
+        ("norm_finite", 0.0, "<", float("inf")), ("zero_family", 0.0, "<=", 1e-12)]
+
+
 def test_maximal_run(cfg):
     rep = run_maximal(cfg)
     assert rep.verdict == "pass"

@@ -10,7 +10,6 @@ from psdolab.maximal import (
     _family_windows,
     _range_max,
     _range_max_reads,
-    _scatter_max_rows,
     _sup_over_family_rows,
     fs_inequality_rows,
 )
@@ -32,23 +31,6 @@ def test_cover_partitions_the_box(grid, cover):
 def test_cover_covers_every_grid(n, half_length):
     grid = P.make_grid(n, half_length)
     assert P.build_critical_cover(grid).covers_pointwise()
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(16, 300), st.data())
-def test_scatter_max_matches_brute_force(n, data):
-    """The sliding max equals np.maximum.at over every window's indices, bit for bit."""
-    count = data.draw(st.integers(1, n), label="count")
-    m = data.draw(st.integers(1, n), label="windows")
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    starts = rng.choice(n, m, replace=False)
-    vals = rng.standard_normal(m)
-    out = 2.0 * rng.standard_normal(n)
-    expected = out.copy()
-    idx = (starts[:, None] + np.arange(count)[None, :]) % n
-    np.maximum.at(expected, idx.ravel(), np.repeat(vals, count))
-    _scatter_max_rows(out[None], starts, count, vals[None])
-    assert np.array_equal(out, expected)
 
 
 @settings(max_examples=200, deadline=None)
@@ -88,8 +70,8 @@ def _reference_family_sup(x, grid, alpha, osc):
 @given(st.sampled_from([64, 128, 256, 512, 1024, 2048, 4096]), st.floats(8.0, 64.0),
        st.integers(1, 8), st.floats(1.0, 3.0), st.data())
 def test_row_cores_equal_the_one_row_path(n, half_length, count, p, data):
-    """Each row of a stack run through the family sups (osc on and off), the
-    sliding max and the sharp-function check equals its one-row call bit for
+    """Each row of a stack run through the family sups (osc on and off) and
+    the sharp-function check equals its one-row call bit for
     bit: complex rows for m_loc, real rows for m_sharp_loc and for
     check_fs_inequality, whose sharp function needs real g.  The family sups
     also equal a gather of every window's indices.  Corpus blocks
@@ -124,15 +106,6 @@ def test_row_cores_equal_the_one_row_path(n, half_length, count, p, data):
             rep = P.check_fs_inequality(f, weight, p, cover, beta, alpha)
             assert got == (*(item["value"] for item in rep.items), rep.aggregate["ratio"])
     assert seen == [item.label for item in items]
-    half = data.draw(st.integers(0, (n - 1) // 2), label="half")
-    starts = rng.choice(n, data.draw(st.integers(1, n), label="windows"), replace=False)
-    vals = rng.standard_normal((count, len(starts)))
-    out = rng.standard_normal((count, n))
-    expected = out.copy()
-    for r in range(count):
-        _scatter_max_rows(expected[r : r + 1], starts, 2 * half + 1, vals[r : r + 1])
-    _scatter_max_rows(out, starts, 2 * half + 1, vals)
-    assert np.array_equal(out, expected)
 
 
 def test_real_values_check_runs_on_every_row(grid, cover):

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import psdolab as P
+from psdolab import operators
 from psdolab.corpus import BLOCK_ENTRIES, CorpusItem, corpus_blocks
 from psdolab.grid import dft_rows, idft_rows, lp_norms
 from psdolab.operators import (adjoint_commutator_rows, apply_adjoint_rows, apply_rows,
@@ -57,9 +58,10 @@ def test_adjoint_pairing_amplitude_path(grid_small):
 
 
 def test_amplitude_budget_refuses_large_grids(grid):
+    """The grid fixture has n = 1024, above the n = 512 budget."""
     amp = P.preset_symbol("oscillating_amplitude", m=0.0, rho=1.0, delta=0.0,
                           spatial_scale=16.0)
-    op = P.make_operator(amp, grid, amplitude_budget=512)
+    op = P.make_operator(amp, grid)
     f = P.sample(grid, lambda x: np.exp(-x ** 2))
     with pytest.raises(ValueError):
         P.apply(op, f)
@@ -270,7 +272,7 @@ def _tilted_bessel(x, y, xi):
     return br**-0.5 + np.sin(x) / br + 0.0j
 
 
-def test_non_factoring_symbol_takes_the_amplitude_path():
+def test_non_factoring_symbol_takes_the_amplitude_path(monkeypatch):
     g = P.make_grid(64, 16.0)
     sym = P.SymbolSpec(_tilted_bessel, -0.5, 1.0, 0.0, "smooth_symbol", "tilted")
     assert sym.is_symbol and not sym.is_separable
@@ -287,8 +289,9 @@ def test_non_factoring_symbol_takes_the_amplitude_path():
         1e-12 * np.max(np.abs(col))
     )
     # the amplitude budget is what refuses it, so the amplitude sums ran
+    monkeypatch.setattr(operators, "_AMPLITUDE_BUDGET", 32)
     with pytest.raises(ValueError, match="amplitude mode cost"):
-        P.apply(P.make_operator(sym, g, amplitude_budget=32), f)
+        P.apply(P.make_operator(sym, g), f)
 
 
 def _stacked_and_one_row(op, b, rows, fns):
