@@ -321,14 +321,15 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
 def _check_computable(cfg: ExperimentConfig, grid) -> None:
     """Refuse what a runner would refuse mid-run, by that runner's own check.
 
-    kernel-decay fits k = kernel.k_lo..kernel.k_hi, tabulates kernel.diff_k
-    on the annuli kernel.diff_j of a kernel.diff_ball_radius ball, and sums
-    amplitudes within the operator's budget; the maximal checks need the
-    critical balls' 8-dilates inside the box; the weight gate needs 4 dyadic
-    sweep radii; every corpus needs an item and positive widths; each
-    damped series needs n_big >= 1/p + 1 at the exponent it runs with; and
-    the weighted maximal bounds need 1 < maximal.s < weight.p, which the
-    hypothesis gate checks unless run.counterexample lets it through.
+    kernel-decay fits k = kernel.k_lo..kernel.k_hi and tabulates
+    kernel.diff_k on the annuli kernel.diff_j of a kernel.diff_ball_radius
+    ball; the maximal checks need the critical balls' 8-dilates inside the
+    box; the weight gate needs 4 dyadic sweep radii; every corpus needs an
+    item and positive widths; each damped series needs n_big >= 1/p + 1 at
+    the exponent it runs with; and the weighted maximal bounds need
+    1 < maximal.s < weight.p, which the hypothesis gate checks unless
+    run.counterexample lets it through.  Every symbol preset runs at every
+    grid size: none has a cost budget.
     """
     from .corpus import _check_count, _check_width
     from .function_classes import _check_stabilization_radii
@@ -341,7 +342,6 @@ def _check_computable(cfg: ExperimentConfig, grid) -> None:
     (j_lo, j_hi), (dk_lo, dk_hi) = cfg.get_ints("kernel.diff_j"), cfg.get_ints("kernel.diff_k")
     pieces = [*range(k_lo, k_hi + 1), *range(dk_lo, dk_hi + 1)]
     radius = cfg.get_float("kernel.diff_ball_radius")
-    sym = cfg.make_symbol()
     checks = [
         ("kernel.k_lo", lambda: _decay_ks(range(k_lo, k_hi + 1))),
         ("kernel.diff_j", lambda: _difference_js(range(j_lo, j_hi + 1))),
@@ -365,8 +365,6 @@ def _check_computable(cfg: ExperimentConfig, grid) -> None:
     if cfg.counterexample:
         checks.append(("maximal.s", lambda: _check_maximal_exponents(
             cfg.get_float("weight.p"), cfg.get_float("maximal.s"))))
-    if not sym.is_separable:
-        checks.append(("symbol.preset", cfg.make_operator(sym, grid)._amplitude_allowed))
     for key, check in checks:
         try:
             check()

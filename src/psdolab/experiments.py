@@ -60,7 +60,7 @@ from .operators import (
     apply_rows,
     commutator_rows,
 )
-from .report import Criterion, VerificationReport
+from .report import Criterion, VerificationReport, zero_family
 from .symbols import estimate_class_membership
 
 __all__ = [
@@ -179,19 +179,19 @@ def _corpus_ratio_report(cfg: ExperimentConfig, experiment: str, transform) -> V
         raise ValueError("empty corpus")
 
     # a commutator family whose ratios all sit at the float floor is the
-    # zero operator; spread and trend on roundoff say nothing
-    zero_family = max(ratios) <= 1e-12
-    if zero_family:
+    # zero operator
+    zero = zero_family(max(ratios))
+    if zero.ok:
         agg = {"max": float(np.max(ratios)), "median": median(ratios), "slope": 0.0}
-        criteria = [Criterion("zero_family", max(ratios), "<=", 1e-12)]
+        criteria = [zero]
     else:
         agg, criteria = _ratio_statistics(ratios, shifts, cfg)
-    agg["zero_family"] = zero_family
+    agg["zero_family"] = zero.ok
     agg["unweighted_max"] = float(np.max(unweighted))
     agg["unweighted_median"] = median(unweighted)
     spread = cfg.get_float("tolerances.ratio_spread")
     agg["unweighted_drift"] = bool(
-        not zero_family
+        not zero.ok
         and agg["unweighted_max"] > spread * max(agg["unweighted_median"], 1e-300)
     )
     agg.update(gate_entries)
@@ -274,6 +274,10 @@ def run_local_average_check(cfg: ExperimentConfig) -> VerificationReport:
     b = cfg.make_bmo(grid)
     theta_b = cfg.get_float("bmo.theta")
     bnorm = bmo_theta_norm(b, theta_b, sweep_family(grid)).value
+    # a multiplier with a zero-family norm is a constant and its commutator
+    # the zero operator: that statistic stays unscaled, judged as a zero family
+    b_zero = zero_family(bnorm).ok
+    b_scale = 1.0 if b_zero else bnorm
 
     corpus = gaussian_corpus(
         grid,
@@ -293,7 +297,7 @@ def run_local_average_check(cfg: ExperimentConfig) -> VerificationReport:
             best = max([0.0] + ratios)
             best_center = cover.centers[ratios.index(best)] if best > 0.0 else None
             comm_ratios = local_average_ratio(SampledFunction(grid, cstar), series, q).tolist()
-            best_c = max([0.0] + [r / bnorm for r in comm_ratios])
+            best_c = max([0.0] + [r / b_scale for r in comm_ratios])
             plain.append(best)
             comm.append(best_c)
             items.append(
@@ -315,7 +319,8 @@ def run_local_average_check(cfg: ExperimentConfig) -> VerificationReport:
         Criterion("plain_max_finite", agg["plain_max"], "<", np.inf),
         Criterion("commutator_max_finite", agg["commutator_max"], "<", np.inf),
         _spread(cfg, agg, "plain_max", "plain_median"),
-        _spread(cfg, agg, "commutator_max", "commutator_median"),
+        zero_family(agg["commutator_max"]) if b_zero
+        else _spread(cfg, agg, "commutator_max", "commutator_median"),
     ]
     return _report(cfg, "local_average_control", items, agg, criteria)
 
@@ -366,6 +371,8 @@ def run_oscillation_check(cfg: ExperimentConfig) -> VerificationReport:
     b = cfg.make_bmo(grid)
     theta_b = cfg.get_float("bmo.theta")
     bnorm = bmo_theta_norm(b, theta_b, sweep_family(grid)).value
+    b_zero = zero_family(bnorm).ok  # as in run_local_average_check
+    b_scale = 1.0 if b_zero else bnorm
     b_flat = b.values.real
 
     radii = cfg.get_floats("oscillation.radii")
@@ -423,7 +430,7 @@ def run_oscillation_check(cfg: ExperimentConfig) -> VerificationReport:
                 for i, row in enumerate(rows):
                     cut = row[outside] * grid.spacing
                     val = float(np.sum(cut * dens)) / rhs
-                    val_b = float(np.sum(cut * dens_b)) / (rhs * bnorm)
+                    val_b = float(np.sum(cut * dens_b)) / (rhs * b_scale)
                     plain.append(val)
                     comm.append(val_b)
                     items.append(
@@ -467,7 +474,8 @@ def run_oscillation_check(cfg: ExperimentConfig) -> VerificationReport:
         Criterion("zero_case_max", agg["zero_case_max"], "==", 0.0),
         Criterion("plain_max_finite", agg["plain_max"], "<", np.inf),
         _spread(cfg, agg, "plain_max", "plain_median"),
-        _spread(cfg, agg, "commutator_max", "commutator_median"),
+        zero_family(agg["commutator_max"]) if b_zero
+        else _spread(cfg, agg, "commutator_max", "commutator_median"),
     ]
     return _report(cfg, "kernel_oscillation_control", items, agg, criteria)
 

@@ -36,7 +36,7 @@ from .grid import (
     ball_windows,
     sweep_family,
 )
-from .report import Criterion, VerificationReport
+from .report import Criterion, VerificationReport, zero_family
 
 __all__ = [
     "WeightFn",
@@ -55,9 +55,6 @@ __all__ = [
 ]
 
 _JENSEN_SLACK = 0.05
-# a multiplier whose oscillation norm sits at the float floor is a constant:
-# moment ratios against it compare roundoff
-_ZERO_FLOOR = 1e-12
 # a stabilized sup moves less than this fraction per doubling of the cap
 _STABLE_CHANGE = 0.10
 
@@ -320,8 +317,11 @@ def check_john_nirenberg_variant(
             {"id": "part_ii_literal", "params": {"k": k}, "value": lhs_literal / rhs}
         )
     med = median(ratios_i) if ratios_i else 0.0
-    if norm.value <= _ZERO_FLOOR:
-        criteria = [Criterion("zero_family", norm.value, "<=", _ZERO_FLOOR)]
+    # a multiplier whose oscillation norm sits at the float floor is a
+    # constant: moment ratios against it compare roundoff
+    zero = zero_family(norm.value)
+    if zero.ok:
+        criteria = [zero]
     else:
         criteria = [
             Criterion("ratio_max_finite", float(np.max(ratios_i + ratios_ii)), "<", np.inf),

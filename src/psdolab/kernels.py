@@ -2,9 +2,10 @@
 
 The k-th kernel piece is
     K_k(x, z) = (2pi)^(-1) sum_xi a(x, x - z, xi) phi_k(xi) e^{i z xi} dxi,
-a function of the base point x and the offset z = x - y.  For symbols the
-z-dependence is one inverse transform per base point; for amplitudes the
-y slot moves with z and the sum runs mode by mode.
+a function of the base point x and the offset z = x - y.  Its z-dependence
+comes from the operator's expansion (operators._offset_row): one inverse
+transform per y-factor of the symbol at each base point, the y-factors
+sampled at x - z.
 
 Offsets are kept inside |z| <= L/2 so nearest-image distances on the torus
 agree with true distances; every fit below samples only that safe half-box.
@@ -19,8 +20,7 @@ import numpy as np
 from .fitting import least_squares_line
 from .grid import Ball, PeriodicGrid
 from .littlewood_paley import LPFamily
-from .operators import OperatorInstance, adjoint_kernel_row
-from .operators import _amplitude_kernel, _lattice_sum, _symbol_at
+from .operators import OperatorInstance, _offset_row, adjoint_kernel_row
 from .report import DecayFitReport
 
 __all__ = [
@@ -76,16 +76,10 @@ def materialize_dyadic_kernel(op: OperatorInstance, k: int) -> DyadicKernel:
     mask = np.abs(pts) <= g.half_length / 2.0 + 1e-12
     offsets = pts[mask]
     weight = op.family.piece_on_lattice(k) * (g.freq_spacing / (2.0 * np.pi))
-    if not op.symbol.is_symbol:
-        op._amplitude_allowed()
     rows = np.empty((len(xs), len(offsets)), dtype=np.complex128)
     integrals = np.empty(len(xs), dtype=np.complex128)
     for p, x in enumerate(xs):
-        if op.symbol.is_symbol:
-            full = _lattice_sum(g, _symbol_at(op, x) * weight)
-        else:
-            # the y slot of K(x, y) sits at x - z for lattice offsets z
-            full = _amplitude_kernel(op, x, x - pts, weight, first=False)
+        full = _offset_row(op, x, weight)
         rows[p] = full[mask]
         integrals[p] = np.sum(full) * g.spacing
     return DyadicKernel(k, xs, offsets, rows, integrals)
@@ -102,6 +96,14 @@ def _check_k_window(family: LPFamily, ks) -> None:
                 f"piece {k} is not fully resolved: support reaches 2^{k + 1} "
                 f"but the lattice stops at {xi_max:.3g}"
             )
+
+
+def _line_fit(regressor: str, xv: np.ndarray, yv: np.ndarray, expected: float | None,
+              tolerance: float, criterion: str) -> DecayFitReport:
+    """The least-squares line through the points (xv, yv), judged by criterion."""
+    slope, intercept, r2 = least_squares_line(xv, yv)
+    return DecayFitReport(regressor, slope, intercept, r2, expected, tolerance, criterion,
+                          tuple(zip(xv.tolist(), yv.tolist())))
 
 
 def _decay_ks(k_range) -> list[int]:
@@ -125,20 +127,9 @@ def fit_decay_in_k(
     ks = _decay_ks(k_range)
     _check_k_window(op.family, ks)
     sups = [materialize_dyadic_kernel(op, k).weighted_sup(ell) for k in ks]
-    xv = np.array(ks, dtype=float)
-    yv = np.log2(np.asarray(sups))
-    slope, intercept, r2 = least_squares_line(xv, yv)
     expected = 1 + op.symbol.order - op.symbol.rho * ell
-    return DecayFitReport(
-        regressor="k",
-        slope=slope,
-        intercept=intercept,
-        r_squared=r2,
-        expected_slope=expected,
-        tolerance=tolerance,
-        criterion="match",
-        points=tuple(zip(xv.tolist(), yv.tolist())),
-    )
+    return _line_fit("k", np.array(ks, dtype=float), np.log2(np.asarray(sups)), expected,
+                     tolerance, "match")
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +180,6 @@ class DifferenceEstimate:
     table: np.ndarray  # (J, K)
     j_fit: DecayFitReport
     k_fit: DecayFitReport
-
-    def rows(self):
-        for ji, j in enumerate(self.j_values):
-            for ki, k in enumerate(self.k_values):
-                yield (j, k, self.r_b, float(self.table[ji, ki]))
 
 
 def _check_annuli(grid: PeriodicGrid, radius: float, j_top: int) -> None:
@@ -249,33 +235,10 @@ def fit_difference_estimate(
         table[ji] = _pair_differences(op, xs, pairs, bands)
 
     envelope = np.log2(np.maximum(np.max(table, axis=1), 1e-300))
-    jx = np.array(js, dtype=float)
-    slope_j, icept_j, r2_j = least_squares_line(jx, envelope)
-    j_fit = DecayFitReport(
-        regressor="j",
-        slope=slope_j,
-        intercept=icept_j,
-        r_squared=r2_j,
-        expected_slope=-1.0,
-        tolerance=0.0,
-        criterion="at_most",
-        points=tuple(zip(jx.tolist(), envelope.tolist())),
-    )
-
+    j_fit = _line_fit("j", np.array(js, dtype=float), envelope, -1.0, 0.0, "at_most")
     k_slope_sign = "positive" if 2.0 ** ks[-1] * ball.radius <= 1.0 + 1e-12 else "negative"
-    kx = np.array(ks, dtype=float)
-    ky = np.log2(np.maximum(table[0], 1e-300))
-    slope_k, icept_k, r2_k = least_squares_line(kx, ky)
-    k_fit = DecayFitReport(
-        regressor="k",
-        slope=slope_k,
-        intercept=icept_k,
-        r_squared=r2_k,
-        expected_slope=None,
-        tolerance=0.0,
-        criterion=k_slope_sign,
-        points=tuple(zip(kx.tolist(), ky.tolist())),
-    )
+    k_fit = _line_fit("k", np.array(ks, dtype=float), np.log2(np.maximum(table[0], 1e-300)),
+                      None, 0.0, k_slope_sign)
     return DifferenceEstimate(ball.radius, tuple(js), tuple(ks), table, j_fit, k_fit)
 
 
@@ -350,19 +313,8 @@ def adjoint_kernel_bounds(
                 sup_per_bin[b] = max(sup_per_bin[b], float(np.max(row[sel])))
     mids = np.sqrt(edges[:-1] * edges[1:])
     keep = sup_per_bin > 0.0
-    xv = np.log2(mids[keep])
-    yv = np.log2(sup_per_bin[keep])
-    slope, icept, r2 = least_squares_line(xv, yv)
-    far_fit = DecayFitReport(
-        regressor="r_B",
-        slope=slope,
-        intercept=icept,
-        r_squared=r2,
-        expected_slope=-float(1 + n_exp),
-        tolerance=tolerance,
-        criterion="at_most",
-        points=tuple(zip(xv.tolist(), yv.tolist())),
-    )
+    far_fit = _line_fit("r_B", np.log2(mids[keep]), np.log2(sup_per_bin[keep]),
+                        -float(1 + n_exp), tolerance, "at_most")
 
     js = list(range(3, 8))
     ball = Ball((0.0,), g.half_length / 2.0 / 2.0 ** js[-1])
@@ -371,16 +323,6 @@ def adjoint_kernel_bounds(
     envelope = np.array([
         _pair_differences(twin, _annulus_points(ball, j, 6), pairs, band_vec)[0] for j in js
     ])
-    jx = np.array(js, dtype=float)
-    slope_j, icept_j, r2_j = least_squares_line(jx, np.log2(np.maximum(envelope, 1e-300)))
-    diff_fit = DecayFitReport(
-        regressor="j",
-        slope=slope_j,
-        intercept=icept_j,
-        r_squared=r2_j,
-        expected_slope=-1.0,
-        tolerance=0.0,
-        criterion="at_most",
-        points=tuple(zip(jx.tolist(), np.log2(np.maximum(envelope, 1e-300)).tolist())),
-    )
+    diff_fit = _line_fit("j", np.array(js, dtype=float), np.log2(np.maximum(envelope, 1e-300)),
+                         -1.0, 0.0, "at_most")
     return AdjointKernelReport(n_exp, far_fit, diff_fit, weighted_far / max(peak, 1e-300))

@@ -2,20 +2,23 @@
 
 The action realized here is the lattice form of
     T_a f(x) = (2pi)^(-1) sum_xi sum_y a(x, y, xi) e^{i(x-y)xi} f(y) dy dxi,
-with the unitary transforms of grid.py doing both sums whenever the x
-dependence factors out, a(x, y, xi) = c(x) a(0, 0, xi): then T_a f is
-c * idft(a(0, 0, .) * dft(f)), two FFTs and one pointwise product, and a
-multiplier is the case c = 1.  With a = 1 the composition collapses to
-idft(dft(f)), so the identity is exact and pins every constant.  Any other
-evaluator runs the direct mode sums of the amplitude path, N^3 in cost and
-refused beyond the budget.
+and every symbol reaches it through its separated expansion
+a(x, y, xi) = sum_{p,q} c_p(x) d_q(y) sigma_pq(xi) (symbols.py):
+    T_a f = sum_p c_p * idft(sum_q sigma_pq * dft(d_q f)),
+one forward FFT per distinct y-factor d_q and one inverse FFT per distinct
+x-factor c_p, with a factor that is 1 costing no multiply.  A multiplier or
+rough_x_modulated is one term, so it runs as two FFTs and one pointwise
+product; with a = 1 the composition collapses to idft(dft(f)), so the
+identity is exact and pins every constant.  The oscillating amplitude is a
+few hundred Jacobi-Anger terms over a few dozen factors each side.
 
 Application, adjoint and both commutators act on stacks: (rows, n) arrays of
 samples, transformed along the last axis, so a block of functions costs one
-FFT pair.  apply, apply_adjoint, commutator and adjoint_commutator are the
-one-row case of the same cores (the _rows functions), and each row of a
-stack comes out bit for bit as its one-row result.  The amplitude path sums
-row by row.
+FFT per factor.  apply, apply_adjoint, commutator and adjoint_commutator are
+the one-row case of the same cores (the _rows functions), and each row of a
+stack comes out bit for bit as its one-row result.  Kernel rows, columns and
+the offset rows of kernels.py are the same sums with one slot held at a
+point: one inverse FFT per factor of the free slot.
 
 Adjoints are the exact conjugate transposes of the assembled action (matrix
 free: the same sums run in reversed order), so the pairing
@@ -24,7 +27,8 @@ free: the same sums run in reversed order), so the pairing
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,10 +53,6 @@ __all__ = [
     "adjoint_kernel_row",
 ]
 
-_CHUNK = 256
-# amplitude application costs n^3; grids above this n are refused
-_AMPLITUDE_BUDGET = 512
-
 
 @dataclass(eq=False)
 class OperatorInstance:
@@ -60,9 +60,8 @@ class OperatorInstance:
 
     mode "full" applies the symbol on the whole lattice; mode "dyadic"
     truncates to frequency pieces 0..truncation (which must be fully resolved
-    by the lattice).  Amplitude application, which also serves symbols whose
-    x dependence does not factor out, costs N^3 and is refused above
-    N = 512.
+    by the lattice).  Either way the symbol is applied through its separated
+    expansion on the lattice, which _terms builds once per operator.
     """
 
     symbol: SymbolSpec
@@ -70,7 +69,6 @@ class OperatorInstance:
     family: LPFamily
     mode: str = "full"
     truncation: int | None = None
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.mode not in ("full", "dyadic"):
@@ -98,31 +96,17 @@ class OperatorInstance:
         if not f.grid.is_compatible(self.grid):
             raise ValueError("function grid does not match operator grid")
 
-    def _spectrum(self) -> np.ndarray:
-        """a(0, 0, xi) on the frequency lattice, read-only, shape grid.shape."""
-        vals = self.symbol.evaluator(0.0, 0.0, self.grid.axis_freqs())
-        return np.broadcast_to(np.asarray(vals, dtype=np.complex128), self.grid.shape)
-
-    def _modulation(self) -> np.ndarray | None:
-        """c(x) on the grid for a modulated symbol; None when c = 1."""
-        mod = self.symbol.modulation
-        return None if mod is None else np.asarray(mod(self.grid.axis_points()), dtype=float)
-
-    def _amplitude_allowed(self) -> None:
-        cost = self.grid.n**3
-        if cost > _AMPLITUDE_BUDGET**3:
-            raise ValueError(
-                f"amplitude mode cost n^3 = {cost} exceeds budget "
-                f"{_AMPLITUDE_BUDGET}^3; use a coarser grid"
-            )
-
-    def _exp_matrix(self) -> np.ndarray:
-        """exp(-i y_j xi_m) on the 1D lattice, cached."""
-        if "exp_matrix" not in self._cache:
-            yv = self.grid.axis_points()
-            xiv = self.grid.axis_freqs()
-            self._cache["exp_matrix"] = np.exp(-1j * np.outer(yv, xiv))
-        return self._cache["exp_matrix"]
+    @cached_property
+    def _terms(self):
+        """The symbol's expansion on the frequency lattice, with its x- and
+        y-factors sampled on the grid (None where a factor is 1)."""
+        ex = self.symbol.expansion(self.grid.axis_freqs())
+        if self.symbol.is_symbol and any(d is not None for d in ex.y_factors):
+            raise ValueError(f"a {self.symbol.kind} expansion takes no y-factor")
+        pts = self.grid.axis_points()
+        cs, ds = ([None if f is None else np.asarray(f(pts)) for f in fs]
+                  for fs in (ex.x_factors, ex.y_factors))
+        return ex, cs, ds
 
 
 def make_operator(
@@ -142,45 +126,39 @@ def make_operator(
 # ---------------------------------------------------------------------------
 
 
-def _apply_symbol_spectral(
-    op: OperatorInstance, rows: np.ndarray, band: np.ndarray | None
-) -> np.ndarray:
-    """c * idft(a(0, 0, .) * band * dft(f)) for each row f."""
-    g = op.grid
-    amp = op._spectrum().copy()
-    if band is not None:
-        amp *= band
-    out = idft_rows(g.reciprocal(), dft_rows(g, rows) * amp)
-    mod = op._modulation()
-    return out if mod is None else mod * out
-
-
-def _apply_amplitude(
-    op: OperatorInstance, fv: np.ndarray, band: np.ndarray | None
-) -> np.ndarray:
-    op._amplitude_allowed()
-    g = op.grid
-    xv = g.axis_points()
-    xiv = g.axis_freqs()
-    E = op._exp_matrix()
-    fe = E * (fv * g.spacing)[:, None]  # (y, m): e^{-i y xi} f(y) dy
-    scale = g.freq_spacing / (2.0 * np.pi)
-    out = np.empty(g.n, dtype=np.complex128)
-    y_arg = xv[:, None]
-    xi_arg = xiv[None, :]
-    for i, x in enumerate(xv):
-        amp = np.asarray(op.symbol.evaluator(x, y_arg, xi_arg), dtype=np.complex128)
-        s = np.sum(np.broadcast_to(amp, fe.shape) * fe, axis=0)
-        if band is not None:
-            s = s * band
-        out[i] = scale * np.sum(s * np.exp(1j * x * xiv))
+def _combine(factors: list, parts: dict) -> np.ndarray:
+    """sum over o of factors[o] * parts[o], a None factor standing for 1."""
+    out = None
+    for o, part in parts.items():
+        if factors[o] is not None:
+            part = factors[o] * part
+        out = part if out is None else out + part
     return out
 
 
+def _mode_sums(op: OperatorInstance, spectra: list, band: np.ndarray | None,
+               adjoint: bool) -> dict:
+    """Per factor o of the output slot, idft of the sum over its terms r of
+    s_r * band * spectra[i_r], i_r the term's factor of the input slot and
+    s_r = sigma_r, or conj(sigma_r) with the slots swapped for the adjoint."""
+    ex = op._terms[0]
+    acc = {}
+    for r, (p, q) in enumerate(ex.terms):
+        i, o = (p, q) if adjoint else (q, p)
+        s = np.conj(ex.sigma(r)) if adjoint else ex.sigma(r)
+        if band is not None:
+            s = s * band
+        term = spectra[i] * s
+        acc[o] = acc[o] + term if o in acc else term
+    recip = op.grid.reciprocal()
+    return {o: idft_rows(recip, t) for o, t in acc.items()}
+
+
 def _forward(op: OperatorInstance, rows: np.ndarray, band: np.ndarray | None) -> np.ndarray:
-    if op.symbol.is_separable:
-        return _apply_symbol_spectral(op, rows, band)
-    return np.stack([_apply_amplitude(op, fv, band) for fv in rows])
+    """sum_p c_p idft(sum_q sigma_pq band dft(d_q f)) for each row f."""
+    _, cs, ds = op._terms
+    spectra = [dft_rows(op.grid, rows if d is None else d * rows) for d in ds]
+    return _combine(cs, _mode_sums(op, spectra, band, adjoint=False))
 
 
 def apply_rows(op: OperatorInstance, rows: np.ndarray) -> np.ndarray:
@@ -208,48 +186,13 @@ def apply_dyadic_piece(op: OperatorInstance, k: int, f: SampledFunction) -> Samp
 # ---------------------------------------------------------------------------
 
 
-def _adjoint_symbol_spectral(
-    op: OperatorInstance, rows: np.ndarray, band: np.ndarray | None
-) -> np.ndarray:
-    """idft(conj(a(0, 0, .) * band) * dft(c u)) for each row u; c and band are real."""
-    g = op.grid
-    mod = op._modulation()
-    amp = np.conj(op._spectrum())
-    if band is not None:
-        amp *= band
-    return idft_rows(g.reciprocal(), dft_rows(g, rows if mod is None else mod * rows) * amp)
-
-
-def _adjoint_amplitude(
-    op: OperatorInstance, uv: np.ndarray, band: np.ndarray | None
-) -> np.ndarray:
-    op._amplitude_allowed()
-    g = op.grid
-    xv = g.axis_points()
-    xiv = g.axis_freqs()
-    E = op._exp_matrix()
-    ge = E * (uv * g.spacing)[:, None]  # (x, m): e^{-i x xi} u(x) dx
-    scale = g.freq_spacing / (2.0 * np.pi)
-    out = np.empty(g.n, dtype=np.complex128)
-    x_arg = xv[:, None]
-    xi_arg = xiv[None, :]
-    for j, y in enumerate(xv):
-        amp = np.conj(
-            np.asarray(op.symbol.evaluator(x_arg, y, xi_arg), dtype=np.complex128)
-        )
-        s = np.sum(np.broadcast_to(amp, ge.shape) * ge, axis=0)
-        if band is not None:
-            s = s * band
-        out[j] = scale * np.sum(s * np.exp(1j * y * xiv))
-    return out
-
-
 def apply_adjoint_rows(op: OperatorInstance, rows: np.ndarray) -> np.ndarray:
-    """T_a^* u for each row u of a (rows, n) stack, the exact discrete adjoint."""
-    band = op._mode_band()
-    if op.symbol.is_separable:
-        return _adjoint_symbol_spectral(op, rows, band)
-    return np.stack([_adjoint_amplitude(op, uv, band) for uv in rows])
+    """T_a^* u for each row u of a (rows, n) stack, the exact discrete adjoint:
+    sum_q conj(d_q) idft(sum_p conj(sigma_pq) band dft(conj(c_p) u))."""
+    _, cs, ds = op._terms
+    spectra = [dft_rows(op.grid, rows if c is None else np.conj(c) * rows) for c in cs]
+    conj_ds = [None if d is None else np.conj(d) for d in ds]
+    return _combine(conj_ds, _mode_sums(op, spectra, op._mode_band(), adjoint=True))
 
 
 def apply_adjoint(op: OperatorInstance, u: SampledFunction) -> SampledFunction:
@@ -299,10 +242,10 @@ def adjoint_commutator(
 
 # ---------------------------------------------------------------------------
 # Kernel rows.  K(x, y) = (2pi)^(-1) sum_m a(x,y,xi_m) e^{i(x-y)xi_m} dxi
-# with x fixed anywhere and the other slot on the lattice.  For a symbol a
-# row K(x, .) is one inverse FFT of a(x, .); a column K(., x) is one too when
-# a(z, xi) = c(z) a(0, xi) factors, times c on the lattice.  Amplitudes and
-# symbols that do not factor sum mode by mode.
+# with one slot at a point anywhere and the other on the lattice (or, for
+# the offset rows of kernels.py, at x - z for lattice offsets z).  Holding a
+# slot at its point folds the expansion to one coefficient row per factor of
+# the free slot, and each row is one inverse FFT.
 # ---------------------------------------------------------------------------
 
 
@@ -312,58 +255,52 @@ def _lattice_sum(grid: PeriodicGrid, coef: np.ndarray) -> np.ndarray:
     return idft(spec).values * ((2.0 * np.pi) ** 0.5 / grid.freq_spacing)
 
 
-def _symbol_at(op: OperatorInstance, x: float) -> np.ndarray:
-    """a(x, xi_m) over the lattice modes at one fixed x (symbols only)."""
-    vals = op.symbol.evaluator(x, x, op.grid.axis_freqs())
-    return np.broadcast_to(np.asarray(vals, dtype=np.complex128), op.grid.shape)
-
-
-def _kernel_weights(op: OperatorInstance, x: float = 0.0, sign: float = 0.0) -> np.ndarray:
+def _kernel_weights(op: OperatorInstance, x: float, sign: float) -> np.ndarray:
     """dxi / (2pi) per mode (times the mode band), times e^{sign i x xi_m}."""
     g = op.grid
     band = op._mode_band()
     w = np.full(g.n, g.freq_spacing / (2.0 * np.pi))
     w = w if band is None else band * w
-    if not sign:
-        return w
     return w * np.exp(sign * 1j * (g.axis_freqs() * x))
 
 
-def _amplitude_kernel(
-    op: OperatorInstance, x: float, others: np.ndarray, weight: np.ndarray, first: bool
-) -> np.ndarray:
-    """K(y, x) (first) or K(x, y) for each point y of others, one phase block per chunk."""
-    xis = op.grid.axis_freqs()
-    xi_arg = xis[None, :]
-    sign = 1.0 if first else -1.0
-    out = np.empty(len(others), dtype=np.complex128)
-    for i0 in range(0, len(others), _CHUNK):
-        moving = others[i0 : i0 + _CHUNK, None]
-        phase = np.exp(1j * sign * ((moving - x) * xi_arg))
-        slots = (moving, x) if first else (x, moving)
-        vals = np.asarray(op.symbol.evaluator(*slots, xi_arg), dtype=np.complex128)
-        vals = np.broadcast_to(vals, phase.shape)
-        out[i0 : i0 + _CHUNK] = (vals * phase) @ weight
-    return out
+def _held(op: OperatorInstance, point: float, slot: int, weight: np.ndarray) -> dict:
+    """The expansion with its x slot (slot 0) or y slot (slot 1) held at
+    point: per factor o of the other slot, (sum over o's terms r of
+    f_r(point) sigma_r) * weight, f_r the held slot's factor of term r."""
+    ex = op._terms[0]
+    values = [None if f is None else f(point) for f in (ex.x_factors, ex.y_factors)[slot]]
+    acc = {}
+    for r, pq in enumerate(ex.terms):
+        s = ex.sigma(r)
+        if values[pq[slot]] is not None:
+            s = values[pq[slot]] * s
+        o = pq[1 - slot]
+        acc[o] = acc[o] + s if o in acc else s
+    return {o: s * weight for o, s in acc.items()}
 
 
 def kernel_column(op: OperatorInstance, x: float) -> np.ndarray:
     """K(., x): the kernel against its first argument, over the grid."""
-    g = op.grid
-    if not op.symbol.is_separable:
-        return _amplitude_kernel(op, x, g.axis_points(), _kernel_weights(op), first=True)
-    col = _lattice_sum(g, op._spectrum() * _kernel_weights(op, x, -1.0))
-    mod = op._modulation()
-    return col if mod is None else mod * col
+    _, cs, _ = op._terms
+    held = _held(op, x, 1, _kernel_weights(op, x, -1.0))
+    return _combine(cs, {p: _lattice_sum(op.grid, c) for p, c in held.items()})
 
 
 def kernel_row(op: OperatorInstance, x: float) -> np.ndarray:
     """K(x, .): the kernel against its second argument, over the grid."""
-    g = op.grid
-    if not op.symbol.is_symbol:
-        return _amplitude_kernel(op, x, g.axis_points(), _kernel_weights(op), first=False)
-    coef = _symbol_at(op, x) * _kernel_weights(op, x, 1.0)
-    return np.conj(_lattice_sum(g, np.conj(coef)))
+    _, _, ds = op._terms
+    held = _held(op, x, 0, _kernel_weights(op, x, 1.0))
+    return _combine(ds, {q: np.conj(_lattice_sum(op.grid, np.conj(c))) for q, c in held.items()})
+
+
+def _offset_row(op: OperatorInstance, x: float, weight: np.ndarray) -> np.ndarray:
+    """sum_m a(x, x - z, xi_m) weight_m e^{i z xi_m} at every lattice offset z."""
+    ex = op._terms[0]
+    z = op.grid.axis_points()
+    ds = [None if d is None else d(x - z) for d in ex.y_factors]
+    held = _held(op, x, 0, weight)
+    return _combine(ds, {q: _lattice_sum(op.grid, c) for q, c in held.items()})
 
 
 def adjoint_kernel_row(op: OperatorInstance, x: float) -> np.ndarray:

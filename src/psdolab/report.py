@@ -27,10 +27,14 @@ __all__ = [
     "report_json_bytes",
     "write_report_json",
     "write_csv",
+    "zero_family",
 ]
 
 
 R2_FLOOR = 0.9
+# a family of ratios, or a multiplier's oscillation norm, at most this is
+# zero at the float floor: spread and trend statistics on roundoff say nothing
+ZERO_FLOOR = 1e-12
 
 _COMPARE = {"<": operator.lt, "<=": operator.le, "==": operator.eq,
             ">=": operator.ge, ">": operator.gt}
@@ -62,6 +66,11 @@ class Criterion:
         op = self.comparison if self.ok else _NEGATED[self.comparison]
         bound = f"{self.bound} = " if self.bound else ""
         return f"{self.name} {self.value:.4g} {op} {bound}{self.threshold:.4g}"
+
+
+def zero_family(value: float) -> Criterion:
+    """The one zero-family rule: value at most ZERO_FLOOR."""
+    return Criterion("zero_family", value, "<=", ZERO_FLOOR)
 
 
 @dataclass(frozen=True)

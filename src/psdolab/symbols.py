@@ -2,6 +2,10 @@
 
 An evaluator is a vectorized callable a(x, y, xi); each argument is a scalar
 or a broadcastable array.  Symbols (y-independent) simply ignore the y slot.
+The evaluator is the definition, which class probing and the difference
+tables read; operators apply a symbol's expansion, a few separated terms
+a(x, y, xi) = sum_{p,q} c_p(x) d_q(y) sigma_pq(xi) equal to the evaluator
+on the frequency lattice.
 
 The declared class of a symbol is the growth contract
     |d_xi^a d_x^b d_y^c a| <= C <xi>^(m - rho*a + delta*(b+c)),
@@ -12,7 +16,7 @@ dyadic frequency shell, and a growth slope across the top shells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -23,6 +27,7 @@ from .littlewood_paley import LPFamily
 from .report import Criterion
 
 __all__ = [
+    "Expansion",
     "SymbolSpec",
     "MembershipEntry",
     "ClassMembershipReport",
@@ -41,8 +46,25 @@ def japanese_bracket(x) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class Expansion:
+    """a(x, y, xi) = sum_r c_{p_r}(x) d_{q_r}(y) sigma_r(xi) on one set of
+    frequencies, terms[r] = (p_r, q_r).  The factors c_p, d_q are vectorized
+    callables, None for the constant 1 (no multiply is spent on it); sigma(r)
+    builds the read-only r-th xi-factor from stored rows per call, so no
+    terms-by-frequencies table is held."""
+
+    x_factors: tuple
+    y_factors: tuple
+    terms: tuple[tuple[int, int], ...]
+    sigma: Callable[[int], np.ndarray]
+
+
+@dataclass(frozen=True, eq=False)
 class SymbolSpec:
-    """An evaluator together with its declared growth class."""
+    """An evaluator, its separated expansion and its declared growth class.
+
+    expansion(xi) builds the Expansion of the evaluator on the frequencies xi.
+    """
 
     evaluator: Callable
     order: float
@@ -50,15 +72,11 @@ class SymbolSpec:
     delta: float
     kind: str
     label: str
-    multiplier: bool = False  # true when the evaluator depends on xi only
-    # the real x-factor c of a symbol a(x, y, xi) = c(x) a(0, 0, xi), c(0) = 1
-    modulation: Callable | None = None
+    expansion: Callable[[np.ndarray], Expansion]
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.modulation is not None and (self.multiplier or not self.is_symbol):
-            raise ValueError("a modulation needs a symbol kind that is not a multiplier")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
         if not 0.0 <= self.delta <= 1.0:
@@ -69,16 +87,8 @@ class SymbolSpec:
         return self.kind.endswith("_symbol")
 
     @property
-    def is_separable(self) -> bool:
-        """True when a(x, y, xi) = c(x) a(0, 0, xi), so one FFT pair applies it."""
-        return self.multiplier or self.modulation is not None
-
-    @property
     def is_rough(self) -> bool:
         return self.kind.startswith("rough")
-
-    def __call__(self, x, y, xi):
-        return self.evaluator(x, y, xi)
 
 
 def _triangle_wave(x) -> np.ndarray:
@@ -87,21 +97,113 @@ def _triangle_wave(x) -> np.ndarray:
     return 1.0 - 2.0 * np.abs(t - 1.0)
 
 
-def preset_symbol(name: str, **params) -> SymbolSpec:
-    """Named symbol presets.
+def _one_term(ev, modulation: Callable | None = None) -> Callable:
+    """The expansion c(x) a(0, 0, xi) of a symbol whose x dependence factors
+    out with c(0) = 1; c = None is a multiplier."""
 
-    identity              a = 1
-    bessel_order_m        a(xi) = <xi>^m                     (m, rho=1, delta=0)
-    rough_x_modulated     a(x,xi) = (2 + tri(x)) <xi>^m      Lipschitz in x only;
-                              modulation c = 2 + tri, c(0) = 1
+    def expansion(xi):
+        s = np.asarray(ev(0.0, 0.0, xi), dtype=np.complex128)
+        s.flags.writeable = False
+        return Expansion((modulation,), (None,), ((0, 0),), lambda r: s)
+
+    return expansion
+
+
+# a Jacobi-Anger term whose peak |J_j J_l| over the lattice is at most this
+# is dropped; the dropped peaks sum to about 1.5e-15 at delta = 0
+_TERM_FLOOR = 1e-16
+
+
+def _bessel_j(top: int, z: np.ndarray) -> np.ndarray:
+    """J_0(z)..J_top(z) at every z >= 0, shape (top + 1,) + z.shape.
+
+    Miller's algorithm (DLMF 3.6(iii)): the recurrence
+    J_{k-1} = (2k/z) J_k - J_{k+1} runs down from 2 max(z) + 40 orders above
+    top, rescaled before it overflows, and is normalized by
+    J_0 + 2 (J_2 + J_4 + ...) = 1.
+    """
+    z = np.asarray(z, dtype=float)
+    zs = np.where(z > 0.0, z, 1.0)
+    start = top + 2 * int(np.max(z, initial=0.0)) + 40
+    start += start % 2
+    out = np.zeros((top + 1,) + z.shape)
+    above, cur = np.zeros(z.shape), np.full(z.shape, 1e-200)
+    norm = 2.0 * cur
+    for k in range(start, 0, -1):
+        above, cur = cur, (2.0 * k / zs) * cur - above  # cur is now J_{k-1}
+        if k - 1 <= top:
+            out[k - 1] = cur
+        if k % 2 == 1:
+            norm += cur if k == 1 else 2.0 * cur
+        big = np.abs(cur) > 1e200
+        if big.any():
+            for arr in (above, cur, norm):
+                arr[big] *= 1e-200
+            out[k - 1:, big] *= 1e-200
+    out /= norm
+    out[:, z == 0.0] = np.eye(top + 1, 1)
+    return out
+
+
+def _amplitude_expansion(m: float, rho: float, delta: float, scale: float) -> Callable:
+    """The oscillating amplitude as a Jacobi-Anger series.
+
+    psi = sin(wx) cos(wy) = (sin w(x+y) + sin w(x-y)) / 2, so with t = <xi>^delta
+        e^{i t psi} = sum_{j,l} J_j(t/2) J_l(t/2) e^{i(j+l)wx} e^{i(j-l)wy},
+    that is c_p = e^{ipwx}, d_q = e^{iqwy} and
+    sigma_pq = <xi>^m e^{i<xi>^(1-rho)} J_j(t/2) J_l(t/2), j = (p+q)/2,
+    l = (p-q)/2.  This is exact for every delta; only the J rows are stored.
+    """
+    w = np.pi / scale
+
+    def wave(k):
+        return None if k == 0 else (lambda x: np.exp(1j * (k * w) * x))
+
+    def expansion(xi):
+        br = japanese_bracket(xi)
+        base = br**m * np.exp(1j * br ** (1.0 - rho))
+        z = br**delta / 2.0
+        jk = _bessel_j(int(np.max(z)) + 40, z)
+        mags = np.abs(jk)
+        peak = np.array([np.max(row * mags, axis=1) for row in mags]) > _TERM_FLOOR
+        top = int(np.max(np.nonzero(peak)[0]))
+        # J_{-k} = (-1)^k J_k; row k + top of signed holds J_k
+        signed = np.concatenate([jk[top:0:-1] * (-1.0) ** np.arange(top, 0, -1)[:, None],
+                                 jk[:top + 1]])
+        pairs = sorted({(sj * j, sl * l) for j, l in np.argwhere(peak)
+                        for sj in (1, -1) for sl in (1, -1)})
+        ps = sorted({j + l for j, l in pairs})
+        qs = sorted({j - l for j, l in pairs})
+        terms = tuple((ps.index(j + l), qs.index(j - l)) for j, l in pairs)
+
+        def sigma(r):
+            j, l = pairs[r]
+            return base * (signed[j + top] * signed[l + top])
+
+        return Expansion(tuple(wave(p) for p in ps), tuple(wave(q) for q in qs), terms,
+                         sigma)
+
+    return expansion
+
+
+def preset_symbol(name: str, **params) -> SymbolSpec:
+    """Named symbol presets, each with its separated expansion.
+
+    identity              a = 1                               one term, c = d = 1
+    bessel_order_m        a(xi) = <xi>^m                      one term, c = d = 1
+                              (m, rho=1, delta=0)
+    rough_x_modulated     a(x,xi) = (2 + tri(x)) <xi>^m       Lipschitz in x only;
+                              one term, c = 2 + tri, c(0) = 1
     oscillating_amplitude a(x,y,xi) = <xi>^m exp(i(<xi>^(1-rho)
                               + <xi>^delta psi(x,y)))        (m, rho, delta)
+                              Jacobi-Anger terms, c_p = e^{ipwx}, d_q = e^{iqwy}
     """
     if name == "identity":
         def ev_identity(x, y, xi):
             return np.ones(np.shape(xi), dtype=np.complex128)
 
-        return SymbolSpec(ev_identity, 0.0, 1.0, 0.0, "smooth_symbol", "identity", True)
+        return SymbolSpec(ev_identity, 0.0, 1.0, 0.0, "smooth_symbol", "identity",
+                          _one_term(ev_identity))
 
     if name == "bessel_order_m":
         m = float(params["m"])
@@ -109,9 +211,8 @@ def preset_symbol(name: str, **params) -> SymbolSpec:
         def ev_bessel(x, y, xi, _m=m):
             return japanese_bracket(xi) ** _m + 0.0j
 
-        return SymbolSpec(
-            ev_bessel, m, 1.0, 0.0, "smooth_symbol", f"bessel_order_m(m={m:g})", True
-        )
+        return SymbolSpec(ev_bessel, m, 1.0, 0.0, "smooth_symbol", f"bessel_order_m(m={m:g})",
+                          _one_term(ev_bessel))
 
     if name == "rough_x_modulated":
         m = float(params["m"])
@@ -122,10 +223,8 @@ def preset_symbol(name: str, **params) -> SymbolSpec:
         def ev_rough(x, y, xi, _m=m):
             return mod_rough(x) * japanese_bracket(xi) ** _m + 0.0j
 
-        return SymbolSpec(
-            ev_rough, m, 1.0, 0.0, "rough_symbol", f"rough_x_modulated(m={m:g})", False,
-            mod_rough,
-        )
+        return SymbolSpec(ev_rough, m, 1.0, 0.0, "rough_symbol",
+                          f"rough_x_modulated(m={m:g})", _one_term(ev_rough, mod_rough))
 
     if name == "oscillating_amplitude":
         m = float(params["m"])
@@ -140,15 +239,9 @@ def preset_symbol(name: str, **params) -> SymbolSpec:
             phase = br ** (1.0 - _r) + br**_d * psi
             return br**_m * np.exp(1j * phase)
 
-        return SymbolSpec(
-            ev_osc,
-            m,
-            rho,
-            delta,
-            "smooth_amplitude",
-            f"oscillating_amplitude(m={m:g},rho={rho:g},delta={delta:g})",
-            False,
-        )
+        return SymbolSpec(ev_osc, m, rho, delta, "smooth_amplitude",
+                          f"oscillating_amplitude(m={m:g},rho={rho:g},delta={delta:g})",
+                          _amplitude_expansion(m, rho, delta, scale))
 
     raise ValueError(f"unknown symbol preset {name!r}")
 
@@ -161,10 +254,12 @@ def dyadic_piece(sym: SymbolSpec, family: LPFamily, k: int) -> SymbolSpec:
     def ev(x, y, xi, _k=k):
         return sym.evaluator(x, y, xi) * family.piece_profile(_k, xi)
 
-    return SymbolSpec(
-        ev, sym.order, sym.rho, sym.delta, sym.kind, f"{sym.label}|piece{k}", sym.multiplier,
-        sym.modulation,
-    )
+    def expansion(xi, _k=k):
+        ex, profile = sym.expansion(xi), family.piece_profile(_k, xi)
+        return replace(ex, sigma=lambda r: ex.sigma(r) * profile)
+
+    return SymbolSpec(ev, sym.order, sym.rho, sym.delta, sym.kind, f"{sym.label}|piece{k}",
+                      expansion)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +285,6 @@ class MembershipEntry:
     sup: float
     shell_sups: tuple[float, ...]
     slope: float
-    last3_ratio: float
     bounded: bool
 
 
@@ -209,12 +303,6 @@ class ClassMembershipReport:
         (an entry under the sup floor reads slope 0)."""
         return Criterion("class_membership", max(e.slope for e in self.entries),
                          "<", _SLOPE_BOUND)
-
-    def entry(self, alpha: int, beta: int = 0, gamma: int = 0) -> MembershipEntry:
-        for e in self.entries:
-            if (e.alpha, e.beta, e.gamma) == (alpha, beta, gamma):
-                return e
-        raise KeyError((alpha, beta, gamma))
 
 
 def _shell_samples(grid: PeriodicGrid):
@@ -287,25 +375,13 @@ def estimate_class_membership(sym: SymbolSpec, grid: PeriodicGrid) -> ClassMembe
                     shell_sups.append(float(np.max(np.abs(deriv) / bound)))
                 shell_sups = np.array(shell_sups)
                 tail = shell_sups[-min(4, len(shell_sups)):]
-                last3 = shell_sups[-min(3, len(shell_sups)):]
                 if np.max(tail) < _SUP_FLOOR:
-                    slope, ratio, bounded = 0.0, 1.0, True
+                    slope, bounded = 0.0, True
                 else:
                     ks = np.arange(len(tail), dtype=float)
                     slope, _, _ = least_squares_line(ks, np.log2(np.maximum(tail, 1e-300)))
-                    lo = max(float(np.min(last3)), 1e-300)
-                    ratio = float(np.max(last3)) / lo
                     bounded = slope < _SLOPE_BOUND
-                entries.append(
-                    MembershipEntry(
-                        alpha,
-                        beta,
-                        gamma,
-                        float(np.max(shell_sups)),
-                        tuple(float(s) for s in shell_sups),
-                        float(slope),
-                        float(ratio),
-                        bool(bounded),
-                    )
-                )
+                entries.append(MembershipEntry(
+                    alpha, beta, gamma, float(np.max(shell_sups)),
+                    tuple(float(s) for s in shell_sups), float(slope), bool(bounded)))
     return ClassMembershipReport(sym.label, m, rho, delta, sym.kind, tuple(entries))

@@ -104,8 +104,7 @@ def _assert_refused_on_every_target(capsys, args, prefix, out):
                                      "kernel.diff_j = 2,x", "weight.gamma = abc",
                                      "kernel.diff_j = 2", "corpus.widths =",
                                      "kernel.ell_max = 4", "kernel.adjoint_n_exp = 3",
-                                     "kernel.k_lo = 3", "symbol.preset = oscillating_amplitude",
-                                     "corpus.center_count = 0", "corpus.center_count = -2",
+                                     "kernel.k_lo = 3", "corpus.center_count = 0", "corpus.center_count = -2",
                                      "lemma.center_count = 0", "fs.count = 0",
                                      "corpus.widths = 0.6,0", "lemma.widths = -1",
                                      "lemma.n_big = 0", "maximal.n_big = 0",
@@ -114,11 +113,10 @@ def _assert_refused_on_every_target(capsys, args, prefix, out):
                                      "kernel.diff_k = 3,3"])
 def test_bad_value_is_a_usage_error_on_every_target(tmp_path, capsys, setting):
     """A bad preset name, typed value or list length, too few decay pieces, an
-    amplitude over the budget at grid.n = 1024, an empty corpus or a width
-    <= 0, a series damping n_big below 1/p + 1 (p = weight.p = 2 for lemma,
-    maximal.s = 1.5 for maximal), or a difference table with an annulus
-    below j = 2, under 3 annuli or under 2 pieces, is refused before any
-    target runs."""
+    empty corpus or a width <= 0, a series damping n_big below 1/p + 1
+    (p = weight.p = 2 for lemma, maximal.s = 1.5 for maximal), or a
+    difference table with an annulus below j = 2, under 3 annuli or under 2
+    pieces, is refused before any target runs."""
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text(setting + "\n")
     key = setting.split(" =")[0]
@@ -166,6 +164,29 @@ def test_maximal_exponent_without_counterexample_exits_three(tmp_path, capsys):
     for target in VERIFY_TARGETS:
         assert run_cli("verify", target, "--config", str(cfgfile), "--out", str(tmp_path)) == 3
         assert capsys.readouterr().err.startswith("hypothesis violated: maximal bound")
+
+
+def test_amplitude_runs_at_the_default_grid(tmp_path, capsys):
+    """The oscillating amplitude is applied through its Jacobi-Anger terms, so
+    kernel-decay at grid.n = 1024 reaches a verdict instead of a refusal."""
+    cfgfile = tmp_path / "amp.cfg"
+    cfgfile.write_text("symbol.preset = oscillating_amplitude\n")
+    assert run_cli("verify", "kernel-decay", "--config", str(cfgfile), "--grid-n", "1024",
+                   "--out", str(tmp_path)) in (0, 1)
+    assert capsys.readouterr().err == ""
+    assert json.loads((tmp_path / "kernel_decay_probe.json").read_text())["verdict"] in (
+        "pass", "fail")
+
+
+def test_constant_multiplier_report_all_reaches_a_summary(tmp_path, capsys):
+    """With b constant every commutator statistic is a zero family, so no
+    runner divides by the zero norm and report all writes its summary."""
+    cfgfile = tmp_path / "const.cfg"
+    cfgfile.write_text("bmo.preset = constant\n")
+    assert run_cli("report", "all", "--config", str(cfgfile), "--out", str(tmp_path)) in (0, 1)
+    assert capsys.readouterr().err == ""
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert len(summary["experiments"]) == 9
 
 
 def test_bad_exponents_exit_three(tmp_path):

@@ -184,11 +184,20 @@ def test_commutator_run(cfg):
 
 
 def test_commutator_constant_multiplier_is_zero_family(cfg):
-    rep = run_commutator_experiment(
-        load_config(None, {"bmo.preset": "constant"}))
+    """theorem13b, lemma41 and lemma42 with b constant: the commutator is the
+    zero operator, and its statistic is judged by the one zero-family rule."""
+    const = load_config(None, {"bmo.preset": "constant"})
+    rep = run_commutator_experiment(const)
     assert rep.verdict == "pass"
     assert rep.aggregate["zero_family"] is True
     assert rep.aggregate["max"] <= 1e-12
+    for runner in (run_local_average_check, run_oscillation_check):
+        rep = runner(const)
+        assert rep.verdict == "pass"
+        assert rep.aggregate["multiplier_norm"] == 0.0
+        zero = [c for c in rep.criteria if c.name == "zero_family"]
+        assert len(zero) == 1 and zero[0].value == rep.aggregate["commutator_max"] <= 1e-12
+        assert "commutator_max" not in [c.name for c in rep.criteria]
 
 
 def test_local_average_run(cfg):

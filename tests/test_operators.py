@@ -9,11 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import psdolab as P
-from psdolab import operators
 from psdolab.corpus import BLOCK_ENTRIES, CorpusItem, corpus_blocks
 from psdolab.grid import dft_rows, idft_rows, lp_norms
 from psdolab.operators import (adjoint_commutator_rows, apply_adjoint_rows, apply_rows,
                                commutator_rows)
+from psdolab.symbols import Expansion
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -44,27 +44,6 @@ def test_adjoint_pairing_is_exact(grid, packet, window, preset, params):
     lhs = P.inner(P.apply(op, packet), window)
     rhs = P.inner(packet, P.apply_adjoint(op, window))
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
-
-
-def test_adjoint_pairing_amplitude_path(grid_small):
-    amp = P.preset_symbol("oscillating_amplitude", m=0.0, rho=1.0, delta=0.0,
-                          spatial_scale=16.0)
-    op = P.make_operator(amp, grid_small)
-    f = P.sample(grid_small, lambda x: np.exp(-0.5 * (x - 2.0) ** 2))
-    u = P.sample(grid_small, lambda x: np.cos(0.7 * x) * np.exp(-0.1 * x ** 2))
-    lhs = P.inner(P.apply(op, f), u)
-    rhs = P.inner(f, P.apply_adjoint(op, u))
-    assert abs(lhs - rhs) < 1e-12
-
-
-def test_amplitude_budget_refuses_large_grids(grid):
-    """The grid fixture has n = 1024, above the n = 512 budget."""
-    amp = P.preset_symbol("oscillating_amplitude", m=0.0, rho=1.0, delta=0.0,
-                          spatial_scale=16.0)
-    op = P.make_operator(amp, grid)
-    f = P.sample(grid, lambda x: np.exp(-x ** 2))
-    with pytest.raises(ValueError):
-        P.apply(op, f)
 
 
 def test_dyadic_pieces_telescope_to_full(grid, lp, bessel_op, packet):
@@ -163,11 +142,27 @@ def _reference_kernel(op, x, first):
     return np.sum(np.broadcast_to(a, phase.shape) * phase * w[None, :], axis=1)
 
 
+# label -> (preset, params); the amplitudes are genuinely (x, y, xi)
+# dependent and run as a few hundred Jacobi-Anger terms
 _ROW_SYMBOLS = {
-    "identity": {},
-    "bessel_order_m": {"m": -0.75},
-    "rough_x_modulated": {"m": 0.0},
+    "identity": ("identity", {}),
+    "bessel_order_m": ("bessel_order_m", {"m": -0.75}),
+    "rough_x_modulated": ("rough_x_modulated", {"m": 0.0}),
+    "amplitude(delta=0)": ("oscillating_amplitude", {"m": -0.5, "rho": 0.5, "delta": 0.0}),
+    "amplitude(delta=0.5)": ("oscillating_amplitude", {"m": -0.5, "rho": 0.5, "delta": 0.5}),
 }
+
+
+_ONE_TERM = ("bessel_order_m", "identity", "rough_x_modulated")
+
+
+def _row_operator(label, n, half):
+    """The labelled symbol's operator on an n-point grid, n capped at 256 for
+    an amplitude, whose direct-sum reference costs n^3."""
+    preset, params = _ROW_SYMBOLS[label]
+    if preset == "oscillating_amplitude":
+        n = min(n, 256)
+    return P.make_operator(P.preset_symbol(preset, **params), P.make_grid(n, half))
 
 
 @settings(max_examples=25, deadline=None)
@@ -179,8 +174,8 @@ _ROW_SYMBOLS = {
     frac=st.floats(0.05, 0.95),
 )
 def test_kernel_rows_match_direct_sum(n, preset, dyadic, cell, frac):
-    g = P.make_grid(n, 16.0)
-    op = P.make_operator(P.preset_symbol(preset, **_ROW_SYMBOLS[preset]), g)
+    op = _row_operator(preset, n, 16.0)
+    g = op.grid
     if dyadic:
         op = P.band_limited_twin(op)
     x = g.axis_points()[cell % n] + frac * g.spacing  # strictly off the lattice
@@ -195,40 +190,31 @@ def test_kernel_rows_match_direct_sum(n, preset, dyadic, cell, frac):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("dyadic", [False, True])
-def test_amplitude_kernel_rows_match_direct_sum(dyadic):
-    g = P.make_grid(64, 16.0)
-    amp = P.preset_symbol("oscillating_amplitude", m=0.0, rho=1.0, delta=0.0,
-                          spatial_scale=16.0)
-    op = P.make_operator(amp, g)
-    if dyadic:
-        op = P.band_limited_twin(op)
-    x = 1.3 + 0.41 * g.spacing
-    col = _reference_kernel(op, x, first=True)
-    row = _reference_kernel(op, x, first=False)
-    assert np.max(np.abs(P.kernel_row(op, x) - row)) <= 1e-12 * np.max(np.abs(row))
-    assert np.max(np.abs(P.kernel_column(op, x) - col)) <= 1e-12 * np.max(np.abs(col))
-    assert np.max(np.abs(P.adjoint_kernel_row(op, x) - np.conj(col))) <= (
-        1e-12 * np.max(np.abs(col))
-    )
-
-
 def _dense_reference(op, band):
-    """T and T* as direct mode sums over the N x N matrix a(x_i, xi_m) e^{i x_i xi_m}."""
+    """T and T* as the direct mode sums
+        T f(x_i) = sum_m e^{i x_i xi_m} w_m sum_j a(x_i, y_j, xi_m) e^{-i y_j xi_m} f(y_j),
+    with w_m = band_m dxi dy / (2pi).  A symbol ignores the y slot, so its
+    sums factor through the N x N matrix a(x_i, xi_m) e^{i x_i xi_m}; an
+    amplitude assembles the kernel matrix one x_i at a time, N^3 in all."""
     g = op.grid
     x = g.axis_points()[:, None]
     xi = g.axis_freqs()[None, :]
     phase = np.exp(1j * x * xi)
-    sym = np.broadcast_to(op.symbol.evaluator(x, 0.0, xi), phase.shape) * phase
     w = band * (g.freq_spacing / (2.0 * np.pi) * g.spacing)
+    if op.symbol.is_symbol:
+        sym = np.broadcast_to(op.symbol.evaluator(x, 0.0, xi), phase.shape) * phase
 
-    def forward(f):
-        return sym @ (w * (phase.conj().T @ f.values))
+        def forward(f):
+            return sym @ (w * (phase.conj().T @ f.values))
 
-    def adjoint(u):
-        return phase @ (w * (sym.conj().T @ u.values))
+        def adjoint(u):
+            return phase @ (w * (sym.conj().T @ u.values))
 
-    return forward, adjoint
+        return forward, adjoint
+
+    kernel = np.stack([(op.symbol.evaluator(xv, x, xi) * phase.conj()) @ (w * phase[i])
+                       for i, xv in enumerate(x[:, 0])])
+    return (lambda f: kernel @ f.values), (lambda u: kernel.conj().T @ u.values)
 
 
 def _assert_close(got, ref):
@@ -245,8 +231,8 @@ def _assert_close(got, ref):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_application_matches_dense_mode_sum(n, half, preset, dyadic, piece, seed):
-    g = P.make_grid(n, half)
-    op = P.make_operator(P.preset_symbol(preset, **_ROW_SYMBOLS[preset]), g)
+    op = _row_operator(preset, n, half)
+    g, n = op.grid, op.grid.n
     if dyadic:
         assume(g.xi_max >= 2.0)  # the twin keeps at least piece 0
         op = P.band_limited_twin(op)
@@ -272,26 +258,48 @@ def _tilted_bessel(x, y, xi):
     return br**-0.5 + np.sin(x) / br + 0.0j
 
 
-def test_non_factoring_symbol_takes_the_amplitude_path(monkeypatch):
+def _tilted_expansion(xi):
+    """_tilted_bessel as two separated terms: 1 * <xi>^(-1/2) + sin(x) * <xi>^(-1)."""
+    br = P.japanese_bracket(xi)
+    sigma = (br**-0.5 + 0.0j, 1.0 / br + 0.0j)
+    return Expansion((None, np.sin), (None,), ((0, 0), (1, 0)), lambda r: sigma[r])
+
+
+_TILTED = P.SymbolSpec(_tilted_bessel, -0.5, 1.0, 0.0, "smooth_symbol", "tilted",
+                       _tilted_expansion)
+
+
+def _tilted_amplitude(x, y, xi):
+    """_tilted_bessel plus e^{iy} <xi>^(-1): a complex factor in the y slot."""
+    return _tilted_bessel(x, y, xi) + np.exp(1j * y) / P.japanese_bracket(xi)
+
+
+def _tilted_amplitude_expansion(xi):
+    ex = _tilted_expansion(xi)
+    sigma = (ex.sigma(0), ex.sigma(1), ex.sigma(1))
+    return Expansion((None, np.sin), (None, lambda y: np.exp(1j * y)),
+                     ((0, 0), (1, 0), (0, 1)), lambda r: sigma[r])
+
+
+def test_non_factoring_symbol_takes_the_amplitude_path():
+    """A symbol whose x dependence does not factor out runs as a sum of
+    separated terms, two x-factors here, and matches the direct mode sums;
+    so does an amplitude with a y-factor that is not even in y."""
     g = P.make_grid(64, 16.0)
-    sym = P.SymbolSpec(_tilted_bessel, -0.5, 1.0, 0.0, "smooth_symbol", "tilted")
-    assert sym.is_symbol and not sym.is_separable
     rng = np.random.default_rng(5)
     f, u = (P.SampledFunction(g, rng.standard_normal(64) + 1j * rng.standard_normal(64))
             for _ in range(2))
-    op = P.make_operator(sym, g)
-    forward, adjoint = _dense_reference(op, np.ones(64))
-    _assert_close(P.apply(op, f), forward(f))
-    _assert_close(P.apply_adjoint(op, u), adjoint(u))
-    x = 1.3 + 0.41 * g.spacing
-    col = _reference_kernel(op, x, first=True)
-    assert np.max(np.abs(P.kernel_column(op, x) - col)) <= (
-        1e-12 * np.max(np.abs(col))
-    )
-    # the amplitude budget is what refuses it, so the amplitude sums ran
-    monkeypatch.setattr(operators, "_AMPLITUDE_BUDGET", 32)
-    with pytest.raises(ValueError, match="amplitude mode cost"):
-        P.apply(P.make_operator(sym, g), f)
+    amp = P.SymbolSpec(_tilted_amplitude, -0.5, 1.0, 0.0, "smooth_amplitude", "tilted_amp",
+                       _tilted_amplitude_expansion)
+    for sym in (_TILTED, amp):
+        op = P.make_operator(sym, g)
+        forward, adjoint = _dense_reference(op, np.ones(64))
+        _assert_close(P.apply(op, f), forward(f))
+        _assert_close(P.apply_adjoint(op, u), adjoint(u))
+        x = 1.3 + 0.41 * g.spacing
+        for got, ref in [(P.kernel_column(op, x), _reference_kernel(op, x, first=True)),
+                         (P.kernel_row(op, x), _reference_kernel(op, x, first=False))]:
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def _stacked_and_one_row(op, b, rows, fns):
@@ -308,7 +316,7 @@ def _stacked_and_one_row(op, b, rows, fns):
 @given(
     n=st.sampled_from([64, 128, 256, 512, 1024, 2048, 4096]),
     half=st.floats(4.0, 64.0),
-    preset=st.sampled_from(sorted(_ROW_SYMBOLS)),
+    preset=st.sampled_from(_ONE_TERM),
     dyadic=st.booleans(),
     full_blocks=st.integers(0, 2),
     tail=st.integers(1, 10**6),
@@ -321,8 +329,8 @@ def test_stacked_blocks_equal_the_one_row_path(n, half, preset, dyadic, full_blo
     bit for bit what apply, apply_adjoint, commutator, adjoint_commutator,
     dft, idft and lp_norm give it alone, and visits every item once, in
     order; the last block is ragged unless tail fills it."""
-    g = P.make_grid(n, half)
-    op = P.make_operator(P.preset_symbol(preset, **_ROW_SYMBOLS[preset]), g)
+    op = _row_operator(preset, n, half)
+    g, n = op.grid, op.grid.n
     if dyadic:
         assume(g.xi_max >= 2.0)  # the twin keeps at least piece 0
         op = P.band_limited_twin(op)
@@ -354,17 +362,17 @@ def test_stacked_blocks_equal_the_one_row_path(n, half, preset, dyadic, full_blo
 
 
 def test_non_factoring_symbol_stacks_row_by_row():
-    """The amplitude path sums each row of a stack as it sums one function."""
+    """A two-term expansion, and the amplitude's Jacobi-Anger terms, sum each
+    row of a stack as they sum one function."""
     g = P.make_grid(64, 16.0)
-    sym = P.SymbolSpec(_tilted_bessel, -0.5, 1.0, 0.0, "smooth_symbol", "tilted")
-    op = P.make_operator(sym, g)
     rng = np.random.default_rng(9)
     rows = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
     fns = [P.SampledFunction(g, row) for row in rows]
     b = P.SampledFunction(g, rng.standard_normal(64))
-    for stacked, one_row in _stacked_and_one_row(op, b, rows, fns):
-        for got, ref in zip(stacked, one_row):
-            assert np.array_equal(got, ref.values)
+    for op in (P.make_operator(_TILTED, g), _row_operator("amplitude(delta=0.5)", 64, 16.0)):
+        for stacked, one_row in _stacked_and_one_row(op, b, rows, fns):
+            for got, ref in zip(stacked, one_row):
+                assert np.array_equal(got, ref.values)
 
 
 def test_rough_application_needs_no_scipy():

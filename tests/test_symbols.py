@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import psdolab as P
-from psdolab.symbols import estimate_class_membership, japanese_bracket
+from psdolab.symbols import (KINDS, Expansion, _bessel_j, estimate_class_membership,
+                             japanese_bracket)
 
 
 def test_japanese_bracket_values():
@@ -30,10 +31,12 @@ def test_bessel_preset_matches_bracket_power():
 
 
 def test_symbol_kinds_drive_dispatch_flags():
-    assert P.preset_symbol("bessel_order_m", m=0.0).multiplier
+    xi = np.linspace(-40.0, 40.0, 9)
+    mult = P.preset_symbol("bessel_order_m", m=0.0).expansion(xi)
+    assert mult.x_factors == mult.y_factors == (None,) and mult.terms == ((0, 0),)
     rough = P.preset_symbol("rough_x_modulated", m=0.0)
     assert rough.kind == "rough_symbol"
-    assert not rough.multiplier
+    assert rough.expansion(xi).x_factors[0] is not None
     assert rough.is_symbol and rough.is_rough
     amp = P.preset_symbol("oscillating_amplitude", m=0.0, rho=1.0, delta=0.0,
                           spatial_scale=16.0)
@@ -68,25 +71,84 @@ def test_membership_estimates_bounded_shells(grid_small):
 
 
 def test_modulation_factors_the_rough_preset_and_its_pieces(grid_small):
-    """a(x, y, xi) = c(x) a(0, 0, xi) with c(0) = 1; dyadic pieces keep c."""
+    """a(x, y, xi) = c(x) a(0, 0, xi) with c(0) = 1 is the rough preset's one
+    expansion term; dyadic pieces keep c."""
     sym = P.preset_symbol("rough_x_modulated", m=-0.5)
     fam = P.make_lp_family(grid_small)
     rng = np.random.default_rng(11)
     x, y = rng.uniform(-20.0, 20.0, (2, 400))
     xi = rng.uniform(-1.2, 1.2, 400) * grid_small.xi_max
+    c = sym.expansion(xi).x_factors[0]
     for s in [sym] + [P.dyadic_piece(sym, fam, k) for k in range(fam.max_index + 1)]:
-        assert s.modulation is sym.modulation and s.is_separable
-        assert s.modulation(0.0) == 1.0
+        ex = s.expansion(xi)
+        assert ex.x_factors[0] is c and ex.y_factors == (None,) and ex.terms == ((0, 0),)
+        assert c(0.0) == 1.0
         lhs = np.asarray(s.evaluator(x, y, xi), dtype=complex)
-        rhs = s.modulation(x) * np.asarray(s.evaluator(0.0, 0.0, xi), dtype=complex)
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-14, atol=0.0)
-    assert np.ptp(sym.modulation(x)) > 1.0  # the x dependence is real
+        np.testing.assert_allclose(lhs, c(x) * ex.sigma(0), rtol=1e-14, atol=0.0)
+    assert np.ptp(c(x)) > 1.0  # the x dependence is real
 
 
-def test_modulation_only_on_plain_symbols():
+def _one_factor_expansion(x_factor, y_factor):
+    def expansion(xi):
+        s = np.ones(np.shape(xi), dtype=complex)
+        return Expansion((x_factor,), (y_factor,), ((0, 0),), lambda r: s)
+
+    return expansion
+
+
+def test_y_factors_only_on_amplitudes(grid_small):
+    """A symbol kind ignores the y slot, so an operator refuses a symbol-kind
+    expansion with a y-factor; an x-factor runs on every kind."""
     ev = P.preset_symbol("identity").evaluator
-    with pytest.raises(ValueError, match="modulation"):
-        P.SymbolSpec(ev, 0.0, 1.0, 0.0, "smooth_amplitude", "amp", modulation=np.cos)
-    with pytest.raises(ValueError, match="modulation"):
-        P.SymbolSpec(ev, 0.0, 1.0, 0.0, "smooth_symbol", "mult", True, np.cos)
-    assert P.SymbolSpec(ev, 0.0, 1.0, 0.0, "rough_symbol", "mod", modulation=np.cos).is_separable
+    f = P.sample(grid_small, lambda x: np.exp(-x ** 2))
+    for kind in KINDS:
+        op = P.make_operator(P.SymbolSpec(ev, 0.0, 1.0, 0.0, kind, "mod",
+                                          _one_factor_expansion(np.cos, None)), grid_small)
+        assert np.array_equal(P.apply(op, f).values, np.cos(grid_small.axis_points())
+                              * P.apply(P.make_operator(P.preset_symbol("identity"),
+                                                        grid_small), f).values)
+        spec = P.SymbolSpec(ev, 0.0, 1.0, 0.0, kind, "y", _one_factor_expansion(None, np.cos))
+        if spec.is_symbol:
+            with pytest.raises(ValueError, match="takes no y-factor"):
+                P.apply(P.make_operator(spec, grid_small), f)
+        else:
+            P.apply(P.make_operator(spec, grid_small), f)
+
+
+_AMPLITUDE = {"m": -0.5, "rho": 0.5, "spatial_scale": 16.0}
+
+
+@pytest.mark.parametrize("preset,params", [
+    ("identity", {}),
+    ("bessel_order_m", {"m": -0.75}),
+    ("rough_x_modulated", {"m": -0.5}),
+    ("oscillating_amplitude", {**_AMPLITUDE, "delta": 0.0}),
+    ("oscillating_amplitude", {**_AMPLITUDE, "delta": 0.5}),
+    ("oscillating_amplitude", {**_AMPLITUDE, "delta": 1.0}),
+])
+def test_expansion_equals_the_evaluator_on_the_lattice(preset, params):
+    """sum_r c_p(x) d_q(y) sigma_r(xi) against a(x, y, xi) at every lattice
+    (x, y, xi) of a 128-point grid: operators apply the expansion, class
+    probing and the difference tables read the evaluator."""
+    g = P.make_grid(128, 16.0)
+    sym = P.preset_symbol(preset, **params)
+    xi, pts = g.axis_freqs(), g.axis_points()
+    ex = sym.expansion(xi)
+    assert len(set(ex.terms)) == len(ex.terms)
+    on = [[np.ones(g.n) if f is None else f(pts) for f in fs]
+          for fs in (ex.x_factors, ex.y_factors)]
+    table = np.zeros((len(ex.x_factors), len(ex.y_factors), g.n), dtype=complex)
+    for r, (p, q) in enumerate(ex.terms):
+        table[p, q] = ex.sigma(r)
+    got = np.einsum("xp,pqm,yq->xym", np.stack(on[0], 1), table, np.stack(on[1], 1),
+                    optimize=True)
+    ref = sym.evaluator(pts[:, None, None], pts[None, :, None], xi[None, None, :])
+    assert np.max(np.abs(got - ref)) <= 2e-14 * np.max(np.abs(ref))
+
+
+def test_bessel_rows_match_scipy():
+    """The numpy-only J_k rows of the Jacobi-Anger terms against scipy."""
+    special = pytest.importorskip("scipy.special")
+    z = np.concatenate([[0.0, 1e-9, 0.5], np.linspace(0.0, 60.0, 601)])
+    ref = special.jv(np.arange(121)[:, None], z[None, :])
+    assert np.max(np.abs(_bessel_j(120, z) - ref)) <= 4e-15
