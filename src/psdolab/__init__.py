@@ -5,16 +5,14 @@ weight and oscillation calculus, critical-cover maximal operators, and the
 corpus-ratio experiments tying them together.
 """
 
-from .config import DEFAULTS, ExperimentConfig, HypothesisViolation, load_config
+from .config import ExperimentConfig, HypothesisViolation, load_config
 from .corpus import (
     band_noise,
     gaussian_corpus,
     gaussian_packet,
     mixed_corpus,
-    noise_corpus,
 )
 from .function_classes import (
-    WeightFn,
     ap_theta_characteristic,
     bmo_theta_norm,
     check_john_nirenberg_variant,
@@ -31,7 +29,6 @@ from .grid import (
     SampledFunction,
     ball_average,
     ball_indices,
-    ball_integral,
     ball_mask,
     dft,
     idft,
@@ -44,7 +41,6 @@ from .grid import (
 from .kernels import (
     adjoint_kernel_bounds,
     band_limited_twin,
-    default_base_points,
     fit_decay_in_k,
     fit_difference_estimate,
     materialize_dyadic_kernel,
@@ -64,11 +60,9 @@ from .maximal import (
     m_tilde_s,
 )
 from .operators import (
-    adjoint_commutator,
     adjoint_kernel_row,
     apply,
     apply_adjoint,
-    apply_dyadic_piece,
     commutator,
     kernel_column,
     kernel_row,
@@ -87,12 +81,9 @@ from .experiments import (
     run_oscillation_check,
     run_weight_calculus,
 )
-from .report import report_json_bytes
 from .symbols import (
     SymbolSpec,
-    dyadic_piece,
     estimate_class_membership,
-    japanese_bracket,
     preset_symbol,
 )
 

@@ -212,11 +212,6 @@ class ExperimentConfig:
 
         return preset_symbol(self.get("symbol.preset"), **self.symbol_params())
 
-    def make_operator(self, symbol, grid, family=None):
-        from .operators import make_operator
-
-        return make_operator(symbol, grid, family=family)
-
     def make_weight(self, grid):
         from .function_classes import preset_weight
 
@@ -324,19 +319,21 @@ def _check_computable(cfg: ExperimentConfig, grid) -> None:
     kernel-decay fits k = kernel.k_lo..kernel.k_hi and tabulates
     kernel.diff_k on the annuli kernel.diff_j of a kernel.diff_ball_radius
     ball; the maximal checks need the critical balls' 8-dilates inside the
-    box; the weight gate needs 4 dyadic sweep radii; every corpus needs an
-    item and positive widths; each damped series needs n_big >= 1/p + 1 at
-    the exponent it runs with; and the weighted maximal bounds need
-    1 < maximal.s < weight.p, which the hypothesis gate checks unless
-    run.counterexample lets it through.  Every symbol preset runs at every
-    grid size: none has a cost budget.
+    box; the weight gate needs 4 dyadic sweep radii; fs's family sups at
+    beta = 0.5 and alpha_sharp = 4 need the family's least radius 8 dx;
+    every corpus needs an item and positive widths; each damped series needs
+    n_big >= 1/p + 1 at the exponent it runs with; and the weighted maximal
+    bounds need 1 < maximal.s < weight.p, which the hypothesis gate checks
+    unless run.counterexample lets it through.  Every symbol preset runs at
+    every grid size: none has a cost budget.
     """
     from .corpus import _check_count, _check_width
     from .function_classes import _check_stabilization_radii
     from .grid import _sweep_radii
     from .kernels import _check_annuli, _check_k_window, _decay_ks, _difference_js, _difference_ks
     from .littlewood_paley import make_lp_family
-    from .maximal import _check_damping, _check_dilates_fit, _check_maximal_exponents
+    from .maximal import (_check_damping, _check_dilates_fit, _check_family_radius,
+                          _check_maximal_exponents)
 
     k_lo, k_hi = cfg.get_int("kernel.k_lo"), cfg.get_int("kernel.k_hi")
     (j_lo, j_hi), (dk_lo, dk_hi) = cfg.get_ints("kernel.diff_j"), cfg.get_ints("kernel.diff_k")
@@ -351,6 +348,7 @@ def _check_computable(cfg: ExperimentConfig, grid) -> None:
         ("grid", lambda: _check_dilates_fit(grid)),
         # the weight gate sweeps sweep_family(grid), radii up to L/2
         ("grid", lambda: _check_stabilization_radii(_sweep_radii(grid, grid.half_length / 2))),
+        ("grid", lambda: [_check_family_radius(grid, alpha) for alpha in (0.5, 4.0)]),
     ]
     for key in ("corpus.center_count", "lemma.center_count", "fs.count"):
         checks.append((key, lambda key=key: _check_count(cfg.get_int(key))))

@@ -59,8 +59,9 @@ from .operators import (
     apply_adjoint_rows,
     apply_rows,
     commutator_rows,
+    make_operator,
 )
-from .report import Criterion, VerificationReport, zero_family
+from .report import Criterion, VerificationReport, spread_criterion, zero_family
 from .symbols import estimate_class_membership
 
 __all__ = [
@@ -92,8 +93,8 @@ def _report(cfg: ExperimentConfig, experiment: str, items: list[dict], aggregate
 
 def _spread(cfg: ExperimentConfig, agg: dict, key: str, median_key: str) -> Criterion:
     """agg[key] within tolerances.ratio_spread times agg[median_key]."""
-    spread = cfg.get_float("tolerances.ratio_spread")
-    return Criterion(key, agg[key], "<=", spread * agg[median_key], f"{spread:g}*{median_key}")
+    return spread_criterion(key, agg[key], cfg.get_float("tolerances.ratio_spread"),
+                            agg[median_key], median_key)
 
 
 def _ratio_statistics(ratios: list[float], shifts: list[float], cfg: ExperimentConfig):
@@ -151,7 +152,7 @@ def _corpus_ratio_report(cfg: ExperimentConfig, experiment: str, transform) -> V
     grid = cfg.make_grid()
     sym = cfg.make_symbol()
     family = make_lp_family(grid)
-    op = cfg.make_operator(sym, grid, family)
+    op = make_operator(sym, grid, family=family)
     w = cfg.make_weight(grid)
     wfn = SampledFunction(grid, w.values.astype(np.complex128))
     p = cfg.get_float("weight.p")
@@ -264,7 +265,7 @@ def run_local_average_check(cfg: ExperimentConfig) -> VerificationReport:
     # the smooth band cutoff matters here: the full-lattice symbol has a
     # derivative kink at the frequency seam whose |z|^-2 kernel tail would
     # beat the series maximal's 2^-Nk damping on far balls
-    op = band_limited_twin(cfg.make_operator(sym, grid))
+    op = band_limited_twin(make_operator(sym, grid))
     cover = build_critical_cover(grid)
     p = cfg.get_float("weight.p")
     # damping must clear n/p yet stay below the kernel's decay order over
@@ -362,7 +363,7 @@ def run_oscillation_check(cfg: ExperimentConfig) -> VerificationReport:
     cfg.check_hypotheses()
     grid = cfg.make_grid()
     sym = cfg.make_symbol()
-    op = band_limited_twin(cfg.make_operator(sym, grid))
+    op = band_limited_twin(make_operator(sym, grid))
     p = cfg.get_float("weight.p")
     # damping must clear n/p yet stay below the kernel's decay order over
     # the box, or far balls report the bound's worst constant instead of
@@ -491,7 +492,7 @@ def run_kernel_decay(cfg: ExperimentConfig) -> VerificationReport:
     cfg.check_hypotheses()
     grid = cfg.make_grid()
     sym = cfg.make_symbol()
-    op = cfg.make_operator(sym, grid)
+    op = make_operator(sym, grid)
     k_lo, k_hi = cfg.get_int("kernel.k_lo"), cfg.get_int("kernel.k_hi")
     slope_tol = cfg.get_float("tolerances.slope")
     items, criteria = [], []
@@ -499,8 +500,9 @@ def run_kernel_decay(cfg: ExperimentConfig) -> VerificationReport:
         {"id": "partition_residual", "params": {},
          "value": evaluate_partition_residual(op.family)}
     )
-    for ell in range(cfg.get_int("kernel.ell_max") + 1):
-        fit = fit_decay_in_k(op, ell, k_range=range(k_lo, k_hi + 1), tolerance=slope_tol)
+    ells = range(cfg.get_int("kernel.ell_max") + 1)
+    fits = fit_decay_in_k(op, ells, k_range=range(k_lo, k_hi + 1), tolerance=slope_tol)
+    for ell, fit in zip(ells, fits):
         items.append({"id": f"decay(ell={ell})", "params": {"ell": ell},
                       "value": fit.to_dict()})
         criteria += fit.criteria(f"decay(ell={ell})")

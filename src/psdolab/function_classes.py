@@ -36,7 +36,7 @@ from .grid import (
     ball_windows,
     sweep_family,
 )
-from .report import Criterion, VerificationReport, zero_family
+from .report import Criterion, VerificationReport, spread_criterion, zero_family
 
 __all__ = [
     "WeightFn",
@@ -325,7 +325,7 @@ def check_john_nirenberg_variant(
     else:
         criteria = [
             Criterion("ratio_max_finite", float(np.max(ratios_i + ratios_ii)), "<", np.inf),
-            Criterion("part_i_max", max(ratios_i), "<=", 2.0 * med, "2*median"),
+            spread_criterion("part_i_max", max(ratios_i), 2.0, med, "median"),
             Criterion("part_ii_checked", len(ratios_ii), ">=", min(skipped, 1),
                       "1 if a dilate was skipped"),
         ]

@@ -33,7 +33,6 @@ __all__ = [
     "ball_indices",
     "ball_windows",
     "ball_average",
-    "ball_integral",
     "sweep_family",
 ]
 
@@ -123,19 +122,6 @@ class SampledFunction:
         if np.max(np.abs(self.values.imag)) > tol * scale:
             raise ValueError("values have a non-negligible imaginary part")
         return self.values.real
-
-    def __add__(self, other: "SampledFunction") -> "SampledFunction":
-        return SampledFunction(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "SampledFunction") -> "SampledFunction":
-        return SampledFunction(self.grid, self.values - other.values)
-
-    def __mul__(self, other):
-        if isinstance(other, SampledFunction):
-            return SampledFunction(self.grid, self.values * other.values)
-        return SampledFunction(self.grid, self.values * other)
-
-    __rmul__ = __mul__
 
 
 def sample(grid: PeriodicGrid, fn: Callable) -> SampledFunction:
@@ -310,27 +296,14 @@ def ball_mask(grid: PeriodicGrid, ball: Ball) -> np.ndarray:
     return mask
 
 
-def _checked_ball_values(f: SampledFunction, ball: Ball) -> np.ndarray:
+def ball_average(f: SampledFunction, ball: Ball) -> complex:
+    """Mean of f over the grid points inside the ball."""
     idx = ball_indices(f.grid, ball)
     if len(idx) < MIN_POINTS_PER_BALL:
         raise ValueError(
             f"ball contains {len(idx)} grid points, needs >= {MIN_POINTS_PER_BALL}"
         )
-    return f.values[idx]
-
-
-def ball_average(f: SampledFunction, ball: Ball) -> complex:
-    """Mean of f over the grid points inside the ball."""
-    return complex(np.mean(_checked_ball_values(f, ball)))
-
-
-def ball_integral(f: SampledFunction, ball: Ball) -> float:
-    """Riemann sum of a real-valued f over the ball."""
-    vals = _checked_ball_values(f, ball)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    if np.max(np.abs(vals.imag)) > 1e-9 * scale:
-        raise ValueError("ball_integral expects real-valued samples")
-    return float(np.sum(vals.real) * f.grid.spacing)
+    return complex(np.mean(f.values[idx]))
 
 
 @dataclass(frozen=True)

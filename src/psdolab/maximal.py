@@ -41,7 +41,7 @@ from .grid import (
     lp_norm,
     lp_norms,
 )
-from .report import Criterion, VerificationReport
+from .report import Criterion, VerificationReport, spread_criterion
 
 __all__ = [
     "CriticalCover",
@@ -64,10 +64,6 @@ class CriticalCover:
 
     grid: PeriodicGrid
     centers: tuple[tuple[float], ...]
-
-    @property
-    def radius(self) -> float:
-        return 1.0
 
     def windows(self, radius: float) -> np.ndarray:
         """Read-only (balls, points) array: row j holds the ascending
@@ -133,15 +129,21 @@ def build_critical_cover(grid: PeriodicGrid) -> CriticalCover:
 # ---------------------------------------------------------------------------
 
 
+def _check_family_radius(grid: PeriodicGrid, alpha: float) -> None:
+    """The structured family starts at radius 8 dx, which alpha must reach."""
+    r_min = 8.0 * grid.spacing
+    if alpha < r_min:
+        raise ValueError(f"alpha {alpha} below the minimum family radius {r_min}")
+
+
 def _family_windows(grid: PeriodicGrid, alpha: float):
     """(half, starts, count) per dyadic radius 8 dx, 16 dx, .. up to alpha.
 
     The family windows of one radius are the count = 2 half + 1 points
     starts[k] .. starts[k] + count - 1 (mod n) around the centers 8k.
     """
+    _check_family_radius(grid, alpha)
     r = 8.0 * grid.spacing
-    if alpha < r:
-        raise ValueError(f"alpha {alpha} below the minimum family radius {r}")
     radii = []
     while r <= alpha * (1.0 + 1e-12):
         radii.append(r)
@@ -527,9 +529,8 @@ def check_weighted_bounds_maximal(
         "cover_median": median(ratios_m),
         "gate_stable": gate.stable,
     }
-    criteria = [Criterion(f"{key}_max", agg[f"{key}_max"], "<=",
-                          spread * agg[f"{key}_median"], f"{spread:g}*{key}_median")
-                for key in ("series", "cover")]
+    criteria = [spread_criterion(f"{key}_max", agg[f"{key}_max"], spread, agg[f"{key}_median"],
+                                 f"{key}_median") for key in ("series", "cover")]
     if len(set(shifts)) >= 3 and len(shifts) == len(ratios_m):
         xv = np.log2(1.0 + np.asarray(shifts))
         for key, rr in (("series_trend", ratios_g), ("cover_trend", ratios_m)):

@@ -14,11 +14,11 @@ few hundred Jacobi-Anger terms over a few dozen factors each side.
 
 Application, adjoint and both commutators act on stacks: (rows, n) arrays of
 samples, transformed along the last axis, so a block of functions costs one
-FFT per factor.  apply, apply_adjoint, commutator and adjoint_commutator are
-the one-row case of the same cores (the _rows functions), and each row of a
-stack comes out bit for bit as its one-row result.  Kernel rows, columns and
-the offset rows of kernels.py are the same sums with one slot held at a
-point: one inverse FFT per factor of the free slot.
+FFT per factor.  apply, apply_adjoint and commutator are the one-row case of
+the same cores (the _rows functions), and each row of a stack comes out bit
+for bit as its one-row result.  Kernel rows, columns and the offset rows of
+kernels.py are the same sums with one slot held at a point: one inverse FFT
+per factor of the free slot.
 
 Adjoints are the exact conjugate transposes of the assembled action (matrix
 free: the same sums run in reversed order), so the pairing
@@ -41,12 +41,10 @@ __all__ = [
     "make_operator",
     "apply",
     "apply_rows",
-    "apply_dyadic_piece",
     "apply_adjoint",
     "apply_adjoint_rows",
     "commutator",
     "commutator_rows",
-    "adjoint_commutator",
     "adjoint_commutator_rows",
     "kernel_column",
     "kernel_row",
@@ -154,31 +152,18 @@ def _mode_sums(op: OperatorInstance, spectra: list, band: np.ndarray | None,
     return {o: idft_rows(recip, t) for o, t in acc.items()}
 
 
-def _forward(op: OperatorInstance, rows: np.ndarray, band: np.ndarray | None) -> np.ndarray:
-    """sum_p c_p idft(sum_q sigma_pq band dft(d_q f)) for each row f."""
+def apply_rows(op: OperatorInstance, rows: np.ndarray) -> np.ndarray:
+    """T_a f for each row f of a (rows, n) stack on the operator's grid:
+    sum_p c_p idft(sum_q sigma_pq band dft(d_q f))."""
     _, cs, ds = op._terms
     spectra = [dft_rows(op.grid, rows if d is None else d * rows) for d in ds]
-    return _combine(cs, _mode_sums(op, spectra, band, adjoint=False))
-
-
-def apply_rows(op: OperatorInstance, rows: np.ndarray) -> np.ndarray:
-    """T_a f for each row f of a (rows, n) stack on the operator's grid."""
-    return _forward(op, rows, op._mode_band())
+    return _combine(cs, _mode_sums(op, spectra, op._mode_band(), adjoint=False))
 
 
 def apply(op: OperatorInstance, f: SampledFunction) -> SampledFunction:
     """T_a f on the operator's grid."""
     op._check_grid(f)
     return SampledFunction(op.grid, apply_rows(op, f.values[None, :])[0])
-
-
-def apply_dyadic_piece(op: OperatorInstance, k: int, f: SampledFunction) -> SampledFunction:
-    """Apply the frequency-localized piece T_{a phi_k}."""
-    op._check_grid(f)
-    if not 0 <= k <= op.family.max_index:
-        raise ValueError(f"piece index {k} outside 0..{op.family.max_index}")
-    band = op.family.piece_on_lattice(k)
-    return SampledFunction(op.grid, _forward(op, f.values[None, :], band)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +215,6 @@ def commutator(op: OperatorInstance, b: SampledFunction, f: SampledFunction) -> 
     """[b, T_a] f = b (T_a f) - T_a (b f)."""
     op._check_grid(f)
     return SampledFunction(op.grid, commutator_rows(op, b, f.values[None, :])[0])
-
-
-def adjoint_commutator(
-    op: OperatorInstance, b: SampledFunction, u: SampledFunction
-) -> SampledFunction:
-    """[b, T_a^*] u = b (T_a^* u) - T_a^* (b u)."""
-    op._check_grid(u)
-    return SampledFunction(op.grid, adjoint_commutator_rows(op, b, u.values[None, :])[0])
 
 
 # ---------------------------------------------------------------------------

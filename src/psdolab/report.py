@@ -25,6 +25,7 @@ __all__ = [
     "config_hash",
     "overall_verdict",
     "report_json_bytes",
+    "spread_criterion",
     "write_report_json",
     "write_csv",
     "zero_family",
@@ -71,6 +72,12 @@ class Criterion:
 def zero_family(value: float) -> Criterion:
     """The one zero-family rule: value at most ZERO_FLOOR."""
     return Criterion("zero_family", value, "<=", ZERO_FLOOR)
+
+
+def spread_criterion(name: str, value: float, cap: float, median: float,
+                     median_name: str) -> Criterion:
+    """The one spread rule: value, a family's max, at most cap times its median."""
+    return Criterion(name, value, "<=", cap * median, f"{cap:g}*{median_name}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Symbols and amplitudes: presets, dyadic localization, class probing.
+"""Symbols and amplitudes: presets and class probing.
 
 An evaluator is a vectorized callable a(x, y, xi); each argument is a scalar
 or a broadcastable array.  Symbols (y-independent) simply ignore the y slot.
@@ -16,14 +16,13 @@ dyadic frequency shell, and a growth slope across the top shells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .fitting import least_squares_line
 from .grid import PeriodicGrid
-from .littlewood_paley import LPFamily
 from .report import Criterion
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "ClassMembershipReport",
     "japanese_bracket",
     "preset_symbol",
-    "dyadic_piece",
     "estimate_class_membership",
 ]
 
@@ -244,22 +242,6 @@ def preset_symbol(name: str, **params) -> SymbolSpec:
                           _amplitude_expansion(m, rho, delta, scale))
 
     raise ValueError(f"unknown symbol preset {name!r}")
-
-
-def dyadic_piece(sym: SymbolSpec, family: LPFamily, k: int) -> SymbolSpec:
-    """Localize a symbol to the k-th dyadic frequency shell."""
-    if not 0 <= k <= family.max_index:
-        raise ValueError(f"piece index {k} outside 0..{family.max_index}")
-
-    def ev(x, y, xi, _k=k):
-        return sym.evaluator(x, y, xi) * family.piece_profile(_k, xi)
-
-    def expansion(xi, _k=k):
-        ex, profile = sym.expansion(xi), family.piece_profile(_k, xi)
-        return replace(ex, sigma=lambda r: ex.sigma(r) * profile)
-
-    return SymbolSpec(ev, sym.order, sym.rho, sym.delta, sym.kind, f"{sym.label}|piece{k}",
-                      expansion)
 
 
 # ---------------------------------------------------------------------------

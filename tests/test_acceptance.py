@@ -73,7 +73,7 @@ def test_c04_kernel_decay_slopes(capsys):
     rows, ok = [], True
     for m, ell, expected in cases:
         op = P.make_operator(P.preset_symbol("bessel_order_m", m=m), g4)
-        fit = P.fit_decay_in_k(op, ell, k_range=range(3, 8))
+        (fit,) = P.fit_decay_in_k(op, (ell,), k_range=range(3, 8))
         ok = ok and abs(fit.slope - expected) <= 0.15
         rows.append(f"m={m:g},ell={ell}: {fit.slope:+.4f} vs {expected:+.2f}")
     emit(capsys, 4, ok, "dyadic decay slopes " + "; ".join(rows) + " (tol 0.15)")

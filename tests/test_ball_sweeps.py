@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import psdolab as P
 from psdolab.experiments import local_average_ratio
+from psdolab.function_classes import WeightFn
 from psdolab.grid import ball_windows
 
 SIZES = [64, 128, 256, 512, 1024, 2048, 4096]
@@ -186,7 +187,7 @@ def test_weight_under_the_jensen_floor_still_raises():
     per-ball product reads 0 < 1: corrupt data, refused by every sweep."""
     grid = P.make_grid(256, 16.0)
     family = P.sweep_family(grid)
-    w = P.WeightFn(P.SampledFunction(grid, np.full(grid.n, 1e300)), "underflow")
+    w = WeightFn(P.SampledFunction(grid, np.full(grid.n, 1e300)), "underflow")
     for call in (P.ap_theta_characteristic, P.stabilized_characteristic):
         with pytest.raises(ValueError, match="Jensen floor"):
             call(w, 1.01, 0.0, family)

@@ -146,6 +146,17 @@ def test_too_few_sweep_radii_is_a_usage_error_on_every_target(tmp_path, capsys):
                                     tmp_path / "out")
 
 
+def test_fs_window_below_the_family_radius_is_a_usage_error_on_every_target(tmp_path, capsys):
+    """At grid.n = 256 the structured family starts at radius 8dx = 1, above
+    fs's beta = 0.5; the kernel settings make every other check pass."""
+    cfgfile = tmp_path / "coarse.cfg"
+    cfgfile.write_text("kernel.k_lo = 0\nkernel.k_hi = 3\nkernel.diff_k = 0,3\n")
+    args = ("--config", str(cfgfile), "--grid-n", "256")
+    _assert_refused_on_every_target(
+        capsys, args, "error: grid: alpha 0.5 below the minimum family radius 1.0",
+        tmp_path / "out")
+
+
 @pytest.mark.parametrize("s", ["2.5", "2.0", "1.0", "0.5"])
 def test_maximal_exponent_under_counterexample_is_a_usage_error_on_every_target(tmp_path,
                                                                                 capsys, s):

@@ -72,12 +72,6 @@ def test_ball_average_of_linear_function(grid):
     assert complex(P.ball_average(f, ball)).real == pytest.approx(3.0, abs=grid.spacing)
 
 
-def test_ball_integral_matches_measure(grid):
-    one = P.sample(grid, lambda x: np.ones_like(x))
-    ball = P.Ball((0.0,), 2.0)
-    assert P.ball_integral(one, ball) == pytest.approx(4.0, rel=0.02)
-
-
 def _full_scan(grid, ball):
     """Brute force: the periodic distance test on every grid point."""
     d2 = grid.wrap(grid.axis_points() - ball.center[0]) ** 2

@@ -21,7 +21,7 @@ def cover(grid):
 
 
 def test_cover_partitions_the_box(grid, cover):
-    assert cover.radius == 1.0
+    assert cover.to_json_dict()["radius"] == 1.0
     assert len(cover.centers) == 78
     assert cover.covers_pointwise()
 

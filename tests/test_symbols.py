@@ -49,17 +49,6 @@ def test_unknown_preset_rejected():
         P.preset_symbol("nonsense")
 
 
-def test_dyadic_piece_localizes_support(grid_small):
-    fam = P.make_lp_family(grid_small)
-    sym = P.preset_symbol("bessel_order_m", m=-0.75)
-    piece = P.dyadic_piece(sym, fam, 3)
-    xi = np.array([[0.5, 2.0, 6.0, 40.0]])
-    vals = np.asarray(piece.evaluator(np.zeros((1, 1)), 0.0, xi), dtype=complex)[0]
-    assert vals[0] == 0.0          # below the shell
-    assert abs(vals[2]) > 0.0      # inside 4..16
-    assert vals[3] == 0.0          # above the shell
-
-
 def test_membership_estimates_bounded_shells(grid_small):
     rep = estimate_class_membership(P.preset_symbol("bessel_order_m", m=-0.75), grid_small)
     assert len(rep.entries) == 9
@@ -70,21 +59,19 @@ def test_membership_estimates_bounded_shells(grid_small):
     assert all(e.bounded for e in rough.entries)
 
 
-def test_modulation_factors_the_rough_preset_and_its_pieces(grid_small):
+def test_modulation_factors_the_rough_preset(grid_small):
     """a(x, y, xi) = c(x) a(0, 0, xi) with c(0) = 1 is the rough preset's one
-    expansion term; dyadic pieces keep c."""
+    expansion term."""
     sym = P.preset_symbol("rough_x_modulated", m=-0.5)
-    fam = P.make_lp_family(grid_small)
     rng = np.random.default_rng(11)
     x, y = rng.uniform(-20.0, 20.0, (2, 400))
     xi = rng.uniform(-1.2, 1.2, 400) * grid_small.xi_max
-    c = sym.expansion(xi).x_factors[0]
-    for s in [sym] + [P.dyadic_piece(sym, fam, k) for k in range(fam.max_index + 1)]:
-        ex = s.expansion(xi)
-        assert ex.x_factors[0] is c and ex.y_factors == (None,) and ex.terms == ((0, 0),)
-        assert c(0.0) == 1.0
-        lhs = np.asarray(s.evaluator(x, y, xi), dtype=complex)
-        np.testing.assert_allclose(lhs, c(x) * ex.sigma(0), rtol=1e-14, atol=0.0)
+    ex = sym.expansion(xi)
+    c = ex.x_factors[0]
+    assert ex.y_factors == (None,) and ex.terms == ((0, 0),)
+    assert c(0.0) == 1.0
+    lhs = np.asarray(sym.evaluator(x, y, xi), dtype=complex)
+    np.testing.assert_allclose(lhs, c(x) * ex.sigma(0), rtol=1e-14, atol=0.0)
     assert np.ptp(c(x)) > 1.0  # the x dependence is real
 
 
