@@ -15,8 +15,8 @@ def main() -> None:
     print(f"symbol {sym.label}: order {sym.order:g}, rho {sym.rho:g}")
 
     print("\nlog2 sup |z|^ell |K_k(x, z)| against k (pieces 2..5):")
-    for ell in (0, 1, 2):
-        (fit,) = P.fit_decay_in_k(op, (ell,), k_range=range(2, 6))
+    ells = (0, 1, 2)
+    for ell, fit in zip(ells, P.fit_decay_in_k(op, ells, k_range=range(2, 6))):
         print(f"  ell={ell}: slope {fit.slope:+.4f}, predicted "
               f"{fit.expected_slope:+.2f}, R^2 {fit.r_squared:.5f}  [{fit.criterion}]")
 

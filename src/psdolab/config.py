@@ -243,19 +243,16 @@ class ExperimentConfig:
     def check_hypotheses(self) -> None:
         """Reject parameter combinations outside the verified regime.
 
-        Symbol classes must satisfy m < rho-1, except the order-zero
-        rho=1 family which is admitted outright.  The weight exponent must
-        exceed 1 and both growth exponents must be nonnegative.  Runs
-        flagged as counterexamples bypass the gate.
+        The symbol's class (m, rho) must satisfy m < rho-1, except the
+        order-zero rho=1 family which is admitted outright.  The weight
+        exponent must exceed 1, both growth exponents must be nonnegative,
+        and Lemma 4.2's balls need radius < 4.  Runs flagged as
+        counterexamples bypass the gate.
         """
         if self.counterexample:
             return
-        name = self.get("symbol.preset")
-        if name == "identity":
-            m, rho = 0.0, 1.0
-        else:
-            m = self.get_float("symbol.m")
-            rho = self.get_float("symbol.rho") if name == "oscillating_amplitude" else 1.0
+        symbol = self.make_symbol()
+        m, rho = symbol.order, symbol.rho
         order_zero_family = m == 0.0 and rho == 1.0
         if not (m < rho - 1.0 or order_zero_family):
             raise HypothesisViolation(
@@ -274,6 +271,9 @@ class ExperimentConfig:
             raise HypothesisViolation(
                 f"maximal bound needs p > s > 1, got p={p:g}, s={s:g}"
             )
+        bad = [r for r in self.get_floats("oscillation.radii") if not r < 4.0]
+        if bad:
+            raise HypothesisViolation(f"oscillation balls need radius < 4, got {bad[0]:g}")
 
 
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
@@ -316,33 +316,42 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
 def _check_computable(cfg: ExperimentConfig, grid) -> None:
     """Refuse what a runner would refuse mid-run, by that runner's own check.
 
-    kernel-decay fits k = kernel.k_lo..kernel.k_hi and tabulates
+    The config's symbol must build (an amplitude needs rho and delta in
+    [0, 1]); kernel-decay fits k = kernel.k_lo..kernel.k_hi and tabulates
     kernel.diff_k on the annuli kernel.diff_j of a kernel.diff_ball_radius
-    ball; the maximal checks need the critical balls' 8-dilates inside the
+    ball, and lemma42 runs on balls of the oscillation.radii, each a Ball
+    with a positive radius; the series maximal needs maximal.kappa > 0; the
+    maximal checks need the critical balls' 8-dilates inside the
     box; the weight gate needs 4 dyadic sweep radii; fs's family sups at
     beta = 0.5 and alpha_sharp = 4 need the family's least radius 8 dx;
     every corpus needs an item and positive widths; each damped series needs
     n_big >= 1/p + 1 at the exponent it runs with; and the weighted maximal
-    bounds need 1 < maximal.s < weight.p, which the hypothesis gate checks
-    unless run.counterexample lets it through.  Every symbol preset runs at
+    bounds need 1 < maximal.s < weight.p, and lemma42's doubled balls need
+    2r <= grid.l, both of which the hypothesis gate checks (r < 4 <= grid.l/2)
+    unless run.counterexample lets them through.  Every symbol preset runs at
     every grid size: none has a cost budget.
     """
     from .corpus import _check_count, _check_width
     from .function_classes import _check_stabilization_radii
-    from .grid import _sweep_radii
+    from .grid import Ball, _sweep_radii, ball_indices
     from .kernels import _check_annuli, _check_k_window, _decay_ks, _difference_js, _difference_ks
     from .littlewood_paley import make_lp_family
     from .maximal import (_check_damping, _check_dilates_fit, _check_family_radius,
-                          _check_maximal_exponents)
+                          _check_kappa, _check_maximal_exponents)
 
     k_lo, k_hi = cfg.get_int("kernel.k_lo"), cfg.get_int("kernel.k_hi")
     (j_lo, j_hi), (dk_lo, dk_hi) = cfg.get_ints("kernel.diff_j"), cfg.get_ints("kernel.diff_k")
     pieces = [*range(k_lo, k_hi + 1), *range(dk_lo, dk_hi + 1)]
     radius = cfg.get_float("kernel.diff_ball_radius")
     checks = [
+        ("symbol", cfg.make_symbol),
         ("kernel.k_lo", lambda: _decay_ks(range(k_lo, k_hi + 1))),
         ("kernel.diff_j", lambda: _difference_js(range(j_lo, j_hi + 1))),
         ("kernel.diff_k", lambda: _difference_ks(range(dk_lo, dk_hi + 1))),
+        ("kernel.diff_ball_radius", lambda: Ball((0.0,), radius)),
+        ("oscillation.radii",
+         lambda: [Ball((0.0,), r) for r in cfg.get_floats("oscillation.radii")]),
+        ("maximal.kappa", lambda: _check_kappa(cfg.get_float("maximal.kappa"))),
         ("grid", lambda: _check_k_window(make_lp_family(grid), pieces)),
         ("grid", lambda: _check_annuli(grid, radius, j_hi)),
         ("grid", lambda: _check_dilates_fit(grid)),
@@ -363,6 +372,9 @@ def _check_computable(cfg: ExperimentConfig, grid) -> None:
     if cfg.counterexample:
         checks.append(("maximal.s", lambda: _check_maximal_exponents(
             cfg.get_float("weight.p"), cfg.get_float("maximal.s"))))
+        # past the radius < 4 hypothesis, lemma42 still indexes each 2B
+        checks.append(("oscillation.radii", lambda: [ball_indices(grid, Ball((0.0,), 2.0 * r))
+                                                     for r in cfg.get_floats("oscillation.radii")]))
     for key, check in checks:
         try:
             check()

@@ -19,9 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import ExperimentConfig, HypothesisViolation
+from .config import ExperimentConfig
 from .corpus import corpus_blocks, gaussian_corpus, mixed_corpus
-from .fitting import least_squares_line, median
 from .function_classes import (
     ap_theta_characteristic,
     bmo_theta_norm,
@@ -61,7 +60,7 @@ from .operators import (
     commutator_rows,
     make_operator,
 )
-from .report import Criterion, VerificationReport, spread_criterion, zero_family
+from .report import Criterion, VerificationReport, ratio_family, trend_criterion, zero_family
 from .symbols import estimate_class_membership
 
 __all__ = [
@@ -91,24 +90,9 @@ def _report(cfg: ExperimentConfig, experiment: str, items: list[dict], aggregate
                               cfg.digest(), cfg.seed)
 
 
-def _spread(cfg: ExperimentConfig, agg: dict, key: str, median_key: str) -> Criterion:
-    """agg[key] within tolerances.ratio_spread times agg[median_key]."""
-    return spread_criterion(key, agg[key], cfg.get_float("tolerances.ratio_spread"),
-                            agg[median_key], median_key)
-
-
-def _ratio_statistics(ratios: list[float], shifts: list[float], cfg: ExperimentConfig):
-    """max/median spread plus the translation-trend slope when shifts vary."""
-    arr = np.asarray(ratios, dtype=float)
-    agg = {"max": float(np.max(arr)), "median": median(arr)}
-    criteria = [_spread(cfg, agg, "max", "median")]
-    if len(set(shifts)) >= 3 and len(shifts) == len(ratios) and np.all(arr > 0):
-        xv = np.log2(1.0 + np.asarray(shifts, dtype=float))
-        slope, _, _ = least_squares_line(xv, np.log2(arr))
-        agg["slope"] = slope
-        criteria.append(Criterion("|slope|", abs(slope), "<=",
-                                  cfg.get_float("tolerances.trend_slope")))
-    return agg, criteria
+def _family(cfg: ExperimentConfig, prefix: str, values) -> tuple[dict, list[Criterion]]:
+    """report.ratio_family at the cap tolerances.ratio_spread."""
+    return ratio_family(prefix, values, cfg.get_float("tolerances.ratio_spread"))
 
 
 @lru_cache(maxsize=1)
@@ -140,6 +124,28 @@ def _operator_gates(cfg: ExperimentConfig):
     return entries, (membership, *stabilization_criteria(stab, "weight_stable"))
 
 
+def _lemma_setup(cfg: ExperimentConfig):
+    """What lemma41 and lemma42 share: the band-limited twin of the config's
+    operator, the series damping n_big, the multiplier b, its BMO_theta norm
+    and the scale each commutator statistic is divided by."""
+    cfg.check_hypotheses()
+    grid = cfg.make_grid()
+    # the smooth band cutoff matters here: the full-lattice symbol has a
+    # derivative kink at the frequency seam whose |z|^-2 kernel tail would
+    # beat the series maximal's 2^-Nk damping on far balls
+    op = band_limited_twin(make_operator(cfg.make_symbol(), grid))
+    # damping must clear n/p yet stay below the kernel's decay order over
+    # the box, or far balls report the bound's worst constant instead of
+    # its uniformity
+    n_big = cfg.get_int("lemma.n_big")
+    b = cfg.make_bmo(grid)
+    bnorm = bmo_theta_norm(b, cfg.get_float("bmo.theta"), sweep_family(grid)).value
+    # a multiplier with a zero-family norm is a constant and its commutator
+    # the zero operator: that statistic stays unscaled rather than divide by 0
+    b_scale = 1.0 if zero_family(bnorm).ok else bnorm
+    return op, n_big, b, bnorm, b_scale
+
+
 def _corpus_ratio_report(cfg: ExperimentConfig, experiment: str, transform) -> VerificationReport:
     """Shared loop for the weighted operator-ratio experiments.
 
@@ -154,7 +160,6 @@ def _corpus_ratio_report(cfg: ExperimentConfig, experiment: str, transform) -> V
     family = make_lp_family(grid)
     op = make_operator(sym, grid, family=family)
     w = cfg.make_weight(grid)
-    wfn = SampledFunction(grid, w.values.astype(np.complex128))
     p = cfg.get_float("weight.p")
     gate_entries, gates = _operator_gates(cfg)
 
@@ -162,8 +167,8 @@ def _corpus_ratio_report(cfg: ExperimentConfig, experiment: str, transform) -> V
     ratios, unweighted, shifts = [], [], []
     for block, rows in corpus_blocks(cfg.make_corpus(grid), grid.n):
         t_rows = transform(op, rows)
-        norms = zip(block, lp_norms(grid, rows, p, weight=wfn), lp_norms(grid, rows, p),
-                    lp_norms(grid, t_rows, p, weight=wfn), lp_norms(grid, t_rows, p))
+        norms = zip(block, lp_norms(grid, rows, p, weight=w.values), lp_norms(grid, rows, p),
+                    lp_norms(grid, t_rows, p, weight=w.values), lp_norms(grid, t_rows, p))
         for (label, _, params), denom_w, denom_0, num_w, num_0 in norms:
             if denom_w == 0.0 or denom_0 == 0.0:
                 continue
@@ -179,22 +184,19 @@ def _corpus_ratio_report(cfg: ExperimentConfig, experiment: str, transform) -> V
     if not ratios:
         raise ValueError("empty corpus")
 
+    agg, criteria = _family(cfg, "", ratios)
     # a commutator family whose ratios all sit at the float floor is the
-    # zero operator
-    zero = zero_family(max(ratios))
-    if zero.ok:
-        agg = {"max": float(np.max(ratios)), "median": median(ratios), "slope": 0.0}
-        criteria = [zero]
-    else:
-        agg, criteria = _ratio_statistics(ratios, shifts, cfg)
-    agg["zero_family"] = zero.ok
-    agg["unweighted_max"] = float(np.max(unweighted))
-    agg["unweighted_median"] = median(unweighted)
-    spread = cfg.get_float("tolerances.ratio_spread")
-    agg["unweighted_drift"] = bool(
-        not zero.ok
-        and agg["unweighted_max"] > spread * max(agg["unweighted_median"], 1e-300)
-    )
+    # zero operator, and its trend says nothing
+    agg["zero_family"] = zero = criteria[-1].name == "zero_family"
+    slope, trend = (0.0, []) if zero else trend_criterion(
+        "slope", ratios, shifts, cfg.get_float("tolerances.trend_slope"))
+    if slope is not None:
+        agg["slope"] = slope
+    criteria += trend
+    # the unweighted family is observed, not judged
+    unweighted_agg, unweighted_criteria = _family(cfg, "unweighted_", unweighted)
+    agg.update(unweighted_agg)
+    agg["unweighted_drift"] = not zero and not all(c.ok for c in unweighted_criteria)
     agg.update(gate_entries)
     agg["symbol"] = sym.label
     agg["weight"] = w.label
@@ -259,26 +261,10 @@ def run_local_average_check(cfg: ExperimentConfig) -> VerificationReport:
     floating-point floor whenever a packet sits far from a ball, which says
     nothing about the uniform constant the bound asserts.
     """
-    cfg.check_hypotheses()
-    grid = cfg.make_grid()
-    sym = cfg.make_symbol()
-    # the smooth band cutoff matters here: the full-lattice symbol has a
-    # derivative kink at the frequency seam whose |z|^-2 kernel tail would
-    # beat the series maximal's 2^-Nk damping on far balls
-    op = band_limited_twin(make_operator(sym, grid))
+    op, n_big, b, bnorm, b_scale = _lemma_setup(cfg)
+    grid = op.grid
     cover = build_critical_cover(grid)
     p = cfg.get_float("weight.p")
-    # damping must clear n/p yet stay below the kernel's decay order over
-    # the box, or far balls report the bound's worst constant instead of
-    # its uniformity
-    n_big = cfg.get_int("lemma.n_big")
-    b = cfg.make_bmo(grid)
-    theta_b = cfg.get_float("bmo.theta")
-    bnorm = bmo_theta_norm(b, theta_b, sweep_family(grid)).value
-    # a multiplier with a zero-family norm is a constant and its commutator
-    # the zero operator: that statistic stays unscaled, judged as a zero family
-    b_zero = zero_family(bnorm).ok
-    b_scale = 1.0 if b_zero else bnorm
 
     corpus = gaussian_corpus(
         grid,
@@ -306,24 +292,11 @@ def run_local_average_check(cfg: ExperimentConfig) -> VerificationReport:
                  "value": {"plain": best, "commutator": best_c,
                            "argmax_center": list(best_center)}}
             )
-    agg = {
-        "plain_max": float(np.max(plain)),
-        "plain_median": median(plain),
-        "commutator_max": float(np.max(comm)),
-        "commutator_median": median(comm),
-        "multiplier_norm": bnorm,
-        "cover_size": len(cover.centers),
-        "symbol": sym.label,
-        "p": p,
-    }
-    criteria = [
-        Criterion("plain_max_finite", agg["plain_max"], "<", np.inf),
-        Criterion("commutator_max_finite", agg["commutator_max"], "<", np.inf),
-        _spread(cfg, agg, "plain_max", "plain_median"),
-        zero_family(agg["commutator_max"]) if b_zero
-        else _spread(cfg, agg, "commutator_max", "commutator_median"),
-    ]
-    return _report(cfg, "local_average_control", items, agg, criteria)
+    agg, criteria = _family(cfg, "plain_", plain)
+    comm_agg, comm_criteria = _family(cfg, "commutator_", comm)
+    agg.update(comm_agg, multiplier_norm=bnorm, cover_size=len(cover.centers),
+               symbol=op.symbol.label, p=p)
+    return _report(cfg, "local_average_control", items, agg, criteria + comm_criteria)
 
 
 # ---------------------------------------------------------------------------
@@ -360,29 +333,12 @@ def run_oscillation_check(cfg: ExperimentConfig) -> VerificationReport:
     in 2B, and a constant multiplier.  Only the minima over each B of the
     two maximal functions are read.
     """
-    cfg.check_hypotheses()
-    grid = cfg.make_grid()
-    sym = cfg.make_symbol()
-    op = band_limited_twin(make_operator(sym, grid))
+    op, n_big, b, bnorm, b_scale = _lemma_setup(cfg)
+    grid = op.grid
     p = cfg.get_float("weight.p")
-    # damping must clear n/p yet stay below the kernel's decay order over
-    # the box, or far balls report the bound's worst constant instead of
-    # its uniformity
-    n_big = cfg.get_int("lemma.n_big")
-    b = cfg.make_bmo(grid)
-    theta_b = cfg.get_float("bmo.theta")
-    bnorm = bmo_theta_norm(b, theta_b, sweep_family(grid)).value
-    b_zero = zero_family(bnorm).ok  # as in run_local_average_check
-    b_scale = 1.0 if b_zero else bnorm
     b_flat = b.values.real
-
     radii = cfg.get_floats("oscillation.radii")
     centers = cfg.get_floats("oscillation.centers")
-    bad = [r for r in radii if not r < 4.0]
-    if bad:
-        raise HypothesisViolation(
-            f"oscillation balls need radius < 4, got {bad[0]:g}"
-        )
 
     from .corpus import band_noise, gaussian_packet
 
@@ -461,24 +417,14 @@ def run_oscillation_check(cfg: ExperimentConfig) -> VerificationReport:
                            "constant_multiplier": constant}}
             )
 
-    agg = {
-        "plain_max": float(np.max(plain)),
-        "plain_median": median(plain),
-        "commutator_max": float(np.max(comm)),
-        "commutator_median": median(comm),
-        "zero_case_max": float(np.max(np.abs(zeros))),
-        "multiplier_norm": bnorm,
-        "symbol": sym.label,
-        "p": p,
-    }
-    criteria = [
-        Criterion("zero_case_max", agg["zero_case_max"], "==", 0.0),
-        Criterion("plain_max_finite", agg["plain_max"], "<", np.inf),
-        _spread(cfg, agg, "plain_max", "plain_median"),
-        zero_family(agg["commutator_max"]) if b_zero
-        else _spread(cfg, agg, "commutator_max", "commutator_median"),
-    ]
-    return _report(cfg, "kernel_oscillation_control", items, agg, criteria)
+    zero_case_max = float(np.max(np.abs(zeros)))
+    agg, criteria = _family(cfg, "plain_", plain)
+    comm_agg, comm_criteria = _family(cfg, "commutator_", comm)
+    agg.update(comm_agg, zero_case_max=zero_case_max, multiplier_norm=bnorm,
+               symbol=op.symbol.label, p=p)
+    return _report(cfg, "kernel_oscillation_control", items, agg,
+                   [Criterion("zero_case_max", zero_case_max, "==", 0.0), *criteria,
+                    *comm_criteria])
 
 
 # ---------------------------------------------------------------------------
@@ -649,16 +595,9 @@ def run_fs(cfg: ExperimentConfig) -> VerificationReport:
         for (label, _, params), (*_, ratio) in zip(block, fs_inequality_rows(rows, w, p, cover)):
             ratios.append(ratio)
             items.append({"id": label, "params": dict(params), "value": ratio})
-    arr = np.asarray(ratios)
-    agg = {
-        "max": float(np.max(arr)),
-        "median": median(arr),
-        "weight": w.label,
-        "p": p,
-    }
     # every ratio is >= 0 or NaN, and NaN carries through the max
-    criteria = [Criterion("max_finite", agg["max"], "<", np.inf),
-                _spread(cfg, agg, "max", "median")]
+    agg, criteria = _family(cfg, "", ratios)
+    agg.update(weight=w.label, p=p)
     return _report(cfg, "local_sharp_control", items, agg, criteria)
 
 

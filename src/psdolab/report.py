@@ -1,5 +1,5 @@
-"""Report types shared across the library, the one verdict rule, and
-deterministic serialization.
+"""Report types shared across the library, the one verdict rule, the one
+ratio-family rule, and deterministic serialization.
 
 Checks hand over Criterion comparisons (value, comparison, threshold), never
 a verdict.  A report's verdict is "hypothesis_unverified" if a gate is not
@@ -7,6 +7,11 @@ ok, otherwise "pass" iff every criterion is ok; its JSON records every gate
 and criterion and names the one that decided, so the verdict can be
 recomputed from the report alone.  JSON output is canonical (sorted keys,
 fixed indentation, trailing newline): identical runs give identical bytes.
+
+A bound with a uniform constant becomes a family of ratios, judged by the one
+ratio-family rule, ratio_family: a finite max, then a max at most ZERO_FLOOR
+(a zero family) or else within a cap times the median; trend_criterion adds
+a flat translation trend where the corpus marches toward the box edge.
 """
 
 from __future__ import annotations
@@ -18,14 +23,20 @@ import operator
 from dataclasses import asdict, dataclass, field
 from typing import Any, Iterable, Sequence
 
+import numpy as np
+
+from .fitting import least_squares_line, median
+
 __all__ = [
     "Criterion",
     "DecayFitReport",
     "VerificationReport",
     "config_hash",
     "overall_verdict",
+    "ratio_family",
     "report_json_bytes",
     "spread_criterion",
+    "trend_criterion",
     "write_report_json",
     "write_csv",
     "zero_family",
@@ -78,6 +89,34 @@ def spread_criterion(name: str, value: float, cap: float, median: float,
                      median_name: str) -> Criterion:
     """The one spread rule: value, a family's max, at most cap times its median."""
     return Criterion(name, value, "<=", cap * median, f"{cap:g}*{median_name}")
+
+
+def ratio_family(prefix: str, values, cap: float) -> tuple[dict, list[Criterion]]:
+    """The one ratio-family rule: the aggregate {prefix}max and {prefix}median,
+    and the criteria {prefix}max_finite, then zero_family if the max is at
+    most ZERO_FLOOR, else the spread rule with cap.  The max is np.max, so a
+    NaN ratio carries through and fails both criteria."""
+    arr = np.asarray(values, dtype=float)
+    top, mid = float(np.max(arr)), median(arr)
+    zero = zero_family(top)
+    last = zero if zero.ok else spread_criterion(f"{prefix}max", top, cap, mid,
+                                                 f"{prefix}median")
+    return ({f"{prefix}max": top, f"{prefix}median": mid},
+            [Criterion(f"{prefix}max_finite", top, "<", np.inf), last])
+
+
+def trend_criterion(key: str, ratios, shifts, bound: float
+                    ) -> tuple[float | None, list[Criterion]]:
+    """The one translation-trend rule: the slope of log2 ratio against
+    log2(1 + shift), |slope| at most bound, named |key|.  Fitted only when
+    there is one shift per ratio, at least 3 distinct shifts and every ratio
+    is > 0; otherwise (None, [])."""
+    arr = np.asarray(ratios, dtype=float)
+    if len(set(shifts)) < 3 or len(shifts) != arr.size or not np.all(arr > 0):
+        return None, []
+    slope, _, _ = least_squares_line(np.log2(1.0 + np.asarray(shifts, dtype=float)),
+                                     np.log2(arr))
+    return slope, [Criterion(f"|{key}|", abs(slope), "<=", bound)]
 
 
 @dataclass(frozen=True)

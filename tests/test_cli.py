@@ -3,13 +3,15 @@ import json
 import operator
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 from psdolab.cli import main
-from psdolab.experiments import VERIFY_TARGETS
+from psdolab.config import load_config
+from psdolab.experiments import VERIFY_TARGETS, run_all
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -110,13 +112,18 @@ def _assert_refused_on_every_target(capsys, args, prefix, out):
                                      "lemma.n_big = 0", "maximal.n_big = 0",
                                      "lemma.n_big = 1", "maximal.n_big = 1",
                                      "kernel.diff_j = 1,4", "kernel.diff_j = 2,3",
-                                     "kernel.diff_k = 3,3"])
+                                     "kernel.diff_k = 3,3",
+                                     "kernel.diff_ball_radius = 0",
+                                     "kernel.diff_ball_radius = -0.5",
+                                     "oscillation.radii = 0.5,-1",
+                                     "maximal.kappa = 0", "maximal.kappa = -1"])
 def test_bad_value_is_a_usage_error_on_every_target(tmp_path, capsys, setting):
     """A bad preset name, typed value or list length, too few decay pieces, an
     empty corpus or a width <= 0, a series damping n_big below 1/p + 1
-    (p = weight.p = 2 for lemma, maximal.s = 1.5 for maximal), or a
+    (p = weight.p = 2 for lemma, maximal.s = 1.5 for maximal), a
     difference table with an annulus below j = 2, under 3 annuli or under 2
-    pieces, is refused before any target runs."""
+    pieces, a ball radius <= 0 or a series dilation kappa <= 0, is refused
+    before any target runs."""
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text(setting + "\n")
     key = setting.split(" =")[0]
@@ -166,6 +173,42 @@ def test_maximal_exponent_under_counterexample_is_a_usage_error_on_every_target(
     cfgfile.write_text(f"run.counterexample = true\nmaximal.s = {s}\n")
     _assert_refused_on_every_target(capsys, ("--config", str(cfgfile)),
                                     "error: maximal.s: need p > s > 1", tmp_path / "out")
+
+
+@pytest.mark.parametrize("key", ["symbol.rho", "symbol.delta"])
+def test_amplitude_class_outside_the_unit_interval_is_a_usage_error_on_every_target(
+        tmp_path, capsys, key):
+    """The amplitude reads rho and delta, which SymbolSpec needs in [0, 1];
+    the other presets ignore both keys."""
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(f"symbol.preset = oscillating_amplitude\n{key} = 1.5\n")
+    name = key.split(".")[1]
+    _assert_refused_on_every_target(capsys, ("--config", str(cfgfile)),
+                                    f"error: symbol: {name} must lie in [0, 1]", tmp_path / "out")
+
+
+def test_oscillation_radius_four_exits_three_on_every_target(tmp_path, capsys):
+    """Lemma 4.2's balls need radius < 4: the hypothesis gate refuses it on
+    every target, before any target computes or any report is written."""
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text("oscillation.radii = 0.5,5\n")
+    out = tmp_path / "out"
+    for command in [("verify", target) for target in VERIFY_TARGETS] + [("report", "all")]:
+        assert run_cli(*command, "--config", str(cfgfile), "--out", str(out)) == 3
+        assert capsys.readouterr().err == (
+            "hypothesis violated: oscillation balls need radius < 4, got 5\n")
+    assert not out.exists()
+
+
+def test_oscillation_radius_past_the_box_under_counterexample_is_a_usage_error(tmp_path,
+                                                                              capsys):
+    """run.counterexample lets radius >= 4 past the hypothesis gate, but a
+    doubled ball wider than the half box cannot be indexed: refused at load."""
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text("run.counterexample = true\noscillation.radii = 0.5,8.5\n")
+    _assert_refused_on_every_target(capsys, ("--config", str(cfgfile)),
+                                    "error: oscillation.radii: ball radius 17.0 exceeds",
+                                    tmp_path / "out")
 
 
 def test_maximal_exponent_without_counterexample_exits_three(tmp_path, capsys):
@@ -269,6 +312,21 @@ def test_verdicts_recompute_from_the_json_alone(tmp_path, capsys, preset):
         verdicts.append(verdict)
     assert summary["verdict"] == ("pass" if set(verdicts) == {"pass"} else "fail")
     assert ("hypothesis_unverified" in verdicts) == gated
+
+
+@pytest.mark.parametrize("preset", sorted(p.stem for p in (ROOT / "presets").glob("*.cfg")))
+def test_readme_preset_row_quotes_every_failing_verdict(preset):
+    """The preset's row in README's table quotes, in backticks, the verdict
+    line (str of decided_by) of every target that does not pass, and no
+    other verdict line, so a verdict change must update README with it."""
+    rows = [line for line in (ROOT / "README.md").read_text().splitlines()
+            if line.startswith(f"| `presets/{preset}.cfg`")]
+    assert len(rows) == 1
+    quoted = [text for text in re.findall(r"`([^`]+)`", rows[0])
+              if re.search(r" (?:<=|>=|==|!=|<|>) ", text)]
+    reports = run_all(load_config(ROOT / "presets" / f"{preset}.cfg"))
+    failing = [str(r.decided_by) for r in reports.values() if r.decided_by is not None]
+    assert sorted(quoted) == sorted(failing)
 
 
 def test_unknown_subcommand_rejected(tmp_path):
