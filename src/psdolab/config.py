@@ -2,14 +2,15 @@
 
 Config files are flat key=value text: one assignment per line, '#' starts
 a comment, section membership is spelled in the key itself (grid.n=2048).
-Unknown keys are rejected so typos fail loudly.  CLI flags override file
-values, file values override defaults, and the resolved mapping is what
-gets hashed into every report.
+Unknown keys, and a key set twice in one file, are rejected so typos fail
+loudly.  CLI flags override file values, file values override defaults, and
+the resolved text is what gets hashed into every report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field
 
 from .report import config_hash
 
@@ -31,48 +32,6 @@ class HypothesisViolation(ValueError):
     """
 
 
-DEFAULTS: dict[str, str] = {
-    "grid.n": "1024",
-    "grid.l": "16.0",
-    "symbol.preset": "bessel_order_m",
-    "symbol.m": "-0.75",
-    "symbol.rho": "1.0",
-    "symbol.delta": "0.0",
-    "symbol.spatial_scale": "16.0",
-    "weight.preset": "power_growth",
-    "weight.gamma": "1.5",
-    "weight.p": "2.0",
-    "weight.theta": "1.5",
-    "bmo.preset": "linear",
-    "bmo.theta": "1.0",
-    "corpus.center_count": "6",
-    "corpus.widths": "0.6,1.0,1.8",
-    "corpus.modulations": "0,4,12",
-    "maximal.s": "1.5",
-    "maximal.kappa": "1.0",
-    "maximal.n_big": "8",
-    "fs.count": "30",
-    "lemma.n_big": "3",
-    "lemma.center_count": "4",
-    "lemma.widths": "0.7,1.5",
-    "lemma.modulations": "0,8",
-    "oscillation.radii": "0.5,1.0,2.0",
-    "oscillation.centers": "0.0,3.0",
-    "kernel.ell_max": "2",
-    "kernel.k_lo": "2",
-    "kernel.k_hi": "5",
-    "kernel.diff_ball_radius": "0.5",
-    "kernel.diff_j": "2,4",
-    "kernel.diff_k": "2,5",
-    "kernel.adjoint_n_exp": "2",
-    "tolerances.ratio_spread": "4.0",
-    "tolerances.trend_slope": "0.1",
-    "tolerances.slope": "0.15",
-    "run.seed": "7",
-    "run.out": "out",
-    "run.counterexample": "false",
-}
-
 _SYMBOL_PARAM_KEYS = {
     "identity": (),
     "bessel_order_m": ("m",),
@@ -83,14 +42,18 @@ _SYMBOL_PARAM_KEYS = {
 
 def parse_config_text(text: str) -> dict[str, str]:
     entries: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        entries[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise ValueError(f"line {lineno}: {key} is already set on line {first_line[key]}")
+        first_line[key] = lineno
+        entries[key] = value
     return entries
 
 
@@ -103,80 +66,118 @@ def _as_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in text.split(",") if t.strip())
-
-
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.split(",") if t.strip())
-
-
 def _list(parse, arity: int | None = None):
-    """parse, refusing an empty list, or any length but arity when given."""
+    """Comma-separated values read by parse, refusing an empty list, or any
+    length but arity when given."""
     def checked(text: str) -> tuple:
-        values = parse(text)
+        values = tuple(parse(t) for t in text.split(",") if t.strip())
         if not values or arity not in (None, len(values)):
             raise ValueError(f"needs {arity or 'at least one'} value(s), got {len(values)}")
         return values
     return checked
 
 
-# How each typed key is read: a parser, or the tuple of its allowed values.
-# load_config applies every entry, so a bad value never reaches a runner.
-_KEY_TYPES = {
-    "grid.n": int, "grid.l": float,
-    "symbol.preset": tuple(_SYMBOL_PARAM_KEYS),
-    "symbol.m": float, "symbol.rho": float, "symbol.delta": float,
-    "symbol.spatial_scale": float,
-    "weight.preset": ("unit", "power_growth", "exp_abs", "random_log_bounded"),
-    "weight.gamma": float, "weight.p": float, "weight.theta": float,
-    "bmo.preset": ("constant", "linear", "triangle"),
-    "bmo.theta": float,
-    "corpus.center_count": int, "corpus.widths": _list(_floats),
-    "corpus.modulations": _list(_ints),
-    "maximal.s": float, "maximal.kappa": float, "maximal.n_big": int,
-    "fs.count": int,
-    "lemma.n_big": int, "lemma.center_count": int, "lemma.widths": _list(_floats),
-    "lemma.modulations": _list(_ints),
-    "oscillation.radii": _list(_floats), "oscillation.centers": _list(_floats),
-    "kernel.ell_max": ("0", "1", "2", "3"), "kernel.k_lo": int, "kernel.k_hi": int,
-    "kernel.diff_ball_radius": float, "kernel.diff_j": _list(_ints, 2),
-    "kernel.diff_k": _list(_ints, 2),
-    "kernel.adjoint_n_exp": ("1", "2"),
-    "tolerances.ratio_spread": float, "tolerances.trend_slope": float,
-    "tolerances.slope": float,
-    "run.seed": int, "run.counterexample": _as_bool,
+def _choice(*allowed: str, parse=str):
+    """One of the allowed spellings, read by parse."""
+    def checked(text: str):
+        if text not in allowed:
+            raise ValueError(f"unknown value {text!r}, expected one of " + ", ".join(allowed))
+        return parse(text)
+    return checked
+
+
+def _out_dir(text: str) -> str:
+    """A report directory that exists or can be made: no file stands at the
+    path or at any of its existing ancestors."""
+    if not text:
+        raise ValueError("needs a directory path, got an empty value")
+    path = os.path.abspath(text)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ValueError(f"{path} is a file, not a directory")
+    return text
+
+
+# Every key once: its default text and the one parser that both checks a
+# value and reads it.  ExperimentConfig parses its entries in this order, so
+# a refusal names the first bad key; README's Configuration table lists the
+# same keys and defaults.
+_KEYS = {
+    "grid.n": ("1024", int),
+    "grid.l": ("16.0", float),
+    "symbol.preset": ("bessel_order_m", _choice(*_SYMBOL_PARAM_KEYS)),
+    "symbol.m": ("-0.75", float),
+    "symbol.rho": ("1.0", float),
+    "symbol.delta": ("0.0", float),
+    "symbol.spatial_scale": ("16.0", float),
+    "weight.preset": ("power_growth",
+                      _choice("unit", "power_growth", "exp_abs", "random_log_bounded")),
+    "weight.gamma": ("1.5", float),
+    "weight.p": ("2.0", float),
+    "weight.theta": ("1.5", float),
+    "bmo.preset": ("linear", _choice("constant", "linear", "triangle")),
+    "bmo.theta": ("1.0", float),
+    "corpus.center_count": ("6", int),
+    "corpus.widths": ("0.6,1.0,1.8", _list(float)),
+    "corpus.modulations": ("0,4,12", _list(int)),
+    "maximal.s": ("1.5", float),
+    "maximal.kappa": ("1.0", float),
+    "maximal.n_big": ("8", int),
+    "fs.count": ("30", int),
+    "lemma.n_big": ("3", int),
+    "lemma.center_count": ("4", int),
+    "lemma.widths": ("0.7,1.5", _list(float)),
+    "lemma.modulations": ("0,8", _list(int)),
+    "oscillation.radii": ("0.5,1.0,2.0", _list(float)),
+    "oscillation.centers": ("0.0,3.0", _list(float)),
+    "kernel.ell_max": ("2", _choice("0", "1", "2", "3", parse=int)),
+    "kernel.k_lo": ("2", int),
+    "kernel.k_hi": ("5", int),
+    "kernel.diff_ball_radius": ("0.5", float),
+    "kernel.diff_j": ("2,4", _list(int, 2)),
+    "kernel.diff_k": ("2,5", _list(int, 2)),
+    "kernel.adjoint_n_exp": ("2", _choice("1", "2", parse=int)),
+    "tolerances.ratio_spread": ("4.0", float),
+    "tolerances.trend_slope": ("0.1", float),
+    "tolerances.slope": ("0.15", float),
+    "run.seed": ("7", int),
+    "run.out": ("out", _out_dir),
+    "run.counterexample": ("false", _as_bool),
 }
+
+DEFAULTS: dict[str, str] = {key: default for key, (default, _) in _KEYS.items()}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved configuration: defaults, then file, then explicit overrides."""
+    """Resolved configuration: defaults, then file, then explicit overrides.
+
+    entries holds each key's text, which digest() hashes.  Building the
+    config parses every entry once, in _KEYS order, and get() returns the
+    parsed value.
+    """
 
     entries: tuple[tuple[str, str], ...]
+    values: dict = field(init=False, repr=False, compare=False)
 
-    # -- raw access ---------------------------------------------------------
+    def __post_init__(self) -> None:
+        text = dict(self.entries)
+        unknown = sorted(set(text) - set(_KEYS))
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        values = {}
+        for key, (_, parse) in _KEYS.items():
+            try:
+                values[key] = parse(text[key])
+            except ValueError as exc:
+                # grid.n and grid.l are refused as the grid they build
+                where = "grid" if key.startswith("grid.") else key
+                raise ValueError(f"{where}: {exc}") from None
+        object.__setattr__(self, "values", values)
 
-    def get(self, key: str) -> str:
-        for k, v in self.entries:
-            if k == key:
-                return v
-        raise KeyError(key)
-
-    def get_float(self, key: str) -> float:
-        return float(self.get(key))
-
-    def get_int(self, key: str) -> int:
-        return int(self.get(key))
-
-    def get_bool(self, key: str) -> bool:
-        return _as_bool(self.get(key))
-
-    def get_floats(self, key: str) -> tuple[float, ...]:
-        return _floats(self.get(key))
-
-    def get_ints(self, key: str) -> tuple[int, ...]:
-        return _ints(self.get(key))
+    def get(self, key: str):
+        return self.values[key]
 
     def digest(self) -> str:
         # run.out points at the report directory; it does not influence any
@@ -186,7 +187,7 @@ class ExperimentConfig:
 
     @property
     def seed(self) -> int:
-        return self.get_int("run.seed")
+        return self.get("run.seed")
 
     @property
     def out_dir(self) -> str:
@@ -194,18 +195,18 @@ class ExperimentConfig:
 
     @property
     def counterexample(self) -> bool:
-        return self.get_bool("run.counterexample")
+        return self.get("run.counterexample")
 
     # -- object builders ----------------------------------------------------
 
     def make_grid(self):
         from .grid import make_grid
 
-        return make_grid(self.get_int("grid.n"), self.get_float("grid.l"))
+        return make_grid(self.get("grid.n"), self.get("grid.l"))
 
     def symbol_params(self) -> dict:
         name = self.get("symbol.preset")
-        return {k: self.get_float(f"symbol.{k}") for k in _SYMBOL_PARAM_KEYS[name]}
+        return {k: self.get(f"symbol.{k}") for k in _SYMBOL_PARAM_KEYS[name]}
 
     def make_symbol(self):
         from .symbols import preset_symbol
@@ -218,7 +219,7 @@ class ExperimentConfig:
         name = self.get("weight.preset")
         params = {}
         if name == "power_growth":
-            params["gamma"] = self.get_float("weight.gamma")
+            params["gamma"] = self.get("weight.gamma")
         if name == "random_log_bounded":
             params["seed"] = self.seed
         return preset_weight(name, grid, **params)
@@ -233,9 +234,9 @@ class ExperimentConfig:
 
         return gaussian_corpus(
             grid,
-            widths=self.get_floats("corpus.widths"),
-            modulations=self.get_ints("corpus.modulations"),
-            center_count=self.get_int("corpus.center_count"),
+            widths=self.get("corpus.widths"),
+            modulations=self.get("corpus.modulations"),
+            center_count=self.get("corpus.center_count"),
         )
 
     # -- hypothesis gate ----------------------------------------------------
@@ -259,19 +260,19 @@ class ExperimentConfig:
                 f"symbol order m={m:g} must satisfy m < rho-1 = {rho - 1.0:g}"
                 " (or be the order-zero rho=1 family)"
             )
-        p = self.get_float("weight.p")
+        p = self.get("weight.p")
         if not p > 1.0:
             raise HypothesisViolation(f"weight exponent p={p:g} must exceed 1")
-        if self.get_float("weight.theta") < 0.0:
+        if self.get("weight.theta") < 0.0:
             raise HypothesisViolation("weight growth exponent theta must be nonnegative")
-        if self.get_float("bmo.theta") < 0.0:
+        if self.get("bmo.theta") < 0.0:
             raise HypothesisViolation("oscillation growth exponent theta must be nonnegative")
-        s = self.get_float("maximal.s")
+        s = self.get("maximal.s")
         if not p > s > 1.0:
             raise HypothesisViolation(
                 f"maximal bound needs p > s > 1, got p={p:g}, s={s:g}"
             )
-        bad = [r for r in self.get_floats("oscillation.radii") if not r < 4.0]
+        bad = [r for r in self.get("oscillation.radii") if not r < 4.0]
         if bad:
             raise HypothesisViolation(f"oscillation balls need radius < 4, got {bad[0]:g}")
 
@@ -281,34 +282,14 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     resolved = dict(DEFAULTS)
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
-            file_entries = parse_config_text(fh.read())
-        unknown = sorted(set(file_entries) - set(DEFAULTS))
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        resolved.update(file_entries)
-    if overrides:
-        unknown = sorted(set(overrides) - set(DEFAULTS))
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        resolved.update({k: str(v) for k, v in overrides.items()})
+            resolved.update(parse_config_text(fh.read()))
+    resolved.update({k: str(v) for k, v in (overrides or {}).items()})
     cfg = ExperimentConfig(entries=tuple(sorted(resolved.items())))
     # a grid the lattice cannot hold is a config error, refused before any run
     try:
         grid = cfg.make_grid()
     except ValueError as exc:
         raise ValueError(f"grid: {exc}") from None
-    # then every typed value, without building anything from it
-    for key, kind in _KEY_TYPES.items():
-        value = cfg.get(key)
-        if isinstance(kind, tuple):
-            if value not in kind:
-                raise ValueError(f"{key}: unknown value {value!r}, expected one of "
-                                 + ", ".join(kind))
-            continue
-        try:
-            kind(value)
-        except ValueError as exc:
-            raise ValueError(f"{key}: {exc}") from None
     _check_computable(cfg, grid)
     return cfg
 
@@ -339,10 +320,10 @@ def _check_computable(cfg: ExperimentConfig, grid) -> None:
     from .maximal import (_check_damping, _check_dilates_fit, _check_family_radius,
                           _check_kappa, _check_maximal_exponents)
 
-    k_lo, k_hi = cfg.get_int("kernel.k_lo"), cfg.get_int("kernel.k_hi")
-    (j_lo, j_hi), (dk_lo, dk_hi) = cfg.get_ints("kernel.diff_j"), cfg.get_ints("kernel.diff_k")
+    k_lo, k_hi = cfg.get("kernel.k_lo"), cfg.get("kernel.k_hi")
+    (j_lo, j_hi), (dk_lo, dk_hi) = cfg.get("kernel.diff_j"), cfg.get("kernel.diff_k")
     pieces = [*range(k_lo, k_hi + 1), *range(dk_lo, dk_hi + 1)]
-    radius = cfg.get_float("kernel.diff_ball_radius")
+    radius = cfg.get("kernel.diff_ball_radius")
     checks = [
         ("symbol", cfg.make_symbol),
         ("kernel.k_lo", lambda: _decay_ks(range(k_lo, k_hi + 1))),
@@ -350,8 +331,8 @@ def _check_computable(cfg: ExperimentConfig, grid) -> None:
         ("kernel.diff_k", lambda: _difference_ks(range(dk_lo, dk_hi + 1))),
         ("kernel.diff_ball_radius", lambda: Ball((0.0,), radius)),
         ("oscillation.radii",
-         lambda: [Ball((0.0,), r) for r in cfg.get_floats("oscillation.radii")]),
-        ("maximal.kappa", lambda: _check_kappa(cfg.get_float("maximal.kappa"))),
+         lambda: [Ball((0.0,), r) for r in cfg.get("oscillation.radii")]),
+        ("maximal.kappa", lambda: _check_kappa(cfg.get("maximal.kappa"))),
         ("grid", lambda: _check_k_window(make_lp_family(grid), pieces)),
         ("grid", lambda: _check_annuli(grid, radius, j_hi)),
         ("grid", lambda: _check_dilates_fit(grid)),
@@ -360,21 +341,21 @@ def _check_computable(cfg: ExperimentConfig, grid) -> None:
         ("grid", lambda: [_check_family_radius(grid, alpha) for alpha in (0.5, 4.0)]),
     ]
     for key in ("corpus.center_count", "lemma.center_count", "fs.count"):
-        checks.append((key, lambda key=key: _check_count(cfg.get_int(key))))
+        checks.append((key, lambda key=key: _check_count(cfg.get(key))))
     for key in ("corpus.widths", "lemma.widths"):
-        checks.append((key, lambda key=key: [_check_width(w) for w in cfg.get_floats(key)]))
+        checks.append((key, lambda key=key: [_check_width(w) for w in cfg.get(key)]))
     # below p = 1 the hypothesis gate speaks (exit 3), and g_kappa_p's own
     # p check would fire before the damping one
     for key, exponent in (("lemma.n_big", "weight.p"), ("maximal.n_big", "maximal.s")):
-        p = cfg.get_float(exponent)
+        p = cfg.get(exponent)
         if p >= 1.0:
-            checks.append((key, lambda key=key, p=p: _check_damping(cfg.get_int(key), p)))
+            checks.append((key, lambda key=key, p=p: _check_damping(cfg.get(key), p)))
     if cfg.counterexample:
         checks.append(("maximal.s", lambda: _check_maximal_exponents(
-            cfg.get_float("weight.p"), cfg.get_float("maximal.s"))))
+            cfg.get("weight.p"), cfg.get("maximal.s"))))
         # past the radius < 4 hypothesis, lemma42 still indexes each 2B
         checks.append(("oscillation.radii", lambda: [ball_indices(grid, Ball((0.0,), 2.0 * r))
-                                                     for r in cfg.get_floats("oscillation.radii")]))
+                                                     for r in cfg.get("oscillation.radii")]))
     for key, check in checks:
         try:
             check()

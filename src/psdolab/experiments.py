@@ -44,7 +44,7 @@ from .kernels import (
     fit_decay_in_k,
     fit_difference_estimate,
 )
-from .littlewood_paley import evaluate_partition_residual, make_lp_family
+from .littlewood_paley import evaluate_partition_residual
 from .maximal import (
     build_critical_cover,
     check_weighted_bounds_maximal,
@@ -92,7 +92,7 @@ def _report(cfg: ExperimentConfig, experiment: str, items: list[dict], aggregate
 
 def _family(cfg: ExperimentConfig, prefix: str, values) -> tuple[dict, list[Criterion]]:
     """report.ratio_family at the cap tolerances.ratio_spread."""
-    return ratio_family(prefix, values, cfg.get_float("tolerances.ratio_spread"))
+    return ratio_family(prefix, values, cfg.get("tolerances.ratio_spread"))
 
 
 @lru_cache(maxsize=1)
@@ -101,8 +101,8 @@ def _weight_stabilization(cfg: ExperimentConfig):
     weights reports it and _operator_gates gates on it."""
     grid = cfg.make_grid()
     w = cfg.make_weight(grid)
-    p = cfg.get_float("weight.p")
-    theta = cfg.get_float("weight.theta")
+    p = cfg.get("weight.p")
+    theta = cfg.get("weight.theta")
     return stabilized_characteristic(w, p, theta, sweep_family(grid))
 
 
@@ -137,9 +137,9 @@ def _lemma_setup(cfg: ExperimentConfig):
     # damping must clear n/p yet stay below the kernel's decay order over
     # the box, or far balls report the bound's worst constant instead of
     # its uniformity
-    n_big = cfg.get_int("lemma.n_big")
+    n_big = cfg.get("lemma.n_big")
     b = cfg.make_bmo(grid)
-    bnorm = bmo_theta_norm(b, cfg.get_float("bmo.theta"), sweep_family(grid)).value
+    bnorm = bmo_theta_norm(b, cfg.get("bmo.theta"), sweep_family(grid)).value
     # a multiplier with a zero-family norm is a constant and its commutator
     # the zero operator: that statistic stays unscaled rather than divide by 0
     b_scale = 1.0 if zero_family(bnorm).ok else bnorm
@@ -157,10 +157,9 @@ def _corpus_ratio_report(cfg: ExperimentConfig, experiment: str, transform) -> V
     cfg.check_hypotheses()
     grid = cfg.make_grid()
     sym = cfg.make_symbol()
-    family = make_lp_family(grid)
-    op = make_operator(sym, grid, family=family)
+    op = make_operator(sym, grid)
     w = cfg.make_weight(grid)
-    p = cfg.get_float("weight.p")
+    p = cfg.get("weight.p")
     gate_entries, gates = _operator_gates(cfg)
 
     items = []
@@ -189,7 +188,7 @@ def _corpus_ratio_report(cfg: ExperimentConfig, experiment: str, transform) -> V
     # zero operator, and its trend says nothing
     agg["zero_family"] = zero = criteria[-1].name == "zero_family"
     slope, trend = (0.0, []) if zero else trend_criterion(
-        "slope", ratios, shifts, cfg.get_float("tolerances.trend_slope"))
+        "slope", ratios, shifts, cfg.get("tolerances.trend_slope"))
     if slope is not None:
         agg["slope"] = slope
     criteria += trend
@@ -231,7 +230,7 @@ def run_commutator_experiment(cfg: ExperimentConfig) -> VerificationReport:
 
     report = _corpus_ratio_report(cfg, "weighted_commutator_bounds", apply_comm)
     report.aggregate["multiplier"] = cfg.get("bmo.preset")
-    report.aggregate["bmo_theta"] = cfg.get_float("bmo.theta")
+    report.aggregate["bmo_theta"] = cfg.get("bmo.theta")
     return report
 
 
@@ -264,13 +263,13 @@ def run_local_average_check(cfg: ExperimentConfig) -> VerificationReport:
     op, n_big, b, bnorm, b_scale = _lemma_setup(cfg)
     grid = op.grid
     cover = build_critical_cover(grid)
-    p = cfg.get_float("weight.p")
+    p = cfg.get("weight.p")
 
     corpus = gaussian_corpus(
         grid,
-        widths=cfg.get_floats("lemma.widths"),
-        modulations=cfg.get_ints("lemma.modulations"),
-        center_count=cfg.get_int("lemma.center_count"),
+        widths=cfg.get("lemma.widths"),
+        modulations=cfg.get("lemma.modulations"),
+        center_count=cfg.get("lemma.center_count"),
     )
     items = []
     plain, comm = [], []
@@ -335,10 +334,10 @@ def run_oscillation_check(cfg: ExperimentConfig) -> VerificationReport:
     """
     op, n_big, b, bnorm, b_scale = _lemma_setup(cfg)
     grid = op.grid
-    p = cfg.get_float("weight.p")
+    p = cfg.get("weight.p")
     b_flat = b.values.real
-    radii = cfg.get_floats("oscillation.radii")
-    centers = cfg.get_floats("oscillation.centers")
+    radii = cfg.get("oscillation.radii")
+    centers = cfg.get("oscillation.centers")
 
     from .corpus import band_noise, gaussian_packet
 
@@ -439,23 +438,23 @@ def run_kernel_decay(cfg: ExperimentConfig) -> VerificationReport:
     grid = cfg.make_grid()
     sym = cfg.make_symbol()
     op = make_operator(sym, grid)
-    k_lo, k_hi = cfg.get_int("kernel.k_lo"), cfg.get_int("kernel.k_hi")
-    slope_tol = cfg.get_float("tolerances.slope")
+    k_lo, k_hi = cfg.get("kernel.k_lo"), cfg.get("kernel.k_hi")
+    slope_tol = cfg.get("tolerances.slope")
     items, criteria = [], []
     items.append(
         {"id": "partition_residual", "params": {},
          "value": evaluate_partition_residual(op.family)}
     )
-    ells = range(cfg.get_int("kernel.ell_max") + 1)
+    ells = range(cfg.get("kernel.ell_max") + 1)
     fits = fit_decay_in_k(op, ells, k_range=range(k_lo, k_hi + 1), tolerance=slope_tol)
     for ell, fit in zip(ells, fits):
         items.append({"id": f"decay(ell={ell})", "params": {"ell": ell},
                       "value": fit.to_dict()})
         criteria += fit.criteria(f"decay(ell={ell})")
 
-    j_lo, j_hi = cfg.get_ints("kernel.diff_j")
-    dk_lo, dk_hi = cfg.get_ints("kernel.diff_k")
-    ball = Ball((0.0,), cfg.get_float("kernel.diff_ball_radius"))
+    j_lo, j_hi = cfg.get("kernel.diff_j")
+    dk_lo, dk_hi = cfg.get("kernel.diff_k")
+    ball = Ball((0.0,), cfg.get("kernel.diff_ball_radius"))
     diff = fit_difference_estimate(
         op, ball, j_range=range(j_lo, j_hi + 1), k_range=range(dk_lo, dk_hi + 1)
     )
@@ -466,7 +465,7 @@ def run_kernel_decay(cfg: ExperimentConfig) -> VerificationReport:
     criteria += diff.j_fit.criteria("difference_j") + diff.k_fit.criteria("difference_k")
 
     adj = adjoint_kernel_bounds(
-        op, n_exp=cfg.get_int("kernel.adjoint_n_exp"), tolerance=slope_tol
+        op, n_exp=cfg.get("kernel.adjoint_n_exp"), tolerance=slope_tol
     )
     items.append({"id": "adjoint_far_field", "params": {"n_exp": adj.n_exp},
                   "value": adj.far_field.to_dict()})
@@ -486,8 +485,8 @@ def run_weight_calculus(cfg: ExperimentConfig) -> VerificationReport:
     cfg.check_hypotheses()
     grid = cfg.make_grid()
     w = cfg.make_weight(grid)
-    p = cfg.get_float("weight.p")
-    theta = cfg.get_float("weight.theta")
+    p = cfg.get("weight.p")
+    theta = cfg.get("weight.theta")
     family = sweep_family(grid)
     items = []
 
@@ -523,7 +522,7 @@ def run_bmo(cfg: ExperimentConfig) -> VerificationReport:
     cfg.check_hypotheses()
     grid = cfg.make_grid()
     b = cfg.make_bmo(grid)
-    theta = cfg.get_float("bmo.theta")
+    theta = cfg.get("bmo.theta")
     family = sweep_family(grid, inside_only=True)
     norm = bmo_theta_norm(b, theta, family)
     jn = check_john_nirenberg_variant(b, theta, 2.0, Ball((0.0,), 0.5))
@@ -559,22 +558,22 @@ def run_maximal(cfg: ExperimentConfig) -> VerificationReport:
     # power tail and the ratio has settled.
     half = grid.half_length
     centers = np.linspace(0.4 * half, 0.5 * half,
-                          cfg.get_int("corpus.center_count"))
+                          cfg.get("corpus.center_count"))
     corpus = gaussian_corpus(
-        grid, centers=centers, widths=cfg.get_floats("corpus.widths"),
+        grid, centers=centers, widths=cfg.get("corpus.widths"),
         modulations=(0,),
     )
     wb = check_weighted_bounds_maximal(
         corpus,
         w,
-        cfg.get_float("weight.p"),
-        cfg.get_float("maximal.s"),
-        cfg.get_float("weight.theta"),
+        cfg.get("weight.p"),
+        cfg.get("maximal.s"),
+        cfg.get("weight.theta"),
         cover,
-        kappa=cfg.get_float("maximal.kappa"),
-        n_big=cfg.get_int("maximal.n_big"),
-        spread=cfg.get_float("tolerances.ratio_spread"),
-        trend=cfg.get_float("tolerances.trend_slope"),
+        kappa=cfg.get("maximal.kappa"),
+        n_big=cfg.get("maximal.n_big"),
+        spread=cfg.get("tolerances.ratio_spread"),
+        trend=cfg.get("tolerances.trend_slope"),
     )
     items.append({"id": "weighted_bounds", "params": {},
                   "value": wb.aggregate})
@@ -588,8 +587,8 @@ def run_fs(cfg: ExperimentConfig) -> VerificationReport:
     grid = cfg.make_grid()
     cover = build_critical_cover(grid)
     w = cfg.make_weight(grid)
-    p = cfg.get_float("weight.p")
-    corpus = mixed_corpus(grid, cfg.get_int("fs.count"), cfg.seed)
+    p = cfg.get("weight.p")
+    corpus = mixed_corpus(grid, cfg.get("fs.count"), cfg.seed)
     items, ratios = [], []
     for block, rows in corpus_blocks(corpus, grid.n):
         for (label, _, params), (*_, ratio) in zip(block, fs_inequality_rows(rows, w, p, cover)):

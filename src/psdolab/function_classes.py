@@ -92,7 +92,6 @@ class ApThetaCharacteristic:
     theta: float
     value: float
     maximizing_ball: Ball
-    family_descriptor: str
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,6 @@ class BmoThetaNorm:
     theta: float
     value: float
     maximizing_ball: Ball
-    family_descriptor: str
 
 
 def _torus_abs(grid: PeriodicGrid):
@@ -219,7 +217,7 @@ def ap_theta_characteristic(
     """Sup over the family of mean(w)^(1/p) mean(w^(-1/(p-1)))^(1/p') / (1+r)^theta."""
     values = _ap_theta_values(w, p, theta, family)
     i = values.index(max(values))
-    return ApThetaCharacteristic(p, theta, values[i], family.balls[i], family.descriptor)
+    return ApThetaCharacteristic(p, theta, values[i], family.balls[i])
 
 
 def bmo_theta_norm(b: SampledFunction, theta: float, family: BallFamily) -> BmoThetaNorm:
@@ -229,7 +227,7 @@ def bmo_theta_norm(b: SampledFunction, theta: float, family: BallFamily) -> BmoT
                     lambda v: np.mean(np.abs(v - np.mean(v, axis=1)[:, None]), axis=1))
     values = [v / (1.0 + ball.radius) ** theta for v, ball in zip(osc, family.balls)]
     i = values.index(max(values))
-    return BmoThetaNorm(theta, values[i], family.balls[i], family.descriptor)
+    return BmoThetaNorm(theta, values[i], family.balls[i])
 
 
 def check_monotonicity(

@@ -311,7 +311,6 @@ class BallFamily:
     """Reproducible two-parameter sweep: lattice centers x dyadic radii."""
 
     balls: tuple[Ball, ...]
-    descriptor: str
 
     def radii(self) -> tuple[float, ...]:
         return tuple(sorted({b.radius for b in self.balls}))
@@ -349,9 +348,4 @@ def sweep_family(
             if inside_only and not b.fully_inside(grid):
                 continue
             balls.append(b)
-    tag = "inside" if inside_only else "torus"
-    desc = (
-        f"sweep(n={grid.n},L={grid.half_length:g},"
-        f"stride={stride},rmin={radii[0]:g},cap={cap:g},{tag})"
-    )
-    return BallFamily(tuple(balls), desc)
+    return BallFamily(tuple(balls))

@@ -37,6 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .grid import (
     PeriodicGrid,
     SampledFunction,
+    _sweep_radii,
     ball_windows,
     lp_norm,
     lp_norms,
@@ -137,17 +138,14 @@ def _check_family_radius(grid: PeriodicGrid, alpha: float) -> None:
 
 
 def _family_windows(grid: PeriodicGrid, alpha: float):
-    """(half, starts, count) per dyadic radius 8 dx, 16 dx, .. up to alpha.
+    """(half, starts, count) per sweep radius 8 dx, 16 dx, .. up to alpha
+    (grid._sweep_radii), then alpha itself when it is not one of them.
 
     The family windows of one radius are the count = 2 half + 1 points
     starts[k] .. starts[k] + count - 1 (mod n) around the centers 8k.
     """
     _check_family_radius(grid, alpha)
-    r = 8.0 * grid.spacing
-    radii = []
-    while r <= alpha * (1.0 + 1e-12):
-        radii.append(r)
-        r *= 2.0
+    radii = _sweep_radii(grid, alpha)
     if radii[-1] < alpha * (1.0 - 1e-12):
         radii.append(alpha)
     n = grid.n

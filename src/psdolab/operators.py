@@ -107,15 +107,9 @@ class OperatorInstance:
         return ex, cs, ds
 
 
-def make_operator(
-    symbol: SymbolSpec,
-    grid: PeriodicGrid,
-    mode: str = "full",
-    truncation: int | None = None,
-    family: LPFamily | None = None,
-) -> OperatorInstance:
-    fam = family if family is not None else make_lp_family(grid)
-    return OperatorInstance(symbol, grid, fam, mode, truncation)
+def make_operator(symbol: SymbolSpec, grid: PeriodicGrid) -> OperatorInstance:
+    """The symbol on the whole lattice of grid, with its dyadic family."""
+    return OperatorInstance(symbol, grid, make_lp_family(grid))
 
 
 # ---------------------------------------------------------------------------

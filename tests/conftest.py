@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import psdolab as P
+from psdolab.operators import OperatorInstance
 
 
 @pytest.fixture(scope="session")
@@ -22,7 +23,7 @@ def lp(grid):
 @pytest.fixture(scope="session")
 def bessel_op(grid, lp):
     sym = P.preset_symbol("bessel_order_m", m=-0.75)
-    return P.make_operator(sym, grid, family=lp)
+    return OperatorInstance(sym, grid, lp)
 
 
 @pytest.fixture(scope="session")

@@ -34,7 +34,7 @@ def _off_lattice_family(grid, data):
     balls = [P.Ball((float(c),), float(r)) for r in radii
              for c in rng.uniform(-grid.half_length, grid.half_length, 12)]
     order = rng.permutation(len(balls))
-    return P.BallFamily(tuple(balls[i] for i in order), "off-lattice")
+    return P.BallFamily(tuple(balls[i] for i in order))
 
 
 def _family(grid, data):

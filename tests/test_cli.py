@@ -131,6 +131,32 @@ def test_bad_value_is_a_usage_error_on_every_target(tmp_path, capsys, setting):
                                     tmp_path / "out")
 
 
+@pytest.mark.parametrize("where", ["empty flag", "file", "under a file", "empty key"])
+def test_report_directory_that_cannot_be_made_is_a_usage_error_on_every_target(tmp_path, capsys,
+                                                                              where):
+    """An empty run.out, or one naming a file or a path under a file, is
+    refused at load, before any target computes."""
+    (tmp_path / "file").write_text("")
+    cfgfile = tmp_path / "out.cfg"
+    cfgfile.write_text("run.out =\n")
+    args = {"empty flag": ("--out", ""), "file": ("--out", str(tmp_path / "file")),
+            "under a file": ("--out", str(tmp_path / "file" / "sub")),
+            "empty key": ("--config", str(cfgfile))}[where]
+    for command in [("verify", target) for target in VERIFY_TARGETS] + [("report", "all")]:
+        assert run_cli(*command, *args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: run.out: ") and err.count("\n") == 1
+
+
+def test_key_set_twice_is_a_usage_error_on_every_target(tmp_path, capsys):
+    """The file's second grid.n would silently win; it is refused instead."""
+    cfgfile = tmp_path / "twice.cfg"
+    cfgfile.write_text("grid.n = 2048\ngrid.n = 512\n")
+    _assert_refused_on_every_target(capsys, ("--config", str(cfgfile)),
+                                    "error: line 2: grid.n is already set on line 1",
+                                    tmp_path / "out")
+
+
 @pytest.mark.parametrize("flag,value", [("--grid-n", "512"), ("--grid-n", "256"),
                                         ("--grid-l", "64"), ("--grid-l", "7"),
                                         ("--grid-l", "4")])

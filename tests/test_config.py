@@ -1,26 +1,43 @@
+import pathlib
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psdolab.config import (_KEY_TYPES, DEFAULTS, ExperimentConfig, HypothesisViolation,
-                            load_config, parse_config_text)
+from psdolab.config import (DEFAULTS, ExperimentConfig, HypothesisViolation, load_config,
+                            parse_config_text)
 from psdolab.experiments import run_all
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_defaults_load_and_expose_types(tmp_path):
     cfg = load_config()
     assert cfg.get("symbol.preset") == "bessel_order_m"
-    assert cfg.get_float("weight.p") == 2.0
-    assert cfg.get_int("grid.n") == 1024
-    assert cfg.get_floats("corpus.widths") == (0.6, 1.0, 1.8)
-    assert cfg.get_ints("corpus.modulations") == (0, 4, 12)
-    assert cfg.get_bool("run.counterexample") is False
+    assert cfg.get("weight.p") == 2.0
+    assert cfg.get("grid.n") == 1024
+    assert cfg.get("corpus.widths") == (0.6, 1.0, 1.8)
+    assert cfg.get("corpus.modulations") == (0, 4, 12)
+    assert cfg.get("run.counterexample") is False
 
 
 def test_every_typed_key_is_checked_at_load():
-    """Only the free-text output directory goes unchecked."""
-    assert set(_KEY_TYPES) <= set(DEFAULTS)
-    assert set(DEFAULTS) - set(_KEY_TYPES) == {"run.out"}
+    """Every key, the output directory included, refuses an empty value at
+    load, naming the key (grid.n and grid.l as the grid they build)."""
+    for key in DEFAULTS:
+        where = "grid" if key.startswith("grid.") else key
+        with pytest.raises(ValueError, match=f"^{re.escape(where)}: "):
+            load_config(None, {key: ""})
+
+
+def test_readme_config_table_lists_every_key_and_default():
+    """README's Configuration table has one row per key, in the config's
+    order, with its default, so a key or default change must update README."""
+    section = (ROOT / "README.md").read_text().split("\n## Configuration\n")[1].split("\n## ")[0]
+    rows = [[cell.strip().strip("`") for cell in line.split("|")[1:3]]
+            for line in section.splitlines() if line.startswith("| `")]
+    assert rows == [[key, default] for key, default in DEFAULTS.items()]
 
 
 def test_every_key_is_read(monkeypatch):
@@ -50,6 +67,12 @@ def test_parse_ignores_comments_and_blanks():
     assert entries == {"weight.p": "3.5"}
 
 
+def test_parse_refuses_a_key_set_twice():
+    """The last line does not silently win: both lines are named."""
+    with pytest.raises(ValueError, match="^line 3: grid.n is already set on line 1$"):
+        parse_config_text("grid.n = 2048\n# coarser\ngrid.n = 512\n")
+
+
 def test_unknown_key_rejected(tmp_path):
     p = tmp_path / "bad.cfg"
     p.write_text("weight.q = 2\n")
@@ -61,9 +84,9 @@ def test_file_and_override_precedence(tmp_path):
     p = tmp_path / "a.cfg"
     p.write_text("weight.p = 3.0\nsymbol.m = -0.5\n")
     cfg = load_config(str(p), {"weight.p": "4.0"})
-    assert cfg.get_float("weight.p") == 4.0      # override beats file
-    assert cfg.get_float("symbol.m") == -0.5     # file beats default
-    assert cfg.get_int("grid.n") == 1024         # default survives
+    assert cfg.get("weight.p") == 4.0      # override beats file
+    assert cfg.get("symbol.m") == -0.5     # file beats default
+    assert cfg.get("grid.n") == 1024         # default survives
 
 
 def test_digest_ignores_output_location():

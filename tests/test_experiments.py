@@ -123,8 +123,8 @@ def test_stacked_fs_items_equal_the_per_item_check(path, overrides):
     grid = cfg.make_grid()
     cover = build_critical_cover(grid)
     w = cfg.make_weight(grid)
-    p = cfg.get_float("weight.p")
-    corpus = mixed_corpus(grid, cfg.get_int("fs.count"), cfg.seed)
+    p = cfg.get("weight.p")
+    corpus = mixed_corpus(grid, cfg.get("fs.count"), cfg.seed)
     expected = [check_fs_inequality(f, w, p, cover).aggregate["ratio"] for _, f, _ in corpus]
     assert [item["value"] for item in run_fs(cfg).items] == expected
 

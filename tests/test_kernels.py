@@ -3,11 +3,12 @@ import pytest
 
 import psdolab as P
 from psdolab.kernels import default_base_points
+from psdolab.operators import OperatorInstance
 
 
 @pytest.fixture(scope="module")
 def decay_op(grid, lp):
-    return P.make_operator(P.preset_symbol("bessel_order_m", m=-0.75), grid, family=lp)
+    return OperatorInstance(P.preset_symbol("bessel_order_m", m=-0.75), grid, lp)
 
 
 def test_dyadic_kernel_materializes(decay_op):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import psdolab as P
 from psdolab.corpus import BLOCK_ENTRIES, CorpusItem, corpus_blocks
 from psdolab.grid import dft_rows, idft_rows, lp_norms
-from psdolab.operators import (adjoint_commutator_rows, apply_adjoint_rows, apply_rows,
-                               commutator_rows)
+from psdolab.operators import (OperatorInstance, adjoint_commutator_rows, apply_adjoint_rows,
+                               apply_rows, commutator_rows)
 from psdolab.symbols import Expansion, japanese_bracket
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -58,14 +58,13 @@ def test_dyadic_pieces_telescope_to_full(grid, lp, bessel_op, packet):
 def test_dyadic_mode_needs_truncation(grid, lp):
     sym = P.preset_symbol("bessel_order_m", m=-0.75)
     with pytest.raises(ValueError):
-        P.make_operator(sym, grid, mode="dyadic", family=lp)
+        OperatorInstance(sym, grid, lp, "dyadic")
     with pytest.raises(ValueError):
-        P.make_operator(sym, grid, mode="dyadic", truncation=40, family=lp)
+        OperatorInstance(sym, grid, lp, "dyadic", 40)
 
 
 def test_truncated_operator_matches_on_bandlimited_input(grid, lp, bessel_op, packet):
-    opd = P.make_operator(P.preset_symbol("bessel_order_m", m=-0.75), grid,
-                          mode="dyadic", truncation=5, family=lp)
+    opd = OperatorInstance(P.preset_symbol("bessel_order_m", m=-0.75), grid, lp, "dyadic", 5)
     # the packet's spectrum dies well inside piece 5, so nothing is lost
     d = P.apply(opd, packet).values - P.apply(bessel_op, packet).values
     assert np.max(np.abs(d)) < 1e-12
@@ -114,10 +113,10 @@ def test_kernel_row_reproduces_application(grid_small):
     assert abs(quad - out.values[i]) < 1e-10
 
 
-def test_operator_mode_validation(grid):
+def test_operator_mode_validation(grid, lp):
     sym = P.preset_symbol("identity")
     with pytest.raises(ValueError):
-        P.make_operator(sym, grid, mode="banana")
+        OperatorInstance(sym, grid, lp, "banana")
 
 
 def test_grid_mismatch_rejected(grid, grid_small, bessel_op):
