@@ -21,12 +21,12 @@ def main() -> None:
     series = P.g_kappa_p(f, 1.0, 2.0, cover, n_big=8)
     local = P.m_tilde_s(f, 1.5, cover)
     print(f"\npacket at 3.0: sup of the damped series maximal "
-          f"{float(np.max(series.values.real)):.4f}, "
-          f"sup of the cover maximal {float(np.max(local.values.real)):.4f}")
+          f"{float(np.max(series.values)):.4f}, "
+          f"sup of the cover maximal {float(np.max(local.values)):.4f}")
 
     one = P.sample(g, lambda x: np.ones_like(x))
     flat = P.g_kappa_p(one, 1.0, 2.0, cover, n_big=8)
-    print(f"series maximal of the constant 1: {float(np.max(flat.values.real)):.12f} "
+    print(f"series maximal of the constant 1: {float(np.max(flat.values)):.12f} "
           f"(geometric tail gives 1/(1 - 2^-8) = {1.0 / (1.0 - 2.0 ** -8):.12f})")
 
     w = P.preset_weight("power_growth", g, gamma=1.5)

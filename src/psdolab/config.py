@@ -9,6 +9,7 @@ the resolved text is what gets hashed into every report.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -66,6 +67,20 @@ def _as_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"needs a finite number, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"needs an integer >= 0, got {value}")
+    return value
+
+
 def _list(parse, arity: int | None = None):
     """Comma-separated values read by parse, refusing an empty list, or any
     length but arity when given."""
@@ -105,43 +120,43 @@ def _out_dir(text: str) -> str:
 # same keys and defaults.
 _KEYS = {
     "grid.n": ("1024", int),
-    "grid.l": ("16.0", float),
+    "grid.l": ("16.0", _finite),
     "symbol.preset": ("bessel_order_m", _choice(*_SYMBOL_PARAM_KEYS)),
-    "symbol.m": ("-0.75", float),
-    "symbol.rho": ("1.0", float),
-    "symbol.delta": ("0.0", float),
-    "symbol.spatial_scale": ("16.0", float),
+    "symbol.m": ("-0.75", _finite),
+    "symbol.rho": ("1.0", _finite),
+    "symbol.delta": ("0.0", _finite),
+    "symbol.spatial_scale": ("16.0", _finite),
     "weight.preset": ("power_growth",
                       _choice("unit", "power_growth", "exp_abs", "random_log_bounded")),
-    "weight.gamma": ("1.5", float),
-    "weight.p": ("2.0", float),
-    "weight.theta": ("1.5", float),
+    "weight.gamma": ("1.5", _finite),
+    "weight.p": ("2.0", _finite),
+    "weight.theta": ("1.5", _finite),
     "bmo.preset": ("linear", _choice("constant", "linear", "triangle")),
-    "bmo.theta": ("1.0", float),
+    "bmo.theta": ("1.0", _finite),
     "corpus.center_count": ("6", int),
-    "corpus.widths": ("0.6,1.0,1.8", _list(float)),
+    "corpus.widths": ("0.6,1.0,1.8", _list(_finite)),
     "corpus.modulations": ("0,4,12", _list(int)),
-    "maximal.s": ("1.5", float),
-    "maximal.kappa": ("1.0", float),
+    "maximal.s": ("1.5", _finite),
+    "maximal.kappa": ("1.0", _finite),
     "maximal.n_big": ("8", int),
     "fs.count": ("30", int),
     "lemma.n_big": ("3", int),
     "lemma.center_count": ("4", int),
-    "lemma.widths": ("0.7,1.5", _list(float)),
+    "lemma.widths": ("0.7,1.5", _list(_finite)),
     "lemma.modulations": ("0,8", _list(int)),
-    "oscillation.radii": ("0.5,1.0,2.0", _list(float)),
-    "oscillation.centers": ("0.0,3.0", _list(float)),
+    "oscillation.radii": ("0.5,1.0,2.0", _list(_finite)),
+    "oscillation.centers": ("0.0,3.0", _list(_finite)),
     "kernel.ell_max": ("2", _choice("0", "1", "2", "3", parse=int)),
     "kernel.k_lo": ("2", int),
     "kernel.k_hi": ("5", int),
-    "kernel.diff_ball_radius": ("0.5", float),
+    "kernel.diff_ball_radius": ("0.5", _finite),
     "kernel.diff_j": ("2,4", _list(int, 2)),
     "kernel.diff_k": ("2,5", _list(int, 2)),
     "kernel.adjoint_n_exp": ("2", _choice("1", "2", parse=int)),
-    "tolerances.ratio_spread": ("4.0", float),
-    "tolerances.trend_slope": ("0.1", float),
-    "tolerances.slope": ("0.15", float),
-    "run.seed": ("7", int),
+    "tolerances.ratio_spread": ("4.0", _finite),
+    "tolerances.trend_slope": ("0.1", _finite),
+    "tolerances.slope": ("0.15", _finite),
+    "run.seed": ("7", _seed),
     "run.out": ("out", _out_dir),
     "run.counterexample": ("false", _as_bool),
 }

@@ -80,7 +80,7 @@ def gaussian_packet(
     """
     width = _check_width(width)
     disp = grid.wrap(grid.axis_points() - float(center))
-    vals = np.exp(-(disp * disp) / (2.0 * width * width)).astype(np.complex128)
+    vals = np.exp(-(disp * disp) / (2.0 * width * width))
     return SampledFunction(grid, vals * _phase(grid, modulation) if modulation else vals)
 
 
@@ -99,7 +99,7 @@ def band_noise(
     sup = float(np.max(np.abs(u)))
     if sup > 0:
         u = u * (amplitude / sup)
-    return SampledFunction(grid, u.astype(np.complex128))
+    return SampledFunction(grid, u)
 
 
 def gaussian_corpus(
@@ -132,7 +132,7 @@ def gaussian_corpus(
         disp = grid.wrap(pts - float(c))
         square = -(disp * disp)
         for w in widths:
-            envelope = np.exp(square / (2.0 * w * w)).astype(np.complex128)
+            envelope = np.exp(square / (2.0 * w * w))
             for q in modulations:
                 fn = SampledFunction(grid, envelope * phases[q] if q else envelope)
                 label = f"gauss(c={c:g},w={w:g},q={int(q)})"

@@ -246,7 +246,7 @@ def local_average_ratio(
     """mean_B |u| / inf_B series per ball B, row j of windows holding ball
     j's indices; inf (0 if u vanishes on B) where inf_B series <= 0."""
     lhs = np.mean(np.abs(u.values[windows]), axis=1)
-    rhs = np.min(series.values.real[windows], axis=1)
+    rhs = np.min(series.values[windows], axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(rhs <= 0.0, np.where(lhs > 0.0, np.inf, 0.0), lhs / rhs)
 
@@ -335,7 +335,6 @@ def run_oscillation_check(cfg: ExperimentConfig) -> VerificationReport:
     op, n_big, b, bnorm, b_scale = _lemma_setup(cfg)
     grid = op.grid
     p = cfg.get("weight.p")
-    b_flat = b.values.real
     radii = cfg.get("oscillation.radii")
     centers = cfg.get("oscillation.centers")
 
@@ -347,10 +346,7 @@ def run_oscillation_check(cfg: ExperimentConfig) -> VerificationReport:
     cover = build_critical_cover(grid).meeting(np.concatenate(
         [ball_indices(grid, Ball((c,), r)) for c in centers for r in radii]))
     noise = band_noise(grid, cfg.seed)
-    noise_major = (
-        g_kappa_p(noise, 4.0, p, cover, n_big).values.real,
-        m_tilde_s(noise, p, cover).values.real,
-    )
+    noise_major = g_kappa_p(noise, 4.0, p, cover, n_big).values, m_tilde_s(noise, p, cover).values
 
     items = []
     plain, comm, zeros = [], [], []
@@ -377,12 +373,12 @@ def run_oscillation_check(cfg: ExperimentConfig) -> VerificationReport:
                 if label == "noise":
                     g4, mt = noise_major
                 else:
-                    g4 = g_kappa_p(f, 4.0, p, cover, n_big).values.real
-                    mt = m_tilde_s(f, p, cover).values.real
+                    g4 = g_kappa_p(f, 4.0, p, cover, n_big).values
+                    mt = m_tilde_s(f, p, cover).values
                 rhs = float(np.min(g4[idx])) + float(np.min(mt[idx]))
-                b_mean = float(np.mean(b_flat[idx]))
+                b_mean = float(np.mean(b.values[idx]))
                 dens = np.abs(f.values[outside])
-                dens_b = np.abs(b_flat[outside] - b_mean) * dens
+                dens_b = np.abs(b.values[outside] - b_mean) * dens
                 for i, row in enumerate(rows):
                     cut = row[outside] * grid.spacing
                     val = float(np.sum(cut * dens)) / rhs

@@ -67,12 +67,9 @@ class WeightFn:
     label: str
 
     def __post_init__(self) -> None:
-        vals = self.fn.values
-        if not np.all(np.isfinite(vals.view(float))):
+        if not np.all(np.isfinite(self.fn.values)):
             raise ValueError("weight values must be finite")
-        if np.max(np.abs(vals.imag)) > 1e-12 * max(1.0, float(np.max(np.abs(vals)))):
-            raise ValueError("weight must be real-valued")
-        if np.min(vals.real) <= 0.0:
+        if np.min(self.values) <= 0.0:
             raise ValueError("weight must be strictly positive")
 
     @property
@@ -81,7 +78,7 @@ class WeightFn:
 
     @property
     def values(self) -> np.ndarray:
-        return self.fn.values.real
+        return self.fn.real_values(1e-12)
 
 
 @dataclass(frozen=True)
@@ -156,12 +153,12 @@ def preset_bmo(name: str, grid: PeriodicGrid, value: float = 1.0) -> SampledFunc
     triangle   triangle wave of x with period 2L, sup 1
     """
     if name == "constant":
-        return SampledFunction(grid, np.full(grid.n, float(value), dtype=complex))
+        return SampledFunction(grid, np.full(grid.n, float(value)))
     if name == "linear":
-        return SampledFunction(grid, grid.axis_points().astype(complex))
+        return SampledFunction(grid, grid.axis_points())
     if name == "triangle":
         t = np.mod(grid.axis_points() / grid.half_length, 2.0)
-        return SampledFunction(grid, (1.0 - 2.0 * np.abs(t - 1.0)).astype(complex))
+        return SampledFunction(grid, 1.0 - 2.0 * np.abs(t - 1.0))
     raise ValueError(f"unknown bmo preset {name!r}")
 
 

@@ -5,7 +5,8 @@ with N points (N a power of two).  The matching frequency lattice is
 xi = (pi/L) * m for integer m in [-N/2, N/2); it is itself the point set of a
 periodic grid (the reciprocal grid), which is where spectra live.  The
 transform pair is unitary, so the L2 norm taken with each grid's own measure
-is preserved exactly.
+is preserved exactly.  Samples are float64 when real (weights, multipliers,
+maximal functions) and complex128 otherwise (spectra, operator outputs).
 """
 
 from __future__ import annotations
@@ -106,27 +107,31 @@ def make_grid(n: int, half_length: float) -> PeriodicGrid:
 
 @dataclass(frozen=True, eq=False)
 class SampledFunction:
-    """Complex values sampled on a periodic grid."""
+    """Values on a periodic grid, float64 when real and complex128 otherwise
+    (either wrapped without a copy); real_values(tol) refuses an imaginary
+    part above tol * max(1, max |value|)."""
 
     grid: PeriodicGrid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.complex128)
+        dtype = np.complex128 if np.iscomplexobj(self.values) else np.float64
+        vals = np.asarray(self.values, dtype=dtype)
         if vals.shape != self.grid.shape:
             raise ValueError(f"values shape {vals.shape} != grid shape {self.grid.shape}")
         object.__setattr__(self, "values", vals)
 
     def real_values(self, tol: float = 1e-9) -> np.ndarray:
-        scale = max(1.0, float(np.max(np.abs(self.values), initial=0.0)))
-        if np.max(np.abs(self.values.imag)) > tol * scale:
-            raise ValueError("values have a non-negligible imaginary part")
+        if np.iscomplexobj(self.values):
+            scale = max(1.0, float(np.max(np.abs(self.values), initial=0.0)))
+            if np.max(np.abs(self.values.imag)) > tol * scale:
+                raise ValueError("values have a non-negligible imaginary part")
         return self.values.real
 
 
 def sample(grid: PeriodicGrid, fn: Callable) -> SampledFunction:
-    """Evaluate fn on the grid points."""
-    return SampledFunction(grid, np.asarray(fn(grid.axis_points()), dtype=np.complex128))
+    """Evaluate fn on the grid points, keeping the dtype rule of SampledFunction."""
+    return SampledFunction(grid, fn(grid.axis_points()))
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +183,7 @@ def _weight_values(w, grid: PeriodicGrid) -> np.ndarray:
     if isinstance(w, SampledFunction):
         if not w.grid.is_compatible(grid):
             raise ValueError("weight grid does not match")
-        wv = w.values.real if np.iscomplexobj(w.values) else w.values
-        if np.iscomplexobj(w.values) and np.max(np.abs(w.values.imag)) > 1e-12 * max(
-            1.0, float(np.max(np.abs(w.values)))
-        ):
-            raise ValueError("weight must be real-valued")
+        wv = w.real_values(1e-12)
     else:
         wv = np.asarray(w, dtype=float)
         if wv.shape != grid.shape:

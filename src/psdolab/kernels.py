@@ -273,12 +273,12 @@ def band_limited_twin(op: OperatorInstance) -> OperatorInstance:
     A hard lattice cutoff would ring at rate |z|^(-1) and swamp every decay
     measurement, so far-field work always runs on the smooth truncation.
     """
-    if op.mode == "dyadic":
+    if op.truncation is not None:
         return op
     k_top = op.family.max_index
     while 2.0 ** (k_top + 1) > op.grid.xi_max * (1.0 + 1e-12):
         k_top -= 1
-    return OperatorInstance(op.symbol, op.grid, op.family, "dyadic", k_top)
+    return OperatorInstance(op.symbol, op.grid, k_top)
 
 
 def adjoint_kernel_bounds(
@@ -320,7 +320,7 @@ def adjoint_kernel_bounds(
 
     js = list(range(3, 8))
     ball = Ball((0.0,), g.half_length / 2.0 / 2.0 ** js[-1])
-    band_vec = twin.family.band_mask(twin.truncation)[None, :]
+    band_vec = twin.band[None, :]
     pairs = _ball_pairs(ball)
     envelope = np.array([
         _pair_differences(twin, _annulus_points(ball, j, 6), pairs, band_vec)[0] for j in js

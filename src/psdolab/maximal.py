@@ -242,13 +242,13 @@ def _sup_over_family_rows(x: np.ndarray, grid: PeriodicGrid, alpha: float, osc: 
 def m_loc(g: SampledFunction, alpha: float) -> SampledFunction:
     """sup over family balls containing x, radius <= alpha, of mean |g|."""
     out = _sup_over_family_rows(np.abs(g.values)[None], g.grid, alpha, osc=False)[0]
-    return SampledFunction(g.grid, out.astype(complex))
+    return SampledFunction(g.grid, out)
 
 
 def m_sharp_loc(g: SampledFunction, alpha: float) -> SampledFunction:
     """sup over the same family of mean |g - g_B| (mean oscillation)."""
     out = _sup_over_family_rows(g.real_values()[None], g.grid, alpha, osc=True)[0]
-    return SampledFunction(g.grid, out.astype(complex))
+    return SampledFunction(g.grid, out)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +305,7 @@ def g_kappa_p(
     q = cover.windows(1.0)
     values = np.full(grid.n, -np.inf)
     np.maximum.at(values, q.ravel(), np.repeat(totals, q.shape[1]))
-    return SampledFunction(grid, values.astype(complex))
+    return SampledFunction(grid, values)
 
 
 @dataclass(frozen=True)
@@ -404,7 +404,7 @@ def m_tilde_s(f: SampledFunction, s: float, cover: CriticalCover) -> SampledFunc
         np.maximum(ms, _range_max(means, table_width, reads), out=ms)
     out = np.full(grid.n, -np.inf)
     np.maximum.at(out, plan.points.ravel(), (ms ** (1.0 / s)).ravel())
-    return SampledFunction(grid, out.astype(complex))
+    return SampledFunction(grid, out)
 
 
 # ---------------------------------------------------------------------------
@@ -428,19 +428,16 @@ def fs_inequality_rows(
     """
     grid = cover.grid
     rows = len(stack)
-    wv = w.values if hasattr(w, "values") else np.asarray(w)
+    wv = w.real_values(1e-12) if isinstance(w, SampledFunction) else w.values
     magnitude = np.abs(stack)
     # the sharp function's real-valuedness check, on every row
     real = np.stack([SampledFunction(grid, row).real_values() for row in stack])
     maximal = np.concatenate([_sup_over_family_rows(magnitude, grid, beta, osc=False),
                               _sup_over_family_rows(real, grid, alpha_sharp, osc=True)])
     # one weight check and one reduction for both integrals of every row
-    # a WeightFn's real values take lp_norms' array branch; complex samples
-    # keep the SampledFunction branch and its realness check
-    weight = SampledFunction(grid, wv) if np.iscomplexobj(wv) else wv
-    norms = lp_norms(grid, maximal, p, weight=weight)
+    norms = lp_norms(grid, maximal, p, weight=wv)
     # w(Q_k), the same product per ball as a Python float multiply
-    w_balls = (np.sum(np.real(wv)[cover.windows(1.0)], axis=1) * grid.spacing).tolist()
+    w_balls = (np.sum(wv[cover.windows(1.0)], axis=1) * grid.spacing).tolist()
     # a (rows * J, K) view reduces each row's averages as a (J, K) gather
     # would, bit for bit; a mean over the last axis of (rows, J, K) may not
     q2 = cover.windows(2.0)

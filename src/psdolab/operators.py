@@ -54,26 +54,20 @@ __all__ = [
 
 @dataclass(eq=False)
 class OperatorInstance:
-    """A symbol bound to a grid, a dyadic family, and an application mode.
+    """A symbol bound to a grid, on the whole lattice or truncated.
 
-    mode "full" applies the symbol on the whole lattice; mode "dyadic"
-    truncates to frequency pieces 0..truncation (which must be fully resolved
-    by the lattice).  Either way the symbol is applied through its separated
-    expansion on the lattice, which _terms builds once per operator.
+    truncation None applies the symbol on the whole lattice; an index k cuts
+    it to the pieces 0..k of the grid's dyadic family (which must be fully
+    resolved by the lattice).  Either way the symbol is applied through its
+    separated expansion on the lattice, which _terms builds once per operator.
     """
 
     symbol: SymbolSpec
     grid: PeriodicGrid
-    family: LPFamily
-    mode: str = "full"
     truncation: int | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in ("full", "dyadic"):
-            raise ValueError(f"mode must be 'full' or 'dyadic', got {self.mode!r}")
-        if self.mode == "dyadic":
-            if self.truncation is None:
-                raise ValueError("dyadic mode requires a truncation index")
+        if self.truncation is not None:
             if not 0 <= self.truncation <= self.family.max_index:
                 raise ValueError(
                     f"truncation {self.truncation} outside 0..{self.family.max_index}"
@@ -85,10 +79,14 @@ class OperatorInstance:
 
     # -- small shared pieces -------------------------------------------------
 
-    def _mode_band(self) -> np.ndarray | None:
-        if self.mode == "dyadic":
-            return self.family.band_mask(self.truncation)
-        return None
+    @cached_property
+    def family(self) -> LPFamily:
+        return make_lp_family(self.grid)
+
+    @cached_property
+    def band(self) -> np.ndarray | None:
+        """The truncation's band on the lattice; None on the whole lattice."""
+        return None if self.truncation is None else self.family.band_mask(self.truncation)
 
     def _check_grid(self, f: SampledFunction) -> None:
         if not f.grid.is_compatible(self.grid):
@@ -108,8 +106,8 @@ class OperatorInstance:
 
 
 def make_operator(symbol: SymbolSpec, grid: PeriodicGrid) -> OperatorInstance:
-    """The symbol on the whole lattice of grid, with its dyadic family."""
-    return OperatorInstance(symbol, grid, make_lp_family(grid))
+    """The symbol on the whole lattice of grid."""
+    return OperatorInstance(symbol, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +126,7 @@ def _combine(factors: list, parts: dict) -> np.ndarray:
     return out
 
 
-def _mode_sums(op: OperatorInstance, spectra: list, band: np.ndarray | None,
-               adjoint: bool) -> dict:
+def _mode_sums(op: OperatorInstance, spectra: list, adjoint: bool) -> dict:
     """Per factor o of the output slot, idft of the sum over its terms r of
     s_r * band * spectra[i_r], i_r the term's factor of the input slot and
     s_r = sigma_r, or conj(sigma_r) with the slots swapped for the adjoint."""
@@ -138,8 +135,8 @@ def _mode_sums(op: OperatorInstance, spectra: list, band: np.ndarray | None,
     for r, (p, q) in enumerate(ex.terms):
         i, o = (p, q) if adjoint else (q, p)
         s = np.conj(ex.sigma(r)) if adjoint else ex.sigma(r)
-        if band is not None:
-            s = s * band
+        if op.band is not None:
+            s = s * op.band
         term = spectra[i] * s
         acc[o] = acc[o] + term if o in acc else term
     recip = op.grid.reciprocal()
@@ -151,7 +148,7 @@ def apply_rows(op: OperatorInstance, rows: np.ndarray) -> np.ndarray:
     sum_p c_p idft(sum_q sigma_pq band dft(d_q f))."""
     _, cs, ds = op._terms
     spectra = [dft_rows(op.grid, rows if d is None else d * rows) for d in ds]
-    return _combine(cs, _mode_sums(op, spectra, op._mode_band(), adjoint=False))
+    return _combine(cs, _mode_sums(op, spectra, adjoint=False))
 
 
 def apply(op: OperatorInstance, f: SampledFunction) -> SampledFunction:
@@ -171,7 +168,7 @@ def apply_adjoint_rows(op: OperatorInstance, rows: np.ndarray) -> np.ndarray:
     _, cs, ds = op._terms
     spectra = [dft_rows(op.grid, rows if c is None else np.conj(c) * rows) for c in cs]
     conj_ds = [None if d is None else np.conj(d) for d in ds]
-    return _combine(conj_ds, _mode_sums(op, spectra, op._mode_band(), adjoint=True))
+    return _combine(conj_ds, _mode_sums(op, spectra, adjoint=True))
 
 
 def apply_adjoint(op: OperatorInstance, u: SampledFunction) -> SampledFunction:
@@ -185,24 +182,18 @@ def apply_adjoint(op: OperatorInstance, u: SampledFunction) -> SampledFunction:
 # ---------------------------------------------------------------------------
 
 
-def _check_real(b: SampledFunction) -> None:
-    scale = max(1.0, float(np.max(np.abs(b.values))))
-    if np.max(np.abs(b.values.imag)) > 1e-12 * scale:
-        raise ValueError("commutator multiplier must be real-valued")
-
-
 def commutator_rows(op: OperatorInstance, b: SampledFunction, rows: np.ndarray) -> np.ndarray:
     """[b, T_a] f = b (T_a f) - T_a (b f) for each row f of a (rows, n) stack."""
-    _check_real(b)
-    return b.values * apply_rows(op, rows) - apply_rows(op, b.values * rows)
+    bv = b.real_values(1e-12)
+    return bv * apply_rows(op, rows) - apply_rows(op, bv * rows)
 
 
 def adjoint_commutator_rows(
     op: OperatorInstance, b: SampledFunction, rows: np.ndarray
 ) -> np.ndarray:
     """[b, T_a^*] u = b (T_a^* u) - T_a^* (b u) for each row u of a (rows, n) stack."""
-    _check_real(b)
-    return b.values * apply_adjoint_rows(op, rows) - apply_adjoint_rows(op, b.values * rows)
+    bv = b.real_values(1e-12)
+    return bv * apply_adjoint_rows(op, rows) - apply_adjoint_rows(op, bv * rows)
 
 
 def commutator(op: OperatorInstance, b: SampledFunction, f: SampledFunction) -> SampledFunction:
@@ -227,11 +218,10 @@ def _lattice_sum(grid: PeriodicGrid, coef: np.ndarray) -> np.ndarray:
 
 
 def _kernel_weights(op: OperatorInstance, x: float, sign: float) -> np.ndarray:
-    """dxi / (2pi) per mode (times the mode band), times e^{sign i x xi_m}."""
+    """dxi / (2pi) per mode (times the truncation's band), times e^{sign i x xi_m}."""
     g = op.grid
-    band = op._mode_band()
     w = np.full(g.n, g.freq_spacing / (2.0 * np.pi))
-    w = w if band is None else band * w
+    w = w if op.band is None else op.band * w
     return w * np.exp(sign * 1j * (g.axis_freqs() * x))
 
 

@@ -229,6 +229,8 @@ def preset_symbol(name: str, **params) -> SymbolSpec:
         rho = float(params.get("rho", 0.5))
         delta = float(params.get("delta", 0.0))
         scale = float(params.get("spatial_scale", 16.0))
+        if not scale > 0.0:
+            raise ValueError(f"spatial_scale must be positive, got {scale}")
 
         def ev_osc(x, y, xi, _m=m, _r=rho, _d=delta, _s=scale):
             w = np.pi / _s

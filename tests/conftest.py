@@ -21,9 +21,9 @@ def lp(grid):
 
 
 @pytest.fixture(scope="session")
-def bessel_op(grid, lp):
+def bessel_op(grid):
     sym = P.preset_symbol("bessel_order_m", m=-0.75)
-    return OperatorInstance(sym, grid, lp)
+    return OperatorInstance(sym, grid)
 
 
 @pytest.fixture(scope="session")

@@ -116,9 +116,15 @@ def _assert_refused_on_every_target(capsys, args, prefix, out):
                                      "kernel.diff_ball_radius = 0",
                                      "kernel.diff_ball_radius = -0.5",
                                      "oscillation.radii = 0.5,-1",
-                                     "maximal.kappa = 0", "maximal.kappa = -1"])
+                                     "maximal.kappa = 0", "maximal.kappa = -1",
+                                     "weight.p = inf", "tolerances.ratio_spread = nan",
+                                     "tolerances.slope = nan", "weight.theta = nan",
+                                     "bmo.theta = nan", "weight.gamma = nan",
+                                     "oscillation.centers = nan", "corpus.widths = 0.6,inf",
+                                     "grid.l = inf", "run.seed = -1"])
 def test_bad_value_is_a_usage_error_on_every_target(tmp_path, capsys, setting):
-    """A bad preset name, typed value or list length, too few decay pieces, an
+    """A bad preset name, typed value or list length, a nan or infinite
+    number, a negative seed, too few decay pieces, an
     empty corpus or a width <= 0, a series damping n_big below 1/p + 1
     (p = weight.p = 2 for lemma, maximal.s = 1.5 for maximal), a
     difference table with an annulus below j = 2, under 3 annuli or under 2
@@ -127,7 +133,8 @@ def test_bad_value_is_a_usage_error_on_every_target(tmp_path, capsys, setting):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text(setting + "\n")
     key = setting.split(" =")[0]
-    _assert_refused_on_every_target(capsys, ("--config", str(cfgfile)), f"error: {key}: ",
+    where = "grid" if key.startswith("grid.") else key
+    _assert_refused_on_every_target(capsys, ("--config", str(cfgfile)), f"error: {where}: ",
                                     tmp_path / "out")
 
 
@@ -211,6 +218,16 @@ def test_amplitude_class_outside_the_unit_interval_is_a_usage_error_on_every_tar
     name = key.split(".")[1]
     _assert_refused_on_every_target(capsys, ("--config", str(cfgfile)),
                                     f"error: symbol: {name} must lie in [0, 1]", tmp_path / "out")
+
+
+def test_amplitude_spatial_scale_zero_is_a_usage_error_on_every_target(tmp_path, capsys):
+    """The amplitude's psi(x, y) divides by symbol.spatial_scale, which must be
+    > 0; the other presets ignore the key."""
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text("symbol.preset = oscillating_amplitude\nsymbol.spatial_scale = 0\n")
+    _assert_refused_on_every_target(capsys, ("--config", str(cfgfile)),
+                                    "error: symbol: spatial_scale must be positive",
+                                    tmp_path / "out")
 
 
 def test_oscillation_radius_four_exits_three_on_every_target(tmp_path, capsys):

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psdolab as P
+from psdolab.function_classes import WeightFn
+from psdolab.grid import lp_norms
 
 
 def test_grid_basic_geometry(grid):
@@ -58,11 +60,49 @@ def test_lp_norm_indicator(grid):
     assert P.lp_norm(ind, 2.0) == pytest.approx(np.sqrt(2.0), rel=0.02)
 
 
+def test_real_samples_stay_real(grid):
+    """Real data stay float64 where they are made: unmodulated packets, band
+    noise, the multiplier and weight presets and the four maximal functions.
+    Modulated packets, spectra and operator outputs stay complex128.  A
+    float64 array is wrapped without a copy, and real_values returns it."""
+    cover = P.build_critical_cover(grid)
+    f = P.gaussian_packet(grid, 2.0, 1.0)
+    real = [f, P.band_noise(grid, 3), P.m_loc(f, 2.0), P.m_sharp_loc(f, 2.0),
+            P.g_kappa_p(f, 1.0, 2.0, cover), P.m_tilde_s(f, 1.5, cover),
+            *(P.preset_bmo(name, grid) for name in ("constant", "linear", "triangle")),
+            *(P.preset_weight(name, grid).fn
+              for name in ("unit", "power_growth", "exp_abs", "random_log_bounded")),
+            *(item.fn for item in P.gaussian_corpus(grid, modulations=(0,)))]
+    for g in real:
+        assert g.values.dtype == np.float64
+        assert g.real_values() is g.values
+    op = P.make_operator(P.preset_symbol("bessel_order_m", m=-0.75), grid)
+    for g in (P.gaussian_packet(grid, 2.0, 1.0, modulation=4), P.apply(op, f), P.dft(f)):
+        assert g.values.dtype == np.complex128
+    raw = np.ones(grid.n)
+    assert P.SampledFunction(grid, raw).values is raw
+
+
 def test_lp_norm_weighted(grid):
     one = P.sample(grid, lambda x: np.ones_like(x))
     w = P.preset_weight("unit", grid)
     total = P.lp_norm(one, 2.0, weight=w.values)
     assert total == pytest.approx(np.sqrt(32.0), rel=1e-12)
+
+
+def test_complex_weight_is_refused(grid):
+    """A sampled weight whose imaginary part exceeds 1e-12 of its scale is
+    refused by WeightFn and by lp_norms; below that its real part is the
+    weight."""
+    rows = np.ones((2, grid.n))
+    bad = P.SampledFunction(grid, np.ones(grid.n) + 1e-9j)
+    with pytest.raises(ValueError, match="imaginary"):
+        WeightFn(bad, "bad")
+    with pytest.raises(ValueError, match="imaginary"):
+        lp_norms(grid, rows, 2.0, weight=bad)
+    near = P.SampledFunction(grid, np.ones(grid.n) + 1e-14j)
+    assert WeightFn(near, "near").values.dtype == np.float64
+    assert lp_norms(grid, rows, 2.0, weight=near) == lp_norms(grid, rows, 2.0)
 
 
 def test_ball_average_of_linear_function(grid):

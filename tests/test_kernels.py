@@ -7,8 +7,8 @@ from psdolab.operators import OperatorInstance
 
 
 @pytest.fixture(scope="module")
-def decay_op(grid, lp):
-    return OperatorInstance(P.preset_symbol("bessel_order_m", m=-0.75), grid, lp)
+def decay_op(grid):
+    return OperatorInstance(P.preset_symbol("bessel_order_m", m=-0.75), grid)
 
 
 def test_dyadic_kernel_materializes(decay_op):

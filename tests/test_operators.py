@@ -55,16 +55,14 @@ def test_dyadic_pieces_telescope_to_full(grid, lp, bessel_op, packet):
     assert np.max(np.abs(acc - full)) < 1e-12
 
 
-def test_dyadic_mode_needs_truncation(grid, lp):
+def test_dyadic_mode_needs_truncation(grid):
     sym = P.preset_symbol("bessel_order_m", m=-0.75)
     with pytest.raises(ValueError):
-        OperatorInstance(sym, grid, lp, "dyadic")
-    with pytest.raises(ValueError):
-        OperatorInstance(sym, grid, lp, "dyadic", 40)
+        OperatorInstance(sym, grid, 40)
 
 
-def test_truncated_operator_matches_on_bandlimited_input(grid, lp, bessel_op, packet):
-    opd = OperatorInstance(P.preset_symbol("bessel_order_m", m=-0.75), grid, lp, "dyadic", 5)
+def test_truncated_operator_matches_on_bandlimited_input(grid, bessel_op, packet):
+    opd = OperatorInstance(P.preset_symbol("bessel_order_m", m=-0.75), grid, 5)
     # the packet's spectrum dies well inside piece 5, so nothing is lost
     d = P.apply(opd, packet).values - P.apply(bessel_op, packet).values
     assert np.max(np.abs(d)) < 1e-12
@@ -93,6 +91,12 @@ def test_commutator_requires_real_multiplier(grid, bessel_op, packet):
         P.commutator(bessel_op, bad, packet)
 
 
+def test_adjoint_commutator_requires_real_multiplier(grid, bessel_op, packet):
+    bad = P.SampledFunction(grid, np.ones(grid.shape) + 1e-9j)
+    with pytest.raises(ValueError, match="imaginary"):
+        adjoint_commutator_rows(bessel_op, bad, packet.values[None])
+
+
 def test_adjoint_commutator_pairs_with_negative_sign(grid, bessel_op, packet, window):
     """([b, T])* = -[b, T*], so the two pairings cancel."""
     b = P.preset_bmo("linear", grid)
@@ -113,12 +117,6 @@ def test_kernel_row_reproduces_application(grid_small):
     assert abs(quad - out.values[i]) < 1e-10
 
 
-def test_operator_mode_validation(grid, lp):
-    sym = P.preset_symbol("identity")
-    with pytest.raises(ValueError):
-        OperatorInstance(sym, grid, lp, "banana")
-
-
 def test_grid_mismatch_rejected(grid, grid_small, bessel_op):
     f = P.sample(grid_small, lambda x: np.exp(-x ** 2))
     with pytest.raises(ValueError):
@@ -131,7 +129,7 @@ def _reference_kernel(op, x, first):
     xi = g.axis_freqs()[None, :]
     z = g.axis_points()[:, None]
     w = np.full(g.n, g.freq_spacing / (2.0 * np.pi))
-    if op.mode == "dyadic":
+    if op.truncation is not None:
         w = w * op.family.band_mask(op.truncation).ravel()
     if first:
         a = op.symbol.evaluator(z, x, xi)
@@ -238,7 +236,7 @@ def test_application_matches_dense_mode_sum(n, half, preset, dyadic, seed):
     rng = np.random.default_rng(seed)
     f, u = (P.SampledFunction(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
             for _ in range(2))
-    full = np.ones(n) if op.mode == "full" else op.family.band_mask(op.truncation).ravel()
+    full = np.ones(n) if op.truncation is None else op.family.band_mask(op.truncation).ravel()
     forward, adjoint = _dense_reference(op, full)
     tf, tu = P.apply(op, f), P.apply_adjoint(op, u)
     _assert_close(tf, forward(f))

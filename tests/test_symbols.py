@@ -44,6 +44,13 @@ def test_symbol_kinds_drive_dispatch_flags():
     assert not amp.is_symbol
 
 
+@pytest.mark.parametrize("scale", [0.0, -16.0])
+def test_amplitude_needs_a_positive_spatial_scale(scale):
+    """psi(x, y) = sin(pi x / s) cos(pi y / s) needs s > 0."""
+    with pytest.raises(ValueError, match="spatial_scale must be positive"):
+        P.preset_symbol("oscillating_amplitude", m=-0.75, rho=0.5, spatial_scale=scale)
+
+
 def test_unknown_preset_rejected():
     with pytest.raises(ValueError):
         P.preset_symbol("nonsense")
