@@ -315,8 +315,8 @@ def _check_computable(cfg: ExperimentConfig, grid) -> None:
     The config's symbol must build (an amplitude needs rho and delta in
     [0, 1]); kernel-decay fits k = kernel.k_lo..kernel.k_hi and tabulates
     kernel.diff_k on the annuli kernel.diff_j of a kernel.diff_ball_radius
-    ball, and lemma42 runs on balls of the oscillation.radii, each a Ball
-    with a positive radius; the series maximal needs maximal.kappa > 0; the
+    ball, and lemma42 runs on the oscillation balls, each with a positive
+    radius and a grid point; the series maximal needs maximal.kappa > 0; the
     maximal checks need the critical balls' 8-dilates inside the
     box; the weight gate needs 4 dyadic sweep radii; fs's family sups at
     beta = 0.5 and alpha_sharp = 4 need the family's least radius 8 dx;
@@ -328,6 +328,7 @@ def _check_computable(cfg: ExperimentConfig, grid) -> None:
     every grid size: none has a cost budget.
     """
     from .corpus import _check_count, _check_width
+    from .experiments import _check_oscillation_balls
     from .function_classes import _check_stabilization_radii
     from .grid import Ball, _sweep_radii, ball_indices
     from .kernels import _check_annuli, _check_k_window, _decay_ks, _difference_js, _difference_ks
@@ -345,8 +346,8 @@ def _check_computable(cfg: ExperimentConfig, grid) -> None:
         ("kernel.diff_j", lambda: _difference_js(range(j_lo, j_hi + 1))),
         ("kernel.diff_k", lambda: _difference_ks(range(dk_lo, dk_hi + 1))),
         ("kernel.diff_ball_radius", lambda: Ball((0.0,), radius)),
-        ("oscillation.radii",
-         lambda: [Ball((0.0,), r) for r in cfg.get("oscillation.radii")]),
+        ("oscillation.radii", lambda: _check_oscillation_balls(
+            grid, cfg.get("oscillation.centers"), cfg.get("oscillation.radii"))),
         ("maximal.kappa", lambda: _check_kappa(cfg.get("maximal.kappa"))),
         ("grid", lambda: _check_k_window(make_lp_family(grid), pieces)),
         ("grid", lambda: _check_annuli(grid, radius, j_hi)),

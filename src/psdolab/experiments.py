@@ -320,6 +320,15 @@ def oscillation_integral(
     return float(np.sum(row[outside] * np.abs(density[outside])) * dz)
 
 
+def _check_oscillation_balls(grid, centers, radii) -> None:
+    """lemma42 reads minima over each ball B(c, r), r > 0, so each must hold
+    a grid point; past the half box it holds them all."""
+    for r in radii:
+        for c in centers:
+            if len(ball_indices(grid, Ball((c,), min(r, grid.half_length)))) == 0:
+                raise ValueError(f"ball B({c:g}, {r:g}) holds no grid point")
+
+
 def run_oscillation_check(cfg: ExperimentConfig) -> VerificationReport:
     """Lemma 4.2: the adjoint kernel's oscillation outside doubled balls.
 

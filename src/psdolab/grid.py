@@ -211,9 +211,9 @@ def lp_norm(f: SampledFunction, p: float, weight=None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Balls.  Membership uses periodic distance; the radius cap r <= L guarantees
-# a ball never wraps onto itself.  Dilates and annuli are plain set algebra
-# on grid indices, so dyadic annuli partition the dilated ball exactly.
+# Balls.  Membership uses periodic distance; the radius cap r <= L keeps each
+# ball one lattice arc that never wraps onto itself.  Dilates and annuli are
+# plain set algebra on grid indices, so dyadic annuli partition a dilate exactly.
 # ---------------------------------------------------------------------------
 
 
@@ -238,57 +238,47 @@ class Ball:
         return abs(self.center[0]) + self.radius < grid.half_length
 
 
-def _axis_box(grid: PeriodicGrid, centers: np.ndarray, radius: float):
-    """Per center, the indices of the +-(floor(r/dx) + 2) point box around
-    it and their squared periodic distances to it."""
-    if radius > grid.half_length:
-        raise ValueError(f"ball radius {radius} exceeds half box {grid.half_length}")
-    n, dx = grid.n, grid.spacing
-    half = int(np.floor(radius / dx)) + 2
-    if 2 * half + 1 >= n:
-        idx = np.broadcast_to(np.arange(n), (len(centers), n))
-    else:
-        mid = np.floor((centers + grid.half_length) / dx + 0.5).astype(int)
-        idx = (mid[:, None] + np.arange(-half, half + 1)) % n
-    # the same arithmetic as axis_points(), on the box only
-    points = -grid.half_length + dx * idx
-    return idx, grid.wrap(points - centers[:, None]) ** 2
-
-
 def _inside(d2: np.ndarray, radius: float) -> np.ndarray:
     # tiny slack absorbs roundoff of the wrap for boundary lattice points
     return d2 <= (radius * (1.0 + 1e-12)) ** 2
 
 
-def ball_indices(grid: PeriodicGrid, ball: Ball) -> np.ndarray:
-    """Ascending indices of the grid points in the ball.
-
-    Only the index box of +-(floor(r/dx) + 2) points around the center is
-    tested, so a ball costs O(window) instead of a scan of the whole grid.
-    """
-    idx, d2 = _axis_box(grid, np.array(ball.center), ball.radius)
-    return np.sort(idx[0][_inside(d2[0], ball.radius)])
-
-
 def ball_windows(grid: PeriodicGrid, centers, radius: float):
-    """ball_indices of B(c, radius) for many centers c at once.
+    """Ascending indices of the grid points in B(c, radius), many centers c at once.
 
-    Returns (positions, rows) groups, one per point count (lattice centers
-    form one): rows[i] holds the indices of the ball around
-    centers[positions[i]].  Balls go 16 at a time to keep temporaries small.
+    Returns (positions, rows) groups, one per point count in order of first
+    appearance (lattice centers form one): rows[i] indexes the ball around
+    centers[positions[i]].  With k = floor(r/dx), lattice offsets up to k - 1
+    from the nearest lattice point lie inside by a margin of dx/2 and offsets
+    past k + 1 outside, so only the arc ends +-k and +-(k + 1) take the
+    distance test.  A wrapped arc reads 0..e-1 then start..n-1, and arcs
+    whose ends meet hold all n points.
     """
+    if radius > grid.half_length:
+        raise ValueError(f"ball radius {radius} exceeds half box {grid.half_length}")
     centers = np.asarray(centers, dtype=float)
-    groups: dict[int, list] = {}
-    for lo in range(0, len(centers), 16):
-        idx, d2 = _axis_box(grid, centers[lo : lo + 16], radius)
-        inside = _inside(d2, radius)
-        counts = inside.sum(axis=1)
-        for count in dict.fromkeys(counts.tolist()):
-            sel = np.flatnonzero(counts == count)
-            rows = idx[sel][inside[sel]].reshape(len(sel), count)
-            groups.setdefault(count, []).append((lo + sel, np.sort(rows, axis=1)))
-    return tuple((np.concatenate([p for p, _ in parts]), np.concatenate([r for _, r in parts]))
-                 for parts in groups.values())
+    n, dx = grid.n, grid.spacing
+    k = int(np.floor(radius / dx))
+    mid = np.floor((centers + grid.half_length) / dx + 0.5).astype(int)
+    # the same arithmetic as axis_points(), on the arc ends only
+    idx = (mid[:, None] + np.array([-k - 1, -k, k, k + 1])) % n
+    ends = _inside(grid.wrap(-grid.half_length + dx * idx - centers[:, None]) ** 2, radius)
+    start = mid - (k - 1) - np.maximum(ends[:, 1], 2 * ends[:, 0])
+    counts = np.clip(mid + (k - 1) + np.maximum(ends[:, 2], 2 * ends[:, 3]) - start + 1, 0, n)
+    start %= n
+    wrapped = np.maximum(start + counts - n, 0)
+    groups = []
+    for count in dict.fromkeys(counts.tolist()):
+        pos = np.flatnonzero(counts == count)
+        col, e = np.arange(count), wrapped[pos, None]
+        groups.append((pos, np.where(col < e, col, start[pos, None] + col - e)))
+    return tuple(groups)
+
+
+def ball_indices(grid: PeriodicGrid, ball: Ball) -> np.ndarray:
+    """Ascending indices of the grid points in the ball: ball_windows of one center."""
+    ((_, rows),) = ball_windows(grid, ball.center, ball.radius)
+    return rows[0]
 
 
 def ball_mask(grid: PeriodicGrid, ball: Ball) -> np.ndarray:

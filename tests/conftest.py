@@ -5,6 +5,13 @@ import psdolab as P
 from psdolab.operators import OperatorInstance
 
 
+def full_scan(grid, ball):
+    """Brute force: the periodic distance test on every grid point.  The
+    ball tests take it as the oracle for every ball index row."""
+    d2 = grid.wrap(grid.axis_points() - ball.center[0]) ** 2
+    return np.flatnonzero(d2 <= (ball.radius * (1.0 + 1e-12)) ** 2)
+
+
 @pytest.fixture(scope="session")
 def grid():
     return P.make_grid(1024, 16.0)

@@ -12,9 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psdolab as P
+import psdolab.grid as grid_module
+from conftest import full_scan
 from psdolab.experiments import local_average_ratio
 from psdolab.function_classes import WeightFn
 from psdolab.grid import ball_windows
+from psdolab.maximal import _cover_windows
 
 SIZES = [64, 128, 256, 512, 1024, 2048, 4096]
 
@@ -61,7 +64,7 @@ def _assert_windows_match(grid, centers, radius):
     seen = np.concatenate([pos for pos, _ in groups]) if groups else np.array([], int)
     assert np.array_equal(np.sort(seen), np.arange(len(centers)))
     for pos, rows in groups:
-        expected = np.stack([P.ball_indices(grid, P.Ball((centers[i],), radius))
+        expected = np.stack([full_scan(grid, P.Ball((centers[i],), radius))
                              for i in pos.tolist()])
         assert np.array_equal(rows, expected)
     return groups
@@ -69,7 +72,7 @@ def _assert_windows_match(grid, centers, radius):
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_windows_equal_stacked_ball_indices(data):
+def test_windows_equal_stacked_full_scans(data):
     """Lattice centers (torus and inside-only sweeps, the critical cover)
     give one group per radius; off-lattice centers may split by count."""
     grid = _grid(data)
@@ -86,10 +89,62 @@ def test_windows_equal_stacked_ball_indices(data):
 
 
 def test_windows_split_off_lattice_centers_by_count():
+    """Groups come in order of first appearance, positions ascending."""
     grid = P.make_grid(64, 4.0)
     dx = grid.spacing
-    groups = _assert_windows_match(grid, [0.0, 0.5 * dx, 0.25 * dx], 2.5 * dx)
-    assert sorted(rows.shape[1] for _, rows in groups) == [5, 6]
+    groups = _assert_windows_match(grid, [0.5 * dx, 0.0, 0.25 * dx, -0.5 * dx, 3.0], 2.5 * dx)
+    assert [(pos.tolist(), rows.shape) for pos, rows in groups] == [
+        ([0, 3], (2, 6)), ([1, 2, 4], (3, 5))]
+
+
+def test_ball_below_half_spacing_off_the_lattice_is_empty():
+    """An empty ball gives an empty row, which ball_average still refuses."""
+    grid = P.make_grid(64, 4.0)
+    dx = grid.spacing
+    ((_, rows),) = _assert_windows_match(grid, [0.5 * dx, -0.45 * dx], 0.4 * dx)
+    assert rows.shape == (2, 0)
+    with pytest.raises(ValueError, match="contains 0 grid points"):
+        P.ball_average(P.sample(grid, lambda x: x), P.Ball((0.5 * dx,), 0.4 * dx))
+
+
+@pytest.mark.parametrize("halves", range(7))
+def test_arc_ends_meeting_near_the_half_box(halves):
+    """Radii L, L - dx/2, .., L - 3 dx: lattice centers give one group, and
+    at r = L the arc ends meet, so every ball holds all n points."""
+    grid = P.make_grid(64, 4.0)
+    dx = grid.spacing
+    radius = grid.half_length - 0.5 * dx * halves
+    lattice = grid.axis_points().tolist()
+    ((_, rows),) = _assert_windows_match(grid, lattice, radius)
+    assert rows.shape[1] == grid.n or halves > 0
+    _assert_windows_match(grid, [c + f * dx for c in lattice[::7] for f in (0.25, 0.5, 0.75)],
+                          radius)
+
+
+def test_ball_centers_at_the_box_edges():
+    grid = P.make_grid(64, 4.0)
+    dx = grid.spacing
+    edges = [-grid.half_length, np.nextafter(grid.half_length, 0.0)]
+    for radius in (0.25 * dx, dx, 2.5 * dx, 9.0 * dx, grid.half_length - dx, grid.half_length):
+        _assert_windows_match(grid, edges, radius)
+    # both centers sit on lattice point 0 (just below +L it wraps there):
+    # the wrapped arc comes out ascending, 0..e-1 then start..n-1
+    ((pos, rows),) = ball_windows(grid, edges, 2.5 * dx)
+    assert rows.tolist() == [[0, 1, 2, 62, 63]] * 2
+
+
+def test_a_critical_ball_tests_at_most_four_points(monkeypatch):
+    """Indexing the critical cover's 8-dilates at n = 2048 takes the
+    distance test on the arc ends only, not on a box around each center."""
+    cover = P.build_critical_cover(P.make_grid(2048, 16.0))
+    tested = []
+    inside = grid_module._inside
+    monkeypatch.setattr(grid_module, "_inside",
+                        lambda d2, radius: tested.append(d2.size) or inside(d2, radius))
+    _cover_windows.cache_clear()
+    rows = cover.windows(8.0)
+    assert len(rows) == len(cover.centers) == 78
+    assert 0 < sum(tested) <= 4 * len(cover.centers)
 
 
 # ---------------------------------------------------------------------------

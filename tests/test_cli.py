@@ -116,6 +116,8 @@ def _assert_refused_on_every_target(capsys, args, prefix, out):
                                      "kernel.diff_ball_radius = 0",
                                      "kernel.diff_ball_radius = -0.5",
                                      "oscillation.radii = 0.5,-1",
+                                     # B(0.3, 0.01) holds no point of the dx = 1/32 grid
+                                     "oscillation.radii = 0.01,0.5\noscillation.centers = 0.3,1.7",
                                      "maximal.kappa = 0", "maximal.kappa = -1",
                                      "weight.p = inf", "tolerances.ratio_spread = nan",
                                      "tolerances.slope = nan", "weight.theta = nan",
@@ -128,8 +130,8 @@ def test_bad_value_is_a_usage_error_on_every_target(tmp_path, capsys, setting):
     empty corpus or a width <= 0, a series damping n_big below 1/p + 1
     (p = weight.p = 2 for lemma, maximal.s = 1.5 for maximal), a
     difference table with an annulus below j = 2, under 3 annuli or under 2
-    pieces, a ball radius <= 0 or a series dilation kappa <= 0, is refused
-    before any target runs."""
+    pieces, a ball radius <= 0, an oscillation ball holding no grid point or
+    a series dilation kappa <= 0, is refused before any target runs."""
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text(setting + "\n")
     key = setting.split(" =")[0]

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import psdolab as P
 from psdolab.function_classes import WeightFn
+from conftest import full_scan
 from psdolab.grid import lp_norms
 
 
@@ -112,16 +113,10 @@ def test_ball_average_of_linear_function(grid):
     assert complex(P.ball_average(f, ball)).real == pytest.approx(3.0, abs=grid.spacing)
 
 
-def _full_scan(grid, ball):
-    """Brute force: the periodic distance test on every grid point."""
-    d2 = grid.wrap(grid.axis_points() - ball.center[0]) ** 2
-    return np.flatnonzero(d2 <= (ball.radius * (1.0 + 1e-12)) ** 2)
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_ball_indices_match_full_scan(data):
-    """The index-box search finds the full scan's points, in ascending order."""
+    """The arc rule finds the full scan's points, in ascending order."""
     n = data.draw(st.sampled_from([64, 128, 256, 512, 1024, 2048, 4096]), label="n")
     half = data.draw(st.one_of(st.sampled_from([4.0, 16.0, 64.0]), st.floats(4.0, 64.0)),
                      label="L")
@@ -137,7 +132,7 @@ def test_ball_indices_match_full_scan(data):
         st.integers(1, n // 2).map(lambda k: k * grid.spacing),       # lattice multiples
     ), label="radius")
     ball = P.Ball(center, radius)
-    expected = _full_scan(grid, ball)
+    expected = full_scan(grid, ball)
     assert np.array_equal(P.ball_indices(grid, ball), expected)
     assert np.array_equal(np.flatnonzero(P.ball_mask(grid, ball)), expected)
 
