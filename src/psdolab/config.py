@@ -260,7 +260,8 @@ class ExperimentConfig:
         """Reject parameter combinations outside the verified regime.
 
         The symbol's class (m, rho) must satisfy m < rho-1, except the
-        order-zero rho=1 family which is admitted outright.  The weight
+        order-zero rho=1 family which is admitted outright, and its delta
+        must lie below 1 (only the amplitude reads one).  The weight
         exponent must exceed 1, both growth exponents must be nonnegative,
         and Lemma 4.2's balls need radius < 4.  Runs flagged as
         counterexamples bypass the gate.
@@ -275,6 +276,8 @@ class ExperimentConfig:
                 f"symbol order m={m:g} must satisfy m < rho-1 = {rho - 1.0:g}"
                 " (or be the order-zero rho=1 family)"
             )
+        if not symbol.delta < 1.0:
+            raise HypothesisViolation(f"symbol delta={symbol.delta:g} must be below 1")
         p = self.get("weight.p")
         if not p > 1.0:
             raise HypothesisViolation(f"weight exponent p={p:g} must exceed 1")

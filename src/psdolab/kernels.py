@@ -3,9 +3,10 @@
 The k-th kernel piece is
     K_k(x, z) = (2pi)^(-1) sum_xi a(x, x - z, xi) phi_k(xi) e^{i z xi} dxi,
 a function of the base point x and the offset z = x - y.  Its z-dependence
-comes from the operator's expansion (operators._offset_row): one inverse
-transform per y-factor of the symbol at each base point, the y-factors
-sampled at x - z.
+comes from the operator's expansion (operators._offset_rows): one inverse
+transform per y-factor of the symbol over the stacked base points, the
+y-factors sampled at x - z.  The difference tables read the evaluator
+itself, as direct sums over the frequencies where some band is nonzero.
 
 Offsets are kept inside |z| <= L/2 so nearest-image distances on the torus
 agree with true distances; every fit below samples only that safe half-box.
@@ -20,7 +21,7 @@ import numpy as np
 from .fitting import least_squares_line
 from .grid import Ball, PeriodicGrid
 from .littlewood_paley import LPFamily
-from .operators import OperatorInstance, _offset_row, adjoint_kernel_row
+from .operators import OperatorInstance, _offset_rows, adjoint_kernel_row
 from .report import DecayFitReport
 
 __all__ = [
@@ -76,13 +77,10 @@ def materialize_dyadic_kernel(op: OperatorInstance, k: int) -> DyadicKernel:
     mask = np.abs(pts) <= g.half_length / 2.0 + 1e-12
     offsets = pts[mask]
     weight = op.family.piece_on_lattice(k) * (g.freq_spacing / (2.0 * np.pi))
-    rows = np.empty((len(xs), len(offsets)), dtype=np.complex128)
-    integrals = np.empty(len(xs), dtype=np.complex128)
-    for p, x in enumerate(xs):
-        full = _offset_row(op, x, weight)
-        rows[p] = full[mask]
-        integrals[p] = np.sum(full) * g.spacing
-    return DyadicKernel(k, xs, offsets, rows, integrals)
+    full = _offset_rows(op, xs, weight)
+    # DyadicKernel's finiteness check views the values as float pairs
+    rows = np.ascontiguousarray(full[:, mask])
+    return DyadicKernel(k, xs, offsets, rows, np.sum(full, axis=1) * g.spacing)
 
 
 def _check_k_window(family: LPFamily, ks) -> None:
@@ -160,20 +158,34 @@ def _annulus_points(ball: Ball, j: int, num: int) -> np.ndarray:
 def _pair_differences(
     op: OperatorInstance, xs: np.ndarray, pairs: list[tuple[float, float]], bands: np.ndarray
 ) -> np.ndarray:
-    """max over (x, pair) of |K_band(x,y) - K_band(x,ybar)|, one per band row."""
+    """max over (x, pair) of |K_band(x,y) - K_band(x,ybar)|, one per band row.
+
+    K_band(x, y) is the direct sum bands @ (a(x, y, xi) e^{i(x-y)xi}) dxi/2pi
+    over the lattice.  The evaluator and the phases are taken only at the
+    live frequencies, where some band row is nonzero, for every (x, pair) of
+    the call at once; one zeroed (points, n) block holds them.  Each point
+    keeps its own matrix-vector product: the dead columns add exact zeros, so
+    the sums keep the bits of full-lattice ones, where one matrix-matrix
+    product would not.
+    """
     g = op.grid
-    xis = g.axis_freqs()
+    live = np.flatnonzero(np.any(bands != 0.0, axis=0))
+    xis = g.axis_freqs()[live]
     scale = g.freq_spacing / (2.0 * np.pi)
-    best = np.zeros(len(bands))
-    for x in xs:
-        for y1, y2 in pairs:
-            vals = []
-            for y in (y1, y2):
-                phase = np.exp(1j * (xis * (x - y)))
-                a = np.asarray(op.symbol.evaluator(x, y, xis), dtype=np.complex128)
-                vals.append(bands @ (np.broadcast_to(a, phase.shape) * phase) * scale)
-            best = np.maximum(best, np.abs(vals[0] - vals[1]))
-    return best
+    x = np.repeat(xs, len(pairs))[:, None]
+    ys = np.tile(np.asarray(pairs, dtype=float), (len(xs), 1))
+    bands_c = bands.astype(np.complex128)
+    block = np.zeros((len(x), g.n), dtype=np.complex128)
+    sums = []
+    for y in ys.T:
+        y = y[:, None]
+        a = np.asarray(op.symbol.evaluator(x, y, xis), dtype=np.complex128)
+        # a named phase: numpy would multiply a large temporary in place,
+        # operands swapped, and a complex product is not bitwise symmetric
+        phase = np.exp(1j * (xis * (x - y)))
+        block[:, live] = a * phase
+        sums.append(np.array([bands_c @ row for row in block]) * scale)
+    return np.max(np.abs(sums[0] - sums[1]), axis=0)
 
 
 @dataclass(frozen=True, eq=False)

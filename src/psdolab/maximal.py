@@ -222,7 +222,11 @@ def _sup_over_family_rows(x: np.ndarray, grid: PeriodicGrid, alpha: float, osc: 
     cs[:, 1 : n + 1] = x
     cs[:, n + 1 :] = x
     np.cumsum(cs[:, 1:], axis=1, out=cs[:, 1:])
-    for half, starts, count in _family_windows(grid, alpha):
+    family = list(_family_windows(grid, alpha))
+    if osc:
+        # one deviation buffer for every row and radius, sized for the widest
+        work = np.empty(n // 8 * max(count for _, _, count in family))
+    for half, starts, count in family:
         means = (cs[:, starts + count] - cs[:, starts]) / count
         if osc:
             # the window around center 8k starts at point 8k of the row
@@ -230,8 +234,9 @@ def _sup_over_family_rows(x: np.ndarray, grid: PeriodicGrid, alpha: float, osc: 
             padded = np.concatenate([x[:, n - half :], x, x[:, :half]], axis=1)
             windows = sliding_window_view(padded, count, axis=1)[:, ::8]
             vals = np.empty_like(means)
+            dev = work[: n // 8 * count].reshape(n // 8, count)
             for r in range(count_rows):
-                dev = np.subtract(windows[r], means[r, :, None])
+                np.subtract(windows[r], means[r, :, None], out=dev)
                 vals[r] = np.mean(np.abs(dev, out=dev), axis=1)
         else:
             vals = means

@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import PeriodicGrid, SampledFunction, dft_rows, idft, idft_rows
+from .grid import PeriodicGrid, SampledFunction, dft_rows, idft_rows
 from .littlewood_paley import LPFamily, make_lp_family
 from .symbols import SymbolSpec
 
@@ -207,14 +207,15 @@ def commutator(op: OperatorInstance, b: SampledFunction, f: SampledFunction) -> 
 # with one slot at a point anywhere and the other on the lattice (or, for
 # the offset rows of kernels.py, at x - z for lattice offsets z).  Holding a
 # slot at its point folds the expansion to one coefficient row per factor of
-# the free slot, and each row is one inverse FFT.
+# the free slot.  Offset rows stack those rows over their base points, so
+# each factor costs one inverse FFT for all of them.
 # ---------------------------------------------------------------------------
 
 
 def _lattice_sum(grid: PeriodicGrid, coef: np.ndarray) -> np.ndarray:
-    """sum_m coef_m e^{i z xi_m} at every lattice z: one scaled idft."""
-    spec = SampledFunction(grid.reciprocal(), coef)
-    return idft(spec).values * ((2.0 * np.pi) ** 0.5 / grid.freq_spacing)
+    """sum_m coef_m e^{i z xi_m} at every lattice z, for each row of a (..., n)
+    stack of coefficients: one scaled idft_rows."""
+    return idft_rows(grid.reciprocal(), coef) * ((2.0 * np.pi) ** 0.5 / grid.freq_spacing)
 
 
 def _kernel_weights(op: OperatorInstance, x: float, sign: float) -> np.ndarray:
@@ -255,13 +256,15 @@ def kernel_row(op: OperatorInstance, x: float) -> np.ndarray:
     return _combine(ds, {q: np.conj(_lattice_sum(op.grid, np.conj(c))) for q, c in held.items()})
 
 
-def _offset_row(op: OperatorInstance, x: float, weight: np.ndarray) -> np.ndarray:
-    """sum_m a(x, x - z, xi_m) weight_m e^{i z xi_m} at every lattice offset z."""
+def _offset_rows(op: OperatorInstance, xs: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """sum_m a(x, x - z, xi_m) weight_m e^{i z xi_m} at every lattice offset z,
+    one row per base point x of xs."""
     ex = op._terms[0]
-    z = op.grid.axis_points()
-    ds = [None if d is None else d(x - z) for d in ex.y_factors]
-    held = _held(op, x, 0, weight)
-    return _combine(ds, {q: _lattice_sum(op.grid, c) for q, c in held.items()})
+    ys = xs[:, None] - op.grid.axis_points()
+    ds = [None if d is None else d(ys) for d in ex.y_factors]
+    held = [_held(op, x, 0, weight) for x in xs]
+    return _combine(ds, {q: _lattice_sum(op.grid, np.stack([h[q] for h in held]))
+                         for q in held[0]})
 
 
 def adjoint_kernel_row(op: OperatorInstance, x: float) -> np.ndarray:

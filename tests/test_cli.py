@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from psdolab.cli import main
-from psdolab.config import load_config
+from psdolab.config import HypothesisViolation, load_config
 from psdolab.experiments import VERIFY_TARGETS, run_all
 
 
@@ -243,6 +243,36 @@ def test_oscillation_radius_four_exits_three_on_every_target(tmp_path, capsys):
         assert capsys.readouterr().err == (
             "hypothesis violated: oscillation balls need radius < 4, got 5\n")
     assert not out.exists()
+
+
+def test_amplitude_delta_one_exits_three_on_every_target(tmp_path, capsys):
+    """The paper's amplitudes need delta < 1: the hypothesis gate refuses
+    delta = 1 on every target, before any target computes or writes."""
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text("symbol.preset = oscillating_amplitude\nsymbol.rho = 0.5\n"
+                       "symbol.delta = 1\n")
+    out = tmp_path / "out"
+    for command in [("verify", target) for target in VERIFY_TARGETS] + [("report", "all")]:
+        assert run_cli(*command, "--config", str(cfgfile), "--out", str(out)) == 3
+        assert capsys.readouterr().err == "hypothesis violated: symbol delta=1 must be below 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("settings,passes", [
+    ({"symbol.delta": "0.9"}, True),
+    ({"symbol.delta": "1", "run.counterexample": "true"}, True),
+    ({"symbol.delta": "1"}, False),
+])
+def test_amplitude_delta_gate_boundary(settings, passes):
+    """delta = 0.9 with an in-class m and rho passes the gate, and
+    run.counterexample lets delta = 1 past it."""
+    cfg = load_config(None, {"symbol.preset": "oscillating_amplitude", "symbol.m": "-0.75",
+                             "symbol.rho": "0.5", **settings})
+    if passes:
+        cfg.check_hypotheses()
+    else:
+        with pytest.raises(HypothesisViolation, match="delta=1 must be below 1"):
+            cfg.check_hypotheses()
 
 
 def test_oscillation_radius_past_the_box_under_counterexample_is_a_usage_error(tmp_path,

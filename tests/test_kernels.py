@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import psdolab as P
-from psdolab.kernels import default_base_points
-from psdolab.operators import OperatorInstance
+from psdolab.grid import SampledFunction, idft
+from psdolab.kernels import _annulus_points, _ball_pairs, _pair_differences, default_base_points
+from psdolab.operators import OperatorInstance, _held
 
 
 @pytest.fixture(scope="module")
@@ -109,3 +112,103 @@ def test_adjoint_kernel_bounds_identity(grid):
     assert rep.far_field.passed and rep.difference.passed
     # a delta kernel leaves essentially nothing outside the diagonal
     assert rep.weighted_far_over_peak < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# The stacked kernel paths against per-point references.
+# ---------------------------------------------------------------------------
+
+KERNEL_PRESETS = [
+    ("identity", {}),
+    ("bessel_order_m", {"m": -0.75}),
+    ("rough_x_modulated", {"m": 0.0}),
+    ("oscillating_amplitude", {"m": -0.75, "rho": 0.5, "delta": 0.5}),
+]
+
+
+def _per_point_differences(op, xs, pairs, bands):
+    """max over (x, pair) of |K_band(x,y) - K_band(x,ybar)|, one full-lattice
+    evaluation and one matrix-vector product per (x, y)."""
+    g = op.grid
+    xis = g.axis_freqs()
+    scale = g.freq_spacing / (2.0 * np.pi)
+    best = np.zeros(len(bands))
+    for x in xs:
+        for y1, y2 in pairs:
+            vals = []
+            for y in (y1, y2):
+                phase = np.exp(1j * (xis * (x - y)))
+                a = np.asarray(op.symbol.evaluator(x, y, xis), dtype=np.complex128)
+                vals.append(bands @ (np.broadcast_to(a, phase.shape) * phase) * scale)
+            best = np.maximum(best, np.abs(vals[0] - vals[1]))
+    return best
+
+
+@pytest.mark.parametrize("n", [1024, 2048])
+@pytest.mark.parametrize("preset,params", KERNEL_PRESETS)
+def test_pair_differences_equal_the_per_point_sums(n, preset, params):
+    """Live frequencies only, all points of a call in one block: the same bits
+    as a full-lattice sum per point, for the difference table's bands and for
+    the band-limited twin's band (1303 live columns at n = 2048, a block big
+    enough for numpy to reuse temporaries in place)."""
+    g = P.make_grid(n, 16.0)
+    op = P.make_operator(P.preset_symbol(preset, **params), g)
+    ball = P.Ball((0.0,), 0.25)
+    pairs = _ball_pairs(ball)
+    bands = np.stack([op.family.piece_profile(k, g.axis_freqs()) for k in range(6)])
+    twin = P.band_limited_twin(op)
+    for j in (3, 5):
+        xs = _annulus_points(ball, j, 6)
+        assert np.array_equal(_pair_differences(op, xs, pairs, bands),
+                              _per_point_differences(op, xs, pairs, bands))
+        band = twin.band[None, :]
+        assert np.array_equal(_pair_differences(twin, xs, pairs, band),
+                              _per_point_differences(twin, xs, pairs, band))
+
+
+@pytest.mark.parametrize("preset,params", KERNEL_PRESETS)
+def test_dyadic_kernel_equals_per_point_rows(preset, params):
+    """The stacked offset rows equal, bit for bit, one _held and one idft per
+    factor at each base point, in values and box integrals."""
+    g = P.make_grid(1024, 16.0)
+    op = P.make_operator(P.preset_symbol(preset, **params), g)
+    weight = op.family.piece_on_lattice(3) * (g.freq_spacing / (2.0 * np.pi))
+    dk = P.materialize_dyadic_kernel(op, 3)
+    z = g.axis_points()
+    mask = np.abs(z) <= g.half_length / 2.0 + 1e-12
+    y_factors = op._terms[0].y_factors
+    for x, got, integral in zip(dk.x_samples, dk.values, dk.box_integrals):
+        full = None
+        for q, c in _held(op, x, 0, weight).items():
+            part = idft(SampledFunction(g.reciprocal(), c)).values * (
+                (2.0 * np.pi) ** 0.5 / g.freq_spacing)
+            if y_factors[q] is not None:
+                part = y_factors[q](x - z) * part
+            full = part if full is None else full + part
+        assert np.array_equal(got, full[mask])
+        assert integral == np.sum(full) * g.spacing
+
+
+def test_difference_table_evaluates_only_live_frequencies():
+    """The evaluator sees only the frequencies where some band is nonzero,
+    twice per call (y and ybar for every point at once): a full-lattice
+    evaluation per point must not come back."""
+    g = P.make_grid(2048, 16.0)
+    base = P.preset_symbol("bessel_order_m", m=-0.75)
+    seen = []
+
+    def recorder(x, y, xi):
+        seen.append((np.shape(x), np.asarray(xi).copy()))
+        return base.evaluator(x, y, xi)
+
+    op = OperatorInstance(dataclasses.replace(base, evaluator=recorder), g)
+    ball = P.Ball((0.0,), 0.25)
+    ks = range(0, 6)
+    bands = np.stack([op.family.piece_profile(k, g.axis_freqs()) for k in ks])
+    live = g.axis_freqs()[np.any(bands != 0.0, axis=0)]
+    assert 0 < live.size < g.n // 2
+    P.fit_difference_estimate(op, ball, j_range=range(3, 6), k_range=ks)
+    assert len(seen) == 2 * 3
+    for shape, xi in seen:
+        assert shape == (18, 1)
+        assert np.array_equal(xi, live)

@@ -108,6 +108,23 @@ def test_row_cores_equal_the_one_row_path(n, half_length, count, p, data):
     assert seen == [item.label for item in items]
 
 
+@pytest.mark.parametrize("n", [64, 256, 2048])
+@pytest.mark.parametrize("alpha_cells", [8, 13, 40, 100])
+def test_oscillation_sup_work_buffer_leaks_nothing(n, alpha_cells):
+    """The oscillation sup reuses one deviation buffer for every row and
+    radius.  Rows of very different scales, a zero row among them, must each
+    come out as the one-row call and as the gather reference, which
+    allocates afresh per radius, bit for bit."""
+    grid = P.make_grid(n, 16.0)
+    alpha = min(alpha_cells * grid.spacing, grid.half_length / 2.0)
+    rng = np.random.default_rng(n + alpha_cells)
+    rows = rng.standard_normal((5, n)) * np.array([1e6, 1e-6, 1.0, 0.0, 1e3])[:, None]
+    stacked = _sup_over_family_rows(rows, grid, alpha, osc=True)
+    for row, got in zip(rows, stacked):
+        assert np.array_equal(got, _sup_over_family_rows(row[None], grid, alpha, osc=True)[0])
+        assert np.array_equal(got, _reference_family_sup(row, grid, alpha, osc=True))
+
+
 def test_real_values_check_runs_on_every_row(grid, cover):
     """A row with a non-negligible imaginary part is refused in any block
     position, as m_sharp_loc refuses it alone."""
