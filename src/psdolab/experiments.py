@@ -304,20 +304,14 @@ def run_local_average_check(cfg: ExperimentConfig) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def oscillation_row(op, x: float, y: float) -> np.ndarray:
-    """|K*(x,z) - K*(y,z)| over the lattice in z.
-
-    Evaluate on the band-limited twin: a hard lattice cutoff rings at
-    |z|^{-1} and the ringing does not cancel between two base points.
-    """
-    return np.abs(adjoint_kernel_row(op, x) - adjoint_kernel_row(op, y))
-
-
-def oscillation_integral(
-    row: np.ndarray, density: np.ndarray, outside: np.ndarray, dz: float
-) -> float:
-    """sum over lattice z outside the doubled ball of row(z) |density(z)| dz."""
-    return float(np.sum(row[outside] * np.abs(density[outside])) * dz)
+def _oscillation_rows(op, c: float, r: float) -> np.ndarray:
+    """|K*(x,.) - K*(y,.)| over the lattice for the pairs (c -+ 0.5r) and
+    (c + 0.9r, c + 0.15r) of B(c, r), then for c + 0.25r twice (the same-point
+    probe): one stack of six adjoint rows.  Evaluate on the band-limited twin:
+    a hard lattice cutoff rings at |z|^{-1}, and the ringing does not cancel
+    between two base points."""
+    kstar = adjoint_kernel_row(op, c + r * np.array([-0.5, 0.5, 0.9, 0.15, 0.25, 0.25]))
+    return np.abs(kstar[0::2] - kstar[1::2])
 
 
 def _check_oscillation_balls(grid, centers, radii) -> None:
@@ -365,8 +359,7 @@ def run_oscillation_check(cfg: ExperimentConfig) -> VerificationReport:
             idx = ball_indices(grid, ball)
             outside = np.ones(grid.n, dtype=bool)
             outside[ball_indices(grid, ball.dilate(2.0))] = False
-            pairs = [(c - 0.5 * r, c + 0.5 * r), (c + 0.9 * r, c + 0.15 * r)]
-            rows = [oscillation_row(op, x, y) for x, y in pairs]
+            *rows, same_row = _oscillation_rows(op, c, r)
 
             # packets scaled to the ball so every generic item keeps real
             # mass outside 2B; a packet swallowed by 2B probes nothing
@@ -401,18 +394,15 @@ def run_oscillation_check(cfg: ExperimentConfig) -> VerificationReport:
                          "value": {"plain": val, "commutator": val_b}}
                     )
 
-            # exact-zero probes on this ball: same base point (two separate
-            # row evaluations), support inside the doubled ball, constant
-            # multiplier; the last two reuse the first pair's row
-            x = c + 0.25 * r
-            f0 = corpus[0][1]
-            dz = grid.spacing
-            same = oscillation_integral(oscillation_row(op, x, x), f0.values, outside, dz)
-            inside_vals = f0.values.copy()
-            inside_vals[outside] = 0.0
-            supported = oscillation_integral(rows[0], inside_vals, outside, dz)
-            const_dens = (np.ones(grid.n) - 1.0) * f0.values
-            constant = oscillation_integral(rows[0], const_dens, outside, dz)
+            # exact-zero probes on this ball, each integrated outside 2B: same
+            # base point (two rows of one stack), support inside the doubled
+            # ball, constant multiplier; the last two reuse the first pair's row
+            f0 = corpus[0][1].values
+            inside_vals = np.where(outside, 0.0, f0)
+            const_dens = (np.ones(grid.n) - 1.0) * f0
+            same, supported, constant = (
+                float(np.sum(row[outside] * np.abs(dens[outside])) * grid.spacing)
+                for row, dens in ((same_row, f0), (rows[0], inside_vals), (rows[0], const_dens)))
             zeros.extend([same, supported, constant])
             items.append(
                 {"id": f"ball(c={c:g},r={r:g})|zero_cases",

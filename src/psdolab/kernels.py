@@ -3,10 +3,12 @@
 The k-th kernel piece is
     K_k(x, z) = (2pi)^(-1) sum_xi a(x, x - z, xi) phi_k(xi) e^{i z xi} dxi,
 a function of the base point x and the offset z = x - y.  Its z-dependence
-comes from the operator's expansion (operators._offset_rows): one inverse
-transform per y-factor of the symbol over the stacked base points, the
-y-factors sampled at x - z.  The difference tables read the evaluator
-itself, as direct sums over the frequencies where some band is nonzero.
+comes from the operator's expansion held at all base points at once
+(operators._offset_rows): one inverse transform per y-factor, the y-factors
+sampled at x - z, or one for all base points when the symbol has no x- or
+y-factor.  The adjoint far field takes its base points in one call.  The
+difference tables read the evaluator itself, as direct sums over the
+frequencies where some band is nonzero.
 
 Offsets are kept inside |z| <= L/2 so nearest-image distances on the torus
 agree with true distances; every fit below samples only that safe half-box.
@@ -52,7 +54,7 @@ class DyadicKernel:
     box_integrals: np.ndarray  # (P,) complex
 
     def __post_init__(self) -> None:
-        if not np.all(np.isfinite(self.values.view(float))):
+        if not np.all(np.isfinite(self.values)):
             raise ValueError("kernel values must be finite")
 
     def weighted_sup(self, ell: int) -> float:
@@ -78,9 +80,7 @@ def materialize_dyadic_kernel(op: OperatorInstance, k: int) -> DyadicKernel:
     offsets = pts[mask]
     weight = op.family.piece_on_lattice(k) * (g.freq_spacing / (2.0 * np.pi))
     full = _offset_rows(op, xs, weight)
-    # DyadicKernel's finiteness check views the values as float pairs
-    rows = np.ascontiguousarray(full[:, mask])
-    return DyadicKernel(k, xs, offsets, rows, np.sum(full, axis=1) * g.spacing)
+    return DyadicKernel(k, xs, offsets, full[:, mask], np.sum(full, axis=1) * g.spacing)
 
 
 def _check_k_window(family: LPFamily, ks) -> None:
@@ -314,8 +314,8 @@ def adjoint_kernel_bounds(
     peak = 0.0
     weighted_far = 0.0
     pts = g.axis_points()
-    for x in default_base_points(op, 3):
-        row = np.abs(adjoint_kernel_row(twin, x))
+    xs = default_base_points(op, 3)
+    for x, row in zip(xs, np.abs(adjoint_kernel_row(twin, xs))):
         peak = max(peak, float(np.max(row)))
         rad = np.abs(g.wrap(pts - x))
         far = (rad > 4.0 * g.spacing) & (rad <= g.half_length / 2.0)

@@ -17,8 +17,9 @@ samples, transformed along the last axis, so a block of functions costs one
 FFT per factor.  apply, apply_adjoint and commutator are the one-row case of
 the same cores (the _rows functions), and each row of a stack comes out bit
 for bit as its one-row result.  Kernel rows, columns and the offset rows of
-kernels.py are the same sums with one slot held at a point: one inverse FFT
-per factor of the free slot.
+kernels.py are the same sums with one slot held at a 1-D array of points
+(_held): each sigma row is built once per call, and each factor of the free
+slot costs one inverse FFT for all the points.
 
 Adjoints are the exact conjugate transposes of the assembled action (matrix
 free: the same sums run in reversed order), so the pairing
@@ -205,10 +206,13 @@ def commutator(op: OperatorInstance, b: SampledFunction, f: SampledFunction) -> 
 # ---------------------------------------------------------------------------
 # Kernel rows.  K(x, y) = (2pi)^(-1) sum_m a(x,y,xi_m) e^{i(x-y)xi_m} dxi
 # with one slot at a point anywhere and the other on the lattice (or, for
-# the offset rows of kernels.py, at x - z for lattice offsets z).  Holding a
-# slot at its point folds the expansion to one coefficient row per factor of
-# the free slot.  Offset rows stack those rows over their base points, so
-# each factor costs one inverse FFT for all of them.
+# the offset rows of kernels.py, at x - z for lattice offsets z).  x is one
+# point or a 1-D array of points, and a row or column has shape
+# x.shape + (n,).  _held holds a slot at all the points at once: it folds
+# the expansion to one (points, n) stack of coefficient rows per factor of
+# the free slot, building each sigma row once, so each factor costs one
+# inverse FFT for all the points.  Rows, columns and offset rows are that
+# core plus one _lattice_sum per factor.
 # ---------------------------------------------------------------------------
 
 
@@ -218,20 +222,23 @@ def _lattice_sum(grid: PeriodicGrid, coef: np.ndarray) -> np.ndarray:
     return idft_rows(grid.reciprocal(), coef) * ((2.0 * np.pi) ** 0.5 / grid.freq_spacing)
 
 
-def _kernel_weights(op: OperatorInstance, x: float, sign: float) -> np.ndarray:
-    """dxi / (2pi) per mode (times the truncation's band), times e^{sign i x xi_m}."""
+def _kernel_weights(op: OperatorInstance, x: np.ndarray, sign: float) -> np.ndarray:
+    """dxi / (2pi) per mode (times the band), times e^{sign i x xi_m} per point of x."""
     g = op.grid
     w = np.full(g.n, g.freq_spacing / (2.0 * np.pi))
     w = w if op.band is None else op.band * w
-    return w * np.exp(sign * 1j * (g.axis_freqs() * x))
+    return w * np.exp(sign * 1j * (g.axis_freqs() * x[..., None]))
 
 
-def _held(op: OperatorInstance, point: float, slot: int, weight: np.ndarray) -> dict:
-    """The expansion with its x slot (slot 0) or y slot (slot 1) held at
-    point: per factor o of the other slot, (sum over o's terms r of
-    f_r(point) sigma_r) * weight, f_r the held slot's factor of term r."""
+def _held(op: OperatorInstance, x: np.ndarray, slot: int, weight: np.ndarray) -> dict:
+    """The expansion with its x slot (slot 0) or y slot (slot 1) held at each
+    point of x, one point or a 1-D array: per factor o of the other slot, the
+    x.shape + (n,) stack (sum over o's terms r of f_r(x) sigma_r) * weight,
+    f_r the held slot's factor of term r and weight one row or one row per
+    point.  Each sigma row is built once; where no term of o has a held
+    factor and weight is one row, o keeps one row for all the points."""
     ex = op._terms[0]
-    values = [None if f is None else f(point) for f in (ex.x_factors, ex.y_factors)[slot]]
+    values = [None if f is None else f(x[..., None]) for f in (ex.x_factors, ex.y_factors)[slot]]
     acc = {}
     for r, pq in enumerate(ex.terms):
         s = ex.sigma(r)
@@ -242,15 +249,17 @@ def _held(op: OperatorInstance, point: float, slot: int, weight: np.ndarray) -> 
     return {o: s * weight for o, s in acc.items()}
 
 
-def kernel_column(op: OperatorInstance, x: float) -> np.ndarray:
-    """K(., x): the kernel against its first argument, over the grid."""
+def kernel_column(op: OperatorInstance, x: float | np.ndarray) -> np.ndarray:
+    """K(., x): the kernel against its first argument, over the grid, per point of x."""
+    x = np.asarray(x, dtype=float)
     _, cs, _ = op._terms
     held = _held(op, x, 1, _kernel_weights(op, x, -1.0))
     return _combine(cs, {p: _lattice_sum(op.grid, c) for p, c in held.items()})
 
 
-def kernel_row(op: OperatorInstance, x: float) -> np.ndarray:
-    """K(x, .): the kernel against its second argument, over the grid."""
+def kernel_row(op: OperatorInstance, x: float | np.ndarray) -> np.ndarray:
+    """K(x, .): the kernel against its second argument, over the grid, per point of x."""
+    x = np.asarray(x, dtype=float)
     _, _, ds = op._terms
     held = _held(op, x, 0, _kernel_weights(op, x, 1.0))
     return _combine(ds, {q: np.conj(_lattice_sum(op.grid, np.conj(c))) for q, c in held.items()})
@@ -258,15 +267,15 @@ def kernel_row(op: OperatorInstance, x: float) -> np.ndarray:
 
 def _offset_rows(op: OperatorInstance, xs: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """sum_m a(x, x - z, xi_m) weight_m e^{i z xi_m} at every lattice offset z,
-    one row per base point x of xs."""
+    one (read-only) row per base point x of xs; a symbol with no x- or
+    y-factor takes one transform, broadcast over the base points."""
     ex = op._terms[0]
     ys = xs[:, None] - op.grid.axis_points()
     ds = [None if d is None else d(ys) for d in ex.y_factors]
-    held = [_held(op, x, 0, weight) for x in xs]
-    return _combine(ds, {q: _lattice_sum(op.grid, np.stack([h[q] for h in held]))
-                         for q in held[0]})
+    parts = {q: _lattice_sum(op.grid, c) for q, c in _held(op, xs, 0, weight).items()}
+    return np.broadcast_to(_combine(ds, parts), (len(xs), op.grid.n))
 
 
-def adjoint_kernel_row(op: OperatorInstance, x: float) -> np.ndarray:
-    """K*(x, .) = conj(K(., x)): row of the adjoint's kernel."""
+def adjoint_kernel_row(op: OperatorInstance, x: float | np.ndarray) -> np.ndarray:
+    """K*(x, .) = conj(K(., x)): row of the adjoint's kernel, per point of x."""
     return np.conj(kernel_column(op, x))

@@ -220,6 +220,14 @@ def test_oscillation_run(cfg):
     assert agg["commutator_max"] == pytest.approx(0.007453242303103464, rel=1e-9)
 
 
+def test_oscillation_zero_probes_are_exact_on_the_amplitude():
+    """On the amplitude every adjoint row is a sum of many Jacobi-Anger terms;
+    the same-point probe, two rows of one stack, still reads exactly 0."""
+    amp = load_config(None, {"symbol.preset": "oscillating_amplitude", "symbol.rho": "0.5",
+                             "symbol.m": "-0.75", "symbol.delta": "0.5"})
+    assert run_oscillation_check(amp).aggregate["zero_case_max"] == 0.0
+
+
 def test_oscillation_runs_one_cover_plan_on_the_balls_it_reads(cfg, monkeypatch):
     """lemma42 builds one m_tilde_s plan, on the 23 of 78 critical balls that
     meet its oscillation balls."""

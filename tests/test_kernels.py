@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import psdolab as P
-from psdolab.grid import SampledFunction, idft
+from psdolab import operators
+from psdolab.grid import SampledFunction, idft, idft_rows
 from psdolab.kernels import _annulus_points, _ball_pairs, _pair_differences, default_base_points
 from psdolab.operators import OperatorInstance, _held
 
@@ -169,7 +170,7 @@ def test_pair_differences_equal_the_per_point_sums(n, preset, params):
 @pytest.mark.parametrize("preset,params", KERNEL_PRESETS)
 def test_dyadic_kernel_equals_per_point_rows(preset, params):
     """The stacked offset rows equal, bit for bit, one _held and one idft per
-    factor at each base point, in values and box integrals."""
+    factor taken one base point at a time, in values and box integrals."""
     g = P.make_grid(1024, 16.0)
     op = P.make_operator(P.preset_symbol(preset, **params), g)
     weight = op.family.piece_on_lattice(3) * (g.freq_spacing / (2.0 * np.pi))
@@ -179,8 +180,8 @@ def test_dyadic_kernel_equals_per_point_rows(preset, params):
     y_factors = op._terms[0].y_factors
     for x, got, integral in zip(dk.x_samples, dk.values, dk.box_integrals):
         full = None
-        for q, c in _held(op, x, 0, weight).items():
-            part = idft(SampledFunction(g.reciprocal(), c)).values * (
+        for q, c in _held(op, np.array([x]), 0, weight).items():
+            part = idft(SampledFunction(g.reciprocal(), c.reshape(-1))).values * (
                 (2.0 * np.pi) ** 0.5 / g.freq_spacing)
             if y_factors[q] is not None:
                 part = y_factors[q](x - z) * part
@@ -212,3 +213,21 @@ def test_difference_table_evaluates_only_live_frequencies():
     for shape, xi in seen:
         assert shape == (18, 1)
         assert np.array_equal(xi, live)
+
+
+def test_multiplier_offset_rows_take_one_transform(monkeypatch):
+    """A symbol with no x- or y-factor has one offset row for all 8 base
+    points: materialize_dyadic_kernel transforms one row, not 8 equal ones."""
+    g = P.make_grid(1024, 16.0)
+    op = P.make_operator(P.preset_symbol("bessel_order_m", m=-0.75), g)
+    transformed = []
+
+    def recorded(grid, rows):
+        transformed.append(np.shape(rows))
+        return idft_rows(grid, rows)
+
+    monkeypatch.setattr(operators, "idft_rows", recorded)
+    dk = P.materialize_dyadic_kernel(op, 4)
+    assert transformed == [(g.n,)]
+    assert dk.values.shape == (8, dk.offsets.size)
+    assert all(np.array_equal(row, dk.values[0]) for row in dk.values)

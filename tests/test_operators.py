@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import psdolab as P
+from psdolab import operators
 from psdolab.corpus import BLOCK_ENTRIES, CorpusItem, corpus_blocks
 from psdolab.grid import dft_rows, idft_rows, lp_norms
 from psdolab.operators import (OperatorInstance, adjoint_commutator_rows, apply_adjoint_rows,
@@ -186,6 +188,62 @@ def test_kernel_rows_match_direct_sum(n, preset, dyadic, cell, frac):
     ]:
         assert got.shape == g.shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dyadic", [False, True])
+@pytest.mark.parametrize("preset", sorted(_ROW_SYMBOLS))
+@settings(max_examples=6, deadline=None)
+@given(
+    n=st.sampled_from([64, 128, 256, 512, 1024, 2048]),
+    cells=st.lists(st.integers(0, 10**6), min_size=1, max_size=6),
+    frac=st.floats(0.05, 0.95),
+)
+def test_stacked_kernel_rows_equal_one_point_calls(preset, dyadic, n, cells, frac):
+    """kernel_row, kernel_column and adjoint_kernel_row over a 1-D array of
+    off-lattice points give, row by row and bit for bit, what one call per
+    point gives; a scalar point gives one (n,) row."""
+    op = _row_operator(preset, n, 16.0)
+    g = op.grid
+    if dyadic:
+        op = P.band_limited_twin(op)
+    xs = g.axis_points()[np.asarray(cells) % g.n] + frac * g.spacing
+    for fn in (P.kernel_row, P.kernel_column, P.adjoint_kernel_row):
+        stacked = fn(op, xs)
+        assert stacked.shape == (len(xs), g.n)
+        for x, got in zip(xs.tolist(), stacked):
+            one = fn(op, x)
+            assert one.shape == g.shape
+            assert np.array_equal(got, one)
+
+
+def test_stacked_kernel_column_builds_each_sigma_row_once(monkeypatch):
+    """One kernel_column call over 6 points of the amplitude builds each of
+    its sigma rows once and takes one idft_rows per x-factor."""
+    base = P.preset_symbol("oscillating_amplitude", m=-0.75, rho=0.5, delta=0.5)
+    built = []
+
+    def expansion(xi):
+        ex = base.expansion(xi)
+
+        def sigma(r):
+            built.append(r)
+            return ex.sigma(r)
+
+        return Expansion(ex.x_factors, ex.y_factors, ex.terms, sigma)
+
+    op = P.make_operator(dataclasses.replace(base, expansion=expansion), P.make_grid(256, 16.0))
+    ex = op._terms[0]
+    transforms = []
+
+    def recorded(grid, rows):
+        transforms.append(np.shape(rows))
+        return idft_rows(grid, rows)
+
+    monkeypatch.setattr(operators, "idft_rows", recorded)
+    col = P.kernel_column(op, 0.3 + np.arange(6) * 1.7)
+    assert col.shape == (6, 256)
+    assert sorted(built) == list(range(len(ex.terms))) and len(ex.terms) > 1
+    assert transforms == [(6, 256)] * len(ex.x_factors)
 
 
 def _dense_reference(op, band):

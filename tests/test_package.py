@@ -45,3 +45,29 @@ def test_every_package_export_has_a_user():
                     if not (path.parent == PACKAGE and path.stem == module))
     )
     assert unused == []
+
+
+_ROW_FUNCTIONS = {"kernel_row", "kernel_column", "adjoint_kernel_row"}
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+          ast.GeneratorExp)
+
+
+def test_kernel_rows_are_not_called_point_by_point():
+    """Kernel rows take all their points in one call: outside operators.py,
+    no psdolab module calls kernel_row, kernel_column or adjoint_kernel_row
+    inside a loop or a comprehension (a for loop's iterable runs once)."""
+    looped = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "operators":
+            continue
+        for loop in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(loop, _LOOPS):
+                continue
+            parts = loop.body + loop.orelse if isinstance(loop, (ast.For, ast.AsyncFor)) else [loop]
+            for node in (node for part in parts for node in ast.walk(part)):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name in _ROW_FUNCTIONS:
+                        looped.append(f"{path.name}:{node.lineno} {name}")
+    assert looped == []
