@@ -6,24 +6,20 @@ them cover the box and the sigma-dilates have multiplicity O(sigma).
 
 Every "sup over all balls" below is realized over a structured family
 (centers 8k on a stride-8 sublattice, dyadic radii), which keeps results
-reproducible, and every window mean comes from a prefix sum.  Every sup over
-the windows that hold a point is one sparse-table range max over the run of
-centers 8k whose windows hold it.  m_loc and m_sharp_loc take it on the
-whole circle.  They and check_fs_inequality are the one-row case of cores
-that take a (rows, n) stack: one doubled prefix sum per stack, and per
-radius one gather of the window means and one range max for every row, whose
-table reads are planned once per grid size, radius and row count; the mean
-oscillation reads each row's windows through a strided view of the row
-padded by half a window on each side, one row at a time.
-m_tilde_s runs all critical balls at once, ball j as row j: prefix sums over
-each 8-dilate's support, window means at the centers whose windows reach
-Q_j, and a sparse-table max over the run of centers whose windows hold each
-point of Q_j.  Everything that depends only on the cover (the support
-indices, the prefix index of every window end, each table width and the
-table reads at every point of Q_j) is an index plan, built on a cover's
-first m_tilde_s call and kept for the last two covers (equal covers share
-it).  A call gathers |f|^s, takes one cumsum, and per radius does two
-gathers, a subtract and a divide, the doubling table, two reads and a max.
+reproducible, and every window mean comes from a prefix sum.  All points of
+one residue class mod 8 in one block of 8, a slot, lie in the windows of the
+same run of centers (Gil and Werman 1993), so every sup over the windows
+that hold a point is a sparse-table range max per slot, all radii from one
+table, and one take spreads the slots over the points.  m_loc and
+m_sharp_loc take it on the whole circle, as the one-row case of a (rows, n)
+core: one doubled prefix sum per stack, per radius one gather of the window
+means (or the mean oscillation, through a strided view of each row), and
+one slot range max for every row, planned once per grid and alpha.
+m_tilde_s runs all critical balls at once, ball j as row j, on the slots of
+Q_j.  Its index work depends only on the cover and is planned on a cover's
+first call, kept for the last two covers.  A call gathers |f|^s, takes one
+cumsum, two gathers, a subtract and a divide for all windows, the table, a
+power of the slots and one take and max over the covering balls.
 """
 
 from __future__ import annotations
@@ -34,12 +30,12 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .corpus import corpus_blocks
 from .grid import (
     PeriodicGrid,
     SampledFunction,
     _sweep_radii,
     ball_windows,
-    lp_norm,
     lp_norms,
 )
 from .report import Criterion, VerificationReport, ratio_family, trend_criterion
@@ -157,43 +153,59 @@ def _family_windows(grid: PeriodicGrid, alpha: float):
         yield half, (np.arange(0, n, 8) - half) % n, count
 
 
-def _range_max_reads(x: np.ndarray, half: int, c: int):
-    """Table width and flat table reads for the max over the centers 8k
-    within periodic distance half of each point of x.
+def _slot_plan(points: np.ndarray, halves, c: int):
+    """Slot-level range-max plan of the family windows of the ascending
+    half-widths halves, at rows of points (each row consecutive integers in
+    any order, not reduced mod n = 8c).
 
-    x holds integer points (taken mod n = 8c), one row per row of a value
-    array with c columns, column k for the center 8k.  The centers holding x
-    are a circular run of ell or ell + 1, ell = (2 half + 1) // 8, so a
-    doubling table of width w = 2^floor(log2 ell) answers each run with two
-    overlapping reads (a sparse table; Bender and Farach-Colton 2000).
-    Returns w and a read-only int32 array of shape (2,) + x.shape: the run's
-    first and last w-block, as flat indices into the raveled table.  Exact,
-    for 4 <= half < n / 2.  The reads stay right when the columns are only
-    the first c centers of a longer circle, as long as no run passes center
-    c - 1.
+    Point x = 8b + i lies in the windows of the centers 8k, k = b +
+    ceil((i - half) / 8) .. b + floor((i + half) / 8) (mod c).  Residues whose
+    two offsets agree at every half form a class ({0} and {1..7} when every
+    half is a multiple of 8); a slot is one class in one block b.  Returns the
+    (rows, M) table columns r c + k (per half, the centers from the first that
+    the row's runs reach, so no run crosses its segment), per half the width
+    w = 2^floor(log2 ell), ell = (2 half + 1) // 8, with the (2, rows, S)
+    columns of each slot's first and last w-block (a sparse table; Bender and
+    Farach-Colton 2000), and each point's slot.  Slots that hold no point
+    read columns clipped into their segment.  Exact for half >= 4.
     """
-    w = 1 << (((2 * half + 1) // 8).bit_length() - 1)
-    lo = -((half - x) // 8)  # the run is lo .. hi, lo = ceil((x - half) / 8)
-    hi = (x + half) // 8
-    rows = np.arange(lo.size // lo.shape[-1]).reshape(lo.shape[:-1] + (1,)) * c
-    return w, _frozen_int32(np.stack([rows + lo % c, rows + (hi - w + 1) % c]))
+    i = np.arange(8)
+    h = np.asarray(halves)[:, None, None]
+    ends = np.concatenate([-((h - i) // 8), (i + h) // 8], axis=1)
+    _, rep, cls = np.unique(ends.reshape(-1, 8).T, axis=0, return_index=True,
+                            return_inverse=True)
+    first, last = points.min(axis=1, keepdims=True), points.max(axis=1, keepdims=True)
+    blocks = (first // 8 + np.arange(int(np.max(last // 8 - first // 8)) + 1))[..., None]
+    columns, radii = [], []
+    for r, (half, (lo, hi)) in enumerate(zip(halves, ends[:, :, rep])):
+        k0 = -((half - first) // 8)
+        m = int(np.max((last + half) // 8 - k0)) + 1
+        width = 1 << (((2 * half + 1) // 8).bit_length() - 1)
+        run = np.stack([blocks + lo, blocks + hi - width + 1]) - k0[..., None]
+        offset = sum(col.shape[1] for col in columns)
+        radii.append((width, (np.clip(run, 0, m - width) + offset).reshape(2, len(points), -1)))
+        columns.append(r * c + (k0 + np.arange(m)) % c)
+    slot = (points // 8 - first // 8) * len(rep) + cls.ravel()[points % 8]
+    return np.concatenate(columns, axis=1), radii, slot
 
 
-def _range_max(vals: np.ndarray, width: int, reads: np.ndarray) -> np.ndarray:
-    """Max of vals over the runs that _range_max_reads planned.
+def _slot_range_max(table: np.ndarray, radii) -> np.ndarray:
+    """Max over the radii of each slot's run max, from one sparse table.
 
-    Level by level, table[k] = max(table[k], table[k + step]) over the
-    circular last axis, as two slice maxima into a fresh buffer; max is
-    exact, so any order gives the same bits.
+    table: the window values in _slot_plan's columns, (rows, M) with reads
+    shared by every row, or raveled with flat reads.  The table climbs its
+    last axis once, level 2s = max(level s[..., :-s], level s[..., s:]), and
+    each radius reads its slots at its width's level; max is exact, so any
+    order gives the same bits.
     """
-    table, step = vals, 1
-    while step < width:
-        nxt = np.empty_like(table)
-        np.maximum(table[..., :-step], table[..., step:], out=nxt[..., :-step])
-        np.maximum(table[..., -step:], table[..., :step], out=nxt[..., -step:])
-        table, step = nxt, 2 * step
-    flat = table.ravel()
-    return np.maximum(np.take(flat, reads[0]), np.take(flat, reads[1]))
+    out, step = None, 1
+    for width, reads in radii:
+        while step < width:
+            table = np.maximum(table[..., :-step], table[..., step:])
+            step *= 2
+        got = np.maximum(np.take(table, reads[0], axis=-1), np.take(table, reads[1], axis=-1))
+        out = got if out is None else np.maximum(out, got, out=out)
+    return out
 
 
 def _frozen_int32(index: np.ndarray) -> np.ndarray:
@@ -204,44 +216,47 @@ def _frozen_int32(index: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _family_reads(n: int, half: int, rows: int):
-    """Range-max table width and reads for the family windows of one radius:
-    at every point of every row of a (rows, n) stack, the run of centers 8k
-    whose window holds it."""
-    return _range_max_reads(np.broadcast_to(np.arange(n), (rows, n)), half, n // 8)
+def _family_plan(grid: PeriodicGrid, alpha: float):
+    """The family windows up to alpha and the slot plan of the whole circle:
+    table columns, slot reads shared by every row, each point's slot."""
+    windows = tuple(_family_windows(grid, alpha))
+    columns, radii, slot = _slot_plan(np.arange(grid.n)[None], [h for h, _, _ in windows],
+                                      grid.n // 8)
+    return (windows, _frozen_int32(columns[0]),
+            tuple((width, _frozen_int32(reads[:, 0])) for width, reads in radii),
+            _frozen_int32(slot[0]))
 
 
 def _sup_over_family_rows(x: np.ndarray, grid: PeriodicGrid, alpha: float, osc: bool):
     """Family sup, row by row of a real (rows, n) stack, of the window means;
     with osc, of the mean oscillation."""
     count_rows, n = x.shape
-    out = np.full((count_rows, n), -np.inf)
+    family, columns, radii, slot = _family_plan(grid, alpha)
     # row r: 0, then the prefix sums of its doubled samples, so every
     # periodic window is a plain slice
     cs = np.zeros((count_rows, 2 * n + 1))
     cs[:, 1 : n + 1] = x
     cs[:, n + 1 :] = x
     np.cumsum(cs[:, 1:], axis=1, out=cs[:, 1:])
-    family = list(_family_windows(grid, alpha))
+    vals = np.empty((count_rows, len(family), n // 8))
     if osc:
         # one deviation buffer for every row and radius, sized for the widest
         work = np.empty(n // 8 * max(count for _, _, count in family))
-    for half, starts, count in family:
+    for k, (half, starts, count) in enumerate(family):
         means = (cs[:, starts + count] - cs[:, starts]) / count
         if osc:
             # the window around center 8k starts at point 8k of the row
             # padded by half on each side: a strided view, no gather
             padded = np.concatenate([x[:, n - half :], x, x[:, :half]], axis=1)
             windows = sliding_window_view(padded, count, axis=1)[:, ::8]
-            vals = np.empty_like(means)
             dev = work[: n // 8 * count].reshape(n // 8, count)
             for r in range(count_rows):
                 np.subtract(windows[r], means[r, :, None], out=dev)
-                vals[r] = np.mean(np.abs(dev, out=dev), axis=1)
+                vals[r, k] = np.mean(np.abs(dev, out=dev), axis=1)
         else:
-            vals = means
-        np.maximum(out, _range_max(vals, *_family_reads(n, half, count_rows)), out=out)
-    return out
+            vals[:, k] = means
+    table = np.take(vals.reshape(count_rows, -1), columns, axis=1)
+    return np.take(_slot_range_max(table, radii), slot, axis=1)
 
 
 def m_loc(g: SampledFunction, alpha: float) -> SampledFunction:
@@ -307,29 +322,41 @@ def g_kappa_p(
         avgs = np.array([m ** (1.0 / p) for m in means.tolist()])
         totals += 2.0 ** (-n_big * k) * avgs
         k += 1
+    return SampledFunction(grid, np.max(np.append(totals, -np.inf)[_covering(cover)], axis=0))
+
+
+@lru_cache(maxsize=32)
+def _covering(cover: CriticalCover) -> np.ndarray:
+    """The balls Q_j holding each grid point x, ascending in column x of a
+    read-only (max multiplicity, n) table, padded with J: a max over axis 0
+    of J + 1 values, the last -inf, is the max over the balls holding x."""
     q = cover.windows(1.0)
-    values = np.full(grid.n, -np.inf)
-    np.maximum.at(values, q.ravel(), np.repeat(totals, q.shape[1]))
-    return SampledFunction(grid, values)
+    order = np.argsort(q, axis=None, kind="stable")
+    mult = np.bincount(q.ravel(), minlength=cover.grid.n)
+    table = np.full((int(mult.max()), cover.grid.n), len(q))
+    rank = np.arange(q.size) - np.repeat(np.cumsum(mult) - mult, mult)
+    table[rank, q.ravel()[order]] = order // q.shape[1]
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
 class _CoverMaximalPlan:
-    """The f-independent index work of m_tilde_s on one cover.
+    """The f-independent index work of m_tilde_s on one cover, read-only.
 
-    support: (J, K) grid indices of each 8-dilate's K support points.
-    points: the (J, |Q|) indices of the Q_j, for the final pointwise max.
-    radii: per dyadic family radius, the window length, the flat indices of
-    both window ends in the (J, 2K + 1) support prefix at the centers whose
-    windows reach Q_j (row j's run of centers from column 0), and the
-    range-max table width with its flat reads at every point of Q_j.
-    The index arrays are read-only: support and points are the cover's own
-    intp windows, the per-radius ones int32 copies.
+    support: (J, K) grid indices of each 8-dilate's K support points.  lo, hi:
+    (J, M) flat indices of both window ends in the (J, 2K + 1) support prefix
+    at row j's table columns, counts: (M,) window lengths.  radii: per radius,
+    the table width and flat slot reads.  spread: _covering's table in flat
+    slots of the (J, S) slot maxima, padded with J S.
     """
 
     support: np.ndarray
-    points: np.ndarray
-    radii: tuple[tuple[int, np.ndarray, np.ndarray, int, np.ndarray], ...]
+    lo: np.ndarray
+    hi: np.ndarray
+    counts: np.ndarray
+    radii: tuple[tuple[int, np.ndarray], ...]
+    spread: np.ndarray
 
 
 def _arc_starts(windows: np.ndarray) -> np.ndarray:
@@ -350,7 +377,6 @@ def _cover_maximal_plan(cover: CriticalCover) -> _CoverMaximalPlan:
     # sum over the support read at the count of support points below i:
     # the skipped terms add 0.0, which leaves every partial sum unchanged.
     first = _arc_starts(cut_idx)
-    row_start = np.arange(rows)[:, None] * (2 * size + 1)
 
     def prefix_index(i):
         # support points below i: the arc's copies start at first - n (counted
@@ -358,21 +384,26 @@ def _cover_maximal_plan(cover: CriticalCover) -> _CoverMaximalPlan:
         u = i - first
         below = (np.clip(u + n, 0, size) + np.clip(u, 0, size) + np.clip(u - n, 0, size)
                  - np.minimum(n - first, size))
-        return _frozen_int32(row_start + below)
+        return _frozen_int32(np.arange(rows)[:, None] * (2 * size + 1) + below)
 
-    # Row j needs the centers whose windows reach Q_j = a .. a + |Q| - 1:
-    # k0 = ceil((a - half) / 8) on, as many as the widest row reaches, at
-    # most all c.  Its table holds those centers from column 0, so the
-    # points are shifted by 8 k0 and no run wraps past the last column.
+    # row j's points: Q_j's arc from its first point, not reduced mod n
     q_first = _arc_starts(q_idx)
-    radii = []
-    for half, starts, count in _family_windows(grid, grid.half_length / 2.0):
-        k0 = -((half - q_first) // 8)
-        m = min(c, int(np.max((q_first + q_idx.shape[1] - 1 + half) // 8 - k0)) + 1)
-        ends = starts[(k0 + np.arange(m)) % c]
-        radii.append((count, prefix_index(ends), prefix_index(ends + count),
-                      *_range_max_reads((q_idx - 8 * k0) % n, half, m)))
-    return _CoverMaximalPlan(cut_idx, q_idx, tuple(radii))
+    family = list(_family_windows(grid, grid.half_length / 2.0))
+    columns, radii, slot = _slot_plan(q_first + np.arange(q_idx.shape[1]),
+                                      [half for half, _, _ in family], c)
+    # for L >= 8 every segment holds under c centers, so no window repeats
+    assert np.bincount(columns[0] // c).max() < c
+    ends = np.concatenate([starts for _, starts, _ in family])[columns]
+    counts = np.array([count for _, _, count in family])[columns[0] // c]
+    # each covering ball's slot of the point, at its place t on the ball's arc
+    balls, row, slots = _covering(cover), np.arange(rows)[:, None], radii[0][1].shape[2]
+    j = np.minimum(balls, rows - 1)
+    t = np.minimum((np.arange(n) - q_first[j, 0]) % n, q_idx.shape[1] - 1)
+    spread = np.where(balls < rows, j * slots + slot[j, t], rows * slots)
+    return _CoverMaximalPlan(
+        cut_idx, prefix_index(ends), prefix_index(ends + counts), _frozen_int32(counts),
+        tuple((w, _frozen_int32(row * columns.shape[1] + reads)) for w, reads in radii),
+        _frozen_int32(spread))
 
 
 def _check_dilates_fit(grid: PeriodicGrid) -> None:
@@ -403,13 +434,9 @@ def m_tilde_s(f: SampledFunction, s: float, cover: CriticalCover) -> SampledFunc
     prefix[:, size + 1 :] = prefix[:, 1 : size + 1]
     np.cumsum(prefix[:, 1:], axis=1, out=prefix[:, 1:])
     flat = prefix.ravel()
-    ms = np.full(plan.points.shape, -np.inf)
-    for count, lo, hi, table_width, reads in plan.radii:
-        means = (np.take(flat, hi) - np.take(flat, lo)) / count
-        np.maximum(ms, _range_max(means, table_width, reads), out=ms)
-    out = np.full(grid.n, -np.inf)
-    np.maximum.at(out, plan.points.ravel(), (ms ** (1.0 / s)).ravel())
-    return SampledFunction(grid, out)
+    means = (np.take(flat, plan.hi) - np.take(flat, plan.lo)) / plan.counts
+    slots = np.append(_slot_range_max(means.ravel(), plan.radii) ** (1.0 / s), -np.inf)
+    return SampledFunction(grid, np.max(np.take(slots, plan.spread), axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +526,7 @@ def check_weighted_bounds_maximal(
 ) -> VerificationReport:
     """Operator-norm proxies for the series maximal and cover maximal.
 
-    f_corpus: iterable of (label, SampledFunction, params) where params may
+    f_corpus: CorpusItems (label, SampledFunction, params) where params may
     carry a "shift" used for the translation-trend regression.  The weight
     must pass the A_{p/s}^theta stabilization gate first; otherwise the
     verdict is hypothesis_unverified and the numbers are still reported.
@@ -517,18 +544,21 @@ def check_weighted_bounds_maximal(
     items = []
     ratios_g, ratios_m, shifts = [], [], []
     wv = w.values
-    for label, f, params in f_corpus:
-        denom = lp_norm(f, p, weight=wv)
-        if denom == 0.0:
-            continue
-        rg = lp_norm(g_kappa_p(f, kappa, s, cover, n_big), p, weight=wv) / denom
-        rm = lp_norm(m_tilde_s(f, s, cover), p, weight=wv) / denom
-        ratios_g.append(rg)
-        ratios_m.append(rm)
-        if "shift" in params:
-            shifts.append(abs(float(params["shift"])))
-        items.append({"id": label, "params": dict(params),
-                      "value": {"series_ratio": rg, "cover_ratio": rm}})
+    # per block of items, one weighted reduction for each of the three norms
+    for block, rows in corpus_blocks(list(f_corpus), grid.n):
+        norms = [lp_norms(grid, np.stack(values), p, weight=wv) for values in (
+            rows, [g_kappa_p(f, kappa, s, cover, n_big).values for _, f, _ in block],
+            [m_tilde_s(f, s, cover).values for _, f, _ in block])]
+        for (label, _, params), denom, g_norm, m_norm in zip(block, *norms):
+            if denom == 0.0:
+                continue
+            rg, rm = g_norm / denom, m_norm / denom
+            ratios_g.append(rg)
+            ratios_m.append(rm)
+            if "shift" in params:
+                shifts.append(abs(float(params["shift"])))
+            items.append({"id": label, "params": dict(params),
+                          "value": {"series_ratio": rg, "cover_ratio": rm}})
     if not ratios_g:
         raise ValueError("empty corpus")
     agg, criteria = {"gate_stable": gate.stable}, []

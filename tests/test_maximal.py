@@ -7,9 +7,11 @@ import psdolab as P
 from psdolab.corpus import BLOCK_ENTRIES, CorpusItem, corpus_blocks, gaussian_corpus, mixed_corpus
 from psdolab.maximal import (
     _cover_maximal_plan,
+    _covering,
+    _family_plan,
     _family_windows,
-    _range_max,
-    _range_max_reads,
+    _slot_plan,
+    _slot_range_max,
     _sup_over_family_rows,
     fs_inequality_rows,
 )
@@ -33,22 +35,51 @@ def test_cover_covers_every_grid(n, half_length):
     assert P.build_critical_cover(grid).covers_pointwise()
 
 
+def _brute_force_run_max(vals, x, halves):
+    """Max over the halves r of vals[j, r, k] over every center 8k with
+    periodic |x - 8k| <= halves[r], at each point x of row j (or of x shared
+    by the rows), one row at a time."""
+    n = 8 * vals.shape[-1]
+    x = np.broadcast_to(x, vals.shape[:1] + x.shape[-1:])
+    out = np.full(x.shape, -np.inf)
+    for row, xs, v in zip(out, x, vals):
+        dist = np.abs((xs[:, None] - 8 * np.arange(n // 8) + n // 2) % n - n // 2)
+        for half, vr in zip(halves, v):
+            np.maximum(row, np.max(np.where(dist <= half, vr, -np.inf), axis=1), out=row)
+    return out
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([64, 128, 256, 512, 1024, 2048, 4096]), st.data())
 def test_centers_range_max_matches_brute_force(n, data):
-    """The sparse-table run max equals the max over every center 8k with
-    periodic |x - 8k| <= half, for one row or a stack of rows, x anywhere."""
-    half = data.draw(st.integers(8, (n - 1) // 2), label="half")
-    rows = data.draw(st.sampled_from([None, 1, 5]), label="rows")
-    m = data.draw(st.integers(1, 40), label="points")
+    """The slot-level run max over one sparse table for all halves equals,
+    at every point, the max over every half and every center 8k with periodic
+    |x - 8k| <= half: halves from 4, multiples of 8 or not; the circular
+    family table, its reads shared by one row or a stack of rows; and the
+    linear cover table, one row of values and reads per arc of points, the
+    arcs given in any order and anywhere on the unrolled line."""
+    c = n // 8
+    halves = sorted(data.draw(st.sets(st.integers(4, (n - 1) // 2), min_size=1, max_size=3),
+                              label="halves"))
+    rows = data.draw(st.sampled_from([1, 5]), label="rows")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    shape = (n // 8,) if rows is None else (rows, n // 8)
-    vals = rng.standard_normal(shape)
-    x = rng.integers(-3 * n, 3 * n, size=shape[:-1] + (m,))
-    got = _range_max(vals, *_range_max_reads(x, half, n // 8))
-    dist = np.abs((x[..., :, None] - 8 * np.arange(n // 8) + n // 2) % n - n // 2)
-    expected = np.max(np.where(dist <= half, vals[..., None, :], -np.inf), axis=-1)
-    assert np.array_equal(got, expected)
+    vals = rng.standard_normal((rows, len(halves), c))
+    # the circular family table: every point of the circle, reads shared by the rows
+    columns, radii, slot = _slot_plan(np.arange(n)[None], halves, c)
+    table = np.take(vals.reshape(rows, -1), columns[0], axis=1)
+    slots = _slot_range_max(table, [(width, reads[:, 0]) for width, reads in radii])
+    assert np.array_equal(np.take(slots, slot[0], axis=1),
+                          _brute_force_run_max(vals, np.arange(n), halves))
+    # the linear cover table: row j's arc of points first_j .. first_j + P - 1
+    size = data.draw(st.integers(1, 40), label="points")
+    first = rng.integers(-3 * n, 3 * n, size=(rows, 1))
+    points = rng.permuted(first + np.arange(size), axis=1)
+    columns, radii, slot = _slot_plan(points, halves, c)
+    table = np.take_along_axis(vals.reshape(rows, -1), columns, axis=1).ravel()
+    base = np.arange(rows)[:, None] * columns.shape[1]
+    slots = _slot_range_max(table, [(width, base + reads) for width, reads in radii])
+    assert np.array_equal(np.take_along_axis(slots, slot, axis=1),
+                          _brute_force_run_max(vals, points, halves))
 
 
 def _reference_family_sup(x, grid, alpha, osc):
@@ -240,7 +271,8 @@ def test_meeting_sub_cover_is_exact_on_the_marked_points(n, half_length, s, kapp
 
 
 def test_cover_maximal_plan_is_built_once_per_cover():
-    """Calls with other f and s reuse the cover's plan, and it is read-only."""
+    """Calls with other f and s reuse the cover's plan, and every array of it
+    is read-only."""
     grid = P.make_grid(256, 12.0)
     cover = P.build_critical_cover(grid)
     rng = np.random.default_rng(5)
@@ -251,12 +283,57 @@ def test_cover_maximal_plan_is_built_once_per_cover():
     assert (info.misses, info.hits) == (1, 2)
     plan = _cover_maximal_plan(cover)
     assert plan is _cover_maximal_plan(cover)
-    arrays = [plan.support, plan.points]
-    arrays += [a for radius in plan.radii for a in radius if isinstance(a, np.ndarray)]
-    assert len(arrays) == 2 + 3 * len(plan.radii)
+    arrays = [plan.support, plan.lo, plan.hi, plan.counts, plan.spread]
+    arrays += [reads for _, reads in plan.radii]
     assert not any(a.flags.writeable for a in arrays)
-    with pytest.raises(ValueError, match="read-only"):
-        plan.radii[0][1][0, 0] = 0
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 0
+
+
+def test_slot_reads_are_counted_per_block_and_class():
+    """At n = 2048, L = 16 the range max reads slots, not points: per radius,
+    the cover plan holds at most two reads per slot of each Q_j, slots being
+    2 classes times at most |Q|/8 + 2 blocks (a read per point would be
+    2 J |Q|), and the family plan, built once for any row count, holds two
+    reads per slot of the circle, shared by every row.  The dyadic families
+    have exactly the classes {0} and {1..7}.  A half of 8q + 3 splits them
+    further where its runs start and end one center later, at residues 5 and
+    4: {0}, {1, 2, 3}, {4} and {5, 6, 7}."""
+    grid = P.make_grid(2048, 16.0)
+    cover = P.build_critical_cover(grid)
+    size_q = cover.windows(1.0).shape[1]
+    plan = _cover_maximal_plan(cover)
+    slots = 2 * (size_q // 8 + 2)
+    assert len(plan.radii) == 7
+    for _, reads in plan.radii:
+        assert reads.shape == (2, len(cover.centers), reads.shape[2])
+        assert reads.size <= 2 * len(cover.centers) * slots < 2 * len(cover.centers) * size_q
+    for alpha, classes in ((0.5, 2), (4.0, 2), (8.0, 2), (4.0 + 3 * grid.spacing, 4)):
+        _family_plan.cache_clear()
+        for rows in (1, 8):
+            _sup_over_family_rows(np.ones((rows, grid.n)), grid, alpha, osc=False)
+        assert _family_plan.cache_info().misses == 1
+        _, _, radii, slot = _family_plan(grid, alpha)
+        assert np.array_equal(np.unique(slot % classes), np.arange(classes))
+        assert all(reads.shape == (2, grid.n // 8 * classes) for _, reads in radii)
+        residue_class = {2: [0, 1, 1, 1, 1, 1, 1, 1], 4: [0, 1, 1, 1, 2, 3, 3, 3]}[classes]
+        assert np.array_equal(slot, np.arange(grid.n) // 8 * classes
+                              + np.take(residue_class, np.arange(grid.n) % 8))
+
+
+def test_covering_table_lists_the_balls_holding_each_point(grid, cover):
+    """Column x of the covering table holds, ascending, every ball Q_j that
+    holds grid point x, then the padding J; on a sub-cover too."""
+    for balls in (cover, cover.meeting(np.arange(40, 60))):
+        table = _covering(balls)
+        q = balls.windows(1.0)
+        assert not table.flags.writeable
+        assert table.shape == (np.max(balls.multiplicity(1.0)), grid.n)
+        for x in range(grid.n):
+            held = np.flatnonzero(np.any(q == x, axis=1))
+            assert np.array_equal(table[:, x], np.pad(held, (0, len(table) - len(held)),
+                                                      constant_values=len(q)))
 
 
 def test_cover_multiplicity_is_controlled(cover):

@@ -71,3 +71,15 @@ def test_kernel_rows_are_not_called_point_by_point():
                     if name in _ROW_FUNCTIONS:
                         looped.append(f"{path.name}:{node.lineno} {name}")
     assert looped == []
+
+
+def test_no_module_calls_a_ufunc_at():
+    """No psdolab module calls a ufunc's unbuffered .at (np.maximum.at and
+    the like): a pointwise max over the covering balls reads the cover's
+    covering table, and every other scatter is a plain gather or reduction."""
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "at"]
+    assert calls == []
