@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import ExperimentConfig
-from .corpus import corpus_blocks, gaussian_corpus, mixed_corpus
+from .corpus import band_noise, corpus_blocks, gaussian_corpus, gaussian_packet, mixed_corpus
 from .function_classes import (
     ap_theta_characteristic,
     bmo_theta_norm,
@@ -281,7 +281,7 @@ def run_local_average_check(cfg: ExperimentConfig) -> VerificationReport:
             series = g_kappa_p(f, 1.0, p, cover, n_big)
             ratios = local_average_ratio(SampledFunction(grid, tstar), series, q).tolist()
             best = max([0.0] + ratios)
-            best_center = cover.centers[ratios.index(best)] if best > 0.0 else None
+            best_center = [cover.centers[ratios.index(best)]] if best > 0.0 else None
             comm_ratios = local_average_ratio(SampledFunction(grid, cstar), series, q).tolist()
             best_c = max([0.0] + [r / b_scale for r in comm_ratios])
             plain.append(best)
@@ -289,7 +289,7 @@ def run_local_average_check(cfg: ExperimentConfig) -> VerificationReport:
             items.append(
                 {"id": label, "params": dict(params),
                  "value": {"plain": best, "commutator": best_c,
-                           "argmax_center": list(best_center)}}
+                           "argmax_center": best_center}}
             )
     agg, criteria = _family(cfg, "plain_", plain)
     comm_agg, comm_criteria = _family(cfg, "commutator_", comm)
@@ -340,8 +340,6 @@ def run_oscillation_check(cfg: ExperimentConfig) -> VerificationReport:
     p = cfg.get("weight.p")
     radii = cfg.get("oscillation.radii")
     centers = cfg.get("oscillation.centers")
-
-    from .corpus import band_noise, gaussian_packet
 
     # On the critical balls that meet some B both maximal functions are
     # exact on every B (CriticalCover.meeting); off those balls' union they
@@ -518,16 +516,15 @@ def run_bmo(cfg: ExperimentConfig) -> VerificationReport:
     grid = cfg.make_grid()
     b = cfg.make_bmo(grid)
     theta = cfg.get("bmo.theta")
-    family = sweep_family(grid, inside_only=True)
-    norm = bmo_theta_norm(b, theta, family)
-    jn = check_john_nirenberg_variant(b, theta, 2.0, Ball((0.0,), 0.5))
+    jn = check_john_nirenberg_variant(b, theta, 2.0, Ball((0.0,), 0.5),
+                                      family=sweep_family(grid, inside_only=True))
+    norm = jn.aggregate["norm"]
     items = [
-        {"id": "norm", "params": {"theta": theta}, "value": norm.value},
+        {"id": "norm", "params": {"theta": theta}, "value": norm},
         {"id": "moment_ratios", "params": {"s": 2.0}, "value": jn.aggregate},
     ]
-    criteria = [Criterion("norm_finite", norm.value, "<", np.inf), *jn.criteria]
-    agg = {"multiplier": cfg.get("bmo.preset"), "theta": theta,
-           "norm": norm.value}
+    criteria = [Criterion("norm_finite", norm, "<", np.inf), *jn.criteria]
+    agg = {"multiplier": cfg.get("bmo.preset"), "theta": theta, "norm": norm}
     return _report(cfg, "mean_oscillation_calculus", items, agg, criteria)
 
 

@@ -12,10 +12,12 @@ The oscillation norm is the sup over the family of
 Finite boxes cannot certify membership asymptotics; the computable proxy is
 stabilization of the running sup as the family's radius cap doubles.
 
-Each sup runs per radius: the family's balls of one radius are one (balls x
-points) index matrix (grid.ball_windows), so their means are one gather and
-a row mean.  The first maximal ball in family order wins, and the
-stabilization gate sweeps once, taking each cap's sup over its balls.
+A family is two float tuples, its centers and per-ball radii.  Each sup
+runs per radius: the family's balls of one radius are one (balls x points)
+index matrix (grid.ball_windows), so their means are one gather and a row
+mean.  The first maximal ball in family order wins and is the one Ball
+built, and the stabilization gate sweeps once, taking each cap's sup over
+its balls.
 """
 
 from __future__ import annotations
@@ -165,15 +167,14 @@ def preset_bmo(name: str, grid: PeriodicGrid, value: float = 1.0) -> SampledFunc
 @lru_cache(maxsize=16)
 def _family_indices(grid: PeriodicGrid, family: BallFamily):
     """(positions in family, index matrix) groups from one gather per radius;
-    row i of a matrix holds the indices of family.balls[positions[i]]."""
-    radii = np.array([b.radius for b in family.balls])
-    centers = np.array([b.center for b in family.balls]).reshape(len(radii))
+    row i of a matrix holds the indices of family.ball(positions[i])."""
+    radii, centers = np.array(family.ball_radii), np.array(family.centers)
     groups = []
-    for r in dict.fromkeys(radii.tolist()):
+    for r in dict.fromkeys(family.ball_radii):
         pos = np.flatnonzero(radii == r)
         for sub, rows in ball_windows(grid, centers[pos], r):
             if rows.shape[1] < MIN_POINTS_PER_BALL:
-                raise ValueError(f"ball {family.balls[pos[sub[0]]]} contains "
+                raise ValueError(f"ball {family.ball(pos[sub[0]])} contains "
                                  f"{rows.shape[1]} grid points, needs >= {MIN_POINTS_PER_BALL}")
             groups.append((pos[sub], rows))
     return tuple(groups)
@@ -181,7 +182,7 @@ def _family_indices(grid: PeriodicGrid, family: BallFamily):
 
 def _per_ball(flat: np.ndarray, grid: PeriodicGrid, family: BallFamily, stat) -> list[float]:
     """stat(flat[rows]) per ball, in family order; stat reduces each row."""
-    out = np.empty(len(family.balls))
+    out = np.empty(len(family.centers))
     for pos, rows in _family_indices(grid, family):
         out[pos] = stat(flat[rows])
     return out.tolist()
@@ -193,7 +194,7 @@ def _ap_theta_values(w: WeightFn, p: float, theta: float, family: BallFamily) ->
         raise ValueError(f"p must exceed 1 (dual exponent degenerates), got {p}")
     if theta < 0.0:
         raise ValueError(f"theta must be >= 0, got {theta}")
-    if not family.balls:
+    if not family.centers:
         raise ValueError("empty ball family")
     pprime = p / (p - 1.0)
     flat = w.values.ravel()
@@ -205,7 +206,7 @@ def _ap_theta_values(w: WeightFn, p: float, theta: float, family: BallFamily) ->
     low = next((v for v in raw if v < 1.0 - _JENSEN_SLACK), None)
     if low is not None:
         raise ValueError(f"per-ball product {low} under the Jensen floor; weight data corrupt")
-    return [v / (1.0 + b.radius) ** theta for v, b in zip(raw, family.balls)]
+    return [v / (1.0 + r) ** theta for v, r in zip(raw, family.ball_radii)]
 
 
 def ap_theta_characteristic(
@@ -214,7 +215,7 @@ def ap_theta_characteristic(
     """Sup over the family of mean(w)^(1/p) mean(w^(-1/(p-1)))^(1/p') / (1+r)^theta."""
     values = _ap_theta_values(w, p, theta, family)
     i = values.index(max(values))
-    return ApThetaCharacteristic(p, theta, values[i], family.balls[i])
+    return ApThetaCharacteristic(p, theta, values[i], family.ball(i))
 
 
 def bmo_theta_norm(b: SampledFunction, theta: float, family: BallFamily) -> BmoThetaNorm:
@@ -222,9 +223,9 @@ def bmo_theta_norm(b: SampledFunction, theta: float, family: BallFamily) -> BmoT
         raise ValueError(f"theta must be >= 0, got {theta}")
     osc = _per_ball(b.real_values().ravel(), b.grid, family,
                     lambda v: np.mean(np.abs(v - np.mean(v, axis=1)[:, None]), axis=1))
-    values = [v / (1.0 + ball.radius) ** theta for v, ball in zip(osc, family.balls)]
+    values = [v / (1.0 + r) ** theta for v, r in zip(osc, family.ball_radii)]
     i = values.index(max(values))
-    return BmoThetaNorm(theta, values[i], family.balls[i])
+    return BmoThetaNorm(theta, values[i], family.ball(i))
 
 
 def check_monotonicity(
@@ -281,23 +282,19 @@ def check_john_nirenberg_variant(
     ratios_i = []
     moments = _per_ball(flat, grid, family,
                         lambda v: np.mean(np.abs(v - np.mean(v, axis=1)[:, None]) ** s, axis=1))
-    for fb, moment in zip(family.balls, moments):
+    for c, r, moment in zip(family.centers, family.ball_radii, moments):
         lhs = moment ** (1.0 / s)
-        rhs = norm.value * (1.0 + fb.radius) ** theta
+        rhs = norm.value * (1.0 + r) ** theta
         if rhs == 0.0:
             continue
         ratios_i.append(lhs / rhs)
-        items.append(
-            {"id": "part_i", "params": {"center": list(fb.center), "r": fb.radius},
-             "value": lhs / rhs}
-        )
-    base_idx = ball_indices(grid, ball)
-    b_base = float(np.mean(flat[base_idx]))
+        items.append({"id": "part_i", "params": {"center": [c], "r": r}, "value": lhs / rhs})
+    b_base = float(np.mean(flat[ball_indices(grid, ball)]))
     ratios_ii = []
     skipped = 0
     for k in k_range:
         dil = ball.dilate(2.0**k)
-        if dil.radius > grid.half_length or not dil.fully_inside(grid):
+        if not dil.fully_inside(grid):
             skipped += 1
             continue
         vals = flat[ball_indices(grid, dil)]
@@ -372,7 +369,7 @@ def stabilized_characteristic(
     _check_stabilization_radii(radii)
     # one sweep of the whole family; each cap's sup reads its balls' values
     per_ball = _ap_theta_values(w, p, theta, family)
-    values = [max(v for v, b in zip(per_ball, family.balls) if b.radius <= cap * (1 + 1e-12))
+    values = [max(v for v, r in zip(per_ball, family.ball_radii) if r <= cap * (1 + 1e-12))
               for cap in radii]
     changes = (
         abs(values[-2] - values[-3]) / max(values[-3], 1e-300),

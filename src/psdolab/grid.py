@@ -243,16 +243,14 @@ def _inside(d2: np.ndarray, radius: float) -> np.ndarray:
     return d2 <= (radius * (1.0 + 1e-12)) ** 2
 
 
-def ball_windows(grid: PeriodicGrid, centers, radius: float):
-    """Ascending indices of the grid points in B(c, radius), many centers c at once.
+def _ball_arcs(grid: PeriodicGrid, centers, radius: float):
+    """(starts, counts): the package's one membership rule.  B(centers[i],
+    radius) is the periodic lattice arc of counts[i] points from starts[i].
 
-    Returns (positions, rows) groups, one per point count in order of first
-    appearance (lattice centers form one): rows[i] indexes the ball around
-    centers[positions[i]].  With k = floor(r/dx), lattice offsets up to k - 1
-    from the nearest lattice point lie inside by a margin of dx/2 and offsets
-    past k + 1 outside, so only the arc ends +-k and +-(k + 1) take the
-    distance test.  A wrapped arc reads 0..e-1 then start..n-1, and arcs
-    whose ends meet hold all n points.
+    With k = floor(r/dx), lattice offsets up to k - 1 from the nearest lattice
+    point lie inside by a margin of dx/2 and offsets past k + 1 outside, so
+    only the arc ends +-k and +-(k + 1) take the distance test.  An arc whose
+    ends meet holds all n points and starts at 0.
     """
     if radius > grid.half_length:
         raise ValueError(f"ball radius {radius} exceeds half box {grid.half_length}")
@@ -265,8 +263,18 @@ def ball_windows(grid: PeriodicGrid, centers, radius: float):
     ends = _inside(grid.wrap(-grid.half_length + dx * idx - centers[:, None]) ** 2, radius)
     start = mid - (k - 1) - np.maximum(ends[:, 1], 2 * ends[:, 0])
     counts = np.clip(mid + (k - 1) + np.maximum(ends[:, 2], 2 * ends[:, 3]) - start + 1, 0, n)
-    start %= n
-    wrapped = np.maximum(start + counts - n, 0)
+    return np.where(counts < n, start % n, 0), counts
+
+
+def ball_windows(grid: PeriodicGrid, centers, radius: float):
+    """Ascending indices of the grid points in B(c, radius), many centers c at once.
+
+    Returns (positions, rows) groups, one per point count in order of first
+    appearance (lattice centers form one): rows[i] is the arc (_ball_arcs)
+    of centers[positions[i]], a wrapped arc read as 0..e-1, start..n-1.
+    """
+    start, counts = _ball_arcs(grid, centers, radius)
+    wrapped = np.maximum(start + counts - grid.n, 0)
     groups = []
     for count in dict.fromkeys(counts.tolist()):
         pos = np.flatnonzero(counts == count)
@@ -299,12 +307,22 @@ def ball_average(f: SampledFunction, ball: Ball) -> complex:
 
 @dataclass(frozen=True)
 class BallFamily:
-    """Reproducible two-parameter sweep: lattice centers x dyadic radii."""
+    """Balls B(centers[i], ball_radii[i]) as two float tuples, in family
+    order; the tuples hash by value, so a family keys a cache."""
 
-    balls: tuple[Ball, ...]
+    centers: tuple[float, ...]
+    ball_radii: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.centers) != len(self.ball_radii):
+            raise ValueError("a ball family needs one radius per center")
+
+    def ball(self, i: int) -> Ball:
+        return Ball((self.centers[i],), self.ball_radii[i])
 
     def radii(self) -> tuple[float, ...]:
-        return tuple(sorted({b.radius for b in self.balls}))
+        """The distinct radii, ascending."""
+        return tuple(sorted(set(self.ball_radii)))
 
 
 def _sweep_radii(grid: PeriodicGrid, cap: float) -> list[float]:
@@ -324,19 +342,16 @@ def _sweep_radii(grid: PeriodicGrid, cap: float) -> list[float]:
 def sweep_family(
     grid: PeriodicGrid, radius_cap: float | None = None, inside_only: bool = False
 ) -> BallFamily:
-    """Centers every n/32 points, radii dyadic from 8*dx up to the cap.
+    """Centers every n/32 points, radii dyadic from 8*dx up to the cap, center-major.
 
-    inside_only drops balls that would cross the box edge; use it whenever the
-    sampled function models a non-periodic function of the line.
+    inside_only drops balls that would cross the box edge (Ball.fully_inside:
+    |c| + r < L); use it whenever the sampled function models a non-periodic
+    function of the line.
     """
-    stride = max(1, grid.n // 32)
     cap = radius_cap if radius_cap is not None else grid.half_length / 2.0
-    radii = _sweep_radii(grid, cap)
-    balls = []
-    for c in grid.axis_points()[::stride].tolist():
-        for rad in radii:
-            b = Ball((c,), rad)
-            if inside_only and not b.fully_inside(grid):
-                continue
-            balls.append(b)
-    return BallFamily(tuple(balls))
+    centers, radii = (a.ravel() for a in np.meshgrid(
+        grid.axis_points()[:: grid.n // 32], _sweep_radii(grid, cap), indexing="ij"))
+    if inside_only:
+        keep = np.abs(centers) + radii < grid.half_length
+        centers, radii = centers[keep], radii[keep]
+    return BallFamily(tuple(centers.tolist()), tuple(radii.tolist()))

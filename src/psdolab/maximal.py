@@ -6,7 +6,9 @@ them cover the box and the sigma-dilates have multiplicity O(sigma).
 
 Every "sup over all balls" below is realized over a structured family
 (centers 8k on a stride-8 sublattice, dyadic radii), which keeps results
-reproducible, and every window mean comes from a prefix sum.  All points of
+reproducible, and every window mean comes from a prefix sum.  Family
+windows, cover rows and the first point of each Q_j and 8-dilate are arcs
+of grid._ball_arcs, the one membership rule.  All points of
 one residue class mod 8 in one block of 8, a slot, lie in the windows of the
 same run of centers (Gil and Werman 1993), so every sup over the windows
 that hold a point is a sparse-table range max per slot, all radii from one
@@ -31,12 +33,15 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import corpus_blocks
+from .function_classes import stabilization_criteria, stabilized_characteristic
 from .grid import (
     PeriodicGrid,
     SampledFunction,
+    _ball_arcs,
     _sweep_radii,
     ball_windows,
     lp_norms,
+    sweep_family,
 )
 from .report import Criterion, VerificationReport, ratio_family, trend_criterion
 
@@ -57,10 +62,10 @@ _SEPARATION = 2.0 / 5.0
 
 @dataclass(frozen=True)
 class CriticalCover:
-    """Unit balls Q_j = B(x_j, 1) whose union covers the box."""
+    """Unit balls Q_j = B(x_j, 1) whose union covers the box; centers[j] = x_j."""
 
     grid: PeriodicGrid
-    centers: tuple[tuple[float], ...]
+    centers: tuple[float, ...]
 
     def windows(self, radius: float) -> np.ndarray:
         """Read-only (balls, points) array: row j holds the ascending
@@ -92,7 +97,7 @@ class CriticalCover:
         return {
             "radius": 1.0,
             "count": len(self.centers),
-            "centers": [list(c) for c in self.centers],
+            "centers": [[c] for c in self.centers],
             "multiplicity_histogram": hist.tolist(),
         }
 
@@ -101,7 +106,7 @@ class CriticalCover:
 def _cover_windows(cover: CriticalCover, radius: float) -> np.ndarray:
     # the centers are lattice points, so every ball of one radius holds the
     # same number of points and the rows form one group
-    ((_, rows),) = ball_windows(cover.grid, [c for c, in cover.centers], radius)
+    ((_, rows),) = ball_windows(cover.grid, cover.centers, radius)
     rows.flags.writeable = False
     return rows
 
@@ -115,7 +120,7 @@ def build_critical_cover(grid: PeriodicGrid) -> CriticalCover:
     kept = grid.axis_points()[::step].tolist()
     if len(kept) > 1 and grid.wrap(kept[-1] - kept[0]) ** 2 <= _SEPARATION**2:
         kept.pop()
-    cover = CriticalCover(grid, tuple((c,) for c in kept))
+    cover = CriticalCover(grid, tuple(kept))
     if not cover.covers_pointwise():
         raise AssertionError("greedy cover failed the pointwise covering check")
     return cover
@@ -134,23 +139,19 @@ def _check_family_radius(grid: PeriodicGrid, alpha: float) -> None:
 
 
 def _family_windows(grid: PeriodicGrid, alpha: float):
-    """(half, starts, count) per sweep radius 8 dx, 16 dx, .. up to alpha
-    (grid._sweep_radii), then alpha itself when it is not one of them.
-
-    The family windows of one radius are the count = 2 half + 1 points
-    starts[k] .. starts[k] + count - 1 (mod n) around the centers 8k.
-    """
+    """(radius, starts, count) per sweep radius 8 dx, 16 dx, .. up to alpha
+    (grid._sweep_radii), then alpha itself if it is not one: the balls around
+    the points 8k are the arcs (grid._ball_arcs) of count points from starts[k]."""
     _check_family_radius(grid, alpha)
     radii = _sweep_radii(grid, alpha)
     if radii[-1] < alpha * (1.0 - 1e-12):
         radii.append(alpha)
-    n = grid.n
     for r in radii:
-        half = int(np.floor(r / grid.spacing * (1 + 1e-12)))
-        count = 2 * half + 1
-        if count > n:
+        starts, counts = _ball_arcs(grid, grid.axis_points()[::8], r)
+        (count,) = set(counts.tolist())
+        if count >= grid.n:
             raise ValueError("window exceeds the grid period")
-        yield half, (np.arange(0, n, 8) - half) % n, count
+        yield r, starts, count
 
 
 def _slot_plan(points: np.ndarray, halves, c: int):
@@ -220,8 +221,8 @@ def _family_plan(grid: PeriodicGrid, alpha: float):
     """The family windows up to alpha and the slot plan of the whole circle:
     table columns, slot reads shared by every row, each point's slot."""
     windows = tuple(_family_windows(grid, alpha))
-    columns, radii, slot = _slot_plan(np.arange(grid.n)[None], [h for h, _, _ in windows],
-                                      grid.n // 8)
+    columns, radii, slot = _slot_plan(np.arange(grid.n)[None],
+                                      [count // 2 for _, _, count in windows], grid.n // 8)
     return (windows, _frozen_int32(columns[0]),
             tuple((width, _frozen_int32(reads[:, 0])) for width, reads in radii),
             _frozen_int32(slot[0]))
@@ -242,11 +243,12 @@ def _sup_over_family_rows(x: np.ndarray, grid: PeriodicGrid, alpha: float, osc: 
     if osc:
         # one deviation buffer for every row and radius, sized for the widest
         work = np.empty(n // 8 * max(count for _, _, count in family))
-    for k, (half, starts, count) in enumerate(family):
+    for k, (_, starts, count) in enumerate(family):
         means = (cs[:, starts + count] - cs[:, starts]) / count
         if osc:
             # the window around center 8k starts at point 8k of the row
             # padded by half on each side: a strided view, no gather
+            half = count // 2
             padded = np.concatenate([x[:, n - half :], x, x[:, :half]], axis=1)
             windows = sliding_window_view(padded, count, axis=1)[:, ::8]
             dev = work[: n // 8 * count].reshape(n // 8, count)
@@ -359,13 +361,6 @@ class _CoverMaximalPlan:
     spread: np.ndarray
 
 
-def _arc_starts(windows: np.ndarray) -> np.ndarray:
-    """First point of each row's periodic arc, as a column: where the
-    ascending indices jump, or the first index."""
-    jump = np.diff(windows, axis=1, prepend=windows[:, :1]) > 1
-    return windows[np.arange(len(windows)), jump.argmax(axis=1)][:, None]
-
-
 @lru_cache(maxsize=2)
 def _cover_maximal_plan(cover: CriticalCover) -> _CoverMaximalPlan:
     grid = cover.grid
@@ -376,7 +371,7 @@ def _cover_maximal_plan(cover: CriticalCover) -> _CoverMaximalPlan:
     # and that arc shifted by n, so its prefix sum at point i is the prefix
     # sum over the support read at the count of support points below i:
     # the skipped terms add 0.0, which leaves every partial sum unchanged.
-    first = _arc_starts(cut_idx)
+    first = _ball_arcs(grid, cover.centers, 8.0)[0][:, None]
 
     def prefix_index(i):
         # support points below i: the arc's copies start at first - n (counted
@@ -387,10 +382,10 @@ def _cover_maximal_plan(cover: CriticalCover) -> _CoverMaximalPlan:
         return _frozen_int32(np.arange(rows)[:, None] * (2 * size + 1) + below)
 
     # row j's points: Q_j's arc from its first point, not reduced mod n
-    q_first = _arc_starts(q_idx)
+    q_first = _ball_arcs(grid, cover.centers, 1.0)[0][:, None]
     family = list(_family_windows(grid, grid.half_length / 2.0))
     columns, radii, slot = _slot_plan(q_first + np.arange(q_idx.shape[1]),
-                                      [half for half, _, _ in family], c)
+                                      [count // 2 for _, _, count in family], c)
     # for L >= 8 every segment holds under c centers, so no window repeats
     assert np.bincount(columns[0] // c).max() < c
     ends = np.concatenate([starts for _, starts, _ in family])[columns]
@@ -533,14 +528,9 @@ def check_weighted_bounds_maximal(
     Each ratio family is judged by report.ratio_family at cap spread and,
     when the shifts vary, by report.trend_criterion within +-trend.
     """
-    from .function_classes import stabilization_criteria, stabilized_characteristic
-    from .grid import sweep_family
-
     _check_maximal_exponents(p, s)
     grid = w.grid
-    gate = stabilized_characteristic(
-        w, p / s, theta, sweep_family(grid)
-    )
+    gate = stabilized_characteristic(w, p / s, theta, sweep_family(grid))
     items = []
     ratios_g, ratios_m, shifts = [], [], []
     wv = w.values

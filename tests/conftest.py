@@ -5,11 +5,17 @@ import psdolab as P
 from psdolab.operators import OperatorInstance
 
 
+def full_scans(grid, centers, radius):
+    """Brute force: the periodic distance test on every grid point, a
+    (centers, n) mask with row i for B(centers[i], radius)."""
+    d2 = grid.wrap(grid.axis_points() - np.asarray(centers, dtype=float)[:, None]) ** 2
+    return d2 <= (radius * (1.0 + 1e-12)) ** 2
+
+
 def full_scan(grid, ball):
-    """Brute force: the periodic distance test on every grid point.  The
-    ball tests take it as the oracle for every ball index row."""
-    d2 = grid.wrap(grid.axis_points() - ball.center[0]) ** 2
-    return np.flatnonzero(d2 <= (ball.radius * (1.0 + 1e-12)) ** 2)
+    """The indices of full_scans for one ball.  The ball tests take it as
+    the oracle for every ball index row."""
+    return np.flatnonzero(full_scans(grid, ball.center, ball.radius)[0])
 
 
 @pytest.fixture(scope="session")

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 import psdolab as P
 import psdolab.grid as grid_module
-from conftest import full_scan
+from conftest import full_scan, full_scans
 from psdolab.experiments import local_average_ratio
 from psdolab.function_classes import WeightFn
-from psdolab.grid import ball_windows
-from psdolab.maximal import _cover_windows
+from psdolab.grid import _ball_arcs, ball_windows
+from psdolab.maximal import _cover_windows, _family_windows
 
 SIZES = [64, 128, 256, 512, 1024, 2048, 4096]
 
@@ -34,10 +34,11 @@ def _off_lattice_family(grid, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     top = min(grid.half_length, grid.n // 8 * grid.spacing)
     radii = rng.uniform(5.0 * grid.spacing, top, size=rng.integers(1, 4))
-    balls = [P.Ball((float(c),), float(r)) for r in radii
-             for c in rng.uniform(-grid.half_length, grid.half_length, 12)]
-    order = rng.permutation(len(balls))
-    return P.BallFamily(tuple(balls[i] for i in order))
+    centers = rng.uniform(-grid.half_length, grid.half_length, (len(radii), 12))
+    order = rng.permutation(centers.size)
+    # the two tuples shuffled together
+    return P.BallFamily(tuple(centers.ravel()[order].tolist()),
+                        tuple(np.repeat(radii, 12)[order].tolist()))
 
 
 def _family(grid, data):
@@ -47,10 +48,14 @@ def _family(grid, data):
     return P.sweep_family(grid, inside_only=kind == "inside")
 
 
+def _balls(family):
+    return [P.Ball((c,), r) for c, r in zip(family.centers, family.ball_radii)]
+
+
 def _by_radius(family):
     out = {}
-    for ball in family.balls:
-        out.setdefault(ball.radius, []).append(ball.center[0])
+    for c, r in zip(family.centers, family.ball_radii):
+        out.setdefault(r, []).append(c)
     return out
 
 
@@ -80,7 +85,7 @@ def test_windows_equal_stacked_full_scans(data):
         for r, centers in _by_radius(P.sweep_family(grid, inside_only=inside)).items():
             assert len(_assert_windows_match(grid, centers, r)) == 1
     cover = P.build_critical_cover(grid)
-    centers = [c for c, in cover.centers]
+    centers = list(cover.centers)
     for r in (1.0, 2.0, min(8.0, grid.half_length)):
         assert len(_assert_windows_match(grid, centers, r)) == 1
         assert np.array_equal(cover.windows(r), ball_windows(grid, centers, r)[0][1])
@@ -131,6 +136,81 @@ def test_ball_centers_at_the_box_edges():
     # the wrapped arc comes out ascending, 0..e-1 then start..n-1
     ((pos, rows),) = ball_windows(grid, edges, 2.5 * dx)
     assert rows.tolist() == [[0, 1, 2, 62, 63]] * 2
+
+
+def _assert_arcs_match(grid, centers, radius):
+    """_ball_arcs against the full scans: each ball's points are one periodic
+    arc, which starts at its one point whose left neighbour is outside, or
+    at 0 for the whole circle."""
+    starts, counts = _ball_arcs(grid, centers, radius)
+    inside = full_scans(grid, centers, radius)
+    first = inside & ~np.roll(inside, 1, axis=1)
+    assert np.all(first.sum(axis=1) <= 1)
+    assert np.array_equal(counts, inside.sum(axis=1))
+    assert np.array_equal(starts, np.argmax(first, axis=1))
+    return starts, counts
+
+
+def _assert_every_family_arc_matches(grid):
+    """Every ball of the sweep families, torus and inside-only; of the
+    stride-8 family of the maximal sups at alpha 0.5, 4 and L/2, where alpha
+    reaches its smallest radius 8 dx; and of the cover at radii 1 and 8.
+    Each distinct (center, radius) is scanned once: for n >= 256 the sweep
+    centers are stride-8 centers."""
+    balls = {}
+    for inside in (False, True):
+        for r, centers in _by_radius(P.sweep_family(grid, inside_only=inside)).items():
+            balls.setdefault(r, set()).update(centers)
+    lattice8 = grid.axis_points()[::8].tolist()
+    for alpha in (0.5, 4.0, grid.half_length / 2.0):
+        if alpha < 8.0 * grid.spacing:
+            continue
+        for r, starts, count in _family_windows(grid, alpha):
+            half = count // 2
+            assert np.array_equal(starts, (np.arange(0, grid.n, 8) - half) % grid.n)
+            assert count == 2 * half + 1
+            # the window's starts and count are _ball_arcs' at the centers 8k
+            got = _ball_arcs(grid, lattice8, r)
+            assert np.array_equal(got[0], starts) and set(got[1].tolist()) == {count}
+            balls.setdefault(r, set()).update(lattice8)
+    for r, centers in balls.items():
+        _assert_arcs_match(grid, sorted(centers), r)
+    cover = P.build_critical_cover(grid)
+    for r in (1.0, 8.0):
+        starts, counts = _assert_arcs_match(grid, cover.centers, r)
+    if grid.half_length == 8.0:
+        # the 8-dilates are the whole circle, read from point 0
+        assert set(counts.tolist()) == {grid.n} and set(starts.tolist()) == {0}
+
+
+@pytest.mark.parametrize("half_length", [8.0, 16.0, 16.5, 17.3, 20.0, 24.0, 31.7])
+@pytest.mark.parametrize("n", SIZES)
+def test_arcs_of_every_family_equal_full_scans(n, half_length):
+    _assert_every_family_arc_matches(P.make_grid(n, half_length))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(SIZES), st.floats(8.0, 64.0))
+def test_arcs_of_every_family_equal_full_scans_at_any_box(n, half_length):
+    _assert_every_family_arc_matches(P.make_grid(n, half_length))
+
+
+def test_sweeps_and_covers_build_no_ball(monkeypatch):
+    """A family and a cover hold plain float centers and radii, so building
+    them constructs no Ball; at n = 1024 the torus sweep has 192 balls."""
+    built = []
+    init = P.Ball.__post_init__
+    monkeypatch.setattr(P.Ball, "__post_init__", lambda ball: built.append(ball) or init(ball))
+    grid = P.make_grid(1024, 16.0)
+    torus, inside = P.sweep_family(grid), P.sweep_family(grid, inside_only=True)
+    cover = P.build_critical_cover(grid)
+    assert built == []
+    assert [len(balls.centers) for balls in (torus, inside, cover)] == [192, 156, 78]
+    for values in (torus.centers, torus.ball_radii, inside.centers, inside.ball_radii,
+                   cover.centers):
+        assert all(type(v) is float for v in values)
+    P.Ball((0.0,), 1.0)
+    assert len(built) == 1
 
 
 def test_a_critical_ball_tests_at_most_four_points(monkeypatch):
@@ -195,14 +275,14 @@ def test_characteristic_and_stabilization_equal_per_ball_sweeps(data):
     p = data.draw(st.floats(1.1, 6.0), label="p")
     theta = data.draw(st.floats(0.0, 3.0), label="theta")
     ap = P.ap_theta_characteristic(w, p, theta, family)
-    assert (ap.value, ap.maximizing_ball) == _ref_ap_theta(w, p, theta, family.balls)
+    assert (ap.value, ap.maximizing_ball) == _ref_ap_theta(w, p, theta, _balls(family))
     radii = family.radii()
     if len(radii) < 4:
         return
     stab = P.stabilized_characteristic(w, p, theta, family)
     assert stab.caps == radii
     for cap, value in zip(stab.caps, stab.values):
-        kept = [b for b in family.balls if b.radius <= cap * (1 + 1e-12)]
+        kept = [b for b in _balls(family) if b.radius <= cap * (1 + 1e-12)]
         assert value == _ref_ap_theta(w, p, theta, kept)[0]
 
 
@@ -220,10 +300,11 @@ def test_oscillation_norm_and_jn_part_i_equal_per_ball_sweeps(data):
         b = P.preset_bmo(kind, grid)
     theta = data.draw(st.floats(0.0, 3.0), label="theta")
     norm = P.bmo_theta_norm(b, theta, family)
+    balls = _balls(family)
     ref = [osc / (1.0 + ball.radius) ** theta
-           for osc, ball in zip(_ref_oscillation(b, family.balls), family.balls)]
+           for osc, ball in zip(_ref_oscillation(b, balls), balls)]
     i = int(np.argmax(ref))
-    assert (norm.value, norm.maximizing_ball) == (ref[i], family.balls[i])
+    assert (norm.value, norm.maximizing_ball) == (ref[i], balls[i])
 
     s = data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]), label="s")
     rep = P.check_john_nirenberg_variant(b, theta, s, P.Ball((0.0,), 8 * grid.spacing),
@@ -231,7 +312,7 @@ def test_oscillation_norm_and_jn_part_i_equal_per_ball_sweeps(data):
     expected = [
         {"id": "part_i", "params": {"center": list(ball.center), "r": ball.radius},
          "value": lhs / (norm.value * (1.0 + ball.radius) ** theta)}
-        for ball, lhs in zip(family.balls, _ref_oscillation(b, family.balls, s))
+        for ball, lhs in zip(balls, _ref_oscillation(b, balls, s))
         if norm.value * (1.0 + ball.radius) ** theta != 0.0
     ]
     assert rep.items == expected

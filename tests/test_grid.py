@@ -149,9 +149,9 @@ def test_ball_dilate_and_inside():
 
 def test_sweep_family_respects_box(grid):
     fam = P.sweep_family(grid, inside_only=True)
-    assert len(fam.balls) > 10
-    for ball in fam.balls:
-        assert ball.fully_inside(grid)
+    assert len(fam.centers) == len(fam.ball_radii) > 10
+    for c, r in zip(fam.centers, fam.ball_radii):
+        assert P.Ball((c,), r).fully_inside(grid)
 
 
 def test_sampled_function_shape_mismatch(grid):

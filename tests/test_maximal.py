@@ -180,7 +180,7 @@ def _scan_mask(grid, ball):
 def _reference_multiplicity(cover, sigma):
     total = np.zeros(cover.grid.shape, dtype=int)
     for c in cover.centers:
-        total += _scan_mask(cover.grid, P.Ball(c, sigma))
+        total += _scan_mask(cover.grid, P.Ball((c,), sigma))
     return total
 
 
@@ -195,11 +195,11 @@ def _reference_g_kappa_p(f, kappa, p, cover, n_big):
             if radius >= grid.half_length:
                 total += box_avg * 2.0 ** (-n_big * k) / (1.0 - 2.0 ** (-n_big))
                 break
-            mask = _scan_mask(grid, P.Ball(center, radius))
+            mask = _scan_mask(grid, P.Ball((center,), radius))
             avg = float(np.mean(np.abs(f.values[mask]) ** p)) ** (1.0 / p)
             total += 2.0 ** (-n_big * k) * avg
             k += 1
-        mask = _scan_mask(grid, P.Ball(center, 1.0))
+        mask = _scan_mask(grid, P.Ball((center,), 1.0))
         np.maximum(values, np.where(mask, total, -np.inf), out=values)
     return values
 
@@ -208,10 +208,11 @@ def _reference_m_tilde_s(f, s, cover):
     grid = f.grid
     out = np.full(grid.shape, -np.inf)
     for center in cover.centers:
-        cut = np.where(_scan_mask(grid, P.Ball(center, 8.0)), np.abs(f.values) ** s, 0.0)
+        cut = np.where(_scan_mask(grid, P.Ball((center,), 8.0)), np.abs(f.values) ** s, 0.0)
         ms = _sup_over_family_rows(cut[None], grid, grid.half_length / 2.0, osc=False)[0]
         ms = ms ** (1.0 / s)
-        np.maximum(out, np.where(_scan_mask(grid, P.Ball(center, 1.0)), ms, -np.inf), out=out)
+        np.maximum(out, np.where(_scan_mask(grid, P.Ball((center,), 1.0)), ms, -np.inf),
+                   out=out)
     return out
 
 
