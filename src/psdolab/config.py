@@ -331,7 +331,7 @@ def _check_computable(cfg: ExperimentConfig, grid) -> None:
     every grid size: none has a cost budget.
     """
     from .corpus import _check_count, _check_width
-    from .experiments import _check_oscillation_balls
+    from .experiments import _oscillation_balls
     from .function_classes import _check_stabilization_radii
     from .grid import Ball, _sweep_radii, ball_indices
     from .kernels import _check_annuli, _check_k_window, _decay_ks, _difference_js, _difference_ks
@@ -349,7 +349,7 @@ def _check_computable(cfg: ExperimentConfig, grid) -> None:
         ("kernel.diff_j", lambda: _difference_js(range(j_lo, j_hi + 1))),
         ("kernel.diff_k", lambda: _difference_ks(range(dk_lo, dk_hi + 1))),
         ("kernel.diff_ball_radius", lambda: Ball((0.0,), radius)),
-        ("oscillation.radii", lambda: _check_oscillation_balls(
+        ("oscillation.radii", lambda: _oscillation_balls(
             grid, cfg.get("oscillation.centers"), cfg.get("oscillation.radii"))),
         ("maximal.kappa", lambda: _check_kappa(cfg.get("maximal.kappa"))),
         ("grid", lambda: _check_k_window(make_lp_family(grid), pieces)),

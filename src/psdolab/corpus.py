@@ -84,21 +84,19 @@ def gaussian_packet(
     return SampledFunction(grid, vals * _phase(grid, modulation) if modulation else vals)
 
 
-def band_noise(
-    grid: PeriodicGrid, seed: int, modes: int = 8, amplitude: float = 1.0
-) -> SampledFunction:
-    """Seeded real trig polynomial with mode indices 1..modes, sup-normalized."""
+def band_noise(grid: PeriodicGrid, seed: int) -> SampledFunction:
+    """Seeded real trig polynomial with mode indices 1..8, sup-normalized."""
     rng = np.random.default_rng(seed)
     base = grid.freq_spacing
     x = grid.axis_points()
     u = np.zeros(grid.n)
-    for k in range(1, int(modes) + 1):
+    for k in range(1, 9):
         coef = rng.uniform(-1.0, 1.0)
         phase = rng.uniform(0.0, 2.0 * np.pi)
         u = u + coef * np.cos(base * k * x + phase)
     sup = float(np.max(np.abs(u)))
     if sup > 0:
-        u = u * (amplitude / sup)
+        u = u * (1.0 / sup)
     return SampledFunction(grid, u)
 
 
@@ -160,14 +158,12 @@ def corpus_blocks(items, n: int):
         yield block, np.stack([item.fn.values for item in block])
 
 
-def noise_corpus(
-    grid: PeriodicGrid, count: int, seed: int, modes: int = 8
-) -> list[CorpusItem]:
+def noise_corpus(grid: PeriodicGrid, count: int, seed: int) -> list[CorpusItem]:
     """count independent band_noise draws, seeds split from the given seed."""
     seeds = np.random.SeedSequence(seed).generate_state(int(count))
     items = []
     for i, s in enumerate(seeds):
-        fn = band_noise(grid, int(s), modes=modes)
+        fn = band_noise(grid, int(s))
         items.append(CorpusItem(f"noise({i})", fn, {"seed": int(s), "index": i}))
     return items
 

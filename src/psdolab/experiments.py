@@ -31,13 +31,7 @@ from .function_classes import (
     stabilization_criteria,
     stabilized_characteristic,
 )
-from .grid import (
-    Ball,
-    SampledFunction,
-    ball_indices,
-    lp_norms,
-    sweep_family,
-)
+from .grid import Ball, ball_indices, lp_norms, sweep_family
 from .kernels import (
     adjoint_kernel_bounds,
     band_limited_twin,
@@ -240,13 +234,15 @@ def run_commutator_experiment(cfg: ExperimentConfig) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def local_average_ratio(
-    u: SampledFunction, series: SampledFunction, windows: np.ndarray
-) -> np.ndarray:
-    """mean_B |u| / inf_B series per ball B, row j of windows holding ball
-    j's indices; inf (0 if u vanishes on B) where inf_B series <= 0."""
-    lhs = np.mean(np.abs(u.values[windows]), axis=1)
-    rhs = np.min(series.values[windows], axis=1)
+def local_average_ratio(rows: np.ndarray, series: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """(rows, J) array of mean_B |u| / inf_B series, u a row of the (rows, n)
+    stack and B ball j (row j of windows); inf (0 if u vanishes on B) where
+    inf_B series <= 0.  inf_B series is gathered once for all rows."""
+    # a (rows * J, K) view reduces each row's means as a (J, K) gather would,
+    # bit for bit, as in fs_inequality_rows
+    gathered = np.take(np.abs(rows), windows, axis=1)
+    lhs = np.mean(gathered.reshape(-1, windows.shape[1]), axis=1).reshape(gathered.shape[:2])
+    rhs = np.min(series[windows], axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(rhs <= 0.0, np.where(lhs > 0.0, np.inf, 0.0), lhs / rhs)
 
@@ -275,14 +271,12 @@ def run_local_average_check(cfg: ExperimentConfig) -> VerificationReport:
     plain, comm = [], []
     q = cover.windows(1.0)
     for block, rows in corpus_blocks(corpus, grid.n):
-        tstar_rows = apply_adjoint_rows(op, rows)
-        cstar_rows = adjoint_commutator_rows(op, b, rows)
-        for (label, f, params), tstar, cstar in zip(block, tstar_rows, cstar_rows):
-            series = g_kappa_p(f, 1.0, p, cover, n_big)
-            ratios = local_average_ratio(SampledFunction(grid, tstar), series, q).tolist()
+        pairs = np.stack([apply_adjoint_rows(op, rows), adjoint_commutator_rows(op, b, rows)], 1)
+        for (label, f, params), pair in zip(block, pairs):
+            series = g_kappa_p(f, 1.0, p, cover, n_big).values
+            ratios, comm_ratios = local_average_ratio(pair, series, q).tolist()
             best = max([0.0] + ratios)
             best_center = [cover.centers[ratios.index(best)]] if best > 0.0 else None
-            comm_ratios = local_average_ratio(SampledFunction(grid, cstar), series, q).tolist()
             best_c = max([0.0] + [r / b_scale for r in comm_ratios])
             plain.append(best)
             comm.append(best_c)
@@ -314,13 +308,16 @@ def _oscillation_rows(op, c: float, r: float) -> np.ndarray:
     return np.abs(kstar[0::2] - kstar[1::2])
 
 
-def _check_oscillation_balls(grid, centers, radii) -> None:
-    """lemma42 reads minima over each ball B(c, r), r > 0, so each must hold
-    a grid point; past the half box it holds them all."""
-    for r in radii:
-        for c in centers:
-            if len(ball_indices(grid, Ball((c,), min(r, grid.half_length)))) == 0:
-                raise ValueError(f"ball B({c:g}, {r:g}) holds no grid point")
+def _oscillation_balls(grid, centers, radii) -> list[tuple[float, float, np.ndarray]]:
+    """(c, r, grid points of B(c, r)) per oscillation ball, center-major as
+    lemma42 reports them.  lemma42 reads minima over each ball, so the first
+    empty one, radius-major, is refused; past the half box a ball holds all."""
+    balls = [(c, r, ball_indices(grid, Ball((c,), min(r, grid.half_length))))
+             for c in centers for r in radii]
+    for c, r, idx in sorted(balls, key=lambda ball: radii.index(ball[1])):
+        if len(idx) == 0:
+            raise ValueError(f"ball B({c:g}, {r:g}) holds no grid point")
+    return balls
 
 
 def run_oscillation_check(cfg: ExperimentConfig) -> VerificationReport:
@@ -338,76 +335,69 @@ def run_oscillation_check(cfg: ExperimentConfig) -> VerificationReport:
     op, n_big, b, bnorm, b_scale = _lemma_setup(cfg)
     grid = op.grid
     p = cfg.get("weight.p")
-    radii = cfg.get("oscillation.radii")
-    centers = cfg.get("oscillation.centers")
+    balls = _oscillation_balls(grid, cfg.get("oscillation.centers"), cfg.get("oscillation.radii"))
 
     # On the critical balls that meet some B both maximal functions are
     # exact on every B (CriticalCover.meeting); off those balls' union they
     # read -inf, and nothing reads them there.
-    cover = build_critical_cover(grid).meeting(np.concatenate(
-        [ball_indices(grid, Ball((c,), r)) for c in centers for r in radii]))
-    noise = band_noise(grid, cfg.seed)
-    noise_major = g_kappa_p(noise, 4.0, p, cover, n_big).values, m_tilde_s(noise, p, cover).values
+    cover = build_critical_cover(grid).meeting(np.concatenate([idx for *_, idx in balls]))
+
+    def majorized(label, f, params):
+        """A corpus item with its majorants g_{4,p} f and m~_p f on the cover."""
+        return (label, f, params, g_kappa_p(f, 4.0, p, cover, n_big).values,
+                m_tilde_s(f, p, cover).values)
+
+    noise = majorized("noise", band_noise(grid, cfg.seed), {"seed": cfg.seed})
 
     items = []
     plain, comm, zeros = [], [], []
-    for c in centers:
-        for r in radii:
-            ball = Ball((c,), r)
-            idx = ball_indices(grid, ball)
-            outside = np.ones(grid.n, dtype=bool)
-            outside[ball_indices(grid, ball.dilate(2.0))] = False
-            *rows, same_row = _oscillation_rows(op, c, r)
+    for c, r, idx in balls:
+        outside = np.ones(grid.n, dtype=bool)
+        outside[ball_indices(grid, Ball((c,), 2.0 * r))] = False
+        *cuts, same_cut = (row[outside] * grid.spacing for row in _oscillation_rows(op, c, r))
+        b_dev = np.abs(b.values[outside] - float(np.mean(b.values[idx])))
 
-            # packets scaled to the ball so every generic item keeps real
-            # mass outside 2B; a packet swallowed by 2B probes nothing
-            # (its ratio is the trivial-zero regime)
-            corpus = [
-                (f"packet(+3r,w=r)", gaussian_packet(grid, c + 3.0 * r, r),
-                 {"offset": 3.0, "width": r}),
-                (f"packet(-4.5r,w=1.2r)", gaussian_packet(grid, c - 4.5 * r, 1.2 * r),
-                 {"offset": -4.5, "width": 1.2 * r}),
-                ("noise", noise, {"seed": cfg.seed}),
-            ]
-            for label, f, params in corpus:
-                if label == "noise":
-                    g4, mt = noise_major
-                else:
-                    g4 = g_kappa_p(f, 4.0, p, cover, n_big).values
-                    mt = m_tilde_s(f, p, cover).values
-                rhs = float(np.min(g4[idx])) + float(np.min(mt[idx]))
-                b_mean = float(np.mean(b.values[idx]))
-                dens = np.abs(f.values[outside])
-                dens_b = np.abs(b.values[outside] - b_mean) * dens
-                for i, row in enumerate(rows):
-                    cut = row[outside] * grid.spacing
-                    val = float(np.sum(cut * dens)) / rhs
-                    val_b = float(np.sum(cut * dens_b)) / (rhs * b_scale)
-                    plain.append(val)
-                    comm.append(val_b)
-                    items.append(
-                        {"id": f"ball(c={c:g},r={r:g})|pair{i}|{label}",
-                         "params": {"ball_center": c, "ball_radius": r,
-                                    "pair": i, **params},
-                         "value": {"plain": val, "commutator": val_b}}
-                    )
+        # packets scaled to the ball so every generic item keeps real
+        # mass outside 2B; a packet swallowed by 2B probes nothing
+        # (its ratio is the trivial-zero regime)
+        corpus = [
+            majorized("packet(+3r,w=r)", gaussian_packet(grid, c + 3.0 * r, r),
+                      {"offset": 3.0, "width": r}),
+            majorized("packet(-4.5r,w=1.2r)", gaussian_packet(grid, c - 4.5 * r, 1.2 * r),
+                      {"offset": -4.5, "width": 1.2 * r}),
+            noise,
+        ]
+        for label, f, params, g4, mt in corpus:
+            rhs = float(np.min(g4[idx])) + float(np.min(mt[idx]))
+            dens = np.abs(f.values[outside])
+            dens_b = b_dev * dens
+            for i, cut in enumerate(cuts):
+                val = float(np.sum(cut * dens)) / rhs
+                val_b = float(np.sum(cut * dens_b)) / (rhs * b_scale)
+                plain.append(val)
+                comm.append(val_b)
+                items.append(
+                    {"id": f"ball(c={c:g},r={r:g})|pair{i}|{label}",
+                     "params": {"ball_center": c, "ball_radius": r,
+                                "pair": i, **params},
+                     "value": {"plain": val, "commutator": val_b}}
+                )
 
-            # exact-zero probes on this ball, each integrated outside 2B: same
-            # base point (two rows of one stack), support inside the doubled
-            # ball, constant multiplier; the last two reuse the first pair's row
-            f0 = corpus[0][1].values
-            inside_vals = np.where(outside, 0.0, f0)
-            const_dens = (np.ones(grid.n) - 1.0) * f0
-            same, supported, constant = (
-                float(np.sum(row[outside] * np.abs(dens[outside])) * grid.spacing)
-                for row, dens in ((same_row, f0), (rows[0], inside_vals), (rows[0], const_dens)))
-            zeros.extend([same, supported, constant])
-            items.append(
-                {"id": f"ball(c={c:g},r={r:g})|zero_cases",
-                 "params": {"ball_center": c, "ball_radius": r},
-                 "value": {"same_point": same, "inside_support": supported,
-                           "constant_multiplier": constant}}
-            )
+        # exact-zero probes on this ball, each integrated outside 2B: same
+        # base point (two rows of one stack), support inside the doubled
+        # ball, constant multiplier; the last two reuse the first pair's cut
+        f0 = corpus[0][1].values
+        same, supported, constant = (
+            float(np.sum(cut * np.abs(dens[outside])))
+            for cut, dens in ((same_cut, f0), (cuts[0], np.where(outside, 0.0, f0)),
+                              (cuts[0], (np.ones(grid.n) - 1.0) * f0)))
+        zeros.extend([same, supported, constant])
+        items.append(
+            {"id": f"ball(c={c:g},r={r:g})|zero_cases",
+             "params": {"ball_center": c, "ball_radius": r},
+             "value": {"same_point": same, "inside_support": supported,
+                       "constant_multiplier": constant}}
+        )
 
     zero_case_max = float(np.max(np.abs(zeros)))
     agg, criteria = _family(cfg, "plain_", plain)

@@ -84,15 +84,14 @@ def materialize_dyadic_kernel(op: OperatorInstance, k: int) -> DyadicKernel:
 
 
 def _check_k_window(family: LPFamily, ks) -> None:
-    """Each piece k must exist and lie inside the lattice: 2^(k+1) <= xi_max."""
-    xi_max = family.grid.xi_max
+    """Each piece k must exist and lie inside the lattice (LPFamily.resolves)."""
     for k in ks:
         if not 0 <= k <= family.max_index:
             raise ValueError(f"piece index {k} outside 0..{family.max_index}")
-        if 2.0 ** (k + 1) > xi_max * (1.0 + 1e-12):
+        if not family.resolves(k):
             raise ValueError(
                 f"piece {k} is not fully resolved: support reaches 2^{k + 1} "
-                f"but the lattice stops at {xi_max:.3g}"
+                f"but the lattice stops at {family.grid.xi_max:.3g}"
             )
 
 
@@ -288,7 +287,7 @@ def band_limited_twin(op: OperatorInstance) -> OperatorInstance:
     if op.truncation is not None:
         return op
     k_top = op.family.max_index
-    while 2.0 ** (k_top + 1) > op.grid.xi_max * (1.0 + 1e-12):
+    while not op.family.resolves(k_top):
         k_top -= 1
     return OperatorInstance(op.symbol, op.grid, k_top)
 

@@ -72,6 +72,13 @@ class LPFamily:
             return bump_profile(r)
         return bump_profile(r / 2.0**k) - bump_profile(r / 2.0 ** (k - 1))
 
+    def resolves(self, k: int) -> bool:
+        """The package's one resolved-piece rule: piece k's support ends
+        inside the lattice, 2^(k+1) <= xi_max.  The 1e-12 relative slack
+        keeps a box one ulp above L = pi*n/2^(k+2), whose xi_max rounds to
+        one ulp under 2^(k+1)."""
+        return 2.0 ** (k + 1) <= self.grid.xi_max * (1.0 + 1e-12)
+
     def piece_on_lattice(self, k: int) -> np.ndarray:
         return self.piece_profile(k, self.grid.axis_freqs())
 
@@ -105,7 +112,7 @@ def _central_derivative(values: np.ndarray, h: float, order: int) -> np.ndarray:
     return out
 
 
-def derivative_bound_check(family: LPFamily, alpha: int, samples: int = 4096) -> VerificationReport:
+def derivative_bound_check(family: LPFamily, alpha: int) -> VerificationReport:
     """Check sup |d^alpha phi_k| ~ 2^(-k*alpha).
 
     Scaled sups 2^(k*alpha) * sup|d^alpha phi_k| must stay within a factor 2
@@ -120,7 +127,7 @@ def derivative_bound_check(family: LPFamily, alpha: int, samples: int = 4096) ->
     items = []
     raw = []
     for k in range(family.piece_count):
-        xi = np.linspace(0.0, 2.0 ** (k + 1), samples)
+        xi = np.linspace(0.0, 2.0 ** (k + 1), 4096)
         h = xi[1] - xi[0]
         vals = family.piece_profile(k, xi)
         sup = float(np.max(np.abs(_central_derivative(vals, h, alpha))))

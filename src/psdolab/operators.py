@@ -73,7 +73,7 @@ class OperatorInstance:
                 raise ValueError(
                     f"truncation {self.truncation} outside 0..{self.family.max_index}"
                 )
-            if 2.0 ** (self.truncation + 1) > self.grid.xi_max:
+            if not self.family.resolves(self.truncation):
                 raise ValueError(
                     "grid Nyquist does not cover the truncated piece support"
                 )

@@ -206,8 +206,8 @@ def preset_symbol(name: str, **params) -> SymbolSpec:
     if name == "bessel_order_m":
         m = float(params["m"])
 
-        def ev_bessel(x, y, xi, _m=m):
-            return japanese_bracket(xi) ** _m + 0.0j
+        def ev_bessel(x, y, xi):
+            return japanese_bracket(xi) ** m + 0.0j
 
         return SymbolSpec(ev_bessel, m, 1.0, 0.0, "smooth_symbol", f"bessel_order_m(m={m:g})",
                           _one_term(ev_bessel))
@@ -218,8 +218,8 @@ def preset_symbol(name: str, **params) -> SymbolSpec:
         def mod_rough(x):
             return 2.0 + _triangle_wave(x)
 
-        def ev_rough(x, y, xi, _m=m):
-            return mod_rough(x) * japanese_bracket(xi) ** _m + 0.0j
+        def ev_rough(x, y, xi):
+            return mod_rough(x) * japanese_bracket(xi) ** m + 0.0j
 
         return SymbolSpec(ev_rough, m, 1.0, 0.0, "rough_symbol",
                           f"rough_x_modulated(m={m:g})", _one_term(ev_rough, mod_rough))
@@ -232,12 +232,12 @@ def preset_symbol(name: str, **params) -> SymbolSpec:
         if not scale > 0.0:
             raise ValueError(f"spatial_scale must be positive, got {scale}")
 
-        def ev_osc(x, y, xi, _m=m, _r=rho, _d=delta, _s=scale):
-            w = np.pi / _s
+        def ev_osc(x, y, xi):
+            w = np.pi / scale
             psi = np.sin(w * x) * np.cos(w * y)
             br = japanese_bracket(xi)
-            phase = br ** (1.0 - _r) + br**_d * psi
-            return br**_m * np.exp(1j * phase)
+            phase = br ** (1.0 - rho) + br**delta * psi
+            return br**m * np.exp(1j * phase)
 
         return SymbolSpec(ev_osc, m, rho, delta, "smooth_amplitude",
                           f"oscillating_amplitude(m={m:g},rho={rho:g},delta={delta:g})",
@@ -309,14 +309,19 @@ def _shell_samples(grid: PeriodicGrid):
 
 
 def _fd_mixed(ev, xs, ys, xis, alpha, beta, gamma, hx, hxi) -> np.ndarray:
-    """Central-difference d_xi^alpha d_x^beta d_y^gamma of the evaluator."""
-    acc = None
-    for ox, cx in _STENCILS[beta].items():
-        for oy, cy in _STENCILS[gamma].items():
-            for oxi, cxi in _STENCILS[alpha].items():
+    """Central-difference d_xi^alpha d_x^beta d_y^gamma of the evaluator.
+
+    The x/y stencil of each xi offset is summed before the xi weight scales
+    it, so the x weights cancel exactly on an evaluator that does not read x:
+    its x-differences read 0.0, not the xi stencil's roundoff over hx."""
+    acc = 0.0
+    for oxi, cxi in _STENCILS[alpha].items():
+        part = 0.0
+        for ox, cx in _STENCILS[beta].items():
+            for oy, cy in _STENCILS[gamma].items():
                 term = ev(xs + ox * hx, ys + oy * hx, xis + oxi * hxi)
-                term = np.asarray(term, dtype=np.complex128) * (cx * cy * cxi)
-                acc = term if acc is None else acc + term
+                part = part + np.asarray(term, dtype=np.complex128) * (cx * cy)
+        acc = acc + part * cxi
     return acc / (hx ** (beta + gamma) * hxi**alpha)
 
 

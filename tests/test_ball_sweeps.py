@@ -335,8 +335,8 @@ def test_weight_under_the_jensen_floor_still_raises():
 
 
 def _ref_local_average_ratio(u, series, idx):
-    lhs = float(np.mean(np.abs(u.values.ravel()[idx])))
-    rhs = float(np.min(series.values.real.ravel()[idx]))
+    lhs = float(np.mean(np.abs(u[idx])))
+    rhs = float(np.min(series[idx]))
     if rhs <= 0.0:
         return np.inf if lhs > 0.0 else 0.0
     return lhs / rhs
@@ -356,8 +356,25 @@ def test_local_average_ratio_equals_per_ball_formula(data):
         series[rng.choice(q[j])] = rng.choice([0.0, -1.0])
         if rng.random() < 0.5:
             u[q[j]] = 0.0
-    u, series = P.SampledFunction(grid, u), P.SampledFunction(grid, series)
-    got = local_average_ratio(u, series, q)
-    assert got.shape == (len(q),)
-    assert got.tolist() == [_ref_local_average_ratio(u, series, row) for row in q]
+    got = local_average_ratio(u[None, :], series, q)
+    assert got.shape == (1, len(q))
+    assert got[0].tolist() == [_ref_local_average_ratio(u, series, row) for row in q]
     assert np.isinf(got).any() or (got == 0.0).any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_local_average_ratio_rows_equal_their_one_row_gathers(data):
+    """Each row of a two-row stack reads, bit for bit, what it reads alone
+    and what the per-ball formula gives."""
+    grid = _grid(data)
+    q = P.build_critical_cover(grid).windows(1.0)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    rows = rng.standard_normal((2, grid.n)) + 1j * rng.standard_normal((2, grid.n))
+    rows[1] *= rng.uniform(1e-6, 1e6)
+    series = rng.uniform(0.1, 2.0, grid.n)
+    got = local_average_ratio(rows, series, q)
+    assert got.shape == (2, len(q))
+    for row, u in zip(got, rows):
+        assert row.tolist() == local_average_ratio(u[None, :], series, q)[0].tolist()
+        assert row.tolist() == [_ref_local_average_ratio(u, series, w) for w in q]

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import operator
 import os
 import pathlib
@@ -284,6 +285,21 @@ def test_oscillation_radius_past_the_box_under_counterexample_is_a_usage_error(t
     _assert_refused_on_every_target(capsys, ("--config", str(cfgfile)),
                                     "error: oscillation.radii: ball radius 17.0 exceeds",
                                     tmp_path / "out")
+
+
+@pytest.mark.parametrize("n", [2048, 4096])
+def test_box_one_ulp_off_a_piece_edge_never_exits_four(tmp_path, n):
+    """At L = pi*n/2^k, xi_max is a power of two, the edge of a piece's
+    support.  One ulp above it xi_max rounds under that edge: the gate, the
+    band-limited twin and the truncated operator read one resolved-piece
+    rule, so no target stops on an internal error either side of it."""
+    edges = [math.pi * n / 2**k for k in range(20) if 8.0 <= math.pi * n / 2**k <= 64.0]
+    assert len(edges) == 3
+    for edge in edges:
+        for half in (math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)):
+            code = run_cli("report", "all", "--grid-n", str(n), "--grid-l", repr(half),
+                           "--out", str(tmp_path / "out"))
+            assert code in (0, 1, 2, 3), (half, code)
 
 
 def test_maximal_exponent_without_counterexample_exits_three(tmp_path, capsys):

@@ -18,6 +18,7 @@ from psdolab.experiments import (VERIFY_TARGETS, _operator_gates,
                                  run_kernel_decay, run_local_average_check,
                                  run_maximal, run_oscillation_check,
                                  run_weight_calculus)
+from psdolab.grid import ball_indices
 from psdolab.maximal import build_critical_cover, check_fs_inequality
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -257,6 +258,30 @@ def test_oscillation_sub_cover_keeps_the_report_across_the_seam(monkeypatch):
     assert agg["commutator_median"] == pytest.approx(0.020957272793546373, rel=1e-9)
     monkeypatch.setattr(maximal.CriticalCover, "meeting", lambda cover, indices: cover)
     assert run_oscillation_check(cfg).to_json_dict() == rep.to_json_dict()
+
+
+def test_oscillation_indexes_each_ball_and_doubled_ball_once(cfg, monkeypatch):
+    """lemma42 on the 6 default balls makes 12 ball_indices calls: one per
+    ball, read by the meeting cover and the minima, and one per doubled ball."""
+    balls = []
+
+    def counted(grid, ball):
+        balls.append(ball)
+        return ball_indices(grid, ball)
+
+    monkeypatch.setattr(experiments, "ball_indices", counted)
+    run_oscillation_check(cfg)
+    assert len(balls) == 12
+    assert sorted(b.radius for b in balls) == sorted(2 * [0.5, 1.0, 2.0, 1.0, 2.0, 4.0])
+
+
+@pytest.mark.parametrize("runner", [run_boundedness_experiment, run_commutator_experiment])
+def test_theorem13_passes_at_4096(runner):
+    """At (4096, 16) the Bessel multiplier's x-differences read exactly 0,
+    so the class gate no longer reads roundoff as growth."""
+    rep = runner(load_config(None, {"grid.n": "4096"}))
+    assert rep.aggregate["class_membership"] is True
+    assert rep.verdict == "pass"
 
 
 def test_oscillation_rejects_oversized_radii(cfg):

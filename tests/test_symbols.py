@@ -1,7 +1,10 @@
+import pathlib
+
 import numpy as np
 import pytest
 
 import psdolab as P
+from psdolab.config import load_config
 from psdolab.symbols import (KINDS, Expansion, _bessel_j, estimate_class_membership,
                              japanese_bracket)
 
@@ -146,3 +149,33 @@ def test_bessel_rows_match_scipy():
     z = np.concatenate([[0.0, 1e-9, 0.5], np.linspace(0.0, 60.0, 601)])
     ref = special.jv(np.arange(121)[:, None], z[None, :])
     assert np.max(np.abs(_bessel_j(120, z) - ref)) <= 4e-15
+
+
+@pytest.fixture(scope="module")
+def preset_symbols():
+    """Each preset file's symbol, then the amplitude in its class
+    (rho 0.5, m -0.75, delta 0.5)."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    syms = [load_config(path).make_symbol() for path in sorted((root / "presets").glob("*.cfg"))]
+    return syms + [P.preset_symbol("oscillating_amplitude", m=-0.75, rho=0.5, delta=0.5)]
+
+
+@pytest.mark.parametrize("n", [256, 512, 1024, 2048, 4096, 8192])
+def test_class_probes_do_not_move_with_the_lattice(n, preset_symbols):
+    """The class of a symbol does not depend on the grid.  At L = 8, 16 and
+    64, a multiplier's x-differences read exactly 0.0, every symbol preset
+    and the in-class amplitude stay in class, and the amplitude at rho = 1
+    is refused."""
+    rho_one = P.preset_symbol("oscillating_amplitude", m=-0.75, rho=1.0, delta=0.5)
+    for half in (8.0, 16.0, 64.0):
+        grid = P.make_grid(n, half)
+        if grid.xi_max < 16.0:  # fewer than three complete dyadic shells
+            with pytest.raises(ValueError, match="too few dyadic shells"):
+                estimate_class_membership(rho_one, grid)
+            continue
+        bessel = estimate_class_membership(P.preset_symbol("bessel_order_m", m=-0.75), grid)
+        x_entries = [e for e in bessel.entries if e.beta > 0]
+        assert x_entries and all(s == 0.0 for e in x_entries for s in e.shell_sups), half
+        for sym in preset_symbols:
+            assert estimate_class_membership(sym, grid).criterion.ok, (half, sym.label)
+        assert not estimate_class_membership(rho_one, grid).criterion.ok, half
