@@ -6,7 +6,7 @@ them cover the box and the sigma-dilates have multiplicity O(sigma).
 
 Every "sup over all balls" below is realized over a structured family
 (centers 8k on a stride-8 sublattice, dyadic radii), which keeps results
-reproducible, and every window mean comes from a prefix sum.  Family
+reproducible, and every family window mean comes from a prefix sum.  Family
 windows, cover rows and the first point of each Q_j and 8-dilate are arcs
 of grid._ball_arcs, the one membership rule.  All points of
 one residue class mod 8 in one block of 8, a slot, lie in the windows of the
@@ -19,9 +19,17 @@ means (or the mean oscillation, through a strided view of each row), and
 one slot range max for every row, planned once per grid and alpha.
 m_tilde_s runs all critical balls at once, ball j as row j, on the slots of
 Q_j.  Its index work depends only on the cover and is planned on a cover's
-first call, kept for the last two covers.  A call gathers |f|^s, takes one
-cumsum, two gathers, a subtract and a divide for all windows, the table, a
-power of the slots and one take and max over the covering balls.
+first call, kept for the last two covers: for each window, the ends in one
+doubled prefix of |f|^s of its part inside row j's 8-dilate, over the radii
+up to the first whose window holds the whole dilate, so the work per ball
+does not grow with the box.  A call takes one cumsum of |f|^s over the
+doubled circle, two gathers, a subtract and a divide for all windows, the
+table, a power of the slots and one take and max over the covering balls.
+g_kappa_p reads each ball's average over a dyadic dilate as the sum of a
+few pairwise blocks of |f|^p, one per binary digit of the ball's point
+count, so an average far from the mass of f keeps its own relative
+accuracy.  Both read the cover's balls as arcs; only its radii 1 and 2
+are ever read as (balls, points) index windows.
 """
 
 from __future__ import annotations
@@ -85,8 +93,15 @@ class CriticalCover:
         return CriticalCover(self.grid, tuple(c for c, k in zip(self.centers, keep) if k))
 
     def multiplicity(self, sigma: float = 1.0) -> np.ndarray:
-        """Pointwise count of sigma-dilates covering each grid point."""
-        return np.bincount(self.windows(sigma).ravel(), minlength=self.grid.n)
+        """Pointwise count of sigma-dilates covering each grid point: +1 at
+        each arc's start and -1 past its end on the doubled line, one
+        integer cumsum, and the two halves folded onto the circle."""
+        n = self.grid.n
+        starts, counts = _cover_arcs(self, sigma)
+        steps = np.bincount(starts, minlength=2 * n + 1) - np.bincount(starts + counts,
+                                                                       minlength=2 * n + 1)
+        depth = np.cumsum(steps[: 2 * n])
+        return depth[:n] + depth[n:]
 
     def covers_pointwise(self) -> bool:
         return bool(np.all(self.multiplicity(1.0) >= 1))
@@ -109,6 +124,16 @@ def _cover_windows(cover: CriticalCover, radius: float) -> np.ndarray:
     ((_, rows),) = ball_windows(cover.grid, cover.centers, radius)
     rows.flags.writeable = False
     return rows
+
+
+@lru_cache(maxsize=64)
+def _cover_arcs(cover: CriticalCover, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (starts, counts) of B(x_j, radius) for every ball
+    (grid._ball_arcs): arc j holds counts[j] points from starts[j]."""
+    arcs = _ball_arcs(cover.grid, cover.centers, radius)
+    for a in arcs:
+        a.flags.writeable = False
+    return arcs
 
 
 def build_critical_cover(grid: PeriodicGrid) -> CriticalCover:
@@ -312,19 +337,46 @@ def g_kappa_p(
     grid = f.grid
     powered = np.abs(f.values) ** p
     box_avg = float(np.mean(powered)) ** (1.0 / p)
+    radii, radius = [], kappa
+    while radius < grid.half_length:
+        radii.append(radius)
+        radius *= 2.0
+    arcs = [_cover_arcs(cover, r) for r in radii]
+    top = max((int(counts.max()) for _, counts in arcs), default=1)
+    blocks = _pairwise_blocks(powered, top.bit_length())
     totals = np.zeros(len(cover.centers))
-    k = 0
-    while True:
-        radius = kappa * 2.0**k
-        if radius >= grid.half_length:
-            totals += box_avg * 2.0 ** (-n_big * k) / (1.0 - 2.0 ** (-n_big))
-            break
-        means = np.mean(powered[cover.windows(radius)], axis=1)
+    for k, (starts, counts) in enumerate(arcs):
+        # the centers are lattice points, so every ball of one radius holds
+        # the same number of points
+        (count,) = set(counts.tolist())
+        # the window of count points from each start: one block per binary
+        # digit of count, largest first
+        sums, offset = 0.0, 0
+        for level in reversed(range(count.bit_length())):
+            if count >> level & 1:
+                sums = sums + blocks[level][starts + offset]
+                offset += 1 << level
         # Python float powers: numpy's array power can differ in the last ulp
-        avgs = np.array([m ** (1.0 / p) for m in means.tolist()])
+        avgs = np.array([m ** (1.0 / p) for m in (sums / count).tolist()])
         totals += 2.0 ** (-n_big * k) * avgs
-        k += 1
+    totals += box_avg * 2.0 ** (-n_big * len(radii)) / (1.0 - 2.0 ** (-n_big))
     return SampledFunction(grid, np.max(np.append(totals, -np.inf)[_covering(cover)], axis=0))
+
+
+def _pairwise_blocks(x: np.ndarray, levels: int) -> list[np.ndarray]:
+    """Level l: the sums of the 2^l consecutive samples of the doubled row x
+    from each point on, each a pairwise sum of two level l - 1 blocks.
+
+    Every block sum of non-negative samples is then within l units of
+    roundoff of the exact sum, relative to itself and not to the row's total,
+    which a prefix difference would be (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., section 4.2).
+    """
+    blocks = [np.concatenate([x, x])]
+    for level in range(1, levels):
+        half = 1 << (level - 1)
+        blocks.append(blocks[-1][:-half] + blocks[-1][half:])
+    return blocks
 
 
 @lru_cache(maxsize=32)
@@ -346,57 +398,82 @@ def _covering(cover: CriticalCover) -> np.ndarray:
 class _CoverMaximalPlan:
     """The f-independent index work of m_tilde_s on one cover, read-only.
 
-    support: (J, K) grid indices of each 8-dilate's K support points.  lo, hi:
-    (J, M) flat indices of both window ends in the (J, 2K + 1) support prefix
-    at row j's table columns, counts: (M,) window lengths.  radii: per radius,
-    the table width and flat slot reads.  spread: _covering's table in flat
-    slots of the (J, S) slot maxima, padded with J S.
+    lo, hi: (J, M) ends, in the doubled prefix of |f|^s, of the part of the
+    window at row j's table column that lies in the 8-dilate of Q_j;
+    counts: (M,) window lengths.  split: the flat (J M) places whose part is
+    two arcs, a window that reaches round the circle past the dilate's gap
+    (only for L under about 9.5), and lo2, hi2 the ends of their second arc.
+    radii: per radius, the table width and flat slot reads.  spread:
+    _covering's table in flat slots of the (J, S) slot maxima, padded with
+    J S.
     """
 
-    support: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     counts: np.ndarray
+    split: np.ndarray
+    lo2: np.ndarray
+    hi2: np.ndarray
     radii: tuple[tuple[int, np.ndarray], ...]
     spread: np.ndarray
+
+
+def _dilate_family(grid: PeriodicGrid, size: int) -> list:
+    """The family windows up to L/2 (_family_windows) through the first whose
+    half-width reaches size // 2 + 4.
+
+    Around the center 8k nearest x_j (|8k - x_j| <= 4 points) that window
+    holds all of the size-point dilate.  Each larger window that holds a
+    point of Q_j reads a sub-arc of the dilate over more points, so its mean
+    is at most the dilate's total over that window's count.  The sub-arc's
+    prefix difference is at most the whole arc's (a monotone prefix, one
+    place per arc), so the order holds after rounding too, and the max at
+    every point of Q_j keeps its bits.
+    """
+    family = []
+    for window in _family_windows(grid, grid.half_length / 2.0):
+        family.append(window)
+        if window[2] // 2 >= size // 2 + 4:
+            break
+    return family
 
 
 @lru_cache(maxsize=2)
 def _cover_maximal_plan(cover: CriticalCover) -> _CoverMaximalPlan:
     grid = cover.grid
     n, c = grid.n, grid.n // 8
-    cut_idx, q_idx = cover.windows(8.0), cover.windows(1.0)
-    rows, size = cut_idx.shape
-    # The doubled cut of row j is zero off its support, the 8-dilate's arc
-    # and that arc shifted by n, so its prefix sum at point i is the prefix
-    # sum over the support read at the count of support points below i:
-    # the skipped terms add 0.0, which leaves every partial sum unchanged.
-    first = _ball_arcs(grid, cover.centers, 8.0)[0][:, None]
-
-    def prefix_index(i):
-        # support points below i: the arc's copies start at first - n (counted
-        # from 0 on), first and first + n
-        u = i - first
-        below = (np.clip(u + n, 0, size) + np.clip(u, 0, size) + np.clip(u - n, 0, size)
-                 - np.minimum(n - first, size))
-        return _frozen_int32(np.arange(rows)[:, None] * (2 * size + 1) + below)
-
+    first, sizes = _cover_arcs(cover, 8.0)
+    q_first, q_sizes = _cover_arcs(cover, 1.0)
+    (size,), (size_q,) = set(sizes.tolist()), set(q_sizes.tolist())
+    rows = len(first)
+    family = _dilate_family(grid, size)
     # row j's points: Q_j's arc from its first point, not reduced mod n
-    q_first = _ball_arcs(grid, cover.centers, 1.0)[0][:, None]
-    family = list(_family_windows(grid, grid.half_length / 2.0))
-    columns, radii, slot = _slot_plan(q_first + np.arange(q_idx.shape[1]),
+    columns, radii, slot = _slot_plan(q_first[:, None] + np.arange(size_q),
                                       [count // 2 for _, _, count in family], c)
     # for L >= 8 every segment holds under c centers, so no window repeats
     assert np.bincount(columns[0] // c).max() < c
-    ends = np.concatenate([starts for _, starts, _ in family])[columns]
     counts = np.array([count for _, _, count in family])[columns[0] // c]
+    # Each window, from u points past the first point of row j's dilate on
+    # the circle, meets the dilate in [u, size) and in the next turn's
+    # [0, u + count - n), both in the dilate's own coordinates: one place in
+    # the prefix for each arc of the circle, whichever window reads it.
+    u = (np.concatenate([starts for _, starts, _ in family])[columns] - first[:, None]) % n
+    lo, hi = np.minimum(u, size), np.minimum(u + counts, size)
+    hi_next = np.clip(u + counts - n, 0, size)
+    live = lo < hi
+    split = np.flatnonzero(live & (hi_next > 0))
+    lo2 = first[split // lo.shape[1]]
+    hi2 = lo2 + hi_next.ravel()[split]
+    lo = first[:, None] + np.where(live, lo, 0)
+    hi = first[:, None] + np.where(live, hi, hi_next)
     # each covering ball's slot of the point, at its place t on the ball's arc
     balls, row, slots = _covering(cover), np.arange(rows)[:, None], radii[0][1].shape[2]
     j = np.minimum(balls, rows - 1)
-    t = np.minimum((np.arange(n) - q_first[j, 0]) % n, q_idx.shape[1] - 1)
+    t = np.minimum((np.arange(n) - q_first[j]) % n, size_q - 1)
     spread = np.where(balls < rows, j * slots + slot[j, t], rows * slots)
     return _CoverMaximalPlan(
-        cut_idx, prefix_index(ends), prefix_index(ends + counts), _frozen_int32(counts),
+        _frozen_int32(lo), _frozen_int32(hi), _frozen_int32(counts),
+        _frozen_int32(split), _frozen_int32(lo2), _frozen_int32(hi2),
         tuple((w, _frozen_int32(row * columns.shape[1] + reads)) for w, reads in radii),
         _frozen_int32(spread))
 
@@ -422,15 +499,17 @@ def m_tilde_s(f: SampledFunction, s: float, cover: CriticalCover) -> SampledFunc
     grid = f.grid
     _check_dilates_fit(grid)
     plan = _cover_maximal_plan(cover)
-    # row j: 0, then |f|^s on the support and again on its shift by n, summed
-    rows, size = plan.support.shape
-    prefix = np.zeros((rows, 2 * size + 1))
-    prefix[:, 1 : size + 1] = (np.abs(f.values) ** s)[plan.support]
-    prefix[:, size + 1 :] = prefix[:, 1 : size + 1]
-    np.cumsum(prefix[:, 1:], axis=1, out=prefix[:, 1:])
-    flat = prefix.ravel()
-    means = (np.take(flat, plan.hi) - np.take(flat, plan.lo)) / plan.counts
-    slots = np.append(_slot_range_max(means.ravel(), plan.radii) ** (1.0 / s), -np.inf)
+    # 0, then the prefix sums of |f|^s on the doubled circle: non-negative
+    # terms, so every difference of a later and an earlier entry is >= 0
+    n = grid.n
+    prefix = np.zeros(2 * n + 1)
+    prefix[1 : n + 1] = np.abs(f.values) ** s
+    prefix[n + 1 :] = prefix[1 : n + 1]
+    np.cumsum(prefix[1:], out=prefix[1:])
+    sums = np.take(prefix, plan.hi) - np.take(prefix, plan.lo)
+    sums.reshape(-1)[plan.split] += np.take(prefix, plan.hi2) - np.take(prefix, plan.lo2)
+    slots = np.append(_slot_range_max((sums / plan.counts).ravel(), plan.radii) ** (1.0 / s),
+                      -np.inf)
     return SampledFunction(grid, np.max(np.take(slots, plan.spread), axis=0))
 
 
@@ -468,7 +547,7 @@ def fs_inequality_rows(
     # a (rows * J, K) view reduces each row's averages as a (J, K) gather
     # would, bit for bit; a mean over the last axis of (rows, J, K) may not
     q2 = cover.windows(2.0)
-    g_avgs = np.mean(magnitude[:, q2].reshape(-1, q2.shape[1]), axis=1)
+    g_avgs = np.mean(np.take(magnitude, q2, axis=1).reshape(-1, q2.shape[1]), axis=1)
     out = []
     for lhs_norm, sharp_norm, avgs in zip(norms[:rows], norms[rows:],
                                           g_avgs.reshape(rows, -1).tolist()):

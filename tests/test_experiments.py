@@ -244,7 +244,24 @@ def test_oscillation_runs_one_cover_plan_on_the_balls_it_reads(cfg, monkeypatch)
     run_oscillation_check(cfg)
     assert plan.cache_info().misses == 1
     assert len(set(covers)) == 1
-    assert plan(covers[0]).support.shape[0] == 23
+    assert plan(covers[0]).lo.shape[0] == 23
+
+
+def test_report_all_reads_cover_windows_only_at_radii_one_and_two(cfg, monkeypatch):
+    """Every larger cover ball (the multiplicity dilates, the series' dyadic
+    balls, the 8-dilates of m_tilde_s) is read as an arc, never as a
+    (balls, points) index window."""
+    windows = maximal._cover_windows
+    radii = []
+
+    def recorded(cover, radius):
+        radii.append(radius)
+        return windows(cover, radius)
+
+    monkeypatch.setattr(maximal, "_cover_windows", recorded)
+    maximal._cover_maximal_plan.cache_clear()
+    experiments.run_all(cfg)
+    assert set(radii) == {1.0, 2.0}
 
 
 def test_oscillation_sub_cover_keeps_the_report_across_the_seam(monkeypatch):

@@ -1,10 +1,21 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psdolab as P
-from psdolab.corpus import BLOCK_ENTRIES, CorpusItem, corpus_blocks, gaussian_corpus, mixed_corpus
+from psdolab import maximal
+from psdolab.corpus import (
+    BLOCK_ENTRIES,
+    CorpusItem,
+    corpus_blocks,
+    gaussian_corpus,
+    gaussian_packet,
+    mixed_corpus,
+)
 from psdolab.maximal import (
     _cover_maximal_plan,
     _covering,
@@ -185,8 +196,10 @@ def _reference_multiplicity(cover, sigma):
 
 
 def _reference_g_kappa_p(f, kappa, p, cover, n_big):
+    """Per ball, every average a math.fsum over a scanned mask."""
     grid = f.grid
-    box_avg = float(np.mean(np.abs(f.values) ** p)) ** (1.0 / p)
+    powered = np.abs(f.values) ** p
+    box_avg = (math.fsum(powered) / grid.n) ** (1.0 / p)
     values = np.full(grid.shape, -np.inf)
     for center in cover.centers:
         total, k = 0.0, 0
@@ -195,30 +208,62 @@ def _reference_g_kappa_p(f, kappa, p, cover, n_big):
             if radius >= grid.half_length:
                 total += box_avg * 2.0 ** (-n_big * k) / (1.0 - 2.0 ** (-n_big))
                 break
-            mask = _scan_mask(grid, P.Ball((center,), radius))
-            avg = float(np.mean(np.abs(f.values[mask]) ** p)) ** (1.0 / p)
-            total += 2.0 ** (-n_big * k) * avg
+            window = powered[_scan_mask(grid, P.Ball((center,), radius))]
+            total += 2.0 ** (-n_big * k) * (math.fsum(window) / len(window)) ** (1.0 / p)
             k += 1
         mask = _scan_mask(grid, P.Ball((center,), 1.0))
         np.maximum(values, np.where(mask, total, -np.inf), out=values)
     return values
 
 
+def _assert_series_close(got, ref):
+    """Every block sum of g_kappa_p is within log2(n) units of roundoff of
+    its own exact value, so the series holds 1e-13 relative at every point."""
+    assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+
+
 def _reference_m_tilde_s(f, s, cover):
+    """Per ball, the family sup on the whole circle of the window means of
+    |f|^s cut to its 8-dilate, taken on Q_j; the max over the balls, before
+    the 1/s root.  Each window sum is exact, an integer prefix of the doubled
+    cut row over one power-of-two scale, and rounded once, so it is the value
+    math.fsum gives, at a cost linear in n per ball."""
     grid = f.grid
+    ratios = [v.as_integer_ratio() for v in (np.abs(f.values) ** s).tolist()]
+    scale = max(den for _, den in ratios)
+    ints = [num * (scale // den) for num, den in ratios]
+    family, columns, radii, slot = _family_plan(grid, grid.half_length / 2.0)
     out = np.full(grid.shape, -np.inf)
     for center in cover.centers:
-        cut = np.where(_scan_mask(grid, P.Ball((center,), 8.0)), np.abs(f.values) ** s, 0.0)
-        ms = _sup_over_family_rows(cut[None], grid, grid.half_length / 2.0, osc=False)[0]
-        ms = ms ** (1.0 / s)
-        np.maximum(out, np.where(_scan_mask(grid, P.Ball((center,), 1.0)), ms, -np.inf),
+        dilate = _scan_mask(grid, P.Ball((center,), 8.0)).tolist()
+        cut = [v if inside else 0 for v, inside in zip(ints, dilate)]
+        prefix = [0, *itertools.accumulate(cut + cut)]
+        means = [(prefix[a + count] - prefix[a]) / scale / count
+                 for _, starts, count in family for a in starts.tolist()]
+        sup = np.take(_slot_range_max(np.take(means, columns), radii), slot)
+        np.maximum(out, np.where(_scan_mask(grid, P.Ball((center,), 1.0)), sup, -np.inf),
                    out=out)
     return out
 
 
+def _assert_cover_maximal_close(f, s, cover):
+    """m_tilde_s against the exact reference, before the 1/s root.  A window
+    mean is a difference of two entries of one prefix of 2n non-negative
+    terms, over its count: off by at most 8 n u sum|f|^s / count, and a max
+    by at most that at the smallest window."""
+    grid = f.grid
+    ref = _reference_m_tilde_s(f, s, cover)
+    got = P.m_tilde_s(f, s, cover).values.real ** s
+    smallest = next(_family_windows(grid, grid.half_length / 2.0))[2]
+    u = np.finfo(float).eps / 2.0
+    bound = 8 * grid.n * u * math.fsum(np.abs(f.values) ** s) / smallest + 1e-13 * ref
+    assert np.all(np.abs(got - ref) <= bound)
+
+
 @pytest.mark.parametrize("n", [256, 512])
 def test_cover_local_paths_match_full_grid_references(n):
-    """Cover windows and segment sups give the per-ball full-grid values, bit for bit."""
+    """Cover arcs give the per-ball full-grid multiplicities, bit for bit, and
+    the batched maximal functions the per-ball values within their roundoff."""
     grid = P.make_grid(n, 16.0)
     cover = P.build_critical_cover(grid)
     for sigma in (1.0, 2.0, 4.0, 8.0):
@@ -226,24 +271,35 @@ def test_cover_local_paths_match_full_grid_references(n):
     funcs = [f for _, f, _ in mixed_corpus(grid, count=6, seed=3)]
     for f in funcs:
         for kappa, p in ((1.0, 1.5), (4.0, 2.0)):
-            assert np.array_equal(P.g_kappa_p(f, kappa, p, cover, 8).values.real,
-                                  _reference_g_kappa_p(f, kappa, p, cover, 8))
-        assert np.array_equal(P.m_tilde_s(f, 1.5, cover).values.real,
-                              _reference_m_tilde_s(f, 1.5, cover))
+            _assert_series_close(P.g_kappa_p(f, kappa, p, cover, 8).values.real,
+                                 _reference_g_kappa_p(f, kappa, p, cover, 8))
+        _assert_cover_maximal_close(f, 1.5, cover)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([64, 128, 256, 512, 1024, 2048, 4096]),
        st.one_of(st.just(8.0), st.floats(8.0, 64.0)), st.floats(1.0, 3.0), st.data())
 def test_batched_m_tilde_s_matches_the_per_ball_reference(n, half_length, s, data):
-    """All balls at once give the per-ball full-grid value, bit for bit, also
-    at L = 8 where each 8-dilate is the whole circle."""
+    """All balls at once give the per-ball full-grid value within its
+    roundoff, also at L = 8 where each 8-dilate is the whole circle and for
+    L under 9.5, where a window can meet the dilate on both sides of its gap."""
     grid = P.make_grid(n, half_length)
     cover = P.build_critical_cover(grid)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     f = P.SampledFunction(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    assert np.array_equal(P.m_tilde_s(f, s, cover).values.real,
-                          _reference_m_tilde_s(f, s, cover))
+    _assert_cover_maximal_close(f, s, cover)
+
+
+def test_series_maximal_keeps_its_accuracy_far_from_a_narrow_packet():
+    """A 0.3-wide packet at x = 2.4 on (1024, 16): at every ball the series
+    is within 1e-13 relative of the fsum reference.  The balls far from the
+    packet read averages of its tail, which a prefix difference of |f|^p over
+    the circle cancels against the packet's mass: 7e-5 relative there."""
+    grid = P.make_grid(1024, 16.0)
+    cover = P.build_critical_cover(grid)
+    f = gaussian_packet(grid, 2.4, 0.3)
+    _assert_series_close(P.g_kappa_p(f, 1.0, 2.0, cover, 8).values.real,
+                         _reference_g_kappa_p(f, 1.0, 2.0, cover, 8))
 
 
 @settings(max_examples=40, deadline=None)
@@ -272,8 +328,9 @@ def test_meeting_sub_cover_is_exact_on_the_marked_points(n, half_length, s, kapp
 
 
 def test_cover_maximal_plan_is_built_once_per_cover():
-    """Calls with other f and s reuse the cover's plan, and every array of it
-    is read-only."""
+    """Calls with other f and s reuse the cover's plan, every array of it is
+    read-only, and it holds no (J, K) array over the K points of each
+    8-dilate: a call reads |f|^s through one prefix of the circle."""
     grid = P.make_grid(256, 12.0)
     cover = P.build_critical_cover(grid)
     rng = np.random.default_rng(5)
@@ -284,12 +341,61 @@ def test_cover_maximal_plan_is_built_once_per_cover():
     assert (info.misses, info.hits) == (1, 2)
     plan = _cover_maximal_plan(cover)
     assert plan is _cover_maximal_plan(cover)
-    arrays = [plan.support, plan.lo, plan.hi, plan.counts, plan.spread]
+    arrays = [plan.lo, plan.hi, plan.counts, plan.split, plan.lo2, plan.hi2, plan.spread]
     arrays += [reads for _, reads in plan.radii]
     assert not any(a.flags.writeable for a in arrays)
     for a in arrays:
-        with pytest.raises(ValueError, match="read-only"):
-            a.flat[0] = 0
+        if a.size:
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 0
+    size = cover.windows(8.0).shape[1]
+    assert all(a.size < len(cover.centers) * size for a in arrays)
+    assert plan.lo.max() < plan.hi.max() <= 2 * grid.n
+
+
+def _full_radius_plan(monkeypatch, cover):
+    """The cover plan over every family radius up to L/2, as if no radius
+    were dropped past the first window that holds an 8-dilate."""
+    monkeypatch.setattr(maximal, "_dilate_family",
+                        lambda grid, size: list(_family_windows(grid, grid.half_length / 2.0)))
+    _cover_maximal_plan.cache_clear()
+    plan = _cover_maximal_plan(cover)
+    monkeypatch.undo()
+    _cover_maximal_plan.cache_clear()
+    return plan
+
+
+@pytest.mark.parametrize("n, half_length", [(1024, 32.0), (1024, 64.0), (2048, 100.7)])
+def test_trimmed_cover_plan_gives_the_full_radius_bits(monkeypatch, n, half_length):
+    """Past the first radius whose window around the center nearest x_j
+    holds the whole 8-dilate, no window decides a max: m_tilde_s on the
+    trimmed plan equals the full-radius plan bit for bit, on noise and on a
+    narrow packet.  At L = 32 that first radius is L/2 itself; past it the
+    full plan is wider."""
+    grid = P.make_grid(n, half_length)
+    cover = P.build_critical_cover(grid)
+    full = _full_radius_plan(monkeypatch, cover)
+    trimmed = _cover_maximal_plan(cover)
+    assert (trimmed.lo.shape[1] < full.lo.shape[1]) == (half_length > 32.0)
+    rng = np.random.default_rng(n)
+    rows = [rng.standard_normal(n) + 1j * rng.standard_normal(n),
+            gaussian_packet(grid, 0.3 * half_length, 0.3).values]
+    for values, s in itertools.product(rows, (1.1, 1.5, 2.9)):
+        f = P.SampledFunction(grid, values)
+        got = P.m_tilde_s(f, s, cover).values
+        monkeypatch.setattr(maximal, "_cover_maximal_plan", lambda _: full)
+        assert np.array_equal(got, P.m_tilde_s(f, s, cover).values)
+        monkeypatch.undo()
+
+
+def test_cover_plan_columns_do_not_grow_with_the_box():
+    """At fixed dx the trimmed plan reads the same M columns per ball at
+    L = 32, 64 and 128, where the full family grows by a radius per doubling."""
+    widths = set()
+    for n, half_length in ((1024, 32.0), (2048, 64.0), (4096, 128.0)):
+        plan = _cover_maximal_plan(P.build_critical_cover(P.make_grid(n, half_length)))
+        widths.add(plan.lo.shape[1])
+    assert len(widths) == 1
 
 
 def test_slot_reads_are_counted_per_block_and_class():
