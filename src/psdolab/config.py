@@ -353,7 +353,9 @@ def _check_computable(cfg: ExperimentConfig, grid) -> None:
             grid, cfg.get("oscillation.centers"), cfg.get("oscillation.radii"))),
         ("maximal.kappa", lambda: _check_kappa(cfg.get("maximal.kappa"))),
         ("grid", lambda: _check_k_window(make_lp_family(grid), pieces)),
-        ("grid", lambda: _check_annuli(grid, radius, j_hi)),
+        # the grid bounds the annuli, and the message names the keys that set them
+        ("grid", lambda: _check_annuli(grid, radius, j_hi, "kernel.diff_ball_radius",
+                                       "kernel.diff_j")),
         ("grid", lambda: _check_dilates_fit(grid)),
         # the weight gate sweeps sweep_family(grid), radii up to L/2
         ("grid", lambda: _check_stabilization_radii(_sweep_radii(grid, grid.half_length / 2))),

@@ -8,7 +8,8 @@ comes from the operator's expansion held at all base points at once
 sampled at x - z, or one for all base points when the symbol has no x- or
 y-factor.  The adjoint far field takes its base points in one call.  The
 difference tables read the evaluator itself, as direct sums over the
-frequencies where some band is nonzero.
+frequencies where some band is nonzero, each table in one call; their phase
+e^{i(x-y)xi} is e^{ix xi} e^{-iy xi}, one exponential row per distinct point.
 
 Offsets are kept inside |z| <= L/2 so nearest-image distances on the torus
 agree with true distances; every fit below samples only that safe half-box.
@@ -155,36 +156,45 @@ def _annulus_points(ball: Ball, j: int, num: int) -> np.ndarray:
 
 
 def _pair_differences(
-    op: OperatorInstance, xs: np.ndarray, pairs: list[tuple[float, float]], bands: np.ndarray
+    op: OperatorInstance, point_sets, pairs: list[tuple[float, float]], bands: np.ndarray
 ) -> np.ndarray:
-    """max over (x, pair) of |K_band(x,y) - K_band(x,ybar)|, one per band row.
+    """max over (x, pair) of |K_band(x,y) - K_band(x,ybar)|: (point sets, band rows).
 
-    K_band(x, y) is the direct sum bands @ (a(x, y, xi) e^{i(x-y)xi}) dxi/2pi
-    over the lattice.  The evaluator and the phases are taken only at the
-    live frequencies, where some band row is nonzero, for every (x, pair) of
-    the call at once; one zeroed (points, n) block holds them.  Each point
-    keeps its own matrix-vector product: the dead columns add exact zeros, so
-    the sums keep the bits of full-lattice ones, where one matrix-matrix
-    product would not.
+    K_band(x, y) is the direct sum bands @ (a(x, y, xi) e^{ix xi} e^{-iy xi})
+    dxi/2pi over the lattice.  The evaluator and the phases are taken only at
+    the live frequencies, where some band row is nonzero: the y and ybar
+    phase rows once per call, the x rows once per point set, the evaluator
+    once per set and slot for every (x, pair) at once; one zeroed
+    (points * pairs, n) block holds them.  Each point keeps its own
+    matrix-vector product: the dead columns add exact zeros, so the sums keep
+    the bits of full-lattice ones, where one matrix-matrix product would not.
     """
     g = op.grid
     live = np.flatnonzero(np.any(bands != 0.0, axis=0))
     xis = g.axis_freqs()[live]
     scale = g.freq_spacing / (2.0 * np.pi)
-    x = np.repeat(xs, len(pairs))[:, None]
-    ys = np.tile(np.asarray(pairs, dtype=float), (len(xs), 1))
+    point_sets = np.asarray(point_sets, dtype=float)
+    ys = np.asarray(pairs, dtype=float).T[:, :, None]  # (slot, pair, 1)
+    y_phases = np.exp(-1j * (xis * ys))
+    rows = point_sets.shape[1] * len(pairs)
     bands_c = bands.astype(np.complex128)
-    block = np.zeros((len(x), g.n), dtype=np.complex128)
-    sums = []
-    for y in ys.T:
-        y = y[:, None]
-        a = np.asarray(op.symbol.evaluator(x, y, xis), dtype=np.complex128)
-        # a named phase: numpy would multiply a large temporary in place,
-        # operands swapped, and a complex product is not bitwise symmetric
-        phase = np.exp(1j * (xis * (x - y)))
-        block[:, live] = a * phase
-        sums.append(np.array([bands_c @ row for row in block]) * scale)
-    return np.max(np.abs(sums[0] - sums[1]), axis=0)
+    block = np.zeros((rows, g.n), dtype=np.complex128)
+    table = np.empty((len(point_sets), len(bands)))
+    for xs, row in zip(point_sets, table):
+        x = np.repeat(xs, len(pairs))[:, None]
+        x_phases = np.exp(1j * (xis * xs[:, None]))
+        sums = []
+        for y, y_phase in zip(ys, y_phases):
+            a = np.asarray(op.symbol.evaluator(x, np.tile(y, (len(xs), 1)), xis),
+                           dtype=np.complex128)
+            # a named phase e^{ix xi} e^{-iy xi}: numpy would multiply a large
+            # temporary in place, operands swapped, and a complex product is
+            # not bitwise symmetric
+            phase = (x_phases[:, None, :] * y_phase).reshape(rows, -1)
+            block[:, live] = a * phase
+            sums.append(np.array([bands_c @ r for r in block]) * scale)
+        row[:] = np.max(np.abs(sums[0] - sums[1]), axis=0)
+    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,12 +209,13 @@ class DifferenceEstimate:
     k_fit: DecayFitReport
 
 
-def _check_annuli(grid: PeriodicGrid, radius: float, j_top: int) -> None:
+def _check_annuli(grid: PeriodicGrid, radius: float, j_top: int, radius_name: str = "r",
+                  j_name: str = "j") -> None:
     """The annuli S_j of a radius-r ball, j <= j_top, must stay within |z| <= L/2."""
     if 2.0**j_top * radius > grid.half_length / 2.0 + 1e-12:
         raise ValueError(
-            f"annulus family leaves the wrap-safe half-box: "
-            f"2^{j_top} * {radius:g} > L/2 = {grid.half_length / 2.0:g}"
+            f"the annuli of {radius_name} = {radius:g}, {j_name} up to {j_top} leave the "
+            f"wrap-safe half-box: 2^{j_top} * {radius:g} > L/2 = {grid.half_length / 2.0:g}"
         )
 
 
@@ -246,10 +257,7 @@ def fit_difference_estimate(
         pairs = [(float(a), float(b)) for a, b in y_pairs]
     bands = np.stack([op.family.piece_profile(k, g.axis_freqs()) for k in ks])
 
-    table = np.empty((len(js), len(ks)))
-    for ji, j in enumerate(js):
-        xs = _annulus_points(ball, j, 6)
-        table[ji] = _pair_differences(op, xs, pairs, bands)
+    table = _pair_differences(op, [_annulus_points(ball, j, 6) for j in js], pairs, bands)
 
     envelope = np.log2(np.maximum(np.max(table, axis=1), 1e-300))
     j_fit = _line_fit("j", np.array(js, dtype=float), envelope, -1.0, 0.0, "at_most")
@@ -331,11 +339,8 @@ def adjoint_kernel_bounds(
 
     js = list(range(3, 8))
     ball = Ball((0.0,), g.half_length / 2.0 / 2.0 ** js[-1])
-    band_vec = twin.band[None, :]
-    pairs = _ball_pairs(ball)
-    envelope = np.array([
-        _pair_differences(twin, _annulus_points(ball, j, 6), pairs, band_vec)[0] for j in js
-    ])
+    envelope = _pair_differences(twin, [_annulus_points(ball, j, 6) for j in js],
+                                 _ball_pairs(ball), twin.band[None, :])[:, 0]
     diff_fit = _line_fit("j", np.array(js, dtype=float), np.log2(np.maximum(envelope, 1e-300)),
                          -1.0, 0.0, "at_most")
     return AdjointKernelReport(n_exp, far_fit, diff_fit, weighted_far / max(peak, 1e-300))

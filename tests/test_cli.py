@@ -177,6 +177,23 @@ def test_grid_a_runner_cannot_use_is_a_usage_error_on_every_target(tmp_path, cap
     _assert_refused_on_every_target(capsys, (flag, value), "error: grid: ", tmp_path / "out")
 
 
+@pytest.mark.parametrize("setting,key", [("kernel.diff_ball_radius = 3", "kernel.diff_ball_radius"),
+                                         ("kernel.diff_j = 2,9", "kernel.diff_j")])
+def test_annuli_past_the_half_box_name_their_kernel_key_on_every_target(tmp_path, capsys,
+                                                                        setting, key):
+    """The difference table's annuli out to 2^4 * 3 = 48 or 2^9 * 0.5 = 256
+    leave |z| <= L/2 = 8: refused before any run, under the grid that bounds
+    them, naming the kernel key that sets them."""
+    cfgfile = tmp_path / "annuli.cfg"
+    cfgfile.write_text(setting + "\n")
+    for command in [("verify", target) for target in VERIFY_TARGETS] + [("report", "all")]:
+        assert run_cli(*command, "--config", str(cfgfile), "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid: the annuli of ") and err.count("\n") == 1
+        assert key in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_too_few_sweep_radii_is_a_usage_error_on_every_target(tmp_path, capsys):
     """At grid.n = 128 the weight sweep has 3 dyadic radii, 8dx..L/2, and the
     stabilization gate needs 4; the kernel settings make every other check

@@ -129,16 +129,18 @@ KERNEL_PRESETS = [
 
 def _per_point_differences(op, xs, pairs, bands):
     """max over (x, pair) of |K_band(x,y) - K_band(x,ybar)|, one full-lattice
-    evaluation and one matrix-vector product per (x, y)."""
+    evaluation and one matrix-vector product per (x, y), with the phase
+    e^{ix xi} e^{-iy xi} taken one point at a time."""
     g = op.grid
     xis = g.axis_freqs()
     scale = g.freq_spacing / (2.0 * np.pi)
     best = np.zeros(len(bands))
     for x in xs:
+        x_phase = np.exp(1j * (xis * x))
         for y1, y2 in pairs:
             vals = []
             for y in (y1, y2):
-                phase = np.exp(1j * (xis * (x - y)))
+                phase = x_phase * np.exp(-1j * (xis * y))
                 a = np.asarray(op.symbol.evaluator(x, y, xis), dtype=np.complex128)
                 vals.append(bands @ (np.broadcast_to(a, phase.shape) * phase) * scale)
             best = np.maximum(best, np.abs(vals[0] - vals[1]))
@@ -148,23 +150,71 @@ def _per_point_differences(op, xs, pairs, bands):
 @pytest.mark.parametrize("n", [1024, 2048])
 @pytest.mark.parametrize("preset,params", KERNEL_PRESETS)
 def test_pair_differences_equal_the_per_point_sums(n, preset, params):
-    """Live frequencies only, all points of a call in one block: the same bits
-    as a full-lattice sum per point, for the difference table's bands and for
-    the band-limited twin's band (1303 live columns at n = 2048, a block big
-    enough for numpy to reuse temporaries in place)."""
+    """Live frequencies only, all points of an annulus in one block, all
+    annuli in one call: the same bits as a full-lattice sum per point, for
+    the difference table's bands and for the band-limited twin's band (1303
+    live columns at n = 2048, a block big enough for numpy to reuse
+    temporaries in place); and the same bits as one call per annulus."""
     g = P.make_grid(n, 16.0)
     op = P.make_operator(P.preset_symbol(preset, **params), g)
     ball = P.Ball((0.0,), 0.25)
     pairs = _ball_pairs(ball)
     bands = np.stack([op.family.piece_profile(k, g.axis_freqs()) for k in range(6)])
     twin = P.band_limited_twin(op)
-    for j in (3, 5):
-        xs = _annulus_points(ball, j, 6)
-        assert np.array_equal(_pair_differences(op, xs, pairs, bands),
-                              _per_point_differences(op, xs, pairs, bands))
-        band = twin.band[None, :]
-        assert np.array_equal(_pair_differences(twin, xs, pairs, band),
-                              _per_point_differences(twin, xs, pairs, band))
+    sets = [_annulus_points(ball, j, 6) for j in (3, 4, 5)]
+    for member, band in ((op, bands), (twin, twin.band[None, :])):
+        table = _pair_differences(member, sets, pairs, band)
+        assert table.shape == (len(sets), len(band))
+        for xs, row in zip(sets, table):
+            assert np.array_equal(row, _per_point_differences(member, xs, pairs, band))
+            assert np.array_equal(row, _pair_differences(member, [xs], pairs, band)[0])
+
+
+def _long_double_differences(op, xs, pairs, bands):
+    """The lattice sums of _pair_differences in np.clongdouble, the symbol
+    values taken in double, and n u max over (x, pair) of
+    sum |band a| (|a(x, y)| + |a(x, ybar)|) dxi/2pi, the summation bound on
+    each entry's error."""
+    g = op.grid
+    xis = g.axis_freqs()
+    scale = np.longdouble(g.freq_spacing) / (2 * np.pi)
+    wide = bands.astype(np.clongdouble)
+    best = np.zeros(len(bands), dtype=np.longdouble)
+    bound = np.zeros(len(bands))
+    for x in xs:
+        for y1, y2 in pairs:
+            vals, mass = [], 0.0
+            for y in (y1, y2):
+                a = np.broadcast_to(op.symbol.evaluator(x, y, xis), xis.shape)
+                arg = xis.astype(np.longdouble) * (np.longdouble(x) - np.longdouble(y))
+                vals.append(wide @ (a.astype(np.clongdouble) * np.exp(1j * arg)) * scale)
+                mass = mass + np.abs(bands) @ np.abs(a) * (g.freq_spacing / (2.0 * np.pi))
+            best = np.maximum(best, np.abs(vals[0] - vals[1]))
+            bound = np.maximum(bound, g.n * np.finfo(float).eps / 2 * mass)
+    return best, bound
+
+
+@pytest.mark.parametrize("n", [256, 1024, 4096])
+@pytest.mark.parametrize("length", [8.0, 16.0, 16.5, 64.0])
+@pytest.mark.parametrize("preset,params", KERNEL_PRESETS)
+def test_pair_differences_meet_the_summation_bound(n, length, preset, params):
+    """Against a long-double evaluation of the same lattice sums, each entry
+    of the one-call table, for the table's resolved bands and for the twin's
+    band, is within the standard summation bound n u sum |band a|."""
+    assert np.finfo(np.longdouble).eps < np.finfo(float).eps
+    g = P.make_grid(n, length)
+    op = P.make_operator(P.preset_symbol(preset, **params), g)
+    ball = P.Ball((0.0,), 0.25)
+    pairs = _ball_pairs(ball)
+    ks = [k for k in range(6) if op.family.resolves(k)]
+    bands = np.stack([op.family.piece_profile(k, g.axis_freqs()) for k in ks])
+    twin = P.band_limited_twin(op)
+    sets = [_annulus_points(ball, j, 6) for j in (2, 3, 4)]
+    for member, band in ((op, bands), (twin, twin.band[None, :])):
+        table = _pair_differences(member, sets, pairs, band)
+        for xs, row in zip(sets, table):
+            ref, bound = _long_double_differences(member, xs, pairs, band)
+            assert np.all(np.abs(row - ref) <= bound)
 
 
 @pytest.mark.parametrize("preset,params", KERNEL_PRESETS)

@@ -52,13 +52,12 @@ _LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictC
           ast.GeneratorExp)
 
 
-def test_kernel_rows_are_not_called_point_by_point():
-    """Kernel rows take all their points in one call: outside operators.py,
-    no psdolab module calls kernel_row, kernel_column or adjoint_kernel_row
-    inside a loop or a comprehension (a for loop's iterable runs once)."""
+def _looped_calls(names, skip=None):
+    """Calls of the named functions inside a loop or a comprehension of a
+    psdolab module other than skip (a for loop's iterable runs once)."""
     looped = []
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.stem == "operators":
+        if path.stem == skip:
             continue
         for loop in ast.walk(ast.parse(path.read_text())):
             if not isinstance(loop, _LOOPS):
@@ -68,9 +67,23 @@ def test_kernel_rows_are_not_called_point_by_point():
                 if isinstance(node, ast.Call):
                     func = node.func
                     name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                    if name in _ROW_FUNCTIONS:
+                    if name in names:
                         looped.append(f"{path.name}:{node.lineno} {name}")
-    assert looped == []
+    return looped
+
+
+def test_kernel_rows_are_not_called_point_by_point():
+    """Kernel rows take all their points in one call: outside operators.py,
+    no psdolab module calls kernel_row, kernel_column or adjoint_kernel_row
+    inside a loop or a comprehension."""
+    assert _looped_calls(_ROW_FUNCTIONS, skip="operators") == []
+
+
+def test_difference_tables_are_not_called_annulus_by_annulus():
+    """A difference table takes all its annuli in one call, so its y and ybar
+    phase rows are built once: no psdolab module calls _pair_differences
+    inside a loop or a comprehension."""
+    assert _looped_calls({"_pair_differences"}) == []
 
 
 def test_no_module_calls_a_ufunc_at():
