@@ -11,13 +11,12 @@ lists the other codes).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .config import HypothesisViolation, load_config
 from .experiments import VERIFY_TARGETS, run_all
-from .report import overall_verdict, write_csv, write_report_json
+from .report import overall_verdict, write_csv, write_json
 
 __all__ = ["main"]
 
@@ -74,7 +73,7 @@ def _verdict_line(report) -> str:
 def _emit(report, out_dir: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, f"{report.experiment}.json")
-    write_report_json(report, json_path)
+    write_json(report.to_json_dict(), json_path)
     write_csv(
         os.path.join(out_dir, f"{report.experiment}.csv"),
         ("id", "key", "value"),
@@ -131,8 +130,7 @@ def main(argv=None) -> int:
             "verdict": overall_verdict(reports.values()),
         }
         summary_path = os.path.join(cfg.out_dir, "summary.json")
-        with open(summary_path, "wb") as fh:
-            fh.write((json.dumps(summary, sort_keys=True, indent=2) + "\n").encode())
+        write_json(summary, summary_path)
         print(f"summary: {summary['verdict']}  [{summary_path}]")
         return 0 if summary["verdict"] == "pass" else 1
     except HypothesisViolation as exc:

@@ -118,6 +118,23 @@ def _operator_gates(cfg: ExperimentConfig):
     return entries, (membership, *stabilization_criteria(stab, "weight_stable"))
 
 
+@lru_cache(maxsize=1)
+def _ratio_corpus(cfg: ExperimentConfig):
+    """The config's corpus in blocks, one per config: theorem13a and
+    theorem13b share it.  Each block is its items, whose values are
+    read-only, with their weighted and plain p-norms."""
+    grid = cfg.make_grid()
+    w = cfg.make_weight(grid)
+    p = cfg.get("weight.p")
+    blocks = []
+    for block, rows in corpus_blocks(cfg.make_corpus(grid), grid.n):
+        for item in block:
+            item.fn.values.flags.writeable = False
+        blocks.append((tuple(block), tuple(lp_norms(grid, rows, p, weight=w.values)),
+                       tuple(lp_norms(grid, rows, p))))
+    return tuple(blocks)
+
+
 def _lemma_setup(cfg: ExperimentConfig):
     """What lemma41 and lemma42 share: the band-limited twin of the config's
     operator, the series damping n_big, the multiplier b, its BMO_theta norm
@@ -144,7 +161,8 @@ def _corpus_ratio_report(cfg: ExperimentConfig, experiment: str, transform) -> V
     """Shared loop for the weighted operator-ratio experiments.
 
     transform(op, rows) must return the transformed (rows, n) stack; the
-    corpus goes through it one block at a time.  Ratios are weighted p-norm
+    corpus of _ratio_corpus goes through it one block at a time, and only
+    the transformed rows' norms are computed here.  Ratios are weighted p-norm
     quotients; unweighted quotients ride along so a drifting unweighted
     family is visible in the same report.
     """
@@ -158,9 +176,9 @@ def _corpus_ratio_report(cfg: ExperimentConfig, experiment: str, transform) -> V
 
     items = []
     ratios, unweighted, shifts = [], [], []
-    for block, rows in corpus_blocks(cfg.make_corpus(grid), grid.n):
-        t_rows = transform(op, rows)
-        norms = zip(block, lp_norms(grid, rows, p, weight=w.values), lp_norms(grid, rows, p),
+    for block, denoms_w, denoms_0 in _ratio_corpus(cfg):
+        t_rows = transform(op, np.stack([item.fn.values for item in block]))
+        norms = zip(block, denoms_w, denoms_0,
                     lp_norms(grid, t_rows, p, weight=w.values), lp_norms(grid, t_rows, p))
         for (label, _, params), denom_w, denom_0, num_w, num_0 in norms:
             if denom_w == 0.0 or denom_0 == 0.0:

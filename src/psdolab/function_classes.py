@@ -106,14 +106,14 @@ def _torus_abs(grid: PeriodicGrid):
 
 
 def preset_weight(
-    name: str, grid: PeriodicGrid, gamma: float = 2.0, seed: int = 0, amplitude: float = 1.0
+    name: str, grid: PeriodicGrid, gamma: float = 2.0, seed: int = 0
 ) -> WeightFn:
     """Named weights.
 
     unit                 w = 1
     power_growth         w = (1+|x|)^gamma
     exp_abs              w = e^|x|
-    random_log_bounded   w = exp(u), u a seeded sum of 6 low cosines, sup|u| = amplitude
+    random_log_bounded   w = exp(u), u a seeded sum of 6 low cosines scaled to sup|u| = 1
     """
     if name == "unit":
         return WeightFn(SampledFunction(grid, np.ones(grid.n)), "unit")
@@ -139,7 +139,7 @@ def preset_weight(
             u = u + coef * np.cos(base * k * x + phase)
         sup = float(np.max(np.abs(u)))
         if sup > 0:
-            u = u * (float(amplitude) / sup)
+            u = u * (1.0 / sup)
         return WeightFn(
             SampledFunction(grid, np.exp(u)), f"random_log_bounded(seed={seed})"
         )

@@ -31,14 +31,14 @@ __all__ = [
     "Criterion",
     "DecayFitReport",
     "VerificationReport",
+    "canonical_json",
     "config_hash",
     "overall_verdict",
     "ratio_family",
-    "report_json_bytes",
     "spread_criterion",
     "trend_criterion",
-    "write_report_json",
     "write_csv",
+    "write_json",
     "zero_family",
 ]
 
@@ -223,21 +223,20 @@ def overall_verdict(reports: Iterable[VerificationReport]) -> str:
     return "pass" if all(r.passed for r in reports) else "fail"
 
 
-def config_hash(entries: dict | str) -> str:
-    if isinstance(entries, dict):
-        text = "\n".join(f"{k}={entries[k]}" for k in sorted(entries))
-    else:
-        text = entries
+def config_hash(entries: dict) -> str:
+    text = "\n".join(f"{k}={entries[k]}" for k in sorted(entries))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def report_json_bytes(report: VerificationReport) -> bytes:
-    return (json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n").encode()
+def canonical_json(obj) -> bytes:
+    """The one JSON form of reports and summary.json: sorted keys, indent 2,
+    trailing newline."""
+    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
 
 
-def write_report_json(report: VerificationReport, path) -> None:
+def write_json(obj, path) -> None:
     with open(path, "wb") as fh:
-        fh.write(report_json_bytes(report))
+        fh.write(canonical_json(obj))
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:

@@ -17,6 +17,7 @@ dyadic frequency shell, and a growth slope across the top shells.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -308,8 +309,9 @@ def _shell_samples(grid: PeriodicGrid):
     return shells
 
 
-def _fd_mixed(ev, xs, ys, xis, alpha, beta, gamma, hx, hxi) -> np.ndarray:
-    """Central-difference d_xi^alpha d_x^beta d_y^gamma of the evaluator.
+def _fd_mixed(ev, alpha, beta, gamma, hx, hxi) -> np.ndarray:
+    """Central-difference d_xi^alpha d_x^beta d_y^gamma of the evaluator,
+    where ev(ox, oy, oxi) gives its values at one stencil offset.
 
     The x/y stencil of each xi offset is summed before the xi weight scales
     it, so the x weights cancel exactly on an evaluator that does not read x:
@@ -319,8 +321,7 @@ def _fd_mixed(ev, xs, ys, xis, alpha, beta, gamma, hx, hxi) -> np.ndarray:
         part = 0.0
         for ox, cx in _STENCILS[beta].items():
             for oy, cy in _STENCILS[gamma].items():
-                term = ev(xs + ox * hx, ys + oy * hx, xis + oxi * hxi)
-                part = part + np.asarray(term, dtype=np.complex128) * (cx * cy)
+                part = part + ev(ox, oy, oxi) * (cx * cy)
         acc = acc + part * cxi
     return acc / (hx ** (beta + gamma) * hxi**alpha)
 
@@ -333,16 +334,24 @@ def estimate_class_membership(sym: SymbolSpec, grid: PeriodicGrid) -> ClassMembe
     the top complete shells stays below 0.5 per shell (a symbol whose
     declared order is too small by 1 shows rate about +1 and is rejected).
     x-derivatives are skipped for rough kinds, y-derivatives for plain
-    symbols.
+    symbols.  Every shell's xi samples sit in one row, and the evaluator
+    runs once per distinct stencil offset, its values shared by every combo.
     """
     m, rho, delta = sym.order, sym.rho, sym.delta
     shells = _shell_samples(grid)
+    xis = np.concatenate([xi_vals for _, xi_vals in shells])[None, None, :]
+    starts = np.cumsum([0] + [xi_vals.size for _, xi_vals in shells[:-1]])
     span = 0.75 * grid.half_length
     xs = np.linspace(-span, span, 9)[:, None, None]
     ys = np.linspace(-span, span, 9)[None, :, None] if not sym.is_symbol else np.zeros(
         (1, 1, 1)
     )
     hx, hxi = grid.spacing, grid.freq_spacing
+
+    @cache
+    def values(ox, oy, oxi):
+        term = sym.evaluator(xs + ox * hx, ys + oy * hx, xis + oxi * hxi)
+        return np.asarray(term, dtype=np.complex128)
 
     entries = []
     for alpha in range(0, 4):
@@ -354,15 +363,11 @@ def estimate_class_membership(sym: SymbolSpec, grid: PeriodicGrid) -> ClassMembe
                     continue
                 if sym.is_symbol and gamma > 0:
                     continue
-                shell_sups = []
-                for k, xi_vals in shells:
-                    xis = xi_vals[None, None, :]
-                    deriv = _fd_mixed(sym.evaluator, xs, ys, xis, alpha, beta, gamma, hx, hxi)
-                    bound = japanese_bracket(xis) ** (
-                        m - rho * alpha + delta * (beta + gamma)
-                    )
-                    shell_sups.append(float(np.max(np.abs(deriv) / bound)))
-                shell_sups = np.array(shell_sups)
+                deriv = _fd_mixed(values, alpha, beta, gamma, hx, hxi)
+                bound = japanese_bracket(xis) ** (m - rho * alpha + delta * (beta + gamma))
+                ratio = np.abs(deriv) / bound
+                shell_sups = np.maximum.reduceat(
+                    np.max(ratio.reshape(-1, ratio.shape[-1]), axis=0), starts)
                 tail = shell_sups[-min(4, len(shell_sups)):]
                 if np.max(tail) < _SUP_FLOOR:
                     slope, bounded = 0.0, True

@@ -16,7 +16,7 @@ from psdolab.experiments import (run_all, run_boundedness_experiment,
                                  run_commutator_experiment,
                                  run_local_average_check,
                                  run_oscillation_check)
-from psdolab.report import report_json_bytes
+from psdolab.report import canonical_json
 
 
 def emit(capsys, num, ok, text):
@@ -228,7 +228,7 @@ def test_c15_deterministic_reports(capsys):
     cfg = load_config()
     first = run_all(cfg)
     second = run_all(cfg)
-    same = all(report_json_bytes(first[k]) == report_json_bytes(second[k])
-               for k in first)
+    same = all(canonical_json(first[k].to_json_dict())
+               == canonical_json(second[k].to_json_dict()) for k in first)
     emit(capsys, 15, same and len(first) == 9,
          "independent re-runs produce byte-identical JSON for all 9 experiments")

@@ -261,9 +261,13 @@ def _weight(grid, data):
     kind = data.draw(st.sampled_from(["power_growth", "random_log_bounded", "exp_abs"]),
                      label="weight")
     params = {"gamma": data.draw(st.floats(0.0, 3.0), label="gamma"),
-              "seed": data.draw(st.integers(0, 99), label="wseed"),
-              "amplitude": data.draw(st.floats(0.1, 3.0), label="amplitude")}
-    return P.preset_weight(kind, grid, **params)
+              "seed": data.draw(st.integers(0, 99), label="wseed")}
+    w = P.preset_weight(kind, grid, **params)
+    amplitude = data.draw(st.floats(0.1, 3.0), label="amplitude")
+    if kind != "random_log_bounded":
+        return w
+    # exp(u)^a = exp(a u): the log-bounded weight at sup|log w| = a
+    return WeightFn(P.SampledFunction(grid, w.values ** amplitude), w.label)
 
 
 @settings(max_examples=40, deadline=None)

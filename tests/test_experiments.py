@@ -4,14 +4,18 @@ Aggregates are frozen against measured values; the runs are deterministic, so
 drift here means behavior changed somewhere upstream.
 """
 
+import os
 import pathlib
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from psdolab import experiments, maximal
 from psdolab.config import HypothesisViolation, load_config
 from psdolab.corpus import mixed_corpus
-from psdolab.experiments import (VERIFY_TARGETS, _operator_gates,
+from psdolab.experiments import (VERIFY_TARGETS, _operator_gates, _ratio_corpus,
                                  _weight_stabilization, run_bmo,
                                  run_boundedness_experiment,
                                  run_commutator_experiment, run_fs,
@@ -141,6 +145,66 @@ def test_operator_gates_run_once_per_config():
     assert (info.misses, info.hits) == (1, 1)
     _operator_gates.cache_clear()
     assert run_commutator_experiment(cfg).to_json_dict() == cached
+
+
+def _theorem13b_bytes(*targets: str) -> str:
+    """theorem13b's canonical report in a fresh process, run after the given
+    targets."""
+    code = (
+        "import sys\n"
+        "from psdolab.config import load_config\n"
+        "from psdolab.experiments import VERIFY_TARGETS\n"
+        "from psdolab.report import canonical_json\n"
+        "cfg = load_config()\n"
+        f"for name in {targets!r}:\n"
+        "    VERIFY_TARGETS[name](cfg)\n"
+        "report = VERIFY_TARGETS['theorem13b'](cfg)\n"
+        "sys.stdout.write(canonical_json(report.to_json_dict()).decode())\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
+
+def test_theorem13b_reads_the_same_after_theorem13a():
+    """The shared corpus changes no byte: theorem13b alone in a fresh process
+    and theorem13b after theorem13a write the same report."""
+    alone = _theorem13b_bytes()
+    assert alone and _theorem13b_bytes("theorem13a") == alone
+
+
+def test_interleaved_configs_each_get_their_own_corpus():
+    """Two configs whose corpora differ, run interleaved in one process,
+    each report over their own corpus, as a fresh cache gives it."""
+    configs = [load_config(None, {"corpus.widths": widths}) for widths in ("0.6,1.8", "1.0")]
+    runners = [run_boundedness_experiment, run_commutator_experiment]
+    fresh = {}
+    for c, cfg in enumerate(configs):
+        for runner in runners:
+            _ratio_corpus.cache_clear()
+            fresh[runner, c] = runner(cfg).to_json_dict()
+    for runner, c in [(runners[1], 0), (runners[0], 1), (runners[0], 0), (runners[1], 1)]:
+        report = runner(configs[c]).to_json_dict()
+        assert {item["params"]["width"] for item in report["items"]} == [{0.6, 1.8}, {1.0}][c]
+        assert report == fresh[runner, c]
+    _ratio_corpus.cache_clear()
+
+
+def test_cached_corpus_values_are_read_only():
+    """A runner cannot write into the shared corpus: its values raise."""
+    blocks = _ratio_corpus(load_config())
+    assert sum(len(block) for block, _, _ in blocks) == 54
+    for block, denoms_w, denoms_0 in blocks:
+        assert len(block) == len(denoms_w) == len(denoms_0)
+        for _, fn, _ in block:
+            with pytest.raises(ValueError, match="read-only"):
+                fn.values[0] = 0.0
+    assert np.all(blocks[0][0][0].fn.values[:1] != 0.0)
 
 
 def test_light_targets_sweep_the_stabilization_once(monkeypatch):

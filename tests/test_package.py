@@ -96,3 +96,40 @@ def test_no_module_calls_a_ufunc_at():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "at"]
     assert calls == []
+
+
+def _calls_in_functions(path: pathlib.Path, name: str) -> list[str]:
+    """Each call of the named function or method in a module, as the dotted
+    path of the functions that enclose it ("" at module level)."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, (*scope, child.name))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
+                    found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), ())
+    return found
+
+
+def test_the_ratio_corpus_is_built_in_one_place():
+    """theorem13a and theorem13b share one corpus per config: no psdolab
+    module builds the config's corpus outside experiments._ratio_corpus."""
+    calls = [f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
+             for scope in _calls_in_functions(path, "make_corpus")]
+    assert calls == ["experiments._ratio_corpus"]
+
+
+def test_the_class_probe_evaluates_through_its_memo():
+    """estimate_class_membership calls the symbol's evaluator only inside its
+    memo, a function nested in it, so each stencil point is evaluated once."""
+    calls = _calls_in_functions(PACKAGE / "symbols.py", "evaluator")
+    probe = [scope for scope in calls if scope.startswith("estimate_class_membership")]
+    assert probe == ["estimate_class_membership.values"]

@@ -1,3 +1,4 @@
+import dataclasses
 import pathlib
 
 import numpy as np
@@ -5,8 +6,10 @@ import pytest
 
 import psdolab as P
 from psdolab.config import load_config
-from psdolab.symbols import (KINDS, Expansion, _bessel_j, estimate_class_membership,
-                             japanese_bracket)
+from psdolab.fitting import least_squares_line
+from psdolab.symbols import (_SLOPE_BOUND, _STENCILS, _SUP_FLOOR, KINDS, ClassMembershipReport,
+                             Expansion, MembershipEntry, _bessel_j, _shell_samples,
+                             estimate_class_membership, japanese_bracket)
 
 
 def test_japanese_bracket_values():
@@ -179,3 +182,94 @@ def test_class_probes_do_not_move_with_the_lattice(n, preset_symbols):
         for sym in preset_symbols:
             assert estimate_class_membership(sym, grid).criterion.ok, (half, sym.label)
         assert not estimate_class_membership(rho_one, grid).criterion.ok, half
+
+
+def _reference_fd_mixed(ev, xs, ys, xis, alpha, beta, gamma, hx, hxi):
+    """The probe's difference stencil evaluated in place, one evaluator call
+    per term, in the same summation order."""
+    acc = 0.0
+    for oxi, cxi in _STENCILS[alpha].items():
+        part = 0.0
+        for ox, cx in _STENCILS[beta].items():
+            for oy, cy in _STENCILS[gamma].items():
+                term = ev(xs + ox * hx, ys + oy * hx, xis + oxi * hxi)
+                part = part + np.asarray(term, dtype=np.complex128) * (cx * cy)
+        acc = acc + part * cxi
+    return acc / (hx ** (beta + gamma) * hxi**alpha)
+
+
+def _reference_membership(sym, grid):
+    """The class probe shell by shell: every combo and shell evaluates its
+    own stencil and takes its own sup."""
+    m, rho, delta = sym.order, sym.rho, sym.delta
+    span = 0.75 * grid.half_length
+    xs = np.linspace(-span, span, 9)[:, None, None]
+    ys = (np.zeros((1, 1, 1)) if sym.is_symbol
+          else np.linspace(-span, span, 9)[None, :, None])
+    hx, hxi = grid.spacing, grid.freq_spacing
+    entries = []
+    for alpha in range(4):
+        for beta in range(4 - alpha):
+            for gamma in range(4 - alpha - beta):
+                if (alpha + beta + gamma == 0 or (sym.is_rough and beta > 0)
+                        or (sym.is_symbol and gamma > 0)):
+                    continue
+                sups = []
+                for _, xi_vals in _shell_samples(grid):
+                    xis = xi_vals[None, None, :]
+                    deriv = _reference_fd_mixed(sym.evaluator, xs, ys, xis, alpha, beta,
+                                                gamma, hx, hxi)
+                    bound = japanese_bracket(xis) ** (m - rho * alpha + delta * (beta + gamma))
+                    sups.append(float(np.max(np.abs(deriv) / bound)))
+                sups = np.array(sups)
+                tail = sups[-min(4, len(sups)):]
+                if np.max(tail) < _SUP_FLOOR:
+                    slope, bounded = 0.0, True
+                else:
+                    slope, _, _ = least_squares_line(np.arange(len(tail), dtype=float),
+                                                     np.log2(np.maximum(tail, 1e-300)))
+                    bounded = slope < _SLOPE_BOUND
+                entries.append(MembershipEntry(alpha, beta, gamma, float(np.max(sups)),
+                                               tuple(float(v) for v in sups), float(slope),
+                                               bool(bounded)))
+    return ClassMembershipReport(sym.label, m, rho, delta, sym.kind, tuple(entries))
+
+
+@pytest.mark.parametrize("n", [256, 1024, 8192])
+def test_class_probe_matches_the_shell_by_shell_reference(n, preset_symbols):
+    """One xi row for all shells and one evaluator call per stencil offset
+    give the same report, bit for bit, as the shell-by-shell probe."""
+    rho_one = P.preset_symbol("oscillating_amplitude", m=-0.75, rho=1.0, delta=0.5)
+    resolved = 0
+    for half in (8.0, 16.0, 64.0):
+        grid = P.make_grid(n, half)
+        if grid.xi_max < 16.0:
+            continue
+        resolved += 1
+        for sym in (*preset_symbols, rho_one):
+            assert estimate_class_membership(sym, grid) == _reference_membership(sym, grid), (
+                half, sym.label)
+    assert resolved > 0
+
+
+@pytest.mark.parametrize("name, params, distinct", [
+    ("bessel_order_m", {"m": -0.75}, 13),
+    ("rough_x_modulated", {"m": 0.0}, 5),
+    ("oscillating_amplitude", {"m": -0.75, "rho": 0.5, "delta": 0.5}, 33),
+])
+def test_class_probe_evaluates_each_stencil_point_once(name, params, distinct):
+    """The probe calls the evaluator once per distinct stencil offset
+    (ox, oy, oxi), each call on every shell's samples at once."""
+    sym = P.preset_symbol(name, **params)
+    calls = []
+
+    def counting(x, y, xi):
+        calls.append(np.shape(xi))
+        return sym.evaluator(x, y, xi)
+
+    grid = P.make_grid(1024, 16.0)
+    report = estimate_class_membership(dataclasses.replace(sym, evaluator=counting), grid)
+    assert len(calls) == distinct
+    samples = sum(xi_vals.size for _, xi_vals in _shell_samples(grid))
+    assert all(shape[-1] == samples for shape in calls)
+    assert report == estimate_class_membership(sym, grid)
