@@ -589,11 +589,10 @@ def run_fs(cfg: ExperimentConfig) -> VerificationReport:
     w = cfg.make_weight(grid)
     p = cfg.get("weight.p")
     corpus = mixed_corpus(grid, cfg.get("fs.count"), cfg.seed)
-    items, ratios = [], []
-    for block, rows in corpus_blocks(corpus, grid.n):
-        for (label, _, params), (*_, ratio) in zip(block, fs_inequality_rows(rows, w, p, cover)):
-            ratios.append(ratio)
-            items.append({"id": label, "params": dict(params), "value": ratio})
+    checks = fs_inequality_rows((rows for _, rows in corpus_blocks(corpus, grid.n)), w, p, cover)
+    ratios = [ratio for *_, ratio in checks]
+    items = [{"id": label, "params": dict(params), "value": ratio}
+             for (label, _, params), ratio in zip(corpus, ratios)]
     # every ratio is >= 0 or NaN, and NaN carries through the max
     agg, criteria = _family(cfg, "", ratios)
     agg.update(weight=w.label, p=p)

@@ -15,8 +15,11 @@ that hold a point is a sparse-table range max per slot, all radii from one
 table, and one take spreads the slots over the points.  m_loc and
 m_sharp_loc take it on the whole circle, as the one-row case of a (rows, n)
 core: one doubled prefix sum per stack, per radius one gather of the window
-means (or the mean oscillation, through a strided view of each row), and
-one slot range max for every row, planned once per grid and alpha.
+means, and one slot range max for every row, planned once per grid and
+alpha.  The mean oscillation takes, per radius and row, three passes over
+(n/8) count values in one work buffer: a copy of the windows from a strided
+view of the row, the centring and abs in place, and a pairwise reduce per
+window.  That is the floor of the fs target in numpy.
 m_tilde_s runs all critical balls at once, ball j as row j, on the slots of
 Q_j.  Its index work depends only on the cover and is planned on a cover's
 first call, kept for the last two covers: for each window, the ends in one
@@ -278,8 +281,12 @@ def _sup_over_family_rows(x: np.ndarray, grid: PeriodicGrid, alpha: float, osc: 
             windows = sliding_window_view(padded, count, axis=1)[:, ::8]
             dev = work[: n // 8 * count].reshape(n // 8, count)
             for r in range(count_rows):
-                np.subtract(windows[r], means[r, :, None], out=dev)
-                vals[r, k] = np.mean(np.abs(dev, out=dev), axis=1)
+                # a contiguous copy first: centring the overlapping strided
+                # view through a broadcast reads it at a fraction of copy speed
+                np.copyto(dev, windows[r])
+                dev -= means[r, :, None]
+                np.add.reduce(np.abs(dev, out=dev), axis=1, out=vals[r, k])
+            vals[:, k] /= count
         else:
             vals[:, k] = means
     table = np.take(vals.reshape(count_rows, -1), columns, axis=1)
@@ -519,44 +526,53 @@ def m_tilde_s(f: SampledFunction, s: float, cover: CriticalCover) -> SampledFunc
 
 
 def fs_inequality_rows(
-    stack: np.ndarray,
+    stacks,
     w,
     p: float,
     cover: CriticalCover,
     beta: float = 0.5,
     alpha_sharp: float = 4.0,
 ) -> list[tuple[float, float, float, float]]:
-    """(lhs, sharp, cover term, lhs / rhs) for each row g of a (rows, n) stack
-    sampled on the cover's grid.
+    """(lhs, sharp, cover term, lhs / rhs) for each row g of each (rows, n)
+    stack in stacks, in turn, sampled on the cover's grid.
 
     lhs = int |M_loc,beta g|^p w, and the right side is
     int |M_sharp_loc,alpha g|^p w + sum_k w(Q_k) avg_{2Q_k}(|g|)^p.
+    The sharp function needs real g: a row is refused, as
+    SampledFunction.real_values refuses it, when its imaginary part exceeds
+    1e-9 max(1, max |g|).
     """
     grid = cover.grid
-    rows = len(stack)
     wv = w.real_values(1e-12) if isinstance(w, SampledFunction) else w.values
-    magnitude = np.abs(stack)
-    # the sharp function's real-valuedness check, on every row
-    real = np.stack([SampledFunction(grid, row).real_values() for row in stack])
-    maximal = np.concatenate([_sup_over_family_rows(magnitude, grid, beta, osc=False),
-                              _sup_over_family_rows(real, grid, alpha_sharp, osc=True)])
-    # one weight check and one reduction for both integrals of every row
-    norms = lp_norms(grid, maximal, p, weight=wv)
     # w(Q_k), the same product per ball as a Python float multiply
     w_balls = (np.sum(wv[cover.windows(1.0)], axis=1) * grid.spacing).tolist()
-    # a (rows * J, K) view reduces each row's averages as a (J, K) gather
-    # would, bit for bit; a mean over the last axis of (rows, J, K) may not
     q2 = cover.windows(2.0)
-    g_avgs = np.mean(np.take(magnitude, q2, axis=1).reshape(-1, q2.shape[1]), axis=1)
     out = []
-    for lhs_norm, sharp_norm, avgs in zip(norms[:rows], norms[rows:],
-                                          g_avgs.reshape(rows, -1).tolist()):
-        lhs, sharp = lhs_norm**p, sharp_norm**p
-        tail = 0.0
-        for wq, avg in zip(w_balls, avgs):
-            tail += wq * avg**p
-        rhs = sharp + tail
-        out.append((lhs, sharp, tail, lhs / rhs if rhs > 0 else np.inf))
+    for stack in stacks:
+        if stack.shape[1:] != grid.shape:
+            raise ValueError(f"row shape {stack.shape[1:]} != grid shape {grid.shape}")
+        rows = len(stack)
+        magnitude = np.abs(stack)
+        if np.iscomplexobj(stack):
+            # fmax, like Python's max, passes over a NaN row maximum
+            scale = np.fmax(1.0, np.max(magnitude, axis=1))
+            if np.any(np.max(np.abs(stack.imag), axis=1) > 1e-9 * scale):
+                raise ValueError("values have a non-negligible imaginary part")
+        maximal = np.concatenate([_sup_over_family_rows(magnitude, grid, beta, osc=False),
+                                  _sup_over_family_rows(stack.real, grid, alpha_sharp, osc=True)])
+        # one weight check and one reduction for both integrals of every row
+        norms = lp_norms(grid, maximal, p, weight=wv)
+        # a (rows * J, K) view reduces each row's averages as a (J, K) gather
+        # would, bit for bit; a mean over the last axis of (rows, J, K) may not
+        g_avgs = np.mean(np.take(magnitude, q2, axis=1).reshape(-1, q2.shape[1]), axis=1)
+        for lhs_norm, sharp_norm, avgs in zip(norms[:rows], norms[rows:],
+                                              g_avgs.reshape(rows, -1).tolist()):
+            lhs, sharp = lhs_norm**p, sharp_norm**p
+            tail = 0.0
+            for wq, avg in zip(w_balls, avgs):
+                tail += wq * avg**p
+            rhs = sharp + tail
+            out.append((lhs, sharp, tail, lhs / rhs if rhs > 0 else np.inf))
     return out
 
 
@@ -573,7 +589,7 @@ def check_fs_inequality(
     RHS = int |M_sharp_loc,alpha g|^p w + sum_k w(Q_k) avg_{2Q_k}(|g|)^p.
     """
     ((lhs, sharp, tail, ratio),) = fs_inequality_rows(
-        g.values[None], w, p, cover, beta, alpha_sharp)
+        [g.values[None]], w, p, cover, beta, alpha_sharp)
     return VerificationReport(
         experiment="fefferman_stein_local",
         items=[

@@ -143,7 +143,7 @@ def test_row_cores_equal_the_one_row_path(n, half_length, count, p, data):
     for block, rows in corpus_blocks(items, n):
         assert rows.shape == (len(block), n) and len(block) <= step
         seen.extend(item.label for item in block)
-        checks = fs_inequality_rows(rows, weight, p, cover, beta, alpha)
+        checks = fs_inequality_rows([rows], weight, p, cover, beta, alpha)
         for (_, f, _), got in zip(block, checks):
             rep = P.check_fs_inequality(f, weight, p, cover, beta, alpha)
             assert got == (*(item["value"] for item in rep.items), rep.aggregate["ratio"])
@@ -152,31 +152,50 @@ def test_row_cores_equal_the_one_row_path(n, half_length, count, p, data):
 
 @pytest.mark.parametrize("n", [64, 256, 2048])
 @pytest.mark.parametrize("alpha_cells", [8, 13, 40, 100])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_oscillation_sup_work_buffer_leaks_nothing(n, alpha_cells):
     """The oscillation sup reuses one deviation buffer for every row and
-    radius.  Rows of very different scales, a zero row among them, must each
-    come out as the one-row call and as the gather reference, which
-    allocates afresh per radius, bit for bit."""
+    radius.  Rows of very different scales, a zero row among them, and rows
+    holding a NaN, a +inf or a -inf must each come out as the one-row call
+    and as the gather reference, which allocates afresh per radius, bit for
+    bit (NaN where the reference has NaN)."""
     grid = P.make_grid(n, 16.0)
     alpha = min(alpha_cells * grid.spacing, grid.half_length / 2.0)
     rng = np.random.default_rng(n + alpha_cells)
-    rows = rng.standard_normal((5, n)) * np.array([1e6, 1e-6, 1.0, 0.0, 1e3])[:, None]
+    rows = rng.standard_normal((8, n)) * np.array([1e6, 1e-6, 1.0, 0.0, 1e3, 1, 1, 1])[:, None]
+    for row, bad in zip(rows[5:], (np.nan, np.inf, -np.inf)):
+        row[rng.integers(n)] = bad
     stacked = _sup_over_family_rows(rows, grid, alpha, osc=True)
     for row, got in zip(rows, stacked):
-        assert np.array_equal(got, _sup_over_family_rows(row[None], grid, alpha, osc=True)[0])
-        assert np.array_equal(got, _reference_family_sup(row, grid, alpha, osc=True))
+        one = _sup_over_family_rows(row[None], grid, alpha, osc=True)[0]
+        assert np.array_equal(got, one, equal_nan=True)
+        assert np.array_equal(got, _reference_family_sup(row, grid, alpha, osc=True),
+                              equal_nan=True)
+    assert np.all(np.isfinite(stacked[:5])) and np.all(np.isnan(stacked[5:]).any(axis=1))
 
 
 def test_real_values_check_runs_on_every_row(grid, cover):
-    """A row with a non-negligible imaginary part is refused in any block
-    position, as m_sharp_loc refuses it alone."""
+    """The stacked real-part check keeps SampledFunction.real_values' rule
+    for each row, wherever the row sits in its block: an imaginary part of
+    0.5e-9 max(1, max |g|) is accepted, and the row's check equals its
+    one-row check_fs_inequality; one of 2e-9 max(1, max |g|) is refused, as
+    m_sharp_loc refuses the row alone."""
     w = P.preset_weight("power_growth", grid, gamma=1.5)
-    rows = np.ones((3, grid.n), dtype=complex)
-    rows[2, 5] += 1e-3j
-    with pytest.raises(ValueError, match="imaginary"):
-        fs_inequality_rows(rows, w, 2.0, cover)
-    with pytest.raises(ValueError, match="imaginary"):
-        P.m_sharp_loc(P.SampledFunction(grid, rows[2]), 4.0)
+    for position, size in itertools.product(range(3), (0.1, 3.0)):
+        base = np.random.default_rng(position).standard_normal((3, grid.n)) * size
+        for factor, accepted in ((0.5e-9, True), (2e-9, False)):
+            rows = base.astype(complex)
+            rows[position, 7] += 1j * factor * max(1.0, float(np.max(np.abs(rows[position]))))
+            one = P.SampledFunction(grid, rows[position])
+            if accepted:
+                got = fs_inequality_rows([rows], w, 2.0, cover)[position]
+                rep = P.check_fs_inequality(one, w, 2.0, cover)
+                assert got == (*(item["value"] for item in rep.items), rep.aggregate["ratio"])
+                continue
+            with pytest.raises(ValueError, match="imaginary"):
+                fs_inequality_rows([rows], w, 2.0, cover)
+            with pytest.raises(ValueError, match="imaginary"):
+                P.m_sharp_loc(one, 4.0)
 
 
 # Per-ball full-grid references: every ball is a full scan of the grid and

@@ -86,6 +86,13 @@ def test_difference_tables_are_not_called_annulus_by_annulus():
     assert _looped_calls({"_pair_differences"}) == []
 
 
+def test_maximal_builds_no_sampled_function_per_row():
+    """The maximal checks take their rows as stacks: maximal.py constructs
+    no SampledFunction inside a loop or a comprehension."""
+    assert [call for call in _looped_calls({"SampledFunction"})
+            if call.startswith("maximal.py:")] == []
+
+
 def test_no_module_calls_a_ufunc_at():
     """No psdolab module calls a ufunc's unbuffered .at (np.maximum.at and
     the like): a pointwise max over the covering balls reads the cover's
