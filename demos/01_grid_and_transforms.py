@@ -28,7 +28,7 @@ def main() -> None:
     print(f"modulated packet spectrum peaks at xi = {peak:.3f} (modulation was 3.0)")
 
     ball = P.Ball((2.0,), 1.5)
-    avg = complex(P.ball_average(f, ball))
+    avg = np.mean(f.values[P.ball_indices(g, ball)])
     print(f"mean of the packet over B(2, 1.5): {avg.real:.4f} + {avg.imag:.4f}i")
     print(f"box mass of |f|^2: {P.lp_norm(f, 2.0) ** 2:.4f}")
 

@@ -1,4 +1,4 @@
-"""The dyadic frequency partition: residual, supports, derivative scaling.
+"""The dyadic frequency partition: residual and supports.
 
 Run:  python demos/02_dyadic_partition.py
 """
@@ -23,17 +23,8 @@ def main() -> None:
         print(f"  k={k}: [{live.min():6.2f}, {live.max():6.2f}]  "
               f"(nominal shell [{0.0 if k == 0 else 2.0 ** (k - 1):g}, {2.0 ** (k + 1):g}])")
 
-    print("\nderivative sups, rescaled by 2^(k*alpha):")
-    for alpha in (1, 2, 3):
-        rep = P.derivative_bound_check(fam, alpha)
-        scaled = [it["value"] for it in rep.items]
-        print(f"  alpha={alpha}: raw-slope {rep.aggregate['slope']:+.3f}, "
-              f"scaled sups {min(scaled):.4g}..{max(scaled):.4g}  [{rep.verdict}]")
-
     print()
-    print("The pieces telescope, so partial sums are a single dilated profile;")
-    print("the scaled derivative sups are k-independent because each piece is")
-    print("an exact dilation of piece 1.")
+    print("The pieces telescope, so partial sums are a single dilated profile.")
 
 
 if __name__ == "__main__":

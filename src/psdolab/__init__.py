@@ -27,7 +27,6 @@ from .grid import (
     BallFamily,
     PeriodicGrid,
     SampledFunction,
-    ball_average,
     ball_indices,
     ball_mask,
     dft,
@@ -46,7 +45,6 @@ from .kernels import (
     materialize_dyadic_kernel,
 )
 from .littlewood_paley import (
-    derivative_bound_check,
     evaluate_partition_residual,
     make_lp_family,
 )

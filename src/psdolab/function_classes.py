@@ -238,10 +238,7 @@ def check_monotonicity(
     cq = ap_theta_characteristic(w, q, theta, family)
     return VerificationReport(
         experiment="weight_monotonicity",
-        items=[
-            {"id": "char_p", "params": {"p": p, "theta": theta}, "value": cp.value},
-            {"id": "char_q", "params": {"p": q, "theta": theta}, "value": cq.value},
-        ],
+        items=[],
         aggregate={"max": max(cp.value, cq.value), "ratio_q_over_p": cq.value / cp.value},
         criteria=[Criterion("char_q", cq.value, "<=", cp.value * (1.0 + 1e-6),
                             "char_p*(1+1e-6)")],
@@ -262,9 +259,7 @@ def check_john_nirenberg_variant(
         (mean_B |b - b_B|^s)^(1/s) / (norm (1 + r_B)^theta).
     Part (ii), per k over dilates of the given base ball:
         (mean_{2^k B} |b - b_B|^s)^(1/s) / (norm k (1 + 2^k r_B)^theta),
-    with b_B the base-ball mean.  The stated form of part (ii) carries the
-    1/s power without the s inside; that literal ratio is recorded alongside
-    under id part_ii_literal.  Dilates that leave the box are skipped.
+    with b_B the base-ball mean.  Dilates that leave the box are skipped.
 
     A multiplier whose norm is at most 1e-12 is a zero family: every ratio
     would compare roundoff, so its one criterion is that norm floor.
@@ -301,13 +296,9 @@ def check_john_nirenberg_variant(
         rhs = norm.value * k * (1.0 + dil.radius) ** theta
         if rhs == 0.0:
             continue
-        lhs_self = float(np.mean(np.abs(vals - b_base) ** s) ** (1.0 / s))
-        lhs_literal = float(np.mean(np.abs(vals - b_base)) ** (1.0 / s))
-        ratios_ii.append(lhs_self / rhs)
-        items.append({"id": "part_ii", "params": {"k": k}, "value": lhs_self / rhs})
-        items.append(
-            {"id": "part_ii_literal", "params": {"k": k}, "value": lhs_literal / rhs}
-        )
+        lhs = float(np.mean(np.abs(vals - b_base) ** s) ** (1.0 / s))
+        ratios_ii.append(lhs / rhs)
+        items.append({"id": "part_ii", "params": {"k": k}, "value": lhs / rhs})
     med = median(ratios_i) if ratios_i else 0.0
     # a multiplier whose oscillation norm sits at the float floor is a
     # constant: moment ratios against it compare roundoff
@@ -387,15 +378,9 @@ def check_openness(w: WeightFn, p: float, theta: float, family: BallFamily) -> V
     if not p - step > 1.0:
         raise ValueError(f"p - step must exceed 1, got {p - step}")
     below = stabilized_characteristic(w, p - step, theta, family)
-    at_p = ap_theta_characteristic(w, p, theta, family)
     return VerificationReport(
         experiment="weight_openness",
-        items=[
-            {"id": "char_at_p", "params": {"p": p}, "value": at_p.value},
-            {"id": "char_below", "params": {"p": p - step}, "value": below.values[-1]},
-            {"id": "below_caps", "params": {"caps": list(below.caps)},
-             "value": list(below.values)},
-        ],
+        items=[],
         aggregate={"stable": below.stable, "growth_slope": below.growth_slope},
         criteria=stabilization_criteria(below, "openness"),
     )

@@ -33,7 +33,6 @@ __all__ = [
     "ball_mask",
     "ball_indices",
     "ball_windows",
-    "ball_average",
     "sweep_family",
 ]
 
@@ -293,16 +292,6 @@ def ball_mask(grid: PeriodicGrid, ball: Ball) -> np.ndarray:
     mask = np.zeros(grid.n, dtype=bool)
     mask[ball_indices(grid, ball)] = True
     return mask
-
-
-def ball_average(f: SampledFunction, ball: Ball) -> complex:
-    """Mean of f over the grid points inside the ball."""
-    idx = ball_indices(f.grid, ball)
-    if len(idx) < MIN_POINTS_PER_BALL:
-        raise ValueError(
-            f"ball contains {len(idx)} grid points, needs >= {MIN_POINTS_PER_BALL}"
-        )
-    return complex(np.mean(f.values[idx]))
 
 
 @dataclass(frozen=True)

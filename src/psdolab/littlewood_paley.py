@@ -15,9 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import least_squares_line, median
 from .grid import PeriodicGrid
-from .report import Criterion, VerificationReport
 
 __all__ = [
     "smooth_step",
@@ -25,7 +23,6 @@ __all__ = [
     "LPFamily",
     "make_lp_family",
     "evaluate_partition_residual",
-    "derivative_bound_check",
 ]
 
 
@@ -103,53 +100,3 @@ def evaluate_partition_residual(family: LPFamily) -> float:
         total += family.piece_profile(k, rad)
     window = rad <= 2.0 ** (family.max_index - 1)
     return float(np.max(np.abs(total[window] - 1.0)))
-
-
-def _central_derivative(values: np.ndarray, h: float, order: int) -> np.ndarray:
-    out = values
-    for _ in range(order):
-        out = np.gradient(out, h, edge_order=2)
-    return out
-
-
-def derivative_bound_check(family: LPFamily, alpha: int) -> VerificationReport:
-    """Check sup |d^alpha phi_k| ~ 2^(-k*alpha).
-
-    Scaled sups 2^(k*alpha) * sup|d^alpha phi_k| must stay within a factor 2
-    of the k=1 value; the raw sups must decay with log2-slope about -alpha.
-    Each piece is sampled on its own dilated window [0, 2^(k+1)] with a fixed
-    point count, so the finite-difference resolution is the same for every
-    piece.  On the lattice the coarse pieces are under-resolved and their
-    spiky glue derivatives read low, which would poison the k=1 reference.
-    """
-    if not 1 <= alpha <= 3:
-        raise ValueError("derivative order must be 1..3")
-    items = []
-    raw = []
-    for k in range(family.piece_count):
-        xi = np.linspace(0.0, 2.0 ** (k + 1), 4096)
-        h = xi[1] - xi[0]
-        vals = family.piece_profile(k, xi)
-        sup = float(np.max(np.abs(_central_derivative(vals, h, alpha))))
-        raw.append(sup)
-        items.append(
-            {
-                "id": f"piece-{k}",
-                "params": {"k": k, "alpha": alpha},
-                "value": sup * 2.0 ** (k * alpha),
-            }
-        )
-    scaled = np.array([it["value"] for it in items])
-    ks = np.arange(1, family.piece_count)
-    slope, _, _ = least_squares_line(ks, np.log2(np.array(raw[1:])))
-    top = float(np.max(scaled))
-    return VerificationReport(
-        experiment=f"lp-derivative-bound-alpha{alpha}",
-        items=items,
-        aggregate={
-            "max": top,
-            "median": median(scaled),
-            "slope": slope,
-        },
-        criteria=[Criterion("max", top, "<=", 2.0 * float(scaled[1]), "2*piece_1")],
-    )

@@ -256,9 +256,19 @@ def _family_plan(grid: PeriodicGrid, alpha: float):
             _frozen_int32(slot[0]))
 
 
+def _check_finite_rows(x: np.ndarray) -> None:
+    """Refuse a (rows, n) stack holding a non-finite sample: through the
+    prefix sums it would reach windows that do not hold it."""
+    bad = ~np.isfinite(x)
+    if bad.any():
+        row, index = np.argwhere(bad)[0]
+        raise ValueError(f"row {row} has a non-finite sample at index {index}")
+
+
 def _sup_over_family_rows(x: np.ndarray, grid: PeriodicGrid, alpha: float, osc: bool):
     """Family sup, row by row of a real (rows, n) stack, of the window means;
     with osc, of the mean oscillation."""
+    _check_finite_rows(x)
     count_rows, n = x.shape
     family, columns, radii, slot = _family_plan(grid, alpha)
     # row r: 0, then the prefix sums of its doubled samples, so every
@@ -341,6 +351,7 @@ def g_kappa_p(
         raise ValueError(f"p must be >= 1, got {p}")
     _check_kappa(kappa)
     _check_damping(n_big, p)
+    _check_finite_rows(f.values[None])
     grid = f.grid
     powered = np.abs(f.values) ** p
     box_avg = float(np.mean(powered)) ** (1.0 / p)
@@ -505,6 +516,7 @@ def m_tilde_s(f: SampledFunction, s: float, cover: CriticalCover) -> SampledFunc
         raise ValueError(f"s must be >= 1, got {s}")
     grid = f.grid
     _check_dilates_fit(grid)
+    _check_finite_rows(f.values[None])
     plan = _cover_maximal_plan(cover)
     # 0, then the prefix sums of |f|^s on the doubled circle: non-negative
     # terms, so every difference of a later and an earlier entry is >= 0
@@ -626,7 +638,6 @@ def check_weighted_bounds_maximal(
     _check_maximal_exponents(p, s)
     grid = w.grid
     gate = stabilized_characteristic(w, p / s, theta, sweep_family(grid))
-    items = []
     ratios_g, ratios_m, shifts = [], [], []
     wv = w.values
     # per block of items, one weighted reduction for each of the three norms
@@ -634,16 +645,13 @@ def check_weighted_bounds_maximal(
         norms = [lp_norms(grid, np.stack(values), p, weight=wv) for values in (
             rows, [g_kappa_p(f, kappa, s, cover, n_big).values for _, f, _ in block],
             [m_tilde_s(f, s, cover).values for _, f, _ in block])]
-        for (label, _, params), denom, g_norm, m_norm in zip(block, *norms):
+        for (_, _, params), denom, g_norm, m_norm in zip(block, *norms):
             if denom == 0.0:
                 continue
-            rg, rm = g_norm / denom, m_norm / denom
-            ratios_g.append(rg)
-            ratios_m.append(rm)
+            ratios_g.append(g_norm / denom)
+            ratios_m.append(m_norm / denom)
             if "shift" in params:
                 shifts.append(abs(float(params["shift"])))
-            items.append({"id": label, "params": dict(params),
-                          "value": {"series_ratio": rg, "cover_ratio": rm}})
     if not ratios_g:
         raise ValueError("empty corpus")
     agg, criteria = {"gate_stable": gate.stable}, []
@@ -658,7 +666,7 @@ def check_weighted_bounds_maximal(
         criteria += trend_criteria
     return VerificationReport(
         experiment="weighted_maximal_bounds",
-        items=items,
+        items=[],
         aggregate=agg,
         criteria=criteria,
         gates=stabilization_criteria(gate, "weight_stable(p/s)"),

@@ -103,13 +103,14 @@ def test_windows_split_off_lattice_centers_by_count():
 
 
 def test_ball_below_half_spacing_off_the_lattice_is_empty():
-    """An empty ball gives an empty row, which ball_average still refuses."""
+    """An empty ball gives an empty row, which a family sweep still refuses."""
     grid = P.make_grid(64, 4.0)
     dx = grid.spacing
     ((_, rows),) = _assert_windows_match(grid, [0.5 * dx, -0.45 * dx], 0.4 * dx)
     assert rows.shape == (2, 0)
     with pytest.raises(ValueError, match="contains 0 grid points"):
-        P.ball_average(P.sample(grid, lambda x: x), P.Ball((0.5 * dx,), 0.4 * dx))
+        P.bmo_theta_norm(P.sample(grid, lambda x: x), 0.0,
+                         P.BallFamily((0.5 * dx,), (0.4 * dx,)))
 
 
 @pytest.mark.parametrize("halves", range(7))

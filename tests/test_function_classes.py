@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import psdolab as P
+from psdolab.function_classes import StabilizationReport, stabilization_criteria
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +50,16 @@ def test_openness_of_the_weight_class(grid, family):
     w = P.preset_weight("power_growth", grid, gamma=1.5)
     rep = P.check_openness(w, 2.0, 1.5, family)
     assert rep.verdict == "pass"
+
+
+@pytest.mark.parametrize("last_change, stable", [(0.099, True), (0.101, False)])
+def test_stabilization_splits_at_a_tenth(last_change, stable):
+    """A sup that moves under 10% per doubling of the cap is stable, and its
+    criteria agree."""
+    stab = StabilizationReport((1.0, 2.0, 4.0, 8.0), (1.0, 1.0, 1.0, 1.0 + last_change),
+                               0.0, (0.0, last_change))
+    assert stab.stable is stable
+    assert all(c.ok for c in stabilization_criteria(stab, "s")) is stable
 
 
 def test_random_log_bounded_weight_is_reproducible(grid):

@@ -152,26 +152,44 @@ def test_row_cores_equal_the_one_row_path(n, half_length, count, p, data):
 
 @pytest.mark.parametrize("n", [64, 256, 2048])
 @pytest.mark.parametrize("alpha_cells", [8, 13, 40, 100])
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_oscillation_sup_work_buffer_leaks_nothing(n, alpha_cells):
     """The oscillation sup reuses one deviation buffer for every row and
-    radius.  Rows of very different scales, a zero row among them, and rows
-    holding a NaN, a +inf or a -inf must each come out as the one-row call
-    and as the gather reference, which allocates afresh per radius, bit for
-    bit (NaN where the reference has NaN)."""
+    radius.  Rows of very different scales, a zero row among them, must each
+    come out as the one-row call and as the gather reference, which allocates
+    afresh per radius, bit for bit.  A row holding a NaN, a +inf or a -inf is
+    refused by name, wherever the sample sits."""
     grid = P.make_grid(n, 16.0)
     alpha = min(alpha_cells * grid.spacing, grid.half_length / 2.0)
     rng = np.random.default_rng(n + alpha_cells)
     rows = rng.standard_normal((8, n)) * np.array([1e6, 1e-6, 1.0, 0.0, 1e3, 1, 1, 1])[:, None]
-    for row, bad in zip(rows[5:], (np.nan, np.inf, -np.inf)):
-        row[rng.integers(n)] = bad
     stacked = _sup_over_family_rows(rows, grid, alpha, osc=True)
     for row, got in zip(rows, stacked):
         one = _sup_over_family_rows(row[None], grid, alpha, osc=True)[0]
-        assert np.array_equal(got, one, equal_nan=True)
-        assert np.array_equal(got, _reference_family_sup(row, grid, alpha, osc=True),
-                              equal_nan=True)
-    assert np.all(np.isfinite(stacked[:5])) and np.all(np.isnan(stacked[5:]).any(axis=1))
+        assert np.array_equal(got, one)
+        assert np.array_equal(got, _reference_family_sup(row, grid, alpha, osc=True))
+    assert np.all(np.isfinite(stacked))
+    for r, bad in zip(range(5, 8), (np.nan, np.inf, -np.inf)):
+        for index, osc in itertools.product((0, n // 2, n - 1), (True, False)):
+            poisoned = rows.copy()
+            poisoned[r, index] = bad
+            message = f"row {r} has a non-finite sample at index {index}$"
+            with pytest.raises(ValueError, match=message):
+                _sup_over_family_rows(poisoned, grid, alpha, osc=osc)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cover_maximals_and_fs_refuse_a_non_finite_sample(grid, cover, bad):
+    """Through the prefix sums one non-finite sample would reach every ball:
+    m_tilde_s, g_kappa_p, m_loc and the fs check refuse the row instead."""
+    values = np.exp(-grid.axis_points() ** 2)
+    values[grid.n // 2] = bad
+    f = P.SampledFunction(grid, values)
+    w = P.preset_weight("power_growth", grid, gamma=1.5)
+    message = f"row 0 has a non-finite sample at index {grid.n // 2}$"
+    for call in (lambda: P.m_tilde_s(f, 1.5, cover), lambda: P.g_kappa_p(f, 1.0, 2.0, cover),
+                 lambda: P.m_loc(f, 4.0), lambda: P.check_fs_inequality(f, w, 2.0, cover)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_real_values_check_runs_on_every_row(grid, cover):

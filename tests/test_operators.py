@@ -107,6 +107,45 @@ def test_adjoint_commutator_pairs_with_negative_sign(grid, bessel_op, packet, wi
     assert abs(P.inner(cb, window) + P.inner(packet, ac)) < 1e-12
 
 
+_COMMUTATOR_CASES = [
+    (preset, params, n)
+    for preset, params, sizes in [
+        ("identity", {}, (256, 1024, 4096)),
+        ("bessel_order_m", {"m": -0.75}, (256, 1024, 4096)),
+        ("rough_x_modulated", {"m": 0.0}, (256, 1024, 4096)),
+        ("oscillating_amplitude", {"m": -0.75, "rho": 0.5, "delta": 0.5}, (256, 1024)),
+    ]
+    for n in sizes
+]
+
+# (c, lam): [lam b + c, T] = lam [b, T].  Roundoff model per row f, with
+# u = eps / 2: 4 u log2(n) (|c| + max(1, |lam|) |b|_inf) max(|T f|_inf, |f|_inf);
+# every case reads at most 0.83 of the model with the factor 4 taken as 1.
+_COMMUTATOR_RELATIONS = [(1.0, 1.0), (100.0, 1.0), (-1e4, 1.0), (0.0, 3.0), (0.0, 1.0 / 3.0)]
+
+
+@pytest.mark.parametrize("preset, params, n", _COMMUTATOR_CASES)
+def test_commutators_ignore_constants_and_scale_with_the_multiplier(preset, params, n):
+    """[b + c, T] = [b, T] and [lam b, T] = lam [b, T], for the commutator and
+    the adjoint commutator cores, with b = x, up to the roundoff model."""
+    g = P.make_grid(n, 16.0)
+    op = P.make_operator(P.preset_symbol(preset, **params), g)
+    b = P.preset_bmo("linear", g)
+    rows = np.stack([f.values for _, f, _ in P.mixed_corpus(g, 4, 3)])
+    b_sup = np.max(np.abs(b.values))
+    for core, apply_core in ((commutator_rows, apply_rows),
+                             (adjoint_commutator_rows, apply_adjoint_rows)):
+        size = np.maximum(np.max(np.abs(apply_core(op, rows)), axis=1),
+                          np.max(np.abs(rows), axis=1))
+        base = core(op, b, rows)
+        for c, lam in _COMMUTATOR_RELATIONS:
+            got = core(op, P.SampledFunction(g, lam * b.values + c), rows)
+            model = (4.0 * np.finfo(float).eps / 2.0 * np.log2(n)
+                     * (abs(c) + max(1.0, abs(lam)) * b_sup) * size)
+            err = np.max(np.abs(got - lam * base), axis=1)
+            assert np.all(err <= model), (core.__name__, c, lam, err / model)
+
+
 def test_kernel_row_reproduces_application(grid_small):
     sym = P.preset_symbol("rough_x_modulated", m=0.0)
     op = P.make_operator(sym, grid_small)

@@ -72,6 +72,21 @@ def test_membership_estimates_bounded_shells(grid_small):
     assert all(e.bounded for e in rough.entries)
 
 
+@pytest.mark.parametrize("n", [1024, 8192])
+def test_class_slope_bound_splits_an_order_excess_of_half(n):
+    """<xi>^(m+s) declared at order m grows by about s per dyadic shell: the
+    class criterion passes at s = 0.45 and fails at s = 0.55.  At n = 256
+    the top shells overshoot (0.62 at s = 0.45), so the split needs n >= 1024."""
+    grid = P.make_grid(n, 16.0)
+    for excess, ok in ((0.45, True), (0.55, False)):
+        sym = dataclasses.replace(P.preset_symbol("bessel_order_m", m=-0.75 + excess),
+                                  order=-0.75)
+        assert sym.rho == 1.0
+        criterion = estimate_class_membership(sym, grid).criterion
+        assert criterion.ok is ok, (excess, criterion.value)
+        assert abs(criterion.value - excess) < 0.05
+
+
 def test_modulation_factors_the_rough_preset(grid_small):
     """a(x, y, xi) = c(x) a(0, 0, xi) with c(0) = 1 is the rough preset's one
     expansion term."""
