@@ -8,8 +8,9 @@ comes from the operator's expansion held at all base points at once
 sampled at x - z, or one for all base points when the symbol has no x- or
 y-factor.  The adjoint far field takes its base points in one call.  The
 difference tables read the evaluator itself, as direct sums over the
-frequencies where some band is nonzero, each table in one call; their phase
-e^{i(x-y)xi} is e^{ix xi} e^{-iy xi}, one exponential row per distinct point.
+frequencies where some band is nonzero, each table in one call and one
+matrix product per point set and slot; their phase e^{i(x-y)xi} is
+e^{ix xi} e^{-iy xi}, one exponential row per distinct point.
 
 Offsets are kept inside |z| <= L/2 so nearest-image distances on the torus
 agree with true distances; every fit below samples only that safe half-box.
@@ -164,10 +165,10 @@ def _pair_differences(
     dxi/2pi over the lattice.  The evaluator and the phases are taken only at
     the live frequencies, where some band row is nonzero: the y and ybar
     phase rows once per call, the x rows once per point set, the evaluator
-    once per set and slot for every (x, pair) at once; one zeroed
-    (points * pairs, n) block holds them.  Each point keeps its own
-    matrix-vector product: the dead columns add exact zeros, so the sums keep
-    the bits of full-lattice ones, where one matrix-matrix product would not.
+    once per set and slot for every (x, pair) at once.  Each set and slot is
+    one (points * pairs, live) block and one matrix product with the live
+    band columns, so the sums differ from full-lattice ones by summation
+    order only, within the bound n u sum |band a|.
     """
     g = op.grid
     live = np.flatnonzero(np.any(bands != 0.0, axis=0))
@@ -177,8 +178,7 @@ def _pair_differences(
     ys = np.asarray(pairs, dtype=float).T[:, :, None]  # (slot, pair, 1)
     y_phases = np.exp(-1j * (xis * ys))
     rows = point_sets.shape[1] * len(pairs)
-    bands_c = bands.astype(np.complex128)
-    block = np.zeros((rows, g.n), dtype=np.complex128)
+    live_bands = bands[:, live].T.astype(np.complex128)
     table = np.empty((len(point_sets), len(bands)))
     for xs, row in zip(point_sets, table):
         x = np.repeat(xs, len(pairs))[:, None]
@@ -187,12 +187,9 @@ def _pair_differences(
         for y, y_phase in zip(ys, y_phases):
             a = np.asarray(op.symbol.evaluator(x, np.tile(y, (len(xs), 1)), xis),
                            dtype=np.complex128)
-            # a named phase e^{ix xi} e^{-iy xi}: numpy would multiply a large
-            # temporary in place, operands swapped, and a complex product is
-            # not bitwise symmetric
-            phase = (x_phases[:, None, :] * y_phase).reshape(rows, -1)
-            block[:, live] = a * phase
-            sums.append(np.array([bands_c @ r for r in block]) * scale)
+            block = (x_phases[:, None, :] * y_phase).reshape(rows, -1)
+            block *= a
+            sums.append(block @ live_bands * scale)
         row[:] = np.max(np.abs(sums[0] - sums[1]), axis=0)
     return table
 

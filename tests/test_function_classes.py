@@ -106,3 +106,26 @@ def test_exponential_integrability_variant(grid):
     assert agg["median"] == pytest.approx(0.6583064677500235, rel=1e-9)
     assert agg["part_ii_max"] <= agg["max"]
     assert agg["skipped_dilates"] == 1
+
+
+@pytest.mark.parametrize("m,verdict", [(0.499, "fail"), (0.501, "pass")])
+def test_john_nirenberg_part_i_cap_is_twice_the_median(m, verdict):
+    """Three unit balls of 65 points, b = +a_i on the 32 left and -a_i on the
+    32 right points of ball i, 0 at its centre, a = (1, m, 0.1): part (i)
+    reads max sqrt(65/64) against median m sqrt(65/64), so the verdict flips
+    at m = 1/2, where a cap of 2.5 would pass both sides."""
+    g = P.make_grid(1024, 16.0)
+    family = P.BallFamily((-8.0, 0.0, 8.0), (1.0, 1.0, 1.0))
+    values = np.zeros(g.n)
+    for c, amp in zip(family.centers, (1.0, m, 0.1)):
+        i = int(np.flatnonzero(g.axis_points() == c)[0])
+        values[i - 32:i] = amp
+        values[i + 1:i + 33] = -amp
+    b = P.SampledFunction(g, values)
+    rep = P.check_john_nirenberg_variant(b, 0.0, 2.0, P.Ball((0.0,), 0.5), family=family)
+    spread = next(c for c in rep.criteria if c.name == "part_i_max")
+    assert spread.bound == "2*median"
+    assert spread.value == pytest.approx((65 / 64) ** 0.5, rel=1e-12)
+    assert spread.threshold == pytest.approx(2 * m * (65 / 64) ** 0.5, rel=1e-12)
+    assert rep.verdict == verdict
+    assert rep.decided_by is (spread if verdict == "fail" else None)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,49 +128,6 @@ KERNEL_PRESETS = [
 ]
 
 
-def _per_point_differences(op, xs, pairs, bands):
-    """max over (x, pair) of |K_band(x,y) - K_band(x,ybar)|, one full-lattice
-    evaluation and one matrix-vector product per (x, y), with the phase
-    e^{ix xi} e^{-iy xi} taken one point at a time."""
-    g = op.grid
-    xis = g.axis_freqs()
-    scale = g.freq_spacing / (2.0 * np.pi)
-    best = np.zeros(len(bands))
-    for x in xs:
-        x_phase = np.exp(1j * (xis * x))
-        for y1, y2 in pairs:
-            vals = []
-            for y in (y1, y2):
-                phase = x_phase * np.exp(-1j * (xis * y))
-                a = np.asarray(op.symbol.evaluator(x, y, xis), dtype=np.complex128)
-                vals.append(bands @ (np.broadcast_to(a, phase.shape) * phase) * scale)
-            best = np.maximum(best, np.abs(vals[0] - vals[1]))
-    return best
-
-
-@pytest.mark.parametrize("n", [1024, 2048])
-@pytest.mark.parametrize("preset,params", KERNEL_PRESETS)
-def test_pair_differences_equal_the_per_point_sums(n, preset, params):
-    """Live frequencies only, all points of an annulus in one block, all
-    annuli in one call: the same bits as a full-lattice sum per point, for
-    the difference table's bands and for the band-limited twin's band (1303
-    live columns at n = 2048, a block big enough for numpy to reuse
-    temporaries in place); and the same bits as one call per annulus."""
-    g = P.make_grid(n, 16.0)
-    op = P.make_operator(P.preset_symbol(preset, **params), g)
-    ball = P.Ball((0.0,), 0.25)
-    pairs = _ball_pairs(ball)
-    bands = np.stack([op.family.piece_profile(k, g.axis_freqs()) for k in range(6)])
-    twin = P.band_limited_twin(op)
-    sets = [_annulus_points(ball, j, 6) for j in (3, 4, 5)]
-    for member, band in ((op, bands), (twin, twin.band[None, :])):
-        table = _pair_differences(member, sets, pairs, band)
-        assert table.shape == (len(sets), len(band))
-        for xs, row in zip(sets, table):
-            assert np.array_equal(row, _per_point_differences(member, xs, pairs, band))
-            assert np.array_equal(row, _pair_differences(member, [xs], pairs, band)[0])
-
-
 def _long_double_differences(op, xs, pairs, bands):
     """The lattice sums of _pair_differences in np.clongdouble, the symbol
     values taken in double, and n u max over (x, pair) of
@@ -192,6 +150,30 @@ def _long_double_differences(op, xs, pairs, bands):
             best = np.maximum(best, np.abs(vals[0] - vals[1]))
             bound = np.maximum(bound, g.n * np.finfo(float).eps / 2 * mass)
     return best, bound
+
+
+@pytest.mark.parametrize("n", [1024, 2048])
+@pytest.mark.parametrize("preset,params", KERNEL_PRESETS)
+def test_pair_differences_equal_per_annulus_calls(n, preset, params):
+    """Live frequencies only, all points of an annulus in one block, all
+    annuli in one call: for the difference table's bands and for the
+    band-limited twin's band (1303 live columns at n = 2048), each row has
+    the bits of one call per annulus, and is within the summation bound
+    n u sum |band a| of the long-double lattice sums."""
+    g = P.make_grid(n, 16.0)
+    op = P.make_operator(P.preset_symbol(preset, **params), g)
+    ball = P.Ball((0.0,), 0.25)
+    pairs = _ball_pairs(ball)
+    bands = np.stack([op.family.piece_profile(k, g.axis_freqs()) for k in range(6)])
+    twin = P.band_limited_twin(op)
+    sets = [_annulus_points(ball, j, 6) for j in (3, 4, 5)]
+    for member, band in ((op, bands), (twin, twin.band[None, :])):
+        table = _pair_differences(member, sets, pairs, band)
+        assert table.shape == (len(sets), len(band))
+        for xs, row in zip(sets, table):
+            assert np.array_equal(row, _pair_differences(member, [xs], pairs, band)[0])
+            ref, bound = _long_double_differences(member, xs, pairs, band)
+            assert np.all(np.abs(row - ref) <= bound)
 
 
 @pytest.mark.parametrize("n", [256, 1024, 4096])
@@ -263,6 +245,28 @@ def test_difference_table_evaluates_only_live_frequencies():
     for shape, xi in seen:
         assert shape == (18, 1)
         assert np.array_equal(xi, live)
+
+
+def test_pair_differences_footprint_does_not_grow_with_n():
+    """At a fixed 630 live columns (pieces 2..5 at L = 16), the traced peak of
+    one difference table does not grow with the lattice: the call holds no
+    complex block over the full lattice."""
+    ball = P.Ball((0.0,), 0.5)
+    sets = [_annulus_points(ball, j, 6) for j in (2, 3, 4)]
+    peaks = []
+    for n in (1024, 4096):
+        g = P.make_grid(n, 16.0)
+        op = OperatorInstance(P.preset_symbol("bessel_order_m", m=-0.75), g)
+        bands = np.stack([op.family.piece_profile(k, g.axis_freqs()) for k in range(2, 6)])
+        assert np.count_nonzero(np.any(bands != 0.0, axis=0)) == 630
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _pair_differences(op, sets, _ball_pairs(ball), bands)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_multiplier_offset_rows_take_one_transform(monkeypatch):
