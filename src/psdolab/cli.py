@@ -102,6 +102,9 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config, _overrides(args))
+    except HypothesisViolation as exc:  # a ValueError, so it is caught first
+        print(f"hypothesis violated: {exc}", file=sys.stderr)
+        return 3
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -133,9 +136,6 @@ def main(argv=None) -> int:
         write_json(summary, summary_path)
         print(f"summary: {summary['verdict']}  [{summary_path}]")
         return 0 if summary["verdict"] == "pass" else 1
-    except HypothesisViolation as exc:
-        print(f"hypothesis violated: {exc}", file=sys.stderr)
-        return 3
     except Exception as exc:  # a fault of the program, not a verdict
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4

@@ -296,7 +296,11 @@ class ExperimentConfig:
 
 
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
-    """Resolve a config: DEFAULTS, then the file at path, then overrides."""
+    """Resolve a config: DEFAULTS, then the file at path, then overrides.
+
+    Both gates run here, before any computation: a config no runner can
+    compute is a ValueError, one outside the verified regime a
+    HypothesisViolation, and no runner checks its config again."""
     resolved = dict(DEFAULTS)
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
@@ -309,6 +313,7 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     except ValueError as exc:
         raise ValueError(f"grid: {exc}") from None
     _check_computable(cfg, grid)
+    cfg.check_hypotheses()
     return cfg
 
 

@@ -284,13 +284,13 @@ def test_amplitude_delta_one_exits_three_on_every_target(tmp_path, capsys):
 def test_amplitude_delta_gate_boundary(settings, passes):
     """delta = 0.9 with an in-class m and rho passes the gate, and
     run.counterexample lets delta = 1 past it."""
-    cfg = load_config(None, {"symbol.preset": "oscillating_amplitude", "symbol.m": "-0.75",
-                             "symbol.rho": "0.5", **settings})
+    overrides = {"symbol.preset": "oscillating_amplitude", "symbol.m": "-0.75",
+                 "symbol.rho": "0.5", **settings}
     if passes:
-        cfg.check_hypotheses()
+        load_config(None, overrides)
     else:
         with pytest.raises(HypothesisViolation, match="delta=1 must be below 1"):
-            cfg.check_hypotheses()
+            load_config(None, overrides)
 
 
 def test_oscillation_radius_past_the_box_under_counterexample_is_a_usage_error(tmp_path,

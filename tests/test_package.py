@@ -134,6 +134,14 @@ def test_the_ratio_corpus_is_built_in_one_place():
     assert calls == ["experiments._ratio_corpus"]
 
 
+def test_the_hypothesis_gate_runs_in_one_place():
+    """The hypothesis gate runs once, inside load_config, so every config a
+    runner receives has passed it and no runner checks it again."""
+    calls = [f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
+             for scope in _calls_in_functions(path, "check_hypotheses")]
+    assert calls == ["config.load_config"]
+
+
 def test_the_class_probe_evaluates_through_its_memo():
     """estimate_class_membership calls the symbol's evaluator only inside its
     memo, a function nested in it, so each stencil point is evaluated once."""

@@ -87,6 +87,25 @@ def test_class_slope_bound_splits_an_order_excess_of_half(n):
         assert abs(criterion.value - excess) < 0.05
 
 
+@pytest.mark.parametrize("eps, ok", [(4.7e-10, True), (4.9e-10, False)])
+def test_class_sup_floor_splits_a_scaled_order_excess(eps, ok):
+    """eps <xi>^(1/4) declared at order -3/4 is too large by 1; its largest
+    top-shell sup, at alpha = 3, is 20.9136 eps.  Under _SUP_FLOOR every
+    entry reads slope 0 (4.7e-10: 9.83e-9); over it the excess shows
+    (4.9e-10: 1.025e-8, slope 1.044)."""
+    base = P.preset_symbol("bessel_order_m", m=0.25)
+    sym = dataclasses.replace(base, order=-0.75,
+                              evaluator=lambda x, y, xi: eps * base.evaluator(x, y, xi))
+    rep = estimate_class_membership(sym, P.make_grid(1024, 16.0))
+    top = max(rep.entries, key=lambda e: max(e.shell_sups[-4:]))
+    assert top.alpha == 3
+    assert max(top.shell_sups[-4:]) == pytest.approx(20.9136 * eps, rel=1e-5)
+    assert (max(top.shell_sups[-4:]) < _SUP_FLOOR) is ok
+    criterion = rep.criterion
+    assert criterion.ok is ok
+    assert criterion.value == (0.0 if ok else pytest.approx(1.044, abs=1e-3))
+
+
 def test_modulation_factors_the_rough_preset(grid_small):
     """a(x, y, xi) = c(x) a(0, 0, xi) with c(0) = 1 is the rough preset's one
     expansion term."""
