@@ -62,42 +62,40 @@ def _check_count(count: int) -> None:
         raise ValueError(f"a corpus needs at least one item, got {count}")
 
 
-def _phase(grid: PeriodicGrid, modulation: int) -> np.ndarray:
-    """e^{i q dxi x} on the grid, q = modulation."""
-    lam = int(modulation) * grid.freq_spacing
-    return np.exp(1j * lam * grid.axis_points())
-
-
 def gaussian_packet(
     grid: PeriodicGrid, center: float = 0.0, width: float = 1.0, modulation: int = 0
 ) -> SampledFunction:
-    """exp(-|x-c|^2 / (2 w^2)) e^{i q dxi x} with torus distance.
+    """exp(-|x-c|^2 / (2 w^2)) e^{i q dxi x} with torus distance: the one
+    item of gaussian_corpus at (c, w, q).
 
     Wrapping the displacement makes the sample exactly periodic; with
     centers a few widths short of the seam the tail mismatch there is
     negligible.  modulation q is an integer so the phase factor closes
     around the box.
     """
-    width = _check_width(width)
-    disp = grid.wrap(grid.axis_points() - float(center))
-    vals = np.exp(-(disp * disp) / (2.0 * width * width))
-    return SampledFunction(grid, vals * _phase(grid, modulation) if modulation else vals)
+    ((_, fn, _),) = gaussian_corpus(grid, [center], [width], [modulation])
+    return fn
+
+
+def _cosine_sum(grid: PeriodicGrid, terms) -> np.ndarray:
+    """sum of coef cos(dxi k x + phase) over the (k, coef, phase) terms, in
+    order, scaled to sup 1 unless it vanishes."""
+    x = grid.axis_points()
+    u = np.zeros(grid.n)
+    for k, coef, phase in terms:
+        u = u + coef * np.cos(grid.freq_spacing * k * x + phase)
+    sup = float(np.max(np.abs(u)))
+    if sup > 0:
+        u = u * (1.0 / sup)
+    return u
 
 
 def band_noise(grid: PeriodicGrid, seed: int) -> SampledFunction:
     """Seeded real trig polynomial with mode indices 1..8, sup-normalized."""
     rng = np.random.default_rng(seed)
-    base = grid.freq_spacing
-    x = grid.axis_points()
-    u = np.zeros(grid.n)
-    for k in range(1, 9):
-        coef = rng.uniform(-1.0, 1.0)
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        u = u + coef * np.cos(base * k * x + phase)
-    sup = float(np.max(np.abs(u)))
-    if sup > 0:
-        u = u * (1.0 / sup)
-    return SampledFunction(grid, u)
+    # per mode, the coefficient is drawn before the phase
+    terms = [(k, rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.0 * np.pi)) for k in range(1, 9)]
+    return SampledFunction(grid, _cosine_sum(grid, terms))
 
 
 def gaussian_corpus(
@@ -122,9 +120,9 @@ def gaussian_corpus(
             0.15 * grid.half_length, 0.375 * grid.half_length, int(center_count)
         )
     widths = [_check_width(w) for w in widths]
-    # gaussian_packet's arithmetic, each displacement, envelope and phase once
+    # each displacement, envelope and phase e^{i q dxi x} once
     pts = grid.axis_points()
-    phases = {q: _phase(grid, q) for q in modulations if q}
+    phases = {q: np.exp(1j * (int(q) * grid.freq_spacing) * pts) for q in modulations if q}
     items = []
     for c in np.atleast_1d(np.asarray(centers, dtype=float)):
         disp = grid.wrap(pts - float(c))
@@ -133,19 +131,9 @@ def gaussian_corpus(
             envelope = np.exp(square / (2.0 * w * w))
             for q in modulations:
                 fn = SampledFunction(grid, envelope * phases[q] if q else envelope)
-                label = f"gauss(c={c:g},w={w:g},q={int(q)})"
-                items.append(
-                    CorpusItem(
-                        label,
-                        fn,
-                        {
-                            "center": float(c),
-                            "width": w,
-                            "modulation": int(q),
-                            "shift": float(c),
-                        },
-                    )
-                )
+                params = {"center": float(c), "width": w, "modulation": int(q),
+                          "shift": float(c)}
+                items.append(CorpusItem(f"gauss(c={c:g},w={w:g},q={int(q)})", fn, params))
     return items
 
 

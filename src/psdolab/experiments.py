@@ -41,6 +41,7 @@ from .kernels import (
 )
 from .littlewood_paley import evaluate_partition_residual
 from .maximal import (
+    _window_means,
     build_critical_cover,
     check_weighted_bounds_maximal,
     fs_inequality_rows,
@@ -256,10 +257,7 @@ def local_average_ratio(rows: np.ndarray, series: np.ndarray, windows: np.ndarra
     """(rows, J) array of mean_B |u| / inf_B series, u a row of the (rows, n)
     stack and B ball j (row j of windows); inf (0 if u vanishes on B) where
     inf_B series <= 0.  inf_B series is gathered once for all rows."""
-    # a (rows * J, K) view reduces each row's means as a (J, K) gather would,
-    # bit for bit, as in fs_inequality_rows
-    gathered = np.take(np.abs(rows), windows, axis=1)
-    lhs = np.mean(gathered.reshape(-1, windows.shape[1]), axis=1).reshape(gathered.shape[:2])
+    lhs = _window_means(np.abs(rows), windows)
     rhs = np.min(series[windows], axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(rhs <= 0.0, np.where(lhs > 0.0, np.inf, 0.0), lhs / rhs)

@@ -27,6 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .corpus import _cosine_sum
 from .fitting import least_squares_line, median
 from .grid import (
     MIN_POINTS_PER_BALL,
@@ -129,20 +130,14 @@ def preset_weight(
     if name == "random_log_bounded":
         seed = int(seed)
         rng = np.random.default_rng(seed)
-        x = grid.axis_points()
-        u = np.zeros(grid.n)
-        base = np.pi / grid.half_length
+        terms = []
         for _ in range(6):
+            # per term, the mode is drawn first, then the phase, then the coefficient
             (k,) = rng.integers(1, 6, size=1)
             phase = rng.uniform(0.0, 2.0 * np.pi)
-            coef = rng.uniform(-1.0, 1.0)
-            u = u + coef * np.cos(base * k * x + phase)
-        sup = float(np.max(np.abs(u)))
-        if sup > 0:
-            u = u * (1.0 / sup)
-        return WeightFn(
-            SampledFunction(grid, np.exp(u)), f"random_log_bounded(seed={seed})"
-        )
+            terms.append((k, rng.uniform(-1.0, 1.0), phase))
+        vals = np.exp(_cosine_sum(grid, terms))
+        return WeightFn(SampledFunction(grid, vals), f"random_log_bounded(seed={seed})")
     raise ValueError(f"unknown weight preset {name!r}")
 
 

@@ -265,18 +265,31 @@ def _check_finite_rows(x: np.ndarray) -> None:
         raise ValueError(f"row {row} has a non-finite sample at index {index}")
 
 
+def _doubled_prefix(x: np.ndarray) -> np.ndarray:
+    """0, then the prefix sums of the doubled samples along the last axis of x,
+    so every periodic window of a row is one difference of two entries."""
+    n = x.shape[-1]
+    cs = np.zeros(x.shape[:-1] + (2 * n + 1,))
+    cs[..., 1 : n + 1] = cs[..., n + 1 :] = x
+    np.cumsum(cs[..., 1:], axis=-1, out=cs[..., 1:])
+    return cs
+
+
+def _window_means(rows: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """(rows, J) means of each row of a (rows, n) stack over row j of a (J, K)
+    index array.  A (rows * J, K) view reduces them as a (J, K) gather would,
+    bit for bit; a mean over the last axis of (rows, J, K) may not."""
+    gathered = np.take(rows, windows, axis=1)
+    return np.mean(gathered.reshape(-1, windows.shape[1]), axis=1).reshape(gathered.shape[:2])
+
+
 def _sup_over_family_rows(x: np.ndarray, grid: PeriodicGrid, alpha: float, osc: bool):
     """Family sup, row by row of a real (rows, n) stack, of the window means;
     with osc, of the mean oscillation."""
     _check_finite_rows(x)
     count_rows, n = x.shape
     family, columns, radii, slot = _family_plan(grid, alpha)
-    # row r: 0, then the prefix sums of its doubled samples, so every
-    # periodic window is a plain slice
-    cs = np.zeros((count_rows, 2 * n + 1))
-    cs[:, 1 : n + 1] = x
-    cs[:, n + 1 :] = x
-    np.cumsum(cs[:, 1:], axis=1, out=cs[:, 1:])
+    cs = _doubled_prefix(x)
     vals = np.empty((count_rows, len(family), n // 8))
     if osc:
         # one deviation buffer for every row and radius, sized for the widest
@@ -518,13 +531,8 @@ def m_tilde_s(f: SampledFunction, s: float, cover: CriticalCover) -> SampledFunc
     _check_dilates_fit(grid)
     _check_finite_rows(f.values[None])
     plan = _cover_maximal_plan(cover)
-    # 0, then the prefix sums of |f|^s on the doubled circle: non-negative
-    # terms, so every difference of a later and an earlier entry is >= 0
-    n = grid.n
-    prefix = np.zeros(2 * n + 1)
-    prefix[1 : n + 1] = np.abs(f.values) ** s
-    prefix[n + 1 :] = prefix[1 : n + 1]
-    np.cumsum(prefix[1:], out=prefix[1:])
+    # |f|^s >= 0, so every later entry minus an earlier one is >= 0
+    prefix = _doubled_prefix(np.abs(f.values) ** s)
     sums = np.take(prefix, plan.hi) - np.take(prefix, plan.lo)
     sums.reshape(-1)[plan.split] += np.take(prefix, plan.hi2) - np.take(prefix, plan.lo2)
     slots = np.append(_slot_range_max((sums / plan.counts).ravel(), plan.radii) ** (1.0 / s),
@@ -574,11 +582,8 @@ def fs_inequality_rows(
                                   _sup_over_family_rows(stack.real, grid, alpha_sharp, osc=True)])
         # one weight check and one reduction for both integrals of every row
         norms = lp_norms(grid, maximal, p, weight=wv)
-        # a (rows * J, K) view reduces each row's averages as a (J, K) gather
-        # would, bit for bit; a mean over the last axis of (rows, J, K) may not
-        g_avgs = np.mean(np.take(magnitude, q2, axis=1).reshape(-1, q2.shape[1]), axis=1)
         for lhs_norm, sharp_norm, avgs in zip(norms[:rows], norms[rows:],
-                                              g_avgs.reshape(rows, -1).tolist()):
+                                              _window_means(magnitude, q2).tolist()):
             lhs, sharp = lhs_norm**p, sharp_norm**p
             tail = 0.0
             for wq, avg in zip(w_balls, avgs):

@@ -183,18 +183,22 @@ def apply_adjoint(op: OperatorInstance, u: SampledFunction) -> SampledFunction:
 # ---------------------------------------------------------------------------
 
 
+def _commutator_with(transform, op: OperatorInstance, b: SampledFunction, rows: np.ndarray):
+    """[b, S] u = b (S u) - S (b u) for each row u of a stack, S u = transform(op, u)."""
+    bv = b.real_values(1e-12)
+    return bv * transform(op, rows) - transform(op, bv * rows)
+
+
 def commutator_rows(op: OperatorInstance, b: SampledFunction, rows: np.ndarray) -> np.ndarray:
     """[b, T_a] f = b (T_a f) - T_a (b f) for each row f of a (rows, n) stack."""
-    bv = b.real_values(1e-12)
-    return bv * apply_rows(op, rows) - apply_rows(op, bv * rows)
+    return _commutator_with(apply_rows, op, b, rows)
 
 
 def adjoint_commutator_rows(
     op: OperatorInstance, b: SampledFunction, rows: np.ndarray
 ) -> np.ndarray:
     """[b, T_a^*] u = b (T_a^* u) - T_a^* (b u) for each row u of a (rows, n) stack."""
-    bv = b.real_values(1e-12)
-    return bv * apply_adjoint_rows(op, rows) - apply_adjoint_rows(op, bv * rows)
+    return _commutator_with(apply_adjoint_rows, op, b, rows)
 
 
 def commutator(op: OperatorInstance, b: SampledFunction, f: SampledFunction) -> SampledFunction:

@@ -86,3 +86,56 @@ def test_corpus_values_equal_per_item_packets(n, half):
         alone = gaussian_packet(grid, center=params["center"], width=params["width"],
                                 modulation=params["modulation"])
         assert np.array_equal(fn.values, alone.values)
+
+
+# The packet and the cosine sum written out term by term: the outputs of
+# gaussian_packet, gaussian_corpus and band_noise must equal them bit for
+# bit, dtype included, on every grid below.
+_GRIDS = [(n, half) for n in (256, 1024, 2048, 4096) for half in (8.0, 12.0, 16.0, 64.0)]
+_SEEDS = (0, 3, 7, 12345)
+
+
+def _reference_packet(grid, center, width, modulation):
+    disp = grid.wrap(grid.axis_points() - float(center))
+    vals = np.exp(-(disp * disp) / (2.0 * width * width))
+    if not modulation:
+        return vals
+    lam = int(modulation) * grid.freq_spacing
+    return vals * np.exp(1j * lam * grid.axis_points())
+
+
+def _reference_band_noise(grid, seed):
+    rng = np.random.default_rng(seed)
+    base = grid.freq_spacing
+    x = grid.axis_points()
+    u = np.zeros(grid.n)
+    for k in range(1, 9):
+        coef = rng.uniform(-1.0, 1.0)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        u = u + coef * np.cos(base * k * x + phase)
+    sup = float(np.max(np.abs(u)))
+    if sup > 0:
+        u = u * (1.0 / sup)
+    return u
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n, half", _GRIDS)
+def test_packets_and_noise_equal_the_written_out_arithmetic(n, half):
+    grid = make_grid(n, half)
+    centers = (0.0, 0.3 * half, -0.45 * half, half - 1.0)
+    widths = (0.6, 1.0, 1.8)
+    modulations = (0, 4, 12)
+    items = gaussian_corpus(grid, centers, widths, modulations)
+    assert len(items) == len(centers) * len(widths) * len(modulations)
+    for _, fn, params in items:
+        c, w, q = params["center"], params["width"], params["modulation"]
+        want = _reference_packet(grid, c, w, q)
+        _assert_same_bits(fn.values, want)
+        _assert_same_bits(gaussian_packet(grid, c, w, q).values, want)
+    for seed in _SEEDS:
+        _assert_same_bits(band_noise(grid, seed).values, _reference_band_noise(grid, seed))

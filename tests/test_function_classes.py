@@ -186,3 +186,32 @@ def test_class_estimators_keep_their_scale_relations(rows):
     error models stated up front (measured worst: 0.21 and 0.26 of them)."""
     for case, error, model in rows():
         assert error <= model, case
+
+
+def _reference_log_bounded(grid, seed):
+    """The random_log_bounded weight's values, its cosine sum written out."""
+    rng = np.random.default_rng(seed)
+    x = grid.axis_points()
+    u = np.zeros(grid.n)
+    base = np.pi / grid.half_length
+    for _ in range(6):
+        (k,) = rng.integers(1, 6, size=1)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        coef = rng.uniform(-1.0, 1.0)
+        u = u + coef * np.cos(base * k * x + phase)
+    sup = float(np.max(np.abs(u)))
+    if sup > 0:
+        u = u * (1.0 / sup)
+    return np.exp(u)
+
+
+@pytest.mark.parametrize("n", [256, 1024, 2048, 4096])
+@pytest.mark.parametrize("half", [8.0, 12.0, 16.0, 64.0])
+def test_random_log_bounded_weight_equals_the_written_out_sum(n, half):
+    """Bit for bit, dtype included, at every seed."""
+    grid = P.make_grid(n, half)
+    for seed in (0, 3, 7, 12345):
+        got = P.preset_weight("random_log_bounded", grid, seed=seed).values
+        want = _reference_log_bounded(grid, seed)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)

@@ -19,11 +19,13 @@ from psdolab.corpus import (
 from psdolab.maximal import (
     _cover_maximal_plan,
     _covering,
+    _doubled_prefix,
     _family_plan,
     _family_windows,
     _slot_plan,
     _slot_range_max,
     _sup_over_family_rows,
+    _window_means,
     fs_inequality_rows,
 )
 
@@ -546,3 +548,55 @@ def test_weighted_maximal_bounds_frozen(grid, cover):
     assert abs(agg["series_trend"]) <= 0.1
     assert abs(agg["cover_trend"]) <= 0.1
     assert agg["gate_stable"] is True
+
+
+def _reference_doubled_prefix_rows(x):
+    """The family sups' doubled prefix of a (rows, n) stack, written out."""
+    count_rows, n = x.shape
+    cs = np.zeros((count_rows, 2 * n + 1))
+    cs[:, 1 : n + 1] = x
+    cs[:, n + 1 :] = x
+    np.cumsum(cs[:, 1:], axis=1, out=cs[:, 1:])
+    return cs
+
+
+def _reference_doubled_prefix(v):
+    """m_tilde_s's doubled prefix of one row, written out."""
+    n = v.size
+    prefix = np.zeros(2 * n + 1)
+    prefix[1 : n + 1] = v
+    prefix[n + 1 :] = prefix[1 : n + 1]
+    np.cumsum(prefix[1:], out=prefix[1:])
+    return prefix
+
+
+@pytest.mark.parametrize("n", [64, 1024, 4096])
+def test_doubled_prefix_equals_the_per_row_prefixes(n):
+    """One doubled prefix serves the family sups' stacks and m_tilde_s's
+    single row: each row of a stack's prefix is the row's own prefix, and
+    both are the written-out expressions, bit for bit."""
+    rng = np.random.default_rng(n)
+    stack = rng.standard_normal((5, n)) * np.array([1e-8, 1.0, 1e3, 0.0, 1e12])[:, None]
+    got = _doubled_prefix(stack)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, _reference_doubled_prefix_rows(stack))
+    for row, prefix in zip(stack, got):
+        assert np.array_equal(_doubled_prefix(row), prefix)
+        assert np.array_equal(_reference_doubled_prefix(row), prefix)
+
+
+@pytest.mark.parametrize("n, half_length", [(256, 8.0), (1024, 16.0), (2048, 12.0)])
+@pytest.mark.parametrize("radius", [1.0, 2.0])
+def test_window_means_equal_the_per_row_gathers(n, half_length, radius):
+    """Each row's cover-window means equal the mean of that row's own (J, K)
+    gather, and the written-out (rows * J, K) view, bit for bit."""
+    grid = P.make_grid(n, half_length)
+    windows = P.build_critical_cover(grid).windows(radius)
+    rng = np.random.default_rng(n)
+    stack = np.abs(rng.standard_normal((7, n))) * np.geomspace(1e-6, 1e6, 7)[:, None]
+    got = _window_means(stack, windows)
+    assert got.shape == (7, len(windows))
+    want = np.mean(np.take(stack, windows, axis=1).reshape(-1, windows.shape[1]), axis=1)
+    assert np.array_equal(got, want.reshape(7, -1))
+    for row, means in zip(stack, got):
+        assert np.array_equal(np.mean(np.take(row, windows), axis=1), means)

@@ -489,3 +489,22 @@ def test_rough_application_needs_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("preset, params, n", [case for case in _COMMUTATOR_CASES
+                                               if case[2] <= 1024])
+def test_commutators_equal_the_written_out_difference(preset, params, n):
+    """Both commutator cores are b T(u) - T(b u) with their transform,
+    bit for bit, dtype included."""
+    g = P.make_grid(n, 16.0)
+    op = P.make_operator(P.preset_symbol(preset, **params), g)
+    b = P.preset_bmo("triangle", g)
+    bv = b.real_values(1e-12)
+    rows = np.stack([f.values for _, f, _ in P.mixed_corpus(g, 4, 3)])
+    rows = rows * np.exp(1j * g.axis_points())
+    for core, transform in ((commutator_rows, apply_rows),
+                            (adjoint_commutator_rows, apply_adjoint_rows)):
+        got = core(op, b, rows)
+        want = bv * transform(op, rows) - transform(op, bv * rows)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)

@@ -148,3 +148,44 @@ def test_the_class_probe_evaluates_through_its_memo():
     calls = _calls_in_functions(PACKAGE / "symbols.py", "evaluator")
     probe = [scope for scope in calls if scope.startswith("estimate_class_membership")]
     assert probe == ["estimate_class_membership.values"]
+
+
+def _scoped_calls(name: str, files=None) -> list[str]:
+    """module.scope of every call of the named function in src/ (or in the
+    named modules only)."""
+    paths = sorted(PACKAGE.glob("*.py")) if files is None else [PACKAGE / f for f in files]
+    return [f"{path.stem}.{scope}" for path in paths
+            for scope in _calls_in_functions(path, name)]
+
+
+def _exp_of_gaussian_quotient(node) -> bool:
+    """Whether node calls exp on a quotient whose denominator has a factor 2,
+    the 2 w^2 of a Gaussian envelope."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "exp"):
+        return False
+    for div in ast.walk(node.args[0]):
+        if isinstance(div, ast.BinOp) and isinstance(div.op, ast.Div):
+            if any(isinstance(c, ast.Constant) and c.value == 2 for c in ast.walk(div.right)):
+                return True
+    return False
+
+
+def test_each_shared_formula_has_one_implementation():
+    """The doubled prefix sum (a cumsum of samples; the cover's multiplicity
+    and covering table take integer cumsums of counts, and the class probe
+    one of shell sizes), the Gaussian packet's envelope and the seeded
+    cosine sum are each built in one function."""
+    assert _scoped_calls("cumsum") == [
+        "maximal.multiplicity",
+        "maximal._doubled_prefix",
+        "maximal._covering",
+        "symbols.estimate_class_membership",
+    ]
+    envelopes = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+            if any(_exp_of_gaussian_quotient(node) for node in ast.walk(fn)):
+                envelopes.append(f"{path.stem}.{fn.name}")
+    assert envelopes == ["corpus.gaussian_corpus"]
+    assert _scoped_calls("cos", ["corpus.py", "function_classes.py"]) == ["corpus._cosine_sum"]
