@@ -126,20 +126,24 @@ def _calls_in_functions(path: pathlib.Path, name: str) -> list[str]:
     return found
 
 
+def _scoped_calls(name: str, files=None) -> list[str]:
+    """module.scope of every call of the named function in src/ (or in the
+    named modules only)."""
+    paths = sorted(PACKAGE.glob("*.py")) if files is None else [PACKAGE / f for f in files]
+    return [f"{path.stem}.{scope}" for path in paths
+            for scope in _calls_in_functions(path, name)]
+
+
 def test_the_ratio_corpus_is_built_in_one_place():
     """theorem13a and theorem13b share one corpus per config: no psdolab
     module builds the config's corpus outside experiments._ratio_corpus."""
-    calls = [f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
-             for scope in _calls_in_functions(path, "make_corpus")]
-    assert calls == ["experiments._ratio_corpus"]
+    assert _scoped_calls("make_corpus") == ["experiments._ratio_corpus"]
 
 
 def test_the_hypothesis_gate_runs_in_one_place():
     """The hypothesis gate runs once, inside load_config, so every config a
     runner receives has passed it and no runner checks it again."""
-    calls = [f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
-             for scope in _calls_in_functions(path, "check_hypotheses")]
-    assert calls == ["config.load_config"]
+    assert _scoped_calls("check_hypotheses") == ["config.load_config"]
 
 
 def test_the_class_probe_evaluates_through_its_memo():
@@ -148,14 +152,6 @@ def test_the_class_probe_evaluates_through_its_memo():
     calls = _calls_in_functions(PACKAGE / "symbols.py", "evaluator")
     probe = [scope for scope in calls if scope.startswith("estimate_class_membership")]
     assert probe == ["estimate_class_membership.values"]
-
-
-def _scoped_calls(name: str, files=None) -> list[str]:
-    """module.scope of every call of the named function in src/ (or in the
-    named modules only)."""
-    paths = sorted(PACKAGE.glob("*.py")) if files is None else [PACKAGE / f for f in files]
-    return [f"{path.stem}.{scope}" for path in paths
-            for scope in _calls_in_functions(path, name)]
 
 
 def _exp_of_gaussian_quotient(node) -> bool:
