@@ -338,11 +338,11 @@ def _check_computable(cfg: ExperimentConfig, grid) -> None:
     from .corpus import _check_count, _check_width
     from .experiments import _oscillation_balls
     from .function_classes import _check_stabilization_radii
-    from .grid import Ball, _sweep_radii, ball_indices
+    from .grid import Ball, _family_windows, _sweep_radii, ball_indices
     from .kernels import _check_annuli, _check_k_window, _decay_ks, _difference_js, _difference_ks
     from .littlewood_paley import make_lp_family
-    from .maximal import (_check_damping, _check_dilates_fit, _check_family_radius,
-                          _check_kappa, _check_maximal_exponents)
+    from .maximal import (_check_damping, _check_dilates_fit, _check_kappa,
+                          _check_maximal_exponents)
 
     k_lo, k_hi = cfg.get("kernel.k_lo"), cfg.get("kernel.k_hi")
     (j_lo, j_hi), (dk_lo, dk_hi) = cfg.get("kernel.diff_j"), cfg.get("kernel.diff_k")
@@ -364,7 +364,7 @@ def _check_computable(cfg: ExperimentConfig, grid) -> None:
         ("grid", lambda: _check_dilates_fit(grid)),
         # the weight gate sweeps sweep_family(grid), radii up to L/2
         ("grid", lambda: _check_stabilization_radii(_sweep_radii(grid, grid.half_length / 2))),
-        ("grid", lambda: [_check_family_radius(grid, alpha) for alpha in (0.5, 4.0)]),
+        ("grid", lambda: [_family_windows(grid, alpha) for alpha in (0.5, 4.0)]),
     ]
     for key in ("corpus.center_count", "lemma.center_count", "fs.count"):
         checks.append((key, lambda key=key: _check_count(cfg.get(key))))

@@ -32,7 +32,7 @@ from .function_classes import (
     stabilization_criteria,
     stabilized_characteristic,
 )
-from .grid import Ball, ball_indices, lp_norms, sweep_family
+from .grid import Ball, _gathered, ball_indices, ball_mask, lp_norms, sweep_family
 from .kernels import (
     adjoint_kernel_bounds,
     band_limited_twin,
@@ -41,7 +41,6 @@ from .kernels import (
 )
 from .littlewood_paley import evaluate_partition_residual
 from .maximal import (
-    _window_means,
     build_critical_cover,
     check_weighted_bounds_maximal,
     fs_inequality_rows,
@@ -257,8 +256,8 @@ def local_average_ratio(rows: np.ndarray, series: np.ndarray, windows: np.ndarra
     """(rows, J) array of mean_B |u| / inf_B series, u a row of the (rows, n)
     stack and B ball j (row j of windows); inf (0 if u vanishes on B) where
     inf_B series <= 0.  inf_B series is gathered once for all rows."""
-    lhs = _window_means(np.abs(rows), windows)
-    rhs = np.min(series[windows], axis=1)
+    lhs = _gathered(np.abs(rows), windows)
+    rhs = _gathered(series, windows, np.min)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(rhs <= 0.0, np.where(lhs > 0.0, np.inf, 0.0), lhs / rhs)
 
@@ -368,10 +367,9 @@ def run_oscillation_check(cfg: ExperimentConfig) -> VerificationReport:
     items = []
     plain, comm, zeros = [], [], []
     for c, r, idx in balls:
-        outside = np.ones(grid.n, dtype=bool)
-        outside[ball_indices(grid, Ball((c,), 2.0 * r))] = False
+        outside = ~ball_mask(grid, Ball((c,), 2.0 * r))
         *cuts, same_cut = (row[outside] * grid.spacing for row in _oscillation_rows(op, c, r))
-        b_dev = np.abs(b.values[outside] - float(np.mean(b.values[idx])))
+        b_dev = np.abs(b.values[outside] - float(_gathered(b.values, idx)))
 
         # packets scaled to the ball so every generic item keeps real
         # mass outside 2B; a packet swallowed by 2B probes nothing
@@ -384,7 +382,7 @@ def run_oscillation_check(cfg: ExperimentConfig) -> VerificationReport:
             noise,
         ]
         for label, f, params, g4, mt in corpus:
-            rhs = float(np.min(g4[idx])) + float(np.min(mt[idx]))
+            rhs = float(_gathered(g4, idx, np.min)) + float(_gathered(mt, idx, np.min))
             dens = np.abs(f.values[outside])
             dens_b = b_dev * dens
             for i, cut in enumerate(cuts):

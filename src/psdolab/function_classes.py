@@ -30,13 +30,15 @@ import numpy as np
 from .corpus import _cosine_sum
 from .fitting import least_squares_line, median
 from .grid import (
-    MIN_POINTS_PER_BALL,
     Ball,
     BallFamily,
     PeriodicGrid,
     SampledFunction,
+    _family_groups,
+    _gathered,
+    _oscillation,
+    _per_ball,
     ball_indices,
-    ball_windows,
     sweep_family,
 )
 from .report import Criterion, VerificationReport, spread_criterion, zero_family
@@ -159,28 +161,8 @@ def preset_bmo(name: str, grid: PeriodicGrid, value: float = 1.0) -> SampledFunc
     raise ValueError(f"unknown bmo preset {name!r}")
 
 
-@lru_cache(maxsize=16)
-def _family_indices(grid: PeriodicGrid, family: BallFamily):
-    """(positions in family, index matrix) groups from one gather per radius;
-    row i of a matrix holds the indices of family.ball(positions[i])."""
-    radii, centers = np.array(family.ball_radii), np.array(family.centers)
-    groups = []
-    for r in dict.fromkeys(family.ball_radii):
-        pos = np.flatnonzero(radii == r)
-        for sub, rows in ball_windows(grid, centers[pos], r):
-            if rows.shape[1] < MIN_POINTS_PER_BALL:
-                raise ValueError(f"ball {family.ball(pos[sub[0]])} contains "
-                                 f"{rows.shape[1]} grid points, needs >= {MIN_POINTS_PER_BALL}")
-            groups.append((pos[sub], rows))
-    return tuple(groups)
-
-
-def _per_ball(flat: np.ndarray, grid: PeriodicGrid, family: BallFamily, stat) -> list[float]:
-    """stat(flat[rows]) per ball, in family order; stat reduces each row."""
-    out = np.empty(len(family.centers))
-    for pos, rows in _family_indices(grid, family):
-        out[pos] = stat(flat[rows])
-    return out.tolist()
+# the family's (positions, index matrix) groups, kept per (grid, family)
+_family_indices = lru_cache(maxsize=16)(_family_groups)
 
 
 def _ap_theta_values(w: WeightFn, p: float, theta: float, family: BallFamily) -> list[float]:
@@ -196,7 +178,7 @@ def _ap_theta_values(w: WeightFn, p: float, theta: float, family: BallFamily) ->
     with np.errstate(over="ignore"):
         dual = flat ** (-1.0 / (p - 1.0))
     # Python float powers: numpy's array power can differ in the last ulp
-    means = [_per_ball(v, w.grid, family, lambda x: np.mean(x, axis=1)) for v in (flat, dual)]
+    means = [_per_ball(v, _family_indices(w.grid, family)) for v in (flat, dual)]
     raw = [a ** (1.0 / p) * d ** (1.0 / pprime) for a, d in zip(*means)]
     low = next((v for v in raw if v < 1.0 - _JENSEN_SLACK), None)
     if low is not None:
@@ -216,8 +198,7 @@ def ap_theta_characteristic(
 def bmo_theta_norm(b: SampledFunction, theta: float, family: BallFamily) -> BmoThetaNorm:
     if theta < 0.0:
         raise ValueError(f"theta must be >= 0, got {theta}")
-    osc = _per_ball(b.real_values().ravel(), b.grid, family,
-                    lambda v: np.mean(np.abs(v - np.mean(v, axis=1)[:, None]), axis=1))
+    osc = _per_ball(b.real_values().ravel(), _family_indices(b.grid, family), _oscillation)
     values = [v / (1.0 + r) ** theta for v, r in zip(osc, family.ball_radii)]
     i = values.index(max(values))
     return BmoThetaNorm(theta, values[i], family.ball(i))
@@ -270,8 +251,7 @@ def check_john_nirenberg_variant(
     flat = b.real_values().ravel()
     items = []
     ratios_i = []
-    moments = _per_ball(flat, grid, family,
-                        lambda v: np.mean(np.abs(v - np.mean(v, axis=1)[:, None]) ** s, axis=1))
+    moments = _per_ball(flat, _family_indices(grid, family), _oscillation, s=s)
     for c, r, moment in zip(family.centers, family.ball_radii, moments):
         lhs = moment ** (1.0 / s)
         rhs = norm.value * (1.0 + r) ** theta
@@ -279,7 +259,7 @@ def check_john_nirenberg_variant(
             continue
         ratios_i.append(lhs / rhs)
         items.append({"id": "part_i", "params": {"center": [c], "r": r}, "value": lhs / rhs})
-    b_base = float(np.mean(flat[ball_indices(grid, ball)]))
+    b_base = float(_gathered(flat, ball_indices(grid, ball)))
     ratios_ii = []
     skipped = 0
     for k in k_range:
@@ -287,11 +267,11 @@ def check_john_nirenberg_variant(
         if not dil.fully_inside(grid):
             skipped += 1
             continue
-        vals = flat[ball_indices(grid, dil)]
         rhs = norm.value * k * (1.0 + dil.radius) ** theta
         if rhs == 0.0:
             continue
-        lhs = float(np.mean(np.abs(vals - b_base) ** s) ** (1.0 / s))
+        moment = _gathered(flat, ball_indices(grid, dil), _oscillation, s=s, center=b_base)
+        lhs = float(moment ** (1.0 / s))
         ratios_ii.append(lhs / rhs)
         items.append({"id": "part_ii", "params": {"k": k}, "value": lhs / rhs})
     med = median(ratios_i) if ratios_i else 0.0

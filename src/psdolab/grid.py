@@ -12,9 +12,11 @@ maximal functions) and complex128 otherwise (spectra, operator outputs).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "PeriodicGrid",
@@ -293,6 +295,378 @@ def ball_mask(grid: PeriodicGrid, ball: Ball) -> np.ndarray:
     mask[ball_indices(grid, ball)] = True
     return mask
 
+
+# ---------------------------------------------------------------------------
+# Windows: every reduction over ball arcs.  A window is the arc of one ball
+# (_ball_arcs); the functions below turn arcs into sums, means, maxima and
+# mean oscillations, and no other module slices or gathers a window.
+#
+# Every "sup over all balls" of the maximal functions is realized over a
+# structured family (centers 8k on a stride-8 sublattice, dyadic radii),
+# which keeps results reproducible, and every family window mean comes from
+# a doubled prefix sum.  All points of one residue class mod 8 in one block
+# of 8, a slot, lie in the windows of the same run of centers (Gil and
+# Werman 1993), so every sup over the windows that hold a point is a
+# sparse-table range max per slot, all radii from one table, and one take
+# spreads the slots over the points.  m_loc and m_sharp_loc take it on the
+# whole circle, as the one-row case of a (rows, n) core: one doubled prefix
+# per stack, per radius one gather of the window means, and one slot range
+# max for every row.  The mean oscillation takes, per radius and row, three
+# passes over (n/8) count values in one work buffer: a copy of the windows
+# from a strided view of the row, the centring and abs in place, and a
+# pairwise reduce per window.  That is the floor of the fs target in numpy.
+# m_tilde_s runs all critical balls at once, ball j as row j, on the slots
+# of Q_j: for each window, the ends in one doubled prefix of |f|^s of its
+# part inside row j's 8-dilate, over the radii up to the first whose window
+# holds the whole dilate, so the work per ball does not grow with the box.
+# g_kappa_p reads each ball's average over a dyadic dilate as the sum of a
+# few pairwise blocks, one per binary digit of the ball's point count, so an
+# average far from the mass of f keeps its own relative accuracy.  The class
+# sweeps and the cover's radius 1 and 2 balls are read as (balls, points)
+# index windows, one gather per radius, reduced along the points.
+#
+# Plans, the index work that depends only on the grid and the arcs, are
+# built once through _plan.
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=64)
+def _plan(build, *key):
+    """build(*key), built once per key: the one plan cache of the windows,
+    keyed by the grid and what fixes the arcs.  Every array of a plan,
+    nested in tuples, is read-only."""
+    plan = build(*key)
+    parts = [plan]
+    while parts:
+        part = parts.pop()
+        if isinstance(part, np.ndarray):
+            part.flags.writeable = False
+        elif isinstance(part, tuple):
+            parts.extend(part)
+    return plan
+
+
+def _family_groups(grid: PeriodicGrid, family: "BallFamily"):
+    """(positions in family, index matrix) groups from one gather per radius;
+    row i of a matrix holds the indices of family.ball(positions[i])."""
+    radii, centers = np.array(family.ball_radii), np.array(family.centers)
+    groups = []
+    for r in dict.fromkeys(family.ball_radii):
+        pos = np.flatnonzero(radii == r)
+        for sub, rows in ball_windows(grid, centers[pos], r):
+            if rows.shape[1] < MIN_POINTS_PER_BALL:
+                raise ValueError(f"ball {family.ball(pos[sub[0]])} contains "
+                                 f"{rows.shape[1]} grid points, needs >= {MIN_POINTS_PER_BALL}")
+            groups.append((pos[sub], rows))
+    return tuple(groups)
+
+
+def _gathered(x, windows: np.ndarray, reduce=np.mean, **kwargs) -> np.ndarray:
+    """reduce(v, axis=-1, **kwargs) of the samples v of the last axis of x
+    in each row of a (J, K) index array (or in one index row): (..., J)."""
+    return reduce(np.take(x, windows, axis=-1), axis=-1, **kwargs)
+
+
+def _per_ball(x, groups, reduce=np.mean, **kwargs) -> list[float]:
+    """_gathered(x, rows, reduce, **kwargs) per ball of the (positions,
+    index matrix) groups of a family (_family_groups), in family order."""
+    out = np.empty(sum(len(pos) for pos, _ in groups))
+    for pos, rows in groups:
+        out[pos] = _gathered(x, rows, reduce, **kwargs)
+    return out.tolist()
+
+
+def _oscillation(v: np.ndarray, axis: int = -1, s: float = 1.0, center=None) -> np.ndarray:
+    """mean |v - center|^s along axis, center the mean of v unless given."""
+    if center is None:
+        center = np.mean(v, axis=axis, keepdims=True)
+    return np.mean(np.abs(v - center) ** s, axis=axis)
+
+
+def _check_finite_rows(x: np.ndarray) -> None:
+    """Refuse a (rows, n) stack holding a non-finite sample: through the
+    prefix sums it would reach windows that do not hold it."""
+    bad = ~np.isfinite(x)
+    if bad.any():
+        row, index = np.argwhere(bad)[0]
+        raise ValueError(f"row {row} has a non-finite sample at index {index}")
+
+
+def _doubled_prefix(x: np.ndarray) -> np.ndarray:
+    """0, then the prefix sums of the doubled samples along the last axis of x,
+    so every periodic window of a row is one difference of two entries."""
+    n = x.shape[-1]
+    cs = np.zeros(x.shape[:-1] + (2 * n + 1,))
+    cs[..., 1 : n + 1] = cs[..., n + 1 :] = x
+    np.cumsum(cs[..., 1:], axis=-1, out=cs[..., 1:])
+    return cs
+
+
+def _arc_means(x: np.ndarray, grid: PeriodicGrid, centers, radii) -> list[np.ndarray]:
+    """Per radius, the means of the samples x over the balls B(centers[j],
+    radius), which hold one count of points: each sum a few pairwise blocks,
+    one per binary digit of the count, largest first.
+
+    Level l holds the sums of the 2^l consecutive samples of the doubled x
+    from each point on, each a pairwise sum of two level l - 1 blocks.  Every
+    block sum of non-negative samples is then within l units of roundoff of
+    the exact sum, relative to itself and not to the row's total, which a
+    prefix difference would be (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 4.2).
+    """
+    arcs = [_plan(_ball_arcs, grid, centers, r) for r in radii]
+    counts = [count for _, (count,) in ((s, set(c.tolist())) for s, c in arcs)]
+    blocks = [np.concatenate([x, x])]
+    for level in range(1, max(counts, default=1).bit_length()):
+        half = 1 << (level - 1)
+        blocks.append(blocks[-1][:-half] + blocks[-1][half:])
+    means = []
+    for (starts, _), count in zip(arcs, counts):
+        sums, offset = 0.0, 0
+        for level in reversed(range(count.bit_length())):
+            if count >> level & 1:
+                sums = sums + blocks[level][starts + offset]
+                offset += 1 << level
+        means.append(sums / count)
+    return means
+
+
+def _depth(grid: PeriodicGrid, centers, radius: float) -> np.ndarray:
+    """Pointwise count of the balls B(centers[j], radius) holding each grid
+    point: +1 at each arc's start and -1 past its end on the doubled line,
+    one integer cumsum, and the two halves folded onto the circle."""
+    n = grid.n
+    starts, counts = _plan(_ball_arcs, grid, centers, radius)
+    steps = np.bincount(starts, minlength=2 * n + 1) - np.bincount(starts + counts,
+                                                                   minlength=2 * n + 1)
+    depth = np.cumsum(steps[: 2 * n])
+    return depth[:n] + depth[n:]
+
+
+def _covering(grid: PeriodicGrid, centers) -> np.ndarray:
+    """The unit balls B(centers[j], 1) holding each grid point x, ascending in
+    column x of a (max multiplicity, n) table, padded with J: _spread_max of
+    J values reads, at x, the max over the balls holding x."""
+    ((_, q),) = _plan(ball_windows, grid, centers, 1.0)
+    order = np.argsort(q, axis=None, kind="stable")
+    mult = np.bincount(q.ravel(), minlength=grid.n)
+    table = np.full((int(mult.max()), grid.n), len(q))
+    rank = np.arange(q.size) - np.repeat(np.cumsum(mult) - mult, mult)
+    table[rank, q.ravel()[order]] = order // q.shape[1]
+    return table
+
+
+def _spread_max(values: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Per column of a table of places in values, the max of values there;
+    the place len(values) reads -inf."""
+    return np.max(np.take(np.append(values, -np.inf), table), axis=0)
+
+
+def _family_windows(grid: PeriodicGrid, alpha: float) -> tuple:
+    """(radius, starts, count) per sweep radius 8 dx, 16 dx, .. up to alpha
+    (_sweep_radii), then alpha itself if it is not one: the balls around the
+    points 8k are the arcs (_ball_arcs) of count points from starts[k].  The
+    family starts at radius 8 dx, which alpha must reach."""
+    if alpha < 8.0 * grid.spacing:
+        raise ValueError(f"alpha {alpha} below the minimum family radius {8.0 * grid.spacing}")
+    radii = _sweep_radii(grid, alpha)
+    if radii[-1] < alpha * (1.0 - 1e-12):
+        radii.append(alpha)
+    windows = []
+    for r in radii:
+        starts, counts = _ball_arcs(grid, grid.axis_points()[::8], r)
+        (count,) = set(counts.tolist())
+        if count >= grid.n:
+            raise ValueError("window exceeds the grid period")
+        windows.append((r, starts, count))
+    return tuple(windows)
+
+
+def _slot_plan(points: np.ndarray, halves, c: int):
+    """Slot-level range-max plan of the family windows of the ascending
+    half-widths halves, at rows of points (each row consecutive integers in
+    any order, not reduced mod n = 8c).
+
+    Point x = 8b + i lies in the windows of the centers 8k, k = b +
+    ceil((i - half) / 8) .. b + floor((i + half) / 8) (mod c).  Residues whose
+    two offsets agree at every half form a class ({0} and {1..7} when every
+    half is a multiple of 8); a slot is one class in one block b.  Returns the
+    (rows, M) table columns r c + k (per half, the centers from the first that
+    the row's runs reach, so no run crosses its segment), per half the width
+    w = 2^floor(log2 ell), ell = (2 half + 1) // 8, with the (2, rows, S)
+    columns of each slot's first and last w-block (a sparse table; Bender and
+    Farach-Colton 2000), and each point's slot.  Slots that hold no point
+    read columns clipped into their segment.  Exact for half >= 4.
+    """
+    i = np.arange(8)
+    h = np.asarray(halves)[:, None, None]
+    ends = np.concatenate([-((h - i) // 8), (i + h) // 8], axis=1)
+    _, rep, cls = np.unique(ends.reshape(-1, 8).T, axis=0, return_index=True,
+                            return_inverse=True)
+    first, last = points.min(axis=1, keepdims=True), points.max(axis=1, keepdims=True)
+    blocks = (first // 8 + np.arange(int(np.max(last // 8 - first // 8)) + 1))[..., None]
+    columns, radii = [], []
+    for r, (half, (lo, hi)) in enumerate(zip(halves, ends[:, :, rep])):
+        k0 = -((half - first) // 8)
+        m = int(np.max((last + half) // 8 - k0)) + 1
+        width = 1 << (((2 * half + 1) // 8).bit_length() - 1)
+        run = np.stack([blocks + lo, blocks + hi - width + 1]) - k0[..., None]
+        offset = sum(col.shape[1] for col in columns)
+        radii.append((width, (np.clip(run, 0, m - width) + offset).reshape(2, len(points), -1)))
+        columns.append(r * c + (k0 + np.arange(m)) % c)
+    slot = (points // 8 - first // 8) * len(rep) + cls.ravel()[points % 8]
+    return np.concatenate(columns, axis=1), radii, slot
+
+
+def _slot_range_max(table: np.ndarray, radii) -> np.ndarray:
+    """Max over the radii of each slot's run max, from one sparse table.
+
+    table: the window values in _slot_plan's columns, (rows, M) with reads
+    shared by every row, or raveled with flat reads.  The table climbs its
+    last axis once, level 2s = max(level s[..., :-s], level s[..., s:]), and
+    each radius reads its slots at its width's level; max is exact, so any
+    order gives the same bits.
+    """
+    out, step = None, 1
+    for width, reads in radii:
+        while step < width:
+            table = np.maximum(table[..., :-step], table[..., step:])
+            step *= 2
+        got = np.maximum(np.take(table, reads[0], axis=-1), np.take(table, reads[1], axis=-1))
+        out = got if out is None else np.maximum(out, got, out=out)
+    return out
+
+
+def _family_plan(grid: PeriodicGrid, alpha: float):
+    """The family windows up to alpha and the slot plan of the whole circle:
+    table columns, slot reads shared by every row, each point's slot."""
+    windows = _family_windows(grid, alpha)
+    columns, radii, slot = _slot_plan(np.arange(grid.n)[None],
+                                      [count // 2 for _, _, count in windows], grid.n // 8)
+    return windows, columns[0], tuple((width, reads[:, 0]) for width, reads in radii), slot[0]
+
+
+def _sup_over_family_rows(x: np.ndarray, grid: PeriodicGrid, alpha: float, osc: bool):
+    """Family sup, row by row of a real (rows, n) stack, of the window means;
+    with osc, of the mean oscillation."""
+    _check_finite_rows(x)
+    count_rows, n = x.shape
+    family, columns, radii, slot = _plan(_family_plan, grid, alpha)
+    cs = _doubled_prefix(x)
+    vals = np.empty((count_rows, len(family), n // 8))
+    if osc:
+        # one deviation buffer for every row and radius, sized for the widest
+        work = np.empty(n // 8 * max(count for _, _, count in family))
+    for k, (_, starts, count) in enumerate(family):
+        means = (cs[:, starts + count] - cs[:, starts]) / count
+        if osc:
+            # the window around center 8k starts at point 8k of the row
+            # padded by half on each side: a strided view, no gather
+            half = count // 2
+            padded = np.concatenate([x[:, n - half :], x, x[:, :half]], axis=1)
+            windows = sliding_window_view(padded, count, axis=1)[:, ::8]
+            dev = work[: n // 8 * count].reshape(n // 8, count)
+            for r in range(count_rows):
+                # a contiguous copy first: centring the overlapping strided
+                # view through a broadcast reads it at a fraction of copy speed
+                np.copyto(dev, windows[r])
+                dev -= means[r, :, None]
+                np.add.reduce(np.abs(dev, out=dev), axis=1, out=vals[r, k])
+            vals[:, k] /= count
+        else:
+            vals[:, k] = means
+    table = np.take(vals.reshape(count_rows, -1), columns, axis=1)
+    return np.take(_slot_range_max(table, radii), slot, axis=1)
+
+
+class _CoverPlan(NamedTuple):
+    """The f-independent index work of m_tilde_s on critical balls Q_j.
+
+    lo, hi: (J, M) ends, in the doubled prefix of |f|^s, of the part of the
+    window at row j's table column that lies in the 8-dilate of Q_j;
+    counts: (M,) window lengths.  split: the flat (J M) places whose part is
+    two arcs, a window that reaches round the circle past the dilate's gap
+    (only for L under about 9.5), and lo2, hi2 the ends of their second arc.
+    radii: per radius, the table width and flat slot reads.  spread:
+    _covering's table in flat slots of the (J, S) slot maxima, padded with
+    J S.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    counts: np.ndarray
+    split: np.ndarray
+    lo2: np.ndarray
+    hi2: np.ndarray
+    radii: tuple
+    spread: np.ndarray
+
+
+def _dilate_family(grid: PeriodicGrid, size: int) -> list:
+    """The family windows up to L/2 (_family_windows) through the first whose
+    half-width reaches size // 2 + 4.
+
+    Around the center 8k nearest x_j (|8k - x_j| <= 4 points) that window
+    holds all of the size-point dilate.  Each larger window that holds a
+    point of Q_j reads a sub-arc of the dilate over more points, so its mean
+    is at most the dilate's total over that window's count.  The sub-arc's
+    prefix difference is at most the whole arc's (a monotone prefix, one
+    place per arc), so the order holds after rounding too, and the max at
+    every point of Q_j keeps its bits.
+    """
+    family = []
+    for window in _family_windows(grid, grid.half_length / 2.0):
+        family.append(window)
+        if window[2] // 2 >= size // 2 + 4:
+            break
+    return family
+
+
+def _cover_plan(grid: PeriodicGrid, centers) -> _CoverPlan:
+    """The _CoverPlan of the critical balls B(centers[j], 1)."""
+    n, c = grid.n, grid.n // 8
+    first, sizes = _ball_arcs(grid, centers, 8.0)
+    q_first, q_sizes = _ball_arcs(grid, centers, 1.0)
+    (size,), (size_q,) = set(sizes.tolist()), set(q_sizes.tolist())
+    rows = len(first)
+    family = _dilate_family(grid, size)
+    # row j's points: Q_j's arc from its first point, not reduced mod n
+    columns, radii, slot = _slot_plan(q_first[:, None] + np.arange(size_q),
+                                      [count // 2 for _, _, count in family], c)
+    # for L >= 8 every segment holds under c centers, so no window repeats
+    assert np.bincount(columns[0] // c).max() < c
+    counts = np.array([count for _, _, count in family])[columns[0] // c]
+    # Each window, from u points past the first point of row j's dilate on
+    # the circle, meets the dilate in [u, size) and in the next turn's
+    # [0, u + count - n), both in the dilate's own coordinates: one place in
+    # the prefix for each arc of the circle, whichever window reads it.
+    u = (np.concatenate([starts for _, starts, _ in family])[columns] - first[:, None]) % n
+    lo, hi = np.minimum(u, size), np.minimum(u + counts, size)
+    hi_next = np.clip(u + counts - n, 0, size)
+    live = lo < hi
+    split = np.flatnonzero(live & (hi_next > 0))
+    lo2 = first[split // lo.shape[1]]
+    hi2 = lo2 + hi_next.ravel()[split]
+    lo = first[:, None] + np.where(live, lo, 0)
+    hi = first[:, None] + np.where(live, hi, hi_next)
+    # each covering ball's slot of the point, at its place t on the ball's arc
+    balls, slots = _plan(_covering, grid, centers), radii[0][1].shape[2]
+    j = np.minimum(balls, rows - 1)
+    t = np.minimum((np.arange(n) - q_first[j]) % n, size_q - 1)
+    spread = np.where(balls < rows, j * slots + slot[j, t], rows * slots)
+    return _CoverPlan(lo, hi, counts, split, lo2, hi2,
+                      tuple((w, np.arange(rows)[:, None] * columns.shape[1] + reads)
+                            for w, reads in radii), spread)
+
+
+def _cut_means(x: np.ndarray, plan: _CoverPlan) -> np.ndarray:
+    """Per row j and table column of the plan, raveled, the mean of the
+    samples x over the window's part inside the 8-dilate of Q_j: two reads
+    of one doubled prefix of x for every window."""
+    prefix = _doubled_prefix(x)
+    sums = np.take(prefix, plan.hi) - np.take(prefix, plan.lo)
+    sums.reshape(-1)[plan.split] += np.take(prefix, plan.hi2) - np.take(prefix, plan.lo2)
+    return (sums / plan.counts).ravel()
 
 @dataclass(frozen=True)
 class BallFamily:

@@ -16,8 +16,7 @@ import psdolab.grid as grid_module
 from conftest import full_scan, full_scans
 from psdolab.experiments import local_average_ratio
 from psdolab.function_classes import WeightFn
-from psdolab.grid import _ball_arcs, ball_windows
-from psdolab.maximal import _cover_windows, _family_windows
+from psdolab.grid import _ball_arcs, _family_windows, ball_windows
 
 SIZES = [64, 128, 256, 512, 1024, 2048, 4096]
 
@@ -222,7 +221,7 @@ def test_a_critical_ball_tests_at_most_four_points(monkeypatch):
     inside = grid_module._inside
     monkeypatch.setattr(grid_module, "_inside",
                         lambda d2, radius: tested.append(d2.size) or inside(d2, radius))
-    _cover_windows.cache_clear()
+    grid_module._plan.cache_clear()
     rows = cover.windows(8.0)
     assert len(rows) == len(cover.centers) == 78
     assert 0 < sum(tested) <= 4 * len(cover.centers)

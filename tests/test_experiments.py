@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+import psdolab.grid as grid_module
 from psdolab import experiments, maximal
 from psdolab.config import HypothesisViolation, load_config
 from psdolab.corpus import mixed_corpus
@@ -313,34 +314,35 @@ def test_oscillation_zero_probes_are_exact_on_the_amplitude():
 def test_oscillation_runs_one_cover_plan_on_the_balls_it_reads(cfg, monkeypatch):
     """lemma42 builds one m_tilde_s plan, on the 23 of 78 critical balls that
     meet its oscillation balls."""
-    plan = maximal._cover_maximal_plan
+    build = maximal._cover_plan
     covers = []
 
-    def recorded(cover):
-        covers.append(cover)
-        return plan(cover)
+    def recorded(grid, centers):
+        covers.append((grid, centers))
+        return build(grid, centers)
 
-    monkeypatch.setattr(maximal, "_cover_maximal_plan", recorded)
-    plan.cache_clear()
+    monkeypatch.setattr(maximal, "_cover_plan", recorded)
+    grid_module._plan.cache_clear()
     run_oscillation_check(cfg)
-    assert plan.cache_info().misses == 1
-    assert len(set(covers)) == 1
-    assert plan(covers[0]).lo.shape[0] == 23
+    assert len(covers) == 1
+    assert build(*covers[0]).lo.shape[0] == 23
 
 
 def test_report_all_reads_cover_windows_only_at_radii_one_and_two(cfg, monkeypatch):
     """Every larger cover ball (the multiplicity dilates, the series' dyadic
     balls, the 8-dilates of m_tilde_s) is read as an arc, never as a
     (balls, points) index window."""
-    windows = maximal._cover_windows
+    windows = maximal.ball_windows
     radii = []
 
-    def recorded(cover, radius):
+    def recorded(grid, centers, radius):
         radii.append(radius)
-        return windows(cover, radius)
+        return windows(grid, centers, radius)
 
-    monkeypatch.setattr(maximal, "_cover_windows", recorded)
-    maximal._cover_maximal_plan.cache_clear()
+    # CriticalCover.windows builds them through the plan cache; the
+    # covering table reads the unit balls, radius 1
+    monkeypatch.setattr(maximal, "ball_windows", recorded)
+    grid_module._plan.cache_clear()
     experiments.run_all(cfg)
     assert set(radii) == {1.0, 2.0}
 
@@ -360,14 +362,16 @@ def test_oscillation_sub_cover_keeps_the_report_across_the_seam(monkeypatch):
 
 def test_oscillation_indexes_each_ball_and_doubled_ball_once(cfg, monkeypatch):
     """lemma42 on the 6 default balls makes 12 ball_indices calls: one per
-    ball, read by the meeting cover and the minima, and one per doubled ball."""
+    ball, read by the meeting cover and the minima, and one per doubled ball,
+    through its ball_mask."""
     balls = []
 
     def counted(grid, ball):
         balls.append(ball)
         return ball_indices(grid, ball)
 
-    monkeypatch.setattr(experiments, "ball_indices", counted)
+    for module in (experiments, grid_module):
+        monkeypatch.setattr(module, "ball_indices", counted)
     run_oscillation_check(cfg)
     assert len(balls) == 12
     assert sorted(b.radius for b in balls) == sorted(2 * [0.5, 1.0, 2.0, 1.0, 2.0, 4.0])

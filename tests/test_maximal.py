@@ -16,18 +16,20 @@ from psdolab.corpus import (
     gaussian_packet,
     mixed_corpus,
 )
-from psdolab.maximal import (
-    _cover_maximal_plan,
+import psdolab.grid as grid_module
+from psdolab.grid import (
+    _cover_plan,
     _covering,
     _doubled_prefix,
     _family_plan,
     _family_windows,
+    _gathered,
+    _plan,
     _slot_plan,
     _slot_range_max,
     _sup_over_family_rows,
-    _window_means,
-    fs_inequality_rows,
 )
+from psdolab.maximal import fs_inequality_rows
 
 
 @pytest.fixture(scope="module")
@@ -271,7 +273,7 @@ def _reference_m_tilde_s(f, s, cover):
     ratios = [v.as_integer_ratio() for v in (np.abs(f.values) ** s).tolist()]
     scale = max(den for _, den in ratios)
     ints = [num * (scale // den) for num, den in ratios]
-    family, columns, radii, slot = _family_plan(grid, grid.half_length / 2.0)
+    family, columns, radii, slot = _plan(_family_plan, grid, grid.half_length / 2.0)
     out = np.full(grid.shape, -np.inf)
     for center in cover.centers:
         dilate = _scan_mask(grid, P.Ball((center,), 8.0)).tolist()
@@ -293,7 +295,7 @@ def _assert_cover_maximal_close(f, s, cover):
     grid = f.grid
     ref = _reference_m_tilde_s(f, s, cover)
     got = P.m_tilde_s(f, s, cover).values.real ** s
-    smallest = next(_family_windows(grid, grid.half_length / 2.0))[2]
+    smallest = _family_windows(grid, grid.half_length / 2.0)[0][2]
     u = np.finfo(float).eps / 2.0
     bound = 8 * grid.n * u * math.fsum(np.abs(f.values) ** s) / smallest + 1e-13 * ref
     assert np.all(np.abs(got - ref) <= bound)
@@ -366,20 +368,22 @@ def test_meeting_sub_cover_is_exact_on_the_marked_points(n, half_length, s, kapp
                           P.g_kappa_p(f, kappa, s, cover, n_big).values.real[idx])
 
 
-def test_cover_maximal_plan_is_built_once_per_cover():
+def test_cover_maximal_plan_is_built_once_per_cover(monkeypatch):
     """Calls with other f and s reuse the cover's plan, every array of it is
     read-only, and it holds no (J, K) array over the K points of each
     8-dilate: a call reads |f|^s through one prefix of the circle."""
     grid = P.make_grid(256, 12.0)
     cover = P.build_critical_cover(grid)
     rng = np.random.default_rng(5)
-    _cover_maximal_plan.cache_clear()
+    _plan.cache_clear()
+    built = []
+    monkeypatch.setattr(maximal, "_cover_plan", lambda *key: built.append(key) or _cover_plan(*key))
     for s in (1.2, 1.5, 2.5):
         P.m_tilde_s(P.SampledFunction(grid, rng.standard_normal(256) + 0j), s, cover)
-    info = _cover_maximal_plan.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
-    plan = _cover_maximal_plan(cover)
-    assert plan is _cover_maximal_plan(cover)
+    assert built == [(grid, cover.centers)]
+    monkeypatch.undo()
+    plan = _plan(_cover_plan, grid, cover.centers)
+    assert plan is _plan(_cover_plan, grid, cover.centers)
     arrays = [plan.lo, plan.hi, plan.counts, plan.split, plan.lo2, plan.hi2, plan.spread]
     arrays += [reads for _, reads in plan.radii]
     assert not any(a.flags.writeable for a in arrays)
@@ -395,12 +399,12 @@ def test_cover_maximal_plan_is_built_once_per_cover():
 def _full_radius_plan(monkeypatch, cover):
     """The cover plan over every family radius up to L/2, as if no radius
     were dropped past the first window that holds an 8-dilate."""
-    monkeypatch.setattr(maximal, "_dilate_family",
+    monkeypatch.setattr(grid_module, "_dilate_family",
                         lambda grid, size: list(_family_windows(grid, grid.half_length / 2.0)))
-    _cover_maximal_plan.cache_clear()
-    plan = _cover_maximal_plan(cover)
+    _plan.cache_clear()
+    plan = _plan(_cover_plan, cover.grid, cover.centers)
     monkeypatch.undo()
-    _cover_maximal_plan.cache_clear()
+    _plan.cache_clear()
     return plan
 
 
@@ -414,7 +418,7 @@ def test_trimmed_cover_plan_gives_the_full_radius_bits(monkeypatch, n, half_leng
     grid = P.make_grid(n, half_length)
     cover = P.build_critical_cover(grid)
     full = _full_radius_plan(monkeypatch, cover)
-    trimmed = _cover_maximal_plan(cover)
+    trimmed = _plan(_cover_plan, grid, cover.centers)
     assert (trimmed.lo.shape[1] < full.lo.shape[1]) == (half_length > 32.0)
     rng = np.random.default_rng(n)
     rows = [rng.standard_normal(n) + 1j * rng.standard_normal(n),
@@ -422,7 +426,7 @@ def test_trimmed_cover_plan_gives_the_full_radius_bits(monkeypatch, n, half_leng
     for values, s in itertools.product(rows, (1.1, 1.5, 2.9)):
         f = P.SampledFunction(grid, values)
         got = P.m_tilde_s(f, s, cover).values
-        monkeypatch.setattr(maximal, "_cover_maximal_plan", lambda _: full)
+        monkeypatch.setattr(maximal, "_cover_plan", lambda *key: full)
         assert np.array_equal(got, P.m_tilde_s(f, s, cover).values)
         monkeypatch.undo()
 
@@ -432,12 +436,13 @@ def test_cover_plan_columns_do_not_grow_with_the_box():
     L = 32, 64 and 128, where the full family grows by a radius per doubling."""
     widths = set()
     for n, half_length in ((1024, 32.0), (2048, 64.0), (4096, 128.0)):
-        plan = _cover_maximal_plan(P.build_critical_cover(P.make_grid(n, half_length)))
+        cover = P.build_critical_cover(P.make_grid(n, half_length))
+        plan = _plan(_cover_plan, cover.grid, cover.centers)
         widths.add(plan.lo.shape[1])
     assert len(widths) == 1
 
 
-def test_slot_reads_are_counted_per_block_and_class():
+def test_slot_reads_are_counted_per_block_and_class(monkeypatch):
     """At n = 2048, L = 16 the range max reads slots, not points: per radius,
     the cover plan holds at most two reads per slot of each Q_j, slots being
     2 classes times at most |Q|/8 + 2 blocks (a read per point would be
@@ -449,18 +454,22 @@ def test_slot_reads_are_counted_per_block_and_class():
     grid = P.make_grid(2048, 16.0)
     cover = P.build_critical_cover(grid)
     size_q = cover.windows(1.0).shape[1]
-    plan = _cover_maximal_plan(cover)
+    plan = _plan(_cover_plan, grid, cover.centers)
     slots = 2 * (size_q // 8 + 2)
     assert len(plan.radii) == 7
     for _, reads in plan.radii:
         assert reads.shape == (2, len(cover.centers), reads.shape[2])
         assert reads.size <= 2 * len(cover.centers) * slots < 2 * len(cover.centers) * size_q
     for alpha, classes in ((0.5, 2), (4.0, 2), (8.0, 2), (4.0 + 3 * grid.spacing, 4)):
-        _family_plan.cache_clear()
+        _plan.cache_clear()
+        built = []
+        monkeypatch.setattr(grid_module, "_family_plan",
+                            lambda *key: built.append(key) or _family_plan(*key))
         for rows in (1, 8):
             _sup_over_family_rows(np.ones((rows, grid.n)), grid, alpha, osc=False)
-        assert _family_plan.cache_info().misses == 1
-        _, _, radii, slot = _family_plan(grid, alpha)
+        monkeypatch.undo()
+        assert built == [(grid, alpha)]
+        _, _, radii, slot = _plan(_family_plan, grid, alpha)
         assert np.array_equal(np.unique(slot % classes), np.arange(classes))
         assert all(reads.shape == (2, grid.n // 8 * classes) for _, reads in radii)
         residue_class = {2: [0, 1, 1, 1, 1, 1, 1, 1], 4: [0, 1, 1, 1, 2, 3, 3, 3]}[classes]
@@ -472,7 +481,7 @@ def test_covering_table_lists_the_balls_holding_each_point(grid, cover):
     """Column x of the covering table holds, ascending, every ball Q_j that
     holds grid point x, then the padding J; on a sub-cover too."""
     for balls in (cover, cover.meeting(np.arange(40, 60))):
-        table = _covering(balls)
+        table = _plan(_covering, grid, balls.centers)
         q = balls.windows(1.0)
         assert not table.flags.writeable
         assert table.shape == (np.max(balls.multiplicity(1.0)), grid.n)
@@ -585,16 +594,18 @@ def test_doubled_prefix_equals_the_per_row_prefixes(n):
         assert np.array_equal(_reference_doubled_prefix(row), prefix)
 
 
-@pytest.mark.parametrize("n, half_length", [(256, 8.0), (1024, 16.0), (2048, 12.0)])
+@pytest.mark.parametrize("n, half_length", [(256, 8.0), (1024, 16.0), (2048, 12.0), (8192, 128.0)])
 @pytest.mark.parametrize("radius", [1.0, 2.0])
 def test_window_means_equal_the_per_row_gathers(n, half_length, radius):
-    """Each row's cover-window means equal the mean of that row's own (J, K)
-    gather, and the written-out (rows * J, K) view, bit for bit."""
+    """The cover-window means of a stack, a mean over the last axis of its
+    (rows, J, K) gather, equal each row's own (J, K) gather and the
+    (rows * J, K) view bit for bit: numpy reduces each contiguous last-axis
+    row alike whatever the leading shape."""
     grid = P.make_grid(n, half_length)
     windows = P.build_critical_cover(grid).windows(radius)
     rng = np.random.default_rng(n)
     stack = np.abs(rng.standard_normal((7, n))) * np.geomspace(1e-6, 1e6, 7)[:, None]
-    got = _window_means(stack, windows)
+    got = _gathered(stack, windows)
     assert got.shape == (7, len(windows))
     want = np.mean(np.take(stack, windows, axis=1).reshape(-1, windows.shape[1]), axis=1)
     assert np.array_equal(got, want.reshape(7, -1))

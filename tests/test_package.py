@@ -172,9 +172,9 @@ def test_each_shared_formula_has_one_implementation():
     one of shell sizes), the Gaussian packet's envelope and the seeded
     cosine sum are each built in one function."""
     assert _scoped_calls("cumsum") == [
-        "maximal.multiplicity",
-        "maximal._doubled_prefix",
-        "maximal._covering",
+        "grid._doubled_prefix",
+        "grid._depth",
+        "grid._covering",
         "symbols.estimate_class_membership",
     ]
     envelopes = []
@@ -185,3 +185,91 @@ def test_each_shared_formula_has_one_implementation():
                 envelopes.append(f"{path.stem}.{fn.name}")
     assert envelopes == ["corpus.gaussian_corpus"]
     assert _scoped_calls("cos", ["corpus.py", "function_classes.py"]) == ["corpus._cosine_sum"]
+
+
+# Window arrays: what these return, what a function returns that holds one,
+# a parameter named windows, and any name bound from an expression that holds
+# one.  The layer's plan cache passes its build's result through; any other
+# call returns a window array only when its function does.
+_WINDOW_SOURCES = {"_ball_arcs", "ball_windows", "ball_indices", "windows", "_family_groups",
+                   "_family_indices"}
+_LAYER = PACKAGE / "grid.py"
+
+
+def _holds_window(node, names: set[str]) -> bool:
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "_plan":
+            return any(_holds_window(arg, names) for arg in node.args)
+        if isinstance(func, ast.Name):
+            return func.id in names
+        return isinstance(func, ast.Attribute) and (
+            func.attr in names or _holds_window(func.value, names))
+    if isinstance(node, ast.Name):
+        return node.id in names
+    if isinstance(node, ast.Attribute):
+        return node.attr in names
+    return any(_holds_window(child, names) for child in ast.iter_child_nodes(node))
+
+
+def _bindings(fn):
+    """(target, value) of every assignment and loop of a function."""
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Assign):
+            yield from ((target, node.value) for target in node.targets)
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)) and node.value is not None:
+            yield node.target, node.value
+        elif isinstance(node, (ast.For, ast.comprehension)):
+            yield node.target, node.iter
+
+
+def _window_reads(paths) -> list[str]:
+    """Each subscript, take or take_along_axis in the named modules whose
+    index holds a window array, as module.function:line."""
+    functions = [(path, fn) for path in paths for fn in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(fn, (ast.FunctionDef, ast.Lambda))]
+    sources, tracked, changed = set(_WINDOW_SOURCES), {}, True
+    while changed:
+        changed = False
+        for path, fn in functions:
+            names = sources | {a.arg for a in fn.args.args if a.arg == "windows"}
+            grew = True
+            while grew:
+                grew = False
+                for target, value in _bindings(fn):
+                    new = {n.id for n in ast.walk(target) if isinstance(n, ast.Name)} - names
+                    if new and _holds_window(value, names):
+                        names |= new
+                        grew = True
+            tracked[path, fn] = names
+            if isinstance(fn, ast.FunctionDef) and fn.name not in sources and any(
+                    isinstance(node, ast.Return) and node.value is not None
+                    and _holds_window(node.value, names) for node in ast.walk(fn)):
+                sources.add(fn.name)
+                changed = True
+    found = set()
+    for (path, fn), names in tracked.items():
+        for node in ast.walk(fn):
+            index = None
+            if isinstance(node, ast.Subscript):
+                index = node.slice
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in (
+                    "take", "take_along_axis") and len(node.args) > 1:
+                index = node.args[1]
+            if index is not None and _holds_window(index, names):
+                found.add(f"{path.stem}.{getattr(fn, 'name', 'lambda')}:{node.lineno}")
+    return sorted(found)
+
+
+def test_only_the_window_layer_reduces_over_balls():
+    """grid.py's window layer is the one place that builds arcs, prefix sums
+    and strided windows, and that indexes samples by a window array: outside
+    it no function calls _ball_arcs, cumsum or sliding_window_view (the class
+    probe's cumsum of shell sizes is no window), and no subscript or take
+    reads samples at a window array."""
+    others = [path for path in sorted(PACKAGE.glob("*.py")) if path != _LAYER]
+    files = [path.name for path in others]
+    assert _scoped_calls("_ball_arcs", files) == []
+    assert _scoped_calls("sliding_window_view", files) == []
+    assert _scoped_calls("cumsum", files) == ["symbols.estimate_class_membership"]
+    assert _window_reads(others) == []
