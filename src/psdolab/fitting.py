@@ -2,19 +2,34 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["least_squares_line", "median", "r_squared"]
 
 
 def least_squares_line(x, y) -> tuple[float, float, float]:
-    """Fit y = slope*x + intercept; returns (slope, intercept, r_squared)."""
+    """Fit y = slope*x + intercept; returns (slope, intercept, r_squared).
+
+    The closed form from centred sums, each a math.fsum (exactly rounded, so
+    no CPU or LAPACK build moves it): x centred on its mean, and y on its
+    first value, a shift that leaves the fit unchanged and gives a constant
+    series slope exactly 0.0.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size < 2:
         raise ValueError("need at least two points to fit a line")
-    slope, intercept = np.polyfit(x, y, 1)
-    return float(slope), float(intercept), r_squared(x, y, slope, intercept)
+    xs, ys = x.tolist(), y.tolist()
+    x_mean = math.fsum(xs) / len(xs)
+    dx = [v - x_mean for v in xs]
+    sxx = math.fsum(d * d for d in dx)
+    if sxx == 0.0:
+        raise ValueError("need two distinct x values to fit a line")
+    slope = math.fsum(d * (v - ys[0]) for d, v in zip(dx, ys)) / sxx
+    intercept = math.fsum(ys) / len(ys) - slope * x_mean
+    return slope, intercept, r_squared(x, y, slope, intercept)
 
 
 def r_squared(x, y, slope: float, intercept: float) -> float:

@@ -22,6 +22,7 @@ its balls.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,6 +37,7 @@ from .grid import (
     SampledFunction,
     _family_groups,
     _gathered,
+    _log_mean,
     _oscillation,
     _per_ball,
     ball_indices,
@@ -166,7 +168,12 @@ _family_indices = lru_cache(maxsize=16)(_family_groups)
 
 
 def _ap_theta_values(w: WeightFn, p: float, theta: float, family: BallFamily) -> list[float]:
-    """Per ball, in family order: mean(w)^(1/p) mean(w^(-1/(p-1)))^(1/p') / (1+r)^theta."""
+    """Per ball, in family order: mean(w)^(1/p) mean(w^(-1/(p-1)))^(1/p') / (1+r)^theta.
+
+    Both means are taken in log space (grid._log_mean of a log w), so
+    neither w^(-1/(p-1)) nor a large w can overflow or underflow: as p
+    tends to 1 the product tends to the A_1 form mean(w) / min(w).
+    """
     if not p > 1.0:
         raise ValueError(f"p must exceed 1 (dual exponent degenerates), got {p}")
     if theta < 0.0:
@@ -174,12 +181,9 @@ def _ap_theta_values(w: WeightFn, p: float, theta: float, family: BallFamily) ->
     if not family.centers:
         raise ValueError("empty ball family")
     pprime = p / (p - 1.0)
-    flat = w.values.ravel()
-    with np.errstate(over="ignore"):
-        dual = flat ** (-1.0 / (p - 1.0))
-    # Python float powers: numpy's array power can differ in the last ulp
-    means = [_per_ball(v, _family_indices(w.grid, family)) for v in (flat, dual)]
-    raw = [a ** (1.0 / p) * d ** (1.0 / pprime) for a, d in zip(*means)]
+    log_w, groups = np.log(w.values.ravel()), _family_indices(w.grid, family)
+    logs = [_per_ball(a * log_w, groups, _log_mean) for a in (1.0, -1.0 / (p - 1.0))]
+    raw = [math.exp(a / p + d / pprime) for a, d in zip(*logs)]
     low = next((v for v in raw if v < 1.0 - _JENSEN_SLACK), None)
     if low is not None:
         raise ValueError(f"per-ball product {low} under the Jensen floor; weight data corrupt")
@@ -348,10 +352,13 @@ def stabilized_characteristic(
 
 
 def check_openness(w: WeightFn, p: float, theta: float, family: BallFamily) -> VerificationReport:
-    """Exponent-drop probe: the characteristic at p - 0.1 stays stable."""
-    step = 0.1
-    if not p - step > 1.0:
-        raise ValueError(f"p - step must exceed 1, got {p - step}")
+    """Exponent-drop probe: the characteristic at p - step stays stable.
+
+    A_p^theta is open (w in A_p^theta gives w in A_(p-eps)^theta for some
+    eps > 0), so any step that stays above 1 probes it: 0.1 where p - 0.1 > 1,
+    else (p - 1) / 2, halfway to 1.
+    """
+    step = 0.1 if p - 0.1 > 1.0 else (p - 1.0) / 2.0
     below = stabilized_characteristic(w, p - step, theta, family)
     return VerificationReport(
         experiment="weight_openness",

@@ -376,6 +376,14 @@ def _per_ball(x, groups, reduce=np.mean, **kwargs) -> list[float]:
     return out.tolist()
 
 
+def _log_mean(v: np.ndarray, axis: int = -1) -> np.ndarray:
+    """log mean exp(v) along axis, from the max: no exp overflows, and the
+    largest term is exp(0) = 1, so no mean underflows to 0 (Blanchard,
+    Higham and Higham, IMA J. Numer. Anal. 41, 2021)."""
+    top = np.max(v, axis=axis, keepdims=True)
+    return np.log(np.mean(np.exp(v - top), axis=axis)) + np.squeeze(top, axis=axis)
+
+
 def _oscillation(v: np.ndarray, axis: int = -1, s: float = 1.0, center=None) -> np.ndarray:
     """mean |v - center|^s along axis, center the mean of v unless given."""
     if center is None:

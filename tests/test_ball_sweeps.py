@@ -6,6 +6,8 @@ time, the way the definitions read, and the batched results must equal them
 exactly: same values, same maximizing ball.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 import psdolab as P
 import psdolab.grid as grid_module
 from conftest import full_scan, full_scans
+from psdolab import function_classes
 from psdolab.experiments import local_average_ratio
 from psdolab.function_classes import WeightFn
 from psdolab.grid import _ball_arcs, _family_windows, ball_windows
@@ -233,14 +236,20 @@ def test_a_critical_ball_tests_at_most_four_points(monkeypatch):
 
 
 def _ref_ap_theta(w, p, theta, balls):
+    """One ball at a time, both means in log space: for a = 1 and
+    a = -1/(p-1), the max of a log w over the ball plus the log of the mean
+    of exp(a log w - max)."""
     pprime = p / (p - 1.0)
-    flat = w.values.ravel()
-    dual = flat ** (-1.0 / (p - 1.0))
+    log_w = np.log(w.values.ravel())
     best, best_ball = -np.inf, balls[0]
     for ball in balls:
         idx = P.ball_indices(w.grid, ball)
-        raw = float(np.mean(flat[idx]) ** (1.0 / p) * np.mean(dual[idx]) ** (1.0 / pprime))
-        val = raw / (1.0 + ball.radius) ** theta
+        logs = []
+        for a in (1.0, -1.0 / (p - 1.0)):
+            v = a * log_w[idx]
+            top = np.max(v)
+            logs.append(float(np.log(np.mean(np.exp(v - top))) + top))
+        val = math.exp(logs[0] / p + logs[1] / pprime) / (1.0 + ball.radius) ** theta
         if val > best:
             best, best_ball = val, ball
     return best, best_ball
@@ -322,12 +331,16 @@ def test_oscillation_norm_and_jn_part_i_equal_per_ball_sweeps(data):
     assert rep.items == expected
 
 
-def test_weight_under_the_jensen_floor_still_raises():
-    """w^(-1/(p-1)) underflows to 0 for w = 1e300 at p = 1.01, so every
-    per-ball product reads 0 < 1: corrupt data, refused by every sweep."""
+def test_weight_under_the_jensen_floor_still_raises(monkeypatch):
+    """w^(-1/(p-1)) underflows to 0 for w = 1e300 at p = 1.01, but in log
+    space the constant weight scores its closed form 1.  A per-ball product
+    under Jensen's floor can then only come from corrupt means, and every
+    sweep still refuses it."""
     grid = P.make_grid(256, 16.0)
     family = P.sweep_family(grid)
     w = WeightFn(P.SampledFunction(grid, np.full(grid.n, 1e300)), "underflow")
+    assert P.ap_theta_characteristic(w, 1.01, 0.0, family).value == pytest.approx(1.0, rel=1e-12)
+    monkeypatch.setattr(function_classes, "_log_mean", lambda v, axis=-1: -np.ones(v.shape[0]))
     for call in (P.ap_theta_characteristic, P.stabilized_characteristic):
         with pytest.raises(ValueError, match="Jensen floor"):
             call(w, 1.01, 0.0, family)

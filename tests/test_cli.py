@@ -319,6 +319,22 @@ def test_box_one_ulp_off_a_piece_edge_never_exits_four(tmp_path, n):
             assert code in (0, 1, 2, 3), (half, code)
 
 
+@pytest.mark.parametrize("target,settings", [
+    ("maximal", "maximal.s = 1.995"),
+    ("weights", "weight.p = 1.001\nmaximal.s = 1.0005"),
+    ("maximal", "weight.p = 1.001\nmaximal.s = 1.0005"),
+    ("weights", "weight.p = 1.1\nmaximal.s = 1.0005"),
+])
+def test_exponents_at_the_range_ends_never_exit_four(tmp_path, capsys, target, settings):
+    """At s = p (1 - 2.5e-3), and at p = 1.001, the dual weight w^(-1/(q-1))
+    underflows to 0 in float64 while its log mean does not; at p = 1.1 the
+    openness probe steps to p - (p - 1)/2.  Each runs to a verdict."""
+    cfgfile = tmp_path / "ends.cfg"
+    cfgfile.write_text(settings + "\n")
+    code = run_cli("verify", target, "--config", str(cfgfile), "--out", str(tmp_path / "out"))
+    assert code in (0, 1), capsys.readouterr().err
+
+
 def test_maximal_exponent_without_counterexample_exits_three(tmp_path, capsys):
     """Without the flag the hypothesis gate speaks first, on every target."""
     cfgfile = tmp_path / "bad.cfg"
