@@ -330,14 +330,15 @@ def _check_computable(cfg: ExperimentConfig, grid) -> None:
     beta = 0.5 and alpha_sharp = 4 need the family's least radius 8 dx;
     every corpus needs an item and positive widths; each damped series needs
     n_big >= 1/p + 1 at the exponent it runs with; and the weighted maximal
-    bounds need 1 < maximal.s < weight.p, and lemma42's doubled balls need
-    2r <= grid.l, both of which the hypothesis gate checks (r < 4 <= grid.l/2)
-    unless run.counterexample lets them through.  Every symbol preset runs at
-    every grid size: none has a cost budget.
+    bounds need 1 < maximal.s < weight.p, the class sweeps growth exponents
+    >= 0, and lemma42's doubled balls need 2r <= grid.l, all of which the
+    hypothesis gate checks (r < 4 <= grid.l/2) unless run.counterexample lets
+    them through.  Every symbol preset runs at every grid size: none has a
+    cost budget.
     """
     from .corpus import _check_count, _check_width
     from .experiments import _oscillation_balls
-    from .function_classes import _check_stabilization_radii
+    from .function_classes import _check_growth, _check_stabilization_radii
     from .grid import Ball, _family_windows, _sweep_radii, ball_indices
     from .kernels import _check_annuli, _check_k_window, _decay_ks, _difference_js, _difference_ks
     from .littlewood_paley import make_lp_family
@@ -379,6 +380,10 @@ def _check_computable(cfg: ExperimentConfig, grid) -> None:
     if cfg.counterexample:
         checks.append(("maximal.s", lambda: _check_maximal_exponents(
             cfg.get("weight.p"), cfg.get("maximal.s"))))
+        # the class sweeps of the weight and the multiplier; weight.p <= 1
+        # fails the maximal.s check above
+        for key in ("weight.theta", "bmo.theta"):
+            checks.append((key, lambda key=key: _check_growth(cfg.get(key))))
         # past the radius < 4 hypothesis, lemma42 still indexes each 2B
         checks.append(("oscillation.radii", lambda: [ball_indices(grid, Ball((0.0,), 2.0 * r))
                                                      for r in cfg.get("oscillation.radii")]))

@@ -12,16 +12,13 @@ __all__ = ["least_squares_line", "median", "r_squared"]
 def least_squares_line(x, y) -> tuple[float, float, float]:
     """Fit y = slope*x + intercept; returns (slope, intercept, r_squared).
 
-    The closed form from centred sums, each a math.fsum (exactly rounded, so
-    no CPU or LAPACK build moves it): x centred on its mean, and y on its
-    first value, a shift that leaves the fit unchanged and gives a constant
-    series slope exactly 0.0.
+    The closed form from centred sums, each exactly rounded (math.fsum), so
+    no CPU or LAPACK build moves it.  y is centred on its first value: the
+    shift leaves the fit unchanged, and a constant series reads slope 0.0.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size < 2:
+    xs, ys = np.asarray(x, dtype=float).tolist(), np.asarray(y, dtype=float).tolist()
+    if len(xs) < 2:
         raise ValueError("need at least two points to fit a line")
-    xs, ys = x.tolist(), y.tolist()
     x_mean = math.fsum(xs) / len(xs)
     dx = [v - x_mean for v in xs]
     sxx = math.fsum(d * d for d in dx)
@@ -29,7 +26,7 @@ def least_squares_line(x, y) -> tuple[float, float, float]:
         raise ValueError("need two distinct x values to fit a line")
     slope = math.fsum(d * (v - ys[0]) for d, v in zip(dx, ys)) / sxx
     intercept = math.fsum(ys) / len(ys) - slope * x_mean
-    return slope, intercept, r_squared(x, y, slope, intercept)
+    return slope, intercept, r_squared(xs, ys, slope, intercept)
 
 
 def r_squared(x, y, slope: float, intercept: float) -> float:

@@ -163,6 +163,12 @@ def preset_bmo(name: str, grid: PeriodicGrid, value: float = 1.0) -> SampledFunc
     raise ValueError(f"unknown bmo preset {name!r}")
 
 
+def _check_growth(theta: float) -> None:
+    """The class values divide by (1 + r)^theta, theta >= 0."""
+    if theta < 0.0:
+        raise ValueError(f"theta must be >= 0, got {theta}")
+
+
 # the family's (positions, index matrix) groups, kept per (grid, family)
 _family_indices = lru_cache(maxsize=16)(_family_groups)
 
@@ -176,8 +182,7 @@ def _ap_theta_values(w: WeightFn, p: float, theta: float, family: BallFamily) ->
     """
     if not p > 1.0:
         raise ValueError(f"p must exceed 1 (dual exponent degenerates), got {p}")
-    if theta < 0.0:
-        raise ValueError(f"theta must be >= 0, got {theta}")
+    _check_growth(theta)
     if not family.centers:
         raise ValueError("empty ball family")
     pprime = p / (p - 1.0)
@@ -200,8 +205,7 @@ def ap_theta_characteristic(
 
 
 def bmo_theta_norm(b: SampledFunction, theta: float, family: BallFamily) -> BmoThetaNorm:
-    if theta < 0.0:
-        raise ValueError(f"theta must be >= 0, got {theta}")
+    _check_growth(theta)
     osc = _per_ball(b.real_values().ravel(), _family_indices(b.grid, family), _oscillation)
     values = [v / (1.0 + r) ** theta for v, r in zip(osc, family.ball_radii)]
     i = values.index(max(values))

@@ -298,35 +298,19 @@ def ball_mask(grid: PeriodicGrid, ball: Ball) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Windows: every reduction over ball arcs.  A window is the arc of one ball
-# (_ball_arcs); the functions below turn arcs into sums, means, maxima and
-# mean oscillations, and no other module slices or gathers a window.
-#
-# Every "sup over all balls" of the maximal functions is realized over a
-# structured family (centers 8k on a stride-8 sublattice, dyadic radii),
-# which keeps results reproducible, and every family window mean comes from
-# a doubled prefix sum.  All points of one residue class mod 8 in one block
-# of 8, a slot, lie in the windows of the same run of centers (Gil and
-# Werman 1993), so every sup over the windows that hold a point is a
-# sparse-table range max per slot, all radii from one table, and one take
-# spreads the slots over the points.  m_loc and m_sharp_loc take it on the
-# whole circle, as the one-row case of a (rows, n) core: one doubled prefix
-# per stack, per radius one gather of the window means, and one slot range
-# max for every row.  The mean oscillation takes, per radius and row, three
-# passes over (n/8) count values in one work buffer: a copy of the windows
-# from a strided view of the row, the centring and abs in place, and a
-# pairwise reduce per window.  That is the floor of the fs target in numpy.
-# m_tilde_s runs all critical balls at once, ball j as row j, on the slots
-# of Q_j: for each window, the ends in one doubled prefix of |f|^s of its
-# part inside row j's 8-dilate, over the radii up to the first whose window
-# holds the whole dilate, so the work per ball does not grow with the box.
-# g_kappa_p reads each ball's average over a dyadic dilate as the sum of a
-# few pairwise blocks, one per binary digit of the ball's point count, so an
-# average far from the mass of f keeps its own relative accuracy.  The class
-# sweeps and the cover's radius 1 and 2 balls are read as (balls, points)
-# index windows, one gather per radius, reduced along the points.
-#
-# Plans, the index work that depends only on the grid and the arcs, are
-# built once through _plan.
+# (_ball_arcs); the functions below turn arcs into gathers, sums, means,
+# maxima and mean oscillations, and no other module slices or gathers one.
+# The class sweeps and the cover's radius 1 and 2 balls are (balls, points)
+# index windows, one gather per radius reduced along the points.  The sups
+# over all balls run over a structured family (centers 8k, dyadic radii),
+# whose window means are differences of one doubled prefix sum, and take
+# their max per slot, the points whose windows are one run of centers (Gil
+# and Werman 1993), from one sparse table (_slot_plan); m_tilde_s does the
+# same on the slots of each critical ball, over the window parts inside its
+# 8-dilate (_cover_plan).  g_kappa_p sums pairwise blocks, so an average far
+# from the mass of f keeps its own relative accuracy (_arc_means).  The
+# index work that depends only on the grid and the arcs is built once, by
+# _plan.
 # ---------------------------------------------------------------------------
 
 

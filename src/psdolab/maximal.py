@@ -12,6 +12,7 @@ describes how.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 import numpy as np
 
 from .corpus import corpus_blocks

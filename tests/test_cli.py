@@ -228,6 +228,17 @@ def test_maximal_exponent_under_counterexample_is_a_usage_error_on_every_target(
                                     "error: maximal.s: need p > s > 1", tmp_path / "out")
 
 
+@pytest.mark.parametrize("key", ["weight.theta", "bmo.theta"])
+def test_negative_growth_under_counterexample_is_a_usage_error_on_every_target(tmp_path,
+                                                                               capsys, key):
+    """run.counterexample lets a negative growth exponent past the hypothesis
+    gate, but the class sweeps cannot run there: refused at load, not exit 4."""
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(f"run.counterexample = true\n{key} = -0.5\n")
+    _assert_refused_on_every_target(capsys, ("--config", str(cfgfile)),
+                                    f"error: {key}: theta must be >= 0", tmp_path / "out")
+
+
 @pytest.mark.parametrize("key", ["symbol.rho", "symbol.delta"])
 def test_amplitude_class_outside_the_unit_interval_is_a_usage_error_on_every_target(
         tmp_path, capsys, key):
