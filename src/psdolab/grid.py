@@ -314,7 +314,7 @@ def ball_mask(grid: PeriodicGrid, ball: Ball) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=32)
 def _plan(build, *key):
     """build(*key), built once per key: the one plan cache of the windows,
     keyed by the grid and what fixes the arcs.  Every array of a plan,
