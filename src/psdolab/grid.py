@@ -330,7 +330,7 @@ def _plan(build, *key):
     return plan
 
 
-def _family_groups(grid: PeriodicGrid, family: "BallFamily"):
+def _family_groups(grid: PeriodicGrid, family: BallFamily):
     """(positions in family, index matrix) groups from one gather per radius;
     row i of a matrix holds the indices of family.ball(positions[i])."""
     radii, centers = np.array(family.ball_radii), np.array(family.centers)
