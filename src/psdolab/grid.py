@@ -407,13 +407,14 @@ def _arc_means(x: np.ndarray, grid: PeriodicGrid, centers, radii) -> list[np.nda
     Algorithms, 2nd ed., section 4.2).
     """
     arcs = [_plan(_ball_arcs, grid, centers, r) for r in radii]
-    counts = [count for _, (count,) in ((s, set(c.tolist())) for s, c in arcs)]
+    top = max((int(counts.max()) for _, counts in arcs), default=1)
     blocks = [np.concatenate([x, x])]
-    for level in range(1, max(counts, default=1).bit_length()):
+    for level in range(1, top.bit_length()):
         half = 1 << (level - 1)
         blocks.append(blocks[-1][:-half] + blocks[-1][half:])
     means = []
-    for (starts, _), count in zip(arcs, counts):
+    for starts, counts in arcs:
+        (count,) = set(counts.tolist())
         sums, offset = 0.0, 0
         for level in reversed(range(count.bit_length())):
             if count >> level & 1:
