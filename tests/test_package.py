@@ -197,6 +197,8 @@ _LAYER = PACKAGE / "grid.py"
 
 
 def _holds_window(node, names: set[str]) -> bool:
+    """Whether an expression refers to a window array, names being the
+    window sources and the names bound to one so far."""
     if isinstance(node, ast.Call):
         func = node.func
         if isinstance(func, ast.Name) and func.id == "_plan":
