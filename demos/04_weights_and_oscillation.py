@@ -18,6 +18,9 @@ def main() -> None:
     mono = P.check_monotonicity(w, 2.0, 3.0, 1.5, fam)
     print(f"(1+|x|)^1.5: characteristic ratio q/p = "
           f"{mono.aggregate['ratio_q_over_p']:.4f} (classes nest upward)")
+    below = P.check_openness(w, 2.0, 1.5, fam)
+    print(f"(1+|x|)^1.5 at p = 1.9: growth slope "
+          f"{below.aggregate['growth_slope']:.4f}  [{below.verdict}] (classes are open)")
 
     strong = P.preset_weight("power_growth", g, gamma=2.0)
     for theta in (0.0, 2.0):

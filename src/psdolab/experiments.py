@@ -23,14 +23,16 @@ import numpy as np
 from .config import ExperimentConfig
 from .corpus import band_noise, corpus_blocks, gaussian_corpus, gaussian_packet, mixed_corpus
 from .function_classes import (
+    _ap_theta_values,
+    _monotonicity,
+    _openness,
+    _openness_exponent,
+    _stabilization,
     ap_theta_characteristic,
     bmo_theta_norm,
     check_john_nirenberg_variant,
-    check_monotonicity,
-    check_openness,
     preset_weight,
     stabilization_criteria,
-    stabilized_characteristic,
 )
 from .grid import Ball, _gathered, ball_indices, ball_mask, lp_norms, sweep_family
 from .kernels import (
@@ -93,12 +95,15 @@ def _family(cfg: ExperimentConfig, prefix: str, values) -> tuple[dict, list[Crit
 @lru_cache(maxsize=1)
 def _weight_stabilization(cfg: ExperimentConfig):
     """The config weight's A_p^theta stabilization sweep, one per config:
-    weights reports it and _operator_gates gates on it."""
+    weights reports it and _operator_gates gates on it.  Returns the
+    stabilization with the sweep's per-ball values at weight.p and the
+    per-ball log means of w, which weights reuses at its other exponents;
+    not to be mutated."""
     grid = cfg.make_grid()
-    w = cfg.make_weight(grid)
-    p = cfg.get("weight.p")
-    theta = cfg.get("weight.theta")
-    return stabilized_characteristic(w, p, theta, sweep_family(grid))
+    family = sweep_family(grid)
+    (at_p,), log_w_means = _ap_theta_values(cfg.make_weight(grid), (cfg.get("weight.p"),),
+                                            cfg.get("weight.theta"), family)
+    return _stabilization(at_p, family), tuple(at_p), log_w_means
 
 
 @lru_cache(maxsize=1)
@@ -110,7 +115,7 @@ def _operator_gates(cfg: ExperimentConfig):
     entries, not to be mutated, and the gate criteria.
     """
     membership = estimate_class_membership(cfg.make_symbol(), cfg.make_grid()).criterion
-    stab = _weight_stabilization(cfg)
+    stab, _, _ = _weight_stabilization(cfg)
     entries = {
         "class_membership": membership.ok,
         "weight_stable": stab.stable,
@@ -490,12 +495,16 @@ def run_weight_calculus(cfg: ExperimentConfig) -> VerificationReport:
                   "value": unit.value})
     criteria = [Criterion("unit_characteristic_error", abs(unit.value - 1.0), "<=", 1e-10)]
 
-    mono = check_monotonicity(w, p, p + 1.0, theta, family)
+    # monotonicity at (p, p + 1) and openness below p share the stabilization
+    # sweep at p and its log means of w: one more pass per new exponent
+    stab, at_p, log_w_means = _weight_stabilization(cfg)
+    (at_q, below), _ = _ap_theta_values(w, (p + 1.0, _openness_exponent(p)), theta, family,
+                                        log_w_means)
+    mono = _monotonicity(max(at_p), max(at_q))
     items.append({"id": "monotonicity", "params": {"p": p, "q": p + 1.0},
                   "value": mono.aggregate})
     criteria += mono.criteria
 
-    stab = _weight_stabilization(cfg)
     items.append(
         {"id": "stabilization", "params": {"p": p, "theta": theta},
          "value": {"caps": list(stab.caps), "values": list(stab.values),
@@ -503,7 +512,7 @@ def run_weight_calculus(cfg: ExperimentConfig) -> VerificationReport:
     )
     criteria += stabilization_criteria(stab, "stabilization")
 
-    openness = check_openness(w, p, theta, family)
+    openness = _openness(_stabilization(below, family))
     items.append({"id": "openness", "params": {"p": p},
                   "value": openness.aggregate})
     criteria += openness.criteria

@@ -17,7 +17,8 @@ runs per radius: the family's balls of one radius are one (balls x points)
 index matrix (grid.ball_windows), so their means are one gather and a row
 mean.  The first maximal ball in family order wins and is the one Ball
 built, and the stabilization gate sweeps once, taking each cap's sup over
-its balls.
+its balls.  A sweep at several exponents takes the log mean of w, which no
+exponent changes, once, and one pass per exponent.
 """
 
 from __future__ import annotations
@@ -173,33 +174,50 @@ def _check_growth(theta: float) -> None:
 _family_indices = lru_cache(maxsize=16)(_family_groups)
 
 
-def _ap_theta_values(w: WeightFn, p: float, theta: float, family: BallFamily) -> list[float]:
-    """Per ball, in family order: mean(w)^(1/p) mean(w^(-1/(p-1)))^(1/p') / (1+r)^theta.
+def _damped(values, family: BallFamily, theta: float) -> list[float]:
+    """Per ball of the family, its value over (1 + r)^theta: the growth the
+    classes allow."""
+    return [v / (1.0 + r) ** theta for v, r in zip(values, family.ball_radii)]
+
+
+def _ap_theta_values(w: WeightFn, ps, theta: float, family: BallFamily,
+                     log_w_means=None) -> tuple[list[list[float]], tuple[float, ...]]:
+    """Per exponent p of ps, per ball in family order:
+    mean(w)^(1/p) mean(w^(-1/(p-1)))^(1/p') / (1+r)^theta; and the per-ball
+    log means of w, which no p changes: taken once, unless a caller that
+    swept the weight before hands them in as log_w_means.
 
     Both means are taken in log space (grid._log_mean of a log w), so
     neither w^(-1/(p-1)) nor a large w can overflow or underflow: as p
-    tends to 1 the product tends to the A_1 form mean(w) / min(w).
+    tends to 1 the product tends to the A_1 form mean(w) / min(w).  Each
+    exponent's products are checked against Jensen's floor.
     """
-    if not p > 1.0:
-        raise ValueError(f"p must exceed 1 (dual exponent degenerates), got {p}")
+    low_p = next((p for p in ps if not p > 1.0), None)
+    if low_p is not None:
+        raise ValueError(f"p must exceed 1 (dual exponent degenerates), got {low_p}")
     _check_growth(theta)
     if not family.centers:
         raise ValueError("empty ball family")
-    pprime = p / (p - 1.0)
     log_w, groups = np.log(w.values.ravel()), _family_indices(w.grid, family)
-    logs = [_per_ball(a * log_w, groups, _log_mean) for a in (1.0, -1.0 / (p - 1.0))]
-    raw = [math.exp(a / p + d / pprime) for a, d in zip(*logs)]
-    low = next((v for v in raw if v < 1.0 - _JENSEN_SLACK), None)
-    if low is not None:
-        raise ValueError(f"per-ball product {low} under the Jensen floor; weight data corrupt")
-    return [v / (1.0 + r) ** theta for v, r in zip(raw, family.ball_radii)]
+    if log_w_means is None:
+        log_w_means = tuple(_per_ball(log_w, groups, _log_mean))
+    sweeps = []
+    for p in ps:
+        pprime = p / (p - 1.0)
+        dual = _per_ball(-1.0 / (p - 1.0) * log_w, groups, _log_mean)
+        raw = [math.exp(a / p + d / pprime) for a, d in zip(log_w_means, dual)]
+        low = next((v for v in raw if v < 1.0 - _JENSEN_SLACK), None)
+        if low is not None:
+            raise ValueError(f"per-ball product {low} under the Jensen floor; weight data corrupt")
+        sweeps.append(_damped(raw, family, theta))
+    return sweeps, log_w_means
 
 
 def ap_theta_characteristic(
     w: WeightFn, p: float, theta: float, family: BallFamily
 ) -> ApThetaCharacteristic:
     """Sup over the family of mean(w)^(1/p) mean(w^(-1/(p-1)))^(1/p') / (1+r)^theta."""
-    values = _ap_theta_values(w, p, theta, family)
+    (values,), _ = _ap_theta_values(w, (p,), theta, family)
     i = values.index(max(values))
     return ApThetaCharacteristic(p, theta, values[i], family.ball(i))
 
@@ -207,7 +225,7 @@ def ap_theta_characteristic(
 def bmo_theta_norm(b: SampledFunction, theta: float, family: BallFamily) -> BmoThetaNorm:
     _check_growth(theta)
     osc = _per_ball(b.real_values().ravel(), _family_indices(b.grid, family), _oscillation)
-    values = [v / (1.0 + r) ** theta for v, r in zip(osc, family.ball_radii)]
+    values = _damped(osc, family, theta)
     i = values.index(max(values))
     return BmoThetaNorm(theta, values[i], family.ball(i))
 
@@ -218,13 +236,17 @@ def check_monotonicity(
     """Characteristic at q never exceeds the one at p, for p <= q."""
     if not 1.0 < p <= q:
         raise ValueError(f"need 1 < p <= q, got p={p}, q={q}")
-    cp = ap_theta_characteristic(w, p, theta, family)
-    cq = ap_theta_characteristic(w, q, theta, family)
+    (at_p, at_q), _ = _ap_theta_values(w, (p, q), theta, family)
+    return _monotonicity(max(at_p), max(at_q))
+
+
+def _monotonicity(char_p: float, char_q: float) -> VerificationReport:
+    """check_monotonicity's report on the characteristics at p and q."""
     return VerificationReport(
         experiment="weight_monotonicity",
         items=[],
-        aggregate={"max": max(cp.value, cq.value), "ratio_q_over_p": cq.value / cp.value},
-        criteria=[Criterion("char_q", cq.value, "<=", cp.value * (1.0 + 1e-6),
+        aggregate={"max": max(char_p, char_q), "ratio_q_over_p": char_q / char_p},
+        criteria=[Criterion("char_q", char_q, "<=", char_p * (1.0 + 1e-6),
                             "char_p*(1+1e-6)")],
     )
 
@@ -252,17 +274,20 @@ def check_john_nirenberg_variant(
     """
     if s < 1.0:
         raise ValueError(f"s must be >= 1, got {s}")
+    _check_growth(theta)
     grid = b.grid
     if family is None:
         family = sweep_family(grid, inside_only=True)
-    norm = bmo_theta_norm(b, theta, family)
     flat = b.real_values().ravel()
+    # one centred gather per ball gives bmo_theta_norm's oscillation and the
+    # s-moment
+    osc, moments = _per_ball(flat, _family_indices(grid, family), _oscillation, s=(1.0, s))
+    norm = max(_damped(osc, family, theta))
     items = []
     ratios_i = []
-    moments = _per_ball(flat, _family_indices(grid, family), _oscillation, s=s)
     for c, r, moment in zip(family.centers, family.ball_radii, moments):
         lhs = moment ** (1.0 / s)
-        rhs = norm.value * (1.0 + r) ** theta
+        rhs = norm * (1.0 + r) ** theta
         if rhs == 0.0:
             continue
         ratios_i.append(lhs / rhs)
@@ -275,7 +300,7 @@ def check_john_nirenberg_variant(
         if not dil.fully_inside(grid):
             skipped += 1
             continue
-        rhs = norm.value * k * (1.0 + dil.radius) ** theta
+        rhs = norm * k * (1.0 + dil.radius) ** theta
         if rhs == 0.0:
             continue
         moment = _gathered(flat, ball_indices(grid, dil), _oscillation, s=s, center=b_base)
@@ -285,7 +310,7 @@ def check_john_nirenberg_variant(
     med = median(ratios_i) if ratios_i else 0.0
     # a multiplier whose oscillation norm sits at the float floor is a
     # constant: moment ratios against it compare roundoff
-    zero = zero_family(norm.value)
+    zero = zero_family(norm)
     if zero.ok:
         criteria = [zero]
     else:
@@ -303,7 +328,7 @@ def check_john_nirenberg_variant(
             "median": med,
             "part_ii_max": max(ratios_ii) if ratios_ii else 0.0,
             "skipped_dilates": skipped,
-            "norm": norm.value,
+            "norm": norm,
         },
         criteria=criteria,
     )
@@ -339,10 +364,15 @@ def stabilized_characteristic(
     w: WeightFn, p: float, theta: float, family: BallFamily
 ) -> StabilizationReport:
     """Characteristic at nested caps; stable iff the last two doublings move < 10%."""
+    _check_stabilization_radii(family.radii())
+    (per_ball,), _ = _ap_theta_values(w, (p,), theta, family)
+    return _stabilization(per_ball, family)
+
+
+def _stabilization(per_ball, family: BallFamily) -> StabilizationReport:
+    """stabilized_characteristic from one sweep of the whole family, its
+    per-ball values: each cap's sup reads its balls' values."""
     radii = family.radii()
-    _check_stabilization_radii(radii)
-    # one sweep of the whole family; each cap's sup reads its balls' values
-    per_ball = _ap_theta_values(w, p, theta, family)
     values = [max(v for v, r in zip(per_ball, family.ball_radii) if r <= cap * (1 + 1e-12))
               for cap in radii]
     changes = (
@@ -362,8 +392,16 @@ def check_openness(w: WeightFn, p: float, theta: float, family: BallFamily) -> V
     eps > 0), so any step that stays above 1 probes it: 0.1 where p - 0.1 > 1,
     else (p - 1) / 2, halfway to 1.
     """
-    step = 0.1 if p - 0.1 > 1.0 else (p - 1.0) / 2.0
-    below = stabilized_characteristic(w, p - step, theta, family)
+    return _openness(stabilized_characteristic(w, _openness_exponent(p), theta, family))
+
+
+def _openness_exponent(p: float) -> float:
+    """The exponent below p that check_openness probes."""
+    return p - (0.1 if p - 0.1 > 1.0 else (p - 1.0) / 2.0)
+
+
+def _openness(below: StabilizationReport) -> VerificationReport:
+    """check_openness's report on the stabilization at the lower exponent."""
     return VerificationReport(
         experiment="weight_openness",
         items=[],

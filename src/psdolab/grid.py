@@ -140,16 +140,27 @@ def sample(grid: PeriodicGrid, fn: Callable) -> SampledFunction:
 #
 # dft(f)(xi) = (2pi)^{-1/2} * sum_x f(x) e^{-i x xi} dx  on the lattice,
 # idft(g)(x) = (2pi)^{-1/2} * sum_xi g(xi) e^{+i x xi} dxi.
-# Implemented by FFT with fftshift bookkeeping; unitary w.r.t. each grid's
-# own counting measure, so Parseval is exact up to roundoff.  The _rows forms
-# act on a (rows, n) stack along the last axis, one FFT call per stack; each
-# row comes out bit for bit as its one-row transform, which dft and idft are.
+# Implemented by FFT between two shifts; unitary w.r.t. each grid's own
+# counting measure, so Parseval is exact up to roundoff.  n is even, so
+# ifftshift and fftshift are one and the same swap of the two halves, which
+# two slice copies make (np.roll takes twice as long).  The _rows forms act
+# on a (rows, n) stack along the last axis, one FFT call per stack; each row
+# comes out bit for bit as its one-row transform, which dft and idft are.
 # ---------------------------------------------------------------------------
 
 
+def _half_swap(values: np.ndarray) -> np.ndarray:
+    """values with the two halves of its last axis swapped: fftshift and
+    ifftshift of an even-length axis."""
+    half = values.shape[-1] // 2
+    out = np.empty_like(values)
+    out[..., :half] = values[..., half:]
+    out[..., half:] = values[..., :half]
+    return out
+
+
 def _shifted_fft(values: np.ndarray, transform) -> np.ndarray:
-    shift = np.fft.ifftshift(values, axes=-1)
-    return np.fft.fftshift(transform(shift, axis=-1), axes=-1)
+    return _half_swap(transform(_half_swap(values), axis=-1))
 
 
 def dft_rows(grid: PeriodicGrid, rows: np.ndarray) -> np.ndarray:
@@ -351,13 +362,17 @@ def _gathered(x, windows: np.ndarray, reduce=np.mean, **kwargs) -> np.ndarray:
     return reduce(np.take(x, windows, axis=-1), axis=-1, **kwargs)
 
 
-def _per_ball(x, groups, reduce=np.mean, **kwargs) -> list[float]:
+def _per_ball(x, groups, reduce=np.mean, **kwargs) -> list:
     """_gathered(x, rows, reduce, **kwargs) per ball of the (positions,
-    index matrix) groups of a family (_family_groups), in family order."""
-    out = np.empty(sum(len(pos) for pos, _ in groups))
+    index matrix) groups of a family (_family_groups), in family order: one
+    list, or k lists from a reduce that gives k values per row ((k, J))."""
+    out = None
     for pos, rows in groups:
-        out[pos] = _gathered(x, rows, reduce, **kwargs)
-    return out.tolist()
+        got = _gathered(x, rows, reduce, **kwargs)
+        if out is None:
+            out = np.empty(got.shape[:-1] + (sum(len(p) for p, _ in groups),))
+        out[..., pos] = got
+    return [] if out is None else out.tolist()
 
 
 def _log_mean(v: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -368,11 +383,15 @@ def _log_mean(v: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.log(np.mean(np.exp(v - top), axis=axis)) + np.squeeze(top, axis=axis)
 
 
-def _oscillation(v: np.ndarray, axis: int = -1, s: float = 1.0, center=None) -> np.ndarray:
-    """mean |v - center|^s along axis, center the mean of v unless given."""
+def _oscillation(v: np.ndarray, axis: int = -1, s=1.0, center=None) -> np.ndarray:
+    """mean |v - center|^s along axis, center the mean of v unless given;
+    for a tuple s, one such mean per entry, stacked first, from one centring."""
     if center is None:
         center = np.mean(v, axis=axis, keepdims=True)
-    return np.mean(np.abs(v - center) ** s, axis=axis)
+    dev = np.abs(v - center)
+    if isinstance(s, tuple):
+        return np.stack([np.mean(dev ** e, axis=axis) for e in s])
+    return np.mean(dev ** s, axis=axis)
 
 
 def _check_finite_rows(x: np.ndarray) -> None:

@@ -7,6 +7,9 @@ ok, otherwise "pass" iff every criterion is ok; its JSON records every gate
 and criterion and names the one that decided, so the verdict can be
 recomputed from the report alone.  JSON output is canonical (sorted keys,
 fixed indentation, trailing newline): identical runs give identical bytes.
+canonical_json writes that text directly, byte for byte the text of
+json.dumps(sort_keys=True, indent=2), whose indent sends CPython's json to
+its pure-Python encoder.
 
 A bound with a uniform constant becomes a family of ratios, judged by the one
 ratio-family rule, ratio_family: a finite max, then a max at most ZERO_FLOOR
@@ -18,9 +21,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import operator
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -72,7 +75,8 @@ class Criterion:
         return bool(_COMPARE[self.comparison](self.value, self.threshold))
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "ok": self.ok}
+        # the fields, shallow: asdict would deep-copy each one
+        return {**vars(self), "ok": self.ok}
 
     def __str__(self) -> str:
         op = self.comparison if self.ok else _NEGATED[self.comparison]
@@ -171,7 +175,7 @@ class DecayFitReport:
         return "pass" if self.passed else "fail"
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "points": [list(p) for p in self.points],
+        return {**vars(self), "points": [list(p) for p in self.points],
                 "verdict": self.verdict}
 
 
@@ -228,10 +232,64 @@ def config_hash(entries: dict) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+_FLOAT_NAMES = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
+
+
+def _json_text(obj, indent: str, out: list) -> None:
+    """Append obj's JSON text to out, its nested lines indented by two
+    spaces more than indent, keys sorted: the text of json.dumps(obj,
+    sort_keys=True, indent=2), except that a dict key must be a str."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append("NaN" if obj != obj else _FLOAT_NAMES.get(obj) or float.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for value in obj:
+            out.append(sep)
+            _json_text(value, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key in sorted(obj):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _json_text(obj[key], inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def canonical_json(obj) -> bytes:
     """The one JSON form of reports and summary.json: sorted keys, indent 2,
-    trailing newline."""
-    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+    trailing newline; the bytes of json.dumps(obj, sort_keys=True, indent=2)
+    plus a newline.  Where json would convert a non-str dict key, this
+    refuses it (TypeError): no report has one, and a converted key could
+    collide with a str key."""
+    out: list = []
+    _json_text(obj, "", out)
+    out.append("\n")
+    return "".join(out).encode()
 
 
 def write_json(obj, path) -> None:
@@ -240,8 +298,8 @@ def write_json(obj, path) -> None:
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    """csv.writer writes every float, numpy's float64 too, by float's repr."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        writer.writerows(rows)

@@ -35,9 +35,13 @@ def test_report_all_writes_everything(tmp_path):
     assert summary["verdict"] == "pass"
     assert len(summary["experiments"]) == 9
     for entry in summary["experiments"].values():
-        assert (tmp_path / entry["report"]).exists()
-        csv_path = entry["report"].replace(".json", ".csv")
-        assert (tmp_path / csv_path).exists()
+        report = tmp_path / entry["report"]
+        text = report.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+        with open(report.with_suffix(".csv"), newline="") as fh:
+            rows = list(csv.reader(fh))
+        for _, _, value in rows[1:]:
+            float(value)  # a number, not a repr such as np.float64(0.1)
 
 
 def test_report_all_is_byte_deterministic(tmp_path):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import psdolab.grid as grid_module
-from psdolab import experiments, maximal
+from psdolab import experiments, function_classes, maximal
 from psdolab.config import HypothesisViolation, load_config
 from psdolab.corpus import mixed_corpus
 from psdolab.experiments import (VERIFY_TARGETS, _operator_gates, _ratio_corpus,
@@ -225,23 +225,46 @@ def test_cached_corpus_values_are_read_only():
     assert np.all(blocks[0][0][0].fn.values[:1] != 0.0)
 
 
+def _count_family_passes(monkeypatch) -> dict:
+    """Count function_classes' passes over a ball family, by their reduce."""
+    passes = {}
+    per_ball = function_classes._per_ball
+
+    def counted(x, groups, reduce=np.mean, **kwargs):
+        passes[reduce.__name__] = passes.get(reduce.__name__, 0) + 1
+        return per_ball(x, groups, reduce, **kwargs)
+
+    monkeypatch.setattr(function_classes, "_per_ball", counted)
+    return passes
+
+
 def test_light_targets_sweep_the_stabilization_once(monkeypatch):
     """weights and the operator gates read one stabilization sweep per
-    config, and weights on its own probes no class membership."""
-    calls = dict.fromkeys(["stabilized_characteristic", "estimate_class_membership"], 0)
-    for name in calls:
-        def counted(*args, _fn=getattr(experiments, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(experiments, name, counted)
+    config, and weights on its own probes no class membership.  weights
+    takes 6 log-mean passes over the family: the unit weight's two, then
+    one log mean of w, which no exponent changes, and one dual pass at each
+    of p, p + 1 and the openness exponent (separate sweeps took 10)."""
+    passes = _count_family_passes(monkeypatch)
+    memberships = []
+    membership = experiments.estimate_class_membership
+    monkeypatch.setattr(experiments, "estimate_class_membership",
+                        lambda *args: memberships.append(args) or membership(*args))
     cfg = load_config(None, {"run.seed": "13"})
     _weight_stabilization.cache_clear()
     _operator_gates.cache_clear()
     run_weight_calculus(cfg)
-    assert calls == {"stabilized_characteristic": 1, "estimate_class_membership": 0}
+    assert (passes, len(memberships)) == ({"_log_mean": 6}, 0)
     run_boundedness_experiment(cfg)
     run_commutator_experiment(cfg)
-    assert calls == {"stabilized_characteristic": 1, "estimate_class_membership": 1}
+    assert (passes, len(memberships)) == ({"_log_mean": 6}, 1)
+
+
+def test_bmo_takes_norm_and_moments_from_one_pass(monkeypatch, cfg):
+    """The BMO_theta norm and part (i)'s s-moments come from one centred
+    gather per ball (two passes before)."""
+    passes = _count_family_passes(monkeypatch)
+    run_bmo(cfg)
+    assert passes == {"_oscillation": 1}
 
 
 def test_boundedness_run(cfg):

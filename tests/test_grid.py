@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import psdolab as P
 from psdolab.function_classes import WeightFn
 from conftest import full_scan
-from psdolab.grid import lp_norms
+from psdolab.grid import dft_rows, idft_rows, lp_norms
 
 
 def test_grid_basic_geometry(grid):
@@ -53,6 +53,29 @@ def test_dft_unitary_parseval(n, half_length, seed):
     scale = P.lp_norm(f, 2.0) * P.lp_norm(g, 2.0)
     assert abs(P.inner(f, g) - P.inner(P.dft(f), P.dft(g))) < 1e-12 * scale
     assert abs(P.lp_norm(P.dft(f), 2.0) - P.lp_norm(f, 2.0)) < 1e-12 * P.lp_norm(f, 2.0)
+
+
+@pytest.mark.parametrize("n", [2**k for k in range(6, 14)])
+@pytest.mark.parametrize("rows", [1, 5])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_transforms_are_the_fftshift_form_bit_for_bit(n, rows, kind):
+    """The half swap is fftshift and ifftshift on every grid: dft_rows and
+    idft_rows equal fftshift(fft(ifftshift(x))) times their constant, bit
+    for bit, on real and complex stacks."""
+    grid = P.make_grid(n, 16.0)
+    spectra = grid.reciprocal()
+    rng = np.random.default_rng(n + rows)
+    x = rng.standard_normal((rows, n))
+    if kind == "complex":
+        x = x + 1j * rng.standard_normal((rows, n))
+    fwd = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(x, axes=-1), axis=-1), axes=-1)
+    inv = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(x, axes=-1), axis=-1), axes=-1)
+    for got, want in (
+        (dft_rows(grid, x), fwd * (grid.spacing / (2.0 * np.pi) ** 0.5)),
+        (idft_rows(spectra, x), inv * ((2.0 * np.pi) ** 0.5 / spectra.reciprocal().spacing)),
+    ):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_lp_norm_indicator(grid):

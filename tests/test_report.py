@@ -1,11 +1,15 @@
-"""The one ratio-family rule and the one trend rule of report.py."""
+"""The one ratio-family rule, the one trend rule and the writers of report.py."""
 
+import csv
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from psdolab.report import ZERO_FLOOR, ratio_family, trend_criterion
+from psdolab.report import ZERO_FLOOR, canonical_json, ratio_family, trend_criterion, write_csv
 
 
 def _names(criteria):
@@ -73,3 +77,51 @@ def test_no_trend_without_three_shifts_one_per_ratio_and_positive_ratios(ratios,
 
 def test_no_trend_on_a_nan_ratio():
     assert trend_criterion("slope", [1.0, np.nan, 2.0], [0.0, 1.0, 2.0], 0.1) == (None, [])
+
+
+# ---------------------------------------------------------------------------
+# The writers: canonical_json is json.dumps(sort_keys=True, indent=2)'s text.
+# ---------------------------------------------------------------------------
+
+# every code point, surrogates and control characters too
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
+_FLOATS = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324, 2.2250738585072009e-308, 1e308])
+_LEAVES = (st.none() | st.booleans() | st.integers(-(2**200), 2**200) | _FLOATS | _TEXT)
+_DOCUMENTS = st.recursive(
+    _LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCUMENTS)
+def test_canonical_json_is_the_text_of_json_dumps(doc):
+    assert canonical_json(doc) == (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("bad", [np.int64(3), {1, 2}, b"x", [1, {"k": np.bool_(True)}]])
+def test_canonical_json_refuses_what_json_refuses(bad):
+    with pytest.raises(TypeError):
+        json.dumps(bad, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        canonical_json(bad)
+
+
+def test_canonical_json_refuses_a_non_str_key():
+    """The one deliberate difference: json would write the key 1 as "1"."""
+    assert json.dumps({1: "a"}, sort_keys=True, indent=2) == '{\n  "1": "a"\n}'
+    with pytest.raises(TypeError, match="keys must be str"):
+        canonical_json({"nested": {1: "a"}})
+
+
+def test_csv_writes_a_numpy_float_as_a_float(tmp_path):
+    path = tmp_path / "table.csv"
+    write_csv(path, ("id", "key", "value"),
+              [("x", "v", np.float64(0.1)), ("y", "v", 0.1), ("z", "count", 3)])
+    assert path.read_text() == "id,key,value\nx,v,0.1\ny,v,0.1\nz,count,3\n"
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert float(rows[1][2]) == 0.1
