@@ -266,12 +266,11 @@ def _json_text(obj, indent: str, out: list) -> None:
         if not obj:
             out.append("{}")
             return
-        for key in obj:
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
         inner = indent + "  "
         sep = "{\n" + inner
         for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
             out.append(sep + encode_basestring_ascii(key) + ": ")
             _json_text(obj[key], inner, out)
             sep = ",\n" + inner
