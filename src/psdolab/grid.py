@@ -383,7 +383,8 @@ def _log_mean(v: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.log(np.mean(np.exp(v - top), axis=axis)) + np.squeeze(top, axis=axis)
 
 
-def _oscillation(v: np.ndarray, axis: int = -1, s=1.0, center=None) -> np.ndarray:
+def _oscillation(v: np.ndarray, axis: int = -1, s: float | tuple = 1.0,
+                 center=None) -> np.ndarray:
     """mean |v - center|^s along axis, center the mean of v unless given;
     for a tuple s, one such mean per entry, stacked first, from one centring."""
     if center is None:

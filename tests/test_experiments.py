@@ -243,7 +243,7 @@ def test_light_targets_sweep_the_stabilization_once(monkeypatch):
     config, and weights on its own probes no class membership.  weights
     takes 6 log-mean passes over the family: the unit weight's two, then
     one log mean of w, which no exponent changes, and one dual pass at each
-    of p, p + 1 and the openness exponent (separate sweeps took 10)."""
+    of p, p + 1 and the openness exponent."""
     passes = _count_family_passes(monkeypatch)
     memberships = []
     membership = experiments.estimate_class_membership
@@ -261,7 +261,7 @@ def test_light_targets_sweep_the_stabilization_once(monkeypatch):
 
 def test_bmo_takes_norm_and_moments_from_one_pass(monkeypatch, cfg):
     """The BMO_theta norm and part (i)'s s-moments come from one centred
-    gather per ball (two passes before)."""
+    gather per ball."""
     passes = _count_family_passes(monkeypatch)
     run_bmo(cfg)
     assert passes == {"_oscillation": 1}
