@@ -371,7 +371,9 @@ def stabilized_characteristic(
 
 def _stabilization(per_ball, family: BallFamily) -> StabilizationReport:
     """stabilized_characteristic from one sweep of the whole family, its
-    per-ball values: each cap's sup reads its balls' values."""
+    per-ball values: each cap's sup reads its balls' values.  The family
+    has at least 4 radii, which stabilized_characteristic and the config
+    gate check."""
     radii = family.radii()
     values = [max(v for v, r in zip(per_ball, family.ball_radii) if r <= cap * (1 + 1e-12))
               for cap in radii]
