@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 
 from .report import config_hash
 
-__all__ = [
-    "HypothesisViolation",
-    "ExperimentConfig",
-    "DEFAULTS",
-    "parse_config_text",
-    "load_config",
-]
+__all__ = ["HypothesisViolation", "ExperimentConfig", "load_config"]
 
 
 class HypothesisViolation(ValueError):

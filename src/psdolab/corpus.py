@@ -16,11 +16,9 @@ import numpy as np
 from .grid import PeriodicGrid, SampledFunction
 
 __all__ = [
-    "CorpusItem",
     "gaussian_packet",
     "band_noise",
     "gaussian_corpus",
-    "noise_corpus",
     "mixed_corpus",
     "corpus_blocks",
 ]

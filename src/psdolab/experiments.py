@@ -11,7 +11,7 @@ Every runner hands its gates and criteria to one report builder and never
 writes a verdict: report.py derives it, and the report records every gate
 and criterion with its value and threshold, so the verdict can be recomputed
 from the report alone.  A fixed config + seed reproduces the report bytes
-exactly.
+exactly on one numeric build (README says what moves across builds).
 """
 
 from __future__ import annotations
@@ -163,6 +163,17 @@ def _lemma_setup(cfg: ExperimentConfig):
     return op, n_big, b, bnorm, b_scale
 
 
+def _lemma_report(cfg: ExperimentConfig, experiment: str, items: list[dict], plain, comm,
+                  first: list[Criterion], **entries) -> VerificationReport:
+    """How lemma41 and lemma42 end: the plain and commutator families judged
+    by _family, then the entries after the families' aggregates and the
+    criteria `first` ahead of the families' criteria."""
+    agg, criteria = _family(cfg, "plain_", plain)
+    comm_agg, comm_criteria = _family(cfg, "commutator_", comm)
+    agg.update(comm_agg, **entries)
+    return _report(cfg, experiment, items, agg, [*first, *criteria, *comm_criteria])
+
+
 def _corpus_ratio_report(cfg: ExperimentConfig, experiment: str, transform) -> VerificationReport:
     """Shared loop for the weighted operator-ratio experiments.
 
@@ -305,11 +316,9 @@ def run_local_average_check(cfg: ExperimentConfig) -> VerificationReport:
                  "value": {"plain": best, "commutator": best_c,
                            "argmax_center": best_center}}
             )
-    agg, criteria = _family(cfg, "plain_", plain)
-    comm_agg, comm_criteria = _family(cfg, "commutator_", comm)
-    agg.update(comm_agg, multiplier_norm=bnorm, cover_size=len(cover.centers),
-               symbol=op.symbol.label, p=p)
-    return _report(cfg, "local_average_control", items, agg, criteria + comm_criteria)
+    return _lemma_report(cfg, "local_average_control", items, plain, comm, [],
+                         multiplier_norm=bnorm, cover_size=len(cover.centers),
+                         symbol=op.symbol.label, p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -419,13 +428,10 @@ def run_oscillation_check(cfg: ExperimentConfig) -> VerificationReport:
         )
 
     zero_case_max = float(np.max(np.abs(zeros)))
-    agg, criteria = _family(cfg, "plain_", plain)
-    comm_agg, comm_criteria = _family(cfg, "commutator_", comm)
-    agg.update(comm_agg, zero_case_max=zero_case_max, multiplier_norm=bnorm,
-               symbol=op.symbol.label, p=p)
-    return _report(cfg, "kernel_oscillation_control", items, agg,
-                   [Criterion("zero_case_max", zero_case_max, "==", 0.0), *criteria,
-                    *comm_criteria])
+    return _lemma_report(cfg, "kernel_oscillation_control", items, plain, comm,
+                         [Criterion("zero_case_max", zero_case_max, "==", 0.0)],
+                         zero_case_max=zero_case_max, multiplier_norm=bnorm,
+                         symbol=op.symbol.label, p=p)
 
 
 # ---------------------------------------------------------------------------

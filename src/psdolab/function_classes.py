@@ -36,21 +36,19 @@ from .grid import (
     BallFamily,
     PeriodicGrid,
     SampledFunction,
+    _check_exponent,
     _family_groups,
     _gathered,
     _log_mean,
     _oscillation,
     _per_ball,
+    _slack,
     ball_indices,
     sweep_family,
 )
 from .report import Criterion, VerificationReport, spread_criterion, zero_family
 
 __all__ = [
-    "WeightFn",
-    "ApThetaCharacteristic",
-    "BmoThetaNorm",
-    "StabilizationReport",
     "preset_weight",
     "preset_bmo",
     "ap_theta_characteristic",
@@ -218,16 +216,20 @@ def ap_theta_characteristic(
 ) -> ApThetaCharacteristic:
     """Sup over the family of mean(w)^(1/p) mean(w^(-1/(p-1)))^(1/p') / (1+r)^theta."""
     (values,), _ = _ap_theta_values(w, (p,), theta, family)
-    i = values.index(max(values))
-    return ApThetaCharacteristic(p, theta, values[i], family.ball(i))
+    return ApThetaCharacteristic(p, theta, *_first_max(values, family))
 
 
 def bmo_theta_norm(b: SampledFunction, theta: float, family: BallFamily) -> BmoThetaNorm:
     _check_growth(theta)
     osc = _per_ball(b.real_values().ravel(), _family_indices(b.grid, family), _oscillation)
-    values = _damped(osc, family, theta)
+    return BmoThetaNorm(theta, *_first_max(_damped(osc, family, theta), family))
+
+
+def _first_max(values: list[float], family: BallFamily) -> tuple[float, Ball]:
+    """The sup of the per-ball values and its ball, the first maximal one
+    in family order."""
     i = values.index(max(values))
-    return BmoThetaNorm(theta, values[i], family.ball(i))
+    return values[i], family.ball(i)
 
 
 def check_monotonicity(
@@ -272,8 +274,7 @@ def check_john_nirenberg_variant(
     Otherwise the ratios must be finite, part (i) must stay within twice its
     median, and part (ii) must check a dilate if one was skipped.
     """
-    if s < 1.0:
-        raise ValueError(f"s must be >= 1, got {s}")
+    _check_exponent("s", s)
     _check_growth(theta)
     grid = b.grid
     if family is None:
@@ -375,8 +376,8 @@ def _stabilization(per_ball, family: BallFamily) -> StabilizationReport:
     has at least 4 radii, which stabilized_characteristic and the config
     gate check."""
     radii = family.radii()
-    values = [max(v for v, r in zip(per_ball, family.ball_radii) if r <= cap * (1 + 1e-12))
-              for cap in radii]
+    values = [max(v for v, r in zip(per_ball, family.ball_radii) if r <= limit)
+              for limit in map(_slack, radii)]
     changes = (
         abs(values[-2] - values[-3]) / max(values[-3], 1e-300),
         abs(values[-1] - values[-2]) / max(values[-2], 1e-300),

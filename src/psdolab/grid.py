@@ -123,11 +123,18 @@ class SampledFunction:
         object.__setattr__(self, "values", vals)
 
     def real_values(self, tol: float = 1e-9) -> np.ndarray:
-        if np.iscomplexobj(self.values):
-            scale = max(1.0, float(np.max(np.abs(self.values), initial=0.0)))
-            if np.max(np.abs(self.values.imag)) > tol * scale:
-                raise ValueError("values have a non-negligible imaginary part")
-        return self.values.real
+        return _real_rows(self.values, tol)
+
+
+def _real_rows(values: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """The real part of one row, or of each row of a (rows, n) stack; a row
+    whose imaginary part exceeds tol * max(1, max |value|) is refused (fmax,
+    like Python's max, passes over a NaN row maximum)."""
+    if np.iscomplexobj(values):
+        scale = np.fmax(1.0, np.max(np.abs(values), axis=-1))
+        if np.any(np.max(np.abs(values.imag), axis=-1) > tol * scale):
+            raise ValueError("values have a non-negligible imaginary part")
+    return values.real
 
 
 def sample(grid: PeriodicGrid, fn: Callable) -> SampledFunction:
@@ -205,10 +212,15 @@ def _weight_values(w, grid: PeriodicGrid) -> np.ndarray:
     return wv
 
 
+def _check_exponent(name: str, value: float) -> None:
+    """An L^p exponent (or the s of an s-mean) must be at least 1."""
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def lp_norms(grid: PeriodicGrid, rows: np.ndarray, p: float, weight=None) -> list[float]:
     """lp_norm of each row of a (rows, n) stack sampled on grid."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    _check_exponent("p", p)
     wv = _weight_values(weight, grid)
     a = np.abs(rows) ** p
     if wv is not None:
@@ -246,13 +258,24 @@ class Ball:
         return Ball(self.center, self.radius * factor)
 
     def fully_inside(self, grid: PeriodicGrid) -> bool:
-        # strict: the box is [-L, L), so a closed ball touching +L wraps
-        return abs(self.center[0]) + self.radius < grid.half_length
+        return bool(_inside_box(grid, self.center[0], self.radius))
+
+
+def _inside_box(grid: PeriodicGrid, centers, radii):
+    """Whether each ball B(c, r) lies inside the box, |c| + r < L: strict,
+    since the box is [-L, L) and a closed ball touching +L wraps."""
+    return np.abs(centers) + radii < grid.half_length
+
+
+def _slack(bound):
+    """bound with the package's relative slack 1e-12, which absorbs the
+    roundoff of a radius, a wrap or a lattice extent computed another way."""
+    return bound * (1.0 + 1e-12)
 
 
 def _inside(d2: np.ndarray, radius: float) -> np.ndarray:
-    # tiny slack absorbs roundoff of the wrap for boundary lattice points
-    return d2 <= (radius * (1.0 + 1e-12)) ** 2
+    """Whether each squared periodic distance d2 lies within the radius."""
+    return d2 <= _slack(radius) ** 2
 
 
 def _ball_arcs(grid: PeriodicGrid, centers, radius: float):
@@ -707,7 +730,7 @@ def _sweep_radii(grid: PeriodicGrid, cap: float) -> list[float]:
         raise ValueError("radius cap exceeds the half box")
     r = 8.0 * grid.spacing
     radii = []
-    while r <= cap * (1 + 1e-12):
+    while r <= _slack(cap):
         radii.append(r)
         r *= 2.0
     if not radii:
@@ -728,6 +751,6 @@ def sweep_family(
     centers, radii = (a.ravel() for a in np.meshgrid(
         grid.axis_points()[:: grid.n // 32], _sweep_radii(grid, cap), indexing="ij"))
     if inside_only:
-        keep = np.abs(centers) + radii < grid.half_length
+        keep = _inside_box(grid, centers, radii)
         centers, radii = centers[keep], radii[keep]
     return BallFamily(tuple(centers.tolist()), tuple(radii.tolist()))

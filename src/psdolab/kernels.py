@@ -19,20 +19,17 @@ agree with true distances; every fit below samples only that safe half-box.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .fitting import least_squares_line
-from .grid import Ball, PeriodicGrid
+from .grid import Ball, PeriodicGrid, _slack
 from .littlewood_paley import LPFamily
 from .operators import OperatorInstance, _offset_rows, adjoint_kernel_row
 from .report import DecayFitReport
 
 __all__ = [
-    "DyadicKernel",
-    "DifferenceEstimate",
-    "AdjointKernelReport",
-    "default_base_points",
     "materialize_dyadic_kernel",
     "fit_decay_in_k",
     "fit_difference_estimate",
@@ -88,8 +85,7 @@ def materialize_dyadic_kernel(op: OperatorInstance, k: int) -> DyadicKernel:
 def _check_k_window(family: LPFamily, ks) -> None:
     """Each piece k must exist and lie inside the lattice (LPFamily.resolves)."""
     for k in ks:
-        if not 0 <= k <= family.max_index:
-            raise ValueError(f"piece index {k} outside 0..{family.max_index}")
+        family._check_index(k)
         if not family.resolves(k):
             raise ValueError(
                 f"piece {k} is not fully resolved: support reaches 2^{k + 1} "
@@ -105,12 +101,17 @@ def _line_fit(regressor: str, xv: np.ndarray, yv: np.ndarray, expected: float | 
                           tuple(zip(xv.tolist(), yv.tolist())))
 
 
-def _decay_ks(k_range) -> list[int]:
-    """The ascending k of a decay fit, at least 4 of them."""
-    ks = sorted(int(k) for k in k_range)
-    if len(ks) < 4:
-        raise ValueError("degenerate fit: need at least 4 k-values")
-    return ks
+def _ascending(indices, least: int, name: str = "k") -> list[int]:
+    """The ascending indices of a fit's range, at least `least` of them."""
+    out = sorted(int(i) for i in indices)
+    if len(out) < least:
+        raise ValueError(f"degenerate fit: need at least {least} {name}-values")
+    return out
+
+
+# the k of a decay fit and of a difference table
+_decay_ks = partial(_ascending, least=4)
+_difference_ks = partial(_ascending, least=2)
 
 
 def fit_decay_in_k(
@@ -218,20 +219,10 @@ def _check_annuli(grid: PeriodicGrid, radius: float, j_top: int, radius_name: st
 
 def _difference_js(j_range) -> list[int]:
     """The ascending annulus indices of a difference table: at least 3, from 2 up."""
-    js = sorted(int(j) for j in j_range)
-    if len(js) < 3:
-        raise ValueError("degenerate fit: need at least 3 j-values")
+    js = _ascending(j_range, 3, "j")
     if js[0] < 2:
         raise ValueError("annulus index j must be at least 2")
     return js
-
-
-def _difference_ks(k_range) -> list[int]:
-    """The ascending pieces of a difference table, at least 2 of them."""
-    ks = sorted(int(k) for k in k_range)
-    if len(ks) < 2:
-        raise ValueError("degenerate fit: need at least 2 k-values")
-    return ks
 
 
 def fit_difference_estimate(
@@ -258,7 +249,7 @@ def fit_difference_estimate(
 
     envelope = np.log2(np.maximum(np.max(table, axis=1), 1e-300))
     j_fit = _line_fit("j", np.array(js, dtype=float), envelope, -1.0, 0.0, "at_most")
-    k_slope_sign = "positive" if 2.0 ** ks[-1] * ball.radius <= 1.0 + 1e-12 else "negative"
+    k_slope_sign = "positive" if 2.0 ** ks[-1] * ball.radius <= _slack(1.0) else "negative"
     k_fit = _line_fit("k", np.array(ks, dtype=float), np.log2(np.maximum(table[0], 1e-300)),
                       None, 0.0, k_slope_sign)
     return DifferenceEstimate(ball.radius, tuple(js), tuple(ks), table, j_fit, k_fit)
@@ -312,23 +303,17 @@ def adjoint_kernel_bounds(
     g = op.grid
     twin = band_limited_twin(op)
 
-    num_bins = 6
-    edges = np.geomspace(max(1.0, 4.0 * g.spacing), g.half_length / 2.0, num_bins + 1)
-    sup_per_bin = np.zeros(num_bins)
-    peak = 0.0
-    weighted_far = 0.0
-    pts = g.axis_points()
+    # every value is a max of elementwise products over the (3, n) block of
+    # base-point rows, 0 where a bin or the far field holds no point
+    edges = np.geomspace(max(1.0, 4.0 * g.spacing), g.half_length / 2.0, 7)
     xs = default_base_points(op, 3)
-    for x, row in zip(xs, np.abs(adjoint_kernel_row(twin, xs))):
-        peak = max(peak, float(np.max(row)))
-        rad = np.abs(g.wrap(pts - x))
-        far = (rad > 4.0 * g.spacing) & (rad <= g.half_length / 2.0)
-        if np.any(far):
-            weighted_far = max(weighted_far, float(np.max(row[far] * rad[far] ** (1 + n_exp))))
-        for b in range(num_bins):
-            sel = (rad > edges[b]) & (rad <= edges[b + 1])
-            if np.any(sel):
-                sup_per_bin[b] = max(sup_per_bin[b], float(np.max(row[sel])))
+    rows = np.abs(adjoint_kernel_row(twin, xs))
+    rad = np.abs(g.wrap(g.axis_points() - xs[:, None]))
+    far = (rad > 4.0 * g.spacing) & (rad <= g.half_length / 2.0)
+    peak = float(np.max(rows))
+    weighted_far = float(np.max(rows * rad ** (1 + n_exp), where=far, initial=0.0))
+    bins = (rad > edges[:-1, None, None]) & (rad <= edges[1:, None, None])
+    sup_per_bin = np.max(np.where(bins, rows, 0.0), axis=(1, 2))
     mids = np.sqrt(edges[:-1] * edges[1:])
     keep = sup_per_bin > 0.0
     far_fit = _line_fit("r_B", np.log2(mids[keep]), np.log2(sup_per_bin[keep]),

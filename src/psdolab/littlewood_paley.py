@@ -15,15 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import PeriodicGrid
+from .grid import PeriodicGrid, _slack
 
-__all__ = [
-    "smooth_step",
-    "bump_profile",
-    "LPFamily",
-    "make_lp_family",
-    "evaluate_partition_residual",
-]
+__all__ = ["LPFamily", "make_lp_family", "evaluate_partition_residual"]
 
 
 def smooth_step(t) -> np.ndarray:
@@ -60,10 +54,14 @@ class LPFamily:
     def piece_count(self) -> int:
         return self.max_index + 1
 
+    def _check_index(self, k: int, name: str = "piece index") -> None:
+        """A piece index (or a truncation, named so) must lie in 0..max_index."""
+        if not 0 <= k <= self.max_index:
+            raise ValueError(f"{name} {k} outside 0..{self.max_index}")
+
     def piece_profile(self, k: int, radius) -> np.ndarray:
         """phi_k as a function of |xi|."""
-        if not 0 <= k <= self.max_index:
-            raise ValueError(f"piece index {k} outside 0..{self.max_index}")
+        self._check_index(k)
         r = np.abs(np.asarray(radius, dtype=float))
         if k == 0:
             return bump_profile(r)
@@ -71,18 +69,17 @@ class LPFamily:
 
     def resolves(self, k: int) -> bool:
         """The package's one resolved-piece rule: piece k's support ends
-        inside the lattice, 2^(k+1) <= xi_max.  The 1e-12 relative slack
+        inside the lattice, 2^(k+1) <= xi_max.  The relative slack (_slack)
         keeps a box one ulp above L = pi*n/2^(k+2), whose xi_max rounds to
         one ulp under 2^(k+1)."""
-        return 2.0 ** (k + 1) <= self.grid.xi_max * (1.0 + 1e-12)
+        return 2.0 ** (k + 1) <= _slack(self.grid.xi_max)
 
     def piece_on_lattice(self, k: int) -> np.ndarray:
         return self.piece_profile(k, self.grid.axis_freqs())
 
     def band_mask(self, k_top: int) -> np.ndarray:
         """sum_{k<=k_top} phi_k on the lattice, via the exact telescoped form."""
-        if not 0 <= k_top <= self.max_index:
-            raise ValueError(f"index {k_top} outside 0..{self.max_index}")
+        self._check_index(k_top, "index")
         return bump_profile(np.abs(self.grid.axis_freqs()) / 2.0**k_top)
 
 

@@ -21,6 +21,7 @@ from .grid import (
     PeriodicGrid,
     SampledFunction,
     _arc_means,
+    _check_exponent,
     _check_finite_rows,
     _cover_plan,
     _covering,
@@ -28,6 +29,7 @@ from .grid import (
     _depth,
     _gathered,
     _plan,
+    _real_rows,
     _slot_range_max,
     _spread_max,
     _sup_over_family_rows,
@@ -38,7 +40,6 @@ from .grid import (
 from .report import Criterion, VerificationReport, ratio_family, trend_criterion
 
 __all__ = [
-    "CriticalCover",
     "build_critical_cover",
     "m_loc",
     "m_sharp_loc",
@@ -159,8 +160,7 @@ def g_kappa_p(
     average, so the tail is the exact geometric closed form; no truncation
     error remains.
     """
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
+    _check_exponent("p", p)
     _check_kappa(kappa)
     _check_damping(n_big, p)
     _check_finite_rows(f.values[None])
@@ -196,8 +196,7 @@ def m_tilde_s(f: SampledFunction, s: float, cover: CriticalCover) -> SampledFunc
     as row j, and each ball's maximal function is taken only on Q_j.  The
     index work comes from the cover's plan; a call does only value work.
     """
-    if s < 1.0:
-        raise ValueError(f"s must be >= 1, got {s}")
+    _check_exponent("s", s)
     grid = f.grid
     _check_dilates_fit(grid)
     _check_finite_rows(f.values[None])
@@ -238,15 +237,9 @@ def fs_inequality_rows(
     for stack in stacks:
         if stack.shape[1:] != grid.shape:
             raise ValueError(f"row shape {stack.shape[1:]} != grid shape {grid.shape}")
-        rows = len(stack)
-        magnitude = np.abs(stack)
-        if np.iscomplexobj(stack):
-            # fmax, like Python's max, passes over a NaN row maximum
-            scale = np.fmax(1.0, np.max(magnitude, axis=1))
-            if np.any(np.max(np.abs(stack.imag), axis=1) > 1e-9 * scale):
-                raise ValueError("values have a non-negligible imaginary part")
+        rows, real, magnitude = len(stack), _real_rows(stack), np.abs(stack)
         maximal = np.concatenate([_sup_over_family_rows(magnitude, grid, beta, osc=False),
-                                  _sup_over_family_rows(stack.real, grid, alpha_sharp, osc=True)])
+                                  _sup_over_family_rows(real, grid, alpha_sharp, osc=True)])
         # one weight check and one reduction for both integrals of every row
         norms = lp_norms(grid, maximal, p, weight=wv)
         for lhs_norm, sharp_norm, avgs in zip(norms[:rows], norms[rows:],

@@ -69,10 +69,7 @@ class OperatorInstance:
 
     def __post_init__(self) -> None:
         if self.truncation is not None:
-            if not 0 <= self.truncation <= self.family.max_index:
-                raise ValueError(
-                    f"truncation {self.truncation} outside 0..{self.family.max_index}"
-                )
+            self.family._check_index(self.truncation, "truncation")
             if not self.family.resolves(self.truncation):
                 raise ValueError(
                     "grid Nyquist does not cover the truncated piece support"

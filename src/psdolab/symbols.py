@@ -26,15 +26,7 @@ from .fitting import least_squares_line
 from .grid import PeriodicGrid
 from .report import Criterion
 
-__all__ = [
-    "Expansion",
-    "SymbolSpec",
-    "MembershipEntry",
-    "ClassMembershipReport",
-    "japanese_bracket",
-    "preset_symbol",
-    "estimate_class_membership",
-]
+__all__ = ["SymbolSpec", "preset_symbol", "estimate_class_membership"]
 
 KINDS = ("smooth_symbol", "smooth_amplitude", "rough_symbol", "rough_amplitude")
 

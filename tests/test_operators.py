@@ -146,6 +146,34 @@ def test_commutators_ignore_constants_and_scale_with_the_multiplier(preset, para
             assert np.all(err <= model), (core.__name__, c, lam, err / model)
 
 
+_REFLECTION_CASES = [(preset, params, n) for preset, params, n in _COMMUTATOR_CASES
+                     if preset != "oscillating_amplitude"]
+
+
+# R f(j) = f((n - j) mod n) is x -> -x on the lattice; it maps the frequency
+# lattice onto itself and its unpaired mode onto itself, so R T = T R exactly
+# for a symbol even in x and in xi (2 + tri is even).  Roundoff model per row
+# f, with u = eps / 2: 4 u log2(n) |f|_inf sup |a| over the lattice; every
+# case reads at most 0.59 of the model with the factor 4 taken as 1.
+@pytest.mark.parametrize("preset, params, n", _REFLECTION_CASES)
+def test_application_commutes_with_the_reflection(preset, params, n):
+    """apply_rows and apply_adjoint_rows commute with the lattice reflection
+    j -> (n - j) mod n, up to the roundoff model."""
+    g = P.make_grid(n, 16.0)
+    op = P.make_operator(P.preset_symbol(preset, **params), g)
+    rng = np.random.default_rng(n)
+    rows = np.concatenate([rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n)),
+                           np.stack([f.values for _, f, _ in P.mixed_corpus(g, 4, 3)])])
+    # sup |a(x, x, xi)| over the lattice, 256 points x at a time
+    sup_a = max(np.max(np.abs(op.symbol.evaluator(x[:, None], x[:, None], g.axis_freqs())))
+                for x in np.split(g.axis_points(), n // 256))
+    reflect = -np.arange(n) % n
+    model = 4.0 * np.finfo(float).eps / 2.0 * np.log2(n) * np.max(np.abs(rows), axis=1) * sup_a
+    for core in (apply_rows, apply_adjoint_rows):
+        err = np.max(np.abs(core(op, rows[:, reflect]) - core(op, rows)[:, reflect]), axis=1)
+        assert np.all(err <= model), (core.__name__, err / model)
+
+
 def test_kernel_row_reproduces_application(grid_small):
     sym = P.preset_symbol("rough_x_modulated", m=0.0)
     op = P.make_operator(sym, grid_small)

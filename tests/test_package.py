@@ -1,6 +1,7 @@
 """The package's top-level names each have a user that is not a test."""
 
 import ast
+import importlib.util
 import json
 import pathlib
 
@@ -47,6 +48,56 @@ def test_every_package_export_has_a_user():
     assert unused == []
 
 
+def _public_api() -> set[str]:
+    """README's Public API list, read by tools/census.py's parser."""
+    spec = importlib.util.spec_from_file_location("census", ROOT / "tools" / "census.py")
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    return census.api_names()
+
+
+def _exports() -> dict[str, list[str]]:
+    """module -> the names of its __all__, for every psdolab module but __init__."""
+    return {path.stem: ast.literal_eval(node.value)
+            for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.Assign)
+            and any(getattr(target, "id", None) == "__all__" for target in node.targets)}
+
+
+def test_every_all_name_is_used_elsewhere_or_listed():
+    """A module's __all__ holds only names that the code of another psdolab
+    module (not __init__.py) uses or that README's Public API list names; and
+    every listed module.name exists, with its module's __all__ holding it."""
+    api, exports = _public_api(), _exports()
+    users = {path.stem: _code_names(path) for path in PACKAGE.glob("*.py")
+             if path.stem != "__init__"}
+    listed = {".".join(entry.split(".")[:2]) for entry in api}
+    unheld = sorted(f"{module}.{name}" for module, names in exports.items() for name in names
+                    if f"{module}.{name}" not in listed
+                    and not any(name in code for user, code in users.items() if user != module))
+    assert unheld == []
+    missing = []
+    for entry in sorted(api):
+        module, *path = entry.split(".")
+        value = importlib.import_module(f"psdolab.{module}")
+        for attr in path:
+            value = getattr(value, attr, None)
+        if value is None or path[0] not in exports.get(module, ()):
+            missing.append(entry)
+    assert len(api) > 40 and missing == []
+
+
+def test_the_package_reexports_only_all_names():
+    """__init__.py re-exports from each module only names of its __all__."""
+    exports = _exports()
+    stray = [f"{node.module}.{alias.name}"
+             for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
+             if isinstance(node, ast.ImportFrom) for alias in node.names
+             if alias.name not in exports[node.module]]
+    assert stray == []
+
+
 _ROW_FUNCTIONS = {"kernel_row", "kernel_column", "adjoint_kernel_row"}
 _LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
           ast.GeneratorExp)
@@ -64,11 +115,8 @@ def _looped_calls(names, skip=None):
                 continue
             parts = loop.body + loop.orelse if isinstance(loop, (ast.For, ast.AsyncFor)) else [loop]
             for node in (node for part in parts for node in ast.walk(part)):
-                if isinstance(node, ast.Call):
-                    func = node.func
-                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                    if name in names:
-                        looped.append(f"{path.name}:{node.lineno} {name}")
+                if _called(node) in names:
+                    looped.append(f"{path.name}:{node.lineno} {_called(node)}")
     return looped
 
 
@@ -105,9 +153,9 @@ def test_no_module_calls_a_ufunc_at():
     assert calls == []
 
 
-def _calls_in_functions(path: pathlib.Path, name: str) -> list[str]:
-    """Each call of the named function or method in a module, as the dotted
-    path of the functions that enclose it ("" at module level)."""
+def _nodes_in_functions(path: pathlib.Path, match) -> list[str]:
+    """Each node of a module that match(node) accepts, as the dotted path of
+    the functions that enclose it ("" at module level)."""
     found = []
 
     def visit(node, scope):
@@ -115,15 +163,25 @@ def _calls_in_functions(path: pathlib.Path, name: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, (*scope, child.name))
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if called == name:
-                    found.append(".".join(scope))
+            if match(child):
+                found.append(".".join(scope))
             visit(child, scope)
 
     visit(ast.parse(path.read_text()), ())
     return found
+
+
+def _called(node) -> str | None:
+    """The name a call calls, a function's or a method's."""
+    if not isinstance(node, ast.Call):
+        return None
+    return node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+
+
+def _calls_in_functions(path: pathlib.Path, name: str) -> list[str]:
+    """Each call of the named function or method in a module, as the dotted
+    path of the functions that enclose it ("" at module level)."""
+    return _nodes_in_functions(path, lambda node: _called(node) == name)
 
 
 def _scoped_calls(name: str, files=None) -> list[str]:
@@ -185,6 +243,71 @@ def test_each_shared_formula_has_one_implementation():
                 envelopes.append(f"{path.stem}.{fn.name}")
     assert envelopes == ["corpus.gaussian_corpus"]
     assert _scoped_calls("cos", ["corpus.py", "function_classes.py"]) == ["corpus._cosine_sum"]
+
+
+def _homes(match) -> list[str]:
+    """module.scope of every node in src/ that match(node) accepts."""
+    return [f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
+            for scope in _nodes_in_functions(path, match)]
+
+
+def _strings(node) -> list[str]:
+    """The string constants under node, f-string parts included."""
+    return [n.value for n in ast.walk(node)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+
+
+def _raises(fragment: str):
+    """A matcher of the raise statements whose message holds fragment."""
+    return lambda node: isinstance(node, ast.Raise) and any(
+        fragment in text for text in _strings(node))
+
+
+def _passes(text: str):
+    """A matcher of the calls that take the string text as an argument."""
+    return lambda node: isinstance(node, ast.Call) and any(
+        getattr(arg, "value", None) == text for arg in node.args)
+
+
+def _inside_the_box(node) -> bool:
+    """A comparison of a sum holding abs() with the box's half length: |c| + r < L."""
+    if not isinstance(node, ast.Compare):
+        return False
+    sides = [node.left, *node.comparators]
+    return (any(isinstance(side, ast.BinOp) and isinstance(side.op, ast.Add)
+                and any(_called(n) == "abs" for n in ast.walk(side)) for side in sides)
+            and any(getattr(n, "attr", None) == "half_length"
+                    for side in sides for n in ast.walk(side)))
+
+
+def _relative_slack(node) -> bool:
+    """The sum 1 + 1e-12, the factor of the package's relative slack."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and {getattr(side, "value", None) for side in (node.left, node.right)} == {1, 1e-12})
+
+
+def _first_max_index(node) -> bool:
+    """values.index(max(values)), the first maximal entry."""
+    return (_called(node) == "index" and len(node.args) == 1
+            and _called(node.args[0]) == "max")
+
+
+def test_each_shared_rule_has_one_implementation():
+    """Each rule that several callers share is written in one function: the
+    imaginary-part refusal, the piece-index range, the exponent >= 1 check,
+    the ascending fit ranges, the inside-the-box rule, the relative slack of
+    a radius cap, the first maximal ball, and the plain and commutator
+    families that end lemma41 and lemma42."""
+    assert _homes(_raises("imaginary part")) == ["grid._real_rows"]
+    assert _homes(lambda node: getattr(node, "attr", None) == "imag") == ["grid._real_rows"]
+    assert _homes(_raises("outside 0..")) == ["littlewood_paley._check_index"]
+    assert _homes(_raises("must be >= 1")) == ["grid._check_exponent"]
+    assert _homes(_raises("degenerate fit")) == ["kernels._ascending"]
+    assert _homes(_inside_the_box) == ["grid._inside_box"]
+    assert _homes(_relative_slack) == ["grid._slack"]
+    assert _homes(_first_max_index) == ["function_classes._first_max"]
+    for prefix in ("plain_", "commutator_"):
+        assert _homes(_passes(prefix)) == ["experiments._lemma_report"]
 
 
 # Window arrays: what these return, what a function returns that holds one,

@@ -8,6 +8,7 @@ weights and the triangle and constant multipliers.  Reports go to a
 temporary directory.  Then prints every function defined in src/psdolab that
 no config ran, with what holds it:
 
+  api           README's Public API list names it
   span X        a per-layer metric of BENCHMARK.json, or a span name that
                 benchmarks/*.py reads, names it as X
   benchmarks    the code of benchmarks/*.py refers to it
@@ -15,8 +16,10 @@ no config ran, with what holds it:
   demo NN       the code of demos/NN_*.py refers to it
   helper of F   the code of F, another listed function that is held, calls it
 
-Usage: python3 tools/census.py.  Needs only the standard library and numpy.
-Exits 1 when a listed function is held by nothing, else 0.
+A function the list names, or a helper of one, is marked "*".  Usage:
+python3 tools/census.py.  Needs only the standard library and numpy.  Exits
+1 when a printed function is outside README's Public API list (neither
+named there nor a helper of a named one), else 0.
 """
 
 from __future__ import annotations
@@ -67,6 +70,17 @@ def defined_functions() -> dict[tuple[str, int], tuple[str, str, set[str]]]:
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text()), path, ())
     return found
+
+
+def api_names() -> set[str]:
+    """The module.name entries of README's Public API list (a name may be
+    Class.method): each backticked dotted name of the section whose first
+    part is a module of src/psdolab."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    return {name for name in re.findall(r"`(\w+(?:\.\w+)+)`", section)
+            if name.split(".", 1)[0] in modules}
 
 
 def code_names(tree) -> set[str]:
@@ -137,14 +151,18 @@ def main() -> int:
     functions = defined_functions()
     ran = run_configs()
     spans, users = holders()
+    api = api_names()
     unrun = {key: value for key, value in functions.items() if key not in ran}
     held = {}
     for module, qual, _ in unrun.values():
         name = qual.rsplit(".", 1)[-1]
-        why = [f"span {module}.{name}"] if f"{module}.{name}" in spans else []
+        why = ["api"] if f"{module}.{qual}" in api else []
+        why += [f"span {module}.{name}"] if f"{module}.{name}" in spans else []
         why += [holder for holder, names in users.items() if name in names]
         held[(module, qual)] = why
-    # a helper is held through a held caller among the listed functions
+    # a helper is held through a held caller among the listed functions, and
+    # is inside the API list through a caller that is
+    inside = {key for key, why in held.items() if "api" in why}
     changed = True
     while changed:
         changed = False
@@ -156,11 +174,16 @@ def main() -> int:
                         and held[(caller_module, caller)] and tag not in why):
                     why.append(tag)
                     changed = True
+                if tag in why and (caller_module, caller) in inside:
+                    changed |= (module, qual) not in inside
+                    inside.add((module, qual))
+    outside = len(held) - len(inside)
     print(f"{len(unrun)} of {len(functions)} functions in src/ never ran "
-          f"over {len(CONFIGS)} configs")
+          f"over {len(CONFIGS)} configs; {outside} outside README's Public API list")
     for (module, qual), why in sorted(held.items()):
-        print(f"  {module + '.' + qual:<40} {', '.join(why) or 'held by nothing'}")
-    return 0 if all(held.values()) else 1
+        mark = "*" if (module, qual) in inside else " "
+        print(f"{mark} {module + '.' + qual:<40} {', '.join(why) or 'held by nothing'}")
+    return 0 if outside == 0 else 1
 
 
 if __name__ == "__main__":
