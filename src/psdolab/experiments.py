@@ -24,6 +24,7 @@ from .config import ExperimentConfig
 from .corpus import band_noise, corpus_blocks, gaussian_corpus, gaussian_packet, mixed_corpus
 from .function_classes import (
     _ap_theta_values,
+    _first_max,
     _monotonicity,
     _openness,
     _openness_exponent,
@@ -306,8 +307,8 @@ def run_local_average_check(cfg: ExperimentConfig) -> VerificationReport:
         for (label, f, params), pair in zip(block, pairs):
             series = g_kappa_p(f, 1.0, p, cover, n_big).values
             ratios, comm_ratios = local_average_ratio(pair, series, q).tolist()
-            best = max([0.0] + ratios)
-            best_center = [cover.centers[ratios.index(best)]] if best > 0.0 else None
+            best, place = _first_max(ratios, 0.0)
+            best_center = None if place is None else [cover.centers[place]]
             best_c = max([0.0] + [r / b_scale for r in comm_ratios])
             plain.append(best)
             comm.append(best_c)

@@ -216,20 +216,23 @@ def ap_theta_characteristic(
 ) -> ApThetaCharacteristic:
     """Sup over the family of mean(w)^(1/p) mean(w^(-1/(p-1)))^(1/p') / (1+r)^theta."""
     (values,), _ = _ap_theta_values(w, (p,), theta, family)
-    return ApThetaCharacteristic(p, theta, *_first_max(values, family))
+    best, i = _first_max(values)
+    return ApThetaCharacteristic(p, theta, best, family.ball(i))
 
 
 def bmo_theta_norm(b: SampledFunction, theta: float, family: BallFamily) -> BmoThetaNorm:
     _check_growth(theta)
     osc = _per_ball(b.real_values().ravel(), _family_indices(b.grid, family), _oscillation)
-    return BmoThetaNorm(theta, *_first_max(_damped(osc, family, theta), family))
+    best, i = _first_max(_damped(osc, family, theta))
+    return BmoThetaNorm(theta, best, family.ball(i))
 
 
-def _first_max(values: list[float], family: BallFamily) -> tuple[float, Ball]:
-    """The sup of the per-ball values and its ball, the first maximal one
-    in family order."""
-    i = values.index(max(values))
-    return values[i], family.ball(i)
+def _first_max(values: list[float], floor: float | None = None) -> tuple[float, int | None]:
+    """The sup of the values and the place of the first maximal one.  With a
+    floor, the sup of [floor] + values, placed at None when no value exceeds
+    the floor; Python's max passes over a NaN that does not come first."""
+    best = max(values if floor is None else [floor, *values])
+    return best, (values.index(best) if floor is None or best > floor else None)
 
 
 def check_monotonicity(

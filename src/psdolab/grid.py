@@ -341,10 +341,13 @@ def ball_mask(grid: PeriodicGrid, ball: Ball) -> np.ndarray:
 # their max per slot, the points whose windows are one run of centers (Gil
 # and Werman 1993), from one sparse table (_slot_plan); m_tilde_s does the
 # same on the slots of each critical ball, over the window parts inside its
-# 8-dilate (_cover_plan).  g_kappa_p sums pairwise blocks, so an average far
-# from the mass of f keeps its own relative accuracy (_arc_means).  The
-# index work that depends only on the grid and the arcs is built once, by
-# _plan.
+# 8-dilate (_cover_plan).  A radius whose windows are at least as long as
+# the dilate reads two columns per ball there, the centers at and just past
+# x_j, in place of its run: cut to the dilate, its window means rise up to
+# the one and fall from the other (_pair_centers).  g_kappa_p sums pairwise
+# blocks, so an average far from the mass of f keeps its own relative
+# accuracy (_arc_means).  The index work that depends only on the grid and
+# the arcs is built once, by _plan.
 # ---------------------------------------------------------------------------
 
 
@@ -437,10 +440,28 @@ def _doubled_prefix(x: np.ndarray) -> np.ndarray:
     return cs
 
 
-def _arc_means(x: np.ndarray, grid: PeriodicGrid, centers, radii) -> list[np.ndarray]:
-    """Per radius, the means of the samples x over the balls B(centers[j],
-    radius), which hold one count of points: each sum a few pairwise blocks,
-    one per binary digit of the count, largest first.
+def _digit_plan(grid: PeriodicGrid, centers, radii: tuple) -> tuple:
+    """Per radius, the one point count of the balls B(centers[j], radius)
+    and the (level, block starts) of each binary digit of the count, largest
+    first: the reads of _arc_means."""
+    plan = []
+    for r in radii:
+        starts, counts = _ball_arcs(grid, centers, r)
+        (count,) = set(counts.tolist())
+        digits, offset = [], 0
+        for level in reversed(range(count.bit_length())):
+            if count >> level & 1:
+                digits.append((level, starts + offset))
+                offset += 1 << level
+        plan.append((count, tuple(digits)))
+    return tuple(plan)
+
+
+def _arc_means(x: np.ndarray, grid: PeriodicGrid, centers, radii) -> np.ndarray:
+    """(radii, balls): per radius, the means of the samples x over the balls
+    B(centers[j], radius), which hold one count of points: each sum a few
+    pairwise blocks, one per binary digit of the count, largest first
+    (_digit_plan).
 
     Level l holds the sums of the 2^l consecutive samples of the doubled x
     from each point on, each a pairwise sum of two level l - 1 blocks.  Every
@@ -449,21 +470,15 @@ def _arc_means(x: np.ndarray, grid: PeriodicGrid, centers, radii) -> list[np.nda
     prefix difference would be (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., section 4.2).
     """
-    arcs = [_plan(_ball_arcs, grid, centers, r) for r in radii]
-    top = max((int(counts.max()) for _, counts in arcs), default=1)
+    plan = _plan(_digit_plan, grid, centers, tuple(radii))
+    top = max((count for count, _ in plan), default=1)
     blocks = [np.concatenate([x, x])]
     for level in range(1, top.bit_length()):
         half = 1 << (level - 1)
         blocks.append(blocks[-1][:-half] + blocks[-1][half:])
-    means = []
-    for starts, counts in arcs:
-        (count,) = set(counts.tolist())
-        sums, offset = 0.0, 0
-        for level in reversed(range(count.bit_length())):
-            if count >> level & 1:
-                sums = sums + blocks[level][starts + offset]
-                offset += 1 << level
-        means.append(sums / count)
+    means = np.empty((len(plan), len(centers)))
+    for k, (count, digits) in enumerate(plan):
+        means[k] = sum(blocks[level][starts] for level, starts in digits) / count
     return means
 
 
@@ -518,7 +533,7 @@ def _family_windows(grid: PeriodicGrid, alpha: float) -> tuple:
     return tuple(windows)
 
 
-def _slot_plan(points: np.ndarray, halves, c: int):
+def _slot_plan(points: np.ndarray, halves, c: int, pairs=None):
     """Slot-level range-max plan of the family windows of the ascending
     half-widths halves, at rows of points (each row consecutive integers in
     any order, not reduced mod n = 8c).
@@ -531,8 +546,11 @@ def _slot_plan(points: np.ndarray, halves, c: int):
     the row's runs reach, so no run crosses its segment), per half the width
     w = 2^floor(log2 ell), ell = (2 half + 1) // 8, with the (2, rows, S)
     columns of each slot's first and last w-block (a sparse table; Bender and
-    Farach-Colton 2000), and each point's slot.  Slots that hold no point
-    read columns clipped into their segment.  Exact for half >= 4.
+    Farach-Colton 2000), in ascending w, and each point's slot.  Slots that
+    hold no point read columns clipped into their segment.  Exact for
+    half >= 4.  pairs, when given, holds per half None or the (rows, 1)
+    centers k_j (_pair_centers): that half's columns are then k_j, k_j + 1
+    only, read by every slot as one block of width 2.
     """
     i = np.arange(8)
     h = np.asarray(halves)[:, None, None]
@@ -543,15 +561,20 @@ def _slot_plan(points: np.ndarray, halves, c: int):
     blocks = (first // 8 + np.arange(int(np.max(last // 8 - first // 8)) + 1))[..., None]
     columns, radii = [], []
     for r, (half, (lo, hi)) in enumerate(zip(halves, ends[:, :, rep])):
-        k0 = -((half - first) // 8)
-        m = int(np.max((last + half) // 8 - k0)) + 1
-        width = 1 << (((2 * half + 1) // 8).bit_length() - 1)
+        if pairs is None or pairs[r] is None:
+            k0 = -((half - first) // 8)
+            m = int(np.max((last + half) // 8 - k0)) + 1
+            width = 1 << (((2 * half + 1) // 8).bit_length() - 1)
+        else:
+            # m = width: every slot's read clips to the one block k_j, k_j + 1
+            k0, m, width = pairs[r], 2, 2
         run = np.stack([blocks + lo, blocks + hi - width + 1]) - k0[..., None]
         offset = sum(col.shape[1] for col in columns)
         radii.append((width, (np.clip(run, 0, m - width) + offset).reshape(2, len(points), -1)))
         columns.append(r * c + (k0 + np.arange(m)) % c)
     slot = (points // 8 - first // 8) * len(rep) + cls.ravel()[points % 8]
-    return np.concatenate(columns, axis=1), radii, slot
+    # _slot_range_max climbs its table once, so the reads go in ascending width
+    return np.concatenate(columns, axis=1), sorted(radii, key=lambda radius: radius[0]), slot
 
 
 def _slot_range_max(table: np.ndarray, radii) -> np.ndarray:
@@ -648,7 +671,10 @@ def _dilate_family(grid: PeriodicGrid, size: int) -> list:
     is at most the dilate's total over that window's count.  The sub-arc's
     prefix difference is at most the whole arc's (a monotone prefix, one
     place per arc), so the order holds after rounding too, and the max at
-    every point of Q_j keeps its bits.
+    every point of Q_j keeps its bits.  The windows kept that are at least
+    size points long (at (2048, 16) the radius-8 one, 145 of each ball's
+    373 columns) read two columns per ball instead (_pair_centers), so each
+    ball reads 230.
     """
     family = []
     for window in _family_windows(grid, grid.half_length / 2.0):
@@ -656,6 +682,33 @@ def _dilate_family(grid: PeriodicGrid, size: int) -> list:
         if window[2] // 2 >= size // 2 + 4:
             break
     return family
+
+
+def _pair_centers(points: np.ndarray, lead: np.ndarray, size: int, count: int, n: int):
+    """For family windows of count >= size points, the (rows, 1) centers k_j
+    whose windows, with the next center's, decide the max of every slot's
+    run on row j; None where that would not be exact on every row.
+
+    points: each row's points, lead: the first point of its size-point
+    dilate, both not reduced mod n.  8 k_j is at or before the dilate's
+    middle, so window k_j starts at or before lead and window k_j + 1 ends
+    at or after the dilate's last point.  Cut to the dilate, a window
+    starting at or before lead holds the prefix difference from lead to its
+    end, and one ending at or after the last point the difference from its
+    start to the end: over a monotone prefix the cut mean rises up to k_j
+    and falls from k_j + 1, after rounding too.  The max of a run holding
+    both is theirs.  That needs every point's run to hold both, and no
+    window of the run to meet the dilate round the circle as well.
+    """
+    if count < size:
+        return None
+    half = count // 2
+    k = (lead + (size - 1) // 2) // 8
+    first, last = points[:, :1], points[:, -1:]
+    exact = ((-((half - last) // 8) <= k) & ((first + half) // 8 > k)
+             & (8 * ((last + half) // 8) + half < lead + n)
+             & (8 * -((half - first) // 8) - half > lead + size - 1 - n))
+    return k if exact.all() else None
 
 
 def _cover_plan(grid: PeriodicGrid, centers) -> _CoverPlan:
@@ -667,8 +720,11 @@ def _cover_plan(grid: PeriodicGrid, centers) -> _CoverPlan:
     rows = len(first)
     family = _dilate_family(grid, size)
     # row j's points: Q_j's arc from its first point, not reduced mod n
-    columns, radii, slot = _slot_plan(q_first[:, None] + np.arange(size_q),
-                                      [count // 2 for _, _, count in family], c)
+    points = q_first[:, None] + np.arange(size_q)
+    lead = (q_first - (q_first - first) % n)[:, None]
+    columns, radii, slot = _slot_plan(
+        points, [count // 2 for _, _, count in family], c,
+        [_pair_centers(points, lead, size, count, n) for _, _, count in family])
     # for L >= 8 every segment holds under c centers, so no window repeats
     assert np.bincount(columns[0] // c).max() < c
     counts = np.array([count for _, _, count in family])[columns[0] // c]

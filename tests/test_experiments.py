@@ -317,6 +317,32 @@ def test_local_average_run(cfg):
     assert agg["commutator_max"] <= 4.0 * agg["commutator_median"]
 
 
+def test_local_average_reports_the_first_ball_above_zero(cfg, monkeypatch):
+    """Per item, lemma41's plain value is the max of 0.0 and the ratios over
+    the cover's balls, and its argmax_center the center of the first ball
+    that reaches it: None when no ratio exceeds 0.0 (all zero, all NaN), and
+    a NaN ratio is passed over wherever it stands."""
+    nan, inf = float("nan"), float("inf")
+    crafted = [[0.0, 0.0, 0.0], [nan, 0.5, 0.5], [nan, nan, nan], [0.25, nan, 0.5, 0.5],
+               [0.0, nan, inf, inf]]
+    real, calls = experiments.local_average_ratio, []
+
+    def with_crafted_plain_row(rows, series, windows):
+        got = real(rows, series, windows)
+        if len(calls) < len(crafted):
+            got[0] = 0.0
+            got[0, : len(crafted[len(calls)])] = crafted[len(calls)]
+        calls.append(None)
+        return got
+
+    monkeypatch.setattr(experiments, "local_average_ratio", with_crafted_plain_row)
+    centers = build_critical_cover(cfg.make_grid()).centers
+    values = [item["value"] for item in run_local_average_check(cfg).items[: len(crafted)]]
+    assert [(v["plain"], v["argmax_center"]) for v in values] == [
+        (0.0, None), (0.5, [centers[1]]), (0.0, None), (0.5, [centers[2]]),
+        (inf, [centers[2]])]
+
+
 def test_oscillation_run(cfg):
     rep = run_oscillation_check(cfg)
     assert rep.verdict == "pass"

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import psdolab as P
@@ -396,39 +396,68 @@ def test_cover_maximal_plan_is_built_once_per_cover(monkeypatch):
     assert plan.lo.max() < plan.hi.max() <= 2 * grid.n
 
 
-def _full_radius_plan(monkeypatch, cover):
-    """The cover plan over every family radius up to L/2, as if no radius
-    were dropped past the first window that holds an 8-dilate."""
-    monkeypatch.setattr(grid_module, "_dilate_family",
-                        lambda grid, size: list(_family_windows(grid, grid.half_length / 2.0)))
-    _plan.cache_clear()
-    plan = _plan(_cover_plan, cover.grid, cover.centers)
-    monkeypatch.undo()
-    _plan.cache_clear()
-    return plan
+def _full_run_plan(grid, centers):
+    """The cover plan over every family radius up to L/2, each read as the
+    full run of the centers whose windows reach Q_j: as if no radius were
+    dropped past the first window that holds an 8-dilate, and no radius
+    read two columns."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grid_module, "_dilate_family",
+                      lambda grid, size: list(_family_windows(grid, grid.half_length / 2.0)))
+        patch.setattr(grid_module, "_pair_centers", lambda *args: None)
+        return _cover_plan(grid, centers)
 
 
-@pytest.mark.parametrize("n, half_length", [(1024, 32.0), (1024, 64.0), (2048, 100.7)])
-def test_trimmed_cover_plan_gives_the_full_radius_bits(monkeypatch, n, half_length):
-    """Past the first radius whose window around the center nearest x_j
-    holds the whole 8-dilate, no window decides a max: m_tilde_s on the
-    trimmed plan equals the full-radius plan bit for bit, on noise and on a
-    narrow packet.  At L = 32 that first radius is L/2 itself; past it the
-    full plan is wider."""
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([64, 128, 256, 512, 1024, 2048, 4096]),
+       st.one_of(st.floats(8.0, 9.5, exclude_max=True), st.floats(8.0, 128.0)),
+       st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=3), st.integers(0, 2**32 - 1))
+@example(1024, 32.0, [], 0).via("L/2 is the first radius holding the dilate")
+@example(1024, 64.0, [], 0).via("the trimmed family is shorter")
+@example(2048, 100.7, [0.3], 0).via("a sub-cover")
+@example(64, 29.0, [], 0).via("every family radius is dilate-wide")
+@example(64, 29.0, [0.5, 0.75], 0).via("a sub-cover")
+def test_trimmed_cover_plan_gives_the_full_radius_bits(n, half_length, marks, seed):
+    """No window past the first radius whose window around the center
+    nearest x_j holds the whole 8-dilate decides a max, and a radius whose
+    windows are at least as long as the dilate decides it by the two
+    centers at and just past x_j: m_tilde_s on the plan equals the plan of
+    full runs over every radius up to L/2 bit for bit, on noise and on a
+    narrow packet, on the whole cover and on a sub-cover (empty marks: the
+    whole cover)."""
     grid = P.make_grid(n, half_length)
     cover = P.build_critical_cover(grid)
-    full = _full_radius_plan(monkeypatch, cover)
-    trimmed = _plan(_cover_plan, grid, cover.centers)
-    assert (trimmed.lo.shape[1] < full.lo.shape[1]) == (half_length > 32.0)
-    rng = np.random.default_rng(n)
+    if marks:
+        cover = cover.meeting((np.array(marks) * n).astype(int))
+    full = _full_run_plan(grid, cover.centers)
+    plan = _plan(_cover_plan, grid, cover.centers)
+    assert len(plan.radii) <= len(full.radii) and plan.lo.shape[1] <= full.lo.shape[1]
+    rng = np.random.default_rng(seed)
     rows = [rng.standard_normal(n) + 1j * rng.standard_normal(n),
-            gaussian_packet(grid, 0.3 * half_length, 0.3).values]
+            gaussian_packet(grid, rng.uniform(-half_length, half_length), 0.3).values]
     for values, s in itertools.product(rows, (1.1, 1.5, 2.9)):
         f = P.SampledFunction(grid, values)
         got = P.m_tilde_s(f, s, cover).values
-        monkeypatch.setattr(maximal, "_cover_plan", lambda *key: full)
-        assert np.array_equal(got, P.m_tilde_s(f, s, cover).values)
-        monkeypatch.undo()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(maximal, "_cover_plan", lambda *key: full)
+            assert np.array_equal(got, P.m_tilde_s(f, s, cover).values)
+
+
+def test_dilate_wide_radii_read_two_columns():
+    """At (2048, 16) the radius-8 windows hold the dilate's 1025 points and
+    read two columns per ball, in place of the 145 centers that reach Q_j:
+    373 columns per ball become 230.  At (64, 29) both radii are
+    dilate-wide; the half-8 radius keeps its run, since on a ball whose
+    center is a multiple of 8 the runs of Q_j's outer points hold only one
+    of the two centers each."""
+    for n, half_length, columns, widths, full in (
+            (2048, 16.0, 230, [2, 2, 4, 8, 16, 32, 64], 373), (64, 29.0, 5, [2, 2], 8)):
+        grid = P.make_grid(n, half_length)
+        cover = P.build_critical_cover(grid)
+        plan = _plan(_cover_plan, grid, cover.centers)
+        assert plan.lo.shape[1] == columns
+        assert [width for width, _ in plan.radii] == widths
+        assert _full_run_plan(grid, cover.centers).lo.shape[1] == full
 
 
 def test_cover_plan_columns_do_not_grow_with_the_box():

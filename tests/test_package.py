@@ -286,17 +286,31 @@ def _relative_slack(node) -> bool:
             and {getattr(side, "value", None) for side in (node.left, node.right)} == {1, 1e-12})
 
 
-def _first_max_index(node) -> bool:
-    """values.index(max(values)), the first maximal entry."""
-    return (_called(node) == "index" and len(node.args) == 1
-            and _called(node.args[0]) == "max")
+def _first_max_index(fn) -> bool:
+    """Whether a function takes the first maximal entry of a list:
+    values.index(max(values)), or values.index(best) with best bound to a
+    max."""
+    maxima = {target.id for node in ast.walk(fn)
+              if isinstance(node, ast.Assign) and _called(node.value) == "max"
+              for target in node.targets if isinstance(target, ast.Name)}
+    return any(_called(node) == "index" and len(node.args) == 1
+               and (_called(node.args[0]) == "max" or getattr(node.args[0], "id", None) in maxima)
+               for node in ast.walk(fn))
+
+
+def _function_homes(match) -> list[str]:
+    """module.function of every function in src/ that match(function) accepts."""
+    return [f"{path.stem}.{fn.name}" for path in sorted(PACKAGE.glob("*.py"))
+            for fn in ast.walk(ast.parse(path.read_text()))
+            if isinstance(fn, ast.FunctionDef) and match(fn)]
 
 
 def test_each_shared_rule_has_one_implementation():
     """Each rule that several callers share is written in one function: the
     imaginary-part refusal, the piece-index range, the exponent >= 1 check,
     the ascending fit ranges, the inside-the-box rule, the relative slack of
-    a radius cap, the first maximal ball, and the plain and commutator
+    a radius cap, the first maximal entry (the A_p^theta and BMO_theta
+    sups' ball, lemma41's argmax center), and the plain and commutator
     families that end lemma41 and lemma42."""
     assert _homes(_raises("imaginary part")) == ["grid._real_rows"]
     assert _homes(lambda node: getattr(node, "attr", None) == "imag") == ["grid._real_rows"]
@@ -305,7 +319,7 @@ def test_each_shared_rule_has_one_implementation():
     assert _homes(_raises("degenerate fit")) == ["kernels._ascending"]
     assert _homes(_inside_the_box) == ["grid._inside_box"]
     assert _homes(_relative_slack) == ["grid._slack"]
-    assert _homes(_first_max_index) == ["function_classes._first_max"]
+    assert _function_homes(_first_max_index) == ["function_classes._first_max"]
     for prefix in ("plain_", "commutator_"):
         assert _homes(_passes(prefix)) == ["experiments._lemma_report"]
 

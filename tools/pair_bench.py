@@ -9,7 +9,14 @@ from the worker's PROBE_REF_S and SPEED_EXPONENT).  Prints every pair, each
 side's median and quartiles, the pairs the change won, and whether a gain
 can be claimed: the change wins at least 9 pairs in 10 and the medians
 differ by more than the parent's interquartile range.  It also checks that
-both sides wrote the same report bytes.
+both sides wrote the same report bytes.  Each side's raw median, the job's
+time without its probes before scaling, is printed next to the scaled one.
+
+The two checkouts must sit at resolved paths of one length: the job's
+speed probe reads the heap state the job leaves, and that state moves with
+the length of the checkout's path, so two copies of one tree whose
+directory names differ by one character read scaled `maximal` times about
+5% apart.  Paths of unequal length are refused with exit 2.
 
 Usage: python3 tools/pair_bench.py PARENT CHANGE --workload W --job J
 [--pairs N] [--seed S].  PARENT and CHANGE are checkouts of the repository;
@@ -84,9 +91,14 @@ def main(argv=None) -> int:
     for checkout in sides.values():
         if not (checkout / "benchmarks" / "worker.py").is_file():
             parser.error(f"{checkout} is not a checkout with benchmarks/worker.py")
+    if len(str(sides["parent"])) != len(str(sides["change"])):
+        parser.exit(2, f"{parser.prog}: error: checkout paths differ in length "
+                       f"({len(str(sides['parent']))} and {len(str(sides['change']))} "
+                       f"characters); the job's time moves with it\n")
 
     flags = ("--probe", "--targets", ",".join(JOBS[args.job]))
     times = {side: [] for side in sides}
+    raw = {side: [] for side in sides}
     reports = {}
     tmp = pathlib.Path(tempfile.mkdtemp(prefix="pair_bench_"))
     try:
@@ -98,6 +110,7 @@ def main(argv=None) -> int:
             for side in order:
                 result = run_job(sides[side], args, tmp / side, *flags)
                 times[side].append(scaled_seconds(result))
+                raw[side].append(result["wall_s"] - result["speed"]["spent_s"])
                 reports.setdefault(side, digests(result))
             print(f"pair {i + 1:2d} ({order[0]} first): parent {times['parent'][-1]:.4f} s, "
                   f"change {times['change'][-1]:.4f} s", flush=True)
@@ -107,7 +120,8 @@ def main(argv=None) -> int:
     for side, values in times.items():
         q1, med, q3 = quartiles(values)
         print(f"{side:6s} median {med:.4f} s, quartiles {q1:.4f}-{q3:.4f} s, "
-              f"range {min(values):.4f}-{max(values):.4f} s")
+              f"range {min(values):.4f}-{max(values):.4f} s; "
+              f"raw median {statistics.median(raw[side]):.4f} s")
     wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
     p1, parent_med, p3 = quartiles(times["parent"])
     change_med = quartiles(times["change"])[1]
