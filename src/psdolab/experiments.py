@@ -307,8 +307,9 @@ def run_local_average_check(cfg: ExperimentConfig) -> VerificationReport:
         for (label, f, params), pair in zip(block, pairs):
             series = g_kappa_p(f, 1.0, p, cover, n_big).values
             ratios, comm_ratios = local_average_ratio(pair, series, q).tolist()
-            best, place = _first_max(ratios, 0.0)
-            best_center = None if place is None else [cover.centers[place]]
+            # the 0.0 first: no ball when no ratio exceeds it
+            best, i = _first_max([0.0, *ratios])
+            best_center = [cover.centers[i - 1]] if i else None
             best_c = max([0.0] + [r / b_scale for r in comm_ratios])
             plain.append(best)
             comm.append(best_c)

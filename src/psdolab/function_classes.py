@@ -227,12 +227,11 @@ def bmo_theta_norm(b: SampledFunction, theta: float, family: BallFamily) -> BmoT
     return BmoThetaNorm(theta, best, family.ball(i))
 
 
-def _first_max(values: list[float], floor: float | None = None) -> tuple[float, int | None]:
-    """The sup of the values and the place of the first maximal one.  With a
-    floor, the sup of [floor] + values, placed at None when no value exceeds
-    the floor; Python's max passes over a NaN that does not come first."""
-    best = max(values if floor is None else [floor, *values])
-    return best, (values.index(best) if floor is None or best > floor else None)
+def _first_max(values: list[float]) -> tuple[float, int]:
+    """The sup of the values and the place of the first maximal one;
+    Python's max passes over a NaN that does not come first."""
+    best = max(values)
+    return best, values.index(best)
 
 
 def check_monotonicity(

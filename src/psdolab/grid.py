@@ -440,28 +440,10 @@ def _doubled_prefix(x: np.ndarray) -> np.ndarray:
     return cs
 
 
-def _digit_plan(grid: PeriodicGrid, centers, radii: tuple) -> tuple:
-    """Per radius, the one point count of the balls B(centers[j], radius)
-    and the (level, block starts) of each binary digit of the count, largest
-    first: the reads of _arc_means."""
-    plan = []
-    for r in radii:
-        starts, counts = _ball_arcs(grid, centers, r)
-        (count,) = set(counts.tolist())
-        digits, offset = [], 0
-        for level in reversed(range(count.bit_length())):
-            if count >> level & 1:
-                digits.append((level, starts + offset))
-                offset += 1 << level
-        plan.append((count, tuple(digits)))
-    return tuple(plan)
-
-
-def _arc_means(x: np.ndarray, grid: PeriodicGrid, centers, radii) -> np.ndarray:
-    """(radii, balls): per radius, the means of the samples x over the balls
-    B(centers[j], radius), which hold one count of points: each sum a few
-    pairwise blocks, one per binary digit of the count, largest first
-    (_digit_plan).
+def _arc_means(x: np.ndarray, grid: PeriodicGrid, centers, radii) -> list[np.ndarray]:
+    """Per radius, the means of the samples x over the balls B(centers[j],
+    radius), which hold one count of points: each sum a few pairwise blocks,
+    one per binary digit of the count, largest first.
 
     Level l holds the sums of the 2^l consecutive samples of the doubled x
     from each point on, each a pairwise sum of two level l - 1 blocks.  Every
@@ -470,15 +452,21 @@ def _arc_means(x: np.ndarray, grid: PeriodicGrid, centers, radii) -> np.ndarray:
     prefix difference would be (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., section 4.2).
     """
-    plan = _plan(_digit_plan, grid, centers, tuple(radii))
-    top = max((count for count, _ in plan), default=1)
+    arcs = [_plan(_ball_arcs, grid, centers, r) for r in radii]
+    top = max((int(counts.max()) for _, counts in arcs), default=1)
     blocks = [np.concatenate([x, x])]
     for level in range(1, top.bit_length()):
         half = 1 << (level - 1)
         blocks.append(blocks[-1][:-half] + blocks[-1][half:])
-    means = np.empty((len(plan), len(centers)))
-    for k, (count, digits) in enumerate(plan):
-        means[k] = sum(blocks[level][starts] for level, starts in digits) / count
+    means = []
+    for starts, counts in arcs:
+        (count,) = set(counts.tolist())
+        sums, offset = 0.0, 0
+        for level in reversed(range(count.bit_length())):
+            if count >> level & 1:
+                sums = sums + blocks[level][starts + offset]
+                offset += 1 << level
+        means.append(sums / count)
     return means
 
 

@@ -171,12 +171,11 @@ def g_kappa_p(
     while radius < grid.half_length:
         radii.append(radius)
         radius *= 2.0
-    means = _arc_means(powered, cover.grid, cover.centers, radii)
-    # Python float powers: numpy's array power can differ in the last ulp
-    avgs = np.array([m ** (1.0 / p) for m in means.ravel().tolist()]).reshape(means.shape)
     totals = np.zeros(len(cover.centers))
-    for k, row in enumerate(avgs):
-        totals += 2.0 ** (-n_big * k) * row
+    for k, means in enumerate(_arc_means(powered, cover.grid, cover.centers, radii)):
+        # Python float powers: numpy's array power can differ in the last ulp
+        avgs = np.array([m ** (1.0 / p) for m in means.tolist()])
+        totals += 2.0 ** (-n_big * k) * avgs
     totals += box_avg * 2.0 ** (-n_big * len(radii)) / (1.0 - 2.0 ** (-n_big))
     return SampledFunction(grid, _spread_max(totals, _plan(_covering, cover.grid, cover.centers)))
 

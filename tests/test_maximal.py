@@ -443,21 +443,30 @@ def test_trimmed_cover_plan_gives_the_full_radius_bits(n, half_length, marks, se
             assert np.array_equal(got, P.m_tilde_s(f, s, cover).values)
 
 
-def test_dilate_wide_radii_read_two_columns():
-    """At (2048, 16) the radius-8 windows hold the dilate's 1025 points and
-    read two columns per ball, in place of the 145 centers that reach Q_j:
-    373 columns per ball become 230.  At (64, 29) both radii are
-    dilate-wide; the half-8 radius keeps its run, since on a ball whose
-    center is a multiple of 8 the runs of Q_j's outer points hold only one
-    of the two centers each."""
-    for n, half_length, columns, widths, full in (
-            (2048, 16.0, 230, [2, 2, 4, 8, 16, 32, 64], 373), (64, 29.0, 5, [2, 2], 8)):
-        grid = P.make_grid(n, half_length)
-        cover = P.build_critical_cover(grid)
-        plan = _plan(_cover_plan, grid, cover.centers)
-        assert plan.lo.shape[1] == columns
-        assert [width for width, _ in plan.radii] == widths
-        assert _full_run_plan(grid, cover.centers).lo.shape[1] == full
+@pytest.mark.parametrize("n, half_length, columns, widths, full_columns, full_radii", [
+    (1024, 32.0, 54, [2, 2, 2, 4, 8, 16], 156, 6),
+    (1024, 64.0, 27, [2, 2, 2, 4, 8], 144, 6),
+    (2048, 100.7, 44, [2, 2, 4, 8, 16], 275, 7),
+    (2048, 16.0, 230, [2, 2, 4, 8, 16, 32, 64], 373, 7),
+    (64, 29.0, 5, [2, 2], 8, 2)])
+def test_dilate_wide_radii_read_two_columns(n, half_length, columns, widths, full_columns,
+                                            full_radii):
+    """The plan keeps the family radii up to the first whose window around
+    the center nearest x_j holds the whole 8-dilate: at L = 32 that radius
+    is L/2 itself, so all 6 stay, and past it the plan has fewer radii than
+    the family up to L/2.  At (2048, 16) the radius-8 windows hold the
+    dilate's 1025 points and read two columns per ball, in place of the 145
+    centers that reach Q_j: 373 columns per ball become 230.  At (64, 29)
+    both radii are dilate-wide; the half-8 radius keeps its run, since on a
+    ball whose center is a multiple of 8 the runs of Q_j's outer points hold
+    only one of the two centers each."""
+    grid = P.make_grid(n, half_length)
+    cover = P.build_critical_cover(grid)
+    plan = _plan(_cover_plan, grid, cover.centers)
+    assert plan.lo.shape[1] == columns
+    assert [width for width, _ in plan.radii] == widths
+    full = _full_run_plan(grid, cover.centers)
+    assert (full.lo.shape[1], len(full.radii)) == (full_columns, full_radii)
 
 
 def test_cover_plan_columns_do_not_grow_with_the_box():

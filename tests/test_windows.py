@@ -17,7 +17,6 @@ import psdolab as P
 from conftest import full_scans
 from psdolab.grid import (
     _arc_means,
-    _ball_arcs,
     _covering,
     _depth,
     _gathered,
@@ -89,54 +88,6 @@ def test_pairwise_arc_means_hold_their_roundoff_bound(data):
             exact = np.sum(x[inside].astype(np.longdouble)) / inside.sum()
             bound = (np.log2(inside.sum()) + 2) * U * exact + inside.sum() * 5e-324
             assert abs(np.longdouble(means[j]) - exact) <= bound
-
-
-def _digit_loop_means(x, grid, centers, radii):
-    """The per-radius digit loop: each radius's arcs looked up on their own,
-    then per binary digit of its one count, largest first, one pairwise
-    block sum of the doubled x added on."""
-    arcs = [_plan(_ball_arcs, grid, centers, r) for r in radii]
-    top = max((int(counts.max()) for _, counts in arcs), default=1)
-    blocks = [np.concatenate([x, x])]
-    for level in range(1, top.bit_length()):
-        half = 1 << (level - 1)
-        blocks.append(blocks[-1][:-half] + blocks[-1][half:])
-    means = []
-    for starts, counts in arcs:
-        (count,) = set(counts.tolist())
-        sums, offset = 0.0, 0
-        for level in reversed(range(count.bit_length())):
-            if count >> level & 1:
-                sums = sums + blocks[level][starts + offset]
-                offset += 1 << level
-        means.append(sums / count)
-    return means
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_planned_arc_means_equal_the_per_radius_digit_loop(data):
-    """_arc_means reads its digit blocks from one plan per radius list, and
-    g_kappa_p raises its averages in one pass: both equal the per-radius
-    loop bit for bit, at the series' radii kappa 2^k < L for kappa 1 and 4
-    and p 1.5 and 2, on the whole cover and on a sub-cover."""
-    grid, cover, _, rng = _case(data)
-    if data.draw(st.booleans(), label="sub-cover"):
-        cover = cover.meeting(rng.integers(0, grid.n, 3))
-    f = P.SampledFunction(grid, rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
-    for kappa, p in itertools.product((1.0, 4.0), (1.5, 2.0)):
-        radii = [kappa * 2.0**k for k in range(8) if kappa * 2.0**k < grid.half_length]
-        powered = np.abs(f.values) ** p
-        loop = _digit_loop_means(powered, grid, cover.centers, radii)
-        assert np.array_equal(_arc_means(powered, grid, cover.centers, radii),
-                              np.reshape(loop, (len(radii), len(cover.centers))))
-        totals = np.zeros(len(cover.centers))
-        for k, means in enumerate(loop):
-            totals += 2.0 ** (-8 * k) * np.array([m ** (1.0 / p) for m in means.tolist()])
-        totals += (float(np.mean(powered)) ** (1.0 / p) * 2.0 ** (-8 * len(radii))
-                   / (1.0 - 2.0**-8))
-        want = _spread_max(totals, _plan(_covering, grid, cover.centers))
-        assert np.array_equal(P.g_kappa_p(f, kappa, p, cover, 8).values, want)
 
 
 @settings(max_examples=60, deadline=None)
