@@ -342,9 +342,9 @@ def ball_mask(grid: PeriodicGrid, ball: Ball) -> np.ndarray:
 # and Werman 1993), from one sparse table (_slot_plan); m_tilde_s does the
 # same on the slots of each critical ball, over the window parts inside its
 # 8-dilate (_cover_plan).  A radius whose windows are at least as long as
-# the dilate reads two columns per ball there, the centers at and just past
-# x_j, in place of its run: cut to the dilate, its window means rise up to
-# the one and fall from the other (_pair_centers).  g_kappa_p sums pairwise
+# the dilate reads two columns per ball there, clipped into each slot's run,
+# and the radii stop after the first whose window at the first of the two
+# holds every ball's whole dilate (_edge_center).  g_kappa_p sums pairwise
 # blocks, so an average far from the mass of f keeps its own relative
 # accuracy (_arc_means).  The index work that depends only on the grid and
 # the arcs is built once, by _plan.
@@ -537,8 +537,8 @@ def _slot_plan(points: np.ndarray, halves, c: int, pairs=None):
     Farach-Colton 2000), in ascending w, and each point's slot.  Slots that
     hold no point read columns clipped into their segment.  Exact for
     half >= 4.  pairs, when given, holds per half None or the (rows, 1)
-    centers k_j (_pair_centers): that half's columns are then k_j, k_j + 1
-    only, read by every slot as one block of width 2.
+    centers k_j (_edge_center): that half's columns are then k_j, k_j + 1
+    only, which each slot reads clipped into its run at width 1.
     """
     i = np.arange(8)
     h = np.asarray(halves)[:, None, None]
@@ -554,8 +554,7 @@ def _slot_plan(points: np.ndarray, halves, c: int, pairs=None):
             m = int(np.max((last + half) // 8 - k0)) + 1
             width = 1 << (((2 * half + 1) // 8).bit_length() - 1)
         else:
-            # m = width: every slot's read clips to the one block k_j, k_j + 1
-            k0, m, width = pairs[r], 2, 2
+            k0, m, width = pairs[r], 2, 1
         run = np.stack([blocks + lo, blocks + hi - width + 1]) - k0[..., None]
         offset = sum(col.shape[1] for col in columns)
         radii.append((width, (np.clip(run, 0, m - width) + offset).reshape(2, len(points), -1)))
@@ -649,54 +648,22 @@ class _CoverPlan(NamedTuple):
     spread: np.ndarray
 
 
-def _dilate_family(grid: PeriodicGrid, size: int) -> list:
-    """The family windows up to L/2 (_family_windows) through the first whose
-    half-width reaches size // 2 + 4.
+def _edge_center(lead: np.ndarray, count: int) -> np.ndarray:
+    """The last stride-8 centers k_a whose count-point family windows start
+    at or before lead, the first point of each row's dilate (not mod n).
 
-    Around the center 8k nearest x_j (|8k - x_j| <= 4 points) that window
-    holds all of the size-point dilate.  Each larger window that holds a
-    point of Q_j reads a sub-arc of the dilate over more points, so its mean
-    is at most the dilate's total over that window's count.  The sub-arc's
-    prefix difference is at most the whole arc's (a monotone prefix, one
-    place per arc), so the order holds after rounding too, and the max at
-    every point of Q_j keeps its bits.  The windows kept that are at least
-    size points long (at (2048, 16) the radius-8 one, 145 of each ball's
-    373 columns) read two columns per ball instead (_pair_centers), so each
-    ball reads 230.
+    For windows of at least the dilate's size points, window k_a + 1 ends at
+    or after the dilate's last point, so the run of every point of the
+    dilate holds k_a or k_a + 1.  Cut to the dilate, a window is one prefix
+    difference from lead up to k_a, and one to the last point from k_a + 1:
+    over a monotone prefix the cut means rise up to k_a and fall from
+    k_a + 1, after rounding too.  No window that long meets the dilate
+    round the circle too (that needs L under about 9.5).  Once window k_a
+    holds the whole dilate, a larger window reads a sub-arc of it (one
+    place per arc) over more points, so its mean is no larger and it
+    decides no max.
     """
-    family = []
-    for window in _family_windows(grid, grid.half_length / 2.0):
-        family.append(window)
-        if window[2] // 2 >= size // 2 + 4:
-            break
-    return family
-
-
-def _pair_centers(points: np.ndarray, lead: np.ndarray, size: int, count: int, n: int):
-    """For family windows of count >= size points, the (rows, 1) centers k_j
-    whose windows, with the next center's, decide the max of every slot's
-    run on row j; None where that would not be exact on every row.
-
-    points: each row's points, lead: the first point of its size-point
-    dilate, both not reduced mod n.  8 k_j is at or before the dilate's
-    middle, so window k_j starts at or before lead and window k_j + 1 ends
-    at or after the dilate's last point.  Cut to the dilate, a window
-    starting at or before lead holds the prefix difference from lead to its
-    end, and one ending at or after the last point the difference from its
-    start to the end: over a monotone prefix the cut mean rises up to k_j
-    and falls from k_j + 1, after rounding too.  The max of a run holding
-    both is theirs.  That needs every point's run to hold both, and no
-    window of the run to meet the dilate round the circle as well.
-    """
-    if count < size:
-        return None
-    half = count // 2
-    k = (lead + (size - 1) // 2) // 8
-    first, last = points[:, :1], points[:, -1:]
-    exact = ((-((half - last) // 8) <= k) & ((first + half) // 8 > k)
-             & (8 * ((last + half) // 8) + half < lead + n)
-             & (8 * -((half - first) // 8) - half > lead + size - 1 - n))
-    return k if exact.all() else None
+    return (lead + count // 2) // 8
 
 
 def _cover_plan(grid: PeriodicGrid, centers) -> _CoverPlan:
@@ -706,13 +673,18 @@ def _cover_plan(grid: PeriodicGrid, centers) -> _CoverPlan:
     q_first, q_sizes = _ball_arcs(grid, centers, 1.0)
     (size,), (size_q,) = set(sizes.tolist()), set(q_sizes.tolist())
     rows = len(first)
-    family = _dilate_family(grid, size)
     # row j's points: Q_j's arc from its first point, not reduced mod n
     points = q_first[:, None] + np.arange(size_q)
     lead = (q_first - (q_first - first) % n)[:, None]
+    # the radii up to L/2, through the first whose window k_a holds every dilate
+    family = []
+    for window in _family_windows(grid, grid.half_length / 2.0):
+        family.append(window)
+        if np.all(8 * _edge_center(lead, window[2]) + window[2] // 2 >= lead + size - 1):
+            break
     columns, radii, slot = _slot_plan(
         points, [count // 2 for _, _, count in family], c,
-        [_pair_centers(points, lead, size, count, n) for _, _, count in family])
+        [_edge_center(lead, count) if count >= size else None for _, _, count in family])
     # for L >= 8 every segment holds under c centers, so no window repeats
     assert np.bincount(columns[0] // c).max() < c
     counts = np.array([count for _, _, count in family])[columns[0] // c]

@@ -18,6 +18,7 @@ from psdolab.corpus import (
 )
 import psdolab.grid as grid_module
 from psdolab.grid import (
+    _ball_arcs,
     _cover_plan,
     _covering,
     _doubled_prefix,
@@ -396,77 +397,103 @@ def test_cover_maximal_plan_is_built_once_per_cover(monkeypatch):
     assert plan.lo.max() < plan.hi.max() <= 2 * grid.n
 
 
-def _full_run_plan(grid, centers):
-    """The cover plan over every family radius up to L/2, each read as the
-    full run of the centers whose windows reach Q_j: as if no radius were
-    dropped past the first window that holds an 8-dilate, and no radius
-    read two columns."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(grid_module, "_dilate_family",
-                      lambda grid, size: list(_family_windows(grid, grid.half_length / 2.0)))
-        patch.setattr(grid_module, "_pair_centers", lambda *args: None)
-        return _cover_plan(grid, centers)
+def _brute_m_tilde_s(rows, exponents, cover):
+    """m_tilde_s of each row at its exponent s, by brute force per critical
+    ball Q_j: for every family radius up to L/2 and every point x of Q_j,
+    the max of the means, cut to the 8-dilate of Q_j, of every window
+    holding x; then ** (1/s) per ball and the max over the balls holding x
+    (-inf off their union).
+
+    The cut sums read the doubled prefix of |f|^s at the plan's own places:
+    a window u = (start - first) mod n points past the dilate's first point
+    meets it in [min(u, size), min(u + count, size)) and, past the gap, in
+    the next turn's [0, u + count - n)."""
+    grid, n = cover.grid, cover.grid.n
+    first, size = (a[:, None] for a in _ball_arcs(grid, cover.centers, 8.0))
+    q_first, q_size = _ball_arcs(grid, cover.centers, 1.0)
+    points = (q_first[:, None] + np.arange(q_size[0])) % n
+    prefixes = [np.concatenate([[0.0], np.cumsum(np.tile(np.abs(values) ** s, 2))])
+                for values, s in zip(rows, exponents)]
+    best = np.full((len(rows),) + points.shape, -np.inf)
+    for _, starts, count in _family_windows(grid, grid.half_length / 2.0):
+        u = (starts - first) % n
+        lo, hi = np.minimum(u, size), np.minimum(u + count, size)
+        hi_next = np.clip(u + count - n, 0, size)
+        # per grid point, the windows holding it, padded with the -inf column
+        xs, ks = np.nonzero((np.arange(n)[:, None] - starts) % n < count)
+        held = np.full((n, np.bincount(xs).max()), len(starts))
+        held[xs, np.arange(len(xs)) - np.searchsorted(xs, xs)] = ks
+        places = np.arange(len(first))[:, None, None] * (len(starts) + 1) + held[points]
+        for r, prefix in enumerate(prefixes):
+            sums = np.where(lo < hi, prefix[first + hi] - prefix[first + lo], 0.0)
+            sums += prefix[first + hi_next] - prefix[first]
+            means = np.append(sums / count, np.full((len(first), 1), -np.inf), axis=1)
+            np.maximum(best[r], np.take(means, places).max(axis=2), out=best[r])
+    out = np.full((len(rows), n), -np.inf)
+    for r, s in enumerate(exponents):
+        np.maximum.at(out[r], points.ravel(), (best[r] ** (1.0 / s)).ravel())
+    return out
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=20, deadline=None)
 @given(st.sampled_from([64, 128, 256, 512, 1024, 2048, 4096]),
        st.one_of(st.floats(8.0, 9.5, exclude_max=True), st.floats(8.0, 128.0)),
        st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=3), st.integers(0, 2**32 - 1))
-@example(1024, 32.0, [], 0).via("L/2 is the first radius holding the dilate")
-@example(1024, 64.0, [], 0).via("the trimmed family is shorter")
-@example(2048, 100.7, [0.3], 0).via("a sub-cover")
 @example(64, 29.0, [], 0).via("every family radius is dilate-wide")
 @example(64, 29.0, [0.5, 0.75], 0).via("a sub-cover")
+@example(1024, 8.5, [], 0).via("windows reach the dilate round the circle")
+@example(1024, 32.0, [], 0).via("L/2 is the first radius holding the dilate")
+@example(1024, 64.0, [], 0).via("the trimmed family is shorter")
+@example(2048, 16.0, [], 0).via("the radius-8 windows hold the dilate")
+@example(2048, 100.7, [0.3], 0).via("a sub-cover")
 def test_trimmed_cover_plan_gives_the_full_radius_bits(n, half_length, marks, seed):
-    """No window past the first radius whose window around the center
-    nearest x_j holds the whole 8-dilate decides a max, and a radius whose
-    windows are at least as long as the dilate decides it by the two
-    centers at and just past x_j: m_tilde_s on the plan equals the plan of
-    full runs over every radius up to L/2 bit for bit, on noise and on a
-    narrow packet, on the whole cover and on a sub-cover (empty marks: the
-    whole cover)."""
+    """m_tilde_s equals the brute force over every family radius up to L/2
+    and every window holding each point (_brute_m_tilde_s) bit for bit, on
+    the whole cover (empty marks) or a sub-cover, and on a one-ball cover:
+    on noise, a narrow packet, one-hot rows and, at L >= 32, rows with one
+    spike at each end of a ball's 8-dilate, which only a window holding the
+    whole dilate sees at once."""
     grid = P.make_grid(n, half_length)
     cover = P.build_critical_cover(grid)
-    if marks:
-        cover = cover.meeting((np.array(marks) * n).astype(int))
-    full = _full_run_plan(grid, cover.centers)
-    plan = _plan(_cover_plan, grid, cover.centers)
-    assert len(plan.radii) <= len(full.radii) and plan.lo.shape[1] <= full.lo.shape[1]
     rng = np.random.default_rng(seed)
+    balls = rng.choice(len(cover.centers), size=min(3, len(cover.centers)), replace=False)
     rows = [rng.standard_normal(n) + 1j * rng.standard_normal(n),
             gaussian_packet(grid, rng.uniform(-half_length, half_length), 0.3).values]
-    for values, s in itertools.product(rows, (1.1, 1.5, 2.9)):
-        f = P.SampledFunction(grid, values)
-        got = P.m_tilde_s(f, s, cover).values
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(maximal, "_cover_plan", lambda *key: full)
-            assert np.array_equal(got, P.m_tilde_s(f, s, cover).values)
+    spikes = [[k] for k in rng.integers(0, n, size=2)]
+    if half_length >= 32.0:
+        starts, counts = _ball_arcs(grid, np.take(cover.centers, balls), 8.0)
+        spikes += [[a, b] for a, b in zip(starts, (starts + counts - 1) % n)]
+    for ends in spikes:
+        rows.append(np.zeros(n))
+        rows[-1][ends] = 1.0
+    exponents = [(1.1, 1.5, 2.9)[r % 3] for r in range(len(rows))]
+    for sub in (cover.meeting((np.array(marks) * n).astype(int)) if marks else cover,
+                maximal.CriticalCover(grid, (cover.centers[balls[0]],))):
+        got = [P.m_tilde_s(P.SampledFunction(grid, values), s, sub).values
+               for values, s in zip(rows, exponents)]
+        assert np.array_equal(got, _brute_m_tilde_s(rows, exponents, sub))
 
 
-@pytest.mark.parametrize("n, half_length, columns, widths, full_columns, full_radii", [
-    (1024, 32.0, 54, [2, 2, 2, 4, 8, 16], 156, 6),
-    (1024, 64.0, 27, [2, 2, 2, 4, 8], 144, 6),
-    (2048, 100.7, 44, [2, 2, 4, 8, 16], 275, 7),
-    (2048, 16.0, 230, [2, 2, 4, 8, 16, 32, 64], 373, 7),
-    (64, 29.0, 5, [2, 2], 8, 2)])
-def test_dilate_wide_radii_read_two_columns(n, half_length, columns, widths, full_columns,
-                                            full_radii):
-    """The plan keeps the family radii up to the first whose window around
-    the center nearest x_j holds the whole 8-dilate: at L = 32 that radius
+@pytest.mark.parametrize("n, half_length, columns, widths, family_radii", [
+    (1024, 32.0, 54, [1, 1, 2, 4, 8, 16], 6),
+    (1024, 64.0, 27, [1, 1, 2, 4, 8], 6),
+    (2048, 100.7, 44, [1, 2, 4, 8, 16], 7),
+    (2048, 16.0, 230, [1, 2, 4, 8, 16, 32, 64], 7),
+    (64, 29.0, 4, [1, 1], 2)])
+def test_dilate_wide_radii_read_two_columns(n, half_length, columns, widths, family_radii):
+    """The plan keeps the family radii up to the first whose edge window
+    (_edge_center) holds every ball's whole 8-dilate: at L = 32 that radius
     is L/2 itself, so all 6 stay, and past it the plan has fewer radii than
-    the family up to L/2.  At (2048, 16) the radius-8 windows hold the
-    dilate's 1025 points and read two columns per ball, in place of the 145
-    centers that reach Q_j: 373 columns per ball become 230.  At (64, 29)
-    both radii are dilate-wide; the half-8 radius keeps its run, since on a
-    ball whose center is a multiple of 8 the runs of Q_j's outer points hold
-    only one of the two centers each."""
+    the family up to L/2.  A radius whose windows hold at least the dilate's
+    point count reads two columns per ball, at width 1: at (2048, 16) the
+    radius-8 windows, which hold the dilate's 1025 points, so each ball
+    reads 230 columns, and at (64, 29) both radii, 4 columns."""
     grid = P.make_grid(n, half_length)
     cover = P.build_critical_cover(grid)
     plan = _plan(_cover_plan, grid, cover.centers)
     assert plan.lo.shape[1] == columns
     assert [width for width, _ in plan.radii] == widths
-    full = _full_run_plan(grid, cover.centers)
-    assert (full.lo.shape[1], len(full.radii)) == (full_columns, full_radii)
+    assert len(_family_windows(grid, half_length / 2.0)) == family_radii
 
 
 def test_cover_plan_columns_do_not_grow_with_the_box():

@@ -1,6 +1,8 @@
 """The checked-in tools start and run: each in a child process whose working
-directory and temporary files are a test's temporary directory."""
+directory and temporary files are a test's temporary directory.  The
+census's line counts run in-process, on a small source text."""
 
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -44,3 +46,37 @@ def test_a_short_seeded_fuzz_run_finds_no_internal_error(tmp_path):
     assert "exit 4" not in done.stdout
     assert done.stdout.splitlines()[-1].startswith("seed 5: ")
     assert list(tmp_path.iterdir()) == []
+
+
+GRID_TEXT = '''"""Module doc,
+over two lines."""
+
+import numpy as np
+
+
+# -----
+# Windows: the layer.
+# -----
+
+
+def f(x):
+    """One line."""
+    # a comment
+    return x
+
+
+@dataclass
+class BallFamily:
+    pass
+'''
+
+
+def test_line_census_counts_code_lines_and_the_window_layer():
+    """All lines and code lines (not blank, comment-only or docstring) of
+    every text, and of grid.py's window layer: from the rule above
+    `# Windows:` to the last line before BallFamily's decorator."""
+    spec = importlib.util.spec_from_file_location("census", ROOT / "tools" / "census.py")
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    texts = {"grid.py": GRID_TEXT, "other.py": "x = 1\n\n# only a comment\n"}
+    assert census.line_census(texts) == {"src": (23, 7), "window layer": (11, 2)}

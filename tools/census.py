@@ -16,10 +16,14 @@ no config ran, with what holds it:
   demo NN       the code of demos/NN_*.py refers to it
   helper of F   the code of F, another listed function that is held, calls it
 
-A function the list names, or a helper of one, is marked "*".  Usage:
-python3 tools/census.py.  Needs only the standard library and numpy.  Exits
-1 when a printed function is outside README's Public API list (neither
-named there nor a helper of a named one), else 0.
+A function the list names, or a helper of one, is marked "*".  After the
+list it prints the line counts of src/ and of grid.py's window layer, from
+the rule above its `# Windows:` header to the last line before `class
+BallFamily` (its decorators included in the class): all lines, and code
+lines (non-blank, not comment-only, not in a docstring).  Usage: python3
+tools/census.py.  Needs only the standard library and numpy.  Exits 1 when
+a printed function is outside README's Public API list (neither named there
+nor a helper of a named one), else 0.
 """
 
 from __future__ import annotations
@@ -147,6 +151,36 @@ def holders() -> tuple[set[str], dict[str, set[str]]]:
     return spans, users
 
 
+def line_census(texts: dict[str, str]) -> dict[str, tuple[int, int]]:
+    """(lines, code lines) of the source texts by file name together ("src")
+    and of the window layer of the text named grid.py ("window layer").  A
+    code line is non-blank, not comment-only and not in a docstring."""
+
+    def counts(text: str, first: int = 1, last: int | None = None) -> tuple[int, int]:
+        lines = text.splitlines()
+        last = len(lines) if last is None else last
+        docs = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                head = node.body[0] if node.body else None
+                if (isinstance(head, ast.Expr) and isinstance(head.value, ast.Constant)
+                        and isinstance(head.value.value, str)):
+                    docs.update(range(head.lineno, head.end_lineno + 1))
+        code = [i for i in range(first, last + 1)
+                if i not in docs and lines[i - 1].strip() and not lines[i - 1].lstrip().startswith("#")]
+        return last - first + 1, len(code)
+
+    total = [counts(text) for text in texts.values()]
+    grid = texts["grid.py"]
+    # the 0-based index of the header line is the 1-based number of the rule above it
+    rule = next(i for i, line in enumerate(grid.splitlines()) if line.startswith("# Windows:"))
+    family = next(node for node in ast.parse(grid).body
+                  if isinstance(node, ast.ClassDef) and node.name == "BallFamily")
+    end = min([family.lineno] + [d.lineno for d in family.decorator_list]) - 1
+    return {"src": (sum(n for n, _ in total), sum(c for _, c in total)),
+            "window layer": counts(grid, rule, end)}
+
+
 def main() -> int:
     functions = defined_functions()
     ran = run_configs()
@@ -183,6 +217,9 @@ def main() -> int:
     for (module, qual), why in sorted(held.items()):
         mark = "*" if (module, qual) in inside else " "
         print(f"{mark} {module + '.' + qual:<40} {', '.join(why) or 'held by nothing'}")
+    census = line_census({path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))})
+    for part, (lines, code) in census.items():
+        print(f"{part}: {lines} lines, {code} of them code")
     return 0 if outside == 0 else 1
 
 
