@@ -166,8 +166,8 @@ def line_census(texts: dict[str, str]) -> dict[str, tuple[int, int]]:
                 if (isinstance(head, ast.Expr) and isinstance(head.value, ast.Constant)
                         and isinstance(head.value.value, str)):
                     docs.update(range(head.lineno, head.end_lineno + 1))
-        code = [i for i in range(first, last + 1)
-                if i not in docs and lines[i - 1].strip() and not lines[i - 1].lstrip().startswith("#")]
+        code = [line for i, line in enumerate(lines[first - 1 : last], first)
+                if i not in docs and line.strip() and not line.lstrip().startswith("#")]
         return last - first + 1, len(code)
 
     total = [counts(text) for text in texts.values()]
