@@ -320,8 +320,8 @@ def _check_computable(cfg: ExperimentConfig, grid) -> None:
     ball, and lemma42 runs on the oscillation balls, each with a positive
     radius and a grid point; the series maximal needs maximal.kappa > 0; the
     maximal checks need the critical balls' 8-dilates inside the
-    box; the weight gate needs 4 dyadic sweep radii; fs's family sups at
-    beta = 0.5 and alpha_sharp = 4 need the family's least radius 8 dx;
+    box; the weight gate needs 4 dyadic sweep radii; fs's family sups at the
+    radii maximal._FS_BETA and _FS_ALPHA_SHARP need the family's least radius 8 dx;
     every corpus needs an item and positive widths; each damped series needs
     n_big >= 1/p + 1 at the exponent it runs with; and the weighted maximal
     bounds need 1 < maximal.s < weight.p, the class sweeps growth exponents
@@ -336,8 +336,8 @@ def _check_computable(cfg: ExperimentConfig, grid) -> None:
     from .grid import Ball, _family_windows, _sweep_radii, ball_indices
     from .kernels import _check_annuli, _check_k_window, _decay_ks, _difference_js, _difference_ks
     from .littlewood_paley import make_lp_family
-    from .maximal import (_check_damping, _check_dilates_fit, _check_kappa,
-                          _check_maximal_exponents)
+    from .maximal import (_FS_ALPHA_SHARP, _FS_BETA, _check_damping, _check_dilates_fit,
+                          _check_kappa, _check_maximal_exponents)
 
     k_lo, k_hi = cfg.get("kernel.k_lo"), cfg.get("kernel.k_hi")
     (j_lo, j_hi), (dk_lo, dk_hi) = cfg.get("kernel.diff_j"), cfg.get("kernel.diff_k")
@@ -359,7 +359,7 @@ def _check_computable(cfg: ExperimentConfig, grid) -> None:
         ("grid", lambda: _check_dilates_fit(grid)),
         # the weight gate sweeps sweep_family(grid), radii up to L/2
         ("grid", lambda: _check_stabilization_radii(_sweep_radii(grid, grid.half_length / 2))),
-        ("grid", lambda: [_family_windows(grid, alpha) for alpha in (0.5, 4.0)]),
+        ("grid", lambda: [_family_windows(grid, a) for a in (_FS_BETA, _FS_ALPHA_SHARP)]),
     ]
     for key in ("corpus.center_count", "lemma.center_count", "fs.count"):
         checks.append((key, lambda key=key: _check_count(cfg.get(key))))

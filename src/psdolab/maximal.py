@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 _SEPARATION = 2.0 / 5.0
+_FS_BETA, _FS_ALPHA_SHARP = 0.5, 4.0  # fs's family radii, of M_loc and of M_sharp_loc
 
 
 @dataclass(frozen=True)
@@ -216,8 +217,8 @@ def fs_inequality_rows(
     w,
     p: float,
     cover: CriticalCover,
-    beta: float = 0.5,
-    alpha_sharp: float = 4.0,
+    beta: float = _FS_BETA,
+    alpha_sharp: float = _FS_ALPHA_SHARP,
 ) -> list[tuple[float, float, float, float]]:
     """(lhs, sharp, cover term, lhs / rhs) for each row g of each (rows, n)
     stack in stacks, in turn, sampled on the cover's grid.
@@ -258,8 +259,8 @@ def check_fs_inequality(
     w,
     p: float,
     cover: CriticalCover,
-    beta: float = 0.5,
-    alpha_sharp: float = 4.0,
+    beta: float = _FS_BETA,
+    alpha_sharp: float = _FS_ALPHA_SHARP,
 ) -> VerificationReport:
     """Ratio of int |M_loc,beta g|^p w against the sharp-function right side.
 

@@ -153,6 +153,38 @@ def test_no_module_calls_a_ufunc_at():
     assert calls == []
 
 
+# numpy routines that hand their arithmetic to BLAS or LAPACK
+_BLAS_ROUTINES = {"dot", "vdot", "inner", "matmul", "tensordot", "polyfit", "lstsq", "cov",
+                  "corrcoef"}
+
+
+def _reaches_blas(node) -> bool:
+    """A matrix product, a call of a BLAS-backed routine, anything under
+    linalg, or an einsum with `optimize`, whose path can be tensordot."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+        return True
+    if _called(node) in _BLAS_ROUTINES:
+        return True
+    if _called(node) == "einsum" and any(kw.arg == "optimize" for kw in node.keywords):
+        return True
+    if isinstance(node, ast.Attribute) and node.attr == "linalg":
+        return True
+    if isinstance(node, ast.ImportFrom):
+        return "linalg" in (node.module or "") or any(a.name == "linalg" for a in node.names)
+    return isinstance(node, ast.Import) and any("linalg" in a.name for a in node.names)
+
+
+def test_no_module_reaches_blas_or_lapack():
+    """No psdolab module calls a BLAS or LAPACK routine, so no report byte
+    depends on which BLAS library, core type or thread count runs: every
+    reduction is one of numpy's own loops, in an order the program fixes."""
+    uses = [f"{path.name}:{node.lineno}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if _reaches_blas(node)]
+    assert uses == []
+
+
 def _nodes_in_functions(path: pathlib.Path, match) -> list[str]:
     """Each node of a module that match(node) accepts, as the dotted path of
     the functions that enclose it ("" at module level)."""
