@@ -21,6 +21,7 @@ __all__ = [
     "gaussian_corpus",
     "mixed_corpus",
     "corpus_blocks",
+    "item_shift",
 ]
 
 # Sample values per block of stacked corpus rows: 8 rows at n = 1024, 4 at
@@ -46,6 +47,13 @@ class CorpusItem:
         yield self.label
         yield self.fn
         yield self.params
+
+
+def item_shift(params: dict) -> float | None:
+    """The one reading of a corpus item's shift, the translation trend's
+    regressor: |params["shift"]|, or None for an item that carries none,
+    which leaves its corpus without a trend."""
+    return abs(float(params["shift"])) if "shift" in params else None
 
 
 def _check_width(width) -> float:

@@ -21,7 +21,8 @@ from functools import lru_cache
 import numpy as np
 
 from .config import ExperimentConfig
-from .corpus import band_noise, corpus_blocks, gaussian_corpus, gaussian_packet, mixed_corpus
+from .corpus import (band_noise, corpus_blocks, gaussian_corpus, gaussian_packet, item_shift,
+                     mixed_corpus)
 from .function_classes import (
     _ap_theta_values,
     _first_max,
@@ -58,7 +59,8 @@ from .operators import (
     commutator_rows,
     make_operator,
 )
-from .report import Criterion, VerificationReport, ratio_family, trend_criterion, zero_family
+from .report import (Criterion, VerificationReport, bound_ratio, ratio_family, trend_criterion,
+                     zero_family)
 from .symbols import estimate_class_membership
 
 __all__ = [
@@ -97,14 +99,13 @@ def _family(cfg: ExperimentConfig, prefix: str, values) -> tuple[dict, list[Crit
 def _weight_stabilization(cfg: ExperimentConfig):
     """The config weight's A_p^theta stabilization sweep, one per config:
     weights reports it and _operator_gates gates on it.  Returns the
-    stabilization with the sweep's per-ball values at weight.p and the
-    per-ball log means of w, which weights reuses at its other exponents;
-    not to be mutated."""
+    stabilization and the per-ball log means of w, which weights reuses at
+    its other exponents; not to be mutated."""
     grid = cfg.make_grid()
     family = sweep_family(grid)
     (at_p,), log_w_means = _ap_theta_values(cfg.make_weight(grid), (cfg.get("weight.p"),),
                                             cfg.get("weight.theta"), family)
-    return _stabilization(at_p, family), tuple(at_p), log_w_means
+    return _stabilization(at_p, family), log_w_means
 
 
 @lru_cache(maxsize=1)
@@ -116,7 +117,7 @@ def _operator_gates(cfg: ExperimentConfig):
     entries, not to be mutated, and the gate criteria.
     """
     membership = estimate_class_membership(cfg.make_symbol(), cfg.make_grid()).criterion
-    stab, _, _ = _weight_stabilization(cfg)
+    stab, _ = _weight_stabilization(cfg)
     entries = {
         "class_membership": membership.ok,
         "weight_stable": stab.stable,
@@ -204,7 +205,7 @@ def _corpus_ratio_report(cfg: ExperimentConfig, experiment: str, transform) -> V
             r_0 = num_0 / denom_0
             ratios.append(r_w)
             unweighted.append(r_0)
-            shifts.append(abs(float(params.get("shift", 0.0))))
+            shifts.append(item_shift(params))
             items.append(
                 {"id": label, "params": dict(params),
                  "value": {"weighted_ratio": r_w, "unweighted_ratio": r_0}}
@@ -270,13 +271,10 @@ def run_commutator_experiment(cfg: ExperimentConfig) -> VerificationReport:
 
 
 def local_average_ratio(rows: np.ndarray, series: np.ndarray, windows: np.ndarray) -> np.ndarray:
-    """(rows, J) array of mean_B |u| / inf_B series, u a row of the (rows, n)
-    stack and B ball j (row j of windows); inf (0 if u vanishes on B) where
-    inf_B series <= 0.  inf_B series is gathered once for all rows."""
-    lhs = _gathered(np.abs(rows), windows)
-    rhs = _gathered(series, windows, np.min)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(rhs <= 0.0, np.where(lhs > 0.0, np.inf, 0.0), lhs / rhs)
+    """(rows, J) array of report.bound_ratio(mean_B |u|, inf_B series), u a
+    row of the (rows, n) stack and B ball j (row j of windows).  inf_B
+    series is gathered once for all rows."""
+    return bound_ratio(_gathered(np.abs(rows), windows), _gathered(series, windows, np.min))
 
 
 def run_local_average_check(cfg: ExperimentConfig) -> VerificationReport:
@@ -402,8 +400,8 @@ def run_oscillation_check(cfg: ExperimentConfig) -> VerificationReport:
             dens = np.abs(f.values[outside])
             dens_b = b_dev * dens
             for i, cut in enumerate(cuts):
-                val = float(np.sum(cut * dens)) / rhs
-                val_b = float(np.sum(cut * dens_b)) / (rhs * b_scale)
+                val = bound_ratio(float(np.sum(cut * dens)), rhs)
+                val_b = bound_ratio(float(np.sum(cut * dens_b)), rhs * b_scale)
                 plain.append(val)
                 comm.append(val_b)
                 items.append(
@@ -505,10 +503,11 @@ def run_weight_calculus(cfg: ExperimentConfig) -> VerificationReport:
 
     # monotonicity at (p, p + 1) and openness below p share the stabilization
     # sweep at p and its log means of w: one more pass per new exponent
-    stab, at_p, log_w_means = _weight_stabilization(cfg)
+    stab, log_w_means = _weight_stabilization(cfg)
     (at_q, below), _ = _ap_theta_values(w, (p + 1.0, _openness_exponent(p)), theta, family,
                                         log_w_means)
-    mono = _monotonicity(max(at_p), max(at_q))
+    # the last cap holds every ball: its sup is the characteristic at p
+    mono = _monotonicity(stab.values[-1], max(at_q))
     items.append({"id": "monotonicity", "params": {"p": p, "q": p + 1.0},
                   "value": mono.aggregate})
     criteria += mono.criteria

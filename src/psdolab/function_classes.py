@@ -36,6 +36,7 @@ from .grid import (
     BallFamily,
     PeriodicGrid,
     SampledFunction,
+    _built_real,
     _check_exponent,
     _family_groups,
     _gathered,
@@ -43,6 +44,7 @@ from .grid import (
     _oscillation,
     _per_ball,
     _slack,
+    _weight_values,
     ball_indices,
     sweep_family,
 )
@@ -75,8 +77,8 @@ class WeightFn:
     def __post_init__(self) -> None:
         if not np.all(np.isfinite(self.fn.values)):
             raise ValueError("weight values must be finite")
-        if np.min(self.values) <= 0.0:
-            raise ValueError("weight must be strictly positive")
+        # the checks of the one weight form: built real, strictly positive
+        _weight_values(self.fn.values, self.grid)
 
     @property
     def grid(self) -> PeriodicGrid:
@@ -84,7 +86,7 @@ class WeightFn:
 
     @property
     def values(self) -> np.ndarray:
-        return self.fn.real_values(1e-12)
+        return _built_real(self.fn.values)
 
 
 @dataclass(frozen=True)
@@ -222,7 +224,7 @@ def ap_theta_characteristic(
 
 def bmo_theta_norm(b: SampledFunction, theta: float, family: BallFamily) -> BmoThetaNorm:
     _check_growth(theta)
-    osc = _per_ball(b.real_values().ravel(), _family_indices(b.grid, family), _oscillation)
+    osc = _per_ball(_built_real(b.values), _family_indices(b.grid, family), _oscillation)
     best, i = _first_max(_damped(osc, family, theta))
     return BmoThetaNorm(theta, best, family.ball(i))
 
@@ -281,7 +283,7 @@ def check_john_nirenberg_variant(
     grid = b.grid
     if family is None:
         family = sweep_family(grid, inside_only=True)
-    flat = b.real_values().ravel()
+    flat = _built_real(b.values)
     # one centred gather per ball gives bmo_theta_norm's oscillation and the
     # s-moment
     osc, moments = _per_ball(flat, _family_indices(grid, family), _oscillation, s=(1.0, s))

@@ -137,6 +137,13 @@ def _real_rows(values: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return values.real
 
 
+def _built_real(values) -> np.ndarray:
+    """The real part of an input built from a real formula, a weight or the
+    multiplier b, refused as _real_rows refuses it above an imaginary part of
+    1e-12 max(1, max |value|).  Rows a transform computes keep 1e-9."""
+    return _real_rows(np.asarray(values), 1e-12)
+
+
 def sample(grid: PeriodicGrid, fn: Callable) -> SampledFunction:
     """Evaluate fn on the grid points, keeping the dtype rule of SampledFunction."""
     return SampledFunction(grid, fn(grid.axis_points()))
@@ -197,16 +204,11 @@ def inner(f: SampledFunction, g: SampledFunction) -> complex:
 
 
 def _weight_values(w, grid: PeriodicGrid) -> np.ndarray:
-    if w is None:
-        return None
-    if isinstance(w, SampledFunction):
-        if not w.grid.is_compatible(grid):
-            raise ValueError("weight grid does not match")
-        wv = w.real_values(1e-12)
-    else:
-        wv = np.asarray(w, dtype=float)
-        if wv.shape != grid.shape:
-            raise ValueError("weight shape does not match grid")
+    """A weight's samples on grid, the one weight form: an array of the
+    grid's shape that is built real and strictly positive."""
+    wv = np.asarray(_built_real(w), dtype=float)
+    if wv.shape != grid.shape:
+        raise ValueError("weight shape does not match grid")
     if np.min(wv) <= 0.0:
         raise ValueError("weight must be strictly positive")
     return wv
@@ -219,18 +221,18 @@ def _check_exponent(name: str, value: float) -> None:
 
 
 def lp_norms(grid: PeriodicGrid, rows: np.ndarray, p: float, weight=None) -> list[float]:
-    """lp_norm of each row of a (rows, n) stack sampled on grid."""
+    """lp_norm of each row of a (rows, n) stack sampled on grid; weight is
+    None or an array (_weight_values)."""
     _check_exponent("p", p)
-    wv = _weight_values(weight, grid)
     a = np.abs(rows) ** p
-    if wv is not None:
-        a = a * wv
+    if weight is not None:
+        a = a * _weight_values(weight, grid)
     # Python float powers: numpy's array power can differ in the last ulp
     return [s ** (1.0 / p) for s in (np.sum(a, axis=-1) * grid.spacing).tolist()]
 
 
 def lp_norm(f: SampledFunction, p: float, weight=None) -> float:
-    """(sum |f|^p w dx)^(1/p); weight defaults to 1."""
+    """(sum |f|^p w dx)^(1/p), w an array on f's grid; weight defaults to 1."""
     return lp_norms(f.grid, f.values[None, :], p, weight)[0]
 
 
@@ -506,9 +508,7 @@ def _family_windows(grid: PeriodicGrid, alpha: float) -> tuple:
     (_sweep_radii), then alpha itself if it is not one: the balls around the
     points 8k are the arcs (_ball_arcs) of count points from starts[k].  The
     family starts at radius 8 dx, which alpha must reach."""
-    if alpha < 8.0 * grid.spacing:
-        raise ValueError(f"alpha {alpha} below the minimum family radius {8.0 * grid.spacing}")
-    radii = _sweep_radii(grid, alpha)
+    radii = _sweep_radii(grid, alpha, "alpha")
     if radii[-1] < alpha * (1.0 - 1e-12):
         radii.append(alpha)
     windows = []
@@ -740,17 +740,18 @@ class BallFamily:
         return tuple(sorted(set(self.ball_radii)))
 
 
-def _sweep_radii(grid: PeriodicGrid, cap: float) -> list[float]:
-    """The dyadic radii of sweep_family: 8*dx, 16*dx, ... up to the cap."""
+def _sweep_radii(grid: PeriodicGrid, cap: float, name: str = "radius cap") -> list[float]:
+    """The dyadic radii of sweep_family: 8*dx, 16*dx, ... up to the cap,
+    which the error names as name; the least radius must fit under it."""
     if cap > grid.half_length:
         raise ValueError("radius cap exceeds the half box")
     r = 8.0 * grid.spacing
+    if r > _slack(cap):
+        raise ValueError(f"{name} {cap} below the minimum family radius {r}")
     radii = []
     while r <= _slack(cap):
         radii.append(r)
         r *= 2.0
-    if not radii:
-        raise ValueError("radius cap below the minimum ball radius")
     return radii
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import corpus_blocks
+from .corpus import corpus_blocks, item_shift
 from .function_classes import stabilization_criteria, stabilized_characteristic
 from .grid import (
     PeriodicGrid,
@@ -37,7 +37,7 @@ from .grid import (
     lp_norms,
     sweep_family,
 )
-from .report import Criterion, VerificationReport, ratio_family, trend_criterion
+from .report import Criterion, VerificationReport, bound_ratio, ratio_family, trend_criterion
 
 __all__ = [
     "build_critical_cover",
@@ -220,17 +220,18 @@ def fs_inequality_rows(
     beta: float = _FS_BETA,
     alpha_sharp: float = _FS_ALPHA_SHARP,
 ) -> list[tuple[float, float, float, float]]:
-    """(lhs, sharp, cover term, lhs / rhs) for each row g of each (rows, n)
-    stack in stacks, in turn, sampled on the cover's grid.
+    """(lhs, sharp, cover term, ratio) for each row g of each (rows, n)
+    stack in stacks, in turn, sampled on the cover's grid, w a WeightFn.
 
     lhs = int |M_loc,beta g|^p w, and the right side is
-    int |M_sharp_loc,alpha g|^p w + sum_k w(Q_k) avg_{2Q_k}(|g|)^p.
+    int |M_sharp_loc,alpha g|^p w + sum_k w(Q_k) avg_{2Q_k}(|g|)^p; the
+    ratio is report.bound_ratio of the two.
     The sharp function needs real g: a row is refused, as
     SampledFunction.real_values refuses it, when its imaginary part exceeds
     1e-9 max(1, max |g|).
     """
     grid = cover.grid
-    wv = w.real_values(1e-12) if isinstance(w, SampledFunction) else w.values
+    wv = w.values
     # w(Q_k), the same product per ball as a Python float multiply
     w_balls = (_gathered(wv, cover.windows(1.0), np.sum) * grid.spacing).tolist()
     q2 = cover.windows(2.0)
@@ -249,8 +250,7 @@ def fs_inequality_rows(
             tail = 0.0
             for wq, avg in zip(w_balls, avgs):
                 tail += wq * avg**p
-            rhs = sharp + tail
-            out.append((lhs, sharp, tail, lhs / rhs if rhs > 0 else np.inf))
+            out.append((lhs, sharp, tail, bound_ratio(lhs, sharp + tail)))
     return out
 
 
@@ -295,7 +295,8 @@ def check_weighted_bounds_maximal(
     """Operator-norm proxies for the series maximal and cover maximal.
 
     f_corpus: CorpusItems (label, SampledFunction, params) where params may
-    carry a "shift" used for the translation-trend regression.  The weight
+    carry a "shift" used for the translation-trend regression
+    (corpus.item_shift), fitted only when every item carries one.  The weight
     must pass the A_{p/s}^theta stabilization gate first; otherwise the
     verdict is hypothesis_unverified and the numbers are still reported.
     Each ratio family is judged by report.ratio_family at cap spread and,
@@ -305,19 +306,17 @@ def check_weighted_bounds_maximal(
     grid = w.grid
     gate = stabilized_characteristic(w, p / s, theta, sweep_family(grid))
     ratios_g, ratios_m, shifts = [], [], []
-    wv = w.values
     # per block of items, one weighted reduction for each of the three norms
     for block, rows in corpus_blocks(list(f_corpus), grid.n):
-        norms = [lp_norms(grid, np.stack(values), p, weight=wv) for values in (
-            rows, [g_kappa_p(f, kappa, s, cover, n_big).values for _, f, _ in block],
-            [m_tilde_s(f, s, cover).values for _, f, _ in block])]
+        norms = [lp_norms(grid, stack, p, weight=w.values) for stack in (
+            rows, np.stack([g_kappa_p(f, kappa, s, cover, n_big).values for _, f, _ in block]),
+            np.stack([m_tilde_s(f, s, cover).values for _, f, _ in block]))]
         for (_, _, params), denom, g_norm, m_norm in zip(block, *norms):
             if denom == 0.0:
                 continue
             ratios_g.append(g_norm / denom)
             ratios_m.append(m_norm / denom)
-            if "shift" in params:
-                shifts.append(abs(float(params["shift"])))
+            shifts.append(item_shift(params))
     if not ratios_g:
         raise ValueError("empty corpus")
     agg, criteria = {"gate_stable": gate.stable}, []

@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import PeriodicGrid, SampledFunction, dft_rows, idft_rows
+from .grid import PeriodicGrid, SampledFunction, _built_real, dft_rows, idft_rows
 from .littlewood_paley import LPFamily, make_lp_family
 from .symbols import SymbolSpec
 
@@ -182,7 +182,7 @@ def apply_adjoint(op: OperatorInstance, u: SampledFunction) -> SampledFunction:
 
 def _commutator_with(transform, op: OperatorInstance, b: SampledFunction, rows: np.ndarray):
     """[b, S] u = b (S u) - S (b u) for each row u of a stack, S u = transform(op, u)."""
-    bv = b.real_values(1e-12)
+    bv = _built_real(b.values)
     return bv * transform(op, rows) - transform(op, bv * rows)
 
 

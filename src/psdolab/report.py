@@ -1,5 +1,5 @@
 """Report types shared across the library, the one verdict rule, the one
-ratio-family rule, and deterministic serialization.
+ratio and ratio-family rules, and deterministic serialization.
 
 Checks hand over Criterion comparisons (value, comparison, threshold), never
 a verdict.  A report's verdict is "hypothesis_unverified" if a gate is not
@@ -11,10 +11,11 @@ canonical_json writes that text directly, byte for byte the text of
 json.dumps(sort_keys=True, indent=2), whose indent sends CPython's json to
 its pure-Python encoder.
 
-A bound with a uniform constant becomes a family of ratios, judged by the one
-ratio-family rule, ratio_family: a finite max, then a max at most ZERO_FLOOR
-(a zero family) or else within a cap times the median; trend_criterion adds
-a flat translation trend where the corpus marches toward the box edge.
+A bound lhs <= C rhs becomes a family of ratios, each taken by the one ratio
+rule, bound_ratio, and judged by the one ratio-family rule, ratio_family: a
+finite max, then a max at most ZERO_FLOOR (a zero family) or else within a
+cap times the median; trend_criterion adds a flat translation trend where
+the corpus marches toward the box edge.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "Criterion",
     "DecayFitReport",
     "VerificationReport",
+    "bound_ratio",
     "canonical_json",
     "config_hash",
     "overall_verdict",
@@ -95,6 +97,20 @@ def spread_criterion(name: str, value: float, cap: float, median: float,
     return Criterion(name, value, "<=", cap * median, f"{cap:g}*{median_name}")
 
 
+def bound_ratio(lhs, rhs):
+    """The one ratio rule of a bound lhs <= C rhs: lhs / rhs where rhs > 0.
+    Where the right side vanishes (rhs <= 0) the bound holds iff the left
+    side does, so 0 / 0 is 0 and lhs / 0 is inf; a NaN on either side stays
+    NaN.  Floats in give a float, and arrays (broadcast together) an array."""
+    # a NaN rhs is not <= 0, so it takes the quotient, which is NaN
+    if isinstance(lhs, np.ndarray) or isinstance(rhs, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(rhs <= 0.0, np.where(lhs == 0.0, 0.0, lhs * np.inf), lhs / rhs)
+    if not rhs <= 0.0:
+        return lhs / rhs
+    return 0.0 if lhs == 0.0 else lhs * np.inf
+
+
 def ratio_family(prefix: str, values, cap: float) -> tuple[dict, list[Criterion]]:
     """The one ratio-family rule: the aggregate {prefix}max and {prefix}median,
     and the criteria {prefix}max_finite, then zero_family if the max is at
@@ -113,10 +129,11 @@ def trend_criterion(key: str, ratios, shifts, bound: float
                     ) -> tuple[float | None, list[Criterion]]:
     """The one translation-trend rule: the slope of log2 ratio against
     log2(1 + shift), |slope| at most bound, named |key|.  Fitted only when
-    there is one shift per ratio, at least 3 distinct shifts and every ratio
-    is > 0; otherwise (None, [])."""
+    there is one shift per ratio and none is None (corpus.item_shift of an
+    item without one), at least 3 distinct shifts and every ratio is > 0;
+    otherwise (None, [])."""
     arr = np.asarray(ratios, dtype=float)
-    if len(set(shifts)) < 3 or len(shifts) != arr.size or not np.all(arr > 0):
+    if None in shifts or len(set(shifts)) < 3 or len(shifts) != arr.size or not np.all(arr > 0):
         return None, []
     slope, _, _ = least_squares_line(np.log2(1.0 + np.asarray(shifts, dtype=float)),
                                      np.log2(arr))

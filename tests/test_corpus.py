@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from psdolab import make_grid
-from psdolab.corpus import (band_noise, gaussian_corpus, gaussian_packet,
+from psdolab.corpus import (band_noise, gaussian_corpus, gaussian_packet, item_shift,
                             mixed_corpus, noise_corpus)
 
 
@@ -139,3 +139,12 @@ def test_packets_and_noise_equal_the_written_out_arithmetic(n, half):
         _assert_same_bits(gaussian_packet(grid, c, w, q).values, want)
     for seed in _SEEDS:
         _assert_same_bits(band_noise(grid, seed).values, _reference_band_noise(grid, seed))
+
+
+def test_item_shift_is_the_distance_of_the_shift_or_none(g):
+    """Every item of a Gaussian corpus carries its center as its shift;
+    a noise item carries none."""
+    for _, _, params in gaussian_corpus(g, centers=[-2.0, 3.0]):
+        assert item_shift(params) == abs(params["center"])
+    assert item_shift({"shift": -1.5}) == 1.5
+    assert [item_shift(params) for *_, params in noise_corpus(g, 2, 0)] == [None, None]

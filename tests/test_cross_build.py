@@ -1,5 +1,6 @@
-"""Report bytes across numeric builds: `report all` on `default` in child
-processes, each setting made only in its own child's environment.
+"""Report bytes across numeric builds: `report all` on `default` and on the
+`rough_bounded` preset in child processes, each setting made only in its
+own child's environment.
 
 No report value goes through BLAS, so another OpenBLAS core type or thread
 count leaves every byte in place.  numpy picks its loops by CPU at run
@@ -21,9 +22,10 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 _SETTINGS = ("OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS", "NPY_DISABLE_CPU_FEATURES")
 
 
-def _report_all(tmp_path: pathlib.Path, name: str, **settings: str):
-    """`psdolab report all` on `default` with settings in the child's
-    environment: (exit code, stdout, {file name: bytes} of its reports)."""
+def _report_all(tmp_path: pathlib.Path, name: str, config: tuple[str, ...], **settings: str):
+    """`psdolab report all` with the config arguments and settings in the
+    child's environment: (exit code, stdout, {file name: bytes} of its
+    reports)."""
     env = {k: v for k, v in os.environ.items() if k not in _SETTINGS}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
@@ -32,7 +34,8 @@ def _report_all(tmp_path: pathlib.Path, name: str, **settings: str):
     cwd = tmp_path / name
     cwd.mkdir()
     # one relative --out for every child, so the summary line reads the same
-    proc = subprocess.run([sys.executable, "-m", "psdolab.cli", "report", "all", "--out", "out"],
+    proc = subprocess.run([sys.executable, "-m", "psdolab.cli", "report", "all", "--out", "out",
+                           *config],
                           cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode in (0, 1), proc.stderr[-2000:]
     files = {p.name: p.read_bytes() for p in sorted((cwd / "out").iterdir())}
@@ -49,17 +52,27 @@ def _verdicts(files: dict[str, bytes]) -> dict[str, tuple]:
     return out
 
 
-def test_report_bytes_hold_across_blas_and_cpu_loops(tmp_path):
-    plain = _report_all(tmp_path, "plain")
+def _holds_across_builds(tmp_path: pathlib.Path, config: tuple[str, ...]) -> None:
+    """The three children's comparisons on one config."""
+    plain = _report_all(tmp_path, "plain", config)
     assert len(plain[2]) == 19  # nine JSON and CSV pairs and summary.json
     # another OpenBLAS core type and thread count: every byte, verdict line
     # and exit code
-    assert _report_all(tmp_path, "blas", OPENBLAS_CORETYPE="Prescott",
+    assert _report_all(tmp_path, "blas", config, OPENBLAS_CORETYPE="Prescott",
                        OPENBLAS_NUM_THREADS="1") == plain
     # numpy's AVX-512 loops off: the verdicts, what decided them, and the index
-    code, _, files = _report_all(tmp_path, "no_avx512",
+    code, _, files = _report_all(tmp_path, "no_avx512", config,
                                  NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
     assert code == plain[0]
     assert files.keys() == plain[2].keys()
     assert _verdicts(files) == _verdicts(plain[2])
     assert files["summary.json"] == plain[2]["summary.json"]
+
+
+def test_report_bytes_hold_across_blas_and_cpu_loops(tmp_path):
+    _holds_across_builds(tmp_path, ())
+
+
+def test_rough_bounded_report_bytes_hold_across_blas_and_cpu_loops(tmp_path):
+    """The x-dependent symbol's dense path and the rough class probe."""
+    _holds_across_builds(tmp_path, ("--config", str(ROOT / "presets" / "rough_bounded.cfg")))

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import psdolab as P
 from psdolab.function_classes import WeightFn
 from conftest import full_scan
-from psdolab.grid import dft_rows, idft_rows, lp_norms
+from psdolab.grid import _family_windows, dft_rows, idft_rows, lp_norms
 
 
 def test_grid_basic_geometry(grid):
@@ -115,18 +115,32 @@ def test_lp_norm_weighted(grid):
 
 
 def test_complex_weight_is_refused(grid):
-    """A sampled weight whose imaginary part exceeds 1e-12 of its scale is
-    refused by WeightFn and by lp_norms; below that its real part is the
-    weight."""
+    """A weight whose imaginary part exceeds 1e-12 of its scale is refused
+    by WeightFn and, as an array, by lp_norms; below that its real part is
+    the weight."""
     rows = np.ones((2, grid.n))
     bad = P.SampledFunction(grid, np.ones(grid.n) + 1e-9j)
     with pytest.raises(ValueError, match="imaginary"):
         WeightFn(bad, "bad")
     with pytest.raises(ValueError, match="imaginary"):
-        lp_norms(grid, rows, 2.0, weight=bad)
+        lp_norms(grid, rows, 2.0, weight=bad.values)
     near = P.SampledFunction(grid, np.ones(grid.n) + 1e-14j)
     assert WeightFn(near, "near").values.dtype == np.float64
-    assert lp_norms(grid, rows, 2.0, weight=near) == lp_norms(grid, rows, 2.0)
+    assert lp_norms(grid, rows, 2.0, weight=near.values) == lp_norms(grid, rows, 2.0)
+
+
+def test_a_cap_below_the_least_radius_is_refused_by_name(grid):
+    """The sweep radii start at 8 dx; a cap under it is refused once, named
+    as the caller names it, and a cap at it gives that one radius."""
+    least = 8.0 * grid.spacing
+    with pytest.raises(ValueError, match=f"^radius cap {least / 2} below the minimum "
+                                         f"family radius {least}$"):
+        P.sweep_family(grid, radius_cap=least / 2)
+    with pytest.raises(ValueError, match=f"^alpha {least / 2} below the minimum "
+                                         f"family radius {least}$"):
+        _family_windows(grid, least / 2)
+    assert P.sweep_family(grid, radius_cap=least).radii() == (least,)
+    assert [r for r, _, _ in _family_windows(grid, least)] == [least]
 
 
 def test_ball_average_of_linear_function(grid):

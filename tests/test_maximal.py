@@ -30,6 +30,7 @@ from psdolab.grid import (
     _slot_range_max,
     _sup_over_family_rows,
 )
+from psdolab.function_classes import WeightFn
 from psdolab.maximal import fs_inequality_rows
 
 
@@ -130,7 +131,7 @@ def test_row_cores_equal_the_one_row_path(n, half_length, count, p, data):
     beta, alpha = (data.draw(st.floats(low, half_length / 2.0), label=label)
                    for label in ("beta", "alpha"))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    weight = P.SampledFunction(grid, rng.uniform(0.1, 10.0, n))
+    weight = WeightFn(P.SampledFunction(grid, rng.uniform(0.1, 10.0, n)), "uniform")
     complex_rows = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
     local = _sup_over_family_rows(np.abs(complex_rows), grid, beta, osc=False)
     for row, got in zip(complex_rows, local):
@@ -597,6 +598,16 @@ def test_sharp_control_on_constant(grid, cover):
     rep = P.check_fs_inequality(one, w, 2.0, cover)
     assert rep.verdict == "pass"
     assert rep.aggregate["ratio"] == pytest.approx(0.20446992073866574, rel=1e-9)
+
+
+def test_sharp_control_of_zero_holds(grid, cover):
+    """g = 0 makes both sides 0, and the inequality holds: ratio 0, a pass."""
+    zero = P.SampledFunction(grid, np.zeros(grid.n))
+    w = P.preset_weight("power_growth", grid, gamma=1.5)
+    rep = P.check_fs_inequality(zero, w, 2.0, cover)
+    assert [item["value"] for item in rep.items] == [0.0, 0.0, 0.0]
+    assert rep.aggregate["ratio"] == 0.0
+    assert rep.verdict == "pass" and rep.decided_by is None
 
 
 def test_sharp_control_over_mixed_corpus(grid, cover):

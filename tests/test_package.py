@@ -330,6 +330,51 @@ def _first_max_index(fn) -> bool:
                for node in ast.walk(fn))
 
 
+def _home_set(match) -> list[str]:
+    """The distinct module.scope of the nodes in src/ that match(node) accepts."""
+    return sorted(set(_homes(match)))
+
+
+def _inf_branch(node) -> bool:
+    """A conditional value with inf on a branch: x if c else inf, or where(c, x, inf)."""
+    if isinstance(node, ast.IfExp):
+        branches = [node.body, node.orelse]
+    elif _called(node) == "where":
+        branches = node.args[1:]
+    else:
+        return False
+    return any(getattr(n, "attr", getattr(n, "id", None)) == "inf"
+               for branch in branches for n in ast.walk(branch))
+
+
+def _isinstance_of(name: str):
+    """A matcher of the isinstance calls whose class argument names name."""
+    return lambda node: _called(node) == "isinstance" and any(
+        getattr(n, "id", None) == name for n in ast.walk(node.args[1]))
+
+
+def _tolerance_given(node) -> bool:
+    """A real-part refusal called with a number for its tolerance:
+    real_values(1e-12) or _real_rows(values, 1e-12)."""
+    place = {"real_values": 0, "_real_rows": 1}.get(_called(node))
+    if place is None:
+        return False
+    given = [*node.args[place:place + 1], *(k.value for k in node.keywords)]
+    return any(isinstance(n, ast.Constant) for arg in given for n in ast.walk(arg))
+
+
+def _reads_key(key: str):
+    """A matcher of the reads of a mapping's key: m[key], m.get(key, ..) and key in m."""
+    def match(node) -> bool:
+        if isinstance(node, ast.Subscript):
+            return isinstance(node.ctx, ast.Load) and getattr(node.slice, "value", None) == key
+        if _called(node) == "get":
+            return bool(node.args) and getattr(node.args[0], "value", None) == key
+        return (isinstance(node, ast.Compare) and getattr(node.left, "value", None) == key
+                and isinstance(node.ops[0], (ast.In, ast.NotIn)))
+    return match
+
+
 def _function_homes(match) -> list[str]:
     """module.function of every function in src/ that match(function) accepts."""
     return [f"{path.stem}.{fn.name}" for path in sorted(PACKAGE.glob("*.py"))
@@ -342,8 +387,14 @@ def test_each_shared_rule_has_one_implementation():
     imaginary-part refusal, the piece-index range, the exponent >= 1 check,
     the ascending fit ranges, the inside-the-box rule, the relative slack of
     a radius cap, the first maximal entry (the A_p^theta and BMO_theta
-    sups' ball, lemma41's argmax center), and the plain and commutator
-    families that end lemma41 and lemma42."""
+    sups' ball, lemma41's argmax center), the plain and commutator
+    families that end lemma41 and lemma42, the ratio of a bound whose right
+    side may vanish (report.bound_ratio, which fs, lemma41 and lemma42 call),
+    the one weight form (an array or None, refused by one function when not
+    strictly positive; no site takes a SampledFunction weight), the
+    tolerance of built-real inputs, the weight and b (grid._built_real, the
+    one caller that gives a real-part refusal its tolerance), and the one
+    reading of a corpus item's shift."""
     assert _homes(_raises("imaginary part")) == ["grid._real_rows"]
     assert _homes(lambda node: getattr(node, "attr", None) == "imag") == ["grid._real_rows"]
     assert _homes(_raises("outside 0..")) == ["littlewood_paley._check_index"]
@@ -354,6 +405,24 @@ def test_each_shared_rule_has_one_implementation():
     assert _function_homes(_first_max_index) == ["function_classes._first_max"]
     for prefix in ("plain_", "commutator_"):
         assert _homes(_passes(prefix)) == ["experiments._lemma_report"]
+    assert _home_set(_inf_branch) == ["report.bound_ratio"]
+    assert _scoped_calls("bound_ratio") == [
+        "experiments.local_average_ratio",
+        "experiments.run_oscillation_check",
+        "experiments.run_oscillation_check",
+        "maximal.fs_inequality_rows",
+    ]
+    assert _homes(_raises("strictly positive")) == ["grid._weight_values"]
+    assert _homes(_isinstance_of("SampledFunction")) == []
+    assert _homes(_tolerance_given) == ["grid._built_real"]
+    assert _scoped_calls("_built_real") == [
+        "function_classes.values",
+        "function_classes.bmo_theta_norm",
+        "function_classes.check_john_nirenberg_variant",
+        "grid._weight_values",
+        "operators._commutator_with",
+    ]
+    assert _home_set(_reads_key("shift")) == ["corpus.item_shift"]
 
 
 # Window arrays: what these return, what a function returns that holds one,

@@ -1,4 +1,5 @@
-"""The one ratio-family rule, the one trend rule and the writers of report.py."""
+"""The one ratio rule, the one ratio-family rule, the one trend rule and the
+writers of report.py."""
 
 import csv
 import json
@@ -9,11 +10,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psdolab.report import ZERO_FLOOR, canonical_json, ratio_family, trend_criterion, write_csv
+from psdolab.report import (
+    ZERO_FLOOR,
+    bound_ratio,
+    canonical_json,
+    ratio_family,
+    trend_criterion,
+    write_csv,
+)
 
 
 def _names(criteria):
     return [c.name for c in criteria]
+
+
+# (lhs, rhs, ratio): a positive right side, 0 / 0, lhs > 0 = rhs, and a NaN
+# on either side
+_BOUND_RATIOS = [(3.0, 2.0, 1.5), (0.0, 0.0, 0.0), (2.0, 0.0, math.inf),
+                 (math.nan, 2.0, math.nan), (math.nan, 0.0, math.nan), (0.0, math.nan, math.nan),
+                 (2.0, math.nan, math.nan)]
+
+
+@pytest.mark.parametrize("lhs,rhs,expected", _BOUND_RATIOS)
+def test_bound_ratio_of_floats(lhs, rhs, expected):
+    """Floats give a Python float: lhs / rhs, or where the right side
+    vanishes, 0 if the left side does and inf if not; NaN stays NaN."""
+    got = bound_ratio(lhs, rhs)
+    assert type(got) is float
+    assert got == expected or (math.isnan(got) and math.isnan(expected))
+
+
+def test_bound_ratio_of_arrays_is_the_float_rule_elementwise():
+    """Arrays broadcast, a (rows, J) left side against a (J,) right side,
+    each entry as the float rule gives it, with no warning."""
+    lhs, rhs, expected = (np.array(column) for column in zip(*_BOUND_RATIOS))
+    with np.errstate(all="raise"):
+        got = bound_ratio(np.stack([lhs, 2.0 * lhs]), rhs)
+    assert got.shape == (2, len(_BOUND_RATIOS))
+    np.testing.assert_array_equal(got[0], expected)
+    np.testing.assert_array_equal(got[1], [bound_ratio(2.0 * a, b) for a, b in zip(lhs, rhs)])
 
 
 def test_ratio_family_judges_the_spread_of_a_finite_family():
@@ -77,6 +112,14 @@ def test_no_trend_without_three_shifts_one_per_ratio_and_positive_ratios(ratios,
 
 def test_no_trend_on_a_nan_ratio():
     assert trend_criterion("slope", [1.0, np.nan, 2.0], [0.0, 1.0, 2.0], 0.1) == (None, [])
+
+
+def test_no_trend_when_an_item_carries_no_shift():
+    """corpus.item_shift reads None for an item without a shift: no trend is
+    fitted, not even on the other items' shifts."""
+    ratios, shifts = [1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 2.0, 3.0]
+    assert trend_criterion("slope", ratios, shifts, 10.0)[0] is not None
+    assert trend_criterion("slope", ratios, [*shifts[:3], None], 10.0) == (None, [])
 
 
 # ---------------------------------------------------------------------------
