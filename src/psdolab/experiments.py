@@ -182,8 +182,8 @@ def _corpus_ratio_report(cfg: ExperimentConfig, experiment: str, transform) -> V
     transform(op, rows) must return the transformed (rows, n) stack; the
     corpus of _ratio_corpus goes through it one block at a time, and only
     the transformed rows' norms are computed here.  Ratios are weighted p-norm
-    quotients; unweighted quotients ride along so a drifting unweighted
-    family is visible in the same report.
+    quotients (report.bound_ratio: a zero item reads 0); unweighted quotients
+    ride along so a drifting unweighted family is visible in the same report.
     """
     grid = cfg.make_grid()
     sym = cfg.make_symbol()
@@ -199,10 +199,7 @@ def _corpus_ratio_report(cfg: ExperimentConfig, experiment: str, transform) -> V
         norms = zip(block, denoms_w, denoms_0,
                     lp_norms(grid, t_rows, p, weight=w.values), lp_norms(grid, t_rows, p))
         for (label, _, params), denom_w, denom_0, num_w, num_0 in norms:
-            if denom_w == 0.0 or denom_0 == 0.0:
-                continue
-            r_w = num_w / denom_w
-            r_0 = num_0 / denom_0
+            r_w, r_0 = bound_ratio(num_w, denom_w), bound_ratio(num_0, denom_0)
             ratios.append(r_w)
             unweighted.append(r_0)
             shifts.append(item_shift(params))

@@ -48,7 +48,8 @@ from .grid import (
     ball_indices,
     sweep_family,
 )
-from .report import Criterion, VerificationReport, spread_criterion, zero_family
+from .report import (Criterion, VerificationReport, bound_ratio, log2_floor, spread_criterion,
+                     zero_family)
 
 __all__ = [
     "preset_weight",
@@ -273,7 +274,8 @@ def check_john_nirenberg_variant(
         (mean_{2^k B} |b - b_B|^s)^(1/s) / (norm k (1 + 2^k r_B)^theta),
     with b_B the base-ball mean.  Dilates that leave the box are skipped.
 
-    A multiplier whose norm is at most 1e-12 is a zero family: every ratio
+    Each ratio is report.bound_ratio's, so a zero norm reads 0/0 as 0.  A
+    multiplier whose norm is at most 1e-12 is a zero family: every ratio
     would compare roundoff, so its one criterion is that norm floor.
     Otherwise the ratios must be finite, part (i) must stay within twice its
     median, and part (ii) must check a dilate if one was skipped.
@@ -291,12 +293,8 @@ def check_john_nirenberg_variant(
     items = []
     ratios_i = []
     for c, r, moment in zip(family.centers, family.ball_radii, moments):
-        lhs = moment ** (1.0 / s)
-        rhs = norm * (1.0 + r) ** theta
-        if rhs == 0.0:
-            continue
-        ratios_i.append(lhs / rhs)
-        items.append({"id": "part_i", "params": {"center": [c], "r": r}, "value": lhs / rhs})
+        ratios_i.append(bound_ratio(moment ** (1.0 / s), norm * (1.0 + r) ** theta))
+        items.append({"id": "part_i", "params": {"center": [c], "r": r}, "value": ratios_i[-1]})
     b_base = float(_gathered(flat, ball_indices(grid, ball)))
     ratios_ii = []
     skipped = 0
@@ -305,14 +303,11 @@ def check_john_nirenberg_variant(
         if not dil.fully_inside(grid):
             skipped += 1
             continue
-        rhs = norm * k * (1.0 + dil.radius) ** theta
-        if rhs == 0.0:
-            continue
         moment = _gathered(flat, ball_indices(grid, dil), _oscillation, s=s, center=b_base)
-        lhs = float(moment ** (1.0 / s))
-        ratios_ii.append(lhs / rhs)
-        items.append({"id": "part_ii", "params": {"k": k}, "value": lhs / rhs})
-    med = median(ratios_i) if ratios_i else 0.0
+        ratios_ii.append(bound_ratio(float(moment ** (1.0 / s)),
+                                     norm * k * (1.0 + dil.radius) ** theta))
+        items.append({"id": "part_ii", "params": {"k": k}, "value": ratios_ii[-1]})
+    med = median(ratios_i)
     # a multiplier whose oscillation norm sits at the float floor is a
     # constant: moment ratios against it compare roundoff
     zero = zero_family(norm)
@@ -329,7 +324,7 @@ def check_john_nirenberg_variant(
         experiment="john_nirenberg_variant",
         items=items,
         aggregate={
-            "max": max(ratios_i) if ratios_i else 0.0,
+            "max": max(ratios_i),
             "median": med,
             "part_ii_max": max(ratios_ii) if ratios_ii else 0.0,
             "skipped_dilates": skipped,
@@ -382,13 +377,9 @@ def _stabilization(per_ball, family: BallFamily) -> StabilizationReport:
     radii = family.radii()
     values = [max(v for v, r in zip(per_ball, family.ball_radii) if r <= limit)
               for limit in map(_slack, radii)]
-    changes = (
-        abs(values[-2] - values[-3]) / max(values[-3], 1e-300),
-        abs(values[-1] - values[-2]) / max(values[-2], 1e-300),
-    )
-    slope, _, _ = least_squares_line(
-        np.log2(np.asarray(radii)), np.log2(np.maximum(values, 1e-300))
-    )
+    changes = (bound_ratio(abs(values[-2] - values[-3]), values[-3]),
+               bound_ratio(abs(values[-1] - values[-2]), values[-2]))
+    slope, _, _ = least_squares_line(np.log2(np.asarray(radii)), log2_floor(values))
     return StabilizationReport(radii, tuple(values), slope, changes)
 
 

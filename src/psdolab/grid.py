@@ -509,7 +509,7 @@ def _family_windows(grid: PeriodicGrid, alpha: float) -> tuple:
     points 8k are the arcs (_ball_arcs) of count points from starts[k].  The
     family starts at radius 8 dx, which alpha must reach."""
     radii = _sweep_radii(grid, alpha, "alpha")
-    if radii[-1] < alpha * (1.0 - 1e-12):
+    if _slack(radii[-1]) < alpha:
         radii.append(alpha)
     windows = []
     for r in radii:

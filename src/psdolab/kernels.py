@@ -27,7 +27,7 @@ from .fitting import least_squares_line
 from .grid import Ball, PeriodicGrid, _slack
 from .littlewood_paley import LPFamily
 from .operators import OperatorInstance, _offset_rows, adjoint_kernel_row
-from .report import DecayFitReport
+from .report import DecayFitReport, bound_ratio, log2_floor
 
 __all__ = [
     "materialize_dyadic_kernel",
@@ -75,7 +75,7 @@ def materialize_dyadic_kernel(op: OperatorInstance, k: int) -> DyadicKernel:
     _check_k_window(op.family, [int(k)])
     xs = default_base_points(op)
     pts = g.axis_points()
-    mask = np.abs(pts) <= g.half_length / 2.0 + 1e-12
+    mask = np.abs(pts) <= _slack(g.half_length / 2.0)
     offsets = pts[mask]
     weight = op.family.piece_on_lattice(k) * (g.freq_spacing / (2.0 * np.pi))
     full = _offset_rows(op, xs, weight)
@@ -133,8 +133,8 @@ def fit_decay_in_k(
     for ell in ells:
         sups = [dk.weighted_sup(ell) for dk in kernels]
         expected = 1 + op.symbol.order - op.symbol.rho * ell
-        fits.append(_line_fit("k", np.array(ks, dtype=float), np.log2(np.asarray(sups)),
-                              expected, tolerance, "match"))
+        fits.append(_line_fit("k", np.array(ks, dtype=float), log2_floor(sups), expected,
+                              tolerance, "match"))
     return tuple(fits)
 
 
@@ -208,7 +208,7 @@ class DifferenceEstimate:
 def _check_annuli(grid: PeriodicGrid, radius: float, j_top: int, radius_name: str = "r",
                   j_name: str = "j") -> None:
     """The annuli S_j of a radius-r ball, j <= j_top, must stay within |z| <= L/2."""
-    if 2.0**j_top * radius > grid.half_length / 2.0 + 1e-12:
+    if 2.0**j_top * radius > _slack(grid.half_length / 2.0):
         raise ValueError(
             f"the annuli of {radius_name} = {radius:g}, {j_name} up to {j_top} leave the "
             f"wrap-safe half-box: 2^{j_top} * {radius:g} > L/2 = {grid.half_length / 2.0:g}"
@@ -245,11 +245,11 @@ def fit_difference_estimate(
 
     table = _pair_differences(op, [_annulus_points(ball, j, 6) for j in js], pairs, bands)
 
-    envelope = np.log2(np.maximum(np.max(table, axis=1), 1e-300))
+    envelope = log2_floor(np.max(table, axis=1))
     j_fit = _line_fit("j", np.array(js, dtype=float), envelope, -1.0, 0.0, "at_most")
     k_slope_sign = "positive" if 2.0 ** ks[-1] * ball.radius <= _slack(1.0) else "negative"
-    k_fit = _line_fit("k", np.array(ks, dtype=float), np.log2(np.maximum(table[0], 1e-300)),
-                      None, 0.0, k_slope_sign)
+    k_fit = _line_fit("k", np.array(ks, dtype=float), log2_floor(table[0]), None, 0.0,
+                      k_slope_sign)
     return DifferenceEstimate(ball.radius, tuple(js), tuple(ks), table, j_fit, k_fit)
 
 
@@ -321,6 +321,6 @@ def adjoint_kernel_bounds(
     ball = Ball((0.0,), g.half_length / 2.0 / 2.0 ** js[-1])
     envelope = _pair_differences(twin, [_annulus_points(ball, j, 6) for j in js],
                                  _ball_pairs(ball), twin.band[None, :])[:, 0]
-    diff_fit = _line_fit("j", np.array(js, dtype=float), np.log2(np.maximum(envelope, 1e-300)),
-                         -1.0, 0.0, "at_most")
-    return AdjointKernelReport(n_exp, far_fit, diff_fit, weighted_far / max(peak, 1e-300))
+    diff_fit = _line_fit("j", np.array(js, dtype=float), log2_floor(envelope), -1.0, 0.0,
+                         "at_most")
+    return AdjointKernelReport(n_exp, far_fit, diff_fit, bound_ratio(weighted_far, peak))

@@ -299,8 +299,9 @@ def check_weighted_bounds_maximal(
     (corpus.item_shift), fitted only when every item carries one.  The weight
     must pass the A_{p/s}^theta stabilization gate first; otherwise the
     verdict is hypothesis_unverified and the numbers are still reported.
-    Each ratio family is judged by report.ratio_family at cap spread and,
-    when the shifts vary, by report.trend_criterion within +-trend.
+    Each ratio is report.bound_ratio's (a zero item reads 0), each family is
+    judged by report.ratio_family at cap spread and, when the shifts vary,
+    by report.trend_criterion within +-trend.
     """
     _check_maximal_exponents(p, s)
     grid = w.grid
@@ -312,10 +313,8 @@ def check_weighted_bounds_maximal(
             rows, np.stack([g_kappa_p(f, kappa, s, cover, n_big).values for _, f, _ in block]),
             np.stack([m_tilde_s(f, s, cover).values for _, f, _ in block]))]
         for (_, _, params), denom, g_norm, m_norm in zip(block, *norms):
-            if denom == 0.0:
-                continue
-            ratios_g.append(g_norm / denom)
-            ratios_m.append(m_norm / denom)
+            ratios_g.append(bound_ratio(g_norm, denom))
+            ratios_m.append(bound_ratio(m_norm, denom))
             shifts.append(item_shift(params))
     if not ratios_g:
         raise ValueError("empty corpus")

@@ -15,7 +15,8 @@ A bound lhs <= C rhs becomes a family of ratios, each taken by the one ratio
 rule, bound_ratio, and judged by the one ratio-family rule, ratio_family: a
 finite max, then a max at most ZERO_FLOOR (a zero family) or else within a
 cap times the median; trend_criterion adds a flat translation trend where
-the corpus marches toward the box edge.
+the corpus marches toward the box edge.  Every growth fit reads its sups on
+the one log floor, log2_floor.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "bound_ratio",
     "canonical_json",
     "config_hash",
+    "log2_floor",
     "overall_verdict",
     "ratio_family",
     "spread_criterion",
@@ -109,6 +111,12 @@ def bound_ratio(lhs, rhs):
     if not rhs <= 0.0:
         return lhs / rhs
     return 0.0 if lhs == 0.0 else lhs * np.inf
+
+
+def log2_floor(values):
+    """The one log floor of a growth fit: log2 of the values, each raised to
+    at least 1e-300, so a vanishing sup is a finite point far below the rest."""
+    return np.log2(np.maximum(values, 1e-300))
 
 
 def ratio_family(prefix: str, values, cap: float) -> tuple[dict, list[Criterion]]:

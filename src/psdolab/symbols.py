@@ -24,7 +24,7 @@ import numpy as np
 
 from .fitting import least_squares_line
 from .grid import PeriodicGrid
-from .report import Criterion
+from .report import Criterion, log2_floor
 
 __all__ = ["SymbolSpec", "preset_symbol", "estimate_class_membership"]
 
@@ -365,7 +365,7 @@ def estimate_class_membership(sym: SymbolSpec, grid: PeriodicGrid) -> ClassMembe
                     slope, bounded = 0.0, True
                 else:
                     ks = np.arange(len(tail), dtype=float)
-                    slope, _, _ = least_squares_line(ks, np.log2(np.maximum(tail, 1e-300)))
+                    slope, _, _ = least_squares_line(ks, log2_floor(tail))
                     bounded = slope < _SLOPE_BOUND
                 entries.append(MembershipEntry(
                     alpha, beta, gamma, float(np.max(shell_sups)),

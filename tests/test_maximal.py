@@ -635,6 +635,22 @@ def test_weighted_maximal_bounds_frozen(grid, cover):
     assert agg["gate_stable"] is True
 
 
+def test_weighted_maximal_bounds_keep_an_all_zero_item(grid, cover):
+    """An all-zero item reads ratio 0 in both families (0 / 0 by
+    report.bound_ratio) and is kept: beside one Gaussian of ratio r, each
+    family's median is r / 2.  Alone it is a zero family, which passes."""
+    w = P.preset_weight("power_growth", grid, gamma=1.5)
+    zero = CorpusItem("zero", P.SampledFunction(grid, np.zeros(grid.n)), {})
+    packet = gaussian_corpus(grid, centers=(0.0,), widths=(1.0,), modulations=(0,))
+    rep = P.check_weighted_bounds_maximal([*packet, zero], w, 2.0, 1.5, 1.5, cover)
+    for key in ("series", "cover"):
+        assert rep.aggregate[f"{key}_median"] == rep.aggregate[f"{key}_max"] / 2 > 0.0
+    alone = P.check_weighted_bounds_maximal([zero], w, 2.0, 1.5, 1.5, cover)
+    assert [alone.aggregate[f"{key}_{stat}"] for key in ("series", "cover")
+            for stat in ("max", "median")] == [0.0] * 4
+    assert alone.verdict == "pass" and alone.decided_by is None
+
+
 def _reference_doubled_prefix_rows(x):
     """The family sups' doubled prefix of a (rows, n) stack, written out."""
     count_rows, n = x.shape

@@ -312,10 +312,30 @@ def _inside_the_box(node) -> bool:
                     for side in sides for n in ast.walk(side)))
 
 
-def _relative_slack(node) -> bool:
-    """The sum 1 + 1e-12, the factor of the package's relative slack."""
-    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
-            and {getattr(side, "value", None) for side in (node.left, node.right)} == {1, 1e-12})
+def _boundary_slack(node) -> bool:
+    """A sum or difference with 1e-12 on a side: the package's relative
+    slack 1 + 1e-12, or a bound's own absolute or relative slack, x + 1e-12
+    or 1 - 1e-12."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
+            and 1e-12 in {getattr(side, "value", None) for side in (node.left, node.right)})
+
+
+def _log_floor(node) -> bool:
+    """A max or maximum call that takes 1e-300: a floor under a value whose
+    log a growth fit reads (fitting.r_squared's comparison with 1e-300 is no
+    call)."""
+    return _called(node) in ("max", "maximum") and any(
+        getattr(arg, "value", None) == 1e-300 for arg in node.args)
+
+
+def _zero_skip(node) -> bool:
+    """An if whose body is continue and whose test compares a value == 0.0,
+    a float: a loop that drops an item for a vanishing right side (an index
+    or a size compared with the int 0 is not matched)."""
+    return (isinstance(node, ast.If) and isinstance(node.body[0], ast.Continue)
+            and any(isinstance(n, ast.Compare) and isinstance(n.ops[0], ast.Eq)
+                    and repr(getattr(n.comparators[0], "value", None)) == "0.0"
+                    for n in ast.walk(node.test)))
 
 
 def _first_max_index(fn) -> bool:
@@ -386,11 +406,16 @@ def test_each_shared_rule_has_one_implementation():
     """Each rule that several callers share is written in one function: the
     imaginary-part refusal, the piece-index range, the exponent >= 1 check,
     the ascending fit ranges, the inside-the-box rule, the relative slack of
-    a radius cap, the first maximal entry (the A_p^theta and BMO_theta
-    sups' ball, lemma41's argmax center), the plain and commutator
-    families that end lemma41 and lemma42, the ratio of a bound whose right
-    side may vanish (report.bound_ratio, which fs, lemma41 and lemma42 call),
-    the one weight form (an array or None, refused by one function when not
+    a bound (grid._slack: no bound takes an absolute slack or its own 1 -
+    1e-12), the first maximal entry (the A_p^theta and BMO_theta sups' ball,
+    lemma41's argmax center), the plain and commutator families that end
+    lemma41 and lemma42, the ratio of a bound whose right side may vanish
+    (report.bound_ratio, which every ratio family calls: theorem13a/b, the
+    maximal bounds, John-Nirenberg's two parts, the stabilization's
+    changes, kernel-decay's far over peak, fs, lemma41 and lemma42; no loop
+    skips an item whose right side is 0), the
+    log2 floor of a growth fit's sups (report.log2_floor), the one weight
+    form (an array or None, refused by one function when not
     strictly positive; no site takes a SampledFunction weight), the
     tolerance of built-real inputs, the weight and b (grid._built_real, the
     one caller that gives a real-part refusal its tolerance), and the one
@@ -401,16 +426,27 @@ def test_each_shared_rule_has_one_implementation():
     assert _homes(_raises("must be >= 1")) == ["grid._check_exponent"]
     assert _homes(_raises("degenerate fit")) == ["kernels._ascending"]
     assert _homes(_inside_the_box) == ["grid._inside_box"]
-    assert _homes(_relative_slack) == ["grid._slack"]
+    assert _homes(_boundary_slack) == ["grid._slack"]
+    assert _homes(_log_floor) == ["report.log2_floor"]
     assert _function_homes(_first_max_index) == ["function_classes._first_max"]
     for prefix in ("plain_", "commutator_"):
         assert _homes(_passes(prefix)) == ["experiments._lemma_report"]
     assert _home_set(_inf_branch) == ["report.bound_ratio"]
+    assert _homes(_zero_skip) == []
     assert _scoped_calls("bound_ratio") == [
+        "experiments._corpus_ratio_report",
+        "experiments._corpus_ratio_report",
         "experiments.local_average_ratio",
         "experiments.run_oscillation_check",
         "experiments.run_oscillation_check",
+        "function_classes.check_john_nirenberg_variant",
+        "function_classes.check_john_nirenberg_variant",
+        "function_classes._stabilization",
+        "function_classes._stabilization",
+        "kernels.adjoint_kernel_bounds",
         "maximal.fs_inequality_rows",
+        "maximal.check_weighted_bounds_maximal",
+        "maximal.check_weighted_bounds_maximal",
     ]
     assert _homes(_raises("strictly positive")) == ["grid._weight_values"]
     assert _homes(_isinstance_of("SampledFunction")) == []

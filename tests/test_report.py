@@ -14,6 +14,7 @@ from psdolab.report import (
     ZERO_FLOOR,
     bound_ratio,
     canonical_json,
+    log2_floor,
     ratio_family,
     trend_criterion,
     write_csv,
@@ -49,6 +50,14 @@ def test_bound_ratio_of_arrays_is_the_float_rule_elementwise():
     assert got.shape == (2, len(_BOUND_RATIOS))
     np.testing.assert_array_equal(got[0], expected)
     np.testing.assert_array_equal(got[1], [bound_ratio(2.0 * a, b) for a, b in zip(lhs, rhs)])
+
+
+def test_log2_floor_reads_a_vanishing_value_at_1e_300():
+    """log2 of each value, a value under 1e-300 (0 included) read as 1e-300:
+    a finite point, with no warning."""
+    with np.errstate(all="raise"):
+        got = log2_floor([0.0, 1e-320, 0.25, 8.0])
+    np.testing.assert_array_equal(got, [np.log2(1e-300)] * 2 + [-2.0, 3.0])
 
 
 def test_ratio_family_judges_the_spread_of_a_finite_family():

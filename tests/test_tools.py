@@ -48,6 +48,27 @@ def test_a_short_seeded_fuzz_run_finds_no_internal_error(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_report_matrix_prints_one_line_per_seed_of_a_named_config(tmp_path):
+    """report_matrix.py narrowed to `default` prints one line per seed, 3
+    and 7: exit 0, a sha256 per report file and summary.json, and the sha256
+    of stdout with the out dir masked, so two runs' stdout hashes agree
+    though their out dirs differ.  An unknown config name exits 2."""
+    done = _run(tmp_path, str(ROOT / "tools" / "report_matrix.py"), "default")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split(": ", 1)[0] for line in lines] == ["default seed 3", "default seed 7"]
+    fields = [line.split(": ", 1)[1].split(" ") for line in lines]
+    for word, code, *files, _ in fields:
+        assert (word, code) == ("exit", "0")
+        names, digests = zip(*(entry.split("=") for entry in files))
+        assert len(names) == 19 and "summary.json" in names
+        assert {len(digest) for digest in digests} == {64}
+    assert fields[0][-1] == fields[1][-1] and fields[0][-1].startswith("stdout=")
+    assert list(tmp_path.iterdir()) == []
+    refused = _run(tmp_path, str(ROOT / "tools" / "report_matrix.py"), "nope")
+    assert refused.returncode == 2 and refused.stdout == ""
+
+
 GRID_TEXT = '''"""Module doc,
 over two lines."""
 
