@@ -12,7 +12,7 @@ import pytest
 
 from psdolab.cli import main
 from psdolab.config import HypothesisViolation, load_config
-from psdolab.experiments import VERIFY_TARGETS, run_all
+from psdolab.experiments import VERIFY_TARGETS
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -453,19 +453,29 @@ def test_verdicts_recompute_from_the_json_alone(tmp_path, capsys, preset):
     assert ("hypothesis_unverified" in verdicts) == gated
 
 
-@pytest.mark.parametrize("preset", sorted(p.stem for p in (ROOT / "presets").glob("*.cfg")))
-def test_readme_preset_row_quotes_every_failing_verdict(preset):
-    """The preset's row in README's table quotes, in backticks, the verdict
-    line (str of decided_by) of every target that does not pass, and no
-    other verdict line, so a verdict change must update README with it."""
+PRESET_ENTRIES = [entry for entry in json.loads((ROOT / "presets" / "ledger.json").read_text())
+                  if "config" in entry]
+
+
+@pytest.mark.parametrize("entry", PRESET_ENTRIES, ids=[e["name"] for e in PRESET_ENTRIES])
+def test_readme_preset_row_quotes_every_failing_verdict(entry):
+    """The preset's row in README's table quotes each of its ledger rows as
+    "`target`: verdict[ by `criterion`]; paper: verdict (status), reason."
+    and no other, and no verdict line with its digits, so a verdict change
+    must update the ledger and README with it.  tests/test_ledger.py checks
+    the ledger against a run."""
     rows = [line for line in (ROOT / "README.md").read_text().splitlines()
-            if line.startswith(f"| `presets/{preset}.cfg`")]
+            if line.startswith(f"| `{entry['config']}`")]
     assert len(rows) == 1
-    quoted = [text for text in re.findall(r"`([^`]+)`", rows[0])
-              if re.search(r" (?:<=|>=|==|!=|<|>) ", text)]
-    reports = run_all(load_config(ROOT / "presets" / f"{preset}.cfg"))
-    failing = [str(r.decided_by) for r in reports.values() if r.decided_by is not None]
-    assert sorted(quoted) == sorted(failing)
+    ledger_rows = entry.get("targets", {})
+    for target, row in ledger_rows.items():
+        today = row["verdict"] + (f" by `{row['decided_by']}`" if row["decided_by"] else "")
+        assert "|" not in row["reason"]
+        assert (f"`{target}`: {today}; paper: {row['paper']} ({row['status']}), "
+                f"{row['reason']}.") in rows[0]
+    assert len(re.findall(r"`[\w-]+`: \w+(?: by `[^`]+`)?; paper: ", rows[0])) == len(ledger_rows)
+    assert not [text for text in re.findall(r"`([^`]+)`", rows[0])
+                if re.search(r" (?:<=|>=|==|!=|<|>) ", text)]
 
 
 def test_unknown_subcommand_rejected(tmp_path):

@@ -3,12 +3,20 @@ directory and temporary files are a test's temporary directory.  The
 census's line counts run in-process, on a small source text."""
 
 import importlib.util
+import json
 import os
 import pathlib
 import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _census():
+    spec = importlib.util.spec_from_file_location("census", ROOT / "tools" / "census.py")
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    return census
 
 
 def _run(tmp_path: pathlib.Path, *args: str) -> subprocess.CompletedProcess:
@@ -96,8 +104,12 @@ def test_line_census_counts_code_lines_and_the_window_layer():
     """All lines and code lines (not blank, comment-only or docstring) of
     every text, and of grid.py's window layer: from the rule above
     `# Windows:` to the last line before BallFamily's decorator."""
-    spec = importlib.util.spec_from_file_location("census", ROOT / "tools" / "census.py")
-    census = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(census)
     texts = {"grid.py": GRID_TEXT, "other.py": "x = 1\n\n# only a comment\n"}
-    assert census.line_census(texts) == {"src": (23, 7), "window layer": (11, 2)}
+    assert _census().line_census(texts) == {"src": (23, 7), "window layer": (11, 2)}
+
+
+def test_census_configs_are_the_ledgers():
+    """census.CONFIGS, which report_matrix.py runs too, names the ledger's
+    configs in ledger order."""
+    ledger = json.loads((ROOT / "presets" / "ledger.json").read_text())
+    assert list(_census().CONFIGS) == [entry["name"] for entry in ledger]

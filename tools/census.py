@@ -1,12 +1,12 @@
 """Census of src/: which functions `psdolab report all` never runs, and what
 keeps each of them.
 
-Runs `psdolab report all` in-process, under `sys.setprofile`, on a fixed list
-of configs: the defaults, grid.n = 2048, the four presets, the in-class
-amplitude (rho 0.5, m -0.75, delta 0.5), the exp_abs and random_log_bounded
-weights and the triangle and constant multipliers.  Reports go to a
-temporary directory.  Then prints every function defined in src/psdolab that
-no config ran, with what holds it:
+Runs `psdolab report all` in-process, under `sys.setprofile`, on the configs
+of the verdict ledger, presets/ledger.json: the defaults, grid.n = 2048, the
+four presets, the in-class amplitude (rho 0.5, m -0.75, delta 0.5), the
+exp_abs and random_log_bounded weights and the triangle and constant
+multipliers.  Reports go to a temporary directory.  Then prints every
+function defined in src/psdolab that no config ran, with what holds it:
 
   api           README's Public API list names it
   span X        a per-layer metric of BENCHMARK.json, or a span name that
@@ -20,7 +20,9 @@ A function the list names, or a helper of one, is marked "*".  After the
 list it prints the line counts of src/ and of grid.py's window layer, from
 the rule above its `# Windows:` header to the last line before `class
 BallFamily` (its decorators included in the class): all lines, and code
-lines (non-blank, not comment-only, not in a docstring).  Usage: python3
+lines (non-blank, not comment-only, not in a docstring).  Last, it prints
+how many of the ledger's rows have the status `disagree` and how many
+`agree-by-accident`.  Usage: python3
 tools/census.py.  Needs only the standard library and numpy.  Exits 1 when
 a printed function is outside README's Public API list (neither named there
 nor a helper of a named one), else 0.
@@ -40,18 +42,11 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "psdolab"
 
-CONFIGS = {
-    "default": {},
-    "grid-n 2048": {"grid.n": "2048"},
-    **{name: ROOT / "presets" / f"{name}.cfg" for name in (
-        "bessel_smoothing", "identity_baseline", "out_of_class_probe", "rough_bounded")},
-    "amplitude": {"symbol.preset": "oscillating_amplitude", "symbol.m": "-0.75",
-                  "symbol.rho": "0.5", "symbol.delta": "0.5"},
-    "weight exp_abs": {"weight.preset": "exp_abs"},
-    "weight random_log_bounded": {"weight.preset": "random_log_bounded"},
-    "bmo triangle": {"bmo.preset": "triangle"},
-    "bmo constant": {"bmo.preset": "constant"},
-}
+LEDGER = json.loads((ROOT / "presets" / "ledger.json").read_text())
+
+# name -> preset path, or the overrides of the defaults, in ledger order
+CONFIGS = {entry["name"]: ROOT / entry["config"] if "config" in entry else entry["overrides"]
+           for entry in LEDGER}
 
 
 def defined_functions() -> dict[tuple[str, int], tuple[str, str, set[str]]]:
@@ -220,6 +215,9 @@ def main() -> int:
     census = line_census({path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))})
     for part, (lines, code) in census.items():
         print(f"{part}: {lines} lines, {code} of them code")
+    statuses = [row["status"] for entry in LEDGER for row in entry.get("targets", {}).values()]
+    print(f"ledger: {statuses.count('disagree')} disagree rows, "
+          f"{statuses.count('agree-by-accident')} agree-by-accident rows")
     return 0 if outside == 0 else 1
 
 
