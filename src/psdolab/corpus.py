@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import PeriodicGrid, SampledFunction
+from .grid import PeriodicGrid, SampledFunction, _working
 
 __all__ = [
     "gaussian_packet",
@@ -87,7 +87,7 @@ def _cosine_sum(grid: PeriodicGrid, terms) -> np.ndarray:
     """sum of coef cos(dxi k x + phase) over the (k, coef, phase) terms, in
     order, scaled to sup 1 unless it vanishes."""
     x = grid.axis_points()
-    u = np.zeros(grid.n)
+    u = np.zeros_like(x)
     for k, coef, phase in terms:
         u = u + coef * np.cos(grid.freq_spacing * k * x + phase)
     sup = float(np.max(np.abs(u)))
@@ -130,8 +130,8 @@ def gaussian_corpus(
     pts = grid.axis_points()
     phases = {q: np.exp(1j * (int(q) * grid.freq_spacing) * pts) for q in modulations if q}
     items = []
-    for c in np.atleast_1d(np.asarray(centers, dtype=float)):
-        disp = grid.wrap(pts - float(c))
+    for c in np.atleast_1d(_working(centers)):
+        disp = grid.wrap(pts - c)
         square = -(disp * disp)
         for w in widths:
             envelope = np.exp(square / (2.0 * w * w))

@@ -415,7 +415,7 @@ def run_oscillation_check(cfg: ExperimentConfig) -> VerificationReport:
         same, supported, constant = (
             float(np.sum(cut * np.abs(dens[outside])))
             for cut, dens in ((same_cut, f0), (cuts[0], np.where(outside, 0.0, f0)),
-                              (cuts[0], (np.ones(grid.n) - 1.0) * f0)))
+                              (cuts[0], (np.ones_like(f0) - 1.0) * f0)))
         zeros.extend([same, supported, constant])
         items.append(
             {"id": f"ball(c={c:g},r={r:g})|zero_cases",

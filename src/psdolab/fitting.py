@@ -16,7 +16,7 @@ def least_squares_line(x, y) -> tuple[float, float, float]:
     no CPU or LAPACK build moves it.  y is centred on its first value: the
     shift leaves the fit unchanged, and a constant series reads slope 0.0.
     """
-    xs, ys = np.asarray(x, dtype=float).tolist(), np.asarray(y, dtype=float).tolist()
+    xs, ys = list(map(float, x)), list(map(float, y))
     if len(xs) < 2:
         raise ValueError("need at least two points to fit a line")
     x_mean = math.fsum(xs) / len(xs)
@@ -30,8 +30,8 @@ def least_squares_line(x, y) -> tuple[float, float, float]:
 
 
 def r_squared(x, y, slope: float, intercept: float) -> float:
-    y = np.asarray(y, dtype=float)
-    resid = y - (slope * np.asarray(x, dtype=float) + intercept)
+    y = np.asarray(y)
+    resid = y - (slope * np.asarray(x) + intercept)
     ss_res = float(np.sum(resid**2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     if ss_tot <= 1e-300:
@@ -46,7 +46,7 @@ def median(values) -> float:
     The middle value of the sorted sample, or (a + b) / 2 for the two middle
     values of an even one; NaN if the sample holds a NaN.
     """
-    v = np.sort(np.asarray(values, dtype=float).ravel())
+    v = np.sort(np.ravel(values))
     if np.isnan(v[-1]):
         return float("nan")
     mid = v.size // 2

@@ -123,7 +123,7 @@ def preset_weight(
     random_log_bounded   w = exp(u), u a seeded sum of 6 low cosines scaled to sup|u| = 1
     """
     if name == "unit":
-        return WeightFn(SampledFunction(grid, np.ones(grid.n)), "unit")
+        return WeightFn(SampledFunction(grid, np.ones_like(grid.axis_points())), "unit")
     if name == "power_growth":
         gamma = float(gamma)
         vals = (1.0 + _torus_abs(grid)) ** gamma
@@ -156,7 +156,7 @@ def preset_bmo(name: str, grid: PeriodicGrid, value: float = 1.0) -> SampledFunc
     triangle   triangle wave of x with period 2L, sup 1
     """
     if name == "constant":
-        return SampledFunction(grid, np.full(grid.n, float(value)))
+        return SampledFunction(grid, np.full_like(grid.axis_points(), float(value)))
     if name == "linear":
         return SampledFunction(grid, grid.axis_points())
     if name == "triangle":

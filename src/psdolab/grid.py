@@ -5,8 +5,10 @@ with N points (N a power of two).  The matching frequency lattice is
 xi = (pi/L) * m for integer m in [-N/2, N/2); it is itself the point set of a
 periodic grid (the reciprocal grid), which is where spectra live.  The
 transform pair is unitary, so the L2 norm taken with each grid's own measure
-is preserved exactly.  Samples are float64 when real (weights, multipliers,
-maximal functions) and complex128 otherwise (spectra, operator outputs).
+is preserved exactly.  Every array of samples, phases or spectra keeps its
+input's precision and is at least double (_working), so a grid whose half
+length is a float runs in double and one whose half length is np.longdouble
+runs in long double, arcs and index plans alike.
 """
 
 from __future__ import annotations
@@ -108,22 +110,30 @@ def make_grid(n: int, half_length: float) -> PeriodicGrid:
 
 @dataclass(frozen=True, eq=False)
 class SampledFunction:
-    """Values on a periodic grid, float64 when real and complex128 otherwise
-    (either wrapped without a copy); real_values(tol) refuses an imaginary
-    part above tol * max(1, max |value|)."""
+    """Values on a periodic grid in their working precision (_working, which
+    wraps an array already there without a copy); real_values(tol) refuses
+    an imaginary part above tol * max(1, max |value|)."""
 
     grid: PeriodicGrid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        dtype = np.complex128 if np.iscomplexobj(self.values) else np.float64
-        vals = np.asarray(self.values, dtype=dtype)
+        vals = _working(self.values)
         if vals.shape != self.grid.shape:
             raise ValueError(f"values shape {vals.shape} != grid shape {self.grid.shape}")
         object.__setattr__(self, "values", vals)
 
     def real_values(self, tol: float = 1e-9) -> np.ndarray:
         return _real_rows(self.values, tol)
+
+
+def _working(x) -> np.ndarray:
+    """x as an array in its working precision, the package's one precision
+    rule: samples, phases and spectra keep their input's precision and are at
+    least double.  The floor is np.float64, not 1.0, which numpy 2 reads as
+    a weak Python float that would leave float32 as it is."""
+    x = np.asarray(x)
+    return x.astype(np.result_type(x, np.float64), copy=False)
 
 
 def _real_rows(values: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -206,7 +216,7 @@ def inner(f: SampledFunction, g: SampledFunction) -> complex:
 def _weight_values(w, grid: PeriodicGrid) -> np.ndarray:
     """A weight's samples on grid, the one weight form: an array of the
     grid's shape that is built real and strictly positive."""
-    wv = np.asarray(_built_real(w), dtype=float)
+    wv = _working(_built_real(w))
     if wv.shape != grid.shape:
         raise ValueError("weight shape does not match grid")
     if np.min(wv) <= 0.0:
@@ -249,7 +259,7 @@ class Ball:
     radius: float
 
     def __post_init__(self) -> None:
-        c = np.ravel(np.asarray(self.center, dtype=float))
+        c = np.ravel(self.center)
         if c.shape != (1,):
             raise ValueError(f"ball center must be one coordinate, got {self.center}")
         object.__setattr__(self, "center", (float(c[0]),))
@@ -291,7 +301,7 @@ def _ball_arcs(grid: PeriodicGrid, centers, radius: float):
     """
     if radius > grid.half_length:
         raise ValueError(f"ball radius {radius} exceeds half box {grid.half_length}")
-    centers = np.asarray(centers, dtype=float)
+    centers = _working(centers)
     n, dx = grid.n, grid.spacing
     k = int(np.floor(radius / dx))
     mid = np.floor((centers + grid.half_length) / dx + 0.5).astype(int)
@@ -398,7 +408,8 @@ def _per_ball(x, groups, reduce=np.mean, **kwargs) -> list:
     for pos, rows in groups:
         got = _gathered(x, rows, reduce, **kwargs)
         if out is None:
-            out = np.empty(got.shape[:-1] + (sum(len(p) for p, _ in groups),))
+            out = np.empty(got.shape[:-1] + (sum(len(p) for p, _ in groups),),
+                           dtype=_working(got).dtype)
         out[..., pos] = got
     return [] if out is None else out.tolist()
 
@@ -436,7 +447,7 @@ def _doubled_prefix(x: np.ndarray) -> np.ndarray:
     """0, then the prefix sums of the doubled samples along the last axis of x,
     so every periodic window of a row is one difference of two entries."""
     n = x.shape[-1]
-    cs = np.zeros(x.shape[:-1] + (2 * n + 1,))
+    cs = np.zeros(x.shape[:-1] + (2 * n + 1,), dtype=_working(x).dtype)
     cs[..., 1 : n + 1] = cs[..., n + 1 :] = x
     np.cumsum(cs[..., 1:], axis=-1, out=cs[..., 1:])
     return cs
@@ -491,7 +502,7 @@ def _covering(grid: PeriodicGrid, centers) -> np.ndarray:
     ((_, q),) = _plan(ball_windows, grid, centers, 1.0)
     order = np.argsort(q, axis=None, kind="stable")
     mult = np.bincount(q.ravel(), minlength=grid.n)
-    table = np.full((int(mult.max()), grid.n), len(q))
+    table = np.full((int(mult.max()), grid.n), len(q), dtype=int)
     rank = np.arange(q.size) - np.repeat(np.cumsum(mult) - mult, mult)
     table[rank, q.ravel()[order]] = order // q.shape[1]
     return table
@@ -599,10 +610,10 @@ def _sup_over_family_rows(x: np.ndarray, grid: PeriodicGrid, alpha: float, osc: 
     count_rows, n = x.shape
     family, columns, radii, slot = _plan(_family_plan, grid, alpha)
     cs = _doubled_prefix(x)
-    vals = np.empty((count_rows, len(family), n // 8))
+    vals = np.empty((count_rows, len(family), n // 8), dtype=cs.dtype)
     if osc:
         # one deviation buffer for every row and radius, sized for the widest
-        work = np.empty(n // 8 * max(count for _, _, count in family))
+        work = np.empty(n // 8 * max(count for _, _, count in family), dtype=cs.dtype)
     for k, (_, starts, count) in enumerate(family):
         means = (cs[:, starts + count] - cs[:, starts]) / count
         if osc:

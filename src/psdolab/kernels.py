@@ -24,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from .fitting import least_squares_line
-from .grid import Ball, PeriodicGrid, _slack
+from .grid import Ball, PeriodicGrid, _slack, _working
 from .littlewood_paley import LPFamily
 from .operators import OperatorInstance, _offset_rows, adjoint_kernel_row
 from .report import DecayFitReport, bound_ratio, log2_floor
@@ -58,7 +58,7 @@ class DyadicKernel:
 
     def weighted_sup(self, ell: int) -> float:
         """sup over (x, z) of |z|^ell |K_k(x, z)|."""
-        w = np.abs(self.offsets) ** ell if ell else np.ones(len(self.offsets))
+        w = np.abs(self.offsets) ** ell if ell else np.ones_like(self.offsets)
         return float(np.max(np.abs(self.values) * w[None, :]))
 
 
@@ -93,12 +93,13 @@ def _check_k_window(family: LPFamily, ks) -> None:
             )
 
 
-def _line_fit(regressor: str, xv: np.ndarray, yv: np.ndarray, expected: float | None,
+def _line_fit(regressor: str, xv, yv: np.ndarray, expected: float | None,
               tolerance: float, criterion: str) -> DecayFitReport:
-    """The least-squares line through the points (xv, yv), judged by criterion."""
+    """The least-squares line through the points (xv, yv), judged by criterion;
+    the points record each x as a float."""
     slope, intercept, r2 = least_squares_line(xv, yv)
     return DecayFitReport(regressor, slope, intercept, r2, expected, tolerance, criterion,
-                          tuple(zip(xv.tolist(), yv.tolist())))
+                          tuple(zip(map(float, xv), yv.tolist())))
 
 
 def _ascending(indices, least: int, name: str = "k") -> list[int]:
@@ -133,8 +134,7 @@ def fit_decay_in_k(
     for ell in ells:
         sups = [dk.weighted_sup(ell) for dk in kernels]
         expected = 1 + op.symbol.order - op.symbol.rho * ell
-        fits.append(_line_fit("k", np.array(ks, dtype=float), log2_floor(sups), expected,
-                              tolerance, "match"))
+        fits.append(_line_fit("k", ks, log2_floor(sups), expected, tolerance, "match"))
     return tuple(fits)
 
 
@@ -174,10 +174,10 @@ def _pair_differences(
     g = op.grid
     live = np.flatnonzero(np.any(bands != 0.0, axis=0))
     xis = g.axis_freqs()[live]
-    ys = np.asarray(pairs, dtype=float).T[:, :, None]  # (slot, pair, 1)
+    ys = _working(pairs).T[:, :, None]  # (slot, pair, 1)
     y_phases = np.exp(-1j * (xis * ys))
     live_bands = bands.take(live, axis=1)  # C order: einsum reads F order 3x slower
-    table = np.empty((len(point_sets), len(bands)))
+    table = np.empty((len(point_sets), len(bands)), dtype=_working(xis).dtype)
     for xs, row in zip(point_sets, table):
         x = np.repeat(xs, len(pairs))[:, None]
         x_phases = np.exp(1j * (xis * xs[:, None]))
@@ -246,10 +246,9 @@ def fit_difference_estimate(
     table = _pair_differences(op, [_annulus_points(ball, j, 6) for j in js], pairs, bands)
 
     envelope = log2_floor(np.max(table, axis=1))
-    j_fit = _line_fit("j", np.array(js, dtype=float), envelope, -1.0, 0.0, "at_most")
+    j_fit = _line_fit("j", js, envelope, -1.0, 0.0, "at_most")
     k_slope_sign = "positive" if 2.0 ** ks[-1] * ball.radius <= _slack(1.0) else "negative"
-    k_fit = _line_fit("k", np.array(ks, dtype=float), log2_floor(table[0]), None, 0.0,
-                      k_slope_sign)
+    k_fit = _line_fit("k", ks, log2_floor(table[0]), None, 0.0, k_slope_sign)
     return DifferenceEstimate(ball.radius, tuple(js), tuple(ks), table, j_fit, k_fit)
 
 
@@ -321,6 +320,5 @@ def adjoint_kernel_bounds(
     ball = Ball((0.0,), g.half_length / 2.0 / 2.0 ** js[-1])
     envelope = _pair_differences(twin, [_annulus_points(ball, j, 6) for j in js],
                                  _ball_pairs(ball), twin.band[None, :])[:, 0]
-    diff_fit = _line_fit("j", np.array(js, dtype=float), log2_floor(envelope), -1.0, 0.0,
-                         "at_most")
+    diff_fit = _line_fit("j", js, log2_floor(envelope), -1.0, 0.0, "at_most")
     return AdjointKernelReport(n_exp, far_fit, diff_fit, bound_ratio(weighted_far, peak))

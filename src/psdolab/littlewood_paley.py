@@ -15,15 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import PeriodicGrid, _slack
+from .grid import PeriodicGrid, _slack, _working
 
 __all__ = ["LPFamily", "make_lp_family", "evaluate_partition_residual"]
 
 
 def smooth_step(t) -> np.ndarray:
     """C-infinity step: 0 for t <= 0, 1 for t >= 1, exp(-1/t) glue between."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros(t.shape)
+    t = _working(t)
+    out = np.zeros_like(t)
     out[t >= 1.0] = 1.0
     mid = (t > 0.0) & (t < 1.0)
     if np.any(mid):
@@ -36,7 +36,7 @@ def smooth_step(t) -> np.ndarray:
 
 def bump_profile(r) -> np.ndarray:
     """Radial bump: 1 for |r| <= 1, 0 for |r| >= 2, smooth in between."""
-    return smooth_step(2.0 - np.abs(np.asarray(r, dtype=float)))
+    return smooth_step(2.0 - np.abs(_working(r)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +62,7 @@ class LPFamily:
     def piece_profile(self, k: int, radius) -> np.ndarray:
         """phi_k as a function of |xi|."""
         self._check_index(k)
-        r = np.abs(np.asarray(radius, dtype=float))
+        r = np.abs(_working(radius))
         if k == 0:
             return bump_profile(r)
         return bump_profile(r / 2.0**k) - bump_profile(r / 2.0 ** (k - 1))
@@ -92,7 +92,7 @@ def make_lp_family(grid: PeriodicGrid) -> LPFamily:
 def evaluate_partition_residual(family: LPFamily) -> float:
     """max over lattice |xi| <= 2^(K-1) of |sum_k phi_k(xi) - 1|."""
     rad = np.abs(family.grid.axis_freqs())
-    total = np.zeros(rad.shape)
+    total = np.zeros_like(rad)
     for k in range(family.piece_count):
         total += family.piece_profile(k, rad)
     window = rad <= 2.0 ** (family.max_index - 1)

@@ -172,7 +172,7 @@ def g_kappa_p(
     while radius < grid.half_length:
         radii.append(radius)
         radius *= 2.0
-    totals = np.zeros(len(cover.centers))
+    totals = np.zeros(len(cover.centers), dtype=powered.dtype)
     for k, means in enumerate(_arc_means(powered, cover.grid, cover.centers, radii)):
         # Python float powers: numpy's array power can differ in the last ulp
         avgs = np.array([m ** (1.0 / p) for m in means.tolist()])

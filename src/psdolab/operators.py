@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import PeriodicGrid, SampledFunction, _built_real, dft_rows, idft_rows
+from .grid import PeriodicGrid, SampledFunction, _built_real, _working, dft_rows, idft_rows
 from .littlewood_paley import LPFamily, make_lp_family
 from .symbols import SymbolSpec
 
@@ -226,7 +226,7 @@ def _lattice_sum(grid: PeriodicGrid, coef: np.ndarray) -> np.ndarray:
 def _kernel_weights(op: OperatorInstance, x: np.ndarray, sign: float) -> np.ndarray:
     """dxi / (2pi) per mode (times the band), times e^{sign i x xi_m} per point of x."""
     g = op.grid
-    w = np.full(g.n, g.freq_spacing / (2.0 * np.pi))
+    w = g.freq_spacing / (2.0 * np.pi)
     w = w if op.band is None else op.band * w
     return w * np.exp(sign * 1j * (g.axis_freqs() * x[..., None]))
 
@@ -252,7 +252,7 @@ def _held(op: OperatorInstance, x: np.ndarray, slot: int, weight: np.ndarray) ->
 
 def kernel_column(op: OperatorInstance, x: float | np.ndarray) -> np.ndarray:
     """K(., x): the kernel against its first argument, over the grid, per point of x."""
-    x = np.asarray(x, dtype=float)
+    x = _working(x)
     _, cs, _ = op._terms
     held = _held(op, x, 1, _kernel_weights(op, x, -1.0))
     return _combine(cs, {p: _lattice_sum(op.grid, c) for p, c in held.items()})
@@ -260,7 +260,7 @@ def kernel_column(op: OperatorInstance, x: float | np.ndarray) -> np.ndarray:
 
 def kernel_row(op: OperatorInstance, x: float | np.ndarray) -> np.ndarray:
     """K(x, .): the kernel against its second argument, over the grid, per point of x."""
-    x = np.asarray(x, dtype=float)
+    x = _working(x)
     _, _, ds = op._terms
     held = _held(op, x, 0, _kernel_weights(op, x, 1.0))
     return _combine(ds, {q: np.conj(_lattice_sum(op.grid, np.conj(c))) for q, c in held.items()})

@@ -124,7 +124,7 @@ def ratio_family(prefix: str, values, cap: float) -> tuple[dict, list[Criterion]
     and the criteria {prefix}max_finite, then zero_family if the max is at
     most ZERO_FLOOR, else the spread rule with cap.  The max is np.max, so a
     NaN ratio carries through and fails both criteria."""
-    arr = np.asarray(values, dtype=float)
+    arr = np.asarray(values)
     top, mid = float(np.max(arr)), median(arr)
     zero = zero_family(top)
     last = zero if zero.ok else spread_criterion(f"{prefix}max", top, cap, mid,
@@ -140,10 +140,10 @@ def trend_criterion(key: str, ratios, shifts, bound: float
     there is one shift per ratio and none is None (corpus.item_shift of an
     item without one), at least 3 distinct shifts and every ratio is > 0;
     otherwise (None, [])."""
-    arr = np.asarray(ratios, dtype=float)
+    arr = np.asarray(ratios)
     if None in shifts or len(set(shifts)) < 3 or len(shifts) != arr.size or not np.all(arr > 0):
         return None, []
-    slope, _, _ = least_squares_line(np.log2(1.0 + np.asarray(shifts, dtype=float)),
+    slope, _, _ = least_squares_line(np.log2(1.0 + np.asarray(shifts)),
                                      np.log2(arr))
     return slope, [Criterion(f"|{key}|", abs(slope), "<=", bound)]
 

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .fitting import least_squares_line
-from .grid import PeriodicGrid
+from .grid import PeriodicGrid, _working
 from .report import Criterion, log2_floor
 
 __all__ = ["SymbolSpec", "preset_symbol", "estimate_class_membership"]
@@ -33,7 +33,7 @@ KINDS = ("smooth_symbol", "smooth_amplitude", "rough_symbol", "rough_amplitude")
 
 def japanese_bracket(x) -> np.ndarray:
     """<x> = sqrt(1 + x^2)."""
-    return np.sqrt(1.0 + np.asarray(x, dtype=float) ** 2)
+    return np.sqrt(1.0 + _working(x) ** 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +84,7 @@ class SymbolSpec:
 
 def _triangle_wave(x) -> np.ndarray:
     """Periodic triangle wave, period 2, range [-1, 1]; Lipschitz, not C^1."""
-    t = np.mod(np.asarray(x, dtype=float), 2.0)
+    t = np.mod(_working(x), 2.0)
     return 1.0 - 2.0 * np.abs(t - 1.0)
 
 
@@ -93,7 +93,7 @@ def _one_term(ev, modulation: Callable | None = None) -> Callable:
     out with c(0) = 1; c = None is a multiplier."""
 
     def expansion(xi):
-        s = np.asarray(ev(0.0, 0.0, xi), dtype=np.complex128)
+        s = _working(ev(0.0, 0.0, xi))
         s.flags.writeable = False
         return Expansion((modulation,), (None,), ((0, 0),), lambda r: s)
 
@@ -113,12 +113,12 @@ def _bessel_j(top: int, z: np.ndarray) -> np.ndarray:
     top, rescaled before it overflows, and is normalized by
     J_0 + 2 (J_2 + J_4 + ...) = 1.
     """
-    z = np.asarray(z, dtype=float)
+    z = _working(z)
     zs = np.where(z > 0.0, z, 1.0)
     start = top + 2 * int(np.max(z, initial=0.0)) + 40
     start += start % 2
-    out = np.zeros((top + 1,) + z.shape)
-    above, cur = np.zeros(z.shape), np.full(z.shape, 1e-200)
+    out = np.zeros((top + 1,) + z.shape, dtype=z.dtype)
+    above, cur = np.zeros_like(z), np.full_like(z, 1e-200)
     norm = 2.0 * cur
     for k in range(start, 0, -1):
         above, cur = cur, (2.0 * k / zs) * cur - above  # cur is now J_{k-1}
@@ -191,7 +191,7 @@ def preset_symbol(name: str, **params) -> SymbolSpec:
     """
     if name == "identity":
         def ev_identity(x, y, xi):
-            return np.ones(np.shape(xi), dtype=np.complex128)
+            return np.ones_like(_working(xi)) + 0j
 
         return SymbolSpec(ev_identity, 0.0, 1.0, 0.0, "smooth_symbol", "identity",
                           _one_term(ev_identity))
@@ -335,15 +335,13 @@ def estimate_class_membership(sym: SymbolSpec, grid: PeriodicGrid) -> ClassMembe
     starts = np.cumsum([0] + [xi_vals.size for _, xi_vals in shells[:-1]])
     span = 0.75 * grid.half_length
     xs = np.linspace(-span, span, 9)[:, None, None]
-    ys = np.linspace(-span, span, 9)[None, :, None] if not sym.is_symbol else np.zeros(
-        (1, 1, 1)
-    )
+    ys = xs.reshape(1, 9, 1) if not sym.is_symbol else np.zeros_like(xs[:1])
     hx, hxi = grid.spacing, grid.freq_spacing
 
     @cache
     def values(ox, oy, oxi):
         term = sym.evaluator(xs + ox * hx, ys + oy * hx, xis + oxi * hxi)
-        return np.asarray(term, dtype=np.complex128)
+        return _working(term)
 
     entries = []
     for alpha in range(0, 4):
@@ -364,7 +362,7 @@ def estimate_class_membership(sym: SymbolSpec, grid: PeriodicGrid) -> ClassMembe
                 if np.max(tail) < _SUP_FLOOR:
                     slope, bounded = 0.0, True
                 else:
-                    ks = np.arange(len(tail), dtype=float)
+                    ks = np.arange(len(tail))
                     slope, _, _ = least_squares_line(ks, log2_floor(tail))
                     bounded = slope < _SLOPE_BOUND
                 entries.append(MembershipEntry(

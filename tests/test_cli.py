@@ -412,28 +412,31 @@ _COMPARE = {"<": operator.lt, "<=": operator.le, "==": operator.eq,
             ">=": operator.ge, ">": operator.gt}
 
 
-@pytest.mark.parametrize("preset", ["bessel_smoothing", "identity_baseline",
-                                    "out_of_class_probe", "rough_bounded", "exp_abs"])
-def test_verdicts_recompute_from_the_json_alone(tmp_path, capsys, preset):
+LEDGER = json.loads((ROOT / "presets" / "ledger.json").read_text())
+
+
+@pytest.mark.parametrize("entry", LEDGER, ids=[e["name"] for e in LEDGER])
+def test_verdicts_recompute_from_the_json_alone(tmp_path, capsys, entry):
     """Each report's verdict follows from its criteria block by one rule:
     hypothesis_unverified if a gate is not ok, else pass iff every criterion
     is ok, each ok recomputed from value, comparison and threshold.
     decided_by names the first failing gate or criterion, and the CLI line
-    of a non-pass names it too.  The e^|x| weight fails the stabilization
-    gates (weight.preset = exp_abs), so that run has hypothesis_unverified
-    reports."""
-    gated = preset == "exp_abs"
-    cfgfile = ROOT / "presets" / f"{preset}.cfg"
-    if gated:
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("weight.preset = exp_abs\n")
+    of a non-pass names it too.  The configs are the verdict ledger's
+    (presets/ledger.json); a config has hypothesis_unverified reports where
+    a ledger row has that verdict (the e^|x| weight fails the stabilization
+    gates)."""
+    gated = any(row["verdict"] == "hypothesis_unverified"
+                for row in entry.get("targets", {}).values())
+    cfgfile = ROOT / entry["config"] if "config" in entry else tmp_path / "run.cfg"
+    if "overrides" in entry:
+        cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in entry["overrides"].items()))
     out = tmp_path / "out"
     run_cli("report", "all", "--config", str(cfgfile), "--out", str(out))
     lines = capsys.readouterr().out.splitlines()
     summary = json.loads((out / "summary.json").read_text())
     verdicts = []
-    for name, entry in summary["experiments"].items():
-        data = json.loads((out / entry["report"]).read_text())
+    for name, listed in summary["experiments"].items():
+        data = json.loads((out / listed["report"]).read_text())
         gates, criteria = data["criteria"]["gates"], data["criteria"]["criteria"]
         names = [c["name"] for c in gates + criteria]
         assert criteria and len(set(names)) == len(names)
@@ -444,7 +447,7 @@ def test_verdicts_recompute_from_the_json_alone(tmp_path, capsys, preset):
             verdict = "hypothesis_unverified"
         else:
             verdict = "fail" if failing else "pass"
-        assert data["verdict"] == entry["verdict"] == verdict
+        assert data["verdict"] == listed["verdict"] == verdict
         assert data["decided_by"] == (failing[0] if failing else None)
         line = next(text for text in lines if text.split()[0] == name)
         assert line.split()[1:3] == [verdict] + failing[:1]
@@ -453,8 +456,7 @@ def test_verdicts_recompute_from_the_json_alone(tmp_path, capsys, preset):
     assert ("hypothesis_unverified" in verdicts) == gated
 
 
-PRESET_ENTRIES = [entry for entry in json.loads((ROOT / "presets" / "ledger.json").read_text())
-                  if "config" in entry]
+PRESET_ENTRIES = [entry for entry in LEDGER if "config" in entry]
 
 
 @pytest.mark.parametrize("entry", PRESET_ENTRIES, ids=[e["name"] for e in PRESET_ENTRIES])

@@ -402,6 +402,35 @@ def _function_homes(match) -> list[str]:
             if isinstance(fn, ast.FunctionDef) and match(fn)]
 
 
+def _precision_literal(node) -> bool:
+    """A precision spelled out: float or complex in a dtype= or an astype,
+    or np.float64 or np.complex128."""
+    if isinstance(node, ast.keyword) and node.arg == "dtype":
+        spelled = node.value
+    elif _called(node) == "astype" and node.args:
+        spelled = node.args[0]
+    else:
+        return isinstance(node, ast.Attribute) and node.attr in ("float64", "complex128")
+    return any(getattr(n, "id", None) in ("float", "complex") for n in ast.walk(spelled))
+
+
+def _buffer_without_dtype(node) -> bool:
+    """A call of np.zeros, np.empty, np.full or np.ones that names no dtype
+    (the *_like calls take their input's)."""
+    return _called(node) in ("zeros", "empty", "full", "ones") and not any(
+        kw.arg == "dtype" for kw in node.keywords)
+
+
+def test_one_precision_rule_for_every_sample_array():
+    """Samples, phases and spectra keep their input's precision and are at
+    least double, by one rule, grid._working: no other function spells a
+    precision out, and every new buffer names its dtype or is a *_like
+    call, so a grid whose half length is np.longdouble runs in long double
+    end to end."""
+    assert _homes(_precision_literal) == ["grid._working"]
+    assert _homes(_buffer_without_dtype) == []
+
+
 def test_each_shared_rule_has_one_implementation():
     """Each rule that several callers share is written in one function: the
     imaginary-part refusal, the piece-index range, the exponent >= 1 check,

@@ -4,19 +4,26 @@ census's line counts run in-process, on a small source text."""
 
 import importlib.util
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
 
+from psdolab.config import DEFAULTS
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
+def _tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _census():
-    spec = importlib.util.spec_from_file_location("census", ROOT / "tools" / "census.py")
-    census = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(census)
-    return census
+    return _tool("census")
 
 
 def _run(tmp_path: pathlib.Path, *args: str) -> subprocess.CompletedProcess:
@@ -113,3 +120,24 @@ def test_census_configs_are_the_ledgers():
     configs in ledger order."""
     ledger = json.loads((ROOT / "presets" / "ledger.json").read_text())
     assert list(_census().CONFIGS) == [entry["name"] for entry in ledger]
+
+
+def test_shadow_gaps_of_bmo_stay_within_double_rounding(tmp_path, monkeypatch):
+    """tools/shadow.py runs bmo on the default config in double and in long
+    double, each in its own child process.  Every report value's relative
+    gap is at most c log2(N) u, with c = 4, u = 2^-53 the unit roundoff of
+    double and N the grid size; the long-double run holds long-double values
+    and differs from the double run, so it did run in long double; the
+    verdicts agree, and the critical cover's index plan is the same in both
+    precisions."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    shadow = _tool("shadow")
+    n = int(DEFAULTS["grid.n"])
+    rows, verdicts, same_plan = shadow.gaps("default", ["bmo"])
+    bound = 4 * math.log2(n) * 2.0 ** -53
+    assert rows and [row for row in rows if not row[4] <= bound] == []
+    assert any(not double_only for *_, double_only in rows)
+    assert max(row[4] for row in rows) > 0.0
+    assert verdicts == []
+    assert same_plan

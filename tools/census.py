@@ -2,10 +2,10 @@
 keeps each of them.
 
 Runs `psdolab report all` in-process, under `sys.setprofile`, on the configs
-of the verdict ledger, presets/ledger.json: the defaults, grid.n = 2048, the
-four presets, the in-class amplitude (rho 0.5, m -0.75, delta 0.5), the
-exp_abs and random_log_bounded weights and the triangle and constant
-multipliers.  Reports go to a temporary directory.  Then prints every
+of the verdict ledger, presets/ledger.json: the defaults, grid.n = 2048,
+grid.n = 2048 with grid.l = 32, the four presets, the in-class amplitude (rho
+0.5, m -0.75, delta 0.5), the exp_abs and random_log_bounded weights and the
+triangle and constant multipliers.  Reports go to a temporary directory.  Then prints every
 function defined in src/psdolab that no config ran, with what holds it:
 
   api           README's Public API list names it
